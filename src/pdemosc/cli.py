@@ -22,13 +22,14 @@ from .discrete import (
     eigen_tridiagonal,
     von_roos_asymmetry,
 )
-from .errors import PdemError
+from .errors import NotABoundStateError, PdemError
 from .families import (
     Kind,
     VonRoosOrdering,
     bound_state_count,
     energy,
     make_family,
+    require_bound,
 )
 from .polynomials import (
     eigenfunction_samples,
@@ -37,13 +38,6 @@ from .polynomials import (
     to_json_dict,
 )
 from .susy import report_to_json_dict, verify_all
-
-_KINDS = {
-    "case1": Kind.CASE1,
-    "case2": Kind.CASE2,
-    "case3": Kind.CASE3,
-    "constant": Kind.CONSTANT,
-}
 
 _Q_MEANING = {
     "case1": "q = lambda/alpha",
@@ -90,7 +84,8 @@ def _ordering_flag(text: str) -> VonRoosOrdering:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", required=True, choices=sorted(_KINDS))
+    common.add_argument("--family", required=True,
+                        choices=sorted(k.value for k in Kind))
     common.add_argument("--alpha", type=float, default=1.0)
     common.add_argument("--lambda", dest="lam", type=float, default=0.0,
                         help="deformation strength of the mass law")
@@ -128,18 +123,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_n_max(family, requested):
-    """Default min(9, cutoff−1); refuse explicit requests past the cutoff."""
+def _n_max(family, requested, levels: bool = True) -> int:
+    """--n-max, by default min(9, cutoff − 1).
+
+    A family that binds no state has no default.  When the indices are
+    levels (not polynomial degrees) an explicit request past the cutoff is
+    refused.
+    """
+    if requested is not None and requested < 0:
+        raise PdemError(f"n-max must be nonnegative, got {requested}")
+    if requested is None or levels:
+        require_bound(family, 0)
     count = bound_state_count(family)
     if requested is None:
         return 9 if count is None else min(9, count - 1)
-    if requested < 0:
-        raise PdemError(f"n-max must be nonnegative, got {requested}")
-    if count is not None and requested >= count:
-        raise PdemError(
-            f"requested levels up to n = {requested}, but this family binds "
-            f"only {count} states (n = 0..{count - 1}); "
-            f"levels at and above the cutoff are not bound")
+    if levels:
+        try:
+            require_bound(family, requested)
+        except NotABoundStateError:
+            raise NotABoundStateError(
+                f"requested levels up to n = {requested}, but this family binds "
+                f"only {count} states (n = 0..{count - 1}); "
+                f"levels at and above the cutoff are not bound") from None
     return requested
 
 
@@ -173,7 +178,7 @@ def _grid_dict(grid) -> dict:
 
 
 def _cmd_spectrum(args, family) -> int:
-    n_max = _resolve_n_max(family, args.n_max)
+    n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     sol = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
                             n_max + 1, grid.h)
@@ -193,7 +198,7 @@ def _cmd_spectrum(args, family) -> int:
 
 
 def _cmd_eigenfunctions(args, family) -> int:
-    n_max = _resolve_n_max(family, args.n_max)
+    n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     if args.source == "numeric":
         sol = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
@@ -251,12 +256,7 @@ def _poly_str(poly) -> str:
 
 def _cmd_polynomials(args, family) -> int:
     # degree is a polynomial index, not a level, so no bound-count gate
-    count = bound_state_count(family)
-    n_max = args.n_max
-    if n_max is None:
-        n_max = 9 if count is None else min(9, count - 1)
-    if n_max < 0:
-        raise PdemError(f"n-max must be nonnegative, got {n_max}")
+    n_max = _n_max(family, args.n_max, levels=False)
     par = parameterization_for(family.profile.kind)
     polys = [gf_polynomial(n, par) for n in range(n_max + 1)]
     if args.symbolic:
@@ -270,6 +270,7 @@ def _cmd_polynomials(args, family) -> int:
 
 
 def _cmd_verify(args, family) -> int:
+    require_bound(family, 0)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     report = verify_all(family, grid)
     ok = True
@@ -287,7 +288,7 @@ def _cmd_compare_ordering(args, family) -> int:
         print("error: compare-ordering needs at least one --ordering a,b,c",
               file=sys.stderr)
         return 2
-    n_max = _resolve_n_max(family, args.n_max)
+    n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     k = n_max + 1
     sym = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
@@ -342,7 +343,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        family = make_family(_KINDS[args.family], args.alpha, args.lam)
+        family = make_family(Kind(args.family), args.alpha, args.lam)
         return _HANDLERS[args.command](args, family)
     except PdemError as exc:
         print(f"error: {exc}", file=sys.stderr)

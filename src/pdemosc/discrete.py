@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,11 @@ import numpy as np
 from .errors import (
     ConvergenceFailureError,
     InvalidCountError,
+    InvalidLambdaError,
     LengthMismatchError,
 )
 from .families import (
-    Kind,
+    SYMMETRIC_ORDERING,
     ShapeInvariantFamily,
     VonRoosOrdering,
     mass_at,
@@ -71,8 +73,9 @@ def build_grid(family: ShapeInvariantFamily, n: int,
 
     Compact domains keep their singular endpoints (grid nodes stay strictly
     interior, where the mass is positive).  Unbounded domains are truncated
-    symmetrically at the point where the unnormalized ground state has
-    decayed to tail_tolerance, which has a closed form for every mass law.
+    symmetrically where the unnormalized ground state (1 + s x²)^(−cα/2s)
+    has decayed to tail_tolerance: x² = expm1(2sL/(cα))/s with L = −log t,
+    whose s → 0 limit 2L/(cα) is the Gaussian box.
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise ValueError(
@@ -80,18 +83,55 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     profile = family.profile
     if math.isfinite(profile.hi):
         return uniform_grid(profile.lo, profile.hi, n)
-    a = family.alpha0
-    lam = profile.lam
-    logt = math.log(1.0 / tail_tolerance)
-    if profile.kind == Kind.CASE1 and lam > 0:
-        # (1+lam x^2)^(-a/2lam) = t
-        hi = math.sqrt((math.exp(2.0 * lam * logt / a) - 1.0) / lam)
-    elif profile.kind == Kind.CASE2 and lam > 0:
-        hi = math.sqrt(lam * (math.exp(2.0 * logt / (a * lam)) - 1.0))
-    else:
-        # Gaussian tail: Constant, or Case 1 at lam = 0
-        hi = math.sqrt(2.0 * logt / a)
+    s = profile.s
+    u = 2.0 * math.log(1.0 / tail_tolerance) / (profile.c * family.alpha0)
+    try:
+        hi2 = math.expm1(s * u) / s if s >= sys.float_info.min else u
+    except OverflowError:
+        hi2 = math.inf
+    if not math.isfinite(hi2):
+        raise InvalidLambdaError(
+            f"the ground state decays too slowly to reach the tail tolerance "
+            f"{tail_tolerance:g} within the range of a double; "
+            f"loosen the tail tolerance or weaken the deformation")
+    hi = math.sqrt(hi2)
     return uniform_grid(-hi, hi, n)
+
+
+def _stencil(family: ShapeInvariantFamily, grid: Grid, potential,
+             ordering: VonRoosOrdering = SYMMETRIC_ORDERING):
+    """Rows of −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + diag(potential).
+
+    The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
+    midpoints; the outer mass powers multiply rows and columns at the nodes.
+    Returns the diagonal and the two composition orders of the
+    off-diagonal, which are equal up to the roundoff of their
+    multiplication orders.  At the symmetric ordering (0, −1, 0) the outer
+    factors are one and this is the conservative scheme for −(p φ′)′ with
+    p = 1/(2m).
+    """
+    h2 = grid.h * grid.h
+    m_nodes = mass_at(family.profile, grid.points)
+    ma = np.power(m_nodes, ordering.a)
+    mc = np.power(m_nodes, ordering.c)
+    mids = grid.lo + grid.h * (np.arange(grid.n + 1) + 0.5)
+    w = np.power(mass_at(family.profile, mids), ordering.b)
+    diag = 0.5 * ma * mc * (w[:-1] + w[1:]) / h2 + potential
+    win = w[1:-1] / h2
+    upper = ma[:-1] * win * mc[1:] + mc[:-1] * win * ma[1:]
+    lower = ma[1:] * win * mc[:-1] + mc[1:] * win * ma[:-1]
+    return diag, upper, lower
+
+
+def _assemble(family: ShapeInvariantFamily, grid: Grid, potential,
+              ordering: VonRoosOrdering = SYMMETRIC_ORDERING) -> TridiagonalOperator:
+    """The kinetic stencil of `ordering` plus an arbitrary diagonal potential.
+
+    The two ordering terms are transposes of one another, so their average
+    is symmetric; one shared off-diagonal array makes that exact.
+    """
+    diag, upper, lower = _stencil(family, grid, potential, ordering)
+    return TridiagonalOperator(diag, -0.125 * (upper + lower))
 
 
 def assemble_sturm_liouville(family: ShapeInvariantFamily,
@@ -102,53 +142,23 @@ def assemble_sturm_liouville(family: ShapeInvariantFamily,
     same p_{i+½} value and the matrix is symmetric exactly, not merely up
     to roundoff.
     """
-    h = grid.h
-    mids = grid.lo + h * (np.arange(grid.n + 1) + 0.5)
-    p = 1.0 / (2.0 * mass_at(family.profile, mids))
-    v = potential_full(family, grid.points)
-    diag = (p[:-1] + p[1:]) / (h * h) + v
-    offdiag = -p[1:-1] / (h * h)
-    return TridiagonalOperator(diag, offdiag)
+    return _assemble(family, grid, potential_full(family, grid.points))
 
 
 def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                       grid: Grid) -> TridiagonalOperator:
     """Discretize −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V by composition.
 
-    The inner D mᵇ D is the conservative stencil with mᵇ at midpoints; the
-    outer mass powers multiply rows and columns at the nodes.  The two
-    ordering terms are transposes of one another, so their average is
-    symmetric up to the roundoff of the two multiplication orders; the
-    leftover is folded in by explicit averaging (see von_roos_asymmetry).
+    The leftover asymmetry of the two multiplication orders is folded in by
+    explicit averaging (see von_roos_asymmetry).
     """
-    h = grid.h
-    mids = grid.lo + h * (np.arange(grid.n + 1) + 0.5)
-    m_nodes = mass_at(family.profile, grid.points)
-    ma = np.power(m_nodes, ordering.a)
-    mc = np.power(m_nodes, ordering.c)
-    w = np.power(mass_at(family.profile, mids), ordering.b)
-    v = potential_full(family, grid.points)
-    # kinetic = ¼ (Ma L(w) Mc + Mc L(w) Ma) with L(w) the SPD stencil of −D w D
-    diag = 0.5 * ma * mc * (w[:-1] + w[1:]) / (h * h) + v
-    win = w[1:-1] / (h * h)
-    upper = ma[:-1] * win * mc[1:] + mc[:-1] * win * ma[1:]
-    lower = ma[1:] * win * mc[:-1] + mc[1:] * win * ma[:-1]
-    offdiag = -0.125 * (upper + lower)
-    return TridiagonalOperator(diag, offdiag)
+    return _assemble(family, grid, potential_full(family, grid.points), ordering)
 
 
 def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
-    h = grid.h
-    mids = grid.lo + h * (np.arange(grid.n + 1) + 0.5)
-    m_nodes = mass_at(family.profile, grid.points)
-    ma = np.power(m_nodes, ordering.a)
-    mc = np.power(m_nodes, ordering.c)
-    w = np.power(mass_at(family.profile, mids), ordering.b)
-    win = w[1:-1] / (h * h)
-    upper = ma[:-1] * win * mc[1:] + mc[:-1] * win * ma[1:]
-    lower = ma[1:] * win * mc[:-1] + mc[1:] * win * ma[:-1]
+    _, upper, lower = _stencil(family, grid, 0.0, ordering)
     if len(upper) == 0:
         return 0.0
     return 0.25 * float(np.max(np.abs(upper - lower)))

@@ -8,15 +8,19 @@ W(x) = α x √(m(x)/2).  The partner potentials obey
 
 with a remainder R(αₙ) = αₙ₊₁ that is independent of x, so the whole
 spectrum follows from summing remainders: Eₙ = E₀ + Σ_{i=0..n−1} R(α_i).
-The closed forms below are hand-expanded; no symbolic differentiation
-happens at runtime.
+
+Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
+(c, s, α) and each closed form below is one formula in it: the step is
+η = −s/c and the deformation q = s/(cα).  The formulas are hand-expanded;
+no symbolic differentiation happens at runtime.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .errors import (
 
 
 class Kind(enum.Enum):
-    """The supported mass laws."""
+    """The named mass laws; make_family maps each to its (c, s)."""
 
     CASE1 = "case1"      # m(x) = 1/(1 + λx²)
     CASE2 = "case2"      # m(x) = (1 + x²/λ)⁻¹
@@ -40,12 +44,24 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class MassProfile:
-    """A mass law together with the open interval where it is positive."""
+    """The mass law m(x) = c/(1 + s x²), labelled by the kind and λ it came from.
+
+    The mass is positive on the whole line for s ≥ 0 and on |x| < 1/√(−s)
+    for s < 0.
+    """
 
     kind: Kind
     lam: float
-    lo: float
-    hi: float
+    c: float
+    s: float
+
+    @property
+    def hi(self) -> float:
+        return 1.0 / math.sqrt(-self.s) if self.s < 0 else math.inf
+
+    @property
+    def lo(self) -> float:
+        return -self.hi
 
     def contains(self, x) -> bool:
         return bool(np.all((x > self.lo) & (x < self.hi)))
@@ -55,14 +71,13 @@ class MassProfile:
 class ShapeInvariantFamily:
     """A mass profile plus oscillator strength α and translation step η.
 
-    The parameter chain is α_n = alpha0 + n·eta (n ≥ 0) and the remainder
-    is always the next parameter in the chain.
+    The parameter chain is α_n = alpha0 + n·eta (n ≥ 0) with η = −s/c, and
+    the remainder is always the next parameter in the chain.
     """
 
     profile: MassProfile
     alpha0: float
     eta: float
-    remainder_is_next_alpha: bool = field(default=True)
 
 
 @dataclass(frozen=True)
@@ -79,14 +94,19 @@ class SpectrumTable:
 
 @dataclass(frozen=True)
 class VonRoosOrdering:
-    """Kinetic-term ordering exponents, constrained by a + b + c = -1."""
+    """Kinetic-term ordering exponents, constrained by a + b + c = -1.
+
+    The sum is checked to 1e-12 relative to the exponents' size, so decimal
+    input such as (-0.7, -0.2, -0.1) is accepted.
+    """
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if self.a + self.b + self.c != -1.0:
+        scale = max(1.0, abs(self.a), abs(self.b), abs(self.c))
+        if not abs(self.a + self.b + self.c + 1.0) <= 1e-12 * scale:
             raise ConstraintViolatedError(
                 f"ordering ({self.a}, {self.b}, {self.c}) violates a+b+c = -1"
             )
@@ -98,45 +118,37 @@ SYMMETRIC_ORDERING = VonRoosOrdering(0.0, -1.0, 0.0)
 def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFamily:
     """Build a family from its kind, oscillator strength and deformation.
 
-    The Constant kind ignores lam.  Case 2 and Case 3 reject lam = 0:
-    for Case 2 the mass is undefined there (its constant-mass limit is
-    lam → ∞), and for Case 3 the mass would be the constant 2, which is
-    a plain harmonic oscillator better served by Kind.CONSTANT.
+    Every kind is the mass law c/(1 + s x²) for the (c, s) in the table
+    below.  The Constant kind ignores lam.  Case 2 and Case 3 reject
+    lam = 0: for Case 2 the mass is undefined there (its constant-mass
+    limit is lam → ∞), and for Case 3 the mass would be the constant 2,
+    which is a plain harmonic oscillator better served by Kind.CONSTANT.
     """
     if not (alpha > 0) or not math.isfinite(alpha):
         raise NonPositiveAlphaError(f"alpha must be positive and finite, got {alpha}")
     if not math.isfinite(lam):
         raise InvalidLambdaError(f"lambda must be finite, got {lam}")
-
+    if kind == Kind.CASE2 and lam == 0:
+        raise InvalidLambdaError("Case 2 requires lambda != 0; "
+                                 "its constant-mass limit is lambda -> inf")
+    if kind == Kind.CASE3 and lam == 0:
+        raise InvalidLambdaError("Case 3 requires lambda != 0; "
+                                 "the lambda = 0 mass is the constant 2 "
+                                 "(use Kind.CONSTANT for a harmonic oscillator)")
     if kind == Kind.CONSTANT:
-        return ShapeInvariantFamily(
-            MassProfile(kind, 0.0, -math.inf, math.inf), alpha, 0.0)
-    if kind == Kind.CASE1:
-        if lam < 0:
-            edge = 1.0 / math.sqrt(-lam)
-            profile = MassProfile(kind, lam, -edge, edge)
-        else:
-            profile = MassProfile(kind, lam, -math.inf, math.inf)
-        return ShapeInvariantFamily(profile, alpha, -lam)
-    if kind == Kind.CASE2:
-        if lam == 0:
-            raise InvalidLambdaError("Case 2 requires lambda != 0; "
-                                     "its constant-mass limit is lambda -> inf")
-        if lam < 0:
-            edge = math.sqrt(-lam)
-            profile = MassProfile(kind, lam, -edge, edge)
-        else:
-            profile = MassProfile(kind, lam, -math.inf, math.inf)
-        return ShapeInvariantFamily(profile, alpha, -1.0 / lam)
-    if kind == Kind.CASE3:
-        if lam == 0:
-            raise InvalidLambdaError("Case 3 requires lambda != 0; "
-                                     "the lambda = 0 mass is the constant 2 "
-                                     "(use Kind.CONSTANT for a harmonic oscillator)")
-        edge = 1.0 / abs(lam)
-        return ShapeInvariantFamily(
-            MassProfile(kind, lam, -edge, edge), alpha, 0.5 * lam * lam)
-    raise ValueError(f"unknown kind {kind!r}")
+        lam = 0.0
+    law = {
+        Kind.CASE1: lambda: (1.0, lam),
+        Kind.CASE2: lambda: (1.0, 1.0 / lam),
+        Kind.CASE3: lambda: (2.0, -lam * lam),
+        Kind.CONSTANT: lambda: (1.0, 0.0),
+    }.get(kind)
+    if law is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    c, s = law()
+    if not math.isfinite(s):
+        raise InvalidLambdaError(f"lambda = {lam} puts s = {s} out of range")
+    return ShapeInvariantFamily(MassProfile(kind, lam, c, s), alpha, -s / c)
 
 
 def _require_inside(profile: MassProfile, x) -> None:
@@ -145,17 +157,17 @@ def _require_inside(profile: MassProfile, x) -> None:
             f"x outside open domain ({profile.lo}, {profile.hi})")
 
 
+def _log1p_over(s: float, y):
+    """log1p(s·y)/s, continued by its limit y where s is zero or subnormal."""
+    if abs(s) < sys.float_info.min:
+        return y
+    return np.log1p(s * y) / s
+
+
 def mass_at(profile: MassProfile, x):
-    """m(x) for scalar or array x strictly inside the domain."""
+    """m(x) = c/(1 + s x²) for scalar or array x strictly inside the domain."""
     _require_inside(profile, x)
-    lam = profile.lam
-    if profile.kind == Kind.CASE1:
-        return 1.0 / (1.0 + lam * np.square(x))
-    if profile.kind == Kind.CASE2:
-        return 1.0 / (1.0 + np.square(x) / lam)
-    if profile.kind == Kind.CASE3:
-        return 2.0 / (1.0 - np.square(lam * x))
-    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+    return profile.c / (1.0 + profile.s * np.square(x))
 
 
 def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
@@ -165,35 +177,23 @@ def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
 
 
 def potential_minus(family: ShapeInvariantFamily, alpha_n: float, x):
-    """V₋(x; αₙ) = W² − (W/√(2m))′, expanded per family."""
+    """V₋(x; αₙ) = W² − (W/√(2m))′ = ½ c αₙ² x²/(1 + s x²) − ½ αₙ."""
     _require_inside(family.profile, x)
-    lam = family.profile.lam
-    a = alpha_n
+    c, s = family.profile.c, family.profile.s
     x2 = np.square(x)
-    if family.profile.kind == Kind.CASE1:
-        return 0.5 * a * a * x2 / (1.0 + lam * x2) - 0.5 * a
-    if family.profile.kind == Kind.CASE2:
-        return 0.5 * a * a * x2 / (1.0 + x2 / lam) - 0.5 * a
-    if family.profile.kind == Kind.CASE3:
-        return a * a * x2 / (1.0 - lam * lam * x2) - 0.5 * a
-    return 0.5 * a * a * x2 - 0.5 * a
+    return 0.5 * c * alpha_n * alpha_n * x2 / (1.0 + s * x2) - 0.5 * alpha_n
 
 
 def potential_plus(family: ShapeInvariantFamily, alpha_n: float, x):
-    """Partner potential V₊(x; αₙ); equals V₋(x; αₙ + η) + R(αₙ)."""
+    """Partner potential V₊(x; αₙ); equals V₋(x; αₙ + η) + R(αₙ).
+
+    With b = αₙ + η it reads ½ c b² x²/(1 + s x²) + ½ b.
+    """
     _require_inside(family.profile, x)
-    lam = family.profile.lam
-    a = alpha_n
+    c, s = family.profile.c, family.profile.s
+    b = alpha_n + family.eta
     x2 = np.square(x)
-    if family.profile.kind == Kind.CASE1:
-        return 0.5 * (a - lam) ** 2 * x2 / (1.0 + lam * x2) + 0.5 * (a - lam)
-    if family.profile.kind == Kind.CASE2:
-        b = a - 1.0 / lam
-        return 0.5 * b * b * x2 / (1.0 + x2 / lam) + 0.5 * b
-    if family.profile.kind == Kind.CASE3:
-        b = a + 0.5 * lam * lam
-        return b * b * x2 / (1.0 - lam * lam * x2) + 0.5 * a + 0.25 * lam * lam
-    return 0.5 * a * a * x2 + 0.5 * a
+    return 0.5 * c * b * b * x2 / (1.0 + s * x2) + 0.5 * b
 
 
 def potential_full(family: ShapeInvariantFamily, x):
@@ -213,19 +213,11 @@ def remainder(family: ShapeInvariantFamily, alpha_n: float) -> float:
 
 
 def unified_deformation(family: ShapeInvariantFamily) -> float:
-    """The single deformation parameter q with Eₙ = α[(n+½) − q·n(n+1)/2].
+    """The single deformation parameter q = s/(cα), with Eₙ = α[(n+½) − q·n(n+1)/2].
 
-    q = λ/α (Case 1), 1/(αλ) (Case 2), −λ²/(2α) (Case 3), 0 (Constant).
+    That is λ/α (Case 1), 1/(αλ) (Case 2), −λ²/(2α) (Case 3), 0 (Constant).
     """
-    kind = family.profile.kind
-    lam = family.profile.lam
-    if kind == Kind.CASE1:
-        return lam / family.alpha0
-    if kind == Kind.CASE2:
-        return 1.0 / (family.alpha0 * lam)
-    if kind == Kind.CASE3:
-        return -0.5 * lam * lam / family.alpha0
-    return 0.0
+    return family.profile.s / (family.profile.c * family.alpha0)
 
 
 def bound_state_count(family: ShapeInvariantFamily) -> int | None:
@@ -241,36 +233,32 @@ def bound_state_count(family: ShapeInvariantFamily) -> int | None:
     return None
 
 
-def energy(family: ShapeInvariantFamily, n: int) -> float:
-    """Closed-form level Eₙ; refuses indices past the bound-state cutoff."""
+def require_bound(family: ShapeInvariantFamily, n: int) -> None:
+    """Refuse a negative level index or one at or past the bound-state cutoff."""
     if n < 0:
         raise ValueError(f"level index must be nonnegative, got {n}")
     count = bound_state_count(family)
+    if count == 0:
+        raise NotABoundStateError(
+            f"this family binds no states: its deformation "
+            f"q = {unified_deformation(family):g} is at least 2, so even the "
+            f"ground state is not normalizable")
     if count is not None and n >= count:
         raise NotABoundStateError(
             f"level {n} is not a bound state; this family binds "
             f"{count} levels (n = 0..{count - 1})")
-    a = family.alpha0
-    lam = family.profile.lam
-    kind = family.profile.kind
-    if kind == Kind.CASE1:
-        return a * (n + 0.5) - 0.5 * lam * n * (n + 1)
-    if kind == Kind.CASE2:
-        return a * (n + 0.5) - 0.5 * n * (n + 1) / lam
-    if kind == Kind.CASE3:
-        return a * (n + 0.5) + 0.25 * lam * lam * n * (n + 1)
-    return a * (n + 0.5)
+
+
+def energy(family: ShapeInvariantFamily, n: int) -> float:
+    """Closed-form level Eₙ = α(n+½) − (s/2c)·n(n+1); refuses unbound levels."""
+    require_bound(family, n)
+    p = family.profile
+    return family.alpha0 * (n + 0.5) - 0.5 * p.s / p.c * n * (n + 1)
 
 
 def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
     """Eₙ = E₀ + Σ_{i=1..n} R(α_i), the ladder route to the same number."""
-    if n < 0:
-        raise ValueError(f"level index must be nonnegative, got {n}")
-    count = bound_state_count(family)
-    if count is not None and n >= count:
-        raise NotABoundStateError(
-            f"level {n} is not a bound state; this family binds "
-            f"{count} levels (n = 0..{count - 1})")
+    require_bound(family, n)
     total = 0.5 * family.alpha0
     for k in range(n):
         total += remainder(family, alpha_at(family, k))
@@ -278,21 +266,14 @@ def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
 
 
 def ground_state_unnormalized(family: ShapeInvariantFamily, x):
-    """The zero-mode exp(−∫√(2m) W dx), normalized to 1 at x = 0."""
+    """The zero-mode exp(−∫√(2m) W dx) = (1 + s x²)^(−cα/2s), 1 at x = 0.
+
+    Evaluated as exp(−(cα/2)·log1p(s x²)/s), whose s → 0 limit is the
+    Gaussian exp(−cα x²/2).
+    """
     _require_inside(family.profile, x)
-    a = family.alpha0
-    lam = family.profile.lam
-    kind = family.profile.kind
-    x2 = np.square(x)
-    if kind == Kind.CASE1:
-        if lam == 0.0:
-            return np.exp(-0.5 * a * x2)
-        return np.power(1.0 + lam * x2, -0.5 * a / lam)
-    if kind == Kind.CASE2:
-        return np.power(1.0 + x2 / lam, -0.5 * a * lam)
-    if kind == Kind.CASE3:
-        return np.power(1.0 - lam * lam * x2, a / (lam * lam))
-    return np.exp(-0.5 * a * x2)
+    p = family.profile
+    return np.exp(-0.5 * p.c * family.alpha0 * _log1p_over(p.s, np.square(x)))
 
 
 def spectrum_table(family: ShapeInvariantFamily, n_max: int) -> SpectrumTable:

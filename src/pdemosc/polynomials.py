@@ -18,7 +18,8 @@ Coefficients are bivariate exact rationals: a polynomial maps each ζ-exponent
 to a dict {q-exponent: Fraction}.  Case 1 stores q = λ̃ = λ/α, Case 2 stores
 q = 1/μ = 1/(αλ), and Case 3 stores the positive variable υ² = λ²/(2α),
 which is −q, so its coefficients are the Case 1 ones with odd q-powers
-sign-flipped.  No floating point enters until grid sampling.
+sign-flipped.  No floating point enters here; grid sampling runs the
+three-term recurrence in floating point on the unified q instead.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .discrete import Grid, inner_product
 from .errors import (
     ConstraintViolatedError,
     DegreeMismatchError,
-    NotABoundStateError,
     NotProportionalError,
 )
 from .families import (
     Kind,
     ShapeInvariantFamily,
-    bound_state_count,
     ground_state_unnormalized,
+    require_bound,
     unified_deformation,
 )
 
@@ -58,12 +58,9 @@ class Parameterization(enum.Enum):
 
 
 def parameterization_for(kind: Kind) -> Parameterization:
-    """Constant-mass families sample at q = 0, where all three coincide."""
-    if kind == Kind.CASE2:
-        return Parameterization.CASE2
-    if kind == Kind.CASE3:
-        return Parameterization.CASE3
-    return Parameterization.CASE1
+    """Constant-mass families use Case 1, whose q = 0 member is Hermite's."""
+    return {Kind.CASE2: Parameterization.CASE2,
+            Kind.CASE3: Parameterization.CASE3}.get(kind, Parameterization.CASE1)
 
 
 def _sign_of(par: Parameterization) -> int:
@@ -413,46 +410,24 @@ def harmonic_limit(p: LambdaPoly) -> dict:
 
 # === grid sampling ===
 
-def _deformation_value(family: ShapeInvariantFamily) -> float:
-    """Numeric value of the stored variable: λ̃, 1/μ, υ², or 0."""
-    q = unified_deformation(family)
-    return -q if family.profile.kind == Kind.CASE3 else q
-
-
-def _coordinate_scale(family: ShapeInvariantFamily) -> float:
-    """ζ = √α·x, except Case 3 where ϱ = √(2α)·x."""
-    if family.profile.kind == Kind.CASE3:
-        return math.sqrt(2.0 * family.alpha0)
-    return math.sqrt(family.alpha0)
-
-
 def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
-    """φ_n(x) = N_n H_n(ζ(x), q) φ_0(x) sampled on the grid.
+    """φ_n(x) = N_n H_n(ζ, q) φ_0(x) sampled on the grid, with ζ = √(cα)·x.
 
-    N_n makes the trapezoid norm one (endpoints are implicit zeros), and
-    the leading coefficient of H_n is taken positive, so signs never depend
-    on the alternating (−1)ⁿ prefactors of the derivative construction.
+    H_n comes from the three-term recurrence in floating point, which is
+    stable at high degree where the expanded monomial form is not.  Its
+    leading coefficient Π_{m<n}(2 − (2m+1)q) is positive for every bound
+    level, so the right tail of φ_n is positive.  N_n makes the trapezoid
+    norm one (endpoints are implicit zeros).
     """
-    if n < 0:
-        raise ValueError(f"level index must be nonnegative, got {n}")
-    count = bound_state_count(family)
-    if count is not None and n >= count:
-        raise NotABoundStateError(
-            f"level {n} is not a bound state; this family binds "
-            f"{count} levels (n = 0..{count - 1})")
-    par = parameterization_for(family.profile.kind)
-    d = _deformation_value(family)
-    poly = gf_polynomial(n, par)
-    dense = np.zeros(n + 1)
-    for k, qp in poly.coeffs.items():
-        dense[k] = _qp_eval(qp, float(d))
-    if dense[n] < 0:
-        dense = -dense
-    zeta = _coordinate_scale(family) * grid.points
-    vals = np.polynomial.polynomial.polyval(zeta, dense)
-    phi = vals * ground_state_unnormalized(family, grid.points)
-    phi = phi / math.sqrt(inner_product(phi, phi, grid))
-    return phi
+    require_bound(family, n)
+    q = unified_deformation(family)
+    zeta = math.sqrt(family.profile.c * family.alpha0) * grid.points
+    h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
+    for m in range(n):
+        h_prev, h_cur = h_cur, ((2.0 - (2 * m + 1) * q) * zeta * h_cur
+                                - m * (2.0 - m * q) * h_prev)
+    phi = h_cur * ground_state_unnormalized(family, grid.points)
+    return phi / math.sqrt(inner_product(phi, phi, grid))
 
 
 def to_json_dict(p: LambdaPoly) -> dict:

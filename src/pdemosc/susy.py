@@ -20,6 +20,7 @@ import numpy as np
 from .discrete import (
     Grid,
     TridiagonalOperator,
+    _assemble,
     assemble_sturm_liouville,
     eigen_tridiagonal,
 )
@@ -32,6 +33,7 @@ from .families import (
     potential_minus,
     potential_plus,
     remainder,
+    require_bound,
     superpotential_at,
 )
 from .polynomials import eigenfunction_samples
@@ -192,10 +194,9 @@ def _interior(v):
 
 
 def _test_states(family: ShapeInvariantFamily, grid: Grid) -> list:
+    require_bound(family, 0)
     count = bound_state_count(family)
     k = 5 if count is None else min(5, count)
-    if k == 0:
-        raise ValueError("family binds no states to test with")
     return [eigenfunction_samples(family, n, grid) for n in range(k)]
 
 
@@ -206,17 +207,6 @@ def _max_residual(left: Banded, right: Banded, states, grid: Grid) -> float:
         val = math.sqrt(grid.h * float(np.dot(r, r))) / _quad_norm(v, grid)
         worst = max(worst, val)
     return worst
-
-
-def _hamiltonian_with(family: ShapeInvariantFamily, grid: Grid,
-                      potential_values) -> Banded:
-    """Conservative kinetic stencil plus an arbitrary diagonal potential."""
-    h = grid.h
-    mids = grid.lo + h * (np.arange(grid.n + 1) + 0.5)
-    p = 1.0 / (2.0 * mass_at(family.profile, mids))
-    diag = (p[:-1] + p[1:]) / (h * h) + potential_values
-    off = -p[1:-1] / (h * h)
-    return Banded(grid.n, {-1: off, 0: diag, 1: off})
 
 
 def verify_annihilation(family: ShapeInvariantFamily, grid: Grid) -> float:
@@ -246,8 +236,8 @@ def verify_intertwining(family: ShapeInvariantFamily, grid: Grid):
     ladder = build_ladder(family, family.alpha0, grid)
     vm = potential_minus(family, family.alpha0, grid.points)
     vp = potential_plus(family, family.alpha0, grid.points)
-    h_minus = _hamiltonian_with(family, grid, vm)
-    h_plus = _hamiltonian_with(family, grid, vp)
+    h_minus = Banded.from_tridiagonal(_assemble(family, grid, vm))
+    h_plus = Banded.from_tridiagonal(_assemble(family, grid, vp))
     states = _test_states(family, grid)
     res_minus = _max_residual(ladder.A @ h_minus, h_plus @ ladder.A, states, grid)
     res_plus = _max_residual(ladder.Adag @ h_plus, h_minus @ ladder.Adag,
@@ -342,9 +332,7 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     ladder = build_ladder(family, family.alpha0, grid)
     mapped = ladder.A.matvec(eigenfunction_samples(family, n + 1, grid))
     vp = potential_plus(family, family.alpha0, grid.points)
-    hp = _hamiltonian_with(family, grid, vp)
-    t = TridiagonalOperator(hp.bands[0], hp.bands[1])
-    sol = eigen_tridiagonal(t, n + 1, grid.h)
+    sol = eigen_tridiagonal(_assemble(family, grid, vp), n + 1, grid.h)
     v = sol.eigenvectors[n]
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))
     return abs(float(np.dot(mapped, v))) / denom

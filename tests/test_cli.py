@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pdemosc import run
@@ -199,3 +200,58 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload[1]["degree"] == 1
+
+
+# the benchmark's edge probes plus the other routes to a family that binds
+# nothing: each must end in exit 1 with a one-line reason, never a traceback
+@pytest.mark.parametrize("argv, needle", [
+    (["spectrum", "--family", "case1", "--lambda", "0.1", "--n-max", "12"],
+     "binds only 10 states"),
+    (["spectrum", "--family", "case1", "--lambda", "10"], "binds no states"),
+    (["spectrum", "--family", "case2", "--lambda", "1e-3"], "binds no states"),
+    (["polynomials", "--family", "case1", "--lambda", "10"], "binds no states"),
+    (["verify", "--family", "case2", "--lambda", "1e-3"], "binds no states"),
+    (["spectrum", "--family", "case1", "--lambda", "1.9",
+      "--tail-tolerance", "1e-300"], "tail tolerance"),
+], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
+        "verify-lam1e-3", "box-overflow"])
+def test_edge_requests_are_refused(capsys, argv, needle):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigenfunctions"])
+def test_tiny_lambda_matches_constant(capsys, command):
+    base = [command, "--n-max", "3", "--grid-n", "400", "--format", "json"]
+    assert run(base + ["--family", "case1", "--lambda", "1e-300"]) == 0
+    tiny = json.loads(capsys.readouterr()[0])
+    assert run(base + ["--family", "constant"]) == 0
+    ref = json.loads(capsys.readouterr()[0])
+    assert tiny["grid"] == pytest.approx(ref["grid"], rel=1e-14)
+    if command == "spectrum":
+        for got, want in zip(tiny["levels"], ref["levels"]):
+            assert got["energy_algebraic"] == want["energy_algebraic"]
+            assert got["energy_numeric"] == pytest.approx(
+                want["energy_numeric"], rel=1e-12)
+    else:
+        assert tiny["eigenvalues"] == ref["eigenvalues"]
+    base[-1] = "csv"
+    assert run(base + ["--family", "case1", "--lambda", "1e-300"]) == 0
+    tiny_rows = capsys.readouterr()[0].splitlines()[1:]
+    assert run(base + ["--family", "constant"]) == 0
+    ref_rows = capsys.readouterr()[0].splitlines()[1:]
+    got = np.array([[float(c) for c in row.split(",")] for row in tiny_rows])
+    want = np.array([[float(c) for c in row.split(",")] for row in ref_rows])
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_decimal_ordering_is_accepted(capsys):
+    code = run(["compare-ordering", "--family", "case1", "--lambda", "0.1",
+                "--grid-n", "400", "--n-max", "1", "--ordering=-0.7,-0.2,-0.1"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == (
+        "n,energy_symmetric,energy_-0.7_-0.2_-0.1,dev_-0.7_-0.2_-0.1")

@@ -4,13 +4,18 @@ import random
 import numpy as np
 import pytest
 
+from numpy.polynomial import hermite
+
 from pdemosc import (
+    ConstraintViolatedError,
     Kind,
     InvalidLambdaError,
     NonPositiveAlphaError,
     NotABoundStateError,
     alpha_at,
     bound_state_count,
+    build_grid,
+    eigenfunction_samples,
     energy,
     energy_via_recursion,
     ground_state_unnormalized,
@@ -23,6 +28,7 @@ from pdemosc import (
     spectrum_table,
     superpotential_at,
     unified_deformation,
+    VonRoosOrdering,
 )
 
 # A handful of parameter points that exercise every mass profile, including
@@ -292,3 +298,52 @@ def test_case3_harmonic_degeneration_is_spectral():
         for n in range(6):
             gap = energy(fam, n) - energy(ref, n)
             assert gap == pytest.approx(lam * lam * n * (n + 1) / 4.0, rel=1e-10, abs=1e-15)
+
+
+# one-decimal triples whose float sum misses -1 by an ulp
+@pytest.mark.parametrize("text", ["-0.7,-0.2,-0.1", "-0.2,-0.7,-0.1",
+                                  "-0.3,-0.6,-0.1", "-0.6,-0.3,-0.1",
+                                  "-0.7,0.4,-0.7"])
+def test_decimal_orderings_are_accepted(text):
+    a, b, c = (float(t) for t in text.split(","))
+    assert VonRoosOrdering(a, b, c).b == b
+
+
+@pytest.mark.parametrize("abc", [(0.0, 0.0, 0.0), (-0.7, -0.2, -0.2),
+                                 (math.nan, -1.0, 0.0)])
+def test_orderings_off_the_constraint_are_refused(abc):
+    with pytest.raises(ConstraintViolatedError):
+        VonRoosOrdering(*abc)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_samples_match_hermval_at_high_degree(n):
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 4000)
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    ref = hermite.hermval(grid.points, unit) * np.exp(-0.5 * grid.points ** 2)
+    ref /= math.sqrt(grid.h * float(np.dot(ref, ref)))
+    phi = eigenfunction_samples(fam, n, grid)
+    assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_tiny_lambda_matches_constant():
+    # lambda = 1e-300 is the harmonic oscillator to double precision
+    fam = make_family(Kind.CASE1, 1.0, 1e-300)
+    ref = make_family(Kind.CONSTANT, 1.0)
+    grid, ref_grid = build_grid(fam, 800), build_grid(ref, 800)
+    assert grid.hi == pytest.approx(ref_grid.hi, rel=1e-14)
+    xs = np.linspace(-5.0, 5.0, 11)
+    assert np.allclose(ground_state_unnormalized(fam, xs),
+                       np.exp(-0.5 * xs * xs), rtol=1e-14, atol=0.0)
+    for n in (0, 3, 9):
+        assert np.allclose(eigenfunction_samples(fam, n, grid),
+                           eigenfunction_samples(ref, n, ref_grid),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_box_overflow_is_refused():
+    fam = make_family(Kind.CASE1, 1.0, 1.9)
+    with pytest.raises(InvalidLambdaError, match="tail tolerance"):
+        build_grid(fam, 400, tail_tolerance=1e-300)
