@@ -20,6 +20,7 @@ from .discrete import (
     assemble_von_roos,
     build_grid,
     eigen_tridiagonal,
+    tridiagonal_eigenvalues,
     von_roos_asymmetry,
 )
 from .errors import NotABoundStateError, PdemError
@@ -180,13 +181,13 @@ def _grid_dict(grid) -> dict:
 def _cmd_spectrum(args, family) -> int:
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
-    sol = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
-                            n_max + 1, grid.h)
+    eigenvalues = tridiagonal_eigenvalues(
+        assemble_sturm_liouville(family, grid), n_max + 1)
     lines = ["n,energy_algebraic,energy_numeric,abs_error"]
     levels = []
     for n in range(n_max + 1):
         e_alg = energy(family, n)
-        e_num = float(sol.eigenvalues[n])
+        e_num = float(eigenvalues[n])
         err = abs(e_alg - e_num)
         lines.append(f"{n},{_fmt(e_alg)},{_fmt(e_num)},{_fmt(err)}")
         levels.append({"n": n, "energy_algebraic": e_alg,
@@ -291,12 +292,11 @@ def _cmd_compare_ordering(args, family) -> int:
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     k = n_max + 1
-    sym = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
-                            k, grid.h).eigenvalues
+    sym = tridiagonal_eigenvalues(assemble_sturm_liouville(family, grid), k)
     results = []
     for ordering in args.ordering:
         t = assemble_von_roos(family, ordering, grid)
-        ev = eigen_tridiagonal(t, k, grid.h).eigenvalues
+        ev = tridiagonal_eigenvalues(t, k)
         results.append((ordering, ev, von_roos_asymmetry(family, ordering, grid)))
 
     def label(o):

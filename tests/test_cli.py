@@ -213,8 +213,19 @@ def test_module_entry_point():
     (["verify", "--family", "case2", "--lambda", "1e-3"], "binds no states"),
     (["spectrum", "--family", "case1", "--lambda", "1.9",
       "--tail-tolerance", "1e-300"], "tail tolerance"),
+    # a compact domain far wider than the ground state: no node resolves it
+    (["spectrum", "--family", "case1", "--lambda=-1e-300"], "grid spacing"),
+    (["compare-ordering", "--family", "case1", "--lambda=-1e-300",
+      "--ordering=-0.5,0,-0.5"], "grid spacing"),
+    (["eigenfunctions", "--family", "case1", "--lambda=-1e-300",
+      "--source", "numeric"], "grid spacing"),
+    (["eigenfunctions", "--family", "case1", "--lambda=-1e-300"],
+     "grid spacing"),
+    (["verify", "--family", "case1", "--lambda=-1e-300"], "grid spacing"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
-        "verify-lam1e-3", "box-overflow"])
+        "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
+        "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
+        "unresolved-verify"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from pdemosc import (
+    ConvergenceFailureError,
     Grid,
     InvalidCountError,
     Kind,
@@ -19,8 +20,10 @@ from pdemosc import (
     energy,
     inner_product,
     make_family,
+    tridiagonal_eigenvalues,
     uniform_grid,
 )
+from pdemosc import discrete
 from pdemosc.discrete import von_roos_asymmetry
 from pdemosc.families import SYMMETRIC_ORDERING
 
@@ -249,3 +252,96 @@ def test_inner_product_is_trapezoid_quadrature():
     f = np.sin(math.pi * g.points)
     # int_0^1 sin^2(pi x) dx = 1/2; the integrand vanishes at both endpoints
     assert inner_product(f, f, g) == pytest.approx(0.5, abs=1e-4)
+
+
+def inf_norm(T):
+    row = np.abs(T.diag)
+    row[1:] += np.abs(T.offdiag)
+    row[:-1] += np.abs(T.offdiag)
+    return float(np.max(row))
+
+
+def assert_certified(T, k):
+    """Ascending, within tol of LAPACK, and the same counts below every shift."""
+    tol = 1e-12 * max(1.0, inf_norm(T))
+    got = tridiagonal_eigenvalues(T, k)
+    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:k]
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.max(np.abs(got - ref)) <= tol
+    # shifts between clusters farther apart than the tolerance, and outside
+    gaps = np.flatnonzero(np.diff(ref) > 4.0 * tol)
+    shifts = np.concatenate([[ref[0] - 1.0, ref[-1] + 1.0],
+                             0.5 * (ref[gaps] + ref[gaps + 1])])
+    for sigma in shifts:
+        assert np.sum(got < sigma) == np.sum(ref < sigma), sigma
+
+
+def test_degenerate_diagonal_spectrum():
+    # zero coupling and repeated entries: Sturm counts jump by the
+    # multiplicity, so no bracket ever holds a single eigenvalue
+    diag = np.array([2.0, 0.0, 1.0, 2.0, 1.0, 2.0, 3.0, 1.0, 0.0, 2.0, -1.0, 3.0])
+    T = TridiagonalOperator(diag=diag, offdiag=np.zeros(len(diag) - 1))
+    for k in range(1, len(diag) + 1):
+        assert_certified(T, k)
+    # after each exact pair the gap that seeds the doubling search is 0
+    T = TridiagonalOperator(diag=np.array([5.0, 0.0, 40.0, 0.0, 5.0]),
+                            offdiag=np.zeros(4))
+    assert_certified(T, 5)
+
+
+def test_wilkinson_w21_plus():
+    # the top eigenvalues of W21+ come in pairs that agree to about 1e-14
+    diag = np.abs(np.arange(-10, 11)).astype(float)
+    T = TridiagonalOperator(diag=diag, offdiag=np.ones(20))
+    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)
+    assert ref[-1] - ref[-2] < 1e-12
+    for k in (1, 2, 15, 19, 20, 21):
+        assert_certified(T, k)
+
+
+def test_eigenvalues_alone_match_eigenpairs_bytewise():
+    fam = make_family(Kind.CASE3, 1.0, 0.2)
+    grid = build_grid(fam, 600)
+    T = assemble_sturm_liouville(fam, grid)
+    alone = tridiagonal_eigenvalues(T, 7)
+    paired = eigen_tridiagonal(T, 7, grid.h).eigenvalues
+    assert alone.tobytes() == paired.tobytes()
+    with pytest.raises(InvalidCountError):
+        tridiagonal_eigenvalues(T, 0)
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE1, -0.25), (Kind.CASE2, 10.0),
+    (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0),
+], ids=["case1", "case1-compact", "case2", "case3", "constant"])
+def test_eigenvalues_within_tol_of_lapack(kind, lam):
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, 4000)
+    T = assemble_sturm_liouville(fam, grid)
+    got = tridiagonal_eigenvalues(T, 10)
+    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
+                                            select_range=(0, 9))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T))
+
+
+def test_newton_keeps_count_passes_low(monkeypatch):
+    # every Sturm pass goes through one of the two count functions; plain
+    # bisection from the Gershgorin edge needs about 40 per eigenvalue
+    passes = []
+    for name in ("_neg_count", "_neg_count_slope"):
+        fn = getattr(discrete, name)
+        monkeypatch.setattr(discrete, name,
+                            lambda *a, _fn=fn: passes.append(1) or _fn(*a))
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = build_grid(fam, 4000)
+    T = assemble_sturm_liouville(fam, grid)
+    tridiagonal_eigenvalues(T, 10)
+    assert 10 <= len(passes) <= 12 * 10
+
+
+def test_count_pass_cap_raises(monkeypatch):
+    monkeypatch.setattr(discrete, "_MAX_PASSES", 3)
+    fam = make_family(Kind.CONSTANT, 1.0)
+    T = assemble_sturm_liouville(fam, build_grid(fam, 400))
+    with pytest.raises(ConvergenceFailureError):
+        tridiagonal_eigenvalues(T, 1)
