@@ -146,10 +146,22 @@ def _assemble(family: ShapeInvariantFamily, grid: Grid, potential,
     """The kinetic stencil of `ordering` plus an arbitrary diagonal potential.
 
     The two ordering terms are transposes of one another, so their average
-    is symmetric; one shared off-diagonal array makes that exact.
+    is symmetric; one shared off-diagonal array makes that exact.  The
+    eigensolver squares the entries, so an operator with an entry whose
+    square overflows a double (or an infinite or NaN one) is refused with
+    InvalidLambdaError.
     """
-    diag, upper, lower = _stencil(family, grid, potential, ordering)
-    return TridiagonalOperator(diag, -0.125 * (upper + lower))
+    with np.errstate(over="ignore"):
+        diag, upper, lower = _stencil(family, grid, potential, ordering)
+        off = -0.125 * (upper + lower)
+    top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
+    if not math.isfinite(top * top):
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian overflows: its entries reach "
+            f"{top:.3g}, and the eigensolver squares them, which leaves the "
+            f"range of a double; lower alpha, weaken the deformation or "
+            f"coarsen the grid")
+    return TridiagonalOperator(diag, off)
 
 
 def assemble_sturm_liouville(family: ShapeInvariantFamily,

@@ -197,9 +197,13 @@ def potential_plus(family: ShapeInvariantFamily, alpha_n: float, x):
 
 
 def potential_full(family: ShapeInvariantFamily, x):
-    """V(x) = ½ m(x) α² x², the confining potential of the Hamiltonian."""
+    """V(x) = ½ m(x) α² x², the confining potential of the Hamiltonian.
+
+    Values past the range of a double are inf, which assembly refuses.
+    """
     a = family.alpha0
-    return 0.5 * mass_at(family.profile, x) * a * a * np.square(x)
+    with np.errstate(over="ignore"):
+        return 0.5 * mass_at(family.profile, x) * a * a * np.square(x)
 
 
 def alpha_at(family: ShapeInvariantFamily, n: int) -> float:

@@ -6,9 +6,14 @@ physicists' Hermite polynomials:
 * generating function:  (1 + q(2tζ − t²))^(1/q − ½) = Σ_n H_n(ζ, q) tⁿ/n!
 * Rodrigues formula:    H_n = (−1)ⁿ(1+qζ²)^(1/q) dⁿ/dζⁿ (1+qζ²)^(n − 1/q)
 
-Both reduce to the standard H_n at q = 0, but differ at q ≠ 0 by a scalar
-rational function r_n(q) recorded by proportionality_ratio.  The generating
-function family is canonical: it satisfies the three-term recurrence
+Both reduce to the standard H_n at q = 0, but differ at q ≠ 0 by the ratio
+of their leading coefficients,
+
+    r_n(q) = Π_{even i ∈ (n, 2n]} (2 − iq) / Π_{odd i ≤ n} (2 − iq),
+
+which proportionality_ratio returns once every coefficient pair has been
+checked against it.  The generating function family is canonical: it
+satisfies the three-term recurrence
 
     H_{m+1} = ζ[(2−q) − 2qm] H_m − m[(2−q) − q(m−1)] H_{m−1}
 
@@ -292,55 +297,6 @@ def derivative_relation_residual(m: int, parameterization: Parameterization) -> 
 
 # === reconciling the two constructions ===
 
-def _qp_dense(p: dict) -> list:
-    deg = max(p) if p else 0
-    return [p.get(i, Fraction(0)) for i in range(deg + 1)]
-
-
-def _dense_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_mod(a: list, b: list) -> list:
-    a = list(a)
-    while len(a) >= len(b) > 0 and _dense_trim(a):
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        a.pop()
-        _dense_trim(a)
-    return a
-
-
-def _qp_gcd(a: dict, b: dict) -> dict:
-    x, y = _dense_trim(_qp_dense(a)), _dense_trim(_qp_dense(b))
-    while y:
-        x, y = y, _dense_mod(x, y)
-        y = _dense_trim(y)
-        if y:
-            y = [c / y[-1] for c in y]   # monic keeps coefficients small
-    return _qp_trim({i: c for i, c in enumerate(x)})
-
-
-def _qp_divexact(a: dict, g: dict) -> dict:
-    num = _dense_trim(_qp_dense(a))
-    den = _dense_trim(_qp_dense(g))
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    while _dense_trim(num) and len(num) >= len(den):
-        f = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        out[shift] = f
-        for i, dc in enumerate(den):
-            num[shift + i] -= f * dc
-        num.pop()
-    return _qp_trim({i: c for i, c in enumerate(out)})
-
-
 @dataclass
 class Ratio:
     """A scalar rational function num(q)/den(q), kept in lowest terms."""
@@ -348,58 +304,40 @@ class Ratio:
     num: dict
     den: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return _qp_mul(self.num, other.den) == _qp_mul(self.den, other.num)
-
     def at(self, q: Fraction) -> Fraction:
         return Fraction(_qp_eval(self.num, q)) / Fraction(_qp_eval(self.den, q))
-
-
-def _make_ratio(num: dict, den: dict) -> Ratio:
-    g = _qp_gcd(num, den)
-    if g:
-        num, den = _qp_divexact(num, g), _qp_divexact(den, g)
-    # clear denominators with one common factor, then strip the content
-    lcm = 1
-    for p in (num, den):
-        for c in p.values():
-            lcm = math.lcm(lcm, c.denominator)
-    num = _qp_scale(num, Fraction(lcm))
-    den = _qp_scale(den, Fraction(lcm))
-    content = math.gcd(*(abs(c.numerator) for p in (num, den) for c in p.values()))
-    if content > 1:
-        num = _qp_scale(num, Fraction(1, content))
-        den = _qp_scale(den, Fraction(1, content))
-    anchor = den.get(0) or den[max(den)]
-    if anchor < 0:
-        num = _qp_scale(num, Fraction(-1))
-        den = _qp_scale(den, Fraction(-1))
-    return Ratio(num, den)
 
 
 def proportionality_ratio(n: int, parameterization: Parameterization) -> Ratio:
     """r_n(q) with rodrigues_polynomial(n) = r_n(q) · gf_polynomial(n).
 
-    Proportionality is verified by cross-multiplying every coefficient pair;
-    a failure raises NotProportional rather than returning a bogus ratio.
+    The leading coefficients are Π_{odd i<2n}(2 − iq) (generating function)
+    and Π_{n<i≤2n}(2 − iq) (Rodrigues), so
+
+        r_n = Π_{even i ∈ (n, 2n]} (2 − iq) / Π_{odd i ≤ n} (2 − iq).
+
+    The factors are distinct, and those of the denominator have content 1
+    and constant term 2, so num and den are coprime, their coefficients are
+    integers with no common content and den(0) > 0: equal ratios compare
+    equal field by field.  The formula is not assumed: every coefficient
+    pair is cross-multiplied, and a mismatch raises NotProportionalError.
     r_n(0) = 1 always, so the two constructions share the harmonic limit.
     """
-    rod = rodrigues_polynomial(n, parameterization)
-    gf = gf_polynomial(n, parameterization)
-    support = set(rod.coeffs) | set(gf.coeffs)
-    k0 = max(support, default=0)
-    num, den = rod.coeffs.get(k0, {}), gf.coeffs.get(k0, {})
-    if not num or not den:
-        raise NotProportionalError(f"degree-{n} leading coefficients do not pair")
-    for k in support:
-        lhs = _qp_mul(rod.coeffs.get(k, {}), den)
-        rhs = _qp_mul(gf.coeffs.get(k, {}), num)
-        if lhs != rhs:
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    par = parameterization
+    num, den = {0: Fraction(1)}, {0: Fraction(1)}
+    for i in range(2 * n, n, -2):
+        num = _qp_mul(num, _q_lin(2, -i, par))
+    for i in range(1, n + 1, 2):
+        den = _qp_mul(den, _q_lin(2, -i, par))
+    rod = rodrigues_polynomial(n, par)
+    gf = gf_polynomial(n, par)
+    for k in set(rod.coeffs) | set(gf.coeffs):
+        if _qp_mul(rod.coeffs.get(k, {}), den) != _qp_mul(gf.coeffs.get(k, {}), num):
             raise NotProportionalError(
                 f"coefficient of zeta^{k} breaks proportionality at degree {n}")
-    return _make_ratio(num, den)
+    return Ratio(num, den)
 
 
 def harmonic_limit(p: LambdaPoly) -> dict:
@@ -418,14 +356,26 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     leading coefficient Π_{m<n}(2 − (2m+1)q) is positive for every bound
     level, so the right tail of φ_n is positive.  N_n makes the trapezoid
     norm one (endpoints are implicit zeros).
+
+    H_n outgrows a double at high degree (on the default box, the squared
+    norm of H_n φ_0 does from n = 150), so the pair (H_{m−1}, H_m) is
+    divided by a power of two whenever a running bound on max|H_m| passes
+    2^256.  Such a division is exact, and N_n absorbs it.
     """
     require_bound(family, n)
     q = unified_deformation(family)
     zeta = math.sqrt(family.profile.c * family.alpha0) * grid.points
+    zeta_max = float(np.max(np.abs(zeta)))
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
+    top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
     for m in range(n):
-        h_prev, h_cur = h_cur, ((2.0 - (2 * m + 1) * q) * zeta * h_cur
-                                - m * (2.0 - m * q) * h_prev)
+        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+        h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
+        top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
+        if top > 2.0 ** 256:
+            e = math.frexp(float(np.max(np.abs(h_cur))))[1]
+            h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
+            top_prev, top = float(np.max(np.abs(h_prev))), 1.0
     phi = h_cur * ground_state_unnormalized(family, grid.points)
     return phi / math.sqrt(inner_product(phi, phi, grid))
 

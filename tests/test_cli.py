@@ -222,15 +222,51 @@ def test_module_entry_point():
     (["eigenfunctions", "--family", "case1", "--lambda=-1e-300"],
      "grid spacing"),
     (["verify", "--family", "case1", "--lambda=-1e-300"], "grid spacing"),
+    # operator entries whose squares leave the range of a double
+    (["verify", "--family", "case2", "--lambda=-1e-300"], "overflows"),
+    (["verify", "--family", "constant", "--alpha", "1e300"], "overflows"),
+    (["spectrum", "--family", "constant", "--alpha", "1e150"], "overflows"),
+    (["spectrum", "--family", "case2", "--lambda=-1e-300"], "overflows"),
+    (["compare-ordering", "--family", "case2", "--lambda=-1e-300",
+      "--ordering=-0.5,0,-0.5"], "overflows"),
+    (["eigenfunctions", "--family", "case2", "--lambda=-1e-300",
+      "--source", "numeric"], "overflows"),
+    # here the potential and the stencil overflow before any check sees them
+    (["spectrum", "--family", "constant", "--alpha", "1e306"], "overflows"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
-        "unresolved-verify"])
+        "unresolved-verify", "overflow-verify-case2", "overflow-verify-alpha",
+        "overflow-spectrum-alpha", "overflow-spectrum-case2",
+        "overflow-compare", "overflow-numeric", "overflow-potential"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error:") and needle in err
+    assert err.count("\n") == 1
+
+
+def test_overflowing_alpha_still_samples_algebraically(capsys):
+    # no operator is built, so only the discretizations refuse alpha = 1e300
+    code = run(["eigenfunctions", "--family", "constant", "--alpha", "1e300",
+                "--n-max", "2", "--grid-n", "400"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "nan" not in out and "inf" not in out
+
+
+def test_high_degree_eigenfunctions_are_normalized(capsys):
+    code = run(["eigenfunctions", "--family", "constant", "--n-max", "200",
+                "--grid-n", "2000"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rows = out.strip().splitlines()
+    assert rows[0].split(",")[-1] == "phi_200"
+    table = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
+    h = (table[-1, 0] - table[0, 0]) / (len(table) - 1)
+    norms = h * np.sum(table[:, 1:] ** 2, axis=0)
+    assert np.all(np.abs(norms - 1.0) < 1e-12)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "eigenfunctions"])

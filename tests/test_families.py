@@ -328,6 +328,22 @@ def test_samples_match_hermval_at_high_degree(n):
     assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [150, 200, 400])
+def test_samples_stay_finite_past_double_range(n):
+    # unscaled, the squared norm of H_n φ_0 overflows from n = 150 on this
+    # box; the normalized Hermite functions obey a recurrence that does not
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 2000)
+    x = grid.points
+    prev, ref = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    for m in range(n):
+        prev, ref = ref, (math.sqrt(2.0 / (m + 1)) * x * ref
+                          - math.sqrt(m / (m + 1)) * prev)
+    ref /= math.sqrt(grid.h * float(np.dot(ref, ref)))
+    phi = eigenfunction_samples(fam, n, grid)
+    assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_tiny_lambda_matches_constant():
     # lambda = 1e-300 is the harmonic oscillator to double precision
     fam = make_family(Kind.CASE1, 1.0, 1e-300)

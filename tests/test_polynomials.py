@@ -10,6 +10,7 @@ from pdemosc import (
     Kind,
     LambdaPoly,
     NotABoundStateError,
+    NotProportionalError,
     OutOfDomainError,
     Parameterization,
     bound_state_count,
@@ -27,6 +28,7 @@ from pdemosc import (
     to_json_dict,
     uniform_grid,
 )
+from pdemosc import polynomials
 
 C1 = Parameterization.CASE1
 C2 = Parameterization.CASE2
@@ -318,6 +320,42 @@ def test_proportionality_is_exact_and_unity_at_zero():
             lhs = evaluate(rodrigues_polynomial(n, par), zv, qv) * den
             rhs = evaluate(gf_polynomial(n, par), zv, qv) * num
             assert lhs == rhs, (par, n)
+
+
+def test_perturbed_construction_is_not_proportional(monkeypatch):
+    honest = polynomials.rodrigues_polynomial
+
+    def perturbed(n, par):
+        p = honest(n, par)
+        coeffs = {k: dict(qp) for k, qp in p.coeffs.items()}
+        coeffs[n - 2][0] += 1
+        return LambdaPoly(n, coeffs, p.family_tag, par)
+
+    proportionality_ratio(6, C1)
+    monkeypatch.setattr(polynomials, "rodrigues_polynomial", perturbed)
+    with pytest.raises(NotProportionalError):
+        proportionality_ratio(6, C1)
+
+
+def test_proportionality_ratio_refuses_negative_degree():
+    with pytest.raises(ValueError):
+        proportionality_ratio(-1, C1)
+
+
+@pytest.mark.parametrize("par", [C1, C2, C3])
+@pytest.mark.parametrize("n", [12, 18, 24])
+def test_ratio_is_in_lowest_terms_at_high_degree(n, par):
+    q = sympy.symbols("q")
+    r = proportionality_ratio(n, par)
+    num = sum(sympy.Rational(c) * q ** k for k, c in r.num.items())
+    den = sum(sympy.Rational(c) * q ** k for k, c in r.den.items())
+    assert sympy.gcd(num, den) == 1
+    assert r.den[0] > 0
+    rod, gf = rodrigues_polynomial(n, par), gf_polynomial(n, par)
+    for zv, qv in ((F(5, 3), F(1, 17)), (F(-2, 7), F(-3, 11))):
+        lhs = evaluate(rod, zv, qv) * sum(c * qv ** k for k, c in r.den.items())
+        rhs = evaluate(gf, zv, qv) * sum(c * qv ** k for k, c in r.num.items())
+        assert lhs == rhs
 
 
 def test_case3_is_continuation_of_case1():
