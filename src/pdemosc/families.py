@@ -229,10 +229,11 @@ def bound_state_count(family: ShapeInvariantFamily) -> int | None:
 
     For positive deformation the n-th state decays like x^(n - 1/q), so
     square integrability demands n < 1/q - 1/2.  Compact domains and
-    Gaussian tails bind every level.
+    Gaussian tails bind every level, and so does a q > 0 whose reciprocal
+    overflows a double: no level index a double can hold reaches its cutoff.
     """
     q = unified_deformation(family)
-    if q > 0:
+    if q > 0 and 1.0 / q < math.inf:
         return max(0, math.ceil(1.0 / q - 0.5))
     return None
 

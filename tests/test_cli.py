@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,23 @@ def test_verify_fails_on_coarse_grid(capsys):
     assert payload["residuals"]["annihilation"]["pass"] is False
 
 
+def test_verify_stays_finite_at_huge_alpha(capsys):
+    # the operators are accepted at alpha = 1e100, but the residual vectors
+    # square past the range of a double unless they are scaled first; the
+    # tolerances are absolute, so the run is a finite FAIL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["verify", "--family", "constant", "--alpha", "1e100"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    payload = json.loads(out.splitlines()[-1], parse_constant=refuse)
+    values = [e["value"] for e in payload["residuals"].values()]
+    assert len(values) == 6 and all(math.isfinite(v) for v in values)
+
+
 def test_output_dir_writes_files(tmp_path, capsys):
     code = run(["spectrum", "--family", "case1", "--lambda", "0.1",
                 "--n-max", "2", "--grid-n", "400", "--format", "both",
@@ -233,12 +252,16 @@ def test_module_entry_point():
       "--source", "numeric"], "overflows"),
     # here the potential and the stencil overflow before any check sees them
     (["spectrum", "--family", "constant", "--alpha", "1e306"], "overflows"),
+    # q is subnormal, so the run answers as constant at alpha = 1.7e308
+    (["verify", "--family", "case1", "--lambda", "0.1", "--alpha", "1.7e308"],
+     "overflows"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
         "unresolved-verify", "overflow-verify-case2", "overflow-verify-alpha",
         "overflow-spectrum-alpha", "overflow-spectrum-case2",
-        "overflow-compare", "overflow-numeric", "overflow-potential"])
+        "overflow-compare", "overflow-numeric", "overflow-potential",
+        "overflow-subnormal-q"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()
@@ -293,6 +316,45 @@ def test_tiny_lambda_matches_constant(capsys, command):
     want = np.array([[float(c) for c in row.split(",")] for row in ref_rows])
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# lambda/alpha = 1e-310 is a subnormal q whose reciprocal overflows: every
+# level a double can index is bound, so these runs answer as the constant
+# family at the same alpha instead of ending in a traceback
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["eigenfunctions"],
+    ["compare-ordering", "--ordering=-0.5,0,-0.5"], ["verify"],
+], ids=["spectrum", "eigenfunctions", "compare-ordering", "verify"])
+def test_subnormal_deformation_answers_as_constant(capsys, argv):
+    base = argv + ["--alpha", "1e10", "--n-max", "3", "--grid-n", "400",
+                   "--format", "json"]
+    code = run(base + ["--family", "case1", "--lambda", "1e-300"])
+    out, err = capsys.readouterr()
+    assert err == "" and code == (3 if argv[0] == "verify" else 0)
+    tiny = json.loads(out.splitlines()[-1])
+    assert run(base + ["--family", "constant"]) == code
+    ref = json.loads(capsys.readouterr()[0].splitlines()[-1])
+    if argv[0] == "verify":
+        # every residual is FAIL here, at its roundoff floor (H ~ 1/h^2)
+        for name, entry in ref["residuals"].items():
+            assert tiny["residuals"][name]["pass"] == entry["pass"]
+            assert tiny["residuals"][name]["value"] == pytest.approx(
+                entry["value"], rel=1e-6)
+        return
+    assert tiny["grid"] == pytest.approx(ref["grid"], rel=1e-14)
+    # each numeric eigenvalue is certified to 1e-12·‖T‖∞ ≈ 1e-12·2/h² ≈ 15,
+    # under 3e-9 of E_0 = 5e9
+    if argv[0] == "spectrum":
+        for got, want in zip(tiny["levels"], ref["levels"]):
+            assert got["energy_algebraic"] == want["energy_algebraic"]
+            assert got["energy_numeric"] == pytest.approx(
+                want["energy_numeric"], rel=1e-8)
+    elif argv[0] == "compare-ordering":
+        assert tiny["symmetric"] == pytest.approx(ref["symmetric"], rel=1e-8)
+        assert tiny["orderings"][0]["eigenvalues"] == pytest.approx(
+            ref["orderings"][0]["eigenvalues"], rel=1e-8)
+    else:
+        assert tiny["eigenvalues"] == ref["eigenvalues"]
 
 
 def test_decimal_ordering_is_accepted(capsys):

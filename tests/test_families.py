@@ -196,6 +196,18 @@ def test_bound_count_scales_with_alpha():
     assert bound_state_count(make_family(Kind.CASE2, 2.0, 10.0)) == 20
 
 
+def test_bound_count_at_the_ends_of_the_double_range():
+    # the float rule decides the cutoff q = 2/(2n+1): the double nearest 2/3
+    # sits just below it, where exact arithmetic would bind a second level
+    assert bound_state_count(make_family(Kind.CASE1, 1.0, 2.0 / 3.0)) == 1
+    # 1/q = 1e308 is finite and keeps its exact ceiling
+    tiny = make_family(Kind.CASE1, 1.0, 1e-308)
+    assert bound_state_count(tiny) == math.ceil(1e308)
+    # a subnormal q has no finite reciprocal: every level is bound
+    assert bound_state_count(make_family(Kind.CASE1, 1e10, 1e-300)) is None
+    assert bound_state_count(make_family(Kind.CASE1, 1.7e308, 0.1)) is None
+
+
 def test_bound_cutoff_against_norm_integral():
     # Independent check of the cutoff rule: |phi_n|^2 integrated over growing
     # truncations converges for the last bound level and keeps growing for the
