@@ -33,10 +33,10 @@ from .families import (
     require_bound,
 )
 from .polynomials import (
+    coefficient_rows,
     eigenfunction_samples,
-    gf_polynomial,
+    gf_polynomials,
     parameterization_for,
-    to_json_dict,
 )
 from .susy import report_to_json_dict, verify_all
 
@@ -70,6 +70,31 @@ def _json_text(value) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _csv_lines(x, columns):
+    """One "%.17g,…" line per node: x, then every row of `columns` there.
+
+    Rows become Python floats 256 nodes at a time, so the whole table never
+    exists as a list of lists (that would add MBs to the peak RSS).
+    """
+    fmt = ",".join(["%.17g"] * (len(columns) + 1))
+    for i in range(0, len(x), 256):
+        block = np.vstack([x[i:i + 256], columns[:, i:i + 256]])
+        for row in block.T.tolist():
+            yield fmt % tuple(row)
+
+
+_POLY_JSON = '{"degree": %d, "parameterization": "%s", "coeffs": [%s]}'
+_ROW_JSON = '{"zeta_exp": %d, "q_exp": %d, "num": %d, "den": %d}'
+
+
+def _polynomials_json(polys) -> str:
+    """json.dumps([to_json_dict(p) for p in polys]), row by flat row."""
+    return "[" + ", ".join(
+        _POLY_JSON % (p.degree, p.parameterization.value,
+                      ", ".join([_ROW_JSON % r for r in coefficient_rows(p)]))
+        for p in polys) + "]"
 
 
 def _ordering_flag(text: str) -> VonRoosOrdering:
@@ -210,14 +235,12 @@ def _cmd_eigenfunctions(args, family) -> int:
         vectors = np.vstack([eigenfunction_samples(family, n, grid)
                              for n in range(n_max + 1)])
         eigenvalues = [energy(family, n) for n in range(n_max + 1)]
-    header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
-    lines = [header]
-    for i in range(grid.n):
-        cells = [_fmt(grid.points[i])]
-        cells += [_fmt(vectors[n][i]) for n in range(n_max + 1)]
-        lines.append(",".join(cells))
+    csv_text = None
+    if args.format in ("csv", "both"):
+        header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
+        csv_text = "\n".join([header, *_csv_lines(grid.points, vectors)]) + "\n"
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
-    _emit(args, "eigenfunctions", "\n".join(lines) + "\n", _json_text(payload))
+    _emit(args, "eigenfunctions", csv_text, _json_text(payload))
     return 0
 
 
@@ -259,14 +282,13 @@ def _cmd_polynomials(args, family) -> int:
     # degree is a polynomial index, not a level, so no bound-count gate
     n_max = _n_max(family, args.n_max, levels=False)
     par = parameterization_for(family.profile.kind)
-    polys = [gf_polynomial(n, par) for n in range(n_max + 1)]
+    polys = gf_polynomials(n_max, par)
     if args.symbolic:
         print(f"# family {args.family}: {_Q_MEANING[par.value]}; z is the "
               f"scaled coordinate")
         for n, p in enumerate(polys):
             print(f"H_{n} = {_poly_str(p)}")
-    payload = [to_json_dict(p) for p in polys]
-    _emit(args, "polynomials", None, _json_text(payload))
+    _emit(args, "polynomials", None, _polynomials_json(polys))
     return 0
 
 

@@ -23,7 +23,16 @@ Coefficients are bivariate exact rationals: a polynomial maps each ζ-exponent
 to a dict {q-exponent: Fraction}.  Case 1 stores q = λ̃ = λ/α, Case 2 stores
 q = 1/μ = 1/(αλ), and Case 3 stores the positive variable υ² = λ²/(2α),
 which is −q, so its coefficients are the Case 1 ones with odd q-powers
-sign-flipped.  No floating point enters here; grid sampling runs the
+sign-flipped.  That flip is made once, in the linear factors (2 − iq) every
+construction multiplies, by writing them in the stored variable.
+
+The generating-function family is built in Python integers: the
+coefficient of ζ^(2k−n) in H_n is the integer n!/((n−k)!(2k−n)!) times
+(−1)^(n−k)/2^(n−k) times the integer polynomial Π_k(q) = Π_{j<k}(2 − (2j+1)q).
+Π_k does not depend on n, so gf_polynomials builds the Π_k once and reads
+every degree up to n_max from them.  coefficient_rows flattens a member to
+sorted (ζ-exponent, q-exponent, numerator, denominator) rows, the one
+interchange form.  No floating point enters here; grid sampling runs the
 three-term recurrence in floating point on the unified q instead.
 """
 
@@ -76,7 +85,7 @@ def _sign_of(par: Parameterization) -> int:
 # === exact polynomials in the deformation variable (dict exp -> Fraction) ===
 
 def _qp_trim(p: dict) -> dict:
-    return {j: c for j, c in p.items() if c != 0}
+    return {j: c for j, c in p.items() if c}
 
 
 def _qp_add(a: dict, b: dict) -> dict:
@@ -99,11 +108,6 @@ def _qp_mul(a: dict, b: dict) -> dict:
             j = ja + jb
             out[j] = out.get(j, Fraction(0)) + ca * cb
     return _qp_trim(out)
-
-
-def _qp_flip(a: dict) -> dict:
-    """Substitute q -> -q."""
-    return {j: (c if j % 2 == 0 else -c) for j, c in a.items()}
 
 
 def _qp_eval(a: dict, q):
@@ -183,33 +187,57 @@ def evaluate(p: LambdaPoly, zeta, q):
     return total
 
 
+def _pi_products(k_max: int, parameterization: Parameterization) -> list:
+    """Π_k(q) = Π_{j<k} (2 − (2j+1)q) for k = 0..k_max, as integer lists.
+
+    Entry i of Π_k is its coefficient of the i-th power of the stored
+    variable, so Case 3's sign flip sits in the factors, not in the result.
+    """
+    sign = _sign_of(parameterization)
+    pis = [[1]]
+    for j in range(k_max):
+        prev, b = pis[-1], -(2 * j + 1) * sign
+        pis.append([2 * c + b * d for c, d in zip(prev + [0], [0] + prev)])
+    return pis
+
+
+def _gf_from_products(n: int, pis: list,
+                      parameterization: Parameterization) -> LambdaPoly:
+    """H_n from the shared integer products pis[k] = Π_k, k ≤ n."""
+    coeffs: dict = {}
+    for k in range((n + 1) // 2, n + 1):
+        # n!/((n−k)!(2k−n)!) = C(n, k)·k!/(2k−n)!
+        scale = (-1) ** (n - k) * math.comb(n, k) * math.perm(k, n - k)
+        den = 1 << (n - k)
+        coeffs[2 * k - n] = {j: Fraction(scale * c, den)
+                             for j, c in enumerate(pis[k])}
+    return LambdaPoly(n, coeffs, FamilyTag.GENERATING_FUNCTION, parameterization)
+
+
 def gf_polynomial(n: int, parameterization: Parameterization) -> LambdaPoly:
     """H_n from the generating-function expansion.
 
     Expanding (1 + q(2tζ − t²))^(1/q − ½) binomially, the falling product
-    (1/q − ½)(1/q − ³⁄₂)···(1/q − (2k−1)/2) times qᵏ is the q-polynomial
-    Π_k(q) = Π_{j<k} (2 − (2j+1)q) / 2ᵏ, so every tⁿ coefficient is
-    polynomial in q:
+    (1/q − ½)(1/q − ³⁄₂)···(1/q − (2k−1)/2) times qᵏ is Π_k(q)/2ᵏ with the
+    integer polynomial Π_k(q) = Π_{j<k} (2 − (2j+1)q), so every tⁿ
+    coefficient is polynomial in q:
 
-        H_n = Σ_{k=⌈n/2⌉}^{n} n! (−1)^(n−k) 2^(k−n) Π_k(q) ζ^(2k−n)
-              / ((n−k)! (2k−n)!)
+        H_n = Σ_{k=⌈n/2⌉}^{n} n! (−1)^(n−k) Π_k(q) ζ^(2k−n)
+              / ((n−k)! (2k−n)! 2^(n−k))
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    coeffs: dict = {}
-    k0 = (n + 1) // 2
-    pi_k = {0: Fraction(1)}
-    for j in range(k0):
-        pi_k = _qp_mul(pi_k, {0: Fraction(2), 1: Fraction(-(2 * j + 1))})
-    for k in range(k0, n + 1):
-        scalar = Fraction(math.factorial(n) * (-1) ** (n - k),
-                          math.factorial(n - k) * math.factorial(2 * k - n)
-                          * 2 ** (n - k))
-        coeffs[2 * k - n] = _qp_scale(pi_k, scalar)
-        pi_k = _qp_mul(pi_k, {0: Fraction(2), 1: Fraction(-(2 * k + 1))})
-    if _sign_of(parameterization) < 0:
-        coeffs = {k: _qp_flip(p) for k, p in coeffs.items()}
-    return LambdaPoly(n, coeffs, FamilyTag.GENERATING_FUNCTION, parameterization)
+    return _gf_from_products(n, _pi_products(n, parameterization),
+                             parameterization)
+
+
+def gf_polynomials(n_max: int, parameterization: Parameterization) -> list:
+    """[H_0, …, H_{n_max}], every degree read from one set of Π_k."""
+    if n_max < 0:
+        raise ValueError(f"degree must be nonnegative, got {n_max}")
+    pis = _pi_products(n_max, parameterization)
+    return [_gf_from_products(n, pis, parameterization)
+            for n in range(n_max + 1)]
 
 
 def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPoly:
@@ -224,6 +252,7 @@ def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPo
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    par = parameterization
     terms = {(0, 0): {0: Fraction(1)}}
     for _ in range(n):
         nxt: dict = {}
@@ -234,19 +263,17 @@ def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPo
         for (a, j), c in terms.items():
             if a >= 1:
                 _acc((a - 1, j), _qp_scale(c, Fraction(a)))
-            _acc((a + 1, j - 1),
-                 _qp_mul(c, {0: Fraction(-2), 1: Fraction(2 * (n + j))}))
+            _acc((a + 1, j - 1), _qp_mul(c, _q_lin(-2, 2 * (n + j), par)))
         terms = {key: qp for key, qp in nxt.items() if qp}
     coeffs: dict = {}
-    sign = Fraction((-1) ** n)
+    sign = _sign_of(par)
     for (a, j), c in terms.items():
         for i in range(n + j + 1):
+            # (qζ²)^i of the binomial, written in the stored variable
             shifted = {jj + i: cc for jj, cc in c.items()}
-            contrib = _qp_scale(shifted, sign * math.comb(n + j, i))
+            contrib = _qp_scale(shifted, (-1) ** n * sign ** i * math.comb(n + j, i))
             coeffs[a + 2 * i] = _qp_add(coeffs.get(a + 2 * i, {}), contrib)
-    if _sign_of(parameterization) < 0:
-        coeffs = {k: _qp_flip(p) for k, p in coeffs.items()}
-    return LambdaPoly(n, coeffs, FamilyTag.RODRIGUES, parameterization)
+    return LambdaPoly(n, coeffs, FamilyTag.RODRIGUES, par)
 
 
 def three_term_next(h_m: LambdaPoly, h_m_minus_1, m: int) -> LambdaPoly:
@@ -380,14 +407,15 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     return phi / math.sqrt(inner_product(phi, phi, grid))
 
 
+def coefficient_rows(p: LambdaPoly) -> list:
+    """(ζ-exponent, q-exponent, numerator, denominator), sorted by exponents."""
+    return [(k, j, c.numerator, c.denominator)
+            for k in sorted(p.coeffs) for j, c in sorted(p.coeffs[k].items())]
+
+
 def to_json_dict(p: LambdaPoly) -> dict:
     """The interchange form: one row per (ζ-exponent, q-exponent) pair."""
-    rows = []
-    for k in sorted(p.coeffs):
-        for j in sorted(p.coeffs[k]):
-            c = p.coeffs[k][j]
-            rows.append({"zeta_exp": k, "q_exp": j,
-                         "num": c.numerator, "den": c.denominator})
     return {"degree": p.degree,
             "parameterization": p.parameterization.value,
-            "coeffs": rows}
+            "coeffs": [{"zeta_exp": k, "q_exp": j, "num": num, "den": den}
+                       for k, j, num, den in coefficient_rows(p)]}

@@ -138,6 +138,17 @@ def _test_states(family: ShapeInvariantFamily, grid: Grid) -> list:
     return [eigenfunction_samples(family, n, grid) for n in range(k)]
 
 
+# Every verify_* check takes the samples of _test_states as `states`, so
+# verify_all samples them once; called alone, a check samples what it uses.
+
+def _low_states(family: ShapeInvariantFamily, grid: Grid, states) -> list:
+    return _test_states(family, grid) if states is None else states
+
+
+def _ground(family: ShapeInvariantFamily, grid: Grid, states):
+    return eigenfunction_samples(family, 0, grid) if states is None else states[0]
+
+
 def _scaled_sq_norm(v, grid: Grid):
     """(h·Σ(v/2^e)², e) with 2^e > max|v|; the scaling is exact."""
     _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
@@ -161,36 +172,41 @@ def _max_residual(residual_fn, states, grid: Grid) -> float:
     return worst
 
 
-def verify_annihilation(family: ShapeInvariantFamily, grid: Grid) -> float:
+def verify_annihilation(family: ShapeInvariantFamily, grid: Grid,
+                        states=None) -> float:
     """‖Aφ₀‖/‖φ₀‖ for the sampled ground state; O(h²)."""
     a = build_ladder(family, family.alpha0, grid).A
-    return _max_residual(lambda v: a @ v,
-                         [eigenfunction_samples(family, 0, grid)], grid)
+    return _max_residual(lambda v: a @ v, [_ground(family, grid, states)], grid)
 
 
-def verify_factorization(family: ShapeInvariantFamily, grid: Grid) -> float:
+def verify_factorization(family: ShapeInvariantFamily, grid: Grid,
+                         states=None) -> float:
     """max over low states of ‖(A†A − (H − E₀))v‖/‖v‖."""
-    ladder = build_ladder(family, family.alpha0, grid)
+    # H before the ladder: the peak memory is assembly's temporaries
     h = Banded.from_tridiagonal(assemble_sturm_liouville(family, grid))
+    ladder = build_ladder(family, family.alpha0, grid)
     e0 = 0.5 * family.alpha0
     return _max_residual(
         lambda v: ladder.Adag @ (ladder.A @ v) - (h @ v - e0 * v),
-        _test_states(family, grid), grid)
+        _low_states(family, grid, states), grid)
 
 
-def verify_intertwining(family: ShapeInvariantFamily, grid: Grid):
+def verify_intertwining(family: ShapeInvariantFamily, grid: Grid,
+                        states=None):
     """Residuals of AH₋ = H₊A and A†H₊ = H₋A†.
 
     H∓ are assembled from the closed-form partner potentials, not from the
     ladder operators, so this exercises the Riccati forms independently.
     """
+    # operators before the ladder: the peak memory is assembly's temporaries
+    x = grid.points
+    h_minus = Banded.from_tridiagonal(
+        _assemble(family, grid, potential_minus(family, family.alpha0, x)))
+    h_plus = Banded.from_tridiagonal(
+        _assemble(family, grid, potential_plus(family, family.alpha0, x)))
     ladder = build_ladder(family, family.alpha0, grid)
     a, ad = ladder.A, ladder.Adag
-    vm = potential_minus(family, family.alpha0, grid.points)
-    vp = potential_plus(family, family.alpha0, grid.points)
-    h_minus = Banded.from_tridiagonal(_assemble(family, grid, vm))
-    h_plus = Banded.from_tridiagonal(_assemble(family, grid, vp))
-    states = _test_states(family, grid)
+    states = _low_states(family, grid, states)
     res_minus = _max_residual(lambda v: a @ (h_minus @ v) - h_plus @ (a @ v),
                               states, grid)
     res_plus = _max_residual(lambda v: ad @ (h_plus @ v) - h_minus @ (ad @ v),
@@ -198,7 +214,8 @@ def verify_intertwining(family: ShapeInvariantFamily, grid: Grid):
     return res_minus, res_plus
 
 
-def verify_superalgebra(family: ShapeInvariantFamily, grid: Grid) -> float:
+def verify_superalgebra(family: ShapeInvariantFamily, grid: Grid,
+                        states=None) -> float:
     """{Q,Q} = {Q†,Q†} = 0 and {Q,Q†} = diag(A†A, AA†), exactly.
 
     Q(u, w) = (0, Au) and Q†(u, w) = (A†w, 0) act on the sampled pair
@@ -207,7 +224,7 @@ def verify_superalgebra(family: ShapeInvariantFamily, grid: Grid) -> float:
     """
     ladder = build_ladder(family, family.alpha0, grid)
     a, ad = ladder.A, ladder.Adag
-    u = eigenfunction_samples(family, 0, grid)
+    u = _ground(family, grid, states)
     w = grid.points * u
     zero = np.zeros(grid.n)
 
@@ -221,20 +238,25 @@ def verify_superalgebra(family: ShapeInvariantFamily, grid: Grid) -> float:
         xy, yx = x(y((u, w))), y(x((u, w)))
         return [xy[0] + yx[0], xy[1] + yx[1]]
 
-    qqd = anti(q, qd)
-    parts = anti(q, q) + anti(qd, qd) + [qqd[0] - ad @ (a @ u),
-                                         qqd[1] - a @ (ad @ w)]
-    return max(float(np.max(np.abs(p))) for p in parts)
+    def parts():  # one at a time: each is a grid-sized array
+        yield from anti(q, q)
+        yield from anti(qd, qd)
+        qqd = anti(q, qd)
+        yield qqd[0] - ad @ (a @ u)
+        yield qqd[1] - a @ (ad @ w)
+
+    return max(float(np.max(np.abs(p))) for p in parts())
 
 
-def verify_shift_identity(family: ShapeInvariantFamily, grid: Grid) -> float:
+def verify_shift_identity(family: ShapeInvariantFamily, grid: Grid,
+                          states=None) -> float:
     """‖(A(α₁)A†(α₁) − A†(α₂)A(α₂) − R(α₁))v‖/‖v‖ on low states."""
     l1 = build_ladder(family, family.alpha0, grid)
     l2 = build_ladder(family, alpha_at(family, 1), grid)
     r_const = remainder(family, family.alpha0)
     return _max_residual(
         lambda v: l1.A @ (l1.Adag @ v) - (l2.Adag @ (l2.A @ v) + r_const * v),
-        _test_states(family, grid), grid)
+        _low_states(family, grid, states), grid)
 
 
 def verify_all(family: ShapeInvariantFamily, grid: Grid,
@@ -242,14 +264,15 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid,
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    im, ip = verify_intertwining(family, grid)
+    states = _test_states(family, grid)
+    im, ip = verify_intertwining(family, grid, states)
     values = {
-        "factorization": verify_factorization(family, grid),
-        "annihilation": verify_annihilation(family, grid),
+        "factorization": verify_factorization(family, grid, states),
+        "annihilation": verify_annihilation(family, grid, states),
         "intertwine_minus": im,
         "intertwine_plus": ip,
-        "superalgebra_offdiag": verify_superalgebra(family, grid),
-        "shift_identity": verify_shift_identity(family, grid),
+        "superalgebra_offdiag": verify_superalgebra(family, grid, states),
+        "shift_identity": verify_shift_identity(family, grid, states),
     }
     residuals = {name: ResidualEntry(values[name], tol[name]) for name in values}
     return ResidualReport(family.profile.kind.value, family.alpha0,

@@ -19,6 +19,7 @@ from pdemosc import (
     eigenfunction_samples,
     evaluate,
     gf_polynomial,
+    gf_polynomials,
     harmonic_limit,
     inner_product,
     make_family,
@@ -242,6 +243,23 @@ def test_recurrence_equals_series():
             nxt = three_term_next(cur, prev, m)
             assert as_plain(nxt.coeffs) == as_plain(gf_polynomial(m + 1, par).coeffs), (par, m)
             prev, cur = cur, nxt
+
+
+@pytest.mark.parametrize("par", [C1, C2, C3])
+def test_shared_products_match_single_degrees_and_recurrence(par):
+    # every degree read from one set of Pi_k equals the degree built alone
+    # and the three-term chain, dict for dict
+    family = gf_polynomials(40, par)
+    assert [p.degree for p in family] == list(range(41))
+    prev, cur = None, gf_polynomial(0, par)
+    for n, p in enumerate(family):
+        assert p.coeffs == gf_polynomial(n, par).coeffs, n
+        assert p.coeffs == cur.coeffs, n
+        assert p.family_tag is FamilyTag.GENERATING_FUNCTION
+        assert p.parameterization is par
+        prev, cur = cur, three_term_next(cur, prev, n)
+    with pytest.raises(ValueError):
+        gf_polynomials(-1, par)
 
 
 def test_recurrence_rejects_mismatched_degrees():

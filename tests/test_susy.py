@@ -197,6 +197,30 @@ def test_verify_all_report_layout():
     assert all(e.passed for e in report.residuals.values())
 
 
+@pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
+def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
+    # the checks share one sample of the low states, and each residual is
+    # the one its check computes alone, bit for bit
+    from pdemosc import susy
+
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, 800)
+    alone = [verify_factorization(fam, grid), verify_annihilation(fam, grid),
+             *verify_intertwining(fam, grid), verify_superalgebra(fam, grid),
+             verify_shift_identity(fam, grid)]
+    calls = []
+    honest = susy.eigenfunction_samples
+
+    def counted(family, n, g):
+        calls.append(n)
+        return honest(family, n, g)
+    monkeypatch.setattr(susy, "eigenfunction_samples", counted)
+    report = verify_all(fam, grid)
+    count = bound_state_count(fam)
+    assert calls == list(range(5 if count is None else min(5, count)))
+    assert [e.value for e in report.residuals.values()] == alone
+
+
 def test_verify_all_custom_tolerances():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 400)
