@@ -1,83 +1,53 @@
-"""Algebraic and numerical spectra of position-dependent-mass oscillators."""
+"""Algebraic and numerical spectra of position-dependent-mass oscillators.
 
-from .discrete import (
-    EigenSolution,
-    Grid,
-    TridiagonalOperator,
-    assemble_sturm_liouville,
-    assemble_von_roos,
-    build_grid,
-    eigen_tridiagonal,
-    inner_product,
-    tridiagonal_eigenvalues,
-    uniform_grid,
-)
-from .errors import (
-    ConstraintViolatedError,
-    ConvergenceFailureError,
-    DegreeMismatchError,
-    InvalidCountError,
-    InvalidLambdaError,
-    LengthMismatchError,
-    NonPositiveAlphaError,
-    NotABoundStateError,
-    NotProportionalError,
-    OutOfDomainError,
-    PdemError,
-)
-from .families import (
-    Kind,
-    MassProfile,
-    ShapeInvariantFamily,
-    SpectrumTable,
-    VonRoosOrdering,
-    alpha_at,
-    bound_state_count,
-    energy,
-    energy_via_recursion,
-    ground_state_unnormalized,
-    make_family,
-    mass_at,
-    potential_full,
-    potential_minus,
-    potential_plus,
-    remainder,
-    spectrum_table,
-    superpotential_at,
-    unified_deformation,
-)
-from .polynomials import (
-    FamilyTag,
-    LambdaPoly,
-    Parameterization,
-    Ratio,
-    coefficient_rows,
-    derivative_relation_residual,
-    eigenfunction_samples,
-    evaluate,
-    gf_polynomial,
-    gf_polynomials,
-    harmonic_limit,
-    proportionality_ratio,
-    rodrigues_polynomial,
-    three_term_next,
-    to_json_dict,
-)
-from .susy import (
-    Banded,
-    LadderMatrices,
-    ResidualEntry,
-    ResidualReport,
-    build_ladder,
-    report_to_json_dict,
-    state_map_cosine,
-    verify_all,
-    verify_annihilation,
-    verify_factorization,
-    verify_intertwining,
-    verify_shift_identity,
-    verify_superalgebra,
-)
-from .cli import run
+Importing the package loads none of its modules: each public name below
+is imported from its module on first use (PEP 562), so a command that
+never touches arrays never imports numpy.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_MODULES = {
+    "arrays": """eigenfunction_samples ground_state_unnormalized inner_product
+                 superpotential_at""",
+    "cli": "run",
+    "discrete": """EigenSolution Grid TridiagonalOperator assemble_sturm_liouville
+                   assemble_von_roos build_grid eigen_tridiagonal
+                   tridiagonal_eigenvalues uniform_grid""",
+    "errors": """ConstraintViolatedError ConvergenceFailureError
+                 DegreeMismatchError InvalidCountError InvalidLambdaError
+                 LengthMismatchError NonPositiveAlphaError NotABoundStateError
+                 NotProportionalError OutOfDomainError PdemError""",
+    "families": """Kind MassProfile ShapeInvariantFamily SpectrumTable
+                   VonRoosOrdering alpha_at bound_state_count energy
+                   energy_via_recursion make_family mass_at potential_full
+                   potential_minus potential_plus remainder spectrum_table
+                   unified_deformation""",
+    "polynomials": """FamilyTag LambdaPoly Parameterization Ratio coefficient_rows
+                      derivative_relation_residual evaluate gf_polynomial
+                      gf_polynomials harmonic_limit proportionality_ratio
+                      rodrigues_polynomial three_term_next to_json_dict""",
+    "susy": """Banded LadderMatrices ResidualEntry ResidualReport build_ladder
+               report_to_json_dict state_map_cosine verify_all
+               verify_annihilation verify_factorization verify_intertwining
+               verify_shift_identity verify_superalgebra""",
+}
+_HOME = {name: module for module, names in _MODULES.items()
+         for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -4,6 +4,10 @@ Subcommands: spectrum, eigenfunctions, polynomials, verify, compare-ordering.
 All numbers are serialized with 17 significant digits so doubles round-trip
 exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
+
+Each handler imports the modules it needs when it runs, and every payload
+is built from Python numbers, so `spectrum`, `compare-ordering`, numeric
+`eigenfunctions` and `polynomials` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -13,16 +17,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .discrete import (
-    assemble_sturm_liouville,
-    assemble_von_roos,
-    build_grid,
-    eigen_tridiagonal,
-    tridiagonal_eigenvalues,
-    von_roos_asymmetry,
-)
 from .errors import NotABoundStateError, PdemError
 from .families import (
     Kind,
@@ -32,13 +26,6 @@ from .families import (
     make_family,
     require_bound,
 )
-from .polynomials import (
-    coefficient_rows,
-    eigenfunction_samples,
-    gf_polynomials,
-    parameterization_for,
-)
-from .susy import report_to_json_dict, verify_all
 
 _Q_MEANING = {
     "case1": "q = lambda/alpha",
@@ -55,9 +42,9 @@ def _json_text(value) -> str:
     """json.dumps with floats pinned to 17 significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -67,22 +54,24 @@ def _json_text(value) -> str:
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}"
                           for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_lines(x, columns):
-    """One "%.17g,…" line per node: x, then every row of `columns` there.
+def _csv_rows(x, columns):
+    """"%.17g,…" rows, one per node: x, then every column's value there.
 
-    Rows become Python floats 256 nodes at a time, so the whole table never
-    exists as a list of lists (that would add MBs to the peak RSS).
+    x and the columns are float lists or ndarrays; ndarrays become Python
+    floats 256 nodes at a time, so the whole table never exists as a list
+    of lists (that would add MBs to the peak RSS).  Yields the rows 256 at a
+    time, joined by newlines.
     """
     fmt = ",".join(["%.17g"] * (len(columns) + 1))
     for i in range(0, len(x), 256):
-        block = np.vstack([x[i:i + 256], columns[:, i:i + 256]])
-        for row in block.T.tolist():
-            yield fmt % tuple(row)
+        block = [c[i:i + 256] for c in (x, *columns)]
+        block = [c if isinstance(c, list) else c.tolist() for c in block]
+        yield "\n".join(map(fmt.__mod__, zip(*block)))
 
 
 _POLY_JSON = '{"degree": %d, "parameterization": "%s", "coeffs": [%s]}'
@@ -91,6 +80,7 @@ _ROW_JSON = '{"zeta_exp": %d, "q_exp": %d, "num": %d, "den": %d}'
 
 def _polynomials_json(polys) -> str:
     """json.dumps([to_json_dict(p) for p in polys]), row by flat row."""
+    from .polynomials import coefficient_rows
     return "[" + ", ".join(
         _POLY_JSON % (p.degree, p.parameterization.value,
                       ", ".join([_ROW_JSON % r for r in coefficient_rows(p)]))
@@ -204,15 +194,15 @@ def _grid_dict(grid) -> dict:
 
 
 def _cmd_spectrum(args, family) -> int:
+    from .discrete import assemble_lists, build_grid, eigenvalue_list
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
-    eigenvalues = tridiagonal_eigenvalues(
-        assemble_sturm_liouville(family, grid), n_max + 1)
+    eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
     lines = ["n,energy_algebraic,energy_numeric,abs_error"]
     levels = []
     for n in range(n_max + 1):
         e_alg = energy(family, n)
-        e_num = float(eigenvalues[n])
+        e_num = eigenvalues[n]
         err = abs(e_alg - e_num)
         lines.append(f"{n},{_fmt(e_alg)},{_fmt(e_num)},{_fmt(err)}")
         levels.append({"n": n, "energy_algebraic": e_alg,
@@ -224,21 +214,21 @@ def _cmd_spectrum(args, family) -> int:
 
 
 def _cmd_eigenfunctions(args, family) -> int:
+    from .discrete import assemble_lists, build_grid, eigenpair_lists
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     if args.source == "numeric":
-        sol = eigen_tridiagonal(assemble_sturm_liouville(family, grid),
-                                n_max + 1, grid.h)
-        vectors = sol.eigenvectors
-        eigenvalues = [float(v) for v in sol.eigenvalues]
+        eigenvalues, vectors = eigenpair_lists(
+            assemble_lists(family, grid), n_max + 1, grid.h)
     else:
-        vectors = np.vstack([eigenfunction_samples(family, n, grid)
-                             for n in range(n_max + 1)])
+        from .arrays import eigenfunction_samples
+        vectors = [eigenfunction_samples(family, n, grid)
+                   for n in range(n_max + 1)]
         eigenvalues = [energy(family, n) for n in range(n_max + 1)]
     csv_text = None
     if args.format in ("csv", "both"):
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
-        csv_text = "\n".join([header, *_csv_lines(grid.points, vectors)]) + "\n"
+        csv_text = "\n".join([header, *_csv_rows(grid.nodes(), vectors)]) + "\n"
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
     _emit(args, "eigenfunctions", csv_text, _json_text(payload))
     return 0
@@ -279,6 +269,7 @@ def _poly_str(poly) -> str:
 
 
 def _cmd_polynomials(args, family) -> int:
+    from .polynomials import gf_polynomials, parameterization_for
     # degree is a polynomial index, not a level, so no bound-count gate
     n_max = _n_max(family, args.n_max, levels=False)
     par = parameterization_for(family.profile.kind)
@@ -293,6 +284,8 @@ def _cmd_polynomials(args, family) -> int:
 
 
 def _cmd_verify(args, family) -> int:
+    from .discrete import build_grid
+    from .susy import report_to_json_dict, verify_all
     require_bound(family, 0)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     report = verify_all(family, grid)
@@ -311,14 +304,19 @@ def _cmd_compare_ordering(args, family) -> int:
         print("error: compare-ordering needs at least one --ordering a,b,c",
               file=sys.stderr)
         return 2
+    from .discrete import (
+        assemble_lists,
+        build_grid,
+        eigenvalue_list,
+        von_roos_asymmetry,
+    )
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     k = n_max + 1
-    sym = tridiagonal_eigenvalues(assemble_sturm_liouville(family, grid), k)
+    sym = eigenvalue_list(assemble_lists(family, grid), k)
     results = []
     for ordering in args.ordering:
-        t = assemble_von_roos(family, ordering, grid)
-        ev = tridiagonal_eigenvalues(t, k)
+        ev = eigenvalue_list(assemble_lists(family, grid, ordering), k)
         results.append((ordering, ev, von_roos_asymmetry(family, ordering, grid)))
 
     def label(o):
@@ -336,11 +334,11 @@ def _cmd_compare_ordering(args, family) -> int:
     payload = {
         "family": args.family, "alpha": args.alpha, "lambda": args.lam,
         "grid": _grid_dict(grid),
-        "symmetric": [float(v) for v in sym],
+        "symmetric": sym,
         "orderings": [
             {"a": o.a, "b": o.b, "c": o.c,
-             "eigenvalues": [float(v) for v in ev],
-             "deviation_from_symmetric": [float(v - s) for v, s in zip(ev, sym)],
+             "eigenvalues": ev,
+             "deviation_from_symmetric": [v - s for v, s in zip(ev, sym)],
              "asymmetry": asym}
             for o, ev, asym in results
         ],

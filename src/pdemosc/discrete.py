@@ -12,47 +12,74 @@ in a bracket no wider than 1e−12·max(1, ‖T‖∞).  Eigenvectors, where a
 caller wants them, come from one inverse-iteration solve shifted at the
 eigenvalue.  Nothing in this module knows about superpotentials or
 deformed polynomials.
+
+Everything here runs on Python floats, so the eigenvalue path never
+imports numpy: the command line calls assemble_lists, eigenvalue_list and
+eigenpair_lists.  The public assemblers, tridiagonal_eigenvalues,
+eigen_tridiagonal and `Grid.points` return ndarrays, and import numpy
+when called.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from operator import mul
 
 from .errors import (
     ConvergenceFailureError,
     InvalidCountError,
     InvalidLambdaError,
-    LengthMismatchError,
 )
 from .families import (
     SYMMETRIC_ORDERING,
     ShapeInvariantFamily,
     VonRoosOrdering,
-    mass_at,
-    potential_full,
+    masses_on,
+    potentials_on,
 )
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid on (lo, hi); the endpoints carry implicit zeros."""
+    """Uniform interior grid on (lo, hi); the endpoints carry implicit zeros.
+
+    Node i (1 ≤ i ≤ n) is node(i) = lo + h·i.  `nodes()` lists them as
+    floats for the eigenvalue path; `points` is the same nodes as an
+    ndarray, built on first use for the numpy consumers.
+    """
 
     lo: float
     hi: float
     n: int
     h: float
-    points: np.ndarray
+
+    def node(self, i: int) -> float:
+        return self.lo + self.h * i
+
+    def nodes(self) -> list:
+        return list(map(self.node, range(1, self.n + 1)))
+
+    @cached_property
+    def points(self):
+        import numpy as np
+        return self.lo + self.h * np.arange(1, self.n + 1)
 
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    diag: np.ndarray
-    offdiag: np.ndarray
+    """Symmetric tridiagonal matrix (diag, offdiag).
+
+    The public assemblers hold ndarrays; assemble_lists holds float lists.
+    """
+
+    diag: np.ndarray | list
+    offdiag: np.ndarray | list
 
 
 @dataclass(frozen=True)
@@ -68,9 +95,7 @@ def uniform_grid(lo: float, hi: float, n: int) -> Grid:
         raise InvalidCountError(f"need at least 16 interior points, got {n}")
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    h = (hi - lo) / (n + 1)
-    points = lo + h * np.arange(1, n + 1)
-    return Grid(lo, hi, n, h, points)
+    return Grid(lo, hi, n, (hi - lo) / (n + 1))
 
 
 def build_grid(family: ShapeInvariantFamily, n: int,
@@ -98,7 +123,9 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     if math.isfinite(profile.hi):
         grid = uniform_grid(profile.lo, profile.hi, n)
         box = math.sqrt(box2)
-        inside = int(np.count_nonzero(np.abs(grid.points) < box))
+        # nodes ascend, so those in (−box, box) are one run, found by bisection
+        inside = max(0, bisect_left(range(1, n + 1), box, key=grid.node)
+                     - bisect_right(range(1, n + 1), -box, key=grid.node))
         if inside < 16:
             raise InvalidCountError(
                 f"grid spacing h = {grid.h:.3g} on the compact domain "
@@ -116,9 +143,27 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     return uniform_grid(-hi, hi, n)
 
 
-def _stencil(family: ShapeInvariantFamily, grid: Grid, potential,
+def refuse_overflow(top: float):
+    """The refusal of an operator whose largest entry `top` squares past a double."""
+    raise InvalidLambdaError(
+        f"the discretized Hamiltonian overflows: its entries reach "
+        f"{top:.3g}, and the eigensolver squares them, which leaves the "
+        f"range of a double; lower alpha, weaken the deformation or "
+        f"coarsen the grid")
+
+
+def _powers(ms: list, e: float) -> list:
+    """mᵉ for each m: 1 for e = 0, 1.0/m for e = −1, m ** e otherwise."""
+    if e == 0.0:
+        return [1.0] * len(ms)  # pow(m, 0) is 1 for every m, even inf and NaN
+    if e == -1.0:
+        return [1.0 / m for m in ms]
+    return [m ** e for m in ms]
+
+
+def _stencil(family: ShapeInvariantFamily, grid: Grid,
              ordering: VonRoosOrdering = SYMMETRIC_ORDERING):
-    """Rows of −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + diag(potential).
+    """Rows of −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V, on Python floats.
 
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
@@ -126,42 +171,53 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid, potential,
     off-diagonal, which are equal up to the roundoff of their
     multiplication orders.  At the symmetric ordering (0, −1, 0) the outer
     factors are one and this is the conservative scheme for −(p φ′)′ with
-    p = 1/(2m).
+    p = 1/(2m).  A power or quotient that leaves the range of a double is
+    refused as an overflow, as an infinite entry would be.
     """
-    h2 = grid.h * grid.h
-    m_nodes = mass_at(family.profile, grid.points)
-    ma = np.power(m_nodes, ordering.a)
-    mc = np.power(m_nodes, ordering.c)
-    mids = grid.lo + grid.h * (np.arange(grid.n + 1) + 0.5)
-    w = np.power(mass_at(family.profile, mids), ordering.b)
-    diag = 0.5 * ma * mc * (w[:-1] + w[1:]) / h2 + potential
-    win = w[1:-1] / h2
-    upper = ma[:-1] * win * mc[1:] + mc[:-1] * win * ma[1:]
-    lower = ma[1:] * win * mc[:-1] + mc[1:] * win * ma[:-1]
+    lo, h, n = grid.lo, grid.h, grid.n
+    h2 = h * h
+    xs = grid.nodes()
+    try:
+        m_nodes = masses_on(family.profile, xs)
+        mids = [lo + h * (i + 0.5) for i in range(n + 1)]
+        w = _powers(masses_on(family.profile, mids), ordering.b)
+        potential = potentials_on(family, xs, m_nodes)
+        ma = _powers(m_nodes, ordering.a)
+        mc = _powers(m_nodes, ordering.c)
+    except (OverflowError, ZeroDivisionError):
+        refuse_overflow(math.inf)
+    win = [x / h2 for x in w[1:-1]]
+    diag = [0.5 * a * c * (wl + wr) / h2 + v
+            for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
+    upper = [a0 * x * c1 + c0 * x * a1
+             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    lower = [a1 * x * c0 + c1 * x * a0
+             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
     return diag, upper, lower
 
 
-def _assemble(family: ShapeInvariantFamily, grid: Grid, potential,
-              ordering: VonRoosOrdering = SYMMETRIC_ORDERING) -> TridiagonalOperator:
-    """The kinetic stencil of `ordering` plus an arbitrary diagonal potential.
+def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
+                   ordering: VonRoosOrdering = SYMMETRIC_ORDERING) -> TridiagonalOperator:
+    """The stencil of `ordering` with the confining potential V, as float lists.
 
     The two ordering terms are transposes of one another, so their average
-    is symmetric; one shared off-diagonal array makes that exact.  The
+    is symmetric; one shared off-diagonal list makes that exact.  The
     eigensolver squares the entries, so an operator with an entry whose
     square overflows a double (or an infinite or NaN one) is refused with
     InvalidLambdaError.
     """
-    with np.errstate(over="ignore"):
-        diag, upper, lower = _stencil(family, grid, potential, ordering)
-        off = -0.125 * (upper + lower)
-    top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
-    if not math.isfinite(top * top):
-        raise InvalidLambdaError(
-            f"the discretized Hamiltonian overflows: its entries reach "
-            f"{top:.3g}, and the eigensolver squares them, which leaves the "
-            f"range of a double; lower alpha, weaken the deformation or "
-            f"coarsen the grid")
+    diag, upper, lower = _stencil(family, grid, ordering)
+    off = [-0.125 * (u + l) for u, l in zip(upper, lower)]
+    top = max(max(map(abs, diag)), max(map(abs, off)))
+    # max() passes over a NaN that is not first; sum() propagates it
+    if not math.isfinite(top * top) or math.isnan(sum(diag) + sum(off)):
+        refuse_overflow(top)
     return TridiagonalOperator(diag, off)
+
+
+def _as_arrays(T: TridiagonalOperator) -> TridiagonalOperator:
+    import numpy as np
+    return TridiagonalOperator(np.array(T.diag), np.array(T.offdiag))
 
 
 def assemble_sturm_liouville(family: ShapeInvariantFamily,
@@ -170,9 +226,10 @@ def assemble_sturm_liouville(family: ShapeInvariantFamily,
 
     p is evaluated at the n+1 midpoints, so row i and row i+1 share the
     same p_{i+½} value and the matrix is symmetric exactly, not merely up
-    to roundoff.
+    to roundoff.  The bands are ndarrays; assemble_lists gives the same
+    entries as float lists, without numpy.
     """
-    return _assemble(family, grid, potential_full(family, grid.points))
+    return _as_arrays(assemble_lists(family, grid))
 
 
 def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
@@ -180,26 +237,17 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
     """Discretize −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V by composition.
 
     The leftover asymmetry of the two multiplication orders is folded in by
-    explicit averaging (see von_roos_asymmetry).
+    explicit averaging (see von_roos_asymmetry).  The bands are ndarrays,
+    as for assemble_sturm_liouville.
     """
-    return _assemble(family, grid, potential_full(family, grid.points), ordering)
+    return _as_arrays(assemble_lists(family, grid, ordering))
 
 
 def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
-    _, upper, lower = _stencil(family, grid, 0.0, ordering)
-    if len(upper) == 0:
-        return 0.0
-    return 0.25 * float(np.max(np.abs(upper - lower)))
-
-
-def inner_product(f, g, grid: Grid) -> float:
-    """Trapezoid quadrature ∫fg dx; Dirichlet ends contribute zero."""
-    if len(f) != len(g) or len(f) != grid.n:
-        raise LengthMismatchError(
-            f"lengths {len(f)}, {len(g)} do not match grid size {grid.n}")
-    return grid.h * float(np.dot(f, g))
+    _, upper, lower = _stencil(family, grid, ordering)
+    return 0.25 * max((abs(u - l) for u, l in zip(upper, lower)), default=0.0)
 
 
 # === symmetric tridiagonal eigensolver ===
@@ -210,13 +258,17 @@ def inner_product(f, g, grid: Grid) -> float:
 _MAX_PASSES = 128
 
 
-def _scale(d: np.ndarray, o: np.ndarray):
-    """‖T‖∞ and the Gershgorin interval (glo, ghi) of T = (d, o)."""
-    radius = np.zeros_like(d)
-    radius[1:] += np.abs(o)
-    radius[:-1] += np.abs(o)
-    return (float(np.max(np.abs(d) + radius)), float(np.min(d - radius)),
-            float(np.max(d + radius)))
+def _scale(d: list, o: list):
+    """‖T‖∞ and the Gershgorin interval (glo, ghi) of T = (d, o).
+
+    |dᵢ| + rᵢ is dᵢ + rᵢ or −(dᵢ − rᵢ), each rounded alike, so the norm is
+    max(ghi, −glo) exactly.
+    """
+    a = list(map(abs, o))
+    radius = [x + y for x, y in zip([0.0] + a, a + [0.0])]
+    glo = min([x - r for x, r in zip(d, radius)])
+    ghi = max([x + r for x, r in zip(d, radius)])
+    return max(ghi, -glo), glo, ghi
 
 
 def _neg_count(diag, off2, x, pivmin):
@@ -260,20 +312,28 @@ def _neg_count_slope(diag, off2, x, pivmin):
     return count, slope
 
 
-def _sturm_newton(T: TridiagonalOperator, k: int) -> list:
-    """The k smallest eigenvalues, ascending; see tridiagonal_eigenvalues."""
+def _prepared(T: TridiagonalOperator, k: int):
+    """(diag, off, ‖T‖∞, glo, ghi) with the bands as lists of Python floats."""
     n = len(T.diag)
     if not 1 <= k <= n:
         raise InvalidCountError(f"need 1 <= k <= {n}, got {k}")
-    d = np.asarray(T.diag, dtype=float)
-    o = np.asarray(T.offdiag, dtype=float)
-    norm_t, glo, ghi = _scale(d, o)
+    diag, off = list(map(float, T.diag)), list(map(float, T.offdiag))
+    return (diag, off, *_scale(diag, off))
+
+
+def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
+    """tridiagonal_eigenvalues as a list of floats, without numpy."""
+    return _sturm_newton(*_prepared(T, k), k)
+
+
+def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
+    """The k smallest eigenvalues of the _prepared bands; see tridiagonal_eigenvalues."""
+    n = len(diag)
     tol = 1e-12 * max(1.0, norm_t)
     pivmin = 2.2e-16 * max(1.0, norm_t)
     glo -= tol
     ghi += tol
-    diag = d.tolist()
-    off2 = [0.0] + (o * o).tolist()
+    off2 = [0.0] + [b * b for b in o]
 
     # Shared brackets lo[i] <= λ_i < hi[i], with nlo[i] <= i < nhi[i] the
     # counts there.  hi[i] = inf until a count has shown an upper edge.
@@ -345,53 +405,108 @@ def _sturm_newton(T: TridiagonalOperator, k: int) -> list:
 
 def _factor_shifted(diag, off, sigma, pivmin):
     """Partial-pivot LU of T − σI; returns (swap, mult, u0, u1, u2)."""
-    n = len(diag)
-    swap = [False] * max(n - 1, 0)
-    mult = [0.0] * max(n - 1, 0)
-    u0 = [0.0] * n
-    u1 = [0.0] * max(n - 1, 0)
-    u2 = [0.0] * max(n - 2, 0)
+    swap, mult, u0, u1, u2 = [], [], [], [], []
     p = diag[0] - sigma
-    q = off[0] if n > 1 else 0.0
+    q = off[0] if off else 0.0
     r = 0.0
-    for i in range(n - 1):
-        pn = off[i]
-        qn = diag[i + 1] - sigma
-        rn = off[i + 1] if i + 1 < n - 1 else 0.0
-        if abs(pn) > abs(p):
-            swap[i] = True
+    # row i + 1 of T − σI is (pn, qn, rn) = (o_i, d_{i+1} − σ, o_{i+1})
+    for pn, dn, rn in zip(off, diag[1:], off[1:] + [0.0]):
+        qn = dn - sigma
+        pivot = abs(pn) > abs(p)
+        if pivot:
             p, q, r, pn, qn, rn = pn, qn, rn, p, q, r
         if p == 0.0:
             p = pivmin
         m = pn / p
-        mult[i] = m
-        u0[i] = p
-        u1[i] = q
-        if i < n - 2:
-            u2[i] = r
+        swap.append(pivot)
+        mult.append(m)
+        u0.append(p)
+        u1.append(q)
+        u2.append(r)
         p, q, r = qn - m * q, rn - m * r, 0.0
-    u0[n - 1] = p if p != 0.0 else pivmin
+    u0.append(p if p != 0.0 else pivmin)
     return swap, mult, u0, u1, u2
 
 
 def _solve_factored(factored, rhs):
     swap, mult, u0, u1, u2 = factored
-    n = len(u0)
-    b = list(rhs)
-    for i in range(n - 1):
-        if swap[i]:
-            b[i], b[i + 1] = b[i + 1], b[i]
-        b[i + 1] -= mult[i] * b[i]
-    x = [0.0] * n
-    x[n - 1] = b[n - 1] / u0[n - 1]
-    if n > 1:
-        x[n - 2] = (b[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (b[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-    return x
+    # forward: apply the row swaps and multipliers to rhs
+    y = []
+    cur = rhs[0]
+    for pivot, m, nxt in zip(swap, mult, rhs[1:]):
+        if pivot:
+            cur, nxt = nxt, cur
+        y.append(cur)
+        cur = nxt - m * cur
+    y.append(cur)
+    # backward through the upper band (u0, u1, u2); u2 of the last row is 0
+    x1 = y[-1] / u0[-1]
+    x2 = 0.0
+    out = [x1]
+    for b, a0, a1, a2 in zip(reversed(y[:-1]), reversed(u0[:-1]),
+                             reversed(u1), reversed(u2)):
+        x1, x2 = (b - a1 * x1 - a2 * x2) / a0, x1
+        out.append(x1)
+    out.reverse()
+    return out
 
 
-def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int) -> np.ndarray:
+def _unit(v: list, j: int) -> list:
+    """v/‖v‖₂ with the norm from math.fsum; a zero or non-finite norm fails."""
+    try:
+        norm = math.sqrt(math.fsum([x * x for x in v]))
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise ConvergenceFailureError(
+            j, f"inverse iteration broke down for eigenvalue index {j}")
+    return [x / norm for x in v]
+
+
+def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
+    """eigen_tridiagonal as (eigenvalues, eigenvectors) lists, without numpy."""
+    prepared = _prepared(T, k)
+    eigenvalues = _sturm_newton(*prepared, k)
+    diag, off, norm_t = prepared[:3]
+    n = len(diag)
+    pivmin = 2.2e-16 * max(1.0, norm_t)
+    accept = 1e-10 * max(1.0, norm_t)
+    basis = []  # euclidean-normalized accepted vectors
+    vectors = []
+    root_h = math.sqrt(h)
+    for j, lam in enumerate(eigenvalues):
+        factored = _factor_shifted(diag, off, lam, pivmin)
+        # uniform on [−1, 1) from one seeded draw of 64-bit words; its
+        # norm only scales the first solve
+        words = struct.unpack(f"<{n}Q", random.Random(1000 + j).randbytes(8 * n))
+        v = [(b >> 11) * 2.0 ** -52 - 1.0 for b in words]
+        for _ in range(50):
+            w = _solve_factored(factored, v)
+            for u in basis:
+                # keep the pairwise Gram at roundoff; c is tiny, so a plain
+                # sum is accurate enough here
+                c = sum(map(mul, w, u))
+                w = [a - c * b for a, b in zip(w, u)]
+            v = _unit(w, j)
+            # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
+            resid = max([abs(d * x + a * xn + b * xp - lam * x)
+                         for d, x, a, xn, b, xp in zip(
+                             diag, v, off + [0.0], v[1:] + [0.0],
+                             [0.0] + off, [0.0] + v[:-1])])
+            if resid <= accept:
+                break
+        else:
+            raise ConvergenceFailureError(
+                j, f"inverse iteration stagnated for eigenvalue index {j}")
+        basis.append(v)
+        # the largest-magnitude component made positive; x/(−r) = −(x/r)
+        size = list(map(abs, v))
+        scale = root_h if v[size.index(max(size))] > 0 else -root_h
+        vectors.append([x / scale for x in v])
+    return eigenvalues, vectors
+
+
+def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
     """The k smallest eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     Each eigenvalue is certified by Sturm counts to lie in a bracket no
@@ -408,51 +523,21 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int) -> np.ndarray:
     are refined in ascending index order with λ_{j−1} as a lower edge, so
     the output is ascending and byte-for-byte reproducible.  More than
     128 count passes for one eigenvalue raise ConvergenceFailureError.
+    Returns an ndarray; eigenvalue_list is the same on floats.
     """
-    return np.asarray(_sturm_newton(T, k))
+    import numpy as np
+    return np.asarray(eigenvalue_list(T, k))
 
 
 def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:
-    """k smallest eigenpairs of a symmetric tridiagonal matrix.
+    """k smallest eigenpairs of a symmetric tridiagonal matrix, as ndarrays.
 
     Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors by
     seeded inverse iteration shifted at the eigenvalue itself, accepted
     only when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so h·Σv² = 1 with
-    the largest-magnitude component positive.
+    the largest-magnitude component positive.  eigenpair_lists is the same
+    on floats.
     """
-    eigenvalues = _sturm_newton(T, k)
-    d_arr = np.asarray(T.diag, dtype=float)
-    o_arr = np.asarray(T.offdiag, dtype=float)
-    n = len(d_arr)
-    norm_t = _scale(d_arr, o_arr)[0]
-    pivmin = 2.2e-16 * max(1.0, norm_t)
-    accept = 1e-10 * max(1.0, norm_t)
-    diag, off = d_arr.tolist(), o_arr.tolist()
-    basis = []  # euclidean-normalized accepted vectors
-    for j, lam in enumerate(eigenvalues):
-        factored = _factor_shifted(diag, off, lam, pivmin)
-        # uniform on [−1, 1) from one seeded draw; importing numpy.random
-        # would add about 6 MB to the process
-        bits = np.frombuffer(random.Random(1000 + j).randbytes(8 * n), "<u8")
-        v = (bits >> np.uint64(11)) * 2.0 ** -52 - 1.0
-        v /= np.linalg.norm(v)
-        for _ in range(50):
-            w = np.asarray(_solve_factored(factored, v))
-            for u in basis:
-                w -= np.dot(w, u) * u  # keep the pairwise Gram at roundoff
-            w /= np.linalg.norm(w)
-            tv = d_arr * w
-            if n > 1:
-                tv[:-1] += o_arr * w[1:]
-                tv[1:] += o_arr * w[:-1]
-            v = w
-            if float(np.max(np.abs(tv - lam * v))) <= accept:
-                break
-        else:
-            raise ConvergenceFailureError(
-                j, f"inverse iteration stagnated for eigenvalue index {j}")
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        basis.append(v)
-    vectors = np.asarray(basis) / math.sqrt(h)
-    return EigenSolution(np.asarray(eigenvalues), vectors)
+    import numpy as np
+    eigenvalues, vectors = eigenpair_lists(T, k, h)
+    return EigenSolution(np.asarray(eigenvalues), np.asarray(vectors))

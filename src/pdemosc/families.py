@@ -12,17 +12,16 @@ spectrum follows from summing remainders: Eₙ = E₀ + Σ_{i=0..n−1} R(α_i).
 Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
 (c, s, α) and each closed form below is one formula in it: the step is
 η = −s/c and the deformation q = s/(cα).  The formulas are hand-expanded;
-no symbolic differentiation happens at runtime.
+no symbolic differentiation happens at runtime.  Nothing here imports
+numpy: the closed forms take a float or an ndarray alike, and the samples
+that need arrays (ground state, superpotential) live in `arrays`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ConstraintViolatedError,
@@ -64,7 +63,9 @@ class MassProfile:
         return -self.hi
 
     def contains(self, x) -> bool:
-        return bool(np.all((x > self.lo) & (x < self.hi)))
+        """Whether a float, or every entry of an array, lies in the open domain."""
+        inside = (x > self.lo) & (x < self.hi)
+        return bool(inside.all()) if hasattr(inside, "all") else inside
 
 
 @dataclass(frozen=True)
@@ -151,36 +152,39 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
     return ShapeInvariantFamily(MassProfile(kind, lam, c, s), alpha, -s / c)
 
 
-def _require_inside(profile: MassProfile, x) -> None:
+def require_inside(profile: MassProfile, x) -> None:
+    """Refuse a float, or an array with an entry, outside the open domain."""
     if not profile.contains(x):
         raise OutOfDomainError(
             f"x outside open domain ({profile.lo}, {profile.hi})")
 
 
-def _log1p_over(s: float, y):
-    """log1p(s·y)/s, continued by its limit y where s is zero or subnormal."""
-    if abs(s) < sys.float_info.min:
-        return y
-    return np.log1p(s * y) / s
-
+# The closed forms below take a float or an ndarray x: x * x is the same
+# IEEE operation as np.square, so both give the same bits.
 
 def mass_at(profile: MassProfile, x):
     """m(x) = c/(1 + s x²) for scalar or array x strictly inside the domain."""
-    _require_inside(profile, x)
-    return profile.c / (1.0 + profile.s * np.square(x))
+    require_inside(profile, x)
+    return profile.c / (1.0 + profile.s * (x * x))
 
 
-def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
-    """W(x; αₙ) = αₙ x √(m(x)/2).  Odd in x, and W/√(2m) = αₙx/2 exactly."""
-    m = mass_at(family.profile, x)
-    return alpha_n * x * np.sqrt(0.5 * m)
+def masses_on(profile: MassProfile, xs: list) -> list:
+    """[mass_at(profile, x) for x in xs] for an ascending list of floats.
+
+    The ends of an ascending list bound the rest, so only they are checked
+    against the domain.
+    """
+    require_inside(profile, xs[0])
+    require_inside(profile, xs[-1])
+    c, s = profile.c, profile.s
+    return [c / (1.0 + s * (x * x)) for x in xs]
 
 
 def potential_minus(family: ShapeInvariantFamily, alpha_n: float, x):
     """V₋(x; αₙ) = W² − (W/√(2m))′ = ½ c αₙ² x²/(1 + s x²) − ½ αₙ."""
-    _require_inside(family.profile, x)
+    require_inside(family.profile, x)
     c, s = family.profile.c, family.profile.s
-    x2 = np.square(x)
+    x2 = x * x
     return 0.5 * c * alpha_n * alpha_n * x2 / (1.0 + s * x2) - 0.5 * alpha_n
 
 
@@ -189,10 +193,10 @@ def potential_plus(family: ShapeInvariantFamily, alpha_n: float, x):
 
     With b = αₙ + η it reads ½ c b² x²/(1 + s x²) + ½ b.
     """
-    _require_inside(family.profile, x)
+    require_inside(family.profile, x)
     c, s = family.profile.c, family.profile.s
     b = alpha_n + family.eta
-    x2 = np.square(x)
+    x2 = x * x
     return 0.5 * c * b * b * x2 / (1.0 + s * x2) + 0.5 * b
 
 
@@ -202,8 +206,13 @@ def potential_full(family: ShapeInvariantFamily, x):
     Values past the range of a double are inf, which assembly refuses.
     """
     a = family.alpha0
-    with np.errstate(over="ignore"):
-        return 0.5 * mass_at(family.profile, x) * a * a * np.square(x)
+    return 0.5 * mass_at(family.profile, x) * a * a * (x * x)
+
+
+def potentials_on(family: ShapeInvariantFamily, xs: list, ms: list) -> list:
+    """[potential_full(family, x) for x in xs], given ms = masses_on(xs)."""
+    a = family.alpha0
+    return [0.5 * m * a * a * (x * x) for m, x in zip(ms, xs)]
 
 
 def alpha_at(family: ShapeInvariantFamily, n: int) -> float:
@@ -268,17 +277,6 @@ def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
     for k in range(n):
         total += remainder(family, alpha_at(family, k))
     return total
-
-
-def ground_state_unnormalized(family: ShapeInvariantFamily, x):
-    """The zero-mode exp(−∫√(2m) W dx) = (1 + s x²)^(−cα/2s), 1 at x = 0.
-
-    Evaluated as exp(−(cα/2)·log1p(s x²)/s), whose s → 0 limit is the
-    Gaussian exp(−cα x²/2).
-    """
-    _require_inside(family.profile, x)
-    p = family.profile
-    return np.exp(-0.5 * p.c * family.alpha0 * _log1p_over(p.s, np.square(x)))
 
 
 def spectrum_table(family: ShapeInvariantFamily, n_max: int) -> SpectrumTable:

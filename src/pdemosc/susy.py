@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import (
-    Grid,
-    TridiagonalOperator,
-    _assemble,
-    assemble_sturm_liouville,
-    eigen_tridiagonal,
+from .arrays import (
+    assemble_symmetric,
+    eigenfunction_samples,
+    potential_on_grid,
+    superpotential_at,
 )
+from .discrete import Grid, TridiagonalOperator, eigen_tridiagonal
 from .errors import LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -34,9 +34,7 @@ from .families import (
     potential_plus,
     remainder,
     require_bound,
-    superpotential_at,
 )
-from .polynomials import eigenfunction_samples
 
 
 # === banded operators applied to states ===
@@ -102,8 +100,9 @@ class ResidualReport:
     residuals: dict
 
 
-# calibrated at grid_n = 4000 on the reference deformations; the identity
-# residuals there sit at 1e-3 or below and shrink ~4x per h-halving
+# calibrated at grid_n = 4000 and alpha = 1 on the reference deformations;
+# the identity residuals there sit at 1e-3 or below and shrink ~4x per
+# h-halving
 DEFAULT_TOLERANCES = {
     "factorization": 5e-3,
     "annihilation": 1e-4,
@@ -111,6 +110,18 @@ DEFAULT_TOLERANCES = {
     "intertwine_plus": 5e-3,
     "superalgebra_offdiag": 0.0,
     "shift_identity": 5e-3,
+}
+
+# At fixed q the box is ∝ 1/√(cα), so A ~ √α and H ~ α, and each residual
+# grows as α^p: a check passes when value ≤ tolerance·α^p.  At α = 1 the
+# scale is exactly 1.
+RESIDUAL_POWERS = {
+    "factorization": 1.0,
+    "annihilation": 0.5,
+    "intertwine_minus": 1.5,
+    "intertwine_plus": 1.5,
+    "superalgebra_offdiag": 0.0,
+    "shift_identity": 1.0,
 }
 
 
@@ -183,7 +194,8 @@ def verify_factorization(family: ShapeInvariantFamily, grid: Grid,
                          states=None) -> float:
     """max over low states of ‖(A†A − (H − E₀))v‖/‖v‖."""
     # H before the ladder: the peak memory is assembly's temporaries
-    h = Banded.from_tridiagonal(assemble_sturm_liouville(family, grid))
+    h = Banded.from_tridiagonal(
+        assemble_symmetric(family, grid, potential_on_grid(family, grid)))
     ladder = build_ladder(family, family.alpha0, grid)
     e0 = 0.5 * family.alpha0
     return _max_residual(
@@ -200,10 +212,10 @@ def verify_intertwining(family: ShapeInvariantFamily, grid: Grid,
     """
     # operators before the ladder: the peak memory is assembly's temporaries
     x = grid.points
-    h_minus = Banded.from_tridiagonal(
-        _assemble(family, grid, potential_minus(family, family.alpha0, x)))
-    h_plus = Banded.from_tridiagonal(
-        _assemble(family, grid, potential_plus(family, family.alpha0, x)))
+    h_minus = Banded.from_tridiagonal(assemble_symmetric(
+        family, grid, potential_minus(family, family.alpha0, x)))
+    h_plus = Banded.from_tridiagonal(assemble_symmetric(
+        family, grid, potential_plus(family, family.alpha0, x)))
     ladder = build_ladder(family, family.alpha0, grid)
     a, ad = ladder.A, ladder.Adag
     states = _low_states(family, grid, states)
@@ -261,6 +273,12 @@ def verify_shift_identity(family: ShapeInvariantFamily, grid: Grid,
 
 def verify_all(family: ShapeInvariantFamily, grid: Grid,
                tolerances: dict | None = None) -> ResidualReport:
+    """Every residual, each judged against its α = 1 tolerance times α^p.
+
+    `tolerances` overrides DEFAULT_TOLERANCES by name, in the same α = 1
+    units.  The report keeps the raw residual values and the scaled
+    tolerances.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -274,7 +292,10 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid,
         "superalgebra_offdiag": verify_superalgebra(family, grid, states),
         "shift_identity": verify_shift_identity(family, grid, states),
     }
-    residuals = {name: ResidualEntry(values[name], tol[name]) for name in values}
+    a = family.alpha0
+    residuals = {name: ResidualEntry(values[name],
+                                     tol[name] * a ** RESIDUAL_POWERS[name])
+                 for name in values}
     return ResidualReport(family.profile.kind.value, family.alpha0,
                           family.profile.lam, grid.n, residuals)
 
@@ -289,7 +310,7 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     ladder = build_ladder(family, family.alpha0, grid)
     mapped = ladder.A @ eigenfunction_samples(family, n + 1, grid)
     vp = potential_plus(family, family.alpha0, grid.points)
-    sol = eigen_tridiagonal(_assemble(family, grid, vp), n + 1, grid.h)
+    sol = eigen_tridiagonal(assemble_symmetric(family, grid, vp), n + 1, grid.h)
     v = sol.eigenvectors[n]
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))
     return abs(float(np.dot(mapped, v))) / denom

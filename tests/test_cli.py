@@ -167,18 +167,32 @@ def test_verify_fails_on_coarse_grid(capsys):
 def test_verify_stays_finite_at_huge_alpha(capsys):
     # the operators are accepted at alpha = 1e100, but the residual vectors
     # square past the range of a double unless they are scaled first; the
-    # tolerances are absolute, so the run is a finite FAIL
+    # tolerances scale as alpha^p, so the correct operators pass
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = run(["verify", "--family", "constant", "--alpha", "1e100"])
     out, err = capsys.readouterr()
-    assert code == 3 and err == ""
+    assert code == 0 and err == ""
 
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
     payload = json.loads(out.splitlines()[-1], parse_constant=refuse)
     values = [e["value"] for e in payload["residuals"].values()]
     assert len(values) == 6 and all(math.isfinite(v) for v in values)
+
+
+def test_verify_passes_at_large_alpha(capsys):
+    # tolerances are calibrated at alpha = 1 and scale as alpha^p, so
+    # correct operators pass at alpha = 100 (an absolute 5e-3 failed them)
+    code = run(["verify", "--family", "constant", "--alpha", "100"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert all(line.endswith("PASS") for line in lines[:6])
+    assert lines[0].startswith("factorization: ") and "tolerance=0.5 " in lines[0]
+    payload = json.loads(lines[-1])
+    for entry in payload["residuals"].values():
+        assert entry["pass"] == (entry["value"] <= entry["tolerance"])
 
 
 def test_output_dir_writes_files(tmp_path, capsys):

@@ -5,14 +5,13 @@ and the polynomial export must be exactly what `json.dumps` writes for the
 interchange dicts.
 """
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from pdemosc import Kind, build_grid, gf_polynomial, make_family, run, to_json_dict
-from pdemosc import cli
+from pdemosc import arrays, discrete
 from pdemosc.polynomials import parameterization_for
 
 # (level, node) cells planted into the library's output: a signed zero and
@@ -33,22 +32,21 @@ def test_eigenfunction_csv_cells_are_17g_of_library_values(capsys, monkeypatch,
                                                           source):
     seen = {}
     if source == "algebraic":
-        honest = cli.eigenfunction_samples
+        honest = arrays.eigenfunction_samples
 
         def samples(family, n, grid):
             seen[n] = _plant(n, honest(family, n, grid))
             return seen[n]
-        monkeypatch.setattr(cli, "eigenfunction_samples", samples)
+        monkeypatch.setattr(arrays, "eigenfunction_samples", samples)
     else:
-        honest = cli.eigen_tridiagonal
+        honest = discrete.eigenpair_lists
 
         def solve(*args):
-            sol = honest(*args)
-            vectors = np.vstack([_plant(n, v)
-                                 for n, v in enumerate(sol.eigenvectors)])
+            values, vectors = honest(*args)
+            vectors = [_plant(n, v).tolist() for n, v in enumerate(vectors)]
             seen.update(enumerate(vectors))
-            return dataclasses.replace(sol, eigenvectors=vectors)
-        monkeypatch.setattr(cli, "eigen_tridiagonal", solve)
+            return values, vectors
+        monkeypatch.setattr(discrete, "eigenpair_lists", solve)
     # 700 nodes cross two chunk boundaries and end inside a third chunk
     argv = ["eigenfunctions", "--family", "case1", "--lambda", "0.1",
             "--n-max", "2", "--grid-n", "700", "--source", source]

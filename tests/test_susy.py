@@ -29,8 +29,8 @@ from pdemosc import (
     verify_shift_identity,
     verify_superalgebra,
 )
-from pdemosc.discrete import _assemble
-from pdemosc.susy import Banded, DEFAULT_TOLERANCES
+from pdemosc.arrays import assemble_symmetric
+from pdemosc.susy import Banded, DEFAULT_TOLERANCES, RESIDUAL_POWERS
 
 RESIDUAL_NAMES = [
     "factorization",
@@ -135,9 +135,9 @@ def test_residuals_match_dense_products(kind, lam):
     a = dense_ladder(fam, a0, grid)
     a2 = dense_ladder(fam, alpha_at(fam, 1), grid)
     h = dense_tridiagonal(assemble_sturm_liouville(fam, grid))
-    h_minus = dense_tridiagonal(_assemble(
+    h_minus = dense_tridiagonal(assemble_symmetric(
         fam, grid, potential_minus(fam, a0, grid.points)))
-    h_plus = dense_tridiagonal(_assemble(
+    h_plus = dense_tridiagonal(assemble_symmetric(
         fam, grid, potential_plus(fam, a0, grid.points)))
     eye = np.eye(n)
     want = [
@@ -219,6 +219,44 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
     count = bound_state_count(fam)
     assert calls == list(range(5 if count is None else min(5, count)))
     assert [e.value for e in report.residuals.values()] == alone
+
+
+def test_tolerances_scale_as_alpha_powers():
+    # at fixed q every residual is its alpha = 1 value times alpha^p, so the
+    # verdicts at alpha = 100 are those at alpha = 1
+    base = verify_all(make_family(Kind.CASE1, 1.0, 0.1),
+                      build_grid(make_family(Kind.CASE1, 1.0, 0.1), 4000))
+    fam = make_family(Kind.CASE1, 100.0, 10.0)
+    report = verify_all(fam, build_grid(fam, 4000))
+    for name, entry in report.residuals.items():
+        scale = 100.0 ** RESIDUAL_POWERS[name]
+        assert entry.tolerance == DEFAULT_TOLERANCES[name] * scale, name
+        assert entry.value == pytest.approx(
+            base.residuals[name].value * scale, rel=1e-6, abs=0.0), name
+        assert entry.passed == base.residuals[name].passed, name
+    assert report.residuals["superalgebra_offdiag"].tolerance == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 100.0])
+@pytest.mark.parametrize("mutation", ["h-plus-both-sides", "perturbed-ladder"])
+def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
+    # a wrong operator must FAIL however large alpha makes the tolerances
+    from pdemosc import susy
+
+    fam = make_family(Kind.CASE1, alpha, 0.1 * alpha)
+    grid = build_grid(fam, 4000)
+    assert all(e.passed for e in verify_all(fam, grid).residuals.values())
+    if mutation == "h-plus-both-sides":
+        # A H+ = H+ A in place of A H- = H+ A
+        monkeypatch.setattr(susy, "potential_minus", susy.potential_plus)
+        failing = {"intertwine_minus", "intertwine_plus"}
+    else:
+        honest = susy.superpotential_at
+        monkeypatch.setattr(susy, "superpotential_at",
+                            lambda f, a, x: 1.01 * honest(f, a, x))
+        failing = {"annihilation", "factorization"}
+    report = verify_all(fam, grid)
+    assert {n for n, e in report.residuals.items() if not e.passed} >= failing
 
 
 def test_verify_all_custom_tolerances():
