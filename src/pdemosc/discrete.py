@@ -7,11 +7,14 @@ resulting symmetric tridiagonal matrix.  Each Sturm-count pass (the
 negative pivots of LDLᵀ of T − xI) narrows the brackets of every requested
 eigenvalue at once; once a bracket holds a single eigenvalue the same pass
 also yields the slope of log|det(T − xI)|, and safeguarded Newton steps
-take over from bisection.  Every eigenvalue is certified by counts to lie
-in a bracket no wider than 1e−12·max(1, ‖T‖∞).  Eigenvectors, where a
-caller wants them, come from one inverse-iteration solve shifted at the
-eigenvalue.  Nothing in this module knows about superpotentials or
-deformed polynomials.
+take over from bisection.  From the third eigenvalue on, the search starts
+at an extrapolation of the eigenvalues already certified, which on these
+operators lies within about 1e−6 of a level spacing.  Every eigenvalue is
+certified by counts to lie in a bracket no wider than 1e−12·‖T‖∞, a
+tolerance relative to the operator, so the spectrum scales with it down
+to the underflow refusal.  Eigenvectors, where a caller wants them, come
+from one inverse-iteration solve shifted at the eigenvalue.  Nothing in
+this module knows about superpotentials or deformed polynomials.
 
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the command line calls assemble_lists, eigenvalue_list and
@@ -63,7 +66,8 @@ class Grid:
         return self.lo + self.h * i
 
     def nodes(self) -> list:
-        return list(map(self.node, range(1, self.n + 1)))
+        lo, h = self.lo, self.h
+        return [lo + h * i for i in range(1, self.n + 1)]
 
     @cached_property
     def points(self):
@@ -152,6 +156,14 @@ def refuse_overflow(top: float):
         f"coarsen the grid")
 
 
+def refuse_underflow(norm: float):
+    """The refusal of an operator whose norm `norm` squares below a double."""
+    raise InvalidLambdaError(
+        f"the discretized Hamiltonian underflows: its norm is only "
+        f"{norm:.3g}, and the eigensolver squares its entries, which leaves "
+        f"the range of a double; raise alpha or refine the grid")
+
+
 def _powers(ms: list, e: float) -> list:
     """mᵉ for each m: 1 for e = 0, 1.0/m for e = −1, m ** e otherwise."""
     if e == 0.0:
@@ -167,12 +179,13 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
 
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
-    Returns the diagonal and the two composition orders of the
-    off-diagonal, which are equal up to the roundoff of their
-    multiplication orders.  At the symmetric ordering (0, −1, 0) the outer
-    factors are one and this is the conservative scheme for −(p φ′)′ with
-    p = 1/(2m).  A power or quotient that leaves the range of a double is
-    refused as an overflow, as an infinite entry would be.
+    Returns the diagonal, mᵇ/h² at the interior midpoints and the outer
+    factors mᵃ, mᶜ at the nodes, from which the two composition orders of
+    the off-diagonal follow (see assemble_lists and von_roos_asymmetry).
+    At the symmetric ordering (0, −1, 0) the outer factors are one and
+    this is the conservative scheme for −(p φ′)′ with p = 1/(2m).  A power
+    or quotient that leaves the range of a double is refused as an
+    overflow, as an infinite entry would be.
     """
     lo, h, n = grid.lo, grid.h, grid.n
     h2 = h * h
@@ -186,14 +199,9 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
         mc = _powers(m_nodes, ordering.c)
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
-    win = [x / h2 for x in w[1:-1]]
     diag = [0.5 * a * c * (wl + wr) / h2 + v
             for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-    upper = [a0 * x * c1 + c0 * x * a1
-             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
-    lower = [a1 * x * c0 + c1 * x * a0
-             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
-    return diag, upper, lower
+    return diag, [x / h2 for x in w[1:-1]], ma, mc
 
 
 def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
@@ -206,8 +214,10 @@ def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
     square overflows a double (or an infinite or NaN one) is refused with
     InvalidLambdaError.
     """
-    diag, upper, lower = _stencil(family, grid, ordering)
-    off = [-0.125 * (u + l) for u, l in zip(upper, lower)]
+    diag, win, ma, mc = _stencil(family, grid, ordering)
+    # the upper composition order plus the lower one, in one pass
+    off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
+           for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
     if not math.isfinite(top * top) or math.isnan(sum(diag) + sum(off)):
@@ -246,7 +256,11 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
 def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
-    _, upper, lower = _stencil(family, grid, ordering)
+    _, win, ma, mc = _stencil(family, grid, ordering)
+    upper = [a0 * x * c1 + c0 * x * a1
+             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    lower = [a1 * x * c0 + c1 * x * a0
+             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
     return 0.25 * max((abs(u - l) for u, l in zip(upper, lower)), default=0.0)
 
 
@@ -254,7 +268,8 @@ def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
 
 # Count passes allowed per eigenvalue.  Doubling up to the Gershgorin edge
 # and bisecting back down to tol each take at most about 42 passes, since
-# tol is 1e−12 of the norm; Newton steps only shorten that.
+# tol is 1e−12 of the norm; a predicted start adds one pass, its window
+# starts at 64·tol, and Newton steps only shorten the rest.
 _MAX_PASSES = 128
 
 
@@ -317,8 +332,14 @@ def _prepared(T: TridiagonalOperator, k: int):
     n = len(T.diag)
     if not 1 <= k <= n:
         raise InvalidCountError(f"need 1 <= k <= {n}, got {k}")
-    diag, off = list(map(float, T.diag)), list(map(float, T.offdiag))
-    return (diag, off, *_scale(diag, off))
+    # the assemblers' lists are used as they are; ndarrays and other
+    # sequences are copied to Python floats
+    diag, off = (band if type(band) is list else list(map(float, band))
+                 for band in (T.diag, T.offdiag))
+    scale = _scale(diag, off)
+    if scale[0] * scale[0] < sys.float_info.min:
+        refuse_underflow(scale[0])
+    return (diag, off, *scale)
 
 
 def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
@@ -329,8 +350,8 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
 def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
     """The k smallest eigenvalues of the _prepared bands; see tridiagonal_eigenvalues."""
     n = len(diag)
-    tol = 1e-12 * max(1.0, norm_t)
-    pivmin = 2.2e-16 * max(1.0, norm_t)
+    tol = 1e-12 * norm_t
+    pivmin = 2.2e-16 * norm_t
     glo -= tol
     ghi += tol
     off2 = [0.0] + [b * b for b in o]
@@ -357,6 +378,7 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
         return c
 
     values = []
+    predicting = True
     for j in range(k):
         if j == 0:
             # Newton from below the spectrum never passes λ_0
@@ -366,87 +388,131 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
         else:
             prev = values[-1]
             step = prev - (values[-2] if j > 1 else glo)
-        step = max(step, tol, math.ulp(prev))
+        gap = step = max(step, tol, math.ulp(prev))
+        if predicting and j > 1:
+            # extrapolate the certified levels: linear through two, then
+            # quadratic through three; the last difference added estimates
+            # the error and sizes the upper-edge window
+            d1 = prev - values[-2]
+            guess, window = prev + d1, 0.0
+            if j > 2:
+                d2 = d1 - (values[-2] - values[-3])
+                guess, window = guess + d2, abs(d2)
+            window = max(window, 64.0 * tol, math.ulp(guess))
+            if max(lo[j], prev) < guess < hi[j]:
+                count_at(guess, j, True)
+                if newton[1]:
+                    # widen to twice the Newton step from the guess
+                    window = max(window, 2.0 / abs(newton[1]))
+            step = window
         for _ in range(_MAX_PASSES):
             a, b = max(lo[j], prev), hi[j]
-            isolated = nlo[j] == j and nhi[j] == j + 1
             if b == math.inf:
-                # doubling search for the upper edge
+                # doubling search for the upper edge, at least by the gap
+                # once the first step has missed
                 count_at(min(a + step, ghi), j, False)
-                step *= 2.0
+                step = max(2.0 * step, gap)
                 continue
+            root = None
+            isolated = nlo[j] == j and nhi[j] == j + 1
+            if isolated and newton is not None and a <= newton[0] <= b:
+                x0, s = newton
+                if s and a < x0 - 1.0 / s < b:
+                    root = x0 - 1.0 / s
             mid = 0.5 * (a + b)
             if b - a <= tol or not a < mid < b:
                 # bracket proven, or spacing exhausted; b < a only when
                 # λ_j sits within tol below the returned λ_{j−1}
-                values.append(max(mid, prev))
+                values.append(max(mid, prev) if root is None else root)
                 break
-            x = mid
-            if isolated and newton is not None and a <= newton[0] <= b:
-                x0, s = newton
-                root = x0 - 1.0 / s if s else math.inf
-                if a < root < b:
-                    if abs(root - x0) < 0.25 * tol:
-                        # certify: counts on both sides within tol/2
-                        below, above = root - 0.5 * tol, root + 0.5 * tol
-                        ok = below <= lo[j] or count_at(below, j, False) <= j
-                        if ok and (above >= b or count_at(above, j, False) > j):
-                            values.append(root)
-                            break
-                        continue
-                    x = root
-            count_at(x, j, isolated)
+            if root is not None and abs(root - x0) < 0.25 * tol:
+                # certify: counts on both sides within tol/2
+                below, above = root - 0.5 * tol, root + 0.5 * tol
+                ok = below <= lo[j] or count_at(below, j, False) <= j
+                if ok and (above >= b or count_at(above, j, False) > j):
+                    values.append(root)
+                    break
+                continue
+            count_at(mid if root is None else root, j, isolated)
         else:
             raise ConvergenceFailureError(
                 j, f"eigenvalue search did not converge for index {j} "
                    f"within {_MAX_PASSES} count passes")
+        if j > 1 and predicting:
+            # a level outside its window ends prediction for the rest
+            predicting = abs(values[-1] - guess) <= window
     return values
 
 
-def _factor_shifted(diag, off, sigma, pivmin):
-    """Partial-pivot LU of T − σI; returns (swap, mult, u0, u1, u2)."""
-    swap, mult, u0, u1, u2 = [], [], [], [], []
+def _factor_shifted(diag, off, sigma, pivmin, rhs):
+    """Partial-pivot LU of T − σI, and its forward sweep over rhs.
+
+    Returns ((swap, mult, u0, u1, u2), y): the factors, and rhs with the
+    row swaps and multipliers applied, ready for _back_substitute.
+    """
+    swap, mult, u0, u1, u2, y = [], [], [], [], [], []
+    # bound appends: six per row are most of the loop's cost
+    put_s, put_m, put_0, put_1, put_2, put_y = (
+        swap.append, mult.append, u0.append, u1.append, u2.append, y.append)
     p = diag[0] - sigma
     q = off[0] if off else 0.0
-    r = 0.0
-    # row i + 1 of T − σI is (pn, qn, rn) = (o_i, d_{i+1} − σ, o_{i+1})
-    for pn, dn, rn in zip(off, diag[1:], off[1:] + [0.0]):
+    cur = rhs[0]
+    # row i + 1 of T − σI is (pn, qn, rn) = (o_i, d_{i+1} − σ, o_{i+1}); the
+    # pending row (p, q, 0) has no third entry until a swap brings one
+    for pn, dn, rn, nxt in zip(off, diag[1:], off[1:] + [0.0], rhs[1:]):
         qn = dn - sigma
-        pivot = abs(pn) > abs(p)
-        if pivot:
-            p, q, r, pn, qn, rn = pn, qn, rn, p, q, r
-        if p == 0.0:
-            p = pivmin
-        m = pn / p
-        swap.append(pivot)
-        mult.append(m)
-        u0.append(p)
-        u1.append(q)
-        u2.append(r)
-        p, q, r = qn - m * q, rn - m * r, 0.0
-    u0.append(p if p != 0.0 else pivmin)
-    return swap, mult, u0, u1, u2
+        if abs(pn) > abs(p):
+            m = p / pn
+            put_s(True)
+            put_m(m)
+            put_0(pn)
+            put_1(qn)
+            put_2(rn)
+            put_y(nxt)
+            p, q, cur = q - m * qn, 0.0 - m * rn, cur - m * nxt
+        else:
+            if p == 0.0:
+                p = pivmin
+            m = pn / p
+            put_s(False)
+            put_m(m)
+            put_0(p)
+            put_1(q)
+            put_2(0.0)
+            put_y(cur)
+            p, q, cur = qn - m * q, rn, nxt - m * cur
+    put_0(p if p != 0.0 else pivmin)
+    put_y(cur)
+    return (swap, mult, u0, u1, u2), y
 
 
-def _solve_factored(factored, rhs):
-    swap, mult, u0, u1, u2 = factored
-    # forward: apply the row swaps and multipliers to rhs
+def _forward(factored, rhs):
+    """rhs with the row swaps and multipliers of the factors applied."""
+    swap, mult = factored[:2]
     y = []
+    put = y.append
     cur = rhs[0]
     for pivot, m, nxt in zip(swap, mult, rhs[1:]):
         if pivot:
             cur, nxt = nxt, cur
-        y.append(cur)
+        put(cur)
         cur = nxt - m * cur
-    y.append(cur)
-    # backward through the upper band (u0, u1, u2); u2 of the last row is 0
+    put(cur)
+    return y
+
+
+def _back_substitute(factored, y):
+    """The solution of U x = y for the upper band (u0, u1, u2) of the factors."""
+    _, _, u0, u1, u2 = factored
+    # u2 of the last row is 0
     x1 = y[-1] / u0[-1]
     x2 = 0.0
     out = [x1]
+    put = out.append
     for b, a0, a1, a2 in zip(reversed(y[:-1]), reversed(u0[:-1]),
                              reversed(u1), reversed(u2)):
         x1, x2 = (b - a1 * x1 - a2 * x2) / a0, x1
-        out.append(x1)
+        put(x1)
     out.reverse()
     return out
 
@@ -454,7 +520,7 @@ def _solve_factored(factored, rhs):
 def _unit(v: list, j: int) -> list:
     """v/‖v‖₂ with the norm from math.fsum; a zero or non-finite norm fails."""
     try:
-        norm = math.sqrt(math.fsum([x * x for x in v]))
+        norm = math.sqrt(math.fsum(map(mul, v, v)))
     except OverflowError:
         norm = math.inf
     if not 0.0 < norm < math.inf:
@@ -469,39 +535,49 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     eigenvalues = _sturm_newton(*prepared, k)
     diag, off, norm_t = prepared[:3]
     n = len(diag)
-    pivmin = 2.2e-16 * max(1.0, norm_t)
-    accept = 1e-10 * max(1.0, norm_t)
-    basis = []  # euclidean-normalized accepted vectors
+    pivmin = 2.2e-16 * norm_t
+    accept = 1e-10 * norm_t
+    span = 2.0 ** math.frexp(norm_t)[1]  # the power of two just above ‖T‖∞
+    unit = span * 2.0 ** -52
+    # the off-diagonal padded to the rows it couples: o_i and o_{i−1}
+    above, below = off + [0.0], [0.0] + off
     vectors = []
     root_h = math.sqrt(h)
     for j, lam in enumerate(eigenvalues):
-        factored = _factor_shifted(diag, off, lam, pivmin)
-        # uniform on [−1, 1) from one seeded draw of 64-bit words; its
-        # norm only scales the first solve
-        words = struct.unpack(f"<{n}Q", random.Random(1000 + j).randbytes(8 * n))
-        v = [(b >> 11) * 2.0 ** -52 - 1.0 for b in words]
-        for _ in range(50):
-            w = _solve_factored(factored, v)
-            for u in basis:
+        # uniform on [−1, 1) from one seeded draw of 64-bit words, times
+        # span; its norm only scales the first solve, which then comes out
+        # about 1/eps in size at every scale of T
+        v = [(b >> 11) * unit - span for b in struct.unpack(
+            f"<{n}Q", random.Random(1000 + j).randbytes(8 * n))]
+        # the factorization sweeps the first right-hand side forward itself
+        factored, y = _factor_shifted(diag, off, lam, pivmin, v)
+        for sweep in range(50):
+            if sweep:
+                y = _forward(factored, v)
+            w = _back_substitute(factored, y)
+            for u in vectors:
+                # project out the accepted vectors, for which h·u·u = 1, to
                 # keep the pairwise Gram at roundoff; c is tiny, so a plain
                 # sum is accurate enough here
-                c = sum(map(mul, w, u))
+                c = h * sum(map(mul, w, u))
                 w = [a - c * b for a, b in zip(w, u)]
             v = _unit(w, j)
             # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
             resid = max([abs(d * x + a * xn + b * xp - lam * x)
                          for d, x, a, xn, b, xp in zip(
-                             diag, v, off + [0.0], v[1:] + [0.0],
-                             [0.0] + off, [0.0] + v[:-1])])
+                             diag, v, above, v[1:] + [0.0], below, [0.0] + v[:-1])])
             if resid <= accept:
                 break
         else:
             raise ConvergenceFailureError(
                 j, f"inverse iteration stagnated for eigenvalue index {j}")
-        basis.append(v)
-        # the largest-magnitude component made positive; x/(−r) = −(x/r)
-        size = list(map(abs, v))
-        scale = root_h if v[size.index(max(size))] > 0 else -root_h
+        # this vector's factors and solve go before the next vector's are built
+        del factored, y, w
+        # the largest-magnitude component made positive, the first of equal
+        # magnitudes deciding; x/(−r) = −(x/r)
+        top, bottom = max(v), min(v)
+        positive = top > -bottom or (top == -bottom and v.index(top) < v.index(bottom))
+        scale = root_h if positive else -root_h
         vectors.append([x / scale for x in v])
     return eigenvalues, vectors
 
@@ -510,16 +586,29 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
     """The k smallest eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     Each eigenvalue is certified by Sturm counts to lie in a bracket no
-    wider than tol = 1e−12·max(1, ‖T‖∞).  Every count narrows the brackets
-    of all requested indices at once (as in LAPACK dstebz); index j's upper
-    edge comes from a doubling search up from λ_{j−1}.  Once a bracket holds
+    wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
+    relative to ‖T‖∞, and an operator whose squared norm underflows a
+    double is refused with InvalidLambdaError.  Every count narrows the
+    brackets of all requested indices at once (as in LAPACK dstebz).  From
+    index 2 on, the first pass for λ_j is a slope pass at a prediction
+    extrapolated through the last two certified eigenvalues (linear, for
+    λ_2) or three (quadratic), when it lies in λ_j's bracket.  Index j's
+    upper edge then comes from a doubling search up from the bracket's
+    lower edge: for a predicted level it steps first by the predictor's
+    error estimate, the larger of |quadratic − linear| (zero for λ_2),
+    64·tol and twice the Newton step from the prediction, and by at least
+    the last gap after a miss; otherwise it steps by the last gap.  A
+    certified eigenvalue outside that window stops the prediction for the
+    remaining indices, so irregular spectra fall back to the plain search
+    at the cost of about one pass.  Once a bracket holds
     exactly one eigenvalue, the count pass also returns the slope of
     log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
     Zeng 1994): a step that leaves the bracket is a bisection, and a step
     below tol/4 is accepted only when counts at root ± tol/2 (or bracket
     edges already counted inside them) confine λ_j.  The result is that
-    Newton root; a bracket that narrows to tol without isolating one
-    eigenvalue, as for a multiple eigenvalue, gives its midpoint.  Brackets
+    Newton root, also when the bracket closes below tol around it first; a
+    bracket that narrows to tol without isolating one eigenvalue, as for a
+    multiple eigenvalue, gives its midpoint.  Brackets
     are refined in ascending index order with λ_{j−1} as a lower edge, so
     the output is ascending and byte-for-byte reproducible.  More than
     128 count passes for one eigenvalue raise ConvergenceFailureError.
@@ -535,8 +624,9 @@ def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSo
     Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors by
     seeded inverse iteration shifted at the eigenvalue itself, accepted
     only when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so h·Σv² = 1 with
-    the largest-magnitude component positive.  eigenpair_lists is the same
-    on floats.
+    the largest-magnitude component positive.  Scaling T by a power of two
+    scales the eigenvalues alike and leaves the eigenvectors bit for bit.
+    eigenpair_lists is the same on floats.
     """
     import numpy as np
     eigenvalues, vectors = eigenpair_lists(T, k, h)

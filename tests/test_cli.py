@@ -269,19 +269,42 @@ def test_module_entry_point():
     # q is subnormal, so the run answers as constant at alpha = 1.7e308
     (["verify", "--family", "case1", "--lambda", "0.1", "--alpha", "1.7e308"],
      "overflows"),
+    # operator entries whose squares fall below the smallest normal double
+    (["spectrum", "--family", "constant", "--alpha", "1e-200"], "underflows"),
+    (["compare-ordering", "--family", "constant", "--alpha", "1e-200",
+      "--ordering=-0.5,0,-0.5"], "underflows"),
+    (["eigenfunctions", "--family", "constant", "--alpha", "1e-200",
+      "--source", "numeric"], "underflows"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
         "unresolved-verify", "overflow-verify-case2", "overflow-verify-alpha",
         "overflow-spectrum-alpha", "overflow-spectrum-case2",
         "overflow-compare", "overflow-numeric", "overflow-potential",
-        "overflow-subnormal-q"])
+        "overflow-subnormal-q", "underflow-spectrum", "underflow-compare",
+        "underflow-numeric"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error:") and needle in err
     assert err.count("\n") == 1
+
+
+def test_small_alpha_spectrum_scales_with_alpha(capsys):
+    # the constant family's operator scales with alpha, and the certification
+    # tolerance is relative to its norm, so E_n/alpha is the same at every
+    # alpha; an absolute tolerance answered 5e-13 for E_0 = 5e-15 at 1e-14
+    argv = ["spectrum", "--family", "constant", "--n-max", "4", "--grid-n", "1000"]
+    levels = {}
+    for alpha in ("1", "1e-14", "1e-150"):
+        assert run(argv + ["--alpha", alpha]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        levels[alpha] = [float(row.split(",")[2]) / float(alpha)
+                         for row in out.strip().splitlines()[1:]]
+    for alpha in ("1e-14", "1e-150"):
+        assert levels[alpha] == pytest.approx(levels["1"], rel=1e-9, abs=0.0)
 
 
 def test_overflowing_alpha_still_samples_algebraically(capsys):

@@ -9,6 +9,7 @@ from pdemosc import (
     ConvergenceFailureError,
     Grid,
     InvalidCountError,
+    InvalidLambdaError,
     Kind,
     LengthMismatchError,
     TridiagonalOperator,
@@ -299,6 +300,75 @@ def test_wilkinson_w21_plus():
         assert_certified(T, k)
 
 
+def two_well(n, curvature):
+    """−½ d²/dx² + min((x − 5)², curvature·(x + 5)²)/2 on (−12, 12)."""
+    x = np.linspace(-12.0, 12.0, n + 2)[1:-1]
+    h = x[1] - x[0]
+    v = 0.5 * np.minimum((x - 5.0) ** 2, curvature * (x + 5.0) ** 2)
+    return TridiagonalOperator(diag=1.0 / h ** 2 + v,
+                               offdiag=np.full(n - 1, -0.5 / h ** 2))
+
+
+@pytest.mark.parametrize("curvature", [2.0, 1.0], ids=["interleaved", "paired"])
+def test_two_well_spectrum_is_certified(curvature):
+    # curvature 2 interleaves the ladders (n + ½) and √2(m + ½), so the levels
+    # are far from quadratic in the index; equal wells pair every level
+    # within 1e-10, below tol
+    T = two_well(1500, curvature)
+    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:20]
+    assert (np.min(np.diff(ref)) > 0.03) == (curvature == 2.0)
+    for k in (3, 4, 20):
+        assert_certified(T, k)
+
+
+def test_certification_is_scale_free():
+    # a power-of-two scale commutes with every rounding, so 2^−400·T has the
+    # eigenvalues of T scaled and the same eigenvectors, bit for bit
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = build_grid(fam, 1000)
+    T = assemble_sturm_liouville(fam, grid)
+    small = TridiagonalOperator(np.ldexp(T.diag, -400), np.ldexp(T.offdiag, -400))
+    want = eigen_tridiagonal(T, 6, grid.h)
+    got = eigen_tridiagonal(small, 6, grid.h)
+    assert np.ldexp(want.eigenvalues, -400).tobytes() == got.eigenvalues.tobytes()
+    assert want.eigenvectors.tobytes() == got.eigenvectors.tobytes()
+    assert_certified(small, 6)
+
+
+def test_operator_whose_squares_underflow_is_refused():
+    # entries near 2^−520 square below the smallest normal double
+    tiny = TridiagonalOperator(diag=np.ldexp(np.full(20, 2.0), -520),
+                               offdiag=np.ldexp(np.full(19, -1.0), -520))
+    zero = TridiagonalOperator(diag=np.zeros(20), offdiag=np.zeros(19))
+    for T in (tiny, zero):
+        with pytest.raises(InvalidLambdaError, match="underflows"):
+            tridiagonal_eigenvalues(T, 1)
+        with pytest.raises(InvalidLambdaError, match="underflows"):
+            eigen_tridiagonal(T, 1)
+
+
+def test_rejected_first_solve_is_iterated(monkeypatch):
+    # a first right-hand side at the wall barely overlaps the low states, so
+    # the first solve fails the residual check and the loop sweeps again
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 400)
+    T = assemble_sturm_liouville(fam, grid)
+    want = eigen_tridiagonal(T, 4, grid.h)
+    sweeps = []
+    forward, factor = discrete._forward, discrete._factor_shifted
+    monkeypatch.setattr(discrete, "_forward",
+                        lambda *a: sweeps.append(1) or forward(*a))
+    monkeypatch.setattr(discrete, "_factor_shifted",
+                        lambda d, o, s, p, rhs: factor(
+                            d, o, s, p, [1.0] + [0.0] * (len(rhs) - 1)))
+    got = eigen_tridiagonal(T, 4, grid.h)
+    assert sweeps
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    # the sign of an odd state rests on roundoff between its mirror peaks
+    for a, b in zip(want.eigenvectors, got.eigenvectors):
+        assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-10
+
+
 def test_eigenvalues_alone_match_eigenpairs_bytewise():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     grid = build_grid(fam, 600)
@@ -324,19 +394,50 @@ def test_eigenvalues_within_tol_of_lapack(kind, lam):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T))
 
 
-def test_newton_keeps_count_passes_low(monkeypatch):
-    # every Sturm pass goes through one of the two count functions; plain
-    # bisection from the Gershgorin edge needs about 40 per eigenvalue
+def count_passes(monkeypatch):
+    """A list that grows by one on every Sturm pass."""
     passes = []
     for name in ("_neg_count", "_neg_count_slope"):
         fn = getattr(discrete, name)
         monkeypatch.setattr(discrete, name,
                             lambda *a, _fn=fn: passes.append(1) or _fn(*a))
+    return passes
+
+
+def test_newton_keeps_count_passes_low(monkeypatch):
+    # every Sturm pass goes through one of the two count functions; plain
+    # bisection from the Gershgorin edge needs about 40 per eigenvalue
+    passes = count_passes(monkeypatch)
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 4000)
     T = assemble_sturm_liouville(fam, grid)
     tridiagonal_eigenvalues(T, 10)
     assert 10 <= len(passes) <= 12 * 10
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.02), (Kind.CASE1, -0.25), (Kind.CASE2, 50.0),
+    (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0),
+], ids=["case1", "case1-compact", "case2", "case3", "constant"])
+def test_predicted_levels_take_few_passes(monkeypatch, kind, lam):
+    # levels 3..19 start at an extrapolation of the certified ones; a search
+    # from λ_{j−1} alone took 117-130 passes for them on these operators
+    passes = count_passes(monkeypatch)
+    fam = make_family(kind, 1.0, lam)
+    T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
+    tridiagonal_eigenvalues(T, 3)
+    first = len(passes)
+    tridiagonal_eigenvalues(T, 20)
+    assert len(passes) - 2 * first <= 5 * 17
+
+
+def test_prediction_costs_irregular_spectra_little(monkeypatch):
+    # random spectra are not quadratic in the index, so the prediction
+    # misses; a search from λ_{j−1} alone took 1202 passes on these three
+    passes = count_passes(monkeypatch)
+    for seed in (1, 2, 3):
+        tridiagonal_eigenvalues(random_tridiagonal(random.Random(seed), 500), 20)
+    assert len(passes) <= 1.1 * 1202
 
 
 def test_count_pass_cap_raises(monkeypatch):
