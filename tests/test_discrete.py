@@ -312,8 +312,8 @@ def two_well(n, curvature):
 @pytest.mark.parametrize("curvature", [2.0, 1.0], ids=["interleaved", "paired"])
 def test_two_well_spectrum_is_certified(curvature):
     # curvature 2 interleaves the ladders (n + ½) and √2(m + ½), so the levels
-    # are far from quadratic in the index; equal wells pair every level
-    # within 1e-10, below tol
+    # are far from quadratic in the index; equal wells split their lowest
+    # levels by less than tol
     T = two_well(1500, curvature)
     ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:20]
     assert (np.min(np.diff(ref)) > 0.03) == (curvature == 2.0)
@@ -392,6 +392,17 @@ def test_eigenvalues_within_tol_of_lapack(kind, lam):
     ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
                                             select_range=(0, 9))
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T))
+
+
+def test_closed_bracket_returns_the_newton_root():
+    # a bracket can close below tol before a Newton step is accepted; the
+    # midpoint of such a bracket put λ_19 0.19·tol from LAPACK here
+    fam = make_family(Kind.CONSTANT, 1.0)
+    T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
+    got = tridiagonal_eigenvalues(T, 20)
+    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
+                                            select_range=(0, 19))
+    assert np.max(np.abs(got - ref)) <= 0.05e-12 * inf_norm(T)
 
 
 def count_passes(monkeypatch):
