@@ -337,7 +337,8 @@ def _prepared(T: TridiagonalOperator, k: int):
     diag, off = (band if type(band) is list else list(map(float, band))
                  for band in (T.diag, T.offdiag))
     scale = _scale(diag, off)
-    if scale[0] * scale[0] < sys.float_info.min:
+    # T = 0 is exact; any other norm must square to a normal double
+    if scale[0] and scale[0] * scale[0] < sys.float_info.min:
         refuse_underflow(scale[0])
     return (diag, off, *scale)
 
@@ -349,11 +350,13 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
 
 def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
     """The k smallest eigenvalues of the _prepared bands; see tridiagonal_eigenvalues."""
+    if norm_t == 0.0:
+        return [0.0] * k  # T = 0
     n = len(diag)
     tol = 1e-12 * norm_t
     pivmin = 2.2e-16 * norm_t
-    glo -= tol
-    ghi += tol
+    top = sys.float_info.max
+    glo, ghi = max(glo - tol, -top), min(ghi + tol, top)
     off2 = [0.0] + [b * b for b in o]
 
     # Shared brackets lo[i] <= λ_i < hi[i], with nlo[i] <= i < nhi[i] the
@@ -419,7 +422,7 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
                 x0, s = newton
                 if s and a < x0 - 1.0 / s < b:
                     root = x0 - 1.0 / s
-            mid = 0.5 * (a + b)
+            mid = 0.5 * a + 0.5 * b  # 0.5·(a + b) overflows near the largest double
             if b - a <= tol or not a < mid < b:
                 # bracket proven, or spacing exhausted; b < a only when
                 # λ_j sits within tol below the returned λ_{j−1}
@@ -444,22 +447,21 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
     return values
 
 
-def _factor_shifted(diag, off, sigma, pivmin, rhs):
-    """Partial-pivot LU of T − σI, and its forward sweep over rhs.
+def _factor_shifted(diag, off, sigma, pivmin):
+    """Partial-pivot LU of T − σI as (swap, mult, u0, u1, u2).
 
-    Returns ((swap, mult, u0, u1, u2), y): the factors, and rhs with the
-    row swaps and multipliers applied, ready for _back_substitute.
+    Row i's swap flag and multiplier, for _forward, and the upper band
+    (u0, u1, u2) of U, for _back_substitute.
     """
-    swap, mult, u0, u1, u2, y = [], [], [], [], [], []
-    # bound appends: six per row are most of the loop's cost
-    put_s, put_m, put_0, put_1, put_2, put_y = (
-        swap.append, mult.append, u0.append, u1.append, u2.append, y.append)
+    swap, mult, u0, u1, u2 = [], [], [], [], []
+    # bound appends: five per row are most of the loop's cost
+    put_s, put_m, put_0, put_1, put_2 = (
+        swap.append, mult.append, u0.append, u1.append, u2.append)
     p = diag[0] - sigma
     q = off[0] if off else 0.0
-    cur = rhs[0]
     # row i + 1 of T − σI is (pn, qn, rn) = (o_i, d_{i+1} − σ, o_{i+1}); the
     # pending row (p, q, 0) has no third entry until a swap brings one
-    for pn, dn, rn, nxt in zip(off, diag[1:], off[1:] + [0.0], rhs[1:]):
+    for pn, dn, rn in zip(off, diag[1:], off[1:] + [0.0]):
         qn = dn - sigma
         if abs(pn) > abs(p):
             m = p / pn
@@ -468,8 +470,7 @@ def _factor_shifted(diag, off, sigma, pivmin, rhs):
             put_0(pn)
             put_1(qn)
             put_2(rn)
-            put_y(nxt)
-            p, q, cur = q - m * qn, 0.0 - m * rn, cur - m * nxt
+            p, q = q - m * qn, 0.0 - m * rn
         else:
             if p == 0.0:
                 p = pivmin
@@ -479,11 +480,9 @@ def _factor_shifted(diag, off, sigma, pivmin, rhs):
             put_0(p)
             put_1(q)
             put_2(0.0)
-            put_y(cur)
-            p, q, cur = qn - m * q, rn, nxt - m * cur
+            p, q = qn - m * q, rn
     put_0(p if p != 0.0 else pivmin)
-    put_y(cur)
-    return (swap, mult, u0, u1, u2), y
+    return swap, mult, u0, u1, u2
 
 
 def _forward(factored, rhs):
@@ -535,10 +534,12 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     eigenvalues = _sturm_newton(*prepared, k)
     diag, off, norm_t = prepared[:3]
     n = len(diag)
-    pivmin = 2.2e-16 * norm_t
+    # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
+    pivmin = 2.2e-16 * (norm_t or 1.0)
     accept = 1e-10 * norm_t
-    span = 2.0 ** math.frexp(norm_t)[1]  # the power of two just above ‖T‖∞
-    unit = span * 2.0 ** -52
+    # the power of two just above ‖T‖∞, capped at the largest one a double holds
+    exponent = min(math.frexp(norm_t)[1], 1023)
+    span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
     # the off-diagonal padded to the rows it couples: o_i and o_{i−1}
     above, below = off + [0.0], [0.0] + off
     vectors = []
@@ -549,12 +550,9 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         # about 1/eps in size at every scale of T
         v = [(b >> 11) * unit - span for b in struct.unpack(
             f"<{n}Q", random.Random(1000 + j).randbytes(8 * n))]
-        # the factorization sweeps the first right-hand side forward itself
-        factored, y = _factor_shifted(diag, off, lam, pivmin, v)
-        for sweep in range(50):
-            if sweep:
-                y = _forward(factored, v)
-            w = _back_substitute(factored, y)
+        factored = _factor_shifted(diag, off, lam, pivmin)
+        for _ in range(50):
+            w = _back_substitute(factored, _forward(factored, v))
             for u in vectors:
                 # project out the accepted vectors, for which h·u·u = 1, to
                 # keep the pairwise Gram at roundoff; c is tiny, so a plain
@@ -572,7 +570,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
             raise ConvergenceFailureError(
                 j, f"inverse iteration stagnated for eigenvalue index {j}")
         # this vector's factors and solve go before the next vector's are built
-        del factored, y, w
+        del factored, w
         # the largest-magnitude component made positive, the first of equal
         # magnitudes deciding; x/(−r) = −(x/r)
         top, bottom = max(v), min(v)
@@ -587,8 +585,9 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
 
     Each eigenvalue is certified by Sturm counts to lie in a bracket no
     wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
-    relative to ‖T‖∞, and an operator whose squared norm underflows a
-    double is refused with InvalidLambdaError.  Every count narrows the
+    relative to ‖T‖∞.  An operator whose nonzero norm squares below the
+    smallest normal double is refused with InvalidLambdaError, and T = 0
+    gives exact zeros.  Every count narrows the
     brackets of all requested indices at once (as in LAPACK dstebz).  From
     index 2 on, the first pass for λ_j is a slope pass at a prediction
     extrapolated through the last two certified eigenvalues (linear, for

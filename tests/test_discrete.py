@@ -339,12 +339,32 @@ def test_operator_whose_squares_underflow_is_refused():
     # entries near 2^−520 square below the smallest normal double
     tiny = TridiagonalOperator(diag=np.ldexp(np.full(20, 2.0), -520),
                                offdiag=np.ldexp(np.full(19, -1.0), -520))
+    with pytest.raises(InvalidLambdaError, match="underflows"):
+        tridiagonal_eigenvalues(tiny, 1)
+    with pytest.raises(InvalidLambdaError, match="underflows"):
+        eigen_tridiagonal(tiny, 1)
+
+
+def test_zero_operator_has_exact_zero_eigenvalues():
     zero = TridiagonalOperator(diag=np.zeros(20), offdiag=np.zeros(19))
-    for T in (tiny, zero):
-        with pytest.raises(InvalidLambdaError, match="underflows"):
-            tridiagonal_eigenvalues(T, 1)
-        with pytest.raises(InvalidLambdaError, match="underflows"):
-            eigen_tridiagonal(T, 1)
+    assert tridiagonal_eigenvalues(zero, 5).tolist() == [0.0] * 5
+    sol = eigen_tridiagonal(zero, 5, 0.5)
+    assert sol.eigenvalues.tolist() == [0.0] * 5
+    assert np.allclose(0.5 * sol.eigenvectors @ sol.eigenvectors.T, np.eye(5),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_operator_at_the_top_of_the_double_range():
+    # ‖T‖∞ at and near the largest double: no midpoint, Gershgorin edge or
+    # start vector may overflow
+    top = np.finfo(float).max
+    for peak in (1e308, top):
+        diag = np.array([0.75, -1.0, 0.25, 1.0]) * peak
+        T = TridiagonalOperator(diag=diag, offdiag=np.zeros(3))
+        sol = eigen_tridiagonal(T, 4)
+        assert np.all(np.abs(sol.eigenvalues - np.sort(diag)) <= 1e-12 * peak)
+        assert np.allclose(sol.eigenvectors, np.eye(4)[[1, 2, 0, 3]],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_rejected_first_solve_is_iterated(monkeypatch):
@@ -354,15 +374,24 @@ def test_rejected_first_solve_is_iterated(monkeypatch):
     grid = build_grid(fam, 400)
     T = assemble_sturm_liouville(fam, grid)
     want = eigen_tridiagonal(T, 4, grid.h)
-    sweeps = []
     forward, factor = discrete._forward, discrete._factor_shifted
-    monkeypatch.setattr(discrete, "_forward",
-                        lambda *a: sweeps.append(1) or forward(*a))
-    monkeypatch.setattr(discrete, "_factor_shifted",
-                        lambda d, o, s, p, rhs: factor(
-                            d, o, s, p, [1.0] + [0.0] * (len(rhs) - 1)))
+    fresh, sweeps = [], []  # fresh: a factorization not yet swept
+
+    def factor_marked(*args):
+        fresh.append(True)
+        return factor(*args)
+
+    def forward_from_wall(factored, rhs):
+        sweeps.append(1)
+        if fresh:
+            fresh.clear()
+            rhs = [1.0] + [0.0] * (len(rhs) - 1)
+        return forward(factored, rhs)
+
+    monkeypatch.setattr(discrete, "_factor_shifted", factor_marked)
+    monkeypatch.setattr(discrete, "_forward", forward_from_wall)
     got = eigen_tridiagonal(T, 4, grid.h)
-    assert sweeps
+    assert len(sweeps) > 4
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
     # the sign of an odd state rests on roundoff between its mirror peaks
     for a, b in zip(want.eigenvectors, got.eigenvectors):
