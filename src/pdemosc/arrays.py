@@ -102,11 +102,12 @@ def assemble_symmetric(family: ShapeInvariantFamily, grid: Grid,
 
     There the outer mass powers are m⁰ = 1, so the float stencil's
     products with them are exact and are left out here; what remains is
-    the same sequence of operations on the same inputs, so diag and
-    offdiag equal those of discrete.assemble_lists bit for bit.  The overflow
-    refusal is the same too.
+    the same sequence of operations on the same inputs (the midpoints are
+    Grid.midpoints), so diag and offdiag equal those of
+    discrete.assemble_lists bit for bit, mirrored halves included.  The
+    overflow refusal is the same too.
     """
-    mids = grid.lo + grid.h * (np.arange(grid.n + 1) + 0.5)
+    mids = grid.center + grid.h * (np.arange(grid.n + 1) - 0.5 * grid.n)
     h2 = grid.h * grid.h
     with np.errstate(over="ignore"):
         w = 1.0 / mass_at(family.profile, mids)

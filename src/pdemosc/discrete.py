@@ -16,6 +16,16 @@ to the underflow refusal.  Eigenvectors, where a caller wants them, come
 from one inverse-iteration solve shifted at the eigenvalue.  Nothing in
 this module knows about superpotentials or deformed polynomials.
 
+Every mass law and potential here is even, and build_grid centres its box
+at 0 with nodes that mirror bit for bit, so the assembled bands are
+exactly mirror-symmetric and are evaluated on the left half only.  Such a
+matrix with negative couplings is the direct sum of an even and an odd
+block of about N/2 rows each, whose levels alternate (the oscillation
+theorem for Jacobi matrices): level j is level j//2 of block j mod 2.
+The eigensolver detects that structure and runs every count pass,
+inverse-iteration solve and residual on a block; any other matrix is one
+block, on the same code path.
+
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the command line calls assemble_lists, eigenvalue_list and
 eigenpair_lists.  The public assemblers, tridiagonal_eigenvalues,
@@ -30,7 +40,7 @@ import random
 import struct
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import mul
 
@@ -48,50 +58,57 @@ from .families import (
 )
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "lo hi n h")):
     """Uniform interior grid on (lo, hi); the endpoints carry implicit zeros.
 
-    Node i (1 ≤ i ≤ n) is node(i) = lo + h·i.  `nodes()` lists them as
-    floats for the eigenvalue path; `points` is the same nodes as an
-    ndarray, built on first use for the numpy consumers.
+    Node i (1 ≤ i ≤ n) is center + h·(i − (n+1)/2) and midpoint i
+    (0 ≤ i ≤ n) is center + h·(i − n/2), with center = ½lo + ½hi.  On a
+    box symmetric about 0, as build_grid makes, center is 0, so node n+1−i
+    is −(node i) and midpoint n−i is −(midpoint i) bit for bit; an even
+    mass law and potential then give exactly mirror-symmetric bands, which
+    the eigensolver splits into parity blocks.  `nodes()` lists the nodes
+    as floats for the eigenvalue path; `points` is the same nodes as an
+    ndarray, from the same IEEE operations, built on first use for the
+    numpy consumers.
     """
 
-    lo: float
-    hi: float
-    n: int
-    h: float
+    @property
+    def center(self) -> float:
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def node(self, i: int) -> float:
-        return self.lo + self.h * i
+        return self.center + self.h * (i - 0.5 * (self.n + 1))
 
-    def nodes(self) -> list:
-        lo, h = self.lo, self.h
-        return [lo + h * i for i in range(1, self.n + 1)]
+    def nodes(self, count: int | None = None) -> list:
+        """Nodes 1..count (all n by default) as floats."""
+        c, h, mid = self.center, self.h, 0.5 * (self.n + 1)
+        return [c + h * (i - mid) for i in range(1, (count or self.n) + 1)]
+
+    def midpoints(self, count: int) -> list:
+        """Midpoints 0..count − 1 as floats."""
+        c, h, mid = self.center, self.h, 0.5 * self.n
+        return [c + h * (i - mid) for i in range(count)]
 
     @cached_property
     def points(self):
         import numpy as np
-        return self.lo + self.h * np.arange(1, self.n + 1)
+        return self.center + self.h * (np.arange(1, self.n + 1)
+                                       - 0.5 * (self.n + 1))
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
+class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
     """Symmetric tridiagonal matrix (diag, offdiag).
 
     The public assemblers hold ndarrays; assemble_lists holds float lists.
     """
 
-    diag: np.ndarray | list
-    offdiag: np.ndarray | list
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenSolution:
+class EigenSolution(namedtuple("EigenSolution", "eigenvalues eigenvectors")):
     """Ascending eigenvalues with quadrature-normalized eigenvectors (rows)."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ()
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> Grid:
@@ -173,35 +190,51 @@ def _powers(ms: list, e: float) -> list:
     return [m ** e for m in ms]
 
 
+def _mirrored(left: list, n: int) -> list:
+    """left extended to n entries by its mirror image: entry n−1−i is entry i."""
+    return left + left[:n - len(left)][::-1]
+
+
 def _stencil(family: ShapeInvariantFamily, grid: Grid,
              ordering: VonRoosOrdering = SYMMETRIC_ORDERING):
     """Rows of −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V, on Python floats.
 
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
-    Returns the diagonal, mᵇ/h² at the interior midpoints and the outer
-    factors mᵃ, mᶜ at the nodes, from which the two composition orders of
-    the off-diagonal follow (see assemble_lists and von_roos_asymmetry).
-    At the symmetric ordering (0, −1, 0) the outer factors are one and
-    this is the conservative scheme for −(p φ′)′ with p = 1/(2m).  A power
-    or quotient that leaves the range of a double is refused as an
-    overflow, as an infinite entry would be.
+    Returns the leading diagonal entries, mᵇ/h² at the leading interior
+    midpoints and the outer factors mᵃ, mᶜ at the nodes, from which the two
+    composition orders of the leading off-diagonal entries follow (see
+    assemble_lists and von_roos_asymmetry).  At the symmetric ordering
+    (0, −1, 0) the outer factors are one and this is the conservative
+    scheme for −(p φ′)′ with p = 1/(2m).  A power or quotient that leaves
+    the range of a double is refused as an overflow, as an infinite entry
+    would be.
+
+    The mass and the potential depend on x only through x·x.  On a grid
+    centred at 0 the nodes and midpoints mirror bit for bit, so they are
+    evaluated on the left half and the middle only, and only the rows of
+    the left half and the middle are returned; the rest mirror them (see
+    _mirrored), each mirrored row adding the same products in swapped
+    order, so the bands equal a full evaluation bit for bit.  On any other
+    grid every row is returned.
     """
-    lo, h, n = grid.lo, grid.h, grid.n
+    h, n = grid.h, grid.n
     h2 = h * h
-    xs = grid.nodes()
+    mirror = grid.center == 0.0
+    xs = grid.nodes((n + 1) // 2 if mirror else n)
+    mids = grid.midpoints(n // 2 + 1 if mirror else n + 1)
+    pairs = n // 2 if mirror else n - 1
     try:
         m_nodes = masses_on(family.profile, xs)
-        mids = [lo + h * (i + 0.5) for i in range(n + 1)]
-        w = _powers(masses_on(family.profile, mids), ordering.b)
+        w = _mirrored(_powers(masses_on(family.profile, mids), ordering.b), n + 1)
         potential = potentials_on(family, xs, m_nodes)
-        ma = _powers(m_nodes, ordering.a)
-        mc = _powers(m_nodes, ordering.c)
+        ma = _mirrored(_powers(m_nodes, ordering.a), n)
+        mc = _mirrored(_powers(m_nodes, ordering.c), n)
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
     diag = [0.5 * a * c * (wl + wr) / h2 + v
             for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-    return diag, [x / h2 for x in w[1:-1]], ma, mc
+    return diag, [x / h2 for x in w[1:pairs + 1]], ma, mc
 
 
 def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
@@ -218,11 +251,13 @@ def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
     # the upper composition order plus the lower one, in one pass
     off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
            for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    # the mirrored rows repeat these entries
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
     if not math.isfinite(top * top) or math.isnan(sum(diag) + sum(off)):
         refuse_overflow(top)
-    return TridiagonalOperator(diag, off)
+    n = grid.n
+    return TridiagonalOperator(_mirrored(diag, n), _mirrored(off, n - 1))
 
 
 def _as_arrays(T: TridiagonalOperator) -> TridiagonalOperator:
@@ -256,6 +291,7 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
 def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
+    # a mirrored coupling swaps the two orders, so the leading ones suffice
     _, win, ma, mc = _stencil(family, grid, ordering)
     upper = [a0 * x * c1 + c0 * x * a1
              for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
@@ -327,8 +363,43 @@ def _neg_count_slope(diag, off2, x, pivmin):
     return count, slope
 
 
+def _parity_blocks(diag: list, off: list) -> list:
+    """The blocks (diag, off, off2) whose spectra make up that of T = (diag, off).
+
+    off2[i] is the squared coupling of row i to row i − 1, with off2[0] = 0.
+    When the bands are exactly mirror-symmetric and every coupling is
+    negative, T with N = 2m or 2m + 1 rows splits into the even block E,
+    which holds levels 0, 2, 4, …, and the odd block O, which holds
+    levels 1, 3, 5, …:
+    - N = 2m: both are the top m×m block of T, with the last diagonal entry
+      d_{m−1} + o_{m−1} in E and d_{m−1} − o_{m−1} in O;
+    - N = 2m + 1: E is the top (m+1)×(m+1) block with last squared coupling
+      2·o_{m−1}² (the centre entry c of an even vector enters E as c/√2,
+      which makes E symmetric), and O is the top m×m block.
+    Any other T is one block, and so is a T whose corner 2·o_{m−1}²
+    overflows.  The corner d ± o rounds once, so it moves the spectrum by
+    at most one ulp of ‖T‖∞.  The first block's couplings include those
+    of the second.
+    """
+    n = len(diag)
+    m = n // 2
+    half = off[:m]  # o_0 … o_{m−1}; the mirror image holds the rest
+    if not (n > 1 and max(half) < 0.0 and half == off[:-m - 1:-1]
+            and diag[:m] == diag[:-m - 1:-1]
+            and (n % 2 == 0 or not math.isinf(2.0 * (half[-1] * half[-1])))):
+        return [(diag, off, [0.0] + [b * b for b in off])]
+    o = half.pop()
+    off2 = [0.0] + [b * b for b in half]
+    if n % 2 == 0:
+        head = diag[:m - 1]
+        return [(head + [diag[m - 1] + o], half, off2),
+                (head + [diag[m - 1] - o], half, off2)]
+    return [(diag[:m + 1], half + [math.sqrt(2.0) * o], off2 + [2.0 * (o * o)]),
+            (diag[:m], half, off2)]
+
+
 def _prepared(T: TridiagonalOperator, k: int):
-    """(diag, off, ‖T‖∞, glo, ghi) with the bands as lists of Python floats."""
+    """(blocks, ‖T‖∞, glo, ghi): the _parity_blocks of T and the scale of T."""
     n = len(T.diag)
     if not 1 <= k <= n:
         raise InvalidCountError(f"need 1 <= k <= {n}, got {k}")
@@ -336,11 +407,20 @@ def _prepared(T: TridiagonalOperator, k: int):
     # sequences are copied to Python floats
     diag, off = (band if type(band) is list else list(map(float, band))
                  for band in (T.diag, T.offdiag))
-    scale = _scale(diag, off)
+    blocks = _parity_blocks(diag, off)
+    if math.isinf(max(blocks[0][2])):
+        i = max(range(len(off)), key=lambda i: abs(off[i]))
+        raise InvalidLambdaError(
+            f"coupling {i} of the operator, {off[i]:.3g}, squares past the "
+            f"largest double, and the eigensolver squares its couplings; "
+            f"scale the operator down")
+    # the rows of a mirror-symmetric T repeat, so its first half has its scale
+    half = len(blocks[0][0]) if len(blocks) == 2 else n
+    scale = _scale(diag[:half], off[:half])
     # T = 0 is exact; any other norm must square to a normal double
     if scale[0] and scale[0] * scale[0] < sys.float_info.min:
         refuse_underflow(scale[0])
-    return (diag, off, *scale)
+    return (blocks, *scale)
 
 
 def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
@@ -348,45 +428,55 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     return _sturm_newton(*_prepared(T, k), k)
 
 
-def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
-    """The k smallest eigenvalues of the _prepared bands; see tridiagonal_eigenvalues."""
+def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
+    """The k smallest eigenvalues of T from its _prepared blocks; see tridiagonal_eigenvalues.
+
+    Level j of T is level j // nb of block j mod nb, for nb blocks.
+    """
     if norm_t == 0.0:
         return [0.0] * k  # T = 0
-    n = len(diag)
+    nb = len(blocks)
     tol = 1e-12 * norm_t
     pivmin = 2.2e-16 * norm_t
     top = sys.float_info.max
     glo, ghi = max(glo - tol, -top), min(ghi + tol, top)
-    off2 = [0.0] + [b * b for b in o]
 
-    # Shared brackets lo[i] <= λ_i < hi[i], with nlo[i] <= i < nhi[i] the
-    # counts there.  hi[i] = inf until a count has shown an upper edge.
-    lo, nlo = [glo] * k, [0] * k
-    hi, nhi = [math.inf] * k, [n] * k
-    newton = None  # (x, slope) of the latest slope pass
+    # Per block, shared brackets lo[i] <= λ_i < hi[i] of its levels i, with
+    # nlo[i] <= i < nhi[i] the block's counts there.  hi[i] = inf until a
+    # count has shown an upper edge.  newton is the (x, slope) of the
+    # block's latest slope pass.
+    state = []
+    for b, (diag, _, off2) in enumerate(blocks):
+        kb = len(range(b, k, nb))
+        state.append((diag, off2, [glo] * kb, [0] * kb,
+                      [math.inf] * kb, [len(diag)] * kb, [None]))
 
-    def count_at(x, j, slope):
-        nonlocal newton
+    def count_at(x, st, i, slope):
+        diag, off2, lo, nlo, hi, nhi, newton = st
         if slope:
             c, s = _neg_count_slope(diag, off2, x, pivmin)
-            newton = (x, s)
+            newton[0] = (x, s)
         else:
             c = _neg_count(diag, off2, x, pivmin)
-        for i in range(j, k):
-            if i < c:
-                if x < hi[i]:
-                    hi[i], nhi[i] = x, c
-            elif x > lo[i]:
-                lo[i], nlo[i] = x, c
+        for r in range(i, len(lo)):
+            if r < c:
+                if x < hi[r]:
+                    hi[r], nhi[r] = x, c
+            elif x > lo[r]:
+                lo[r], nlo[r] = x, c
         return c
 
     values = []
     predicting = True
     for j in range(k):
+        st = state[j % nb]
+        i = j // nb
+        lo, nlo, hi, nhi, newton = st[2:]
         if j == 0:
             # Newton from below the spectrum never passes λ_0
-            count_at(glo, 0, True)
-            step = -1.0 / newton[1] if newton[1] < 0.0 else 0.0
+            count_at(glo, st, 0, True)
+            s = newton[0][1]
+            step = -1.0 / s if s < 0.0 else 0.0
             prev = glo
         else:
             prev = values[-1]
@@ -402,24 +492,25 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
                 d2 = d1 - (values[-2] - values[-3])
                 guess, window = guess + d2, abs(d2)
             window = max(window, 64.0 * tol, math.ulp(guess))
-            if max(lo[j], prev) < guess < hi[j]:
-                count_at(guess, j, True)
-                if newton[1]:
+            if max(lo[i], prev) < guess < hi[i]:
+                count_at(guess, st, i, True)
+                if newton[0][1]:
                     # widen to twice the Newton step from the guess
-                    window = max(window, 2.0 / abs(newton[1]))
+                    window = max(window, 2.0 / abs(newton[0][1]))
             step = window
+        last = math.inf  # the latest Newton step for this level
         for _ in range(_MAX_PASSES):
-            a, b = max(lo[j], prev), hi[j]
+            a, b = max(lo[i], prev), hi[i]
             if b == math.inf:
                 # doubling search for the upper edge, at least by the gap
                 # once the first step has missed
-                count_at(min(a + step, ghi), j, False)
+                count_at(min(a + step, ghi), st, i, False)
                 step = max(2.0 * step, gap)
                 continue
             root = None
-            isolated = nlo[j] == j and nhi[j] == j + 1
-            if isolated and newton is not None and a <= newton[0] <= b:
-                x0, s = newton
+            isolated = nlo[i] == i and nhi[i] == i + 1
+            if isolated and newton[0] is not None and a <= newton[0][0] <= b:
+                x0, s = newton[0]
                 if s and a < x0 - 1.0 / s < b:
                     root = x0 - 1.0 / s
             mid = 0.5 * a + 0.5 * b  # 0.5·(a + b) overflows near the largest double
@@ -431,12 +522,19 @@ def _sturm_newton(diag, o, norm_t, glo, ghi, k) -> list:
             if root is not None and abs(root - x0) < 0.25 * tol:
                 # certify: counts on both sides within tol/2
                 below, above = root - 0.5 * tol, root + 0.5 * tol
-                ok = below <= lo[j] or count_at(below, j, False) <= j
-                if ok and (above >= b or count_at(above, j, False) > j):
+                ok = below <= lo[i] or count_at(below, st, i, False) <= i
+                if ok and (above >= b or count_at(above, st, i, False) > i):
                     values.append(root)
                     break
                 continue
-            count_at(mid if root is None else root, j, isolated)
+            if root is not None:
+                # a step that does not halve the previous one creeps, as
+                # next to a cluster just above λ_j: bisect instead
+                dx = abs(root - x0)
+                if dx > 0.5 * last:
+                    root = None
+                last = dx
+            count_at(mid if root is None else root, st, i, isolated)
         else:
             raise ConvergenceFailureError(
                 j, f"eigenvalue search did not converge for index {j} "
@@ -528,41 +626,64 @@ def _unit(v: list, j: int) -> list:
     return [x / norm for x in v]
 
 
+def _unfolded(u: list, n: int, odd: bool) -> list:
+    """The n entries of the vector of T whose parity block holds u.
+
+    Entry n−1−i mirrors entry i, negated for an odd vector.  The centre of
+    an odd n is 0 in an odd vector and √2 times the last entry of u in an
+    even one, whose block holds it as c/√2.
+    """
+    m = n // 2
+    left = u[:m]
+    right = [-x for x in reversed(left)] if odd else left[::-1]
+    if n % 2 == 0:
+        return left + right
+    return left + [0.0 if odd else math.sqrt(2.0) * u[m]] + right
+
+
 def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     """eigen_tridiagonal as (eigenvalues, eigenvectors) lists, without numpy."""
-    prepared = _prepared(T, k)
-    eigenvalues = _sturm_newton(*prepared, k)
-    diag, off, norm_t = prepared[:3]
-    n = len(diag)
+    blocks, norm_t, glo, ghi = _prepared(T, k)
+    eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
+    n, nb = len(T.diag), len(blocks)
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)
     accept = 1e-10 * norm_t
     # the power of two just above ‖T‖∞, capped at the largest one a double holds
     exponent = min(math.frexp(norm_t)[1], 1023)
     span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
-    # the off-diagonal padded to the rows it couples: o_i and o_{i−1}
-    above, below = off + [0.0], [0.0] + off
+    # per block, the off-diagonal padded to the rows it couples (o_i and
+    # o_{i−1}), and its accepted vectors
+    padded = [(off + [0.0], [0.0] + off) for _, off, _ in blocks]
+    accepted = [[] for _ in blocks]
     vectors = []
-    root_h = math.sqrt(h)
+    # a full vector's h-norm is nb·h times its block's squared 2-norm; so
+    # are its inner products, and vectors of opposite parity are orthogonal
+    weight = nb * h
+    root_w = math.sqrt(weight)
     for j, lam in enumerate(eigenvalues):
+        b = j % nb
+        diag, off, _ = blocks[b]
+        above, below = padded[b]
+        rows = len(diag)
         # uniform on [−1, 1) from one seeded draw of 64-bit words, times
         # span; its norm only scales the first solve, which then comes out
         # about 1/eps in size at every scale of T
-        v = [(b >> 11) * unit - span for b in struct.unpack(
-            f"<{n}Q", random.Random(1000 + j).randbytes(8 * n))]
+        v = [(x >> 11) * unit - span for x in struct.unpack(
+            f"<{rows}Q", random.Random(1000 + j).randbytes(8 * rows))]
         factored = _factor_shifted(diag, off, lam, pivmin)
         for _ in range(50):
             w = _back_substitute(factored, _forward(factored, v))
-            for u in vectors:
-                # project out the accepted vectors, for which h·u·u = 1, to
-                # keep the pairwise Gram at roundoff; c is tiny, so a plain
-                # sum is accurate enough here
-                c = h * sum(map(mul, w, u))
-                w = [a - c * b for a, b in zip(w, u)]
+            for u in accepted[b]:
+                # project out the accepted vectors of this parity, for
+                # which weight·u·u = 1, to keep the pairwise Gram at
+                # roundoff; c is tiny, so a plain sum is accurate enough
+                c = weight * sum(map(mul, w, u))
+                w = [x - c * y for x, y in zip(w, u)]
             v = _unit(w, j)
             # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
-            resid = max([abs(d * x + a * xn + b * xp - lam * x)
-                         for d, x, a, xn, b, xp in zip(
+            resid = max([abs(d * x + a * xn + c * xp - lam * x)
+                         for d, x, a, xn, c, xp in zip(
                              diag, v, above, v[1:] + [0.0], below, [0.0] + v[:-1])])
             if resid <= accept:
                 break
@@ -571,12 +692,18 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
                 j, f"inverse iteration stagnated for eigenvalue index {j}")
         # this vector's factors and solve go before the next vector's are built
         del factored, w
-        # the largest-magnitude component made positive, the first of equal
-        # magnitudes deciding; x/(−r) = −(x/r)
-        top, bottom = max(v), min(v)
-        positive = top > -bottom or (top == -bottom and v.index(top) < v.index(bottom))
-        scale = root_h if positive else -root_h
-        vectors.append([x / scale for x in v])
+        # the largest-magnitude component of the full vector made positive,
+        # the first of equal magnitudes deciding.  Its first half and centre
+        # decide that, and an odd vector's two mirror peaks tie exactly, so
+        # its left peak sets the sign.  x/(−r) = −(x/r)
+        head = v
+        if nb == 2 and b == 0 and n % 2:
+            head = v[:-1] + [math.sqrt(2.0) * v[-1]]
+        top, bottom = max(head), min(head)
+        positive = top > -bottom or (top == -bottom and head.index(top) < head.index(bottom))
+        u = [x / (root_w if positive else -root_w) for x in v]
+        accepted[b].append(u)
+        vectors.append(u if nb == 1 else _unfolded(u, n, b == 1))
     return eigenvalues, vectors
 
 
@@ -587,8 +714,18 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
     wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
     relative to ‖T‖∞.  An operator whose nonzero norm squares below the
     smallest normal double is refused with InvalidLambdaError, and T = 0
-    gives exact zeros.  Every count narrows the
-    brackets of all requested indices at once (as in LAPACK dstebz).  From
+    gives exact zeros, and a coupling whose square overflows a double is
+    refused with InvalidLambdaError too.
+
+    A T whose bands are exactly mirror-symmetric and whose couplings are
+    all negative is solved as its even and odd blocks of about N/2 rows
+    (Cantoni and Butler 1976), whose levels alternate: level j is level
+    j//2 of block j mod 2, each with its own brackets and Newton state,
+    while prediction, the lower edge λ_{j−1} and tol = 1e−12·‖T‖∞ are
+    those of the whole T.  The block corner d ± o rounds once, which moves
+    a level by at most one ulp of ‖T‖∞.  Any other T is one block.  Every
+    count narrows the brackets of all requested indices of its block at
+    once (as in LAPACK dstebz).  From
     index 2 on, the first pass for λ_j is a slope pass at a prediction
     extrapolated through the last two certified eigenvalues (linear, for
     λ_2) or three (quadratic), when it lies in λ_j's bracket.  Index j's
@@ -602,8 +739,9 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
     at the cost of about one pass.  Once a bracket holds
     exactly one eigenvalue, the count pass also returns the slope of
     log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
-    Zeng 1994): a step that leaves the bracket is a bisection, and a step
-    below tol/4 is accepted only when counts at root ± tol/2 (or bracket
+    Zeng 1994): a step that leaves the bracket, or that is more than half
+    the previous step for the same level (a creep next to a cluster), is a
+    bisection, and a step below tol/4 is accepted only when counts at root ± tol/2 (or bracket
     edges already counted inside them) confine λ_j.  The result is that
     Newton root, also when the bracket closes below tol around it first; a
     bracket that narrows to tol without isolating one eigenvalue, as for a
@@ -623,7 +761,14 @@ def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSo
     Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors by
     seeded inverse iteration shifted at the eigenvalue itself, accepted
     only when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so h·Σv² = 1 with
-    the largest-magnitude component positive.  Scaling T by a power of two
+    the largest-magnitude component positive, the first of equal
+    magnitudes deciding.  A T split into parity blocks is solved on the
+    block of each level, with Gram–Schmidt against the vectors of the same
+    parity only, since vectors of opposite parity are exactly orthogonal;
+    the block vector is then mirrored into the full one, negated for an
+    odd state.  The two mirror peaks of an odd state then tie exactly, so
+    its left peak is made positive, a sign that no roundoff in λ can flip.
+    Scaling T by a power of two
     scales the eigenvalues alike and leaves the eigenvectors bit for bit.
     eigenpair_lists is the same on floats.
     """

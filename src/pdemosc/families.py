@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ConstraintViolatedError,
@@ -41,18 +41,14 @@ class Kind(enum.Enum):
     CONSTANT = "constant"  # m(x) = 1
 
 
-@dataclass(frozen=True)
-class MassProfile:
+class MassProfile(namedtuple("MassProfile", "kind lam c s")):
     """The mass law m(x) = c/(1 + s x²), labelled by the kind and λ it came from.
 
     The mass is positive on the whole line for s ≥ 0 and on |x| < 1/√(−s)
     for s < 0.
     """
 
-    kind: Kind
-    lam: float
-    c: float
-    s: float
+    __slots__ = ()
 
     @property
     def hi(self) -> float:
@@ -68,49 +64,42 @@ class MassProfile:
         return bool(inside.all()) if hasattr(inside, "all") else inside
 
 
-@dataclass(frozen=True)
-class ShapeInvariantFamily:
+class ShapeInvariantFamily(namedtuple("ShapeInvariantFamily",
+                                      "profile alpha0 eta")):
     """A mass profile plus oscillator strength α and translation step η.
 
     The parameter chain is α_n = alpha0 + n·eta (n ≥ 0) with η = −s/c, and
     the remainder is always the next parameter in the chain.
     """
 
-    profile: MassProfile
-    alpha0: float
-    eta: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(namedtuple("SpectrumTable",
+                               "ground_energy entries bound_count")):
     """Ground energy plus the ordered levels up to some index.
 
     bound_count is None for families whose whole ladder is normalizable.
     """
 
-    ground_energy: float
-    entries: tuple
-    bound_count: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VonRoosOrdering:
+class VonRoosOrdering(namedtuple("VonRoosOrdering", "a b c")):
     """Kinetic-term ordering exponents, constrained by a + b + c = -1.
 
     The sum is checked to 1e-12 relative to the exponents' size, so decimal
     input such as (-0.7, -0.2, -0.1) is accepted.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        scale = max(1.0, abs(self.a), abs(self.b), abs(self.c))
-        if not abs(self.a + self.b + self.c + 1.0) <= 1e-12 * scale:
+    def __new__(cls, a: float, b: float, c: float):
+        scale = max(1.0, abs(a), abs(b), abs(c))
+        if not abs(a + b + c + 1.0) <= 1e-12 * scale:
             raise ConstraintViolatedError(
-                f"ordering ({self.a}, {self.b}, {self.c}) violates a+b+c = -1"
-            )
+                f"ordering ({a}, {b}, {c}) violates a+b+c = -1")
+        return super().__new__(cls, a, b, c)
 
 
 SYMMETRIC_ORDERING = VonRoosOrdering(0.0, -1.0, 0.0)

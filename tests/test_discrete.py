@@ -26,7 +26,7 @@ from pdemosc import (
 )
 from pdemosc import discrete
 from pdemosc.discrete import von_roos_asymmetry
-from pdemosc.families import SYMMETRIC_ORDERING
+from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
 
 
 def random_tridiagonal(rng, n, scale=1.0):
@@ -44,6 +44,65 @@ def test_grid_layout():
     assert g.points[-1] == pytest.approx(1.0 - g.h)
     with pytest.raises(InvalidCountError):
         uniform_grid(-1.0, 1.0, 15)
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE1, -0.25), (Kind.CASE2, 10.0),
+    (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0),
+])
+@pytest.mark.parametrize("n", [4000, 4001])
+def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
+    grid = build_grid(make_family(kind, 1.0, lam), n)
+    xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    assert grid.center == 0.0
+    assert xs == [-x for x in reversed(xs)]
+    assert mids == [-x for x in reversed(mids)]
+    assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
+    # the numpy nodes come from the same IEEE operations
+    assert grid.points.tobytes() == np.array(xs).tobytes()
+
+
+def full_stencil(fam, grid, ordering):
+    """The bands of assemble_lists evaluated on every node, as a reference."""
+    xs, mids = grid.nodes(), grid.midpoints(grid.n + 1)
+    ms = masses_on(fam.profile, xs)
+    w = discrete._powers(masses_on(fam.profile, mids), ordering.b)
+    ma = discrete._powers(ms, ordering.a)
+    mc = discrete._powers(ms, ordering.c)
+    h2 = grid.h * grid.h
+    diag = [0.5 * a * c * (wl + wr) / h2 + v for a, c, wl, wr, v in
+            zip(ma, mc, w, w[1:], potentials_on(fam, xs, ms))]
+    off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
+           for a0, x, c1, c0, a1 in zip(ma, [x / h2 for x in w[1:-1]],
+                                        mc[1:], mc, ma[1:])]
+    return diag, off
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE1, -0.25), (Kind.CASE2, 10.0),
+    (Kind.CASE2, -5.0), (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0),
+], ids=["case1", "case1-compact", "case2", "case2-compact", "case3", "constant"])
+@pytest.mark.parametrize("n", [600, 601])
+def test_half_assembly_equals_full_evaluation(kind, lam, n):
+    fam = make_family(kind, 1.3, lam)
+    grid = build_grid(fam, n)
+    for ordering in (SYMMETRIC_ORDERING, VonRoosOrdering(-0.5, 0.0, -0.5),
+                     VonRoosOrdering(-0.7, -0.2, -0.1)):
+        T = discrete.assemble_lists(fam, grid, ordering)
+        diag, off = full_stencil(fam, grid, ordering)
+        assert [float.hex(x) for x in T.diag] == [float.hex(x) for x in diag]
+        assert [float.hex(x) for x in T.offdiag] == [float.hex(x) for x in off]
+        assert T.diag == T.diag[::-1] and T.offdiag == T.offdiag[::-1]
+        assert len(discrete._prepared(T, 1)[0]) == 2  # split into parity blocks
+
+
+def test_off_centre_grid_is_assembled_whole():
+    # a box not centred at 0 has no mirror, so every row is evaluated
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = uniform_grid(-3.0, 5.0, 301)
+    T = discrete.assemble_lists(fam, grid)
+    assert (T.diag, T.offdiag) == full_stencil(fam, grid, SYMMETRIC_ORDERING)
+    assert len(discrete._prepared(T, 1)[0]) == 1
 
 
 def test_build_grid_gaussian_tail():
@@ -393,9 +452,9 @@ def test_rejected_first_solve_is_iterated(monkeypatch):
     got = eigen_tridiagonal(T, 4, grid.h)
     assert len(sweeps) > 4
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-    # the sign of an odd state rests on roundoff between its mirror peaks
-    for a, b in zip(want.eigenvectors, got.eigenvectors):
-        assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-10
+    # the mirror peaks of an odd state tie exactly, so the left one fixes
+    # its sign whatever the right-hand side
+    assert np.max(np.abs(want.eigenvectors - got.eigenvectors)) < 1e-10
 
 
 def test_eigenvalues_alone_match_eigenpairs_bytewise():
@@ -414,13 +473,14 @@ def test_eigenvalues_alone_match_eigenpairs_bytewise():
     (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0),
 ], ids=["case1", "case1-compact", "case2", "case3", "constant"])
 def test_eigenvalues_within_tol_of_lapack(kind, lam):
+    # both block shapes: two m×m blocks, and (m+1)×(m+1) with m×m
     fam = make_family(kind, 1.0, lam)
-    grid = build_grid(fam, 4000)
-    T = assemble_sturm_liouville(fam, grid)
-    got = tridiagonal_eigenvalues(T, 10)
-    ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
-                                            select_range=(0, 9))
-    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T))
+    for n in (4000, 4001):
+        T = assemble_sturm_liouville(fam, build_grid(fam, n))
+        got = tridiagonal_eigenvalues(T, 20)
+        ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
+                                                select_range=(0, 19))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T)), n
 
 
 def test_closed_bracket_returns_the_newton_root():
@@ -486,3 +546,102 @@ def test_count_pass_cap_raises(monkeypatch):
     T = assemble_sturm_liouville(fam, build_grid(fam, 400))
     with pytest.raises(ConvergenceFailureError):
         tridiagonal_eigenvalues(T, 1)
+
+
+def mirror_jacobi(rng, n):
+    """A random mirror-symmetric Jacobi matrix with negative couplings.
+
+    Half of the draws are double wells: a barrier in the middle and a weak
+    coupling across it pair the low even and odd levels to within 1e−14.
+    """
+    m = (n + 1) // 2
+    if rng.random() < 0.5:
+        diag = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        off = [-10.0 ** rng.uniform(-14.0, 0.0) for _ in range(n // 2)]
+    else:
+        diag = [2.0 + 4.0 * ((i + 0.5) / m - 0.5) ** 2 for i in range(m)]
+        off = [-1.0] * (n // 2)
+        off[-1] = -10.0 ** rng.uniform(-14.0, -2.0)
+    diag += diag[:n - m][::-1]
+    off += off[:n - 1 - n // 2][::-1]
+    return TridiagonalOperator(np.array(diag), np.array(off))
+
+
+def test_mirror_symmetric_jacobi_matrices_are_certified():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 80)
+        T = mirror_jacobi(rng, n)
+        assert len(discrete._prepared(T, 1)[0]) == 2
+        assert_certified(T, rng.randint(1, n))
+
+
+def test_parity_blocks_halve_the_rows_swept(monkeypatch):
+    # each count pass sweeps one block of about N/2 rows; before the split
+    # these operators took 100, 71, 100, 77 and 76 passes of N rows
+    rows = []
+    for name in ("_neg_count", "_neg_count_slope"):
+        fn = getattr(discrete, name)
+        monkeypatch.setattr(discrete, name,
+                            lambda d, *a, _fn=fn: rows.append(len(d)) or _fn(d, *a))
+    for (kind, lam), whole in zip([(Kind.CASE1, 0.1), (Kind.CASE1, -0.25),
+                                   (Kind.CASE2, 10.0), (Kind.CASE3, 0.2),
+                                   (Kind.CONSTANT, 0.0)], (100, 71, 100, 77, 76)):
+        fam = make_family(kind, 1.0, lam)
+        T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
+        rows.clear()
+        tridiagonal_eigenvalues(T, 20)
+        assert sum(rows) <= 0.6 * whole * 4000, kind
+
+
+def test_clustered_spectra_converge():
+    # diagonals at 1 and 1 + 1e−13 put clusters just above a level; Newton
+    # steps toward it then shrink by about 3 % a pass and hit the pass cap
+    # unless a step that does not halve the previous one is a bisection
+    rng = random.Random(0)
+    for _ in range(2400):
+        n = rng.randint(2, 120)
+        diag = [rng.choice([0.0, 1.0, 1.0 + 1e-13, 2.0]) for _ in range(n)]
+        off = [rng.choice([0.0, 1e-14, 1e-3]) for _ in range(n - 1)]
+        T = TridiagonalOperator(np.array(diag), np.array(off))
+        k = rng.randint(1, n)
+        got = tridiagonal_eigenvalues(T, k)
+        ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:k]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * inf_norm(T)
+
+
+def test_coupling_that_squares_past_a_double_is_refused():
+    T = TridiagonalOperator([1.0, 2.0, 3.0], [1e200, 0.0])
+    with pytest.raises(InvalidLambdaError, match="coupling 0 .* squares"):
+        discrete.eigenvalue_list(T, 3)
+    with pytest.raises(InvalidLambdaError, match="squares"):
+        eigen_tridiagonal(T, 1)
+    # below the square root of the largest double it is answered, also where
+    # the even block's corner 2·o² would overflow: that T stays one block
+    for diag, off in (([1.0, 2.0, 3.0], [1e150, 0.0]),
+                      ([1.0, 2.0, 1.0], [-1.3e154, -1.3e154])):
+        T = TridiagonalOperator(np.array(diag), np.array(off))
+        got = tridiagonal_eigenvalues(T, 3)
+        ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * inf_norm(T)
+    assert len(discrete._prepared(T, 1)[0]) == 1
+
+
+def test_odd_state_sign_survives_a_shift_of_lambda(monkeypatch):
+    # the mirror peaks of an odd state tie exactly, so moving λ well inside
+    # tol leaves every sign as it was; the cells move by roundoff (about
+    # 4e−8 here), a flipped sign would move them by the peak, about 1
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = build_grid(fam, 4000)
+    T = assemble_sturm_liouville(fam, grid)
+    want = eigen_tridiagonal(T, 10, grid.h).eigenvectors
+    tol = 1e-12 * inf_norm(T)
+    sturm_newton = discrete._sturm_newton
+    for shift in (1e-3 * tol, -1e-3 * tol):
+        monkeypatch.setattr(discrete, "_sturm_newton", lambda *a, _s=shift: [
+            x + _s for x in sturm_newton(*a)])
+        got = eigen_tridiagonal(T, 10, grid.h).eigenvectors
+        assert np.max(np.abs(got - want)) < 1e-6
+    # odd states are odd, bit for bit, and even states even
+    for j, v in enumerate(want):
+        assert v.tobytes() == ((-1) ** j * v[::-1]).tobytes()

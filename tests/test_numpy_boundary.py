@@ -80,6 +80,20 @@ def test_commands_run_without_numpy():
     assert [code for code, _, _ in blocked] == [0] * 8 + [1] * 4
 
 
+def test_spectrum_request_does_not_import_dataclasses():
+    # `import dataclasses` costs several ms of every request process
+    src = os.path.dirname(os.path.dirname(pdemosc.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from pdemosc.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run(['spectrum', '--family', 'case1', '--lambda', '0.1',"
+            " '--grid-n', '600'])\n"
+            "print(code, 'dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 # the admissible ranges of each family, kept to grids that resolve the
 # ground state: compact domains are drawn away from their wide limit
 LAMBDAS = {
@@ -116,6 +130,9 @@ def test_numpy_stencil_is_the_float_stencil_bit_for_bit(case):
         return [float.hex(v) for v in values]
     assert bits(arrays.diag.tolist()) == bits(floats.diag)
     assert bits(arrays.offdiag.tolist()) == bits(floats.offdiag)
+    # build_grid's box is centred at 0, so the bands mirror exactly
+    assert floats.diag == floats.diag[::-1]
+    assert floats.offdiag == floats.offdiag[::-1]
 
 
 def test_public_assemblers_hold_arrays_of_the_float_entries():
