@@ -29,6 +29,7 @@ _MODULES = {
                       derivative_relation_residual evaluate gf_polynomial
                       gf_polynomials harmonic_limit proportionality_ratio
                       rodrigues_polynomial three_term_next to_json_dict""",
+    "sampling": "eigenfunction_lists",
     "susy": """Banded LadderMatrices ResidualEntry ResidualReport build_ladder
                report_to_json_dict state_map_cosine verify_all
                verify_annihilation verify_factorization verify_intertwining

@@ -1,15 +1,18 @@
-"""The numpy side of the package: closed forms and the stencil on whole grids.
+"""The numpy side of the package: what `verify` evaluates on whole grids.
 
-The eigenvalue path (grid, stencil, Sturm counts, inverse iteration) and
-the exact polynomials run on Python floats and integers, so `spectrum`,
-`compare-ordering`, numeric `eigenfunctions` and `polynomials` never
-import numpy.  What needs arrays lives here: grid samples of the bound
-states (algebraic `eigenfunctions`, `verify`), the ground state and the
-superpotential, and the symmetric-ordering stencil, which `verify`
-assembles three times on grids of up to 200000 nodes, where Python floats
-would cost about 25 times as much.  That stencil is a second evaluation of
+The eigenvalue path (grid, stencil, Sturm counts, inverse iteration), the
+exact polynomials and the closed-form samples of `eigenfunctions`
+(`sampling`) run on Python floats and integers, so every command but
+`verify` runs without numpy.  What `verify` needs in arrays lives here:
+grid samples of the bound states, the ground state and the
+superpotential, and the symmetric-ordering stencil, which it assembles
+three times on grids of up to 200000 nodes, where Python floats would
+cost about 25 times as much.  That stencil is a second evaluation of
 discrete's float stencil; both run the same IEEE operations in the same
-order, so their entries agree bit for bit.
+order, so their entries agree bit for bit.  eigenfunction_samples is a
+second evaluation of sampling.eigenfunction_lists, one degree at a time,
+in the same operations; exp, log1p and the norm's sum differ, so the two
+agree to within a few ulps of max|φ_n|.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
 
 Each handler imports the modules it needs when it runs, and every payload
-is built from Python numbers, so `spectrum`, `compare-ordering`, numeric
-`eigenfunctions` and `polynomials` run without importing numpy.
+and CSV column is built from Python numbers, so every subcommand but
+`verify` runs without importing numpy.
 """
 
 from __future__ import annotations
@@ -62,15 +62,13 @@ def _json_text(value) -> str:
 def _csv_rows(x, columns):
     """"%.17g,…" rows, one per node: x, then every column's value there.
 
-    x and the columns are float lists or ndarrays; ndarrays become Python
-    floats 256 nodes at a time, so the whole table never exists as a list
-    of lists (that would add MBs to the peak RSS).  Yields the rows 256 at a
-    time, joined by newlines.
+    x and the columns are float lists.  Yields the rows 256 at a time,
+    joined by newlines, so the whole table never exists as a list of row
+    strings (that would add MBs to the peak RSS).
     """
     fmt = ",".join(["%.17g"] * (len(columns) + 1))
     for i in range(0, len(x), 256):
         block = [c[i:i + 256] for c in (x, *columns)]
-        block = [c if isinstance(c, list) else c.tolist() for c in block]
         yield "\n".join(map(fmt.__mod__, zip(*block)))
 
 
@@ -214,19 +212,28 @@ def _cmd_spectrum(args, family) -> int:
 
 
 def _cmd_eigenfunctions(args, family) -> int:
-    from .discrete import assemble_lists, build_grid, eigenpair_lists
+    from .discrete import (
+        assemble_lists,
+        build_grid,
+        eigenpair_lists,
+        eigenvalue_list,
+    )
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
-    if args.source == "numeric":
+    # the JSON artifact holds no samples, so JSON alone computes none
+    want_csv = args.format in ("csv", "both")
+    if args.source == "algebraic":
+        eigenvalues = [energy(family, n) for n in range(n_max + 1)]
+        if want_csv:
+            from .sampling import eigenfunction_lists
+            vectors = eigenfunction_lists(family, n_max, grid)
+    elif want_csv:
         eigenvalues, vectors = eigenpair_lists(
             assemble_lists(family, grid), n_max + 1, grid.h)
     else:
-        from .arrays import eigenfunction_samples
-        vectors = [eigenfunction_samples(family, n, grid)
-                   for n in range(n_max + 1)]
-        eigenvalues = [energy(family, n) for n in range(n_max + 1)]
+        eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
     csv_text = None
-    if args.format in ("csv", "both"):
+    if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
         csv_text = "\n".join([header, *_csv_rows(grid.nodes(), vectors)]) + "\n"
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}

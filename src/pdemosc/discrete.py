@@ -642,7 +642,11 @@ def _unfolded(u: list, n: int, odd: bool) -> list:
 
 
 def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
-    """eigen_tridiagonal as (eigenvalues, eigenvectors) lists, without numpy."""
+    """eigen_tridiagonal as (eigenvalues, eigenvectors) lists, without numpy.
+
+    Each vector's last largest-magnitude component is positive, so an odd
+    state of a mirror-symmetric T has its right peak positive.
+    """
     blocks, norm_t, glo, ghi = _prepared(T, k)
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
     n, nb = len(T.diag), len(blocks)
@@ -693,14 +697,17 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         # this vector's factors and solve go before the next vector's are built
         del factored, w
         # the largest-magnitude component of the full vector made positive,
-        # the first of equal magnitudes deciding.  Its first half and centre
-        # decide that, and an odd vector's two mirror peaks tie exactly, so
-        # its left peak sets the sign.  x/(−r) = −(x/r)
-        head = v
+        # the last of equal magnitudes deciding: the first one of the full
+        # vector reversed.  A mirrored vector reversed begins with its block
+        # vector, negated for an odd state, whose two mirror peaks tie
+        # exactly, so its right peak sets the sign.  x/(−r) = −(x/r)
+        head = v[::-1] if nb == 1 else v
         if nb == 2 and b == 0 and n % 2:
             head = v[:-1] + [math.sqrt(2.0) * v[-1]]
         top, bottom = max(head), min(head)
-        positive = top > -bottom or (top == -bottom and head.index(top) < head.index(bottom))
+        first = top > -bottom or (top == -bottom and head.index(top) < head.index(bottom))
+        # the first peak of −v is positive where that of v is not
+        positive = first != (nb == 2 and b == 1)
         u = [x / (root_w if positive else -root_w) for x in v]
         accepted[b].append(u)
         vectors.append(u if nb == 1 else _unfolded(u, n, b == 1))
@@ -761,13 +768,16 @@ def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSo
     Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors by
     seeded inverse iteration shifted at the eigenvalue itself, accepted
     only when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so h·Σv² = 1 with
-    the largest-magnitude component positive, the first of equal
+    the largest-magnitude component positive, the last of equal
     magnitudes deciding.  A T split into parity blocks is solved on the
     block of each level, with Gram–Schmidt against the vectors of the same
     parity only, since vectors of opposite parity are exactly orthogonal;
     the block vector is then mirrored into the full one, negated for an
     odd state.  The two mirror peaks of an odd state then tie exactly, so
-    its left peak is made positive, a sign that no roundoff in λ can flip.
+    its right peak is made positive, a sign that no roundoff in λ can flip.
+    That is the sign of the closed-form states (sampling.eigenfunction_lists),
+    whose right tail is positive, wherever their outermost lobe is the
+    largest, as for the oscillators here.
     Scaling T by a power of two
     scales the eigenvalues alike and leaves the eigenvectors bit for bit.
     eigenpair_lists is the same on floats.

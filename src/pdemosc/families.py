@@ -13,8 +13,8 @@ Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
 (c, s, α) and each closed form below is one formula in it: the step is
 η = −s/c and the deformation q = s/(cα).  The formulas are hand-expanded;
 no symbolic differentiation happens at runtime.  Nothing here imports
-numpy: the closed forms take a float or an ndarray alike, and the samples
-that need arrays (ground state, superpotential) live in `arrays`.
+numpy: the closed forms take a float or an ndarray alike; the grid samples
+of the bound states live in `sampling` (floats) and `arrays` (numpy).
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ coefficient of ζ^(2k−n) in H_n is the integer n!/((n−k)!(2k−n)!) times
 every degree up to n_max from them.  coefficient_rows flattens a member to
 sorted (ζ-exponent, q-exponent, numerator, denominator) rows, the one
 interchange form.  No floating point enters here, and numpy is not
-imported; grid sampling (arrays.eigenfunction_samples) runs the three-term
-recurrence in floating point on the unified q instead.
+imported; grid sampling (sampling.eigenfunction_lists, and its numpy twin
+arrays.eigenfunction_samples) runs the three-term recurrence in floating
+point on the unified q instead.
 """
 
 from __future__ import annotations

@@ -401,3 +401,46 @@ def test_decimal_ordering_is_accepted(capsys):
     assert code == 0 and err == ""
     assert out.splitlines()[0] == (
         "n,energy_symmetric,energy_-0.7_-0.2_-0.1,dev_-0.7_-0.2_-0.1")
+
+
+def _csv_columns(text):
+    rows = [[float(c) for c in line.split(",")]
+            for line in text.strip().splitlines()[1:]]
+    return [list(col) for col in zip(*rows)]
+
+
+def test_numeric_eigenfunctions_carry_the_closed_form_signs(capsys):
+    # column by column, sign included: odd states too have their right peak
+    # positive in both sources, and the rest is discretization error
+    base = ["eigenfunctions", "--family", "case1", "--lambda=-0.2",
+            "--n-max", "3", "--grid-n", "501"]
+    assert run(base + ["--source", "algebraic"]) == 0
+    alg = _csv_columns(capsys.readouterr()[0])
+    assert run(base + ["--source", "numeric"]) == 0
+    num = _csv_columns(capsys.readouterr()[0])
+    assert alg[0] == num[0]
+    for n, (a, v) in enumerate(zip(alg[1:], num[1:])):
+        top = max(map(abs, a))
+        assert max(abs(x - y) for x, y in zip(a, v)) < 1e-3 * top, n
+
+
+def test_json_only_eigenfunctions_sample_nothing(capsys, monkeypatch):
+    # the artifact holds only eigenvalues and the grid; the numeric ones are
+    # those of the eigenpair solve, bit for bit
+    from pdemosc import Kind, build_grid, discrete, energy, make_family, sampling
+    fam = make_family(Kind.CASE3, 1.0, 0.2)
+    grid = build_grid(fam, 400)
+    values, _ = discrete.eigenpair_lists(discrete.assemble_lists(fam, grid),
+                                         4, grid.h)
+    want = {"algebraic": [energy(fam, n) for n in range(4)], "numeric": values}
+
+    def refuse(*args):
+        raise AssertionError("sampled for a JSON-only artifact")
+    monkeypatch.setattr(sampling, "eigenfunction_lists", refuse)
+    monkeypatch.setattr(discrete, "eigenpair_lists", refuse)
+    for source in ("algebraic", "numeric"):
+        argv = ["eigenfunctions", "--family", "case3", "--lambda", "0.2",
+                "--n-max", "3", "--grid-n", "400", "--format", "json",
+                "--source", source]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr()[0])["eigenvalues"] == want[source]

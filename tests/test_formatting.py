@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pdemosc import Kind, build_grid, gf_polynomial, make_family, run, to_json_dict
-from pdemosc import arrays, discrete
+from pdemosc import discrete, sampling
 from pdemosc.polynomials import parameterization_for
 
 # (level, node) cells planted into the library's output: a signed zero and
@@ -32,12 +32,14 @@ def test_eigenfunction_csv_cells_are_17g_of_library_values(capsys, monkeypatch,
                                                           source):
     seen = {}
     if source == "algebraic":
-        honest = arrays.eigenfunction_samples
+        honest = sampling.eigenfunction_lists
 
-        def samples(family, n, grid):
-            seen[n] = _plant(n, honest(family, n, grid))
-            return seen[n]
-        monkeypatch.setattr(arrays, "eigenfunction_samples", samples)
+        def samples(family, n_max, grid):
+            columns = [_plant(n, v).tolist()
+                       for n, v in enumerate(honest(family, n_max, grid))]
+            seen.update(enumerate(columns))
+            return columns
+        monkeypatch.setattr(sampling, "eigenfunction_lists", samples)
     else:
         honest = discrete.eigenpair_lists
 

@@ -43,6 +43,12 @@ NUMPY_FREE = [
     ["polynomials", "--family", "case2", "--lambda", "5", "--n-max", "12"],
     ["polynomials", "--family", "case3", "--lambda", "0.5", "--n-max", "8",
      "--symbolic"],
+    # algebraic samples on an even and an odd grid of every family
+    *[["eigenfunctions", "--family", family, f"--lambda={lam}", "--grid-n",
+       grid_n, "--n-max", "4", "--format", "both"]
+      for family, lam in (("case1", "0.1"), ("case2", "-5"), ("case3", "0.4"),
+                          ("constant", "0"))
+      for grid_n in ("300", "301")],
     ["spectrum", "--family", "case1", "--lambda", "0.1", "--n-max", "12"],
     ["spectrum", "--family", "case1", "--lambda", "10"],
     ["spectrum", "--family", "case2", "--lambda", "1e-3"],
@@ -77,7 +83,7 @@ def test_commands_run_without_numpy():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         assert got == [code, out.getvalue(), err.getvalue()], argv
-    assert [code for code, _, _ in blocked] == [0] * 8 + [1] * 4
+    assert [code for code, _, _ in blocked] == [0] * 16 + [1] * 4
 
 
 def test_spectrum_request_does_not_import_dataclasses():
