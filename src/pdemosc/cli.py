@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 from .errors import NotABoundStateError, PdemError
 from .families import (
@@ -241,38 +242,30 @@ def _cmd_eigenfunctions(args, family) -> int:
     return 0
 
 
-def _qpoly_str(qp: dict) -> str:
-    if not qp:
-        return "0"
+def _qpoly_str(rows) -> str:
+    """c₀ + c₁q + … from the (q-exponent, numerator, denominator) rows."""
     parts = []
-    for j in sorted(qp):
-        c = qp[j]
-        mag = abs(c)
-        if j == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}q" if j == 1 else f"{head}q^{j}"
+    for j, num, den in rows:
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if j:
+            head = "" if mag == "1" else f"{mag}*"
+            mag = f"{head}q" if j == 1 else f"{head}q^{j}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(mag if num > 0 else f"-{mag}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {mag}" if num > 0 else f"- {mag}")
     return " ".join(parts)
 
 
 def _poly_str(poly) -> str:
-    if not poly.coeffs:
-        return "0"
+    """The --symbolic form, read from the same rows as the JSON."""
+    from .polynomials import coefficient_rows
     parts = []
-    for k in sorted(poly.coeffs):
-        qp = _qpoly_str(poly.coeffs[k])
-        if k == 0:
-            parts.append(f"({qp})")
-        elif k == 1:
-            parts.append(f"({qp})*z")
-        else:
-            parts.append(f"({qp})*z^{k}")
-    return " + ".join(parts)
+    for k, rows in groupby(coefficient_rows(poly), key=lambda r: r[0]):
+        qp = _qpoly_str(r[1:] for r in rows)
+        zeta = "" if k == 0 else "*z" if k == 1 else f"*z^{k}"
+        parts.append(f"({qp}){zeta}")
+    return " + ".join(parts) or "0"
 
 
 def _cmd_polynomials(args, family) -> int:

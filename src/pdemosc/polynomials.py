@@ -1,4 +1,4 @@
-"""Deformed Hermite polynomial families in exact rational arithmetic.
+"""Deformed Hermite polynomial families in exact integer arithmetic.
 
 Two independent constructions of the same one-parameter deformation of the
 physicists' Hermite polynomials:
@@ -19,21 +19,25 @@ satisfies the three-term recurrence
 
 and the derivative relation checked by derivative_relation_residual.
 
-Coefficients are bivariate exact rationals: a polynomial maps each ζ-exponent
-to a dict {q-exponent: Fraction}.  Case 1 stores q = λ̃ = λ/α, Case 2 stores
-q = 1/μ = 1/(αλ), and Case 3 stores the positive variable υ² = λ²/(2α),
-which is −q, so its coefficients are the Case 1 ones with odd q-powers
-sign-flipped.  That flip is made once, in the linear factors (2 − iq) every
-construction multiplies, by writing them in the stored variable.
+Every coefficient is an integer over a power of two, so a member stores
+integer q-polynomials over one 2^shift: terms maps each ζ-exponent k to a
+list whose entry j is the integer coefficient of ζᵏqʲ.  Every construction
+is integer arithmetic on these lists.  Fraction appears only at the edges
+(LambdaPoly.coeffs and Ratio.at), and coefficient_rows reduces each
+num/2^shift by their common power of two into sorted (ζ-exponent,
+q-exponent, numerator, denominator) rows, the one interchange form.
+Case 1 stores q = λ̃ = λ/α, Case 2 stores q = 1/μ = 1/(αλ), and Case 3
+stores the positive variable υ² = λ²/(2α), which is −q, so its
+coefficients are the Case 1 ones with odd q-powers sign-flipped.  That
+flip is made once, in the linear factors (2 − iq) every construction
+multiplies, by writing them in the stored variable.
 
-The generating-function family is built in Python integers: the
-coefficient of ζ^(2k−n) in H_n is the integer n!/((n−k)!(2k−n)!) times
-(−1)^(n−k)/2^(n−k) times the integer polynomial Π_k(q) = Π_{j<k}(2 − (2j+1)q).
-Π_k does not depend on n, so gf_polynomials builds the Π_k once and reads
-every degree up to n_max from them.  coefficient_rows flattens a member to
-sorted (ζ-exponent, q-exponent, numerator, denominator) rows, the one
-interchange form.  No floating point enters here, and numpy is not
-imported; grid sampling (sampling.eigenfunction_lists, and its numpy twin
+The coefficient of ζ^(2k−n) in the generating-function H_n is the integer
+n!/((n−k)!(2k−n)!) times (−1)^(n−k)/2^(n−k) times the integer polynomial
+Π_k(q) = Π_{j<k}(2 − (2j+1)q).  Π_k does not depend on n, so gf_polynomials
+builds the Π_k once and reads every degree up to n_max from them.  No
+floating point enters here, and numpy is not imported; grid sampling
+(sampling.eigenfunction_lists, and its numpy twin
 arrays.eigenfunction_samples) runs the three-term recurrence in floating
 point on the unified q instead.
 """
@@ -42,8 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import (
     ConstraintViolatedError,
@@ -75,109 +78,103 @@ def _sign_of(par: Parameterization) -> int:
     return -1 if par == Parameterization.CASE3 else 1
 
 
-# === exact polynomials in the deformation variable (dict exp -> Fraction) ===
+# === integer q-polynomials: entry j of a list is the coefficient of q^j ===
 
-def _qp_trim(p: dict) -> dict:
-    return {j: c for j, c in p.items() if c}
-
-
-def _qp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for j, c in b.items():
-        out[j] = out.get(j, Fraction(0)) + c
-    return _qp_trim(out)
+def _trim(p: list) -> list:
+    end = len(p)
+    while end and not p[end - 1]:
+        end -= 1
+    return p[:end]
 
 
-def _qp_scale(a: dict, s: Fraction) -> dict:
-    if s == 0:
-        return {}
-    return {j: c * s for j, c in a.items()}
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _qp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ja, ca in a.items():
-        for jb, cb in b.items():
-            j = ja + jb
-            out[j] = out.get(j, Fraction(0)) + ca * cb
-    return _qp_trim(out)
+def _add_into(acc: list, p: list) -> None:
+    acc.extend([0] * (len(p) - len(acc)))
+    for j, c in enumerate(p):
+        acc[j] += c
 
 
-def _qp_eval(a: dict, q):
-    total = q * 0
-    for j in sorted(a):
-        coeff = float(a[j]) if isinstance(q, float) else a[j]
-        total = total + coeff * q ** j
-    return total
-
-
-def _q_lin(c0, c1, par: Parameterization) -> dict:
+def _lin(c0: int, c1: int, par: Parameterization) -> list:
     """c0 + c1*q written in the stored variable of `par`."""
-    return _qp_trim({0: Fraction(c0), 1: Fraction(c1) * _sign_of(par)})
+    return [c0, c1 * _sign_of(par)]
 
 
-# === bivariate layer: dict {zeta_exp -> q-polynomial} ===
-
-def _lpd_trim(d: dict) -> dict:
-    return {k: p for k, p in ((k, _qp_trim(p)) for k, p in d.items()) if p}
+def _dzeta(terms: dict) -> dict:
+    return {k - 1: [k * c for c in p] for k, p in terms.items() if k}
 
 
-def _lpd_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, p in b.items():
-        out[k] = _qp_add(out.get(k, {}), p)
-    return _lpd_trim(out)
+def _combine(parts) -> tuple:
+    """Σ factor(q)·ζ^zpow·terms/2^shift over parts (terms, shift, factor, zpow).
+
+    Returns (terms, shift) over the largest shift of the parts.
+    """
+    shift = max(s for _, s, _, _ in parts)
+    out: dict = {}
+    for terms, s, factor, zpow in parts:
+        factor = [c << (shift - s) for c in factor]
+        for k, p in terms.items():
+            _add_into(out.setdefault(k + zpow, []), _mul(p, factor))
+    return out, shift
 
 
-def _lpd_scale_qp(a: dict, qp: dict) -> dict:
-    return _lpd_trim({k: _qp_mul(p, qp) for k, p in a.items()})
+class LambdaPoly(namedtuple("LambdaPoly",
+                            "degree terms shift family_tag parameterization")):
+    """One member of a deformed Hermite family: Σ terms[k][j]·ζᵏqʲ / 2^shift.
 
-
-def _lpd_zeta_shift(a: dict, power: int = 1) -> dict:
-    return {k + power: p for k, p in a.items()}
-
-
-def _lpd_dzeta(a: dict) -> dict:
-    return _lpd_trim({k - 1: _qp_scale(p, Fraction(k)) for k, p in a.items() if k > 0})
-
-
-@dataclass
-class LambdaPoly:
-    """One member of a deformed Hermite family.
-
-    coeffs maps the ζ-exponent to an exact polynomial in the stored
-    deformation variable.  Only exponents of the same parity as the degree
-    may appear, and no stored coefficient is zero.
+    q is the stored deformation variable.  Only ζ-exponents of the same
+    parity as the degree may appear.  The stored form is canonical (no
+    trailing zero in a list, no empty list, the least shift), so equal
+    polynomials compare equal.
     """
 
-    degree: int
-    coeffs: dict
-    family_tag: FamilyTag
-    parameterization: Parameterization
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.coeffs = _lpd_trim(self.coeffs)
-        for k in self.coeffs:
-            if k < 0 or k > self.degree:
+    def __new__(cls, degree: int, terms: dict, shift: int,
+                family_tag: FamilyTag, parameterization: Parameterization):
+        terms = {k: p for k, p in ((k, _trim(p)) for k, p in terms.items()) if p}
+        for k in terms:
+            if k < 0 or k > degree:
                 raise ConstraintViolatedError(
-                    f"zeta exponent {k} outside [0, {self.degree}]")
-            if (k - self.degree) % 2 != 0:
+                    f"zeta exponent {k} outside [0, {degree}]")
+            if (k - degree) % 2 != 0:
                 raise ConstraintViolatedError(
-                    f"zeta exponent {k} breaks the parity of degree {self.degree}")
+                    f"zeta exponent {k} breaks the parity of degree {degree}")
+        # the least power of two in any coefficient, (c & -c) its lowest set bit
+        e = min([shift] + [(c & -c).bit_length() - 1
+                           for p in terms.values() for c in p if c])
+        if e:
+            terms = {k: [c >> e for c in p] for k, p in terms.items()}
+        return super().__new__(cls, degree, terms, shift - e, family_tag,
+                               parameterization)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> dict:
+        """{ζ-exponent: {q-exponent: Fraction}}, nonzero coefficients only."""
+        from fractions import Fraction
+        den = 1 << self.shift
+        return {k: {j: Fraction(c, den) for j, c in enumerate(p) if c}
+                for k, p in self.terms.items()}
 
 
 def evaluate(p: LambdaPoly, zeta, q):
-    """H(ζ, q) with exact (Fraction) or float arguments.
+    """H(ζ, q), exact for Fraction arguments and a float for float ones.
 
     `q` is the value of the *stored* deformation variable: λ̃, 1/μ or υ².
     """
     total = zeta * 0
-    for k in sorted(p.coeffs):
-        total = total + _qp_eval(p.coeffs[k], q) * zeta ** k
-    return total
+    for k in sorted(p.terms):
+        total = total + sum(c * q ** j for j, c in enumerate(p.terms[k])) * zeta ** k
+    return total / (1 << p.shift) if p.shift else total
 
 
 def _pi_products(k_max: int, parameterization: Parameterization) -> list:
@@ -197,14 +194,15 @@ def _pi_products(k_max: int, parameterization: Parameterization) -> list:
 def _gf_from_products(n: int, pis: list,
                       parameterization: Parameterization) -> LambdaPoly:
     """H_n from the shared integer products pis[k] = Π_k, k ≤ n."""
-    coeffs: dict = {}
+    shift = n // 2  # the largest n − k, at k = ⌈n/2⌉
+    terms: dict = {}
     for k in range((n + 1) // 2, n + 1):
-        # n!/((n−k)!(2k−n)!) = C(n, k)·k!/(2k−n)!
-        scale = (-1) ** (n - k) * math.comb(n, k) * math.perm(k, n - k)
-        den = 1 << (n - k)
-        coeffs[2 * k - n] = {j: Fraction(scale * c, den)
-                             for j, c in enumerate(pis[k])}
-    return LambdaPoly(n, coeffs, FamilyTag.GENERATING_FUNCTION, parameterization)
+        # n!/((n−k)!(2k−n)!) = C(n, k)·k!/(2k−n)!, over 2^(n−k)
+        scale = ((-1) ** (n - k) * math.comb(n, k) * math.perm(k, n - k)
+                 << (shift - n + k))
+        terms[2 * k - n] = [scale * c for c in pis[k]]
+    return LambdaPoly(n, terms, shift, FamilyTag.GENERATING_FUNCTION,
+                      parameterization)
 
 
 def gf_polynomial(n: int, parameterization: Parameterization) -> LambdaPoly:
@@ -239,34 +237,30 @@ def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPo
     Terms of dⁿ/dζⁿ (1+qζ²)^(n−1/q) are tracked as c(q)·ζᵃ·(1+qζ²)^(β+j)
     with β = n − 1/q.  One derivative maps (a, j) to (a−1, j) with weight a
     and to (a+1, j−1) with weight 2q(n+j) − 2; the q from the chain rule
-    cancels the 1/q in β, so weights stay polynomial.  The final factor
-    (1+qζ²)^(1/q) lifts every surviving power to the nonnegative integer
-    n+j, which is expanded binomially.
+    cancels the 1/q in β, so weights stay integer polynomials.  The final
+    factor (1+qζ²)^(1/q) lifts every surviving power to the nonnegative
+    integer n+j, which is expanded binomially.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     par = parameterization
-    terms = {(0, 0): {0: Fraction(1)}}
+    terms = {(0, 0): [1]}
     for _ in range(n):
         nxt: dict = {}
-
-        def _acc(key, qp):
-            nxt[key] = _qp_add(nxt.get(key, {}), qp)
-
         for (a, j), c in terms.items():
             if a >= 1:
-                _acc((a - 1, j), _qp_scale(c, Fraction(a)))
-            _acc((a + 1, j - 1), _qp_mul(c, _q_lin(-2, 2 * (n + j), par)))
-        terms = {key: qp for key, qp in nxt.items() if qp}
-    coeffs: dict = {}
+                _add_into(nxt.setdefault((a - 1, j), []), [a * x for x in c])
+            _add_into(nxt.setdefault((a + 1, j - 1), []),
+                      _mul(c, _lin(-2, 2 * (n + j), par)))
+        terms = {key: p for key, p in nxt.items() if any(p)}
+    out: dict = {}
     sign = _sign_of(par)
     for (a, j), c in terms.items():
         for i in range(n + j + 1):
             # (qζ²)^i of the binomial, written in the stored variable
-            shifted = {jj + i: cc for jj, cc in c.items()}
-            contrib = _qp_scale(shifted, (-1) ** n * sign ** i * math.comb(n + j, i))
-            coeffs[a + 2 * i] = _qp_add(coeffs.get(a + 2 * i, {}), contrib)
-    return LambdaPoly(n, coeffs, FamilyTag.RODRIGUES, par)
+            scale = (-1) ** n * sign ** i * math.comb(n + j, i)
+            _add_into(out.setdefault(a + 2 * i, []), [0] * i + [scale * x for x in c])
+    return LambdaPoly(n, out, 0, FamilyTag.RODRIGUES, par)
 
 
 def three_term_next(h_m: LambdaPoly, h_m_minus_1, m: int) -> LambdaPoly:
@@ -279,16 +273,17 @@ def three_term_next(h_m: LambdaPoly, h_m_minus_1, m: int) -> LambdaPoly:
     if h_m.degree != m:
         raise DegreeMismatchError(f"expected degree {m}, got {h_m.degree}")
     par = h_m.parameterization
-    out = _lpd_zeta_shift(_lpd_scale_qp(h_m.coeffs, _q_lin(2, -(2 * m + 1), par)))
+    parts = [(h_m.terms, h_m.shift, _lin(2, -(2 * m + 1), par), 1)]
     if m > 0:
         if h_m_minus_1 is None or h_m_minus_1.degree != m - 1:
             raise DegreeMismatchError(f"expected companion of degree {m - 1}")
         if h_m_minus_1.family_tag != FamilyTag.GENERATING_FUNCTION \
                 or h_m_minus_1.parameterization != par:
             raise ValueError("mismatched companion polynomial")
-        back = _lpd_scale_qp(h_m_minus_1.coeffs, _q_lin(2 * m, -m * m, par))
-        out = _lpd_add(out, {k: _qp_scale(p, Fraction(-1)) for k, p in back.items()})
-    return LambdaPoly(m + 1, out, FamilyTag.GENERATING_FUNCTION, par)
+        parts.append((h_m_minus_1.terms, h_m_minus_1.shift,
+                      _lin(-2 * m, m * m, par), 0))
+    terms, shift = _combine(parts)
+    return LambdaPoly(m + 1, terms, shift, FamilyTag.GENERATING_FUNCTION, par)
 
 
 def derivative_relation_residual(m: int, parameterization: Parameterization) -> LambdaPoly:
@@ -301,31 +296,35 @@ def derivative_relation_residual(m: int, parameterization: Parameterization) -> 
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
     par = parameterization
-    res = _lpd_scale_qp(gf_polynomial(m, par).coeffs, {0: Fraction(-1)})
-    res = _lpd_dzeta(res)                                   # -H'_m
+    h = gf_polynomial(m, par)
+    parts = [(_dzeta(h.terms), h.shift, [-1], 0)]                  # -H'_m
     if m >= 1:
         h1 = gf_polynomial(m - 1, par)
-        res = _lpd_add(res, _lpd_scale_qp(h1.coeffs, _q_lin(2 * m, -m, par)))
-        dh1 = _lpd_dzeta(h1.coeffs)
-        res = _lpd_add(res, _lpd_zeta_shift(
-            _lpd_scale_qp(dh1, _q_lin(0, -2 * m, par))))     # -2ζqm H'_{m-1}
+        parts.append((h1.terms, h1.shift, _lin(2 * m, -m, par), 0))
+        parts.append((_dzeta(h1.terms), h1.shift,
+                      _lin(0, -2 * m, par), 1))                     # -2ζqm H'_{m-1}
     if m >= 2:
-        dh2 = _lpd_dzeta(gf_polynomial(m - 2, par).coeffs)
-        res = _lpd_add(res, _lpd_scale_qp(dh2, _q_lin(0, m * (m - 1), par)))
-    return LambdaPoly(max(m - 1, 0), res, FamilyTag.GENERATING_FUNCTION, par)
+        h2 = gf_polynomial(m - 2, par)
+        parts.append((_dzeta(h2.terms), h2.shift, _lin(0, m * (m - 1), par), 0))
+    terms, shift = _combine(parts)
+    return LambdaPoly(max(m - 1, 0), terms, shift,
+                      FamilyTag.GENERATING_FUNCTION, par)
 
 
 # === reconciling the two constructions ===
 
-@dataclass
-class Ratio:
-    """A scalar rational function num(q)/den(q), kept in lowest terms."""
+class Ratio(namedtuple("Ratio", "num den")):
+    """A scalar rational function num(q)/den(q), kept in lowest terms.
 
-    num: dict
-    den: dict
+    num and den map q-exponents to nonzero integer coefficients.
+    """
 
-    def at(self, q: Fraction) -> Fraction:
-        return Fraction(_qp_eval(self.num, q)) / Fraction(_qp_eval(self.den, q))
+    __slots__ = ()
+
+    def at(self, q):
+        from fractions import Fraction
+        return (Fraction(sum(c * q ** j for j, c in self.num.items()))
+                / Fraction(sum(c * q ** j for j, c in self.den.items())))
 
 
 def proportionality_ratio(n: int, parameterization: Parameterization) -> Ratio:
@@ -340,36 +339,48 @@ def proportionality_ratio(n: int, parameterization: Parameterization) -> Ratio:
     and constant term 2, so num and den are coprime, their coefficients are
     integers with no common content and den(0) > 0: equal ratios compare
     equal field by field.  The formula is not assumed: every coefficient
-    pair is cross-multiplied, and a mismatch raises NotProportionalError.
-    r_n(0) = 1 always, so the two constructions share the harmonic limit.
+    pair is cross-multiplied in integers, and a mismatch raises
+    NotProportionalError.  r_n(0) = 1 always, so the two constructions
+    share the harmonic limit.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     par = parameterization
-    num, den = {0: Fraction(1)}, {0: Fraction(1)}
+    num, den = [1], [1]
     for i in range(2 * n, n, -2):
-        num = _qp_mul(num, _q_lin(2, -i, par))
+        num = _mul(num, _lin(2, -i, par))
     for i in range(1, n + 1, 2):
-        den = _qp_mul(den, _q_lin(2, -i, par))
+        den = _mul(den, _lin(2, -i, par))
     rod = rodrigues_polynomial(n, par)
     gf = gf_polynomial(n, par)
-    for k in set(rod.coeffs) | set(gf.coeffs):
-        if _qp_mul(rod.coeffs.get(k, {}), den) != _qp_mul(gf.coeffs.get(k, {}), num):
+    # rod·den = gf·num, both sides over 2^(rod.shift + gf.shift)
+    rod_den = [c << gf.shift for c in den]
+    gf_num = [c << rod.shift for c in num]
+    for k in set(rod.terms) | set(gf.terms):
+        if _mul(rod.terms.get(k, []), rod_den) != _mul(gf.terms.get(k, []), gf_num):
             raise NotProportionalError(
                 f"coefficient of zeta^{k} breaks proportionality at degree {n}")
-    return Ratio(num, den)
+    return Ratio({j: c for j, c in enumerate(num) if c},
+                 {j: c for j, c in enumerate(den) if c})
 
 
 def harmonic_limit(p: LambdaPoly) -> dict:
     """Evaluate every coefficient at q = 0: the standard Hermite H_n."""
-    out = {k: qp.get(0, Fraction(0)) for k, qp in p.coeffs.items()}
-    return {k: c for k, c in out.items() if c != 0}
+    return {k: qp[0] for k, qp in p.coeffs.items() if 0 in qp}
 
 
 def coefficient_rows(p: LambdaPoly) -> list:
-    """(ζ-exponent, q-exponent, numerator, denominator), sorted by exponents."""
-    return [(k, j, c.numerator, c.denominator)
-            for k in sorted(p.coeffs) for j, c in sorted(p.coeffs[k].items())]
+    """(ζ-exponent, q-exponent, numerator, denominator), sorted by exponents.
+
+    Each c/2^shift is reduced by the power of two that c and 2^shift share.
+    """
+    rows = []
+    for k in sorted(p.terms):
+        for j, c in enumerate(p.terms[k]):
+            if c:
+                e = min((c & -c).bit_length() - 1, p.shift)
+                rows.append((k, j, c >> e, 1 << (p.shift - e)))
+    return rows
 
 
 def to_json_dict(p: LambdaPoly) -> dict:

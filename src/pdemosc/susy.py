@@ -13,7 +13,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -75,29 +75,19 @@ class Banded:
         return out
 
 
-@dataclass(frozen=True)
-class LadderMatrices:
-    A: Banded
-    Adag: Banded
+LadderMatrices = namedtuple("LadderMatrices", "A Adag")
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
-    value: float
-    tolerance: float
+class ResidualEntry(namedtuple("ResidualEntry", "value tolerance")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.value <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    family: str
-    alpha: float
-    lam: float
-    grid_n: int
-    residuals: dict
+ResidualReport = namedtuple("ResidualReport",
+                            "family alpha lam grid_n residuals")
 
 
 # calibrated at grid_n = 4000 and alpha = 1 on the reference deformations;
@@ -212,10 +202,13 @@ def verify_intertwining(family: ShapeInvariantFamily, grid: Grid,
     """
     # operators before the ladder: the peak memory is assembly's temporaries
     x = grid.points
-    h_minus = Banded.from_tridiagonal(assemble_symmetric(
-        family, grid, potential_minus(family, family.alpha0, x)))
-    h_plus = Banded.from_tridiagonal(assemble_symmetric(
-        family, grid, potential_plus(family, family.alpha0, x)))
+    # c·α² may overflow to inf, and inf·0 at a centre node is nan, as in
+    # potential_on_grid; assembly refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_minus = Banded.from_tridiagonal(assemble_symmetric(
+            family, grid, potential_minus(family, family.alpha0, x)))
+        h_plus = Banded.from_tridiagonal(assemble_symmetric(
+            family, grid, potential_plus(family, family.alpha0, x)))
     ladder = build_ladder(family, family.alpha0, grid)
     a, ad = ladder.A, ladder.Adag
     states = _low_states(family, grid, states)
@@ -309,7 +302,8 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     """
     ladder = build_ladder(family, family.alpha0, grid)
     mapped = ladder.A @ eigenfunction_samples(family, n + 1, grid)
-    vp = potential_plus(family, family.alpha0, grid.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vp = potential_plus(family, family.alpha0, grid.points)
     sol = eigen_tridiagonal(assemble_symmetric(family, grid, vp), n + 1, grid.h)
     v = sol.eigenvectors[n]
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))

@@ -181,6 +181,22 @@ def test_verify_stays_finite_at_huge_alpha(capsys):
     assert len(values) == 6 and all(math.isfinite(v) for v in values)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "constant", "--alpha", "7.359689122788897e+269"],
+    ["--family", "case1", "--lambda", "0.1", "--alpha", "1e200"],
+])
+def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
+    # c·α² overflows to inf, which meets x = 0 at the centre node of an odd
+    # grid: the partner potentials hold nan, and assembly must refuse them
+    # in one line, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["verify", *argv, "--grid-n", "17"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_passes_at_large_alpha(capsys):
     # tolerances are calibrated at alpha = 1 and scale as alpha^p, so
     # correct operators pass at alpha = 100 (an absolute 5e-3 failed them)

@@ -5,6 +5,7 @@ and the polynomial export must be exactly what `json.dumps` writes for the
 interchange dicts.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -94,3 +95,40 @@ def test_polynomial_export_is_json_dumps(capsys, family, lam, symbolic):
     lines = out.split("\n")
     assert lines[-2:] == [want, ""]
     assert len(lines) == (2 + 42 if symbolic else 2)
+
+
+# SHA-256 of `polynomials --n-max 40` stdout as written by the earlier
+# construction in Fraction arithmetic; the integer representation must
+# reproduce every byte, with and without --symbolic
+POLYNOMIAL_DIGESTS = {
+    ("case1", "0.1", False):
+        "e8083c9bdd295a64123afbb0902f99a0cb0268330e50054216fc9e91316a310e",
+    ("case1", "0.1", True):
+        "34bbcca80e60794ab9c1c2647617fa8c995df1c47cad7fa7a1f175ab0db3a2f4",
+    ("case2", "5", False):
+        "9c0aec2885d1a0d777a47349daa1c4c710974c67561d26d8495f37d693d14824",
+    ("case2", "5", True):
+        "34187497336f9575a16047d9ac47f39b2c4e66dd57b8230883e3975fa19fd43e",
+    ("case3", "0.5", False):
+        "ceab567db3b2b3fd6cd509d625b30bfa423918c8c0adfefc99157dea1c7290ce",
+    ("case3", "0.5", True):
+        "ce283117db58c7a419034bd3756ee6ef6fed67bbee0ec6db96240dc6fe13220b",
+    ("case3", "-0.5", False):
+        "ceab567db3b2b3fd6cd509d625b30bfa423918c8c0adfefc99157dea1c7290ce",
+    ("case3", "-0.5", True):
+        "ce283117db58c7a419034bd3756ee6ef6fed67bbee0ec6db96240dc6fe13220b",
+    ("constant", "0", False):
+        "e8083c9bdd295a64123afbb0902f99a0cb0268330e50054216fc9e91316a310e",
+    ("constant", "0", True):
+        "beddce14b138a4d999815df9fc4604352a8eab8a444f9adb530d5d67f42e6003",
+}
+
+
+@pytest.mark.parametrize("family,lam,symbolic", list(POLYNOMIAL_DIGESTS))
+def test_polynomial_output_bytes_are_pinned(capsys, family, lam, symbolic):
+    argv = ["polynomials", "--family", family, f"--lambda={lam}",
+            "--n-max", "40"] + (["--symbolic"] if symbolic else [])
+    assert run(argv) == 0
+    out, _ = capsys.readouterr()
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == POLYNOMIAL_DIGESTS[family, lam, symbolic]

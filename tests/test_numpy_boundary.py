@@ -87,17 +87,30 @@ def test_commands_run_without_numpy():
 
 
 def test_spectrum_request_does_not_import_dataclasses():
-    # `import dataclasses` costs several ms of every request process
+    # `import dataclasses` costs several ms of every request process, and
+    # `fractions` a few more: no request loads the one, and no exact
+    # polynomial request the other
     src = os.path.dirname(os.path.dirname(pdemosc.__file__))
-    code = ("import contextlib, io, sys\n"
-            "from pdemosc.cli import run\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = run(['spectrum', '--family', 'case1', '--lambda', '0.1',"
-            " '--grid-n', '600'])\n"
-            "print(code, 'dataclasses' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    requests = [
+        (["spectrum", "--family", "case1", "--lambda", "0.1", "--grid-n", "600"],
+         ["dataclasses"]),
+        (["polynomials", "--family", "case1", "--lambda", "0.1", "--n-max", "40"],
+         ["dataclasses", "fractions"]),
+        (["polynomials", "--family", "case3", "--lambda", "0.5", "--n-max", "40",
+          "--symbolic"], ["dataclasses", "fractions"]),
+        (["verify", "--family", "case3", "--lambda", "0.2", "--grid-n", "600"],
+         ["dataclasses"]),
+    ]
+    for argv, absent in requests:
+        code = ("import contextlib, io, sys\n"
+                "from pdemosc.cli import run\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = run({argv!r})\n"
+                f"print(code, *[m in sys.modules for m in {absent!r}])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == ["0"] + ["False"] * len(absent), \
+            (argv, proc.stderr)
 
 
 # the admissible ranges of each family, kept to grids that resolve the

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from pdemosc import (
     Parameterization,
     bound_state_count,
     build_grid,
+    coefficient_rows,
     derivative_relation_residual,
     eigenfunction_samples,
     evaluate,
@@ -345,9 +347,9 @@ def test_perturbed_construction_is_not_proportional(monkeypatch):
 
     def perturbed(n, par):
         p = honest(n, par)
-        coeffs = {k: dict(qp) for k, qp in p.coeffs.items()}
-        coeffs[n - 2][0] += 1
-        return LambdaPoly(n, coeffs, p.family_tag, par)
+        terms = {k: list(qp) for k, qp in p.terms.items()}
+        terms[n - 2][0] += 1 << p.shift  # + 1 on the zeta^(n-2) constant
+        return LambdaPoly(n, terms, p.shift, p.family_tag, par)
 
     proportionality_ratio(6, C1)
     monkeypatch.setattr(polynomials, "rodrigues_polynomial", perturbed)
@@ -433,7 +435,8 @@ def test_lambda_poly_validates_parity():
     with pytest.raises(ConstraintViolatedError):
         LambdaPoly(
             degree=2,
-            coeffs={1: {0: F(1)}},  # odd power in an even-degree entry
+            terms={1: [1]},  # odd power in an even-degree entry
+            shift=0,
             family_tag=FamilyTag.GENERATING_FUNCTION,
             parameterization=C1,
         )
@@ -480,3 +483,29 @@ def test_sampled_states_are_mutually_orthogonal():
     for i in range(6):
         for j in range(i):
             assert abs(inner_product(states[i], states[j], grid)) < 1e-7, (i, j)
+
+
+def test_rodrigues_members_and_ratios_are_pinned():
+    # SHA-256 of every Rodrigues member and ratio for n <= 15, as the earlier
+    # construction in Fraction arithmetic wrote them
+    lines = []
+    for par in (C1, C2, C3):
+        for n in range(16):
+            lines.append(repr(coefficient_rows(rodrigues_polynomial(n, par))))
+            r = proportionality_ratio(n, par)
+            lines.append(repr([sorted(r.num.items()), sorted(r.den.items())]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("b513282f4211f24a3b3b6b73cebef435"
+                      "41ee9c83e24d236ea67343e7ec97ed2c")
+
+
+def test_lambda_poly_form_is_canonical():
+    # trailing zeros, empty lists and shared powers of two are taken out,
+    # so one value has one stored form
+    tag = FamilyTag.GENERATING_FUNCTION
+    p = LambdaPoly(2, {0: [4, 0, 8, 0], 2: [-12], 4: [0, 0]}, 3, tag, C1)
+    assert p == LambdaPoly(2, {0: [1, 0, 2], 2: [-3]}, 1, tag, C1)
+    assert p.coeffs == {0: {0: F(1, 2), 2: F(1)}, 2: {0: F(-3, 2)}}
+    assert coefficient_rows(p) == [(0, 0, 1, 2), (0, 2, 1, 1), (2, 0, -3, 2)]
+    zero = LambdaPoly(3, {1: [0]}, 5, tag, C1)
+    assert zero.terms == {} and zero.shift == 0
