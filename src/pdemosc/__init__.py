@@ -30,10 +30,8 @@ _MODULES = {
                       gf_polynomials harmonic_limit proportionality_ratio
                       rodrigues_polynomial three_term_next to_json_dict""",
     "sampling": "eigenfunction_lists",
-    "susy": """Banded LadderMatrices ResidualEntry ResidualReport build_ladder
-               report_to_json_dict state_map_cosine verify_all
-               verify_annihilation verify_factorization verify_intertwining
-               verify_shift_identity verify_superalgebra""",
+    "susy": """Banded ResidualEntry ResidualReport build_ladder
+               report_to_json_dict state_map_cosine verify_all""",
 }
 _HOME = {name: module for module, names in _MODULES.items()
          for name in names.split()}

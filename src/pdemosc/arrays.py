@@ -117,7 +117,10 @@ def assemble_symmetric(family: ShapeInvariantFamily, grid: Grid,
         diag = 0.5 * (w[:-1] + w[1:]) / h2 + potential
         win = w[1:-1] / h2
         off = -0.125 * ((win + win) + (win + win))
-    top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
-    if not math.isfinite(top * top):
+    # fmax passes over a NaN, so the refusal names the largest number;
+    # the sums propagate it
+    top = max(float(np.fmax.reduce(np.abs(diag))),
+              float(np.fmax.reduce(np.abs(off))))
+    if not math.isfinite(top * top) or math.isnan(np.sum(diag) + np.sum(off)):
         refuse_overflow(top)
     return TridiagonalOperator(diag, off)

@@ -23,11 +23,6 @@ from pdemosc import (
     state_map_cosine,
     superpotential_at,
     verify_all,
-    verify_annihilation,
-    verify_factorization,
-    verify_intertwining,
-    verify_shift_identity,
-    verify_superalgebra,
 )
 from pdemosc.arrays import assemble_symmetric
 from pdemosc.susy import Banded, DEFAULT_TOLERANCES, RESIDUAL_POWERS
@@ -78,28 +73,29 @@ def test_ladder_adjoint_under_quadrature():
     for kind, lam in [(Kind.CASE1, 0.1), (Kind.CASE3, 0.2)]:
         fam = make_family(kind, 1.0, lam)
         grid = build_grid(fam, 321)
-        ladder = build_ladder(fam, fam.alpha0, grid)
+        a = build_ladder(fam, fam.alpha0, grid)
+        adag = a.transpose()
         for _ in range(10):
             f = rng.standard_normal(grid.n)
             g = rng.standard_normal(grid.n)
-            lhs = inner_product(ladder.A @ f, g, grid)
-            rhs = inner_product(f, ladder.Adag @ g, grid)
+            lhs = inner_product(a @ f, g, grid)
+            rhs = inner_product(f, adag @ g, grid)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_ladder_bands_shape():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 200)
-    ladder = build_ladder(fam, fam.alpha0, grid)
-    assert set(ladder.A.bands) == {-1, 0, 1}
+    a = build_ladder(fam, fam.alpha0, grid)
+    assert set(a.bands) == {-1, 0, 1}
     # both off-diagonals carry the same 1/sqrt(2m)/(2h) samples: row i has
     # +s_i/(2h) above and row i+1 has -s_{i+1}/(2h) below
-    assert np.allclose(ladder.A.bands[-1][:-1], -ladder.A.bands[1][1:], atol=0)
-    # Adag is the exact transpose
-    at = ladder.A.transpose()
-    assert set(ladder.Adag.bands) == set(at.bands)
+    assert np.allclose(a.bands[-1][:-1], -a.bands[1][1:], atol=0)
+    # the transpose only relabels the bands, so it is exact
+    at = a.transpose()
+    assert set(at.bands) == {-1, 0, 1}
     for off, band in at.bands.items():
-        assert np.array_equal(ladder.Adag.bands[off], band), off
+        assert np.array_equal(band, a.bands[-off]), off
 
 
 def dense_ladder(fam, alpha, grid):
@@ -146,15 +142,16 @@ def test_residuals_match_dense_products(kind, lam):
         residual(a.T @ h_plus - h_minus @ a.T),
         residual(a @ a.T - a2.T @ a2 - remainder(fam, a0) * eye),
     ]
-    got = [verify_factorization(fam, grid), *verify_intertwining(fam, grid),
-           verify_shift_identity(fam, grid)]
+    residuals = verify_all(fam, grid).residuals
+    got = [residuals[name].value for name in (
+        "factorization", "intertwine_minus", "intertwine_plus", "shift_identity")]
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_annihilation_residual_small_and_shrinking():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
-    coarse = verify_annihilation(fam, build_grid(fam, 1001))
-    fine = verify_annihilation(fam, build_grid(fam, 2003))
+    coarse, fine = (verify_all(fam, build_grid(fam, n)).residuals[
+        "annihilation"].value for n in (1001, 2003))
     assert fine < 5e-4
     assert coarse / fine > 1.8  # second-order decay
 
@@ -165,7 +162,8 @@ def test_superalgebra_closes_exactly():
     for kind, lam in [(Kind.CASE1, 1.0), (Kind.CASE2, 7.0), (Kind.CASE3, 0.3)]:
         fam = make_family(kind, 1.0, lam)
         grid = build_grid(fam, 150, tail_tolerance=1e-8)
-        assert verify_superalgebra(fam, grid) == 0.0
+        report = verify_all(fam, grid)
+        assert report.residuals["superalgebra_offdiag"].value == 0.0
 
 
 def test_residuals_decrease_monotonically():
@@ -199,26 +197,28 @@ def test_verify_all_report_layout():
 
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
-    # the checks share one sample of the low states, and each residual is
-    # the one its check computes alone, bit for bit
+    # one pass: each low state is sampled once, and the suite builds one
+    # ladder at alpha_0 and one at alpha_1
     from pdemosc import susy
 
     fam = make_family(kind, 1.0, lam)
     grid = build_grid(fam, 800)
-    alone = [verify_factorization(fam, grid), verify_annihilation(fam, grid),
-             *verify_intertwining(fam, grid), verify_superalgebra(fam, grid),
-             verify_shift_identity(fam, grid)]
-    calls = []
-    honest = susy.eigenfunction_samples
+    samples, ladders = [], []
+    honest_samples, honest_ladder = susy.eigenfunction_samples, susy.build_ladder
 
-    def counted(family, n, g):
-        calls.append(n)
-        return honest(family, n, g)
-    monkeypatch.setattr(susy, "eigenfunction_samples", counted)
-    report = verify_all(fam, grid)
+    def counted_samples(family, n, g):
+        samples.append(n)
+        return honest_samples(family, n, g)
+
+    def counted_ladder(family, alpha_n, g):
+        ladders.append(alpha_n)
+        return honest_ladder(family, alpha_n, g)
+    monkeypatch.setattr(susy, "eigenfunction_samples", counted_samples)
+    monkeypatch.setattr(susy, "build_ladder", counted_ladder)
+    verify_all(fam, grid)
     count = bound_state_count(fam)
-    assert calls == list(range(5 if count is None else min(5, count)))
-    assert [e.value for e in report.residuals.values()] == alone
+    assert samples == list(range(5 if count is None else min(5, count)))
+    assert ladders == [fam.alpha0, alpha_at(fam, 1)]
 
 
 def test_tolerances_scale_as_alpha_powers():
@@ -240,12 +240,15 @@ def test_tolerances_scale_as_alpha_powers():
 @pytest.mark.parametrize("alpha", [1.0, 100.0])
 @pytest.mark.parametrize("mutation", ["h-plus-both-sides", "perturbed-ladder"])
 def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
-    # a wrong operator must FAIL however large alpha makes the tolerances
+    # a wrong operator must FAIL however large alpha makes the tolerances,
+    # on an unbounded domain and on a compact one (q = -0.045 for case3)
     from pdemosc import susy
 
-    fam = make_family(Kind.CASE1, alpha, 0.1 * alpha)
-    grid = build_grid(fam, 4000)
-    assert all(e.passed for e in verify_all(fam, grid).residuals.values())
+    families = [make_family(Kind.CASE1, alpha, 0.1 * alpha),
+                make_family(Kind.CASE3, alpha, 0.3 * math.sqrt(alpha))]
+    grids = [build_grid(fam, 4000) for fam in families]
+    for fam, grid in zip(families, grids):
+        assert all(e.passed for e in verify_all(fam, grid).residuals.values())
     if mutation == "h-plus-both-sides":
         # A H+ = H+ A in place of A H- = H+ A
         monkeypatch.setattr(susy, "potential_minus", susy.potential_plus)
@@ -255,16 +258,10 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
         monkeypatch.setattr(susy, "superpotential_at",
                             lambda f, a, x: 1.01 * honest(f, a, x))
         failing = {"annihilation", "factorization"}
-    report = verify_all(fam, grid)
-    assert {n for n, e in report.residuals.items() if not e.passed} >= failing
-
-
-def test_verify_all_custom_tolerances():
-    fam = make_family(Kind.CASE1, 1.0, 0.1)
-    grid = build_grid(fam, 400)
-    strict = dict(DEFAULT_TOLERANCES, factorization=1e-9)
-    report = verify_all(fam, grid, tolerances=strict)
-    assert not report.residuals["factorization"].passed
+    for fam, grid in zip(families, grids):
+        report = verify_all(fam, grid)
+        failed = {n for n, e in report.residuals.items() if not e.passed}
+        assert failed >= failing, (fam.profile.kind, failed)
 
 
 def test_report_json_schema():
@@ -283,10 +280,10 @@ def test_annihilation_is_selective():
     # else, so the same residual on the first excited state stays order one
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 1200)
-    ladder = build_ladder(fam, fam.alpha0, grid)
+    a = build_ladder(fam, fam.alpha0, grid)
 
     def rel_residual(phi):
-        out = (ladder.A @ phi)[2:-2]
+        out = (a @ phi)[2:-2]
         return math.sqrt(grid.h * float(np.dot(out, out))) / math.sqrt(
             inner_product(phi, phi, grid))
 
@@ -299,15 +296,15 @@ def test_annihilation_is_selective():
 def test_intertwining_residual_pair():
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2000)
-    res_minus, res_plus = verify_intertwining(fam, grid)
-    assert res_minus < 1e-3
-    assert res_plus < 1e-3
+    residuals = verify_all(fam, grid).residuals
+    assert residuals["intertwine_minus"].value < 1e-3
+    assert residuals["intertwine_plus"].value < 1e-3
 
 
 def test_shift_identity_residual():
     fam = make_family(Kind.CASE2, 1.0, 10.0)
     grid = build_grid(fam, 2003)
-    assert verify_shift_identity(fam, grid) < 5e-3
+    assert verify_all(fam, grid).residuals["shift_identity"].value < 5e-3
 
 
 def test_state_map_cosine():
