@@ -8,15 +8,25 @@ exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 Each handler imports the modules it needs when it runs, and every payload
 and CSV column is built from Python numbers, so every subcommand but
 `verify` runs without importing numpy.
+
+Every CSV table is streamed: `_csv_table` formats it a block of rows at a
+time and `_emit` writes each block to the file or stdout as it comes, so
+memory scales with the samples, not with the text, and the bytes are those
+of formatting every row.  A table whose right half mirrors its left half
+bit for bit, as the eigenfunctions on build_grid's centred boxes do, has
+only its left half formatted; the right half is that text in reverse row
+order, with the leading "-" toggled in the odd columns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import groupby
+from operator import neg
 
 from .errors import NotABoundStateError, PdemError
 from .families import (
@@ -60,17 +70,83 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_rows(x, columns):
-    """"%.17g,…" rows, one per node: x, then every column's value there.
+_ROWS = 256  # rows per streamed chunk
+_MARK = "\x01"  # marks an odd column's cell; "%.17g" never prints it
 
-    x and the columns are float lists.  Yields the rows 256 at a time,
-    joined by newlines, so the whole table never exists as a list of row
-    strings (that would add MBs to the peak RSS).
+
+def _bitwise_equal(a: list, b: list) -> bool:
+    """a and b hold the same doubles bit for bit, a holding no NaN."""
+    # == is bitwise equality for non-NaN doubles except that 0.0 == -0.0
+    if a != b:
+        return False
+    if all(a):
+        return True
+    from array import array
+    return array("d", a).tobytes() == array("d", b).tobytes()
+
+
+def _odd_columns(columns: list):
+    """Per column, whether row n−1−i negates row i there; None if no mirror.
+
+    The table mirrors when in every column the right half, read backwards,
+    equals the left half bit for bit (an even column) or its negation (an
+    odd column), with no NaN on either side.  "%.17g" % −v is then the
+    text of v with its leading "-" toggled, for ±0 and ±inf too; a NaN
+    prints as "nan" whatever its sign, so it never mirrors.
     """
-    fmt = ",".join(["%.17g"] * (len(columns) + 1))
-    for i in range(0, len(x), 256):
-        block = [c[i:i + 256] for c in (x, *columns)]
-        yield "\n".join(map(fmt.__mod__, zip(*block)))
+    n = len(columns[0])
+    half = n // 2
+    odd = []
+    for c in columns:
+        left, right = c[:half], c[:n - half - 1:-1]
+        if math.isnan(sum(left)):
+            return None
+        if _bitwise_equal(left, right):
+            odd.append(False)
+        elif _bitwise_equal(left, list(map(neg, right))):
+            odd.append(True)
+        else:
+            return None
+    return odd
+
+
+def _csv_table(header: str, columns: list):
+    """The CSV text of a table, a chunk of up to 256 rows at a time.
+
+    The header line, then one "%.17g,…" row per index: every column's
+    value there (columns are equally long lists of numbers).  A mirrored
+    table (_odd_columns) formats its left half with _MARK before each
+    cell of an odd column, writes that text unmarked and keeps it; the
+    centre row of an odd length is formatted as it is; then each kept
+    block, rows reversed, becomes the right half: a mark followed by "-"
+    drops, and every other mark turns into "-".  Only the kept half of
+    the text outlives its chunk.  Any other table is formatted row by
+    row.
+    """
+    yield header + "\n"
+    n = len(columns[0])
+    odd = _odd_columns(columns)
+    half = 0 if odd is None else n // 2
+
+    def rows(template: str, lo: int, hi: int) -> str:
+        return "\n".join(map(template.__mod__,
+                             zip(*[c[lo:hi] for c in columns])))
+
+    kept = []
+    if half:
+        marked = ",".join([_MARK + "%.17g" if o else "%.17g" for o in odd])
+        for i in range(0, half, _ROWS):
+            text = rows(marked, i, min(i + _ROWS, half))
+            kept.append(text)
+            yield text.replace(_MARK, "") + "\n"
+    plain = ",".join(["%.17g"] * len(columns))
+    for i in range(half, n - half, _ROWS):
+        yield rows(plain, i, min(i + _ROWS, n - half)) + "\n"
+    while kept:
+        lines = kept.pop().split("\n")
+        lines.reverse()
+        text = "\n".join(lines)
+        yield text.replace(_MARK + "-", "").replace(_MARK, "-") + "\n"
 
 
 _POLY_JSON = '{"degree": %d, "parameterization": "%s", "coeffs": [%s]}'
@@ -163,18 +239,22 @@ def _n_max(family, requested, levels: bool = True) -> int:
     return requested
 
 
-def _emit(args, base: str, csv_text, json_text) -> None:
-    """Route artifacts to --output-dir files or stdout, per --format."""
-    want_csv = csv_text is not None and args.format in ("csv", "both")
+def _emit(args, base: str, csv_chunks, json_text) -> None:
+    """Route artifacts to --output-dir files or stdout, per --format.
+
+    csv_chunks is an iterable of CSV text, written chunk by chunk as it
+    is drained, or None when the request has no table.
+    """
+    want_csv = csv_chunks is not None and args.format in ("csv", "both")
     want_json = json_text is not None and args.format in ("json", "both")
-    if json_text is not None and csv_text is None:
+    if json_text is not None and csv_chunks is None:
         want_json = True  # JSON-only artifacts ignore --format
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         if want_csv:
             path = os.path.join(args.output_dir, base + ".csv")
             with open(path, "w") as fh:
-                fh.write(csv_text)
+                fh.writelines(csv_chunks)
             print(f"wrote {path}")
         if want_json:
             path = os.path.join(args.output_dir, base + ".json")
@@ -183,7 +263,7 @@ def _emit(args, base: str, csv_text, json_text) -> None:
             print(f"wrote {path}")
     else:
         if want_csv:
-            sys.stdout.write(csv_text)
+            sys.stdout.writelines(csv_chunks)
         if want_json:
             sys.stdout.write(json_text + "\n")
 
@@ -196,19 +276,17 @@ def _cmd_spectrum(args, family) -> int:
     from .discrete import assemble_lists, build_grid, eigenvalue_list
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
-    eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
-    lines = ["n,energy_algebraic,energy_numeric,abs_error"]
-    levels = []
-    for n in range(n_max + 1):
-        e_alg = energy(family, n)
-        e_num = eigenvalues[n]
-        err = abs(e_alg - e_num)
-        lines.append(f"{n},{_fmt(e_alg)},{_fmt(e_num)},{_fmt(err)}")
-        levels.append({"n": n, "energy_algebraic": e_alg,
-                       "energy_numeric": e_num, "abs_error": err})
+    numeric = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
+    algebraic = [energy(family, n) for n in range(n_max + 1)]
+    errors = [abs(a - b) for a, b in zip(algebraic, numeric)]
+    levels = [{"n": n, "energy_algebraic": a, "energy_numeric": b,
+               "abs_error": e}
+              for n, (a, b, e) in enumerate(zip(algebraic, numeric, errors))]
     payload = {"family": args.family, "alpha": args.alpha, "lambda": args.lam,
                "grid": _grid_dict(grid), "levels": levels}
-    _emit(args, "spectrum", "\n".join(lines) + "\n", _json_text(payload))
+    table = _csv_table("n,energy_algebraic,energy_numeric,abs_error",
+                       [list(range(n_max + 1)), algebraic, numeric, errors])
+    _emit(args, "spectrum", table, _json_text(payload))
     return 0
 
 
@@ -225,6 +303,10 @@ def _cmd_eigenfunctions(args, family) -> int:
     want_csv = args.format in ("csv", "both")
     if args.source == "algebraic":
         eigenvalues = [energy(family, n) for n in range(n_max + 1)]
+        for n, e in enumerate(eigenvalues):
+            if not math.isfinite(e):
+                raise PdemError(f"the closed-form energy E_{n} is {e}: it "
+                                f"leaves the range of a double")
         if want_csv:
             from .sampling import eigenfunction_lists
             vectors = eigenfunction_lists(family, n_max, grid)
@@ -233,12 +315,12 @@ def _cmd_eigenfunctions(args, family) -> int:
             assemble_lists(family, grid), n_max + 1, grid.h)
     else:
         eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
-    csv_text = None
+    table = None
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
-        csv_text = "\n".join([header, *_csv_rows(grid.nodes(), vectors)]) + "\n"
+        table = _csv_table(header, [grid.nodes(), *vectors])
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
-    _emit(args, "eigenfunctions", csv_text, _json_text(payload))
+    _emit(args, "eigenfunctions", table, _json_text(payload))
     return 0
 
 
@@ -317,20 +399,17 @@ def _cmd_compare_ordering(args, family) -> int:
     results = []
     for ordering in args.ordering:
         ev = eigenvalue_list(assemble_lists(family, grid, ordering), k)
-        results.append((ordering, ev, von_roos_asymmetry(family, ordering, grid)))
+        results.append((ordering, ev, [v - s for v, s in zip(ev, sym)],
+                        von_roos_asymmetry(family, ordering, grid)))
 
     def label(o):
         return f"{o.a:g}_{o.b:g}_{o.c:g}"
 
     header = "n,energy_symmetric"
-    for o, _, _ in results:
+    columns = [list(range(k)), sym]
+    for o, ev, dev, _ in results:
         header += f",energy_{label(o)},dev_{label(o)}"
-    lines = [header]
-    for n in range(k):
-        cells = [str(n), _fmt(sym[n])]
-        for _, ev, _ in results:
-            cells += [_fmt(ev[n]), _fmt(ev[n] - sym[n])]
-        lines.append(",".join(cells))
+        columns += [ev, dev]
     payload = {
         "family": args.family, "alpha": args.alpha, "lambda": args.lam,
         "grid": _grid_dict(grid),
@@ -338,12 +417,13 @@ def _cmd_compare_ordering(args, family) -> int:
         "orderings": [
             {"a": o.a, "b": o.b, "c": o.c,
              "eigenvalues": ev,
-             "deviation_from_symmetric": [v - s for v, s in zip(ev, sym)],
+             "deviation_from_symmetric": dev,
              "asymmetry": asym}
-            for o, ev, asym in results
+            for o, ev, dev, asym in results
         ],
     }
-    _emit(args, "compare_ordering", "\n".join(lines) + "\n", _json_text(payload))
+    _emit(args, "compare_ordering", _csv_table(header, columns),
+          _json_text(payload))
     return 0
 
 
@@ -374,7 +454,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout before the streamed table ended, as
+        # `pdemosc … | head` does: the output is cut, so exit 1 in one line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended",
+              file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

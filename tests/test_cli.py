@@ -256,6 +256,20 @@ def test_module_entry_point():
     assert payload[1]["degree"] == 1
 
 
+def test_closed_stdout_ends_in_one_error_line():
+    # 2.5 MB of CSV fill the pipe long before the table ends, so the reader
+    # has closed it by the time a later chunk is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdemosc", "eigenfunctions", "--family",
+         "constant", "--n-max", "5", "--grid-n", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("x,phi_0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: stdout was closed before the output ended\n"
+
+
 # the benchmark's edge probes plus the other routes to a family that binds
 # nothing: each must end in exit 1 with a one-line reason, never a traceback
 @pytest.mark.parametrize("argv, needle", [
@@ -296,6 +310,9 @@ def test_module_entry_point():
       "--ordering=-0.5,0,-0.5"], "underflows"),
     (["eigenfunctions", "--family", "constant", "--alpha", "1e-200",
       "--source", "numeric"], "underflows"),
+    # no operator is built, but E_2 = 2.5·alpha leaves the range of a double
+    (["eigenfunctions", "--family", "constant", "--alpha", "1e308",
+      "--n-max", "2", "--grid-n", "20", "--format", "json"], "E_2 is inf"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
@@ -303,7 +320,7 @@ def test_module_entry_point():
         "overflow-spectrum-alpha", "overflow-spectrum-case2",
         "overflow-compare", "overflow-numeric", "overflow-potential",
         "overflow-subnormal-q", "underflow-spectrum", "underflow-compare",
-        "underflow-numeric"])
+        "underflow-numeric", "overflow-energy"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()

@@ -5,14 +5,29 @@ and the polynomial export must be exactly what `json.dumps` writes for the
 interchange dicts.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pdemosc import Kind, build_grid, gf_polynomial, make_family, run, to_json_dict
-from pdemosc import discrete, sampling
+from pdemosc import (
+    InvalidCountError,
+    InvalidLambdaError,
+    Kind,
+    bound_state_count,
+    build_grid,
+    gf_polynomial,
+    make_family,
+    run,
+    to_json_dict,
+    uniform_grid,
+)
+from pdemosc import cli, discrete, sampling
 from pdemosc.polynomials import parameterization_for
 
 # (level, node) cells planted into the library's output: a signed zero and
@@ -68,6 +83,111 @@ def test_eigenfunction_csv_cells_are_17g_of_library_values(capsys, monkeypatch,
     assert cells[3][1] == "-0"
     assert cells[300][2] == "4.9406564584124654e-324"
     assert cells[511][3] == "-2.5000000000000171e-310"
+
+
+def rows_17g(header, columns):
+    """The table formatted row by row, one "%.17g" per cell."""
+    fmt = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header, *(fmt % row for row in zip(*columns))]) + "\n"
+
+
+LAMBDAS = {
+    Kind.CASE1: st.one_of(st.floats(0.02, 1.9), st.floats(-0.5, -0.01)),
+    Kind.CASE2: st.one_of(st.floats(0.5, 100.0), st.floats(-50.0, -1.0)),
+    Kind.CASE3: st.one_of(st.floats(0.05, 1.5), st.floats(-1.5, -0.05)),
+    Kind.CONSTANT: st.just(0.0),
+}
+
+
+@st.composite
+def eigenfunction_requests(draw):
+    kind = draw(st.sampled_from(list(Kind)))
+    alpha, lam = draw(st.floats(0.5, 2.0)), draw(LAMBDAS[kind])
+    fam = make_family(kind, alpha, lam)
+    count = bound_state_count(fam)
+    assume(count != 0)
+    grid_n = draw(st.integers(16, 400))  # even and odd, so with a centre row
+    top = 40 if count is None else min(40, count - 1)
+    n_max = draw(st.integers(0, min(top, grid_n - 1)))
+    try:
+        grid = build_grid(fam, grid_n)
+    except (InvalidCountError, InvalidLambdaError):
+        assume(False)
+    source = draw(st.sampled_from(["algebraic", "numeric"]))
+    argv = ["eigenfunctions", "--family", kind.value, "--alpha", repr(alpha),
+            f"--lambda={lam!r}", "--n-max", str(n_max),
+            "--grid-n", str(grid_n), "--source", source]
+    return argv, fam, n_max, grid, source
+
+
+@settings(deadline=None, max_examples=60)
+@given(eigenfunction_requests())
+def test_streamed_table_is_the_row_by_row_table(request):
+    argv, fam, n_max, grid, source = request
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    if source == "algebraic":
+        columns = sampling.eigenfunction_lists(fam, n_max, grid)
+    else:
+        columns = discrete.eigenpair_lists(
+            discrete.assemble_lists(fam, grid), n_max + 1, grid.h)[1]
+    table = [grid.nodes(), *columns]
+    # build_grid centres its box, so both sources mirror and the writer
+    # formats only the left half
+    assert cli._odd_columns(table) == [n % 2 == 0 for n in range(n_max + 2)]
+    header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
+    assert out.getvalue() == rows_17g(header, table)
+
+
+def _mirrored_table(n):
+    """x, an even and an odd column on n mirrored nodes."""
+    x = [0.25 * (i - 0.5 * (n - 1)) for i in range(n)]
+    even = [math.exp(-v * v) for v in x]
+    return [x, even, [v * e for v, e in zip(x, even)]]
+
+
+def _planted(table, column, index, value, mirror_value):
+    table[column][index] = value
+    table[column][-1 - index] = mirror_value
+    return table
+
+
+NAN = float("nan")
+
+
+# each table formats row by row: the writer must tell it from a mirrored one
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("table", [
+    lambda n: _planted(_mirrored_table(n), 1, 5, NAN, NAN),
+    lambda n: _planted(_mirrored_table(n), 2, 0, NAN, NAN),
+    lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, 0.0),
+    lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, 0.0),
+    lambda n: _mirrored_table(n)[:2] + [[v + 1.0 for v in _mirrored_table(n)[2]]],
+    lambda n: [uniform_grid(-3.0, 4.0, n).nodes(), *sampling.eigenfunction_lists(
+        make_family(Kind.CASE1, 1.0, 0.1), 3, uniform_grid(-3.0, 4.0, n))],
+], ids=["nan-even", "nan-odd", "zero-odd", "zero-even", "neither",
+        "uncentred-grid"])
+def test_tables_that_do_not_mirror_go_row_by_row(n, table):
+    table = table(n)
+    assert cli._odd_columns(table) is None
+    header = ",".join(f"c{j}" for j in range(len(table)))
+    assert "".join(cli._csv_table(header, table)) == rows_17g(header, table)
+
+
+# signed zeros, infinities and subnormals that do mirror
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("table", [
+    lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, -0.0),
+    lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, -0.0),
+    lambda n: _planted(_mirrored_table(n), 2, 0, -math.inf, math.inf),
+    lambda n: _planted(_mirrored_table(n), 1, 9, 5e-324, 5e-324),
+], ids=["zero-odd", "zero-even", "inf-odd", "subnormal-even"])
+def test_mirrored_tables_keep_every_byte(n, table):
+    table = table(n)
+    assert cli._odd_columns(table) is not None
+    header = ",".join(f"c{j}" for j in range(len(table)))
+    assert "".join(cli._csv_table(header, table)) == rows_17g(header, table)
 
 
 def test_json_only_eigenfunctions_write_no_csv(tmp_path, capsys):
