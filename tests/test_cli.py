@@ -189,17 +189,19 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
     # c·α² overflows to inf, which meets x = 0 at the centre node of an odd
     # grid: the partner potentials hold nan, and assembly must refuse them
     # in one line, with no RuntimeWarning on the way, naming the largest
-    # entry (inf), as spectrum's refusal of the same operator does
-    errs = []
-    for command in ("verify", "spectrum"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run([command, *argv, "--grid-n", "17"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        errs.append(err)
-    assert errs[0] == errs[1]
+    # entry (inf), as spectrum's refusal of the same operator does.  At
+    # 20001 nodes the nan lies in a middle block of verify's row blocks.
+    for grid_n in ("17", "20001"):
+        errs = []
+        for command in ("verify", "spectrum"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run([command, *argv, "--grid-n", grid_n])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            errs.append(err)
+        assert errs[0] == errs[1], grid_n
 
 
 def test_verify_passes_at_large_alpha(capsys):

@@ -16,6 +16,7 @@ from pdemosc import (
     inner_product,
     make_family,
     mass_at,
+    potential_full,
     potential_minus,
     potential_plus,
     remainder,
@@ -59,11 +60,19 @@ def random_banded(rng, n, offsets):
 def test_banded_matvec_and_product_match_dense():
     rng = random.Random(3)
     n = 17
-    A = random_banded(rng, n, (-1, 0, 2))
     v = np.array([rng.uniform(-1, 1) for _ in range(n)])
-    assert np.allclose(A @ v, dense(A, n) @ v, atol=1e-14)
-    # transpose round trip
-    assert np.allclose(dense(A.transpose(), n), dense(A, n).T, atol=0)
+    for offsets in ((-1, 0, 2), (1, 0, -1), (-2, 1)):  # the last has no diagonal
+        A = random_banded(rng, n, offsets)
+        assert np.allclose(A @ v, dense(A, n) @ v, atol=1e-14)
+        # a product starts from the diagonal's, not from zeros: the same
+        # additions in commuted order, so the same values
+        zero_started = np.zeros(n)
+        for off, arr in A.bands.items():
+            lo_r, lo_c = max(0, -off), max(0, off)
+            zero_started[lo_r:n - lo_c] += arr * v[lo_c:n - lo_r]
+        assert np.array_equal(A @ v, zero_started), offsets
+        # transpose round trip
+        assert np.allclose(dense(A.transpose(), n), dense(A, n).T, atol=0)
 
 
 def test_ladder_adjoint_under_quadrature():
@@ -197,28 +206,203 @@ def test_verify_all_report_layout():
 
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
-    # one pass: each low state is sampled once, and the suite builds one
-    # ladder at alpha_0 and one at alpha_1
-    from pdemosc import susy
+    # two passes: each low state is sampled once on the whole grid for its
+    # norm, and then each block of rows evaluates every state and the bands
+    # of every operator once, on its rows and a two-row halo
+    from pdemosc import arrays, susy
 
+    monkeypatch.setattr(susy, "ROWS", 256)
     fam = make_family(kind, 1.0, lam)
     grid = build_grid(fam, 800)
-    samples, ladders = [], []
-    honest_samples, honest_ladder = susy.eigenfunction_samples, susy.build_ladder
-
-    def counted_samples(family, n, g):
-        samples.append(n)
-        return honest_samples(family, n, g)
-
-    def counted_ladder(family, alpha_n, g):
-        ladders.append(alpha_n)
-        return honest_ladder(family, alpha_n, g)
-    monkeypatch.setattr(susy, "eigenfunction_samples", counted_samples)
-    monkeypatch.setattr(susy, "build_ladder", counted_ladder)
-    verify_all(fam, grid)
     count = bound_state_count(fam)
-    assert samples == list(range(5 if count is None else min(5, count)))
-    assert ladders == [fam.alpha0, alpha_at(fam, 1)]
+    count = 5 if count is None else min(5, count)
+    calls = []
+
+    def counted(name, fn, key=lambda *args: ()):
+        # records (name, first node, node count, key): x is the last argument
+        def wrapper(*args):
+            x = args[-1]
+            calls.append((name, float(x[0]), len(x), *key(*args)))
+            return fn(*args)
+        return wrapper
+
+    def counted_kinetic(family, g, lo, hi):
+        calls.append(("kinetic", float(g.points[lo]), hi - lo))
+        return arrays.kinetic_bands(family, g, lo, hi)
+
+    def counted_whole(family, k, g):
+        calls.append(("whole", k, g.n))
+        return arrays.whole_grid_states(family, k, g)
+    monkeypatch.setattr(susy, "whole_grid_states", counted_whole)
+    monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
+    monkeypatch.setattr(arrays.BoundStates, "rows", counted(
+        "states", arrays.BoundStates.rows, lambda st, x: (len(st.norms),)))
+    for name in ("potential_minus", "potential_plus", "potential_full",
+                 "mass_at"):
+        monkeypatch.setattr(susy, name, counted(name, getattr(susy, name)))
+    monkeypatch.setattr(susy, "superpotential_at", counted(
+        "superpotential_at", susy.superpotential_at, lambda f, a, x: (a,)))
+    verify_all(fam, grid)
+
+    assert calls[0] == ("whole", count, 800)
+    expected = []
+    for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
+        x0, m = float(grid.points[first]), stop - first
+        expected += [(name, x0, m) for name in (
+            "kinetic", "potential_minus", "potential_plus", "potential_full",
+            "mass_at")]
+        expected += [("superpotential_at", x0, m, fam.alpha0),
+                     ("superpotential_at", x0, m, alpha_at(fam, 1)),
+                     ("states", x0, m, count)]
+    assert sorted(calls[1:]) == sorted(expected)
+
+
+# === the whole-grid reference of verify_all ===
+#
+# verify_all as it ran before it walked the grid in blocks: every operator
+# and state on the whole grid, in phases.  The block walk must reproduce
+# it to rounding, and bit for bit on a grid of one block.
+
+def _reference_scaled_sq_norm(v, grid):
+    _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
+    u = np.ldexp(v, -e)
+    return grid.h * float(np.dot(u, u)), e
+
+
+def _reference_max_residual(residual_fn, states, grid):
+    worst = 0.0
+    for v in states:
+        rr, er = _reference_scaled_sq_norm(residual_fn(v)[2:-2], grid)
+        vv, ev = _reference_scaled_sq_norm(v, grid)
+        worst = max(worst, math.ldexp(math.sqrt(rr) / math.sqrt(vv), er - ev))
+    return worst
+
+
+def _reference_hamiltonian(fam, grid, potential):
+    t = assemble_symmetric(fam, grid, potential)
+    return Banded(grid.n, {-1: t.offdiag, 0: t.diag, 1: t.offdiag})
+
+
+def _reference_superalgebra(a, ad, u, x):
+    w = x * u
+    zero = np.zeros(len(u))
+
+    def q(pair):
+        return [zero, a @ pair[0]]
+
+    def qd(pair):
+        return [ad @ pair[1], zero]
+
+    def anti(f, g):
+        fg, gf = f(g((u, w))), g(f((u, w)))
+        return [fg[0] + gf[0], fg[1] + gf[1]]
+
+    qqd = anti(q, qd)
+    parts = [*anti(q, q), *anti(qd, qd), qqd[0] - ad @ (a @ u),
+             qqd[1] - a @ (ad @ w)]
+    return max(float(np.max(np.abs(p))) for p in parts)
+
+
+def reference_residuals(fam, grid):
+    count = bound_state_count(fam)
+    states = [eigenfunction_samples(fam, n, grid)
+              for n in range(5 if count is None else min(5, count))]
+    a0, x = fam.alpha0, grid.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_minus = _reference_hamiltonian(fam, grid, potential_minus(fam, a0, x))
+        h_plus = _reference_hamiltonian(fam, grid, potential_plus(fam, a0, x))
+    with np.errstate(over="ignore"):
+        h = _reference_hamiltonian(fam, grid, potential_full(fam, x))
+    a = build_ladder(fam, a0, grid)
+    ad = a.transpose()
+    a1 = build_ladder(fam, alpha_at(fam, 1), grid)
+    ad1 = a1.transpose()
+    e0, r = 0.5 * a0, remainder(fam, a0)
+    return {
+        "factorization": _reference_max_residual(
+            lambda v: ad @ (a @ v) - (h @ v - e0 * v), states, grid),
+        "annihilation": _reference_max_residual(lambda v: a @ v, states[:1], grid),
+        "intertwine_minus": _reference_max_residual(
+            lambda v: a @ (h_minus @ v) - h_plus @ (a @ v), states, grid),
+        "intertwine_plus": _reference_max_residual(
+            lambda v: ad @ (h_plus @ v) - h_minus @ (ad @ v), states, grid),
+        "superalgebra_offdiag": _reference_superalgebra(a, ad, states[0], x),
+        "shift_identity": _reference_max_residual(
+            lambda v: a @ (ad @ v) - (ad1 @ (a1 @ v) + r * v), states, grid),
+    }
+
+
+@pytest.mark.parametrize("kind, alpha, lam", [
+    (Kind.CASE1, 1.0, 0.1), (Kind.CASE1, 1.0, -0.3), (Kind.CASE1, 100.0, 10.0),
+])
+def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam):
+    # block edges may fall anywhere: N = k·ROWS + r for r = 0 … 3, odd and
+    # even N, on an unbounded domain, a compact one and at a large alpha
+    from pdemosc import susy
+
+    fam = make_family(kind, alpha, lam)
+    for n in (16, 37, 370, 371, 372, 373, 407, 408):
+        grid = build_grid(fam, n)
+        want = reference_residuals(fam, grid)
+        monkeypatch.setattr(susy, "ROWS", 37)
+        got = {k: e.value for k, e in verify_all(fam, grid).residuals.items()}
+        assert list(got) == RESIDUAL_NAMES
+        if n <= 37:
+            assert got == want, n
+        for name in RESIDUAL_NAMES:
+            assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0.0), (
+                n, name)
+        monkeypatch.undo()
+        # one block of the shipped size: bit for bit
+        assert n <= susy.ROWS
+        assert {k: e.value for k, e in
+                verify_all(fam, grid).residuals.items()} == want, n
+
+
+def test_block_rows_replay_the_whole_grid_past_the_rescale():
+    # past n = 150 on this box the recurrence divides by powers of two that
+    # the whole grid chooses; a block of nodes replays them, so its rows
+    # are the whole grid's bit for bit
+    from pdemosc.arrays import nodes_between, whole_grid_states
+
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 2001)
+    pairs = list(whole_grid_states(fam, 171, grid))
+    whole, states = [v for v, _ in pairs], pairs[-1][1]
+    assert states.shifts and len(states.norms) == 171
+    for n in (0, 150, 170):
+        assert np.array_equal(whole[n], eigenfunction_samples(fam, n, grid))
+    for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
+        rows = states.rows(nodes_between(grid, lo, hi))
+        assert all(np.array_equal(row, v[lo:hi]) for row, v in zip(rows, whole))
+
+
+def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
+    # H₋ is refused before H₊, with H₋'s largest entry, though H₊'s larger
+    # entries sit in an earlier block and H₋'s NaN in a later one
+    from pdemosc import susy
+    from pdemosc.errors import PdemError
+
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = build_grid(fam, 2001)
+    honest_minus, honest_plus = susy.potential_minus, susy.potential_plus
+
+    def minus(f, a, x):
+        v = honest_minus(f, a, x)
+        return np.where(x > grid.points[1800], 3e160, v) + np.where(
+            x == grid.points[1900], np.nan, 0.0)
+
+    def plus(f, a, x):
+        return np.where(x < grid.points[100], 5e170, honest_plus(f, a, x))
+    with pytest.raises(PdemError) as want:
+        assemble_symmetric(fam, grid, minus(fam, fam.alpha0, grid.points))
+    assert "3e+160" in str(want.value)
+    monkeypatch.setattr(susy, "potential_minus", minus)
+    monkeypatch.setattr(susy, "potential_plus", plus)
+    monkeypatch.setattr(susy, "ROWS", 300)
+    with pytest.raises(PdemError) as got:
+        verify_all(fam, grid)
+    assert str(got.value) == str(want.value)
 
 
 def test_tolerances_scale_as_alpha_powers():
@@ -246,8 +430,10 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
 
     families = [make_family(Kind.CASE1, alpha, 0.1 * alpha),
                 make_family(Kind.CASE3, alpha, 0.3 * math.sqrt(alpha))]
-    grids = [build_grid(fam, 4000) for fam in families]
-    for fam, grid in zip(families, grids):
+    # one block of rows, and several
+    assert 4000 <= susy.ROWS < 20001
+    cases = [(fam, build_grid(fam, n)) for fam in families for n in (4000, 20001)]
+    for fam, grid in cases:
         assert all(e.passed for e in verify_all(fam, grid).residuals.values())
     if mutation == "h-plus-both-sides":
         # A H+ = H+ A in place of A H- = H+ A
@@ -258,10 +444,10 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
         monkeypatch.setattr(susy, "superpotential_at",
                             lambda f, a, x: 1.01 * honest(f, a, x))
         failing = {"annihilation", "factorization"}
-    for fam, grid in zip(families, grids):
+    for fam, grid in cases:
         report = verify_all(fam, grid)
         failed = {n for n, e in report.residuals.items() if not e.passed}
-        assert failed >= failing, (fam.profile.kind, failed)
+        assert failed >= failing, (fam.profile.kind, grid.n, failed)
 
 
 def test_report_json_schema():
