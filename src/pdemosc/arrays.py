@@ -75,39 +75,80 @@ def _zeta(family: ShapeInvariantFamily, x):
     return math.sqrt(family.profile.c * family.alpha0) * x
 
 
-def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict,
-              record: bool):
+def _steps(family: ShapeInvariantFamily, count: int):
+    """(a, b) of each step H_{m+1} = a·ζ·H_m − b·H_{m−1}, for m < count − 1."""
+    q = unified_deformation(family)
+    return [(2.0 - (2 * m + 1) * q, m * (2.0 - m * q)) for m in range(count - 1)]
+
+
+def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict):
     """Yields H_n(ζ, q) for n = 0 … count − 1, on the array ζ = √(cα)·x.
 
     The three-term recurrence is stable at high degree, where the
     expanded monomial form is not.  H_n outgrows a double at high degree
     (on the default box, the squared norm of H_n φ_0 does from n = 150),
-    so the pair (H_{m−1}, H_m) is divided by 2^e whenever a running bound
-    on max|H_m| passes 2^256.  Such a division is exact, and the norm
-    absorbs it.  The bound and the maxima are the whole grid's: with
-    `record`, ζ is the whole grid's and each division is stored in
-    `shifts` as {m: e}; without it, the stored divisions are replayed, so
-    a block of nodes gets the whole grid's rows.  The bound is the same
-    for every degree, so one recurrence serves them all.
+    so after each step m in `shifts` the pair (H_m, H_{m+1}) is divided
+    by 2^shifts[m], as rescale_schedule chose it for the whole grid.  Such
+    a division is exact, and the norm absorbs it.  Each entry depends on
+    its own node only, so a block of nodes gets the whole grid's rows.
     """
-    q = unified_deformation(family)
-    zeta_max = float(np.max(np.abs(zeta))) if record else 0.0
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
-    top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
     yield h_cur
-    for m in range(count - 1):
-        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+    for m, (a, b) in enumerate(_steps(family, count)):
         h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
-        if record:
-            top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
-            if top > 2.0 ** 256:
-                shifts[m] = math.frexp(float(np.max(np.abs(h_cur))))[1]
         if m in shifts:
             e = shifts[m]
             h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
-            if record:
-                top_prev, top = float(np.max(np.abs(h_prev))), 1.0
         yield h_cur
+
+
+def _blocks(grid: Grid, rows: int):
+    """(lo, hi) of each run of `rows` nodes, the last one shorter."""
+    return [(lo, min(lo + rows, grid.n)) for lo in range(0, grid.n, rows)]
+
+
+def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
+                     rows: int) -> dict:
+    """The divisions {m: e} of _hermites for degrees below count on the grid.
+
+    A running bound on max|H_m| starts from max|ζ| = √(cα)·max|x|, which
+    the end nodes hold.  Only at a step m where the bound passes 2^256
+    are the blocks of `rows` nodes swept for max|H_m| and max|H_{m+1}|
+    under the divisions before it; the pair is divided by the power of
+    two just above max|H_{m+1}|, and the bound restarts from the divided
+    maxima.  A maximum does not depend on the order of the blocks, so
+    every block size gives the whole grid's schedule.  (Where √(cα) is
+    inf, every H_{m≥1} is inf or nan at the end nodes, so every division
+    found is by 2^0.)
+    """
+    zeta_max = _zeta(family, max(abs(grid.node(1)), abs(grid.node(grid.n))))
+    shifts = {}
+    top_prev, top = 0.0, 1.0  # upper bounds on max|H_{m−1}|, max|H_m|
+    for m, (a, b) in enumerate(_steps(family, count)):
+        top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
+        if top > 2.0 ** 256:
+            low, high = [], []
+            for lo, hi in _blocks(grid, rows):
+                zeta = _zeta(family, nodes_between(grid, lo, hi))
+                for k, h in enumerate(_hermites(family, m + 2, zeta, shifts)):
+                    if k == m:
+                        low.append(float(np.max(np.abs(h))))
+                high.append(float(np.max(np.abs(h))))
+            # np.max, as on the whole grid, propagates a nan
+            e = shifts[m] = math.frexp(float(np.max(high)))[1]
+            top_prev, top = math.ldexp(float(np.max(low)), -e), 1.0
+    return shifts
+
+
+def _sample(out, family: ShapeInvariantFamily, n: int, grid: Grid,
+            shifts: dict, rows: int):
+    """Writes H_n·φ_0, not normalized, into the whole-grid array out, one
+    block of `rows` nodes at a time."""
+    for lo, hi in _blocks(grid, rows):
+        x = nodes_between(grid, lo, hi)
+        for h in _hermites(family, n + 1, _zeta(family, x), shifts):
+            pass
+        np.multiply(h, ground_state_unnormalized(family, x), out=out[lo:hi])
 
 
 class BoundStates(namedtuple("BoundStates", "family shifts norms")):
@@ -125,27 +166,31 @@ class BoundStates(namedtuple("BoundStates", "family shifts norms")):
         """φ_0 … φ_{k−1} at the nodes x, one array each."""
         g = ground_state_unnormalized(self.family, x)
         hs = _hermites(self.family, len(self.norms), _zeta(self.family, x),
-                       self.shifts, False)
+                       self.shifts)
         return [h * g / norm for h, norm in zip(hs, self.norms)]
 
 
-def whole_grid_states(family: ShapeInvariantFamily, count: int, grid: Grid):
+def whole_grid_states(family: ShapeInvariantFamily, count: int, grid: Grid,
+                      rows: int | None = None):
     """Yields (φ_n, BoundStates of φ_0 … φ_n) for n = 0 … count − 1.
 
-    φ_n is sampled on the whole grid, one degree at a time, as
-    eigenfunction_samples samples it.
+    φ_n is sampled as eigenfunction_samples samples it, one degree at a
+    time, into a fresh whole-grid array that the recurrence fills in
+    blocks of `rows` nodes (by default, one block).  Each block's nodes,
+    ground state and recurrence are evaluated anew for every degree, so
+    while the caller holds one φ_n only block-sized arrays are added.
+    The norm is the one whole-grid inner product, so it keeps its bits.
     """
     require_bound(family, count - 1)
-    # not grid.points, which the grid would keep after this pass
-    x = nodes_between(grid, 0, grid.n)
-    g, zeta = ground_state_unnormalized(family, x), _zeta(family, x)
-    del x
-    shifts, norms = {}, []
-    for h in _hermites(family, count, zeta, shifts, True):
-        phi = h * g
+    rows = rows or grid.n
+    shifts, norms = rescale_schedule(family, count, grid, rows), []
+    for n in range(count):
+        phi = np.empty(grid.n)
+        _sample(phi, family, n, grid, shifts, rows)
         norms.append(math.sqrt(inner_product(phi, phi, grid)))
         phi /= norms[-1]
         yield phi, BoundStates(family, shifts, tuple(norms))
+        del phi  # else the next degree's array is made while this one lives
 
 
 def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
@@ -153,14 +198,15 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
 
     The leading coefficient of H_n, Π_{m<n}(2 − (2m+1)q), is positive for
     every bound level, so the right tail of φ_n is positive.  N_n makes
-    the trapezoid norm one (endpoints are implicit zeros).
+    the trapezoid norm one (endpoints are implicit zeros).  The nodes are
+    not grid.points, which the grid would keep after the call.
     """
     require_bound(family, n)
-    x = grid.points
-    for h in _hermites(family, n + 1, _zeta(family, x), {}, True):
-        pass
-    phi = h * ground_state_unnormalized(family, x)
-    return phi / math.sqrt(inner_product(phi, phi, grid))
+    phi = np.empty(grid.n)
+    _sample(phi, family, n, grid,
+            rescale_schedule(family, n + 1, grid, grid.n), grid.n)
+    phi /= math.sqrt(inner_product(phi, phi, grid))
+    return phi
 
 
 def kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):

@@ -202,13 +202,14 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
     Returns the leading diagonal entries, mᵇ/h² at the leading interior
-    midpoints and the outer factors mᵃ, mᶜ at the nodes, from which the two
-    composition orders of the leading off-diagonal entries follow (see
+    midpoints and the outer factors (mᵃ, mᶜ) at the nodes, from which the
+    two composition orders of the leading off-diagonal entries follow (see
     assemble_lists and von_roos_asymmetry).  At the symmetric ordering
-    (0, −1, 0) the outer factors are one and this is the conservative
-    scheme for −(p φ′)′ with p = 1/(2m).  A power or quotient that leaves
-    the range of a double is refused as an overflow, as an infinite entry
-    would be.
+    (0, −1, 0) this is the conservative scheme for −(p φ′)′ with
+    p = 1/(2m); its outer factors are exactly one, so their products are
+    left out (the entries keep their bits) and None is returned for them.
+    A power or quotient that leaves the range of a double is refused as an
+    overflow, as an infinite entry would be.
 
     The mass and the potential depend on x only through x·x.  On a grid
     centred at 0 the nodes and midpoints mirror bit for bit, so they are
@@ -224,17 +225,23 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     xs = grid.nodes((n + 1) // 2 if mirror else n)
     mids = grid.midpoints(n // 2 + 1 if mirror else n + 1)
     pairs = n // 2 if mirror else n - 1
+    unit = ordering.a == 0.0 and ordering.c == 0.0  # m⁰ = 1 at every node
     try:
         m_nodes = masses_on(family.profile, xs)
         w = _mirrored(_powers(masses_on(family.profile, mids), ordering.b), n + 1)
         potential = potentials_on(family, xs, m_nodes)
-        ma = _mirrored(_powers(m_nodes, ordering.a), n)
-        mc = _mirrored(_powers(m_nodes, ordering.c), n)
+        if not unit:
+            ma = _mirrored(_powers(m_nodes, ordering.a), n)
+            mc = _mirrored(_powers(m_nodes, ordering.c), n)
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
+    win = [x / h2 for x in w[1:pairs + 1]]
+    if unit:
+        return ([0.5 * (wl + wr) / h2 + v
+                 for wl, wr, v in zip(w, w[1:], potential)], win, None)
     diag = [0.5 * a * c * (wl + wr) / h2 + v
             for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-    return diag, [x / h2 for x in w[1:pairs + 1]], ma, mc
+    return diag, win, (ma, mc)
 
 
 def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
@@ -247,10 +254,13 @@ def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
     square overflows a double (or an infinite or NaN one) is refused with
     InvalidLambdaError.
     """
-    diag, win, ma, mc = _stencil(family, grid, ordering)
-    # the upper composition order plus the lower one, in one pass
-    off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
-           for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    diag, win, outer = _stencil(family, grid, ordering)
+    if outer is None:
+        off = [-0.125 * ((x + x) + (x + x)) for x in win]
+    else:  # the upper composition order plus the lower one, in one pass
+        ma, mc = outer
+        off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
+               for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
     # the mirrored rows repeat these entries
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
@@ -292,7 +302,10 @@ def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
     # a mirrored coupling swaps the two orders, so the leading ones suffice
-    _, win, ma, mc = _stencil(family, grid, ordering)
+    _, win, outer = _stencil(family, grid, ordering)
+    if outer is None:  # unit outer factors: the two orders are one product
+        return 0.0
+    ma, mc = outer
     upper = [a0 * x * c1 + c0 * x * a1
              for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
     lower = [a1 * x * c0 + c1 * x * a0

@@ -11,20 +11,22 @@ tolerance.
 
 verify_all walks the grid in blocks of ROWS rows, each with a halo of two
 rows on either side, since no identity applies more than two tridiagonal
-operators in a row.  A first pass samples each test state on the whole
-grid, one degree at a time, for its norm and for the power-of-two
-divisions of its recurrence.  The second pass evaluates, per block, the
-nodes, the bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and
-A(α₁) (shared off-bands) and the states, each entry bit for bit as on the
-whole grid, and adds up each residual's scaled sum of squares over the
-block's own rows.  So a grid of one block reproduces the whole-grid
-residuals exactly, and more blocks change only the order of that sum
-(about 1e−15 relative).  The blocks replace phases that built each
-operator on the whole grid: at N = 200000 those kept 17 grid-length
-vectors live (26 MB), `verify` peaked at 55.5 MB RSS, and its banded
-products ran from DRAM.  The blocks' arrays stay in a core's cache, the
-first pass holds about 11 MB, `verify` peaks at 40.5 MB, and verify_all
-takes about half the time.
+operators in a row.  A first pass fills each test state into one
+whole-grid array, one degree at a time and ROWS rows at a time, for its
+norm (one whole-grid inner product, so it keeps its bits); the
+power-of-two divisions of its recurrence are chosen up front.  The second
+pass evaluates, per block, the nodes, the bands of H₋, H₊ and H (one
+shared kinetic part), of A(α₀) and A(α₁) (shared off-bands) and the
+states, each entry bit for bit as on the whole grid, and adds up each
+residual's scaled sum of squares over the block's own rows.  So a grid of
+one block reproduces the whole-grid residuals exactly, and more blocks
+change only the order of that sum (about 1e−15 relative).  The blocks
+replace phases that built each operator on the whole grid: at N = 200000
+those kept 17 grid-length vectors live (26 MB), `verify` peaked at
+55.5 MB RSS, and its banded products ran from DRAM.  The blocks' arrays
+stay in a core's cache, verify_all holds one grid-length vector at most
+(2.1 MB traced in all at N = 200000), `verify` peaks at 31 MB, and
+verify_all takes about half the time.
 """
 
 from __future__ import annotations
@@ -171,11 +173,12 @@ def _scaled_sq_norm(v, grid: Grid):
 
     Dividing by a power of two near the largest entry before squaring
     does not move ordinary residuals, and the squares cannot overflow at
-    a large α.
+    a large α.  v is scaled in place, so a whole-grid v costs no
+    whole-grid temporaries; it must not be read again.
     """
-    _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
-    u = np.ldexp(v, -e)
-    return grid.h * float(np.dot(u, u)), e
+    _, e = math.frexp(max(float(v.max()), -float(v.min())))
+    np.ldexp(v, -e, out=v)
+    return grid.h * float(np.dot(v, v)), e
 
 
 def _merged(parts):
@@ -246,15 +249,16 @@ def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
     """
     a, ad, a_next, ad_next, h_minus, h_plus, h = ops
     av, adv = a @ v, ad @ v
-    # A†A = H − E₀ and Aφ₀ = 0
+    # A†A = H − E₀
     yield "factorization", ad @ av - (h @ v - e0 * v)
-    if ground:
-        yield "annihilation", av
     # AH₋ = H₊A and A†H₊ = H₋A†
     yield "intertwine_minus", a @ (h_minus @ v) - h_plus @ av
     yield "intertwine_plus", ad @ (h_plus @ v) - h_minus @ adv
     # A(α₀)A†(α₀) = A†(α₁)A(α₁) + R(α₀)
     yield "shift_identity", a @ adv - (ad_next @ (a_next @ v) + r * v)
+    # Aφ₀ = 0; last, since _scaled_sq_norm overwrites Av
+    if ground:
+        yield "annihilation", av
 
 
 def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
@@ -271,7 +275,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     count = 5 if count is None else min(5, count)
     # pass 1: each state's norm on the whole grid, one degree at a time
     state_norms = []
-    for v, states in whole_grid_states(family, count, grid):
+    for v, states in whole_grid_states(family, count, grid, ROWS):
         state_norms.append(_scaled_sq_norm(v, grid))
         del v  # before the next degree is sampled
     # pass 2: the residuals, one block of rows at a time

@@ -207,8 +207,9 @@ def test_verify_all_report_layout():
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
     # two passes: each low state is sampled once on the whole grid for its
-    # norm, and then each block of rows evaluates every state and the bands
-    # of every operator once, on its rows and a two-row halo
+    # norm, in blocks of ROWS rows, and then each block of rows evaluates
+    # every state and the bands of every operator once, on its rows and a
+    # two-row halo
     from pdemosc import arrays, susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
@@ -230,9 +231,9 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         calls.append(("kinetic", float(g.points[lo]), hi - lo))
         return arrays.kinetic_bands(family, g, lo, hi)
 
-    def counted_whole(family, k, g):
-        calls.append(("whole", k, g.n))
-        return arrays.whole_grid_states(family, k, g)
+    def counted_whole(family, k, g, rows):
+        calls.append(("whole", k, g.n, rows))
+        return arrays.whole_grid_states(family, k, g, rows)
     monkeypatch.setattr(susy, "whole_grid_states", counted_whole)
     monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
     monkeypatch.setattr(arrays.BoundStates, "rows", counted(
@@ -244,7 +245,7 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         "superpotential_at", susy.superpotential_at, lambda f, a, x: (a,)))
     verify_all(fam, grid)
 
-    assert calls[0] == ("whole", count, 800)
+    assert calls[0] == ("whole", count, 800, 256)
     expected = []
     for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
         x0, m = float(grid.points[first]), stop - first
@@ -375,6 +376,79 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
         rows = states.rows(nodes_between(grid, lo, hi))
         assert all(np.array_equal(row, v[lo:hi]) for row, v in zip(rows, whole))
+
+
+def _reference_whole_grid_states(fam, count, grid):
+    # pass 1 as it ran on the whole grid: one recurrence for every degree,
+    # which chooses each division from the grid's own maxima as it goes
+    from pdemosc import ground_state_unnormalized, unified_deformation
+
+    q, x = unified_deformation(fam), grid.points
+    zeta = math.sqrt(fam.profile.c * fam.alpha0) * x
+    zeta_max = float(np.max(np.abs(zeta)))
+    h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
+    top_prev, top = 0.0, 1.0
+    hs, shifts = [h_cur], {}
+    for m in range(count - 1):
+        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+        h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
+        top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
+        if top > 2.0 ** 256:
+            e = shifts[m] = math.frexp(float(np.max(np.abs(h_cur))))[1]
+            h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
+            top_prev, top = float(np.max(np.abs(h_prev))), 1.0
+        hs.append(h_cur)
+    g = ground_state_unnormalized(fam, x)
+    phis, norms = [], []
+    for h in hs:
+        phi = h * g
+        norms.append(math.sqrt(inner_product(phi, phi, grid)))
+        phis.append(phi / norms[-1])
+    return phis, tuple(norms), shifts
+
+
+@pytest.mark.parametrize("kind, lam, n, box", [
+    (Kind.CASE3, 0.2, 407, None), (Kind.CASE1, -0.3, 408, None),
+    (Kind.CONSTANT, 0.0, 1000, None),
+    # max|ζ| = 3e19, at the right end only: the bound passes 2^256 at
+    # degree 4, and the last block holds max|H_4|
+    (Kind.CASE1, 0.1, 371, (-1e19, 3e19)),
+])
+def test_blocked_first_pass_is_the_whole_grid_pass(kind, lam, n, box):
+    # blocks of 37 rows (edges anywhere, odd and even N) and one block:
+    # every φ_n, norm and division is the whole-grid pass's, bit for bit
+    from pdemosc.arrays import whole_grid_states
+    from pdemosc.discrete import uniform_grid
+
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, n) if box is None else uniform_grid(*box, n)
+    count = min(5, bound_state_count(fam) or 5)
+    phis, norms, shifts = _reference_whole_grid_states(fam, count, grid)
+    assert bool(shifts) == (box is not None) and min(shifts, default=0) < 4
+    for rows in (37, n, n + 5):
+        pairs = list(whole_grid_states(fam, count, grid, rows))
+        assert pairs[-1][1].shifts == shifts, rows
+        assert pairs[-1][1].norms == norms, rows
+        for k, (v, _) in enumerate(pairs):
+            assert np.array_equal(v, phis[k]), (rows, k)
+            assert np.array_equal(v, eigenfunction_samples(fam, k, grid)), k
+
+
+def test_verify_all_holds_at_most_one_whole_grid_array():
+    # pass 1 fills one whole-grid φ_n at a time, block by block; pass 2
+    # holds block-sized arrays only
+    import tracemalloc
+
+    fam = make_family(Kind.CASE3, 1.0, 0.3)
+    n = 200000
+    grid = build_grid(fam, n)
+    tracemalloc.start()
+    try:
+        verify_all(fam, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n
 
 
 def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
