@@ -13,8 +13,9 @@ operators lies within about 1e−6 of a level spacing.  Every eigenvalue is
 certified by counts to lie in a bracket no wider than 1e−12·‖T‖∞, a
 tolerance relative to the operator, so the spectrum scales with it down
 to the underflow refusal.  Eigenvectors, where a caller wants them, come
-from one inverse-iteration solve shifted at the eigenvalue.  Nothing in
-this module knows about superpotentials or deformed polynomials.
+from one twisted factorization of T − λI per level (Parlett and Dhillon
+1997), with inverse iteration on its factors only where its vector is
+rejected.  Nothing here knows about superpotentials or polynomials.
 
 Every mass law and potential here is even, and build_grid centres its box
 at 0 with nodes that mirror bit for bit, so the assembled bands are
@@ -23,8 +24,8 @@ matrix with negative couplings is the direct sum of an even and an odd
 block of about N/2 rows each, whose levels alternate (the oscillation
 theorem for Jacobi matrices): level j is level j//2 of block j mod 2.
 The eigensolver detects that structure and runs every count pass,
-inverse-iteration solve and residual on a block; any other matrix is one
-block, on the same code path.
+factorization and residual on a block; any other matrix is one block, on
+the same code path.
 
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the command line calls assemble_lists, eigenvalue_list and
@@ -42,7 +43,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
-from operator import mul
+from itertools import chain, count, islice
+from operator import add, mul, sub
 
 from .errors import (
     ConvergenceFailureError,
@@ -328,10 +330,10 @@ def _scale(d: list, o: list):
     |dᵢ| + rᵢ is dᵢ + rᵢ or −(dᵢ − rᵢ), each rounded alike, so the norm is
     max(ghi, −glo) exactly.
     """
-    a = list(map(abs, o))
-    radius = [x + y for x, y in zip([0.0] + a, a + [0.0])]
-    glo = min([x - r for x, r in zip(d, radius)])
-    ghi = max([x + r for x, r in zip(d, radius)])
+    def radii():  # |o_{i−1}| + |o_i|, generated for each pass, not stored
+        return map(add, chain((0.0,), map(abs, o)), chain(map(abs, o), (0.0,)))
+    glo = min(map(sub, d, radii()))
+    ghi = max(map(add, d, radii()))
     return max(ghi, -glo), glo, ghi
 
 
@@ -558,85 +560,70 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
     return values
 
 
-def _factor_shifted(diag, off, sigma, pivmin):
-    """Partial-pivot LU of T − σI as (swap, mult, u0, u1, u2).
+def _twisted(diag, off, sigma, pivmin):
+    """The twisted factorization of T − σI as (D, R, r, γ_r).
 
-    Row i's swap flag and multiplier, for _forward, and the upper band
-    (u0, u1, u2) of U, for _back_substitute.
+    D and R hold the pivots of the top-down and the bottom-up sweep, each
+    clamped to −pivmin inside ±pivmin as in _neg_count.  The twist r is the
+    last row of least |γ_r| = |D_r − o_r²/R_{r+1}|; γ_r is clamped alike.
     """
-    swap, mult, u0, u1, u2 = [], [], [], [], []
-    # bound appends: five per row are most of the loop's cost
-    put_s, put_m, put_0, put_1, put_2 = (
-        swap.append, mult.append, u0.append, u1.append, u2.append)
-    p = diag[0] - sigma
-    q = off[0] if off else 0.0
-    # row i + 1 of T − σI is (pn, qn, rn) = (o_i, d_{i+1} − σ, o_{i+1}); the
-    # pending row (p, q, 0) has no third entry until a swap brings one
-    for pn, dn, rn in zip(off, diag[1:], off[1:] + [0.0]):
-        qn = dn - sigma
-        if abs(pn) > abs(p):
-            m = p / pn
-            put_s(True)
-            put_m(m)
-            put_0(pn)
-            put_1(qn)
-            put_2(rn)
-            p, q = q - m * qn, 0.0 - m * rn
-        else:
-            if p == 0.0:
-                p = pivmin
-            m = pn / p
-            put_s(False)
-            put_m(m)
-            put_0(p)
-            put_1(q)
-            put_2(0.0)
-            p, q = qn - m * q, rn
-    put_0(p if p != 0.0 else pivmin)
-    return swap, mult, u0, u1, u2
+    neg = -pivmin
+    D, d = [], 1.0
+    put = D.append
+    for a, b in zip(diag, chain((0.0,), off)):
+        d = a - sigma - b * b / d
+        if neg < d < pivmin:
+            d = neg
+        put(d)
+    R, x = [], 1.0
+    put = R.append
+    r, gamma, best = len(D) - 1, D[-1], abs(D[-1])
+    for i, a, b, d in zip(count(len(diag) - 1, -1), reversed(diag),
+                          chain((0.0,), reversed(off)), reversed(D)):
+        q = b * b / x
+        g = d - q
+        if abs(g) < best:
+            r, gamma, best = i, g, abs(g)
+        x = a - sigma - q
+        if neg < x < pivmin:
+            x = neg
+        put(x)
+    R.reverse()
+    return D, R, r, neg if best < pivmin else gamma
 
 
-def _forward(factored, rhs):
-    """rhs with the row swaps and multipliers of the factors applied."""
-    swap, mult = factored[:2]
-    y = []
-    put = y.append
-    cur = rhs[0]
-    for pivot, m, nxt in zip(swap, mult, rhs[1:]):
-        if pivot:
-            cur, nxt = nxt, cur
-        put(cur)
-        cur = nxt - m * cur
-    put(cur)
-    return y
-
-
-def _back_substitute(factored, y):
-    """The solution of U x = y for the upper band (u0, u1, u2) of the factors."""
-    _, _, u0, u1, u2 = factored
-    # u2 of the last row is 0
-    x1 = y[-1] / u0[-1]
-    x2 = 0.0
-    out = [x1]
+def _twisted_vector(diag, off, sigma, pivmin) -> list:
+    """The z with z_r = 1 and (T − σI)z = γ_r e_r, for the _twisted twist r."""
+    D, R, r, _ = _twisted(diag, off, sigma, pivmin)
+    del D[r:], R[:r + 1]  # free the pivots z does not use
+    z = 1.0
+    out = [z]
     put = out.append
-    for b, a0, a1, a2 in zip(reversed(y[:-1]), reversed(u0[:-1]),
-                             reversed(u1), reversed(u2)):
-        x1, x2 = (b - a1 * x1 - a2 * x2) / a0, x1
-        put(x1)
+    for o, d in zip(islice(reversed(off), len(off) - r, None), reversed(D)):
+        z = -(o / d) * z
+        put(z)
     out.reverse()
+    z = 1.0
+    for o, x in zip(islice(off, r, None), R):
+        z = -(o / x) * z
+        put(z)
     return out
 
 
-def _unit(v: list, j: int) -> list:
-    """v/‖v‖₂ with the norm from math.fsum; a zero or non-finite norm fails."""
-    try:
-        norm = math.sqrt(math.fsum(map(mul, v, v)))
-    except OverflowError:
-        norm = math.inf
-    if not 0.0 < norm < math.inf:
-        raise ConvergenceFailureError(
-            j, f"inverse iteration broke down for eigenvalue index {j}")
-    return [x / norm for x in v]
+def _twisted_solve(diag, off, sigma, pivmin, rhs) -> list:
+    """The x with (T − σI)x = rhs: both ends eliminated to the twist, then out."""
+    D, R, r, gamma = _twisted(diag, off, sigma, pivmin)
+    x = rhs[:]
+    for i in range(1, r + 1):
+        x[i] -= off[i - 1] / D[i - 1] * x[i - 1]
+    for i in range(len(x) - 2, r - 1, -1):
+        x[i] -= off[i] / R[i + 1] * x[i + 1]
+    x[r] /= gamma
+    for i in range(r - 1, -1, -1):
+        x[i] = (x[i] - off[i] * x[i + 1]) / D[i]
+    for i in range(r + 1, len(x)):
+        x[i] = (x[i] - off[i - 1] * x[i - 1]) / R[i]
+    return x
 
 
 def _unfolded(u: list, n: int, odd: bool) -> list:
@@ -662,6 +649,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     """
     blocks, norm_t, glo, ghi = _prepared(T, k)
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
+    blocks = [block[:2] for block in blocks]  # the squared couplings go
     n, nb = len(T.diag), len(blocks)
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)
@@ -669,10 +657,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     # the power of two just above ‖T‖∞, capped at the largest one a double holds
     exponent = min(math.frexp(norm_t)[1], 1023)
     span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
-    # per block, the off-diagonal padded to the rows it couples (o_i and
-    # o_{i−1}), and its accepted vectors
-    padded = [(off + [0.0], [0.0] + off) for _, off, _ in blocks]
-    accepted = [[] for _ in blocks]
+    accepted = [[] for _ in blocks]  # per block, its accepted vectors
     vectors = []
     # a full vector's h-norm is nb·h times its block's squared 2-norm; so
     # are its inner products, and vectors of opposite parity are orthogonal
@@ -680,35 +665,46 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     root_w = math.sqrt(weight)
     for j, lam in enumerate(eigenvalues):
         b = j % nb
-        diag, off, _ = blocks[b]
-        above, below = padded[b]
-        rows = len(diag)
-        # uniform on [−1, 1) from one seeded draw of 64-bit words, times
-        # span; its norm only scales the first solve, which then comes out
-        # about 1/eps in size at every scale of T
-        v = [(x >> 11) * unit - span for x in struct.unpack(
-            f"<{rows}Q", random.Random(1000 + j).randbytes(8 * rows))]
-        factored = _factor_shifted(diag, off, lam, pivmin)
-        for _ in range(50):
-            w = _back_substitute(factored, _forward(factored, v))
+        diag, off = blocks[b]
+        w = _twisted_vector(diag, off, lam, pivmin)
+        for attempt in range(50):
+            before = math.hypot(*w) if accepted[b] else 0.0
             for u in accepted[b]:
                 # project out the accepted vectors of this parity, for
                 # which weight·u·u = 1, to keep the pairwise Gram at
                 # roundoff; c is tiny, so a plain sum is accurate enough
                 c = weight * sum(map(mul, w, u))
                 w = [x - c * y for x, y in zip(w, u)]
-            v = _unit(w, j)
-            # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
-            resid = max([abs(d * x + a * xn + c * xp - lam * x)
-                         for d, x, a, xn, c, xp in zip(
-                             diag, v, above, v[1:] + [0.0], below, [0.0] + v[:-1])])
-            if resid <= accept:
-                break
+            norm = math.hypot(*w)
+            # an iterate that loses more than half its norm to the
+            # projection is not taken: a z of a multiple eigenvalue, or a
+            # solve into a cluster, whose remainder keeps the roundoff of
+            # the part removed until it is solved once more
+            kept = not norm < 0.5 * before
+            if kept or attempt:
+                if not 0.0 < norm < math.inf:
+                    raise ConvergenceFailureError(
+                        j, f"inverse iteration broke down for eigenvalue index {j}")
+                v = [x / norm for x in w]
+                # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
+                if kept and max(abs(d * x + a * xn + c * xp - lam * x)
+                                for d, x, a, xn, c, xp in zip(
+                                    diag, v, chain(off, (0.0,)),
+                                    chain(islice(v, 1, None), (0.0,)),
+                                    chain((0.0,), off), chain((0.0,), v))) <= accept:
+                    break
+            if attempt == 0:
+                # uniform on [−1, 1) from one seeded draw of 64-bit words,
+                # times span; its norm only scales the solve, which then
+                # comes out about 1/eps in size at every scale of T
+                rows = len(diag)
+                v = [(x >> 11) * unit - span for x in struct.unpack(
+                    f"<{rows}Q", random.Random(1000 + j).randbytes(8 * rows))]
+            w = _twisted_solve(diag, off, lam, pivmin, v)
         else:
             raise ConvergenceFailureError(
                 j, f"inverse iteration stagnated for eigenvalue index {j}")
-        # this vector's factors and solve go before the next vector's are built
-        del factored, w
+        del w  # the iterate goes before the next vector's is built
         # the largest-magnitude component of the full vector made positive,
         # the last of equal magnitudes deciding: the first one of the full
         # vector reversed.  A mirrored vector reversed begins with its block
@@ -778,21 +774,25 @@ def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
 def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:
     """k smallest eigenpairs of a symmetric tridiagonal matrix, as ndarrays.
 
-    Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors by
-    seeded inverse iteration shifted at the eigenvalue itself, accepted
-    only when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so h·Σv² = 1 with
-    the largest-magnitude component positive, the last of equal
-    magnitudes deciding.  A T split into parity blocks is solved on the
-    block of each level, with Gram–Schmidt against the vectors of the same
-    parity only, since vectors of opposite parity are exactly orthogonal;
-    the block vector is then mirrored into the full one, negated for an
-    odd state.  The two mirror peaks of an odd state then tie exactly, so
-    its right peak is made positive, a sign that no roundoff in λ can flip.
-    That is the sign of the closed-form states (sampling.eigenfunction_lists),
-    whose right tail is positive, wherever their outermost lobe is the
-    largest, as for the oscillators here.
-    Scaling T by a power of two
-    scales the eigenvalues alike and leaves the eigenvectors bit for bit.
+    Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors from
+    one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
+    with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
+    |γ_r|.  An iterate that fails the residual check, or loses more than
+    half its norm to Gram–Schmidt (a z of a multiple eigenvalue), is
+    retried: the factors solve a seeded random vector, then the last
+    iterate, up to 50 times.  A vector is accepted only when ‖Tv − λv‖∞ ≤
+    1e−10·‖T‖∞, then normalized so h·Σv² = 1 with the largest-magnitude
+    component positive, the last of equal magnitudes deciding.  A T split
+    into parity blocks is solved on the block of each level, with
+    Gram–Schmidt against the vectors of the same parity only, since
+    vectors of opposite parity are exactly orthogonal; the block vector is
+    then mirrored into the full one, negated for an odd state.  The two
+    mirror peaks of an odd state then tie exactly, so its right peak is
+    made positive, a sign that no roundoff in λ can flip.  That is the
+    sign of the closed-form states (sampling.eigenfunction_lists), whose
+    right tail is positive, wherever their outermost lobe is the largest,
+    as for the oscillators here.  Scaling T by a power of two scales the
+    eigenvalues alike and leaves the eigenvectors bit for bit.
     eigenpair_lists is the same on floats.
     """
     import numpy as np

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,55 @@ def test_wilkinson_w21_plus():
         assert_certified(T, k)
 
 
+def eigenvector_stress_set(name):
+    """Operators whose eigenvectors stress a twisted factorization."""
+    w21, w41 = (np.abs(np.arange(-m, m + 1)).astype(float) for m in (10, 20))
+    if name == "w21":
+        return [TridiagonalOperator(w21, np.ones(20))]
+    if name == "w21-mirror":  # negative couplings: solved as parity blocks
+        return [TridiagonalOperator(w21, -np.ones(20))]
+    if name == "w41":
+        return [TridiagonalOperator(w41, np.ones(40))]
+    if name == "w21-glued":  # five copies: every level is five within 1e−10
+        off = np.concatenate([np.append(np.ones(20), 1e-10)] * 5)[:-1]
+        return [TridiagonalOperator(np.tile(w21, 5), off)]
+    if name == "zero":
+        return [TridiagonalOperator(np.zeros(20), np.zeros(19))]
+    rng = random.Random(name)
+    ops = []
+    for _ in range(60):
+        n = rng.randint(2, 80)
+        if name == "zero-couplings":
+            diag = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            off = [rng.choice([0.0, rng.uniform(-1.0, 1.0)]) for _ in range(n - 1)]
+        else:  # near-multiple clusters
+            diag = [rng.choice([0.0, 1.0, 1.0 + 1e-13, 2.0]) for _ in range(n)]
+            off = [rng.choice([0.0, 1e-14, 1e-3]) for _ in range(n - 1)]
+        ops.append(TridiagonalOperator(np.array(diag), np.array(off)))
+    return ops
+
+
+@pytest.mark.parametrize("name", ["w21", "w21-mirror", "w41", "w21-glued",
+                                  "zero-couplings", "clusters", "zero"])
+def test_eigenvectors_of_the_stress_set(name):
+    # every level of each operator: residual and Gram at roundoff, and
+    # LAPACK's vector wherever the level is separated from its neighbours
+    for T in eigenvector_stress_set(name):
+        n, norm = len(T.diag), inf_norm(T)
+        sol = eigen_tridiagonal(T, n)
+        V = sol.eigenvectors
+        tv = T.diag * V
+        tv[:, :-1] += T.offdiag * V[:, 1:]
+        tv[:, 1:] += T.offdiag * V[:, :-1]
+        resid = np.max(np.abs(tv - sol.eigenvalues[:, None] * V), axis=1)
+        assert np.all(resid <= 1e-10 * norm), np.max(resid) / norm
+        assert np.max(np.abs(V @ V.T - np.eye(n))) <= 1e-12
+        values, vectors = scipy.linalg.eigh_tridiagonal(T.diag, T.offdiag)
+        gaps = np.diff(np.concatenate([[-np.inf], values, [np.inf]]))
+        for j in np.flatnonzero(np.minimum(gaps[:-1], gaps[1:]) > 1e-6 * norm):
+            assert abs(V[j] @ vectors[:, j]) >= 1.0 - 1e-7, j
+
+
 def two_well(n, curvature):
     """−½ d²/dx² + min((x − 5)², curvature·(x + 5)²)/2 on (−12, 12)."""
     x = np.linspace(-12.0, 12.0, n + 2)[1:-1]
@@ -427,34 +477,42 @@ def test_operator_at_the_top_of_the_double_range():
 
 
 def test_rejected_first_solve_is_iterated(monkeypatch):
-    # a first right-hand side at the wall barely overlaps the low states, so
-    # the first solve fails the residual check and the loop sweeps again
+    # a first iterate at the wall barely overlaps the low states, so it
+    # fails the residual check and the seeded draw is solved instead
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 400)
     T = assemble_sturm_liouville(fam, grid)
     want = eigen_tridiagonal(T, 4, grid.h)
-    forward, factor = discrete._forward, discrete._factor_shifted
-    fresh, sweeps = [], []  # fresh: a factorization not yet swept
+    solve, solves = discrete._twisted_solve, []
 
-    def factor_marked(*args):
-        fresh.append(True)
-        return factor(*args)
+    def solve_counted(*args):
+        solves.append(1)
+        return solve(*args)
 
-    def forward_from_wall(factored, rhs):
-        sweeps.append(1)
-        if fresh:
-            fresh.clear()
-            rhs = [1.0] + [0.0] * (len(rhs) - 1)
-        return forward(factored, rhs)
-
-    monkeypatch.setattr(discrete, "_factor_shifted", factor_marked)
-    monkeypatch.setattr(discrete, "_forward", forward_from_wall)
+    monkeypatch.setattr(discrete, "_twisted_vector",
+                        lambda diag, *_: [1.0] + [0.0] * (len(diag) - 1))
+    monkeypatch.setattr(discrete, "_twisted_solve", solve_counted)
     got = eigen_tridiagonal(T, 4, grid.h)
-    assert len(sweeps) > 4
+    assert len(solves) >= 4  # a retry for every level
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-    # the mirror peaks of an odd state tie exactly, so the left one fixes
-    # its sign whatever the right-hand side
+    # the mirror peaks of an odd state tie exactly, so the right one fixes
+    # its sign whatever the first iterate
     assert np.max(np.abs(want.eigenvectors - got.eigenvectors)) < 1e-10
+
+
+def test_eigenpairs_peak_memory():
+    # one level's factors, iterate and vector at a time on top of the
+    # returned vectors, which hold about 2 MB here
+    fam = make_family(Kind.CONSTANT, 0.6)
+    grid = build_grid(fam, 32000)
+    T = discrete.assemble_lists(fam, grid)
+    tracemalloc.start()
+    try:
+        discrete.eigenpair_lists(T, 3, grid.h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_eigenvalues_alone_match_eigenpairs_bytewise():
