@@ -4,30 +4,36 @@ The eigenvalue path (grid, stencil, Sturm counts, inverse iteration), the
 exact polynomials and the closed-form samples of `eigenfunctions`
 (`sampling`) run on Python floats and integers, so every command but
 `verify` runs without numpy.  What `verify` needs in arrays lives here:
-grid samples of the bound states, the ground state and the
-superpotential, and the symmetric-ordering stencil, on grids of up to
-200000 nodes, where Python floats would cost about 25 times as much.
-`verify` evaluates all of them on blocks of rows, so each is also given
-on any run of nodes lo … hi − 1: nodes_between, kinetic_bands and
-BoundStates.rows run the same IEEE operations per entry as the whole
-grid does, so a block's entries are the whole grid's, bit for bit.
+the bound states H_n·φ_0, the ground state and the superpotential, and
+the symmetric-ordering stencil, on grids of up to 200000 nodes, where
+Python floats would cost about 25 times as much.  `verify` evaluates all
+of them on blocks of rows, so each is given on any run of nodes
+lo … hi − 1: nodes_between, kinetic_bands and states_at run the same
+IEEE operations per entry as the whole grid does, so a block's entries
+are the whole grid's, bit for bit.  The states are not normalized there,
+since every identity `verify` checks is linear in the state.
 
 The stencil is a second evaluation of discrete's float stencil; both run
 the same IEEE operations in the same order, so their entries agree bit
-for bit.  eigenfunction_samples is a second evaluation of
-sampling.eigenfunction_lists in the same operations; exp, log1p and the
-norm's sum differ, so the two agree to within a few ulps of max|φ_n|.
+for bit.  eigenfunction_samples (states_at on one whole-grid block,
+normalized) is a second evaluation of sampling.eigenfunction_lists in the
+same operations; exp, log1p and the norm's sum differ, so the two agree
+to within a few ulps of max|φ_n|.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 
 import numpy as np
 
-from .discrete import Grid, TridiagonalOperator, refuse_overflow
+from .discrete import (
+    Grid,
+    TridiagonalOperator,
+    refuse_overflow,
+    refuse_underflow,
+)
 from .errors import LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -102,11 +108,6 @@ def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict):
         yield h_cur
 
 
-def _blocks(grid: Grid, rows: int):
-    """(lo, hi) of each run of `rows` nodes, the last one shorter."""
-    return [(lo, min(lo + rows, grid.n)) for lo in range(0, grid.n, rows)]
-
-
 def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
                      rows: int) -> dict:
     """The divisions {m: e} of _hermites for degrees below count on the grid.
@@ -128,8 +129,9 @@ def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
         top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
         if top > 2.0 ** 256:
             low, high = [], []
-            for lo, hi in _blocks(grid, rows):
-                zeta = _zeta(family, nodes_between(grid, lo, hi))
+            for lo in range(0, grid.n, rows):
+                x = nodes_between(grid, lo, min(lo + rows, grid.n))
+                zeta = _zeta(family, x)
                 for k, h in enumerate(_hermites(family, m + 2, zeta, shifts)):
                     if k == m:
                         low.append(float(np.max(np.abs(h))))
@@ -140,57 +142,16 @@ def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
     return shifts
 
 
-def _sample(out, family: ShapeInvariantFamily, n: int, grid: Grid,
-            shifts: dict, rows: int):
-    """Writes H_n·φ_0, not normalized, into the whole-grid array out, one
-    block of `rows` nodes at a time."""
-    for lo, hi in _blocks(grid, rows):
-        x = nodes_between(grid, lo, hi)
-        for h in _hermites(family, n + 1, _zeta(family, x), shifts):
-            pass
-        np.multiply(h, ground_state_unnormalized(family, x), out=out[lo:hi])
+def states_at(family: ShapeInvariantFamily, count: int, shifts: dict, x):
+    """Yields H_n·φ_0 at the nodes x for n = 0 … count − 1, not normalized.
 
-
-class BoundStates(namedtuple("BoundStates", "family shifts norms")):
-    """φ_0 … φ_{k−1} normalized on a whole grid, to be sampled on its blocks.
-
-    `shifts` holds the recurrence's divisions chosen on the whole grid,
-    and norms[n] is √⟨φ_n, φ_n⟩ before normalization, so `rows(x)` at the
-    nodes x of a block equals those rows of eigenfunction_samples bit for
-    bit.
+    One recurrence runs over all degrees and `shifts` is its schedule of
+    divisions (rescale_schedule), so any block of nodes gets the whole
+    grid's rows bit for bit.
     """
-
-    __slots__ = ()
-
-    def rows(self, x) -> list:
-        """φ_0 … φ_{k−1} at the nodes x, one array each."""
-        g = ground_state_unnormalized(self.family, x)
-        hs = _hermites(self.family, len(self.norms), _zeta(self.family, x),
-                       self.shifts)
-        return [h * g / norm for h, norm in zip(hs, self.norms)]
-
-
-def whole_grid_states(family: ShapeInvariantFamily, count: int, grid: Grid,
-                      rows: int | None = None):
-    """Yields (φ_n, BoundStates of φ_0 … φ_n) for n = 0 … count − 1.
-
-    φ_n is sampled as eigenfunction_samples samples it, one degree at a
-    time, into a fresh whole-grid array that the recurrence fills in
-    blocks of `rows` nodes (by default, one block).  Each block's nodes,
-    ground state and recurrence are evaluated anew for every degree, so
-    while the caller holds one φ_n only block-sized arrays are added.
-    The norm is the one whole-grid inner product, so it keeps its bits.
-    """
-    require_bound(family, count - 1)
-    rows = rows or grid.n
-    shifts, norms = rescale_schedule(family, count, grid, rows), []
-    for n in range(count):
-        phi = np.empty(grid.n)
-        _sample(phi, family, n, grid, shifts, rows)
-        norms.append(math.sqrt(inner_product(phi, phi, grid)))
-        phi /= norms[-1]
-        yield phi, BoundStates(family, shifts, tuple(norms))
-        del phi  # else the next degree's array is made while this one lives
+    g = ground_state_unnormalized(family, x)
+    for h in _hermites(family, count, _zeta(family, x), shifts):
+        yield h * g
 
 
 def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
@@ -202,9 +163,10 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     not grid.points, which the grid would keep after the call.
     """
     require_bound(family, n)
-    phi = np.empty(grid.n)
-    _sample(phi, family, n, grid,
-            rescale_schedule(family, n + 1, grid, grid.n), grid.n)
+    shifts = rescale_schedule(family, n + 1, grid, grid.n)
+    for phi in states_at(family, n + 1, shifts,
+                         nodes_between(grid, 0, grid.n)):
+        pass
     phi /= math.sqrt(inner_product(phi, phi, grid))
     return phi
 
@@ -254,10 +216,14 @@ def representable(extents) -> bool:
 
 
 def require_representable(extents):
-    """Refuses an operator that is not representable(extents), naming its
-    largest entry."""
+    """Refuses an operator that is not representable(extents), or whose
+    largest entry is nonzero and squares below the smallest normal double
+    (the eigensolver's rule), naming that entry."""
+    top = _top(extents)
     if not representable(extents):
-        refuse_overflow(_top(extents))
+        refuse_overflow(top)
+    if top and top * top < sys.float_info.min:
+        refuse_underflow(top)
 
 
 def assemble_symmetric(family: ShapeInvariantFamily, grid: Grid,

@@ -4,9 +4,10 @@
 n_max from one three-term recurrence.  This is the sampler of algebraic
 `eigenfunctions`, so that command never imports numpy; `verify`, which
 samples on grids of up to 200000 nodes, uses the numpy twin
-arrays.eigenfunction_samples, which runs the same operations one degree at
-a time.  The two agree to a few ulps of max|φ_n|: exp and log1p come from
-different libraries, and the norm here is a correctly rounded math.fsum.
+arrays.states_at, which runs the same operations.  Its normalized form,
+arrays.eigenfunction_samples, agrees with this one to a few ulps of
+max|φ_n|: exp and log1p come from different libraries, and the norm here
+is a correctly rounded math.fsum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .families import (
 def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
     """Yields H_n(ζ, q) φ_0 at the nodes xs for n = 0 … n_max, as float lists.
 
-    The same operations as arrays.eigenfunction_samples: the recurrence
+    The same operations as arrays.states_at: the recurrence
     a·ζ·H_m − b·H_{m−1}, and a division of the pair (H_{m−1}, H_m) by a
     power of two whenever a running bound on max|H_m| passes 2^256.  That
     bound depends on the degree only, so the division happens at the same

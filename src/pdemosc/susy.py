@@ -9,24 +9,18 @@ states, never by forming an operator product: the analytic identities
 carry O(h²) residuals, while the superalgebra closes exactly, with no
 tolerance.
 
-verify_all walks the grid in blocks of ROWS rows, each with a halo of two
-rows on either side, since no identity applies more than two tridiagonal
-operators in a row.  A first pass fills each test state into one
-whole-grid array, one degree at a time and ROWS rows at a time, for its
-norm (one whole-grid inner product, so it keeps its bits); the
-power-of-two divisions of its recurrence are chosen up front.  The second
-pass evaluates, per block, the nodes, the bands of H₋, H₊ and H (one
-shared kinetic part), of A(α₀) and A(α₁) (shared off-bands) and the
-states, each entry bit for bit as on the whole grid, and adds up each
-residual's scaled sum of squares over the block's own rows.  So a grid of
-one block reproduces the whole-grid residuals exactly, and more blocks
-change only the order of that sum (about 1e−15 relative).  The blocks
-replace phases that built each operator on the whole grid: at N = 200000
-those kept 17 grid-length vectors live (26 MB), `verify` peaked at
-55.5 MB RSS, and its banded products ran from DRAM.  The blocks' arrays
-stay in a core's cache, verify_all holds one grid-length vector at most
-(2.1 MB traced in all at N = 200000), `verify` peaks at 31 MB, and
-verify_all takes about half the time.
+verify_all walks the grid once, in blocks of ROWS rows, each with a halo
+of two rows on either side, since no identity applies more than two
+tridiagonal operators in a row.  Per block it evaluates the nodes, the
+bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and A(α₁)
+(shared off-bands) and the test states H_n·φ₀ from one recurrence, each
+entry bit for bit as on the whole grid (the recurrence's power-of-two
+divisions are chosen up front).  Every identity is linear in the state, so
+the states are not normalized: each residual's scaled sum of squares and
+each state's are added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed
+at the end.  So a grid of one block reproduces the whole-grid residuals
+exactly, and more blocks change only the order of those sums.  No array
+as long as the grid is made; the blocks' arrays stay in a core's cache.
 """
 
 from __future__ import annotations
@@ -44,8 +38,9 @@ from .arrays import (
     nodes_between,
     representable,
     require_representable,
+    rescale_schedule,
+    states_at,
     superpotential_at,
-    whole_grid_states,
 )
 from .discrete import Grid, eigen_tridiagonal
 from .errors import LengthMismatchError
@@ -173,8 +168,8 @@ def _scaled_sq_norm(v, grid: Grid):
 
     Dividing by a power of two near the largest entry before squaring
     does not move ordinary residuals, and the squares cannot overflow at
-    a large α.  v is scaled in place, so a whole-grid v costs no
-    whole-grid temporaries; it must not be read again.
+    a large α.  v is scaled in place, with no temporary; it must not be
+    read again.
     """
     _, e = math.frexp(max(float(v.max()), -float(v.min())))
     np.ldexp(v, -e, out=v)
@@ -267,21 +262,18 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     The report keeps the raw residual values and the scaled tolerances.
     H₋, then H₊, then H is refused as assemble_symmetric refuses it, by
     its largest entry on the whole grid, if it holds a NaN or an entry
-    that squares past a double; residual work stops at the first block
-    where one does.
+    that squares past a double (residual work stops at the first block
+    where one does), or if that entry is nonzero and squares below the
+    smallest normal double.
     """
     require_bound(family, 0)
     count = bound_state_count(family)
     count = 5 if count is None else min(5, count)
-    # pass 1: each state's norm on the whole grid, one degree at a time
-    state_norms = []
-    for v, states in whole_grid_states(family, count, grid, ROWS):
-        state_norms.append(_scaled_sq_norm(v, grid))
-        del v  # before the next degree is sampled
-    # pass 2: the residuals, one block of rows at a time
+    shifts = rescale_schedule(family, count, grid, ROWS)
     n, a0 = grid.n, family.alpha0
     a1, e0, r = alpha_at(family, 1), 0.5 * a0, remainder(family, a0)
-    sums, superalgebra, extents, sound = {}, [], ([], [], []), True
+    sums, norms = {}, [[] for _ in range(count)]
+    superalgebra, extents, sound = [], ([], [], []), True
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)
@@ -297,22 +289,23 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
         ad = a.transpose()
         ops = (a, ad, a_next, a_next.transpose(),
                *(Banded(len(x), {-1: off, 0: d, 1: off}) for d in diags))
-        rows = states.rows(x)
-        superalgebra.append(_superalgebra_parts(
-            a, ad, rows[0], x, slice(lo - first, hi - first)))
+        own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)
-        if trim.start >= trim.stop:
-            continue
-        for k, v in enumerate(rows):
-            for name, res in _identity_residuals(ops, v, k == 0, e0, r):
-                sums.setdefault((name, k), []).append(
-                    _scaled_sq_norm(res[trim], grid))
+        for k, v in enumerate(states_at(family, count, shifts, x)):
+            if k == 0:
+                superalgebra.append(_superalgebra_parts(a, ad, v, x, own))
+            if trim.start < trim.stop:
+                for name, res in _identity_residuals(ops, v, k == 0, e0, r):
+                    sums.setdefault((name, k), []).append(
+                        _scaled_sq_norm(res[trim], grid))
+            # last, since _scaled_sq_norm overwrites v's own rows
+            norms[k].append(_scaled_sq_norm(v[own], grid))
     for ext in extents:  # H₋, then H₊, then H, as they are assembled
         require_representable(ext)
     values = dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
     for (name, k), parts in sums.items():
-        (rr, er), (vv, ev) = _merged(parts), state_norms[k]
+        (rr, er), (vv, ev) = _merged(parts), _merged(norms[k])
         values[name] = max(values[name], math.ldexp(
             math.sqrt(rr) / math.sqrt(vv), er - ev))
     values["superalgebra_offdiag"] = max(

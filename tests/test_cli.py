@@ -312,6 +312,10 @@ def test_closed_stdout_ends_in_one_error_line():
       "--ordering=-0.5,0,-0.5"], "underflows"),
     (["eigenfunctions", "--family", "constant", "--alpha", "1e-200",
       "--source", "numeric"], "underflows"),
+    # c·α·α in the potentials is subnormal here; at 1e-300 every residual
+    # underflows to 0
+    (["verify", "--family", "constant", "--alpha", "1e-200"], "underflows"),
+    (["verify", "--family", "constant", "--alpha", "1e-300"], "underflows"),
     # no operator is built, but E_2 = 2.5·alpha leaves the range of a double
     (["eigenfunctions", "--family", "constant", "--alpha", "1e308",
       "--n-max", "2", "--grid-n", "20", "--format", "json"], "E_2 is inf"),
@@ -322,7 +326,8 @@ def test_closed_stdout_ends_in_one_error_line():
         "overflow-spectrum-alpha", "overflow-spectrum-case2",
         "overflow-compare", "overflow-numeric", "overflow-potential",
         "overflow-subnormal-q", "underflow-spectrum", "underflow-compare",
-        "underflow-numeric", "overflow-energy"])
+        "underflow-numeric", "underflow-verify", "underflow-verify-zero",
+        "overflow-energy"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()

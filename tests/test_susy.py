@@ -206,10 +206,8 @@ def test_verify_all_report_layout():
 
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
-    # two passes: each low state is sampled once on the whole grid for its
-    # norm, in blocks of ROWS rows, and then each block of rows evaluates
-    # every state and the bands of every operator once, on its rows and a
-    # two-row halo
+    # one pass: each block of ROWS rows, with its two-row halo, evaluates
+    # every state and the bands of every operator once
     from pdemosc import arrays, susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
@@ -230,14 +228,9 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
     def counted_kinetic(family, g, lo, hi):
         calls.append(("kinetic", float(g.points[lo]), hi - lo))
         return arrays.kinetic_bands(family, g, lo, hi)
-
-    def counted_whole(family, k, g, rows):
-        calls.append(("whole", k, g.n, rows))
-        return arrays.whole_grid_states(family, k, g, rows)
-    monkeypatch.setattr(susy, "whole_grid_states", counted_whole)
     monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
-    monkeypatch.setattr(arrays.BoundStates, "rows", counted(
-        "states", arrays.BoundStates.rows, lambda st, x: (len(st.norms),)))
+    monkeypatch.setattr(susy, "states_at", counted(
+        "states", arrays.states_at, lambda f, k, shifts, x: (k,)))
     for name in ("potential_minus", "potential_plus", "potential_full",
                  "mass_at"):
         monkeypatch.setattr(susy, name, counted(name, getattr(susy, name)))
@@ -245,7 +238,6 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         "superpotential_at", susy.superpotential_at, lambda f, a, x: (a,)))
     verify_all(fam, grid)
 
-    assert calls[0] == ("whole", count, 800, 256)
     expected = []
     for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
         x0, m = float(grid.points[first]), stop - first
@@ -255,14 +247,15 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         expected += [("superpotential_at", x0, m, fam.alpha0),
                      ("superpotential_at", x0, m, alpha_at(fam, 1)),
                      ("states", x0, m, count)]
-    assert sorted(calls[1:]) == sorted(expected)
+    assert sorted(calls) == sorted(expected)
 
 
 # === the whole-grid reference of verify_all ===
 #
 # verify_all as it ran before it walked the grid in blocks: every operator
 # and state on the whole grid, in phases.  The block walk must reproduce
-# it to rounding, and bit for bit on a grid of one block.
+# it to rounding, and bit for bit on a grid of one block.  Each identity
+# is linear in the state, so the states are H_n·φ₀, not normalized.
 
 def _reference_scaled_sq_norm(v, grid):
     _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
@@ -306,8 +299,8 @@ def _reference_superalgebra(a, ad, u, x):
 
 def reference_residuals(fam, grid):
     count = bound_state_count(fam)
-    states = [eigenfunction_samples(fam, n, grid)
-              for n in range(5 if count is None else min(5, count))]
+    states, _ = _reference_whole_grid_states(
+        fam, 5 if count is None else min(5, count), grid)
     a0, x = fam.alpha0, grid.points
     with np.errstate(over="ignore", invalid="ignore"):
         h_minus = _reference_hamiltonian(fam, grid, potential_minus(fam, a0, x))
@@ -364,23 +357,25 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
     # past n = 150 on this box the recurrence divides by powers of two that
     # the whole grid chooses; a block of nodes replays them, so its rows
     # are the whole grid's bit for bit
-    from pdemosc.arrays import nodes_between, whole_grid_states
+    from pdemosc.arrays import nodes_between, rescale_schedule, states_at
 
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2001)
-    pairs = list(whole_grid_states(fam, 171, grid))
-    whole, states = [v for v, _ in pairs], pairs[-1][1]
-    assert states.shifts and len(states.norms) == 171
+    shifts = rescale_schedule(fam, 171, grid, grid.n)
+    assert shifts
+    whole = list(states_at(fam, 171, shifts, grid.points))
     for n in (0, 150, 170):
-        assert np.array_equal(whole[n], eigenfunction_samples(fam, n, grid))
+        phi = whole[n] / math.sqrt(inner_product(whole[n], whole[n], grid))
+        assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
-        rows = states.rows(nodes_between(grid, lo, hi))
+        rows = list(states_at(fam, 171, shifts, nodes_between(grid, lo, hi)))
+        assert len(rows) == 171
         assert all(np.array_equal(row, v[lo:hi]) for row, v in zip(rows, whole))
 
 
 def _reference_whole_grid_states(fam, count, grid):
-    # pass 1 as it ran on the whole grid: one recurrence for every degree,
-    # which chooses each division from the grid's own maxima as it goes
+    # the states H_n·φ₀ from one recurrence on the whole grid, which
+    # chooses each division from the grid's own maxima as it goes
     from pdemosc import ground_state_unnormalized, unified_deformation
 
     q, x = unified_deformation(fam), grid.points
@@ -399,12 +394,7 @@ def _reference_whole_grid_states(fam, count, grid):
             top_prev, top = float(np.max(np.abs(h_prev))), 1.0
         hs.append(h_cur)
     g = ground_state_unnormalized(fam, x)
-    phis, norms = [], []
-    for h in hs:
-        phi = h * g
-        norms.append(math.sqrt(inner_product(phi, phi, grid)))
-        phis.append(phi / norms[-1])
-    return phis, tuple(norms), shifts
+    return [h * g for h in hs], shifts
 
 
 @pytest.mark.parametrize("kind, lam, n, box", [
@@ -416,31 +406,34 @@ def _reference_whole_grid_states(fam, count, grid):
 ])
 def test_blocked_first_pass_is_the_whole_grid_pass(kind, lam, n, box):
     # blocks of 37 rows (edges anywhere, odd and even N) and one block:
-    # every φ_n, norm and division is the whole-grid pass's, bit for bit
-    from pdemosc.arrays import whole_grid_states
+    # every division and state is the whole-grid recurrence's, and every
+    # normalized state eigenfunction_samples', bit for bit
+    from pdemosc.arrays import nodes_between, rescale_schedule, states_at
     from pdemosc.discrete import uniform_grid
 
     fam = make_family(kind, 1.0, lam)
     grid = build_grid(fam, n) if box is None else uniform_grid(*box, n)
     count = min(5, bound_state_count(fam) or 5)
-    phis, norms, shifts = _reference_whole_grid_states(fam, count, grid)
+    states, shifts = _reference_whole_grid_states(fam, count, grid)
     assert bool(shifts) == (box is not None) and min(shifts, default=0) < 4
     for rows in (37, n, n + 5):
-        pairs = list(whole_grid_states(fam, count, grid, rows))
-        assert pairs[-1][1].shifts == shifts, rows
-        assert pairs[-1][1].norms == norms, rows
-        for k, (v, _) in enumerate(pairs):
-            assert np.array_equal(v, phis[k]), (rows, k)
-            assert np.array_equal(v, eigenfunction_samples(fam, k, grid)), k
+        assert rescale_schedule(fam, count, grid, rows) == shifts, rows
+    for lo in range(0, n, 37):
+        hi = min(lo + 37, n)
+        got = states_at(fam, count, shifts, nodes_between(grid, lo, hi))
+        for k, (v, want) in enumerate(zip(got, states, strict=True)):
+            assert np.array_equal(v, want[lo:hi]), (lo, k)
+    for k, v in enumerate(states):
+        phi = v / math.sqrt(inner_product(v, v, grid))
+        assert np.array_equal(phi, eigenfunction_samples(fam, k, grid)), k
 
 
-def test_verify_all_holds_at_most_one_whole_grid_array():
-    # pass 1 fills one whole-grid φ_n at a time, block by block; pass 2
-    # holds block-sized arrays only
+def test_verify_all_holds_no_whole_grid_array():
+    # one pass over blocks of rows: no array as long as the grid is made
     import tracemalloc
 
     fam = make_family(Kind.CASE3, 1.0, 0.3)
-    n = 200000
+    n = 400000
     grid = build_grid(fam, n)
     tracemalloc.start()
     try:
@@ -448,7 +441,7 @@ def test_verify_all_holds_at_most_one_whole_grid_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n
+    assert peak < 8 * n
 
 
 def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
