@@ -14,8 +14,7 @@ _MODULES = {
                  superpotential_at""",
     "cli": "run",
     "discrete": """EigenSolution Grid TridiagonalOperator assemble_sturm_liouville
-                   assemble_von_roos build_grid eigen_tridiagonal
-                   tridiagonal_eigenvalues uniform_grid""",
+                   assemble_von_roos build_grid eigen_tridiagonal uniform_grid""",
     "errors": """ConstraintViolatedError ConvergenceFailureError
                  DegreeMismatchError InvalidCountError InvalidLambdaError
                  LengthMismatchError NonPositiveAlphaError NotABoundStateError

@@ -13,9 +13,9 @@ IEEE operations per entry as the whole grid does, so a block's entries
 are the whole grid's, bit for bit.  The states are not normalized there,
 since every identity `verify` checks is linear in the state.
 
-The stencil is a second evaluation of discrete's float stencil; both run
-the same IEEE operations in the same order, so their entries agree bit
-for bit.  eigenfunction_samples (states_at on one whole-grid block,
+kinetic_bands is a second evaluation of discrete's float stencil; both
+run the same IEEE operations in the same order, so their entries agree
+bit for bit.  eigenfunction_samples (states_at on one whole-grid block,
 normalized) is a second evaluation of sampling.eigenfunction_lists in the
 same operations; exp, log1p and the norm's sum differ, so the two agree
 to within a few ulps of max|φ_n|.
@@ -28,19 +28,14 @@ import sys
 
 import numpy as np
 
-from .discrete import (
-    Grid,
-    TridiagonalOperator,
-    refuse_overflow,
-    refuse_underflow,
-)
-from .errors import LengthMismatchError
+from .discrete import Grid
+from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
+    hermite_steps,
     mass_at,
     require_bound,
     require_inside,
-    unified_deformation,
 )
 
 
@@ -53,7 +48,7 @@ def inner_product(f, g, grid: Grid) -> float:
 
 
 def nodes_between(grid: Grid, lo: int, hi: int):
-    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.points."""
+    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes."""
     return grid.center + grid.h * (np.arange(lo + 1, hi + 1)
                                    - 0.5 * (grid.n + 1))
 
@@ -81,12 +76,6 @@ def _zeta(family: ShapeInvariantFamily, x):
     return math.sqrt(family.profile.c * family.alpha0) * x
 
 
-def _steps(family: ShapeInvariantFamily, count: int):
-    """(a, b) of each step H_{m+1} = a·ζ·H_m − b·H_{m−1}, for m < count − 1."""
-    q = unified_deformation(family)
-    return [(2.0 - (2 * m + 1) * q, m * (2.0 - m * q)) for m in range(count - 1)]
-
-
 def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict):
     """Yields H_n(ζ, q) for n = 0 … count − 1, on the array ζ = √(cα)·x.
 
@@ -100,7 +89,7 @@ def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict):
     """
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
     yield h_cur
-    for m, (a, b) in enumerate(_steps(family, count)):
+    for m, (a, b) in enumerate(hermite_steps(family, count)):
         h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
         if m in shifts:
             e = shifts[m]
@@ -125,7 +114,7 @@ def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
     zeta_max = _zeta(family, max(abs(grid.node(1)), abs(grid.node(grid.n))))
     shifts = {}
     top_prev, top = 0.0, 1.0  # upper bounds on max|H_{m−1}|, max|H_m|
-    for m, (a, b) in enumerate(_steps(family, count)):
+    for m, (a, b) in enumerate(hermite_steps(family, count)):
         top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
         if top > 2.0 ** 256:
             low, high = [], []
@@ -159,8 +148,7 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
 
     The leading coefficient of H_n, Π_{m<n}(2 − (2m+1)q), is positive for
     every bound level, so the right tail of φ_n is positive.  N_n makes
-    the trapezoid norm one (endpoints are implicit zeros).  The nodes are
-    not grid.points, which the grid would keep after the call.
+    the trapezoid norm one (endpoints are implicit zeros).
     """
     require_bound(family, n)
     shifts = rescale_schedule(family, n + 1, grid, grid.n)
@@ -218,24 +206,15 @@ def representable(extents) -> bool:
 def require_representable(extents):
     """Refuses an operator that is not representable(extents), or whose
     largest entry is nonzero and squares below the smallest normal double
-    (the eigensolver's rule), naming that entry."""
+    (the eigensolver's rule for the norm), naming that entry."""
     top = _top(extents)
     if not representable(extents):
-        refuse_overflow(top)
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian overflows: its largest entry is "
+            f"{top:.3g}, whose square leaves the range of a double; lower "
+            f"alpha, weaken the deformation or coarsen the grid")
     if top and top * top < sys.float_info.min:
-        refuse_underflow(top)
-
-
-def assemble_symmetric(family: ShapeInvariantFamily, grid: Grid,
-                       potential) -> TridiagonalOperator:
-    """discrete's stencil at the symmetric ordering (0, −1, 0), on arrays.
-
-    diag and offdiag equal those of discrete.assemble_lists bit for bit,
-    mirrored halves included (see kinetic_bands).  The overflow refusal is
-    the same too.
-    """
-    kinetic, off = kinetic_bands(family, grid, 0, grid.n)
-    with np.errstate(over="ignore"):
-        diag = kinetic + potential
-    require_representable([band_extent(diag, off)])
-    return TridiagonalOperator(diag, off)
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian underflows: its largest entry is "
+            f"only {top:.3g}, whose square falls below the smallest normal "
+            f"double; raise alpha or refine the grid")

@@ -29,9 +29,8 @@ the same code path.
 
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the command line calls assemble_lists, eigenvalue_list and
-eigenpair_lists.  The public assemblers, tridiagonal_eigenvalues,
-eigen_tridiagonal and `Grid.points` return ndarrays, and import numpy
-when called.
+eigenpair_lists.  The public assemblers and eigen_tridiagonal return
+ndarrays, and import numpy when called.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import struct
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain, count, islice
 from operator import add, mul, sub
 
@@ -69,10 +67,11 @@ class Grid(namedtuple("Grid", "lo hi n h")):
     is −(node i) and midpoint n−i is −(midpoint i) bit for bit; an even
     mass law and potential then give exactly mirror-symmetric bands, which
     the eigensolver splits into parity blocks.  `nodes()` lists the nodes
-    as floats for the eigenvalue path; `points` is the same nodes as an
-    ndarray, from the same IEEE operations, built on first use for the
-    numpy consumers.
+    as floats; arrays.nodes_between gives any run of them as an ndarray,
+    from the same IEEE operations.
     """
+
+    __slots__ = ()
 
     @property
     def center(self) -> float:
@@ -84,18 +83,13 @@ class Grid(namedtuple("Grid", "lo hi n h")):
     def nodes(self, count: int | None = None) -> list:
         """Nodes 1..count (all n by default) as floats."""
         c, h, mid = self.center, self.h, 0.5 * (self.n + 1)
-        return [c + h * (i - mid) for i in range(1, (count or self.n) + 1)]
+        count = self.n if count is None else count
+        return [c + h * (i - mid) for i in range(1, count + 1)]
 
     def midpoints(self, count: int) -> list:
         """Midpoints 0..count − 1 as floats."""
         c, h, mid = self.center, self.h, 0.5 * self.n
         return [c + h * (i - mid) for i in range(count)]
-
-    @cached_property
-    def points(self):
-        import numpy as np
-        return self.center + self.h * (np.arange(1, self.n + 1)
-                                       - 0.5 * (self.n + 1))
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -169,18 +163,10 @@ def build_grid(family: ShapeInvariantFamily, n: int,
 def refuse_overflow(top: float):
     """The refusal of an operator whose largest entry `top` squares past a double."""
     raise InvalidLambdaError(
-        f"the discretized Hamiltonian overflows: its entries reach "
-        f"{top:.3g}, and the eigensolver squares them, which leaves the "
-        f"range of a double; lower alpha, weaken the deformation or "
+        f"the discretized Hamiltonian overflows: its largest entry is "
+        f"{top:.3g}, and the eigensolver squares the entries, which leaves "
+        f"the range of a double; lower alpha, weaken the deformation or "
         f"coarsen the grid")
-
-
-def refuse_underflow(norm: float):
-    """The refusal of an operator whose norm `norm` squares below a double."""
-    raise InvalidLambdaError(
-        f"the discretized Hamiltonian underflows: its norm is only "
-        f"{norm:.3g}, and the eigensolver squares its entries, which leaves "
-        f"the range of a double; raise alpha or refine the grid")
 
 
 def _powers(ms: list, e: float) -> list:
@@ -434,17 +420,63 @@ def _prepared(T: TridiagonalOperator, k: int):
     scale = _scale(diag[:half], off[:half])
     # T = 0 is exact; any other norm must square to a normal double
     if scale[0] and scale[0] * scale[0] < sys.float_info.min:
-        refuse_underflow(scale[0])
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian underflows: its infinity norm is "
+            f"only {scale[0]:.3g}, and the eigensolver squares its entries, "
+            f"which leaves the range of a double; raise alpha or refine the "
+            f"grid")
     return (blocks, *scale)
 
 
 def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
-    """tridiagonal_eigenvalues as a list of floats, without numpy."""
+    """The k smallest eigenvalues of a symmetric tridiagonal matrix, ascending,
+    as a list of floats.
+
+    Each eigenvalue is certified by Sturm counts to lie in a bracket no
+    wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
+    relative to ‖T‖∞.  An operator whose nonzero norm squares below the
+    smallest normal double is refused with InvalidLambdaError, and T = 0
+    gives exact zeros, and a coupling whose square overflows a double is
+    refused with InvalidLambdaError too.
+
+    A T whose bands are exactly mirror-symmetric and whose couplings are
+    all negative is solved as its even and odd blocks of about N/2 rows
+    (Cantoni and Butler 1976), whose levels alternate: level j is level
+    j//2 of block j mod 2, each with its own brackets and Newton state,
+    while prediction, the lower edge λ_{j−1} and tol = 1e−12·‖T‖∞ are
+    those of the whole T.  The block corner d ± o rounds once, which moves
+    a level by at most one ulp of ‖T‖∞.  Any other T is one block.  Every
+    count narrows the brackets of all requested indices of its block at
+    once (as in LAPACK dstebz).  From
+    index 2 on, the first pass for λ_j is a slope pass at a prediction
+    extrapolated through the last two certified eigenvalues (linear, for
+    λ_2) or three (quadratic), when it lies in λ_j's bracket.  Index j's
+    upper edge then comes from a doubling search up from the bracket's
+    lower edge: for a predicted level it steps first by the predictor's
+    error estimate, the larger of |quadratic − linear| (zero for λ_2),
+    64·tol and twice the Newton step from the prediction, and by at least
+    the last gap after a miss; otherwise it steps by the last gap.  A
+    certified eigenvalue outside that window stops the prediction for the
+    remaining indices, so irregular spectra fall back to the plain search
+    at the cost of about one pass.  Once a bracket holds
+    exactly one eigenvalue, the count pass also returns the slope of
+    log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
+    Zeng 1994): a step that leaves the bracket, or that is more than half
+    the previous step for the same level (a creep next to a cluster), is a
+    bisection, and a step below tol/4 is accepted only when counts at root ± tol/2 (or bracket
+    edges already counted inside them) confine λ_j.  The result is that
+    Newton root, also when the bracket closes below tol around it first; a
+    bracket that narrows to tol without isolating one eigenvalue, as for a
+    multiple eigenvalue, gives its midpoint.  Brackets
+    are refined in ascending index order with λ_{j−1} as a lower edge, so
+    the output is ascending and byte-for-byte reproducible.  More than
+    128 count passes for one eigenvalue raise ConvergenceFailureError.
+    """
     return _sturm_newton(*_prepared(T, k), k)
 
 
 def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
-    """The k smallest eigenvalues of T from its _prepared blocks; see tridiagonal_eigenvalues.
+    """The k smallest eigenvalues of T from its _prepared blocks; see eigenvalue_list.
 
     Level j of T is level j // nb of block j mod nb, for nb blocks.
     """
@@ -723,58 +755,10 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     return eigenvalues, vectors
 
 
-def tridiagonal_eigenvalues(T: TridiagonalOperator, k: int):
-    """The k smallest eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    Each eigenvalue is certified by Sturm counts to lie in a bracket no
-    wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
-    relative to ‖T‖∞.  An operator whose nonzero norm squares below the
-    smallest normal double is refused with InvalidLambdaError, and T = 0
-    gives exact zeros, and a coupling whose square overflows a double is
-    refused with InvalidLambdaError too.
-
-    A T whose bands are exactly mirror-symmetric and whose couplings are
-    all negative is solved as its even and odd blocks of about N/2 rows
-    (Cantoni and Butler 1976), whose levels alternate: level j is level
-    j//2 of block j mod 2, each with its own brackets and Newton state,
-    while prediction, the lower edge λ_{j−1} and tol = 1e−12·‖T‖∞ are
-    those of the whole T.  The block corner d ± o rounds once, which moves
-    a level by at most one ulp of ‖T‖∞.  Any other T is one block.  Every
-    count narrows the brackets of all requested indices of its block at
-    once (as in LAPACK dstebz).  From
-    index 2 on, the first pass for λ_j is a slope pass at a prediction
-    extrapolated through the last two certified eigenvalues (linear, for
-    λ_2) or three (quadratic), when it lies in λ_j's bracket.  Index j's
-    upper edge then comes from a doubling search up from the bracket's
-    lower edge: for a predicted level it steps first by the predictor's
-    error estimate, the larger of |quadratic − linear| (zero for λ_2),
-    64·tol and twice the Newton step from the prediction, and by at least
-    the last gap after a miss; otherwise it steps by the last gap.  A
-    certified eigenvalue outside that window stops the prediction for the
-    remaining indices, so irregular spectra fall back to the plain search
-    at the cost of about one pass.  Once a bracket holds
-    exactly one eigenvalue, the count pass also returns the slope of
-    log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
-    Zeng 1994): a step that leaves the bracket, or that is more than half
-    the previous step for the same level (a creep next to a cluster), is a
-    bisection, and a step below tol/4 is accepted only when counts at root ± tol/2 (or bracket
-    edges already counted inside them) confine λ_j.  The result is that
-    Newton root, also when the bracket closes below tol around it first; a
-    bracket that narrows to tol without isolating one eigenvalue, as for a
-    multiple eigenvalue, gives its midpoint.  Brackets
-    are refined in ascending index order with λ_{j−1} as a lower edge, so
-    the output is ascending and byte-for-byte reproducible.  More than
-    128 count passes for one eigenvalue raise ConvergenceFailureError.
-    Returns an ndarray; eigenvalue_list is the same on floats.
-    """
-    import numpy as np
-    return np.asarray(eigenvalue_list(T, k))
-
-
 def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:
     """k smallest eigenpairs of a symmetric tridiagonal matrix, as ndarrays.
 
-    Eigenvalues as tridiagonal_eigenvalues returns them.  Eigenvectors from
+    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
     one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
     with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
     |γ_r|.  An iterate that fails the residual check, or loses more than

@@ -222,6 +222,14 @@ def unified_deformation(family: ShapeInvariantFamily) -> float:
     return family.profile.s / (family.profile.c * family.alpha0)
 
 
+def hermite_steps(family: ShapeInvariantFamily, count: int) -> list:
+    """(a, b) of each step H_{m+1} = a·ζ·H_m − b·H_{m−1} for m < count − 1:
+    a = 2 − (2m+1)q and b = m(2 − mq), the recurrence of the deformed
+    Hermite polynomials that both grid samplers run."""
+    q = unified_deformation(family)
+    return [(2.0 - (2 * m + 1) * q, m * (2.0 - m * q)) for m in range(count - 1)]
+
+
 def bound_state_count(family: ShapeInvariantFamily) -> int | None:
     """Number of normalizable levels, or None when the whole ladder is bound.
 

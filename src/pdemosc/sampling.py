@@ -19,9 +19,9 @@ from operator import mul
 from .discrete import Grid
 from .families import (
     ShapeInvariantFamily,
+    hermite_steps,
     require_bound,
     require_inside,
-    unified_deformation,
 )
 
 
@@ -35,7 +35,6 @@ def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
     step for every degree, as in a separate recurrence per degree.
     """
     p = family.profile
-    q = unified_deformation(family)
     root = math.sqrt(p.c * family.alpha0)
     zeta = [root * x for x in xs]
     zeta_max = max(map(abs, zeta))
@@ -49,8 +48,7 @@ def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
     yield ground
     h_prev, h_cur = [0.0] * len(xs), [1.0] * len(xs)
     top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
-    for m in range(n_max):
-        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+    for a, b in hermite_steps(family, n_max + 1):
         h_prev, h_cur = h_cur, [a * z * h - b * g
                                 for z, h, g in zip(zeta, h_cur, h_prev)]
         top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev

@@ -31,7 +31,6 @@ from collections import namedtuple
 import numpy as np
 
 from .arrays import (
-    assemble_symmetric,
     band_extent,
     eigenfunction_samples,
     kinetic_bands,
@@ -42,7 +41,7 @@ from .arrays import (
     states_at,
     superpotential_at,
 )
-from .discrete import Grid, eigen_tridiagonal
+from .discrete import Grid, TridiagonalOperator, eigen_tridiagonal
 from .errors import LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -158,7 +157,7 @@ def build_ladder(family: ShapeInvariantFamily, alpha_n: float,
     at Dirichlet ends the centered difference simply drops the exterior
     (zero) neighbor.
     """
-    return _ladders(family, grid, grid.points, (alpha_n,))[0]
+    return _ladders(family, grid, nodes_between(grid, 0, grid.n), (alpha_n,))[0]
 
 
 # === residual measurement on smooth states ===
@@ -260,11 +259,11 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     """Every residual, each judged against its α = 1 tolerance times α^p.
 
     The report keeps the raw residual values and the scaled tolerances.
-    H₋, then H₊, then H is refused as assemble_symmetric refuses it, by
-    its largest entry on the whole grid, if it holds a NaN or an entry
-    that squares past a double (residual work stops at the first block
-    where one does), or if that entry is nonzero and squares below the
-    smallest normal double.
+    H₋, then H₊, then H is refused by require_representable, by its
+    largest entry on the whole grid, if it holds a NaN or an entry that
+    squares past a double (residual work stops at the first block where
+    one does), or if that entry is nonzero and squares below the smallest
+    normal double.
     """
     require_bound(family, 0)
     count = bound_state_count(family)
@@ -324,11 +323,12 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     the direction is asserted because the discrete norm differs from the
     continuum factor [E_n^(+)]^(−1/2) at O(h).
     """
-    a = build_ladder(family, family.alpha0, grid)
+    x = nodes_between(grid, 0, grid.n)
+    a = _ladders(family, grid, x, (family.alpha0,))[0]
     mapped = a @ eigenfunction_samples(family, n + 1, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vp = potential_plus(family, family.alpha0, grid.points)
-    sol = eigen_tridiagonal(assemble_symmetric(family, grid, vp), n + 1, grid.h)
+    (_, diag, _), off = _block_hamiltonians(family, grid, x, 0, grid.n)
+    require_representable([band_extent(diag, off)])
+    sol = eigen_tridiagonal(TridiagonalOperator(diag, off), n + 1, grid.h)
     v = sol.eigenvectors[n]
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))
     return abs(float(np.dot(mapped, v))) / denom

@@ -189,8 +189,9 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
     # c·α² overflows to inf, which meets x = 0 at the centre node of an odd
     # grid: the partner potentials hold nan, and assembly must refuse them
     # in one line, with no RuntimeWarning on the way, naming the largest
-    # entry (inf), as spectrum's refusal of the same operator does.  At
-    # 20001 nodes the nan lies in a middle block of verify's row blocks.
+    # entry (inf), as spectrum's refusal of the same operator does; only
+    # spectrum's goes on to its eigensolver.  At 20001 nodes the nan lies
+    # in a middle block of verify's row blocks.
     for grid_n in ("17", "20001"):
         errs = []
         for command in ("verify", "spectrum"):
@@ -201,7 +202,8 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             errs.append(err)
-        assert errs[0] == errs[1], grid_n
+        assert errs[0].split(",")[0] == errs[1].split(",")[0], grid_n
+        assert errs[0].split(",")[0].endswith(" its largest entry is inf")
 
 
 def test_verify_passes_at_large_alpha(capsys):
@@ -334,6 +336,28 @@ def test_edge_requests_are_refused(capsys, argv, needle):
     assert code == 1 and out == ""
     assert err.startswith("error:") and needle in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, words", [
+    # verify runs no eigensolver; it names the largest entry it checks
+    (["verify", "--family", "constant", "--alpha", "1e-300", "--grid-n", "17"],
+     "underflows: its largest entry is only 9.66e-301, whose square"),
+    (["verify", "--family", "constant", "--alpha", "7.359689122788897e+269",
+      "--grid-n", "17"], "overflows: its largest entry is inf, whose square"),
+    # the eigensolver's rule is on the infinity norm of the operator
+    (["spectrum", "--family", "constant", "--alpha", "1e-200"],
+     "underflows: its infinity norm is only 1.45e-195, and the eigensolver"),
+    (["spectrum", "--family", "constant", "--alpha", "1e150"],
+     "overflows: its largest entry is 7.24e+154, and the eigensolver"),
+], ids=["verify-underflow", "verify-overflow", "spectrum-underflow",
+        "spectrum-overflow"])
+def test_refusals_name_what_they_measure(capsys, argv, words):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: the discretized Hamiltonian " + words)
+    assert err.count("\n") == 1
+    assert ("eigensolver" in err) == (argv[0] != "verify")
 
 
 def test_small_alpha_spectrum_scales_with_alpha(capsys):

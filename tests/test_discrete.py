@@ -22,11 +22,11 @@ from pdemosc import (
     energy,
     inner_product,
     make_family,
-    tridiagonal_eigenvalues,
     uniform_grid,
 )
 from pdemosc import discrete
-from pdemosc.discrete import von_roos_asymmetry
+from pdemosc.arrays import nodes_between
+from pdemosc.discrete import eigenvalue_list, von_roos_asymmetry
 from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
 
 
@@ -39,10 +39,14 @@ def random_tridiagonal(rng, n, scale=1.0):
 def test_grid_layout():
     g = uniform_grid(-1.0, 1.0, 19)
     assert g.h == pytest.approx(2.0 / 20.0)
-    assert len(g.points) == 19
+    xs = g.nodes()
+    assert len(xs) == 19
     # interior nodes only: the Dirichlet endpoints are not sampled
-    assert g.points[0] == pytest.approx(-1.0 + g.h)
-    assert g.points[-1] == pytest.approx(1.0 - g.h)
+    assert xs[0] == pytest.approx(-1.0 + g.h)
+    assert xs[-1] == pytest.approx(1.0 - g.h)
+    assert g.nodes(0) == [] and g.nodes(1) == [xs[0]]
+    # a record with no per-instance dict: nothing is cached on a grid
+    assert not hasattr(g, "__dict__")
     with pytest.raises(InvalidCountError):
         uniform_grid(-1.0, 1.0, 15)
 
@@ -60,7 +64,19 @@ def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     assert mids == [-x for x in reversed(mids)]
     assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
     # the numpy nodes come from the same IEEE operations
-    assert grid.points.tobytes() == np.array(xs).tobytes()
+    assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (-0.3, 1.7), (0.1, 0.35)])
+@pytest.mark.parametrize("n", [4000, 4001])
+def test_numpy_nodes_are_the_float_nodes_bit_for_bit(box, n):
+    # centred and off-centre boxes, odd and even N, whole grid and blocks
+    grid = uniform_grid(*box, n)
+    xs = grid.nodes()
+    assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+    for lo, hi in [(0, 1), (17, 2048), (n - 5, n)]:
+        assert (nodes_between(grid, lo, hi).tobytes()
+                == np.array(xs[lo:hi]).tobytes())
 
 
 def full_stencil(fam, grid, ordering):
@@ -310,7 +326,7 @@ def test_inner_product_checks_lengths():
 
 def test_inner_product_is_trapezoid_quadrature():
     g = uniform_grid(0.0, 1.0, 99)
-    f = np.sin(math.pi * g.points)
+    f = np.sin(math.pi * np.array(g.nodes()))
     # int_0^1 sin^2(pi x) dx = 1/2; the integrand vanishes at both endpoints
     assert inner_product(f, f, g) == pytest.approx(0.5, abs=1e-4)
 
@@ -325,7 +341,7 @@ def inf_norm(T):
 def assert_certified(T, k):
     """Ascending, within tol of LAPACK, and the same counts below every shift."""
     tol = 1e-12 * max(1.0, inf_norm(T))
-    got = tridiagonal_eigenvalues(T, k)
+    got = eigenvalue_list(T, k)
     ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:k]
     assert np.all(np.diff(got) >= 0.0)
     assert np.max(np.abs(got - ref)) <= tol
@@ -449,14 +465,14 @@ def test_operator_whose_squares_underflow_is_refused():
     tiny = TridiagonalOperator(diag=np.ldexp(np.full(20, 2.0), -520),
                                offdiag=np.ldexp(np.full(19, -1.0), -520))
     with pytest.raises(InvalidLambdaError, match="underflows"):
-        tridiagonal_eigenvalues(tiny, 1)
+        eigenvalue_list(tiny, 1)
     with pytest.raises(InvalidLambdaError, match="underflows"):
         eigen_tridiagonal(tiny, 1)
 
 
 def test_zero_operator_has_exact_zero_eigenvalues():
     zero = TridiagonalOperator(diag=np.zeros(20), offdiag=np.zeros(19))
-    assert tridiagonal_eigenvalues(zero, 5).tolist() == [0.0] * 5
+    assert eigenvalue_list(zero, 5) == [0.0] * 5
     sol = eigen_tridiagonal(zero, 5, 0.5)
     assert sol.eigenvalues.tolist() == [0.0] * 5
     assert np.allclose(0.5 * sol.eigenvectors @ sol.eigenvectors.T, np.eye(5),
@@ -519,11 +535,11 @@ def test_eigenvalues_alone_match_eigenpairs_bytewise():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     grid = build_grid(fam, 600)
     T = assemble_sturm_liouville(fam, grid)
-    alone = tridiagonal_eigenvalues(T, 7)
+    alone = np.array(eigenvalue_list(T, 7))
     paired = eigen_tridiagonal(T, 7, grid.h).eigenvalues
     assert alone.tobytes() == paired.tobytes()
     with pytest.raises(InvalidCountError):
-        tridiagonal_eigenvalues(T, 0)
+        eigenvalue_list(T, 0)
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -535,7 +551,7 @@ def test_eigenvalues_within_tol_of_lapack(kind, lam):
     fam = make_family(kind, 1.0, lam)
     for n in (4000, 4001):
         T = assemble_sturm_liouville(fam, build_grid(fam, n))
-        got = tridiagonal_eigenvalues(T, 20)
+        got = eigenvalue_list(T, 20)
         ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
                                                 select_range=(0, 19))
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, inf_norm(T)), n
@@ -546,7 +562,7 @@ def test_closed_bracket_returns_the_newton_root():
     # midpoint of such a bracket put λ_19 0.19·tol from LAPACK here
     fam = make_family(Kind.CONSTANT, 1.0)
     T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
-    got = tridiagonal_eigenvalues(T, 20)
+    got = eigenvalue_list(T, 20)
     ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag, select="i",
                                             select_range=(0, 19))
     assert np.max(np.abs(got - ref)) <= 0.05e-12 * inf_norm(T)
@@ -569,7 +585,7 @@ def test_newton_keeps_count_passes_low(monkeypatch):
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 4000)
     T = assemble_sturm_liouville(fam, grid)
-    tridiagonal_eigenvalues(T, 10)
+    eigenvalue_list(T, 10)
     assert 10 <= len(passes) <= 12 * 10
 
 
@@ -583,9 +599,9 @@ def test_predicted_levels_take_few_passes(monkeypatch, kind, lam):
     passes = count_passes(monkeypatch)
     fam = make_family(kind, 1.0, lam)
     T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
-    tridiagonal_eigenvalues(T, 3)
+    eigenvalue_list(T, 3)
     first = len(passes)
-    tridiagonal_eigenvalues(T, 20)
+    eigenvalue_list(T, 20)
     assert len(passes) - 2 * first <= 5 * 17
 
 
@@ -594,7 +610,7 @@ def test_prediction_costs_irregular_spectra_little(monkeypatch):
     # misses; a search from λ_{j−1} alone took 1202 passes on these three
     passes = count_passes(monkeypatch)
     for seed in (1, 2, 3):
-        tridiagonal_eigenvalues(random_tridiagonal(random.Random(seed), 500), 20)
+        eigenvalue_list(random_tridiagonal(random.Random(seed), 500), 20)
     assert len(passes) <= 1.1 * 1202
 
 
@@ -603,7 +619,7 @@ def test_count_pass_cap_raises(monkeypatch):
     fam = make_family(Kind.CONSTANT, 1.0)
     T = assemble_sturm_liouville(fam, build_grid(fam, 400))
     with pytest.raises(ConvergenceFailureError):
-        tridiagonal_eigenvalues(T, 1)
+        eigenvalue_list(T, 1)
 
 
 def mirror_jacobi(rng, n):
@@ -648,7 +664,7 @@ def test_parity_blocks_halve_the_rows_swept(monkeypatch):
         fam = make_family(kind, 1.0, lam)
         T = assemble_sturm_liouville(fam, build_grid(fam, 4000))
         rows.clear()
-        tridiagonal_eigenvalues(T, 20)
+        eigenvalue_list(T, 20)
         assert sum(rows) <= 0.6 * whole * 4000, kind
 
 
@@ -663,7 +679,7 @@ def test_clustered_spectra_converge():
         off = [rng.choice([0.0, 1e-14, 1e-3]) for _ in range(n - 1)]
         T = TridiagonalOperator(np.array(diag), np.array(off))
         k = rng.randint(1, n)
-        got = tridiagonal_eigenvalues(T, k)
+        got = eigenvalue_list(T, k)
         ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)[:k]
         assert np.max(np.abs(got - ref)) <= 1e-12 * inf_norm(T)
 
@@ -679,7 +695,7 @@ def test_coupling_that_squares_past_a_double_is_refused():
     for diag, off in (([1.0, 2.0, 3.0], [1e150, 0.0]),
                       ([1.0, 2.0, 1.0], [-1.3e154, -1.3e154])):
         T = TridiagonalOperator(np.array(diag), np.array(off))
-        got = tridiagonal_eigenvalues(T, 3)
+        got = eigenvalue_list(T, 3)
         ref = scipy.linalg.eigvalsh_tridiagonal(T.diag, T.offdiag)
         assert np.max(np.abs(got - ref)) <= 1e-12 * inf_norm(T)
     assert len(discrete._prepared(T, 1)[0]) == 1

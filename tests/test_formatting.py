@@ -72,7 +72,7 @@ def test_eigenfunction_csv_cells_are_17g_of_library_values(capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert err == ""
     fam = make_family(Kind.CASE1, 1.0, 0.1)
-    x = build_grid(fam, 700).points
+    x = build_grid(fam, 700).nodes()
     lines = out.split("\n")
     assert lines[0] == "x,phi_0,phi_1,phi_2" and lines[-1] == ""
     cells = [line.split(",") for line in lines[1:-1]]

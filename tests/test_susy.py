@@ -16,17 +16,19 @@ from pdemosc import (
     inner_product,
     make_family,
     mass_at,
-    potential_full,
-    potential_minus,
-    potential_plus,
     remainder,
     report_to_json_dict,
     state_map_cosine,
     superpotential_at,
     verify_all,
 )
-from pdemosc.arrays import assemble_symmetric
-from pdemosc.susy import Banded, DEFAULT_TOLERANCES, RESIDUAL_POWERS
+from pdemosc.arrays import band_extent, nodes_between, require_representable
+from pdemosc.susy import (
+    DEFAULT_TOLERANCES,
+    RESIDUAL_POWERS,
+    Banded,
+    _block_hamiltonians,
+)
 
 RESIDUAL_NAMES = [
     "factorization",
@@ -109,14 +111,24 @@ def test_ladder_bands_shape():
 
 def dense_ladder(fam, alpha, grid):
     # A = diag(1/sqrt(2m)) D + diag(W), D the centered difference
-    n, h = grid.n, grid.h
+    n, h, x = grid.n, grid.h, nodes_between(grid, 0, grid.n)
     d = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
-    s = 1.0 / np.sqrt(2.0 * mass_at(fam.profile, grid.points))
-    return np.diag(s) @ d + np.diag(superpotential_at(fam, alpha, grid.points))
+    s = 1.0 / np.sqrt(2.0 * mass_at(fam.profile, x))
+    return np.diag(s) @ d + np.diag(superpotential_at(fam, alpha, x))
 
 
-def dense_tridiagonal(t):
-    return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+def dense_tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def whole_grid_hamiltonians(fam, grid):
+    """The bands (H₋, H₊, H) of verify_all on one block of the whole grid,
+    each (diag, offdiag) and refused in that order as verify_all refuses."""
+    x = nodes_between(grid, 0, grid.n)
+    diags, off = _block_hamiltonians(fam, grid, x, 0, grid.n)
+    for diag in diags:
+        require_representable([band_extent(diag, off)])
+    return [(diag, off) for diag in diags]
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -139,11 +151,9 @@ def test_residuals_match_dense_products(kind, lam):
 
     a = dense_ladder(fam, a0, grid)
     a2 = dense_ladder(fam, alpha_at(fam, 1), grid)
-    h = dense_tridiagonal(assemble_sturm_liouville(fam, grid))
-    h_minus = dense_tridiagonal(assemble_symmetric(
-        fam, grid, potential_minus(fam, a0, grid.points)))
-    h_plus = dense_tridiagonal(assemble_symmetric(
-        fam, grid, potential_plus(fam, a0, grid.points)))
+    h = dense_tridiagonal(*assemble_sturm_liouville(fam, grid))
+    h_minus, h_plus, _ = (dense_tridiagonal(*bands)
+                          for bands in whole_grid_hamiltonians(fam, grid))
     eye = np.eye(n)
     want = [
         residual(a.T @ a - (h - 0.5 * a0 * eye)),
@@ -226,7 +236,7 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         return wrapper
 
     def counted_kinetic(family, g, lo, hi):
-        calls.append(("kinetic", float(g.points[lo]), hi - lo))
+        calls.append(("kinetic", g.node(lo + 1), hi - lo))
         return arrays.kinetic_bands(family, g, lo, hi)
     monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
     monkeypatch.setattr(susy, "states_at", counted(
@@ -240,7 +250,7 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
 
     expected = []
     for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
-        x0, m = float(grid.points[first]), stop - first
+        x0, m = grid.node(first + 1), stop - first
         expected += [(name, x0, m) for name in (
             "kinetic", "potential_minus", "potential_plus", "potential_full",
             "mass_at")]
@@ -272,11 +282,6 @@ def _reference_max_residual(residual_fn, states, grid):
     return worst
 
 
-def _reference_hamiltonian(fam, grid, potential):
-    t = assemble_symmetric(fam, grid, potential)
-    return Banded(grid.n, {-1: t.offdiag, 0: t.diag, 1: t.offdiag})
-
-
 def _reference_superalgebra(a, ad, u, x):
     w = x * u
     zero = np.zeros(len(u))
@@ -301,12 +306,9 @@ def reference_residuals(fam, grid):
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
-    a0, x = fam.alpha0, grid.points
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_minus = _reference_hamiltonian(fam, grid, potential_minus(fam, a0, x))
-        h_plus = _reference_hamiltonian(fam, grid, potential_plus(fam, a0, x))
-    with np.errstate(over="ignore"):
-        h = _reference_hamiltonian(fam, grid, potential_full(fam, x))
+    a0, x = fam.alpha0, nodes_between(grid, 0, grid.n)
+    h_minus, h_plus, h = (Banded(grid.n, {-1: off, 0: diag, 1: off})
+                          for diag, off in whole_grid_hamiltonians(fam, grid))
     a = build_ladder(fam, a0, grid)
     ad = a.transpose()
     a1 = build_ladder(fam, alpha_at(fam, 1), grid)
@@ -363,7 +365,7 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
     grid = build_grid(fam, 2001)
     shifts = rescale_schedule(fam, 171, grid, grid.n)
     assert shifts
-    whole = list(states_at(fam, 171, shifts, grid.points))
+    whole = list(states_at(fam, 171, shifts, nodes_between(grid, 0, grid.n)))
     for n in (0, 150, 170):
         phi = whole[n] / math.sqrt(inner_product(whole[n], whole[n], grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
@@ -378,7 +380,7 @@ def _reference_whole_grid_states(fam, count, grid):
     # chooses each division from the grid's own maxima as it goes
     from pdemosc import ground_state_unnormalized, unified_deformation
 
-    q, x = unified_deformation(fam), grid.points
+    q, x = unified_deformation(fam), nodes_between(grid, 0, grid.n)
     zeta = math.sqrt(fam.profile.c * fam.alpha0) * x
     zeta_max = float(np.max(np.abs(zeta)))
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
@@ -456,16 +458,16 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
 
     def minus(f, a, x):
         v = honest_minus(f, a, x)
-        return np.where(x > grid.points[1800], 3e160, v) + np.where(
-            x == grid.points[1900], np.nan, 0.0)
+        return np.where(x > grid.node(1801), 3e160, v) + np.where(
+            x == grid.node(1901), np.nan, 0.0)
 
     def plus(f, a, x):
-        return np.where(x < grid.points[100], 5e170, honest_plus(f, a, x))
-    with pytest.raises(PdemError) as want:
-        assemble_symmetric(fam, grid, minus(fam, fam.alpha0, grid.points))
-    assert "3e+160" in str(want.value)
+        return np.where(x < grid.node(101), 5e170, honest_plus(f, a, x))
     monkeypatch.setattr(susy, "potential_minus", minus)
     monkeypatch.setattr(susy, "potential_plus", plus)
+    with pytest.raises(PdemError) as want:
+        whole_grid_hamiltonians(fam, grid)
+    assert "3e+160" in str(want.value)
     monkeypatch.setattr(susy, "ROWS", 300)
     with pytest.raises(PdemError) as got:
         verify_all(fam, grid)
