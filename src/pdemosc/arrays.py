@@ -8,10 +8,13 @@ the bound states H_n·φ_0, the ground state and the superpotential, and
 the symmetric-ordering stencil, on grids of up to 200000 nodes, where
 Python floats would cost about 25 times as much.  `verify` evaluates all
 of them on blocks of rows, so each is given on any run of nodes
-lo … hi − 1: nodes_between, kinetic_bands and states_at run the same
-IEEE operations per entry as the whole grid does, so a block's entries
-are the whole grid's, bit for bit.  The states are not normalized there,
-since every identity `verify` checks is linear in the state.
+lo … hi − 1: nodes_between and kinetic_bands run the same IEEE
+operations per entry as the whole grid does, so a block's entries are
+the whole grid's, bit for bit.  states_at yields each state with the
+exponent e of the power of two 2^e that its block divided it by, so a
+block's states are the whole grid's up to one power of two per block.
+They are not normalized there, since every identity `verify` checks is
+linear in the state.
 
 kinetic_bands is a second evaluation of discrete's float stencil; both
 run the same IEEE operations in the same order, so their entries agree
@@ -36,6 +39,7 @@ from .families import (
     mass_at,
     require_bound,
     require_inside,
+    require_resolved,
 )
 
 
@@ -72,75 +76,43 @@ def ground_state_unnormalized(family: ShapeInvariantFamily, x):
     return np.exp(-0.5 * p.c * family.alpha0 * u)
 
 
-def _zeta(family: ShapeInvariantFamily, x):
-    return math.sqrt(family.profile.c * family.alpha0) * x
-
-
-def _hermites(family: ShapeInvariantFamily, count: int, zeta, shifts: dict):
-    """Yields H_n(ζ, q) for n = 0 … count − 1, on the array ζ = √(cα)·x.
+def _hermites(family: ShapeInvariantFamily, count: int, x):
+    """Yields (H_n(ζ, q)·2^−e, e) for n = 0 … count − 1 at the nodes x,
+    with ζ = √(cα)·x.
 
     The three-term recurrence is stable at high degree, where the
     expanded monomial form is not.  H_n outgrows a double at high degree
     (on the default box, the squared norm of H_n φ_0 does from n = 150),
-    so after each step m in `shifts` the pair (H_m, H_{m+1}) is divided
-    by 2^shifts[m], as rescale_schedule chose it for the whole grid.  Such
-    a division is exact, and the norm absorbs it.  Each entry depends on
-    its own node only, so a block of nodes gets the whole grid's rows.
+    so whenever a running bound on max|H_m| over these nodes passes 2^256,
+    the pair (H_{m−1}, H_m) is divided by the power of two just above
+    max|H_m|, and e counts the divisions.  Such a division is exact, so a
+    block of nodes gets the whole grid's H_n·2^−e up to a power of two.
     """
-    h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
-    yield h_cur
-    for m, (a, b) in enumerate(hermite_steps(family, count)):
+    zeta = math.sqrt(family.profile.c * family.alpha0) * x
+    zeta_max = float(np.max(np.abs(zeta)))
+    h_prev, h_cur, e = np.zeros_like(zeta), np.ones_like(zeta), 0
+    top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
+    yield h_cur, e
+    for a, b in hermite_steps(family, count):
         h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
-        if m in shifts:
-            e = shifts[m]
-            h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
-        yield h_cur
-
-
-def rescale_schedule(family: ShapeInvariantFamily, count: int, grid: Grid,
-                     rows: int) -> dict:
-    """The divisions {m: e} of _hermites for degrees below count on the grid.
-
-    A running bound on max|H_m| starts from max|ζ| = √(cα)·max|x|, which
-    the end nodes hold.  Only at a step m where the bound passes 2^256
-    are the blocks of `rows` nodes swept for max|H_m| and max|H_{m+1}|
-    under the divisions before it; the pair is divided by the power of
-    two just above max|H_{m+1}|, and the bound restarts from the divided
-    maxima.  A maximum does not depend on the order of the blocks, so
-    every block size gives the whole grid's schedule.  (Where √(cα) is
-    inf, every H_{m≥1} is inf or nan at the end nodes, so every division
-    found is by 2^0.)
-    """
-    zeta_max = _zeta(family, max(abs(grid.node(1)), abs(grid.node(grid.n))))
-    shifts = {}
-    top_prev, top = 0.0, 1.0  # upper bounds on max|H_{m−1}|, max|H_m|
-    for m, (a, b) in enumerate(hermite_steps(family, count)):
         top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
         if top > 2.0 ** 256:
-            low, high = [], []
-            for lo in range(0, grid.n, rows):
-                x = nodes_between(grid, lo, min(lo + rows, grid.n))
-                zeta = _zeta(family, x)
-                for k, h in enumerate(_hermites(family, m + 2, zeta, shifts)):
-                    if k == m:
-                        low.append(float(np.max(np.abs(h))))
-                high.append(float(np.max(np.abs(h))))
-            # np.max, as on the whole grid, propagates a nan
-            e = shifts[m] = math.frexp(float(np.max(high)))[1]
-            top_prev, top = math.ldexp(float(np.max(low)), -e), 1.0
-    return shifts
+            # a nan (np.max propagates one) or inf maximum divides by 2^0
+            shift = math.frexp(float(np.max(np.abs(h_cur))))[1]
+            h_prev, h_cur = np.ldexp(h_prev, -shift), np.ldexp(h_cur, -shift)
+            top_prev, top, e = float(np.max(np.abs(h_prev))), 1.0, e + shift
+        yield h_cur, e
 
 
-def states_at(family: ShapeInvariantFamily, count: int, shifts: dict, x):
-    """Yields H_n·φ_0 at the nodes x for n = 0 … count − 1, not normalized.
+def states_at(family: ShapeInvariantFamily, count: int, x):
+    """Yields (H_n·φ_0·2^−e, e) at the nodes x for n = 0 … count − 1.
 
-    One recurrence runs over all degrees and `shifts` is its schedule of
-    divisions (rescale_schedule), so any block of nodes gets the whole
-    grid's rows bit for bit.
+    The states are not normalized, and _hermites chooses the divisions
+    2^e from these nodes alone.
     """
     g = ground_state_unnormalized(family, x)
-    for h in _hermites(family, count, _zeta(family, x), shifts):
-        yield h * g
+    for h, e in _hermites(family, count, x):
+        yield h * g, e
 
 
 def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
@@ -151,11 +123,11 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     the trapezoid norm one (endpoints are implicit zeros).
     """
     require_bound(family, n)
-    shifts = rescale_schedule(family, n + 1, grid, grid.n)
-    for phi in states_at(family, n + 1, shifts,
-                         nodes_between(grid, 0, grid.n)):
+    for phi, _ in states_at(family, n + 1, nodes_between(grid, 0, grid.n)):
         pass
-    phi /= math.sqrt(inner_product(phi, phi, grid))
+    norm = math.sqrt(inner_product(phi, phi, grid))
+    require_resolved(norm, n)
+    phi /= norm
     return phi
 
 

@@ -25,6 +25,7 @@ from collections import namedtuple
 
 from .errors import (
     ConstraintViolatedError,
+    InvalidCountError,
     InvalidLambdaError,
     NonPositiveAlphaError,
     NotABoundStateError,
@@ -258,6 +259,15 @@ def require_bound(family: ShapeInvariantFamily, n: int) -> None:
         raise NotABoundStateError(
             f"level {n} is not a bound state; this family binds "
             f"{count} levels (n = 0..{count - 1})")
+
+
+def require_resolved(norm: float, n: int) -> None:
+    """Refuse level n when its sampled norm (or squared norm) is zero:
+    every node of the grid lies where the state underflows."""
+    if not norm:
+        raise InvalidCountError(
+            f"the grid does not resolve the bound states: level {n} is zero "
+            f"at every node; narrow the box or refine the grid")
 
 
 def energy(family: ShapeInvariantFamily, n: int) -> float:

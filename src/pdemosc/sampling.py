@@ -4,7 +4,8 @@
 n_max from one three-term recurrence.  This is the sampler of algebraic
 `eigenfunctions`, so that command never imports numpy; `verify`, which
 samples on grids of up to 200000 nodes, uses the numpy twin
-arrays.states_at, which runs the same operations.  Its normalized form,
+arrays.states_at, which runs the same operations and divides the
+recurrence by the same rule.  Its normalized form,
 arrays.eigenfunction_samples, agrees with this one to a few ulps of
 max|φ_n|: exp and log1p come from different libraries, and the norm here
 is a correctly rounded math.fsum.
@@ -22,17 +23,19 @@ from .families import (
     hermite_steps,
     require_bound,
     require_inside,
+    require_resolved,
 )
 
 
 def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
     """Yields H_n(ζ, q) φ_0 at the nodes xs for n = 0 … n_max, as float lists.
 
-    The same operations as arrays.states_at: the recurrence
-    a·ζ·H_m − b·H_{m−1}, and a division of the pair (H_{m−1}, H_m) by a
-    power of two whenever a running bound on max|H_m| passes 2^256.  That
-    bound depends on the degree only, so the division happens at the same
-    step for every degree, as in a separate recurrence per degree.
+    The same operations as arrays.states_at, division rule included: the
+    recurrence a·ζ·H_m − b·H_{m−1}, and a division of the pair
+    (H_{m−1}, H_m) by the power of two just above max|H_m| whenever a
+    running bound on max|H_m| over the nodes xs passes 2^256.  That bound
+    depends on the degree only, so the division happens at the same step
+    for every degree, as in a separate recurrence per degree.
     """
     p = family.profile
     root = math.sqrt(p.c * family.alpha0)
@@ -88,6 +91,7 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
         # square is subnormal, h·Σφ² is that of a full evaluation bit for bit
         total = math.fsum(squares) * (2.0 if mirrored else 1.0)
         norm = math.sqrt(grid.h * total)
+        require_resolved(norm, degree)
         phi = [x / norm for x in phi]
         tail = phi[:mirrored][::-1]
         out.append(phi + (tail if degree % 2 == 0 else [-x for x in tail]))

@@ -13,14 +13,16 @@ verify_all walks the grid once, in blocks of ROWS rows, each with a halo
 of two rows on either side, since no identity applies more than two
 tridiagonal operators in a row.  Per block it evaluates the nodes, the
 bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and A(α₁)
-(shared off-bands) and the test states H_n·φ₀ from one recurrence, each
-entry bit for bit as on the whole grid (the recurrence's power-of-two
-divisions are chosen up front).  Every identity is linear in the state, so
-the states are not normalized: each residual's scaled sum of squares and
-each state's are added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed
-at the end.  So a grid of one block reproduces the whole-grid residuals
-exactly, and more blocks change only the order of those sums.  No array
-as long as the grid is made; the blocks' arrays stay in a core's cache.
+(shared off-bands), each entry bit for bit as on the whole grid, and the
+test states H_n·φ₀·2^−e from one recurrence, whose power-of-two
+divisions 2^e each block chooses for itself.  Every identity is linear in
+the state, so the states are not normalized: each residual's scaled sum
+of squares and each state's, their exponents raised by the block's e, are
+added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.  The
+divisions are exact, so a grid of one block reproduces the whole-grid
+residuals exactly, and more blocks change only the order of those sums.
+No array as long as the grid is made; the blocks' arrays stay in a
+core's cache.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .arrays import (
     nodes_between,
     representable,
     require_representable,
-    rescale_schedule,
     states_at,
     superpotential_at,
 )
@@ -53,6 +54,7 @@ from .families import (
     potential_plus,
     remainder,
     require_bound,
+    require_resolved,
 )
 
 
@@ -162,17 +164,17 @@ def build_ladder(family: ShapeInvariantFamily, alpha_n: float,
 
 # === residual measurement on smooth states ===
 
-def _scaled_sq_norm(v, grid: Grid):
-    """(h·Σ(v/2^e)², e) with 2^e > max|v|; the scaling is exact.
+def _scaled_sq_norm(v, grid: Grid, shift: int):
+    """(h·Σ(v/2^e)², e + shift) with 2^e > max|v|; the scaling is exact.
 
-    Dividing by a power of two near the largest entry before squaring
-    does not move ordinary residuals, and the squares cannot overflow at
-    a large α.  v is scaled in place, with no temporary; it must not be
-    read again.
+    That is the pair of v·2^shift.  Dividing by a power of two near the
+    largest entry before squaring does not move ordinary residuals, and
+    the squares cannot overflow at a large α.  v is scaled in place, with
+    no temporary; it must not be read again.
     """
     _, e = math.frexp(max(float(v.max()), -float(v.min())))
     np.ldexp(v, -e, out=v)
-    return grid.h * float(np.dot(v, v)), e
+    return grid.h * float(np.dot(v, v)), e + shift
 
 
 def _merged(parts):
@@ -263,12 +265,11 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     largest entry on the whole grid, if it holds a NaN or an entry that
     squares past a double (residual work stops at the first block where
     one does), or if that entry is nonzero and squares below the smallest
-    normal double.
+    normal double.  Then a state that is zero at every node is refused.
     """
     require_bound(family, 0)
     count = bound_state_count(family)
     count = 5 if count is None else min(5, count)
-    shifts = rescale_schedule(family, count, grid, ROWS)
     n, a0 = grid.n, family.alpha0
     a1, e0, r = alpha_at(family, 1), 0.5 * a0, remainder(family, a0)
     sums, norms = {}, [[] for _ in range(count)]
@@ -291,20 +292,23 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
         own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)
-        for k, v in enumerate(states_at(family, count, shifts, x)):
+        for k, (v, e) in enumerate(states_at(family, count, x)):
             if k == 0:
                 superalgebra.append(_superalgebra_parts(a, ad, v, x, own))
             if trim.start < trim.stop:
                 for name, res in _identity_residuals(ops, v, k == 0, e0, r):
                     sums.setdefault((name, k), []).append(
-                        _scaled_sq_norm(res[trim], grid))
+                        _scaled_sq_norm(res[trim], grid, e))
             # last, since _scaled_sq_norm overwrites v's own rows
-            norms[k].append(_scaled_sq_norm(v[own], grid))
+            norms[k].append(_scaled_sq_norm(v[own], grid, e))
     for ext in extents:  # H₋, then H₊, then H, as they are assembled
         require_representable(ext)
+    norms = [_merged(parts) for parts in norms]
+    for k, (vv, _) in enumerate(norms):
+        require_resolved(vv, k)
     values = dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
     for (name, k), parts in sums.items():
-        (rr, er), (vv, ev) = _merged(parts), _merged(norms[k])
+        (rr, er), (vv, ev) = _merged(parts), norms[k]
         values[name] = max(values[name], math.ldexp(
             math.sqrt(rr) / math.sqrt(vv), er - ev))
     values["superalgebra_offdiag"] = max(

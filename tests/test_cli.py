@@ -206,6 +206,29 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
         assert errs[0].split(",")[0].endswith(" its largest entry is inf")
 
 
+def test_verify_past_the_recurrence_divisions(monkeypatch, capsys):
+    # at this tail tolerance the box is so wide that every block of rows
+    # divides the Hermite recurrence by its own powers of two: 13 blocks
+    # and one whole-grid block agree to rounding.  The grid cannot resolve
+    # these states, so FAIL (exit 3) is the right verdict.
+    from pdemosc import susy
+
+    argv = ["verify", "--family", "case1", "--lambda", "0.2",
+            "--tail-tolerance", "1e-300", "--grid-n", "100001"]
+    values = []
+    assert susy.ROWS < 100001
+    for rows in (susy.ROWS, 100001):
+        monkeypatch.setattr(susy, "ROWS", rows)
+        assert run(argv) == 3
+        out = capsys.readouterr()[0].splitlines()[-1]
+        residuals = json.loads(out)["residuals"]
+        values.append([e["value"] for e in residuals.values()])
+    assert len(values[0]) == 6
+    for blocked, whole in zip(*values, strict=True):
+        assert math.isfinite(blocked) and math.isfinite(whole)
+        assert blocked == pytest.approx(whole, rel=1e-13, abs=0.0)
+
+
 def test_verify_passes_at_large_alpha(capsys):
     # tolerances are calibrated at alpha = 1 and scale as alpha^p, so
     # correct operators pass at alpha = 100 (an absolute 5e-3 failed them)

@@ -240,7 +240,7 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
         return arrays.kinetic_bands(family, g, lo, hi)
     monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
     monkeypatch.setattr(susy, "states_at", counted(
-        "states", arrays.states_at, lambda f, k, shifts, x: (k,)))
+        "states", arrays.states_at, lambda f, k, x: (k,)))
     for name in ("potential_minus", "potential_plus", "potential_full",
                  "mass_at"):
         monkeypatch.setattr(susy, name, counted(name, getattr(susy, name)))
@@ -356,23 +356,24 @@ def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam):
 
 
 def test_block_rows_replay_the_whole_grid_past_the_rescale():
-    # past n = 150 on this box the recurrence divides by powers of two that
-    # the whole grid chooses; a block of nodes replays them, so its rows
-    # are the whole grid's bit for bit
-    from pdemosc.arrays import nodes_between, rescale_schedule, states_at
+    # past n = 150 on this box the recurrence divides by powers of two,
+    # which each block of nodes chooses for itself; a division is exact,
+    # so a block's rows are the whole grid's up to one power of two
+    from pdemosc.arrays import nodes_between, states_at
 
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2001)
-    shifts = rescale_schedule(fam, 171, grid, grid.n)
-    assert shifts
-    whole = list(states_at(fam, 171, shifts, nodes_between(grid, 0, grid.n)))
+    whole = list(states_at(fam, 171, nodes_between(grid, 0, grid.n)))
+    assert whole[-1][1] > 0
     for n in (0, 150, 170):
-        phi = whole[n] / math.sqrt(inner_product(whole[n], whole[n], grid))
+        v = whole[n][0]
+        phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
-        rows = list(states_at(fam, 171, shifts, nodes_between(grid, lo, hi)))
+        rows = list(states_at(fam, 171, nodes_between(grid, lo, hi)))
         assert len(rows) == 171
-        assert all(np.array_equal(row, v[lo:hi]) for row, v in zip(rows, whole))
+        assert all(np.array_equal(np.ldexp(row, e - ew), v[lo:hi])
+                   for (row, e), (v, ew) in zip(rows, whole)), (lo, hi)
 
 
 def _reference_whole_grid_states(fam, count, grid):
@@ -406,11 +407,16 @@ def _reference_whole_grid_states(fam, count, grid):
     # degree 4, and the last block holds max|H_4|
     (Kind.CASE1, 0.1, 371, (-1e19, 3e19)),
 ])
-def test_blocked_first_pass_is_the_whole_grid_pass(kind, lam, n, box):
-    # blocks of 37 rows (edges anywhere, odd and even N) and one block:
-    # every division and state is the whole-grid recurrence's, and every
-    # normalized state eigenfunction_samples', bit for bit
-    from pdemosc.arrays import nodes_between, rescale_schedule, states_at
+def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
+                                                   n, box):
+    # one whole-grid block is the whole-grid recurrence bit for bit, its
+    # exponents the sums of the divisions so far; blocks of 37 rows (edges
+    # anywhere, odd and even N) choose their own divisions and equal it up
+    # to a power of two each; every normalized state is
+    # eigenfunction_samples' bit for bit; and verify_all reproduces the
+    # whole-grid residuals, bit for bit on one block
+    from pdemosc import susy
+    from pdemosc.arrays import nodes_between, states_at
     from pdemosc.discrete import uniform_grid
 
     fam = make_family(kind, 1.0, lam)
@@ -418,16 +424,29 @@ def test_blocked_first_pass_is_the_whole_grid_pass(kind, lam, n, box):
     count = min(5, bound_state_count(fam) or 5)
     states, shifts = _reference_whole_grid_states(fam, count, grid)
     assert bool(shifts) == (box is not None) and min(shifts, default=0) < 4
-    for rows in (37, n, n + 5):
-        assert rescale_schedule(fam, count, grid, rows) == shifts, rows
+    exponents = [sum(e for m, e in shifts.items() if m < k)
+                 for k in range(count)]
+    whole = list(states_at(fam, count, nodes_between(grid, 0, n)))
+    assert [e for _, e in whole] == exponents
+    assert all(np.array_equal(v, want)
+               for (v, _), want in zip(whole, states, strict=True))
     for lo in range(0, n, 37):
         hi = min(lo + 37, n)
-        got = states_at(fam, count, shifts, nodes_between(grid, lo, hi))
-        for k, (v, want) in enumerate(zip(got, states, strict=True)):
-            assert np.array_equal(v, want[lo:hi]), (lo, k)
+        got = states_at(fam, count, nodes_between(grid, lo, hi))
+        for k, ((v, e), want, ew) in enumerate(
+                zip(got, states, exponents, strict=True)):
+            assert np.array_equal(np.ldexp(v, e - ew), want[lo:hi]), (lo, k)
     for k, v in enumerate(states):
         phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, k, grid)), k
+    want = reference_residuals(fam, grid)
+    assert n <= susy.ROWS
+    assert {k: e.value for k, e in
+            verify_all(fam, grid).residuals.items()} == want
+    monkeypatch.setattr(susy, "ROWS", 37)
+    got = {k: e.value for k, e in verify_all(fam, grid).residuals.items()}
+    for name in RESIDUAL_NAMES:
+        assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0.0), name
 
 
 def test_verify_all_holds_no_whole_grid_array():
@@ -444,6 +463,34 @@ def test_verify_all_holds_no_whole_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+def test_a_state_that_samples_to_zero_is_refused():
+    # on this box φ₀ underflows at every node but x = 0: an odd grid
+    # resolves only the even states there, an even grid none of them.
+    # verify_all and both samplers refuse the first level that is zero at
+    # every node in one message, with no RuntimeWarning on the way
+    import warnings
+
+    from pdemosc.discrete import uniform_grid
+    from pdemosc.errors import InvalidCountError
+    from pdemosc.sampling import eigenfunction_lists
+
+    fam = make_family(Kind.CONSTANT, 1.0)
+    for n, level in ((999, 1), (1000, 0)):
+        grid = uniform_grid(-1e40, 1e40, n)
+        messages = set()
+        for call in (lambda: verify_all(fam, grid),
+                     lambda: eigenfunction_lists(fam, 1, grid),
+                     lambda: eigenfunction_samples(fam, level, grid)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidCountError) as refusal:
+                    call()
+            messages.add(str(refusal.value))
+        assert len(messages) == 1, messages
+        assert messages.pop().startswith(
+            f"the grid does not resolve the bound states: level {level} ")
 
 
 def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
