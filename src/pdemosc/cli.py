@@ -28,7 +28,7 @@ import sys
 from itertools import groupby
 from operator import neg
 
-from .errors import NotABoundStateError, PdemError
+from .errors import PdemError
 from .families import (
     Kind,
     VonRoosOrdering,
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-ordering", parents=[common],
                            help="spectra under alternative kinetic orderings")
     p_cmp.add_argument("--ordering", action="append", type=_ordering_flag,
-                       default=None, metavar="a,b,c")
+                       required=True, metavar="a,b,c")
     return parser
 
 
@@ -218,25 +218,35 @@ def _n_max(family, requested, levels: bool = True) -> int:
     """--n-max, by default min(9, cutoff − 1).
 
     A family that binds no state has no default.  When the indices are
-    levels (not polynomial degrees) an explicit request past the cutoff is
-    refused.
+    levels (not polynomial degrees) require_bound refuses an explicit
+    request that is negative or past the cutoff; gf_polynomials refuses a
+    negative degree.
     """
-    if requested is not None and requested < 0:
-        raise PdemError(f"n-max must be nonnegative, got {requested}")
-    if requested is None or levels:
-        require_bound(family, 0)
-    count = bound_state_count(family)
     if requested is None:
+        require_bound(family, 0)
+        count = bound_state_count(family)
         return 9 if count is None else min(9, count - 1)
     if levels:
-        try:
-            require_bound(family, requested)
-        except NotABoundStateError:
-            raise NotABoundStateError(
-                f"requested levels up to n = {requested}, but this family binds "
-                f"only {count} states (n = 0..{count - 1}); "
-                f"levels at and above the cutoff are not bound") from None
+        require_bound(family, requested)
     return requested
+
+
+def _write(directory: str, name: str, chunks) -> None:
+    """Write the text chunks to name in directory, made if missing.
+
+    An OSError on the way, as from a directory that is a file or a
+    directory where the artifact goes, refuses the request in one line
+    that names the path.
+    """
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise PdemError(f"cannot write {exc.filename or path}: "
+                        f"{exc.strerror or exc}") from None
+    print(f"wrote {path}")
 
 
 def _emit(args, base: str, csv_chunks, json_text) -> None:
@@ -250,17 +260,10 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
     if json_text is not None and csv_chunks is None:
         want_json = True  # JSON-only artifacts ignore --format
     if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
         if want_csv:
-            path = os.path.join(args.output_dir, base + ".csv")
-            with open(path, "w") as fh:
-                fh.writelines(csv_chunks)
-            print(f"wrote {path}")
+            _write(args.output_dir, base + ".csv", csv_chunks)
         if want_json:
-            path = os.path.join(args.output_dir, base + ".json")
-            with open(path, "w") as fh:
-                fh.write(json_text)
-            print(f"wrote {path}")
+            _write(args.output_dir, base + ".json", (json_text,))
     else:
         if want_csv:
             sys.stdout.writelines(csv_chunks)
@@ -382,10 +385,6 @@ def _cmd_verify(args, family) -> int:
 
 
 def _cmd_compare_ordering(args, family) -> int:
-    if not args.ordering:
-        print("error: compare-ordering needs at least one --ordering a,b,c",
-              file=sys.stderr)
-        return 2
     from .discrete import (
         assemble_lists,
         build_grid,
@@ -445,10 +444,7 @@ def run(argv) -> int:
     try:
         family = make_family(Kind(args.family), args.alpha, args.lam)
         return _HANDLERS[args.command](args, family)
-    except PdemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PdemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -189,23 +189,23 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
 
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
-    Returns the leading diagonal entries, mᵇ/h² at the leading interior
-    midpoints and the outer factors (mᵃ, mᶜ) at the nodes, from which the
-    two composition orders of the leading off-diagonal entries follow (see
-    assemble_lists and von_roos_asymmetry).  At the symmetric ordering
-    (0, −1, 0) this is the conservative scheme for −(p φ′)′ with
-    p = 1/(2m); its outer factors are exactly one, so their products are
-    left out (the entries keep their bits) and None is returned for them.
-    A power or quotient that leaves the range of a double is refused as an
-    overflow, as an infinite entry would be.
+    Returns (diag, upper, lower): the leading diagonal entries and the two
+    composition orders of each leading coupling, m_iᵃ w m_{i+1}ᶜ +
+    m_iᶜ w m_{i+1}ᵃ with w = m_{i+½}ᵇ/h² and the same with m_i and m_{i+1}
+    swapped, which assemble_lists sums and von_roos_asymmetry subtracts.
+    At the symmetric ordering (0, −1, 0) this is the conservative scheme
+    for −(p φ′)′ with p = 1/(2m); its outer factors are exactly one, so
+    their products are left out (the entries keep their bits) and both
+    orders are one shared list.  A power or quotient that leaves the range
+    of a double is refused as an overflow, as an infinite entry would be.
 
     The mass and the potential depend on x only through x·x.  On a grid
     centred at 0 the nodes and midpoints mirror bit for bit, so they are
     evaluated on the left half and the middle only, and only the rows of
     the left half and the middle are returned; the rest mirror them (see
-    _mirrored), each mirrored row adding the same products in swapped
-    order, so the bands equal a full evaluation bit for bit.  On any other
-    grid every row is returned.
+    _mirrored), each mirrored coupling swapping the two orders, so the
+    bands equal a full evaluation bit for bit.  On any other grid every row
+    is returned.
     """
     h, n = grid.h, grid.n
     h2 = h * h
@@ -225,11 +225,17 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
         refuse_overflow(math.inf)
     win = [x / h2 for x in w[1:pairs + 1]]
     if unit:
-        return ([0.5 * (wl + wr) / h2 + v
-                 for wl, wr, v in zip(w, w[1:], potential)], win, None)
-    diag = [0.5 * a * c * (wl + wr) / h2 + v
-            for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-    return diag, win, (ma, mc)
+        diag = [0.5 * (wl + wr) / h2 + v
+                for wl, wr, v in zip(w, w[1:], potential)]
+        upper = lower = [x + x for x in win]
+    else:
+        diag = [0.5 * a * c * (wl + wr) / h2 + v
+                for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
+        upper = [a0 * x * c1 + c0 * x * a1
+                 for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+        lower = [a1 * x * c0 + c1 * x * a0
+                 for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
+    return diag, upper, lower
 
 
 def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
@@ -237,18 +243,13 @@ def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
     """The stencil of `ordering` with the confining potential V, as float lists.
 
     The two ordering terms are transposes of one another, so their average
-    is symmetric; one shared off-diagonal list makes that exact.  The
-    eigensolver squares the entries, so an operator with an entry whose
-    square overflows a double (or an infinite or NaN one) is refused with
-    InvalidLambdaError.
+    is symmetric; one shared off-diagonal list, −⅛ of the two composition
+    orders summed, makes that exact.  The eigensolver squares the entries,
+    so an operator with an entry whose square overflows a double (or an
+    infinite or NaN one) is refused with InvalidLambdaError.
     """
-    diag, win, outer = _stencil(family, grid, ordering)
-    if outer is None:
-        off = [-0.125 * ((x + x) + (x + x)) for x in win]
-    else:  # the upper composition order plus the lower one, in one pass
-        ma, mc = outer
-        off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
-               for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    diag, upper, lower = _stencil(family, grid, ordering)
+    off = [-0.125 * (u + l) for u, l in zip(upper, lower)]
     # the mirrored rows repeat these entries
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
@@ -290,15 +291,10 @@ def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                        grid: Grid) -> float:
     """Max |upper − lower| of the composed operator before symmetrization."""
     # a mirrored coupling swaps the two orders, so the leading ones suffice
-    _, win, outer = _stencil(family, grid, ordering)
-    if outer is None:  # unit outer factors: the two orders are one product
+    _, upper, lower = _stencil(family, grid, ordering)
+    if upper is lower:  # unit outer factors: the two orders are one product
         return 0.0
-    ma, mc = outer
-    upper = [a0 * x * c1 + c0 * x * a1
-             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
-    lower = [a1 * x * c0 + c1 * x * a0
-             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
-    return 0.25 * max((abs(u - l) for u, l in zip(upper, lower)), default=0.0)
+    return 0.25 * max(map(abs, map(sub, upper, lower)), default=0.0)
 
 
 # === symmetric tridiagonal eigensolver ===
@@ -403,7 +399,9 @@ def _prepared(T: TridiagonalOperator, k: int):
     """(blocks, ‖T‖∞, glo, ghi): the _parity_blocks of T and the scale of T."""
     n = len(T.diag)
     if not 1 <= k <= n:
-        raise InvalidCountError(f"need 1 <= k <= {n}, got {k}")
+        raise InvalidCountError(
+            f"asked for {k} eigenvalues of an operator with {n} rows; "
+            f"between 1 and {n} can be found")
     # the assemblers' lists are used as they are; ndarrays and other
     # sequences are copied to Python floats
     diag, off = (band if type(band) is list else list(map(float, band))

@@ -257,8 +257,9 @@ def require_bound(family: ShapeInvariantFamily, n: int) -> None:
             f"ground state is not normalizable")
     if count is not None and n >= count:
         raise NotABoundStateError(
-            f"level {n} is not a bound state; this family binds "
-            f"{count} levels (n = 0..{count - 1})")
+            f"level {n} is not bound: this family binds only {count} states "
+            f"(n = 0..{count - 1}); levels at and above the cutoff are not "
+            f"bound")
 
 
 def require_resolved(norm: float, n: int) -> None:

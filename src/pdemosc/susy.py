@@ -106,28 +106,21 @@ ResidualReport = namedtuple("ResidualReport",
                             "family alpha lam grid_n residuals")
 
 
+# Per residual, (tolerance at α = 1, power p).  The tolerances are
 # calibrated at grid_n = 4000 and alpha = 1 on the reference deformations;
 # the identity residuals there sit at 1e-3 or below and shrink ~4x per
-# h-halving
-DEFAULT_TOLERANCES = {
-    "factorization": 5e-3,
-    "annihilation": 1e-4,
-    "intertwine_minus": 5e-3,
-    "intertwine_plus": 5e-3,
-    "superalgebra_offdiag": 0.0,
-    "shift_identity": 5e-3,
-}
-
+# h-halving.
+#
 # At fixed q the box is ∝ 1/√(cα), so A ~ √α and H ~ α, and each residual
 # grows as α^p: a check passes when value ≤ tolerance·α^p.  At α = 1 the
 # scale is exactly 1.
-RESIDUAL_POWERS = {
-    "factorization": 1.0,
-    "annihilation": 0.5,
-    "intertwine_minus": 1.5,
-    "intertwine_plus": 1.5,
-    "superalgebra_offdiag": 0.0,
-    "shift_identity": 1.0,
+RESIDUAL_TOLERANCES = {
+    "factorization": (5e-3, 1.0),
+    "annihilation": (1e-4, 0.5),
+    "intertwine_minus": (5e-3, 1.5),
+    "intertwine_plus": (5e-3, 1.5),
+    "superalgebra_offdiag": (0.0, 0.0),
+    "shift_identity": (5e-3, 1.0),
 }
 
 
@@ -306,16 +299,15 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     norms = [_merged(parts) for parts in norms]
     for k, (vv, _) in enumerate(norms):
         require_resolved(vv, k)
-    values = dict.fromkeys(DEFAULT_TOLERANCES, 0.0)
+    values = dict.fromkeys(RESIDUAL_TOLERANCES, 0.0)
     for (name, k), parts in sums.items():
         (rr, er), (vv, ev) = _merged(parts), norms[k]
         values[name] = max(values[name], math.ldexp(
             math.sqrt(rr) / math.sqrt(vv), er - ev))
     values["superalgebra_offdiag"] = max(
         float(np.max(part)) for part in zip(*superalgebra))
-    residuals = {name: ResidualEntry(
-        value, DEFAULT_TOLERANCES[name] * a0 ** RESIDUAL_POWERS[name])
-        for name, value in values.items()}
+    residuals = {name: ResidualEntry(values[name], tolerance * a0 ** power)
+                 for name, (tolerance, power) in RESIDUAL_TOLERANCES.items()}
     return ResidualReport(family.profile.kind.value, a0,
                           family.profile.lam, grid.n, residuals)
 

@@ -81,6 +81,11 @@ def test_negative_n_max_is_refused(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "nonnegative" in err
+    # a degree is not a level: gf_polynomials refuses it
+    code = run(["polynomials", "--family", "case1", "--n-max", "-3"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "nonnegative" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -95,6 +100,10 @@ def test_usage_errors_exit_2(capsys):
     # ordering must sum to -1
     assert run(["compare-ordering", "--family", "case1", "--lambda", "0.1",
                 "--grid-n", "400", "--ordering", "0,0,0"]) == 2
+    capsys.readouterr()
+    # and must have three parts
+    assert run(["compare-ordering", "--family", "case1", "--lambda", "0.1",
+                "--grid-n", "400", "--ordering=-1,0"]) == 2
     capsys.readouterr()
 
 
@@ -257,6 +266,23 @@ def test_output_dir_writes_files(tmp_path, capsys):
     json.loads(json_file.read_text())
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "dir-at-artifact"])
+def test_unwritable_output_dir_is_refused(tmp_path, capsys, where):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out_dir = {"file": afile, "under-file": afile / "sub",
+               "dir-at-artifact": tmp_path / "out"}[where]
+    if where == "dir-at-artifact":
+        (out_dir / "spectrum.csv").mkdir(parents=True)
+    code = run(["spectrum", "--family", "case1", "--lambda", "0.1",
+                "--n-max", "2", "--grid-n", "400", "--output-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out_dir) in err
+    assert afile.read_text() == ""
+
+
 def test_compare_ordering_output(capsys):
     # values opening with a minus sign need the = form, as usual with argparse
     code = run(["compare-ordering", "--family", "case1", "--lambda", "0.3",
@@ -341,6 +367,11 @@ def test_closed_stdout_ends_in_one_error_line():
     # underflows to 0
     (["verify", "--family", "constant", "--alpha", "1e-200"], "underflows"),
     (["verify", "--family", "constant", "--alpha", "1e-300"], "underflows"),
+    # more levels than the grid has rows
+    (["spectrum", "--family", "constant", "--n-max", "20", "--grid-n", "17"],
+     "asked for 21 eigenvalues of an operator with 17 rows"),
+    # lambda is subnormal, so s = 1/lambda overflows
+    (["spectrum", "--family", "case2", "--lambda", "5e-324"], "out of range"),
     # no operator is built, but E_2 = 2.5·alpha leaves the range of a double
     (["eigenfunctions", "--family", "constant", "--alpha", "1e308",
       "--n-max", "2", "--grid-n", "20", "--format", "json"], "E_2 is inf"),
@@ -352,7 +383,7 @@ def test_closed_stdout_ends_in_one_error_line():
         "overflow-compare", "overflow-numeric", "overflow-potential",
         "overflow-subnormal-q", "underflow-spectrum", "underflow-compare",
         "underflow-numeric", "underflow-verify", "underflow-verify-zero",
-        "overflow-energy"])
+        "more-levels-than-rows", "subnormal-lambda", "overflow-energy"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()

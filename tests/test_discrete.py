@@ -80,19 +80,71 @@ def test_numpy_nodes_are_the_float_nodes_bit_for_bit(box, n):
 
 
 def full_stencil(fam, grid, ordering):
-    """The bands of assemble_lists evaluated on every node, as a reference."""
+    """(diag, offdiag, asymmetry) of assemble_lists and von_roos_asymmetry,
+    from the two composition orders written out on every node, as a
+    reference."""
     xs, mids = grid.nodes(), grid.midpoints(grid.n + 1)
     ms = masses_on(fam.profile, xs)
     w = discrete._powers(masses_on(fam.profile, mids), ordering.b)
+    h2 = grid.h * grid.h
+    win = [x / h2 for x in w[1:-1]]
+    potential = potentials_on(fam, xs, ms)
+    if ordering.a == 0.0 and ordering.c == 0.0:
+        diag = [0.5 * (wl + wr) / h2 + v
+                for wl, wr, v in zip(w, w[1:], potential)]
+        return diag, [-0.125 * ((x + x) + (x + x)) for x in win], 0.0
     ma = discrete._powers(ms, ordering.a)
     mc = discrete._powers(ms, ordering.c)
-    h2 = grid.h * grid.h
     diag = [0.5 * a * c * (wl + wr) / h2 + v for a, c, wl, wr, v in
-            zip(ma, mc, w, w[1:], potentials_on(fam, xs, ms))]
+            zip(ma, mc, w, w[1:], potential)]
     off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
-           for a0, x, c1, c0, a1 in zip(ma, [x / h2 for x in w[1:-1]],
-                                        mc[1:], mc, ma[1:])]
-    return diag, off
+           for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    upper = [a0 * x * c1 + c0 * x * a1
+             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+    lower = [a1 * x * c0 + c1 * x * a0
+             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
+    return diag, off, 0.25 * max(abs(u - l) for u, l in zip(upper, lower))
+
+
+def _hex(xs):
+    return [float.hex(x) for x in xs]
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CASE3, 0.2),
+    (Kind.CONSTANT, 0.0),
+], ids=["case1", "case2", "case3", "constant"])
+@pytest.mark.parametrize("grid_of", [
+    lambda fam: build_grid(fam, 600), lambda fam: build_grid(fam, 601),
+    lambda fam: uniform_grid(-3.0, 4.0, 300),
+    lambda fam: uniform_grid(-3.0, 4.0, 301),
+], ids=["centred-even", "centred-odd", "off-centre-even", "off-centre-odd"])
+def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
+    # _stencil forms both composition orders once: their sum gives the bands
+    # and their difference the asymmetry, bit for bit as written out here
+    fam = make_family(kind, 1.3, lam)
+    grid = grid_of(fam)
+    for abc in [(0.0, -1.0, 0.0), (-0.5, 0.0, -0.5), (0.0, 0.0, -1.0),
+                (-1.0, 0.0, 0.0), (0.5, -1.0, -0.5), (-0.7, -0.2, -0.1)]:
+        ordering = VonRoosOrdering(*abc)
+        T = discrete.assemble_lists(fam, grid, ordering)
+        diag, off, asym = full_stencil(fam, grid, ordering)
+        assert _hex(T.diag) == _hex(diag), abc
+        assert _hex(T.offdiag) == _hex(off), abc
+        got = von_roos_asymmetry(fam, ordering, grid)
+        assert float.hex(got) == float.hex(asym), abc
+
+
+def test_stencil_refuses_a_mass_that_underflows():
+    # |x| ~ 1e200 squares past a double, so the case1 mass is 0 and 1/m fails
+    fam = make_family(Kind.CASE1, 1.0, 1.0)
+    with pytest.raises(InvalidLambdaError, match="overflows"):
+        discrete.assemble_lists(fam, uniform_grid(-1e200, 1e200, 100))
+
+
+def test_uniform_grid_refuses_an_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        uniform_grid(1.0, 1.0, 20)
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -106,9 +158,9 @@ def test_half_assembly_equals_full_evaluation(kind, lam, n):
     for ordering in (SYMMETRIC_ORDERING, VonRoosOrdering(-0.5, 0.0, -0.5),
                      VonRoosOrdering(-0.7, -0.2, -0.1)):
         T = discrete.assemble_lists(fam, grid, ordering)
-        diag, off = full_stencil(fam, grid, ordering)
-        assert [float.hex(x) for x in T.diag] == [float.hex(x) for x in diag]
-        assert [float.hex(x) for x in T.offdiag] == [float.hex(x) for x in off]
+        diag, off, _ = full_stencil(fam, grid, ordering)
+        assert _hex(T.diag) == _hex(diag)
+        assert _hex(T.offdiag) == _hex(off)
         assert T.diag == T.diag[::-1] and T.offdiag == T.offdiag[::-1]
         assert len(discrete._prepared(T, 1)[0]) == 2  # split into parity blocks
 
@@ -118,7 +170,7 @@ def test_off_centre_grid_is_assembled_whole():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = uniform_grid(-3.0, 5.0, 301)
     T = discrete.assemble_lists(fam, grid)
-    assert (T.diag, T.offdiag) == full_stencil(fam, grid, SYMMETRIC_ORDERING)
+    assert (T.diag, T.offdiag) == full_stencil(fam, grid, SYMMETRIC_ORDERING)[:2]
     assert len(discrete._prepared(T, 1)[0]) == 1
 
 

@@ -30,6 +30,7 @@ from pdemosc import (
     unified_deformation,
     VonRoosOrdering,
 )
+from pdemosc.families import require_bound
 
 # A handful of parameter points that exercise every mass profile, including
 # deformations of both signs where the family allows them.
@@ -236,8 +237,11 @@ def test_energy_refuses_unbound_levels():
         with pytest.raises(NotABoundStateError):
             energy_via_recursion(fam, n)
     # the diagnostic names the cutoff
-    with pytest.raises(NotABoundStateError, match="binds 10 levels"):
+    with pytest.raises(NotABoundStateError, match="binds only 10 states"):
         energy(fam, 10)
+    # a negative level is refused before the cutoff is looked at
+    with pytest.raises(ValueError, match="nonnegative"):
+        require_bound(fam, -1)
 
 
 def test_last_bound_level_is_accepted():

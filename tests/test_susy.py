@@ -24,8 +24,7 @@ from pdemosc import (
 )
 from pdemosc.arrays import band_extent, nodes_between, require_representable
 from pdemosc.susy import (
-    DEFAULT_TOLERANCES,
-    RESIDUAL_POWERS,
+    RESIDUAL_TOLERANCES,
     Banded,
     _block_hamiltonians,
 )
@@ -208,7 +207,7 @@ def test_verify_all_report_layout():
     assert report.lam == 0.2
     assert report.grid_n == 800
     for name, entry in report.residuals.items():
-        assert entry.tolerance == DEFAULT_TOLERANCES[name]
+        assert entry.tolerance == RESIDUAL_TOLERANCES[name][0]
         assert entry.passed == (entry.value <= entry.tolerance), name
     # at this resolution everything is inside the shipped tolerances
     assert all(e.passed for e in report.residuals.values())
@@ -529,8 +528,9 @@ def test_tolerances_scale_as_alpha_powers():
     fam = make_family(Kind.CASE1, 100.0, 10.0)
     report = verify_all(fam, build_grid(fam, 4000))
     for name, entry in report.residuals.items():
-        scale = 100.0 ** RESIDUAL_POWERS[name]
-        assert entry.tolerance == DEFAULT_TOLERANCES[name] * scale, name
+        tolerance, power = RESIDUAL_TOLERANCES[name]
+        scale = 100.0 ** power
+        assert entry.tolerance == tolerance * scale, name
         assert entry.value == pytest.approx(
             base.residuals[name].value * scale, rel=1e-6, abs=0.0), name
         assert entry.passed == base.residuals[name].passed, name
