@@ -19,11 +19,10 @@ _MODULES = {
                  DegreeMismatchError InvalidCountError InvalidLambdaError
                  LengthMismatchError NonPositiveAlphaError NotABoundStateError
                  NotProportionalError OutOfDomainError PdemError""",
-    "families": """Kind MassProfile ShapeInvariantFamily SpectrumTable
-                   VonRoosOrdering alpha_at bound_state_count energy
-                   energy_via_recursion make_family mass_at potential_full
-                   potential_minus potential_plus remainder spectrum_table
-                   unified_deformation""",
+    "families": """Kind MassProfile ShapeInvariantFamily VonRoosOrdering
+                   alpha_at bound_state_count energy energy_via_recursion
+                   make_family mass_at potential_full potential_minus
+                   potential_plus remainder unified_deformation""",
     "polynomials": """FamilyTag LambdaPoly Parameterization Ratio coefficient_rows
                       derivative_relation_residual evaluate gf_polynomial
                       gf_polynomials harmonic_limit proportionality_ratio

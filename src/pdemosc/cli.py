@@ -174,20 +174,25 @@ def _ordering_flag(text: str) -> VonRoosOrdering:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", required=True,
+    # each subcommand takes the groups of flags it reads, and no other
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True,
                         choices=sorted(k.value for k in Kind))
-    common.add_argument("--alpha", type=float, default=1.0)
-    common.add_argument("--lambda", dest="lam", type=float, default=0.0,
+    family.add_argument("--alpha", type=float, default=1.0)
+    family.add_argument("--lambda", dest="lam", type=float, default=0.0,
                         help="deformation strength of the mass law")
-    common.add_argument("--n-max", type=int, default=None,
-                        help="highest level/degree (default min(9, cutoff-1))")
-    common.add_argument("--grid-n", type=int, default=4000)
-    common.add_argument("--tail-tolerance", type=float, default=1e-12)
-    common.add_argument("--output-dir", default=None,
+    family.add_argument("--output-dir", default=None,
                         help="write artifacts here instead of stdout")
-    common.add_argument("--format", choices=["csv", "json", "both"],
-                        default="csv")
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--n-max", type=int, default=None,
+                        help="highest level/degree (default min(9, cutoff-1))")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-n", type=int, default=4000)
+    grid.add_argument("--tail-tolerance", type=float, default=1e-12)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=["csv", "json", "both"],
+                       default="csv")
+    every = [family, levels, grid, table]
 
     parser = argparse.ArgumentParser(
         prog="pdemosc",
@@ -195,39 +200,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "nonlinear oscillators, computed algebraically and "
                     "cross-checked by finite differences.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=every,
                    help="algebraic vs numeric energy levels")
-    p_eig = sub.add_parser("eigenfunctions", parents=[common],
+    p_eig = sub.add_parser("eigenfunctions", parents=every,
                            help="grid samples of the bound states")
     p_eig.add_argument("--source", choices=["algebraic", "numeric"],
                        default="algebraic")
-    p_pol = sub.add_parser("polynomials", parents=[common],
+    p_pol = sub.add_parser("polynomials", parents=[family, levels],
                            help="exact deformed-polynomial coefficients")
     p_pol.add_argument("--symbolic", action="store_true",
                        help="also print human-readable expanded forms")
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[family, grid],
                    help="run all operator-identity residual checks")
-    p_cmp = sub.add_parser("compare-ordering", parents=[common],
+    p_cmp = sub.add_parser("compare-ordering", parents=every,
                            help="spectra under alternative kinetic orderings")
     p_cmp.add_argument("--ordering", action="append", type=_ordering_flag,
                        required=True, metavar="a,b,c")
     return parser
 
 
-def _n_max(family, requested, levels: bool = True) -> int:
-    """--n-max, by default min(9, cutoff − 1).
+def _n_max(family, requested) -> int:
+    """The highest level: --n-max, by default min(9, cutoff − 1).
 
-    A family that binds no state has no default.  When the indices are
-    levels (not polynomial degrees) require_bound refuses an explicit
-    request that is negative or past the cutoff; gf_polynomials refuses a
-    negative degree.
+    A family that binds no state has no default, and require_bound
+    refuses an explicit level that is negative or past the cutoff.
     """
     if requested is None:
         require_bound(family, 0)
         count = bound_state_count(family)
         return 9 if count is None else min(9, count - 1)
-    if levels:
-        require_bound(family, requested)
+    require_bound(family, requested)
     return requested
 
 
@@ -253,12 +255,12 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
     """Route artifacts to --output-dir files or stdout, per --format.
 
     csv_chunks is an iterable of CSV text, written chunk by chunk as it
-    is drained, or None when the request has no table.
+    is drained, or None when the request has no table: then the JSON
+    alone is written, as by polynomials and verify, which take no
+    --format, or by eigenfunctions --format json.
     """
-    want_csv = csv_chunks is not None and args.format in ("csv", "both")
-    want_json = json_text is not None and args.format in ("json", "both")
-    if json_text is not None and csv_chunks is None:
-        want_json = True  # JSON-only artifacts ignore --format
+    want_csv = csv_chunks is not None and args.format != "json"
+    want_json = csv_chunks is None or args.format != "csv"
     if args.output_dir:
         if want_csv:
             _write(args.output_dir, base + ".csv", csv_chunks)
@@ -355,8 +357,9 @@ def _poly_str(poly) -> str:
 
 def _cmd_polynomials(args, family) -> int:
     from .polynomials import gf_polynomials, parameterization_for
-    # degree is a polynomial index, not a level, so no bound-count gate
-    n_max = _n_max(family, args.n_max, levels=False)
+    # a degree is not a level: only the default looks at the cutoff, and
+    # gf_polynomials refuses a negative degree
+    n_max = _n_max(family, None) if args.n_max is None else args.n_max
     par = parameterization_for(family.profile.kind)
     polys = gf_polynomials(n_max, par)
     if args.symbolic:

@@ -28,9 +28,9 @@ factorization and residual on a block; any other matrix is one block, on
 the same code path.
 
 Everything here runs on Python floats, so the eigenvalue path never
-imports numpy: the command line calls assemble_lists, eigenvalue_list and
+imports numpy: the package calls assemble_lists, eigenvalue_list and
 eigenpair_lists.  The public assemblers and eigen_tridiagonal return
-ndarrays, and import numpy when called.
+ndarrays, and import numpy when called; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def assemble_sturm_liouville(family: ShapeInvariantFamily,
     p is evaluated at the n+1 midpoints, so row i and row i+1 share the
     same p_{i+½} value and the matrix is symmetric exactly, not merely up
     to roundoff.  The bands are ndarrays; assemble_lists gives the same
-    entries as float lists, without numpy.
+    entries as float lists, without numpy.  Kept for perfbench/ and the
+    acceptance contract.
     """
     return _as_arrays(assemble_lists(family, grid))
 
@@ -282,7 +283,8 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
 
     The leftover asymmetry of the two multiplication orders is folded in by
     explicit averaging (see von_roos_asymmetry).  The bands are ndarrays,
-    as for assemble_sturm_liouville.
+    as for assemble_sturm_liouville.  Kept for perfbench/ and the
+    acceptance contract.
     """
     return _as_arrays(assemble_lists(family, grid, ordering))
 
@@ -672,10 +674,27 @@ def _unfolded(u: list, n: int, odd: bool) -> list:
 
 
 def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
-    """eigen_tridiagonal as (eigenvalues, eigenvectors) lists, without numpy.
+    """k smallest eigenpairs of a symmetric tridiagonal matrix, as lists.
 
-    Each vector's last largest-magnitude component is positive, so an odd
-    state of a mirror-symmetric T has its right peak positive.
+    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
+    one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
+    with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
+    |γ_r|.  An iterate that fails the residual check, or loses more than
+    half its norm to Gram–Schmidt (a z of a multiple eigenvalue), is
+    retried: the factors solve a seeded random vector, then the last
+    iterate, up to 50 times.  A vector is accepted only when ‖Tv − λv‖∞ ≤
+    1e−10·‖T‖∞, then normalized so h·Σv² = 1 with the largest-magnitude
+    component positive, the last of equal magnitudes deciding.  A T split
+    into parity blocks is solved on the block of each level, with
+    Gram–Schmidt against the vectors of the same parity only, since
+    vectors of opposite parity are exactly orthogonal; the block vector is
+    then mirrored into the full one, negated for an odd state.  The two
+    mirror peaks of an odd state then tie exactly, so its right peak is
+    made positive, a sign that no roundoff in λ can flip.  That is the
+    sign of the closed-form states (sampling.eigenfunction_lists), whose
+    right tail is positive, wherever their outermost lobe is the largest,
+    as for the oscillators here.  Scaling T by a power of two scales the
+    eigenvalues alike and leaves the eigenvectors bit for bit.
     """
     blocks, norm_t, glo, ghi = _prepared(T, k)
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
@@ -754,29 +773,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
 
 
 def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:
-    """k smallest eigenpairs of a symmetric tridiagonal matrix, as ndarrays.
-
-    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
-    one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
-    with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
-    |γ_r|.  An iterate that fails the residual check, or loses more than
-    half its norm to Gram–Schmidt (a z of a multiple eigenvalue), is
-    retried: the factors solve a seeded random vector, then the last
-    iterate, up to 50 times.  A vector is accepted only when ‖Tv − λv‖∞ ≤
-    1e−10·‖T‖∞, then normalized so h·Σv² = 1 with the largest-magnitude
-    component positive, the last of equal magnitudes deciding.  A T split
-    into parity blocks is solved on the block of each level, with
-    Gram–Schmidt against the vectors of the same parity only, since
-    vectors of opposite parity are exactly orthogonal; the block vector is
-    then mirrored into the full one, negated for an odd state.  The two
-    mirror peaks of an odd state then tie exactly, so its right peak is
-    made positive, a sign that no roundoff in λ can flip.  That is the
-    sign of the closed-form states (sampling.eigenfunction_lists), whose
-    right tail is positive, wherever their outermost lobe is the largest,
-    as for the oscillators here.  Scaling T by a power of two scales the
-    eigenvalues alike and leaves the eigenvectors bit for bit.
-    eigenpair_lists is the same on floats.
-    """
+    """eigenpair_lists as ndarrays; kept for perfbench/ and the acceptance contract."""
     import numpy as np
     eigenvalues, vectors = eigenpair_lists(T, k, h)
     return EigenSolution(np.asarray(eigenvalues), np.asarray(vectors))

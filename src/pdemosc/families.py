@@ -76,16 +76,6 @@ class ShapeInvariantFamily(namedtuple("ShapeInvariantFamily",
     __slots__ = ()
 
 
-class SpectrumTable(namedtuple("SpectrumTable",
-                               "ground_energy entries bound_count")):
-    """Ground energy plus the ordered levels up to some index.
-
-    bound_count is None for families whose whole ladder is normalizable.
-    """
-
-    __slots__ = ()
-
-
 class VonRoosOrdering(namedtuple("VonRoosOrdering", "a b c")):
     """Kinetic-term ordering exponents, constrained by a + b + c = -1.
 
@@ -110,10 +100,11 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
     """Build a family from its kind, oscillator strength and deformation.
 
     Every kind is the mass law c/(1 + s x²) for the (c, s) in the table
-    below.  The Constant kind ignores lam.  Case 2 and Case 3 reject
-    lam = 0: for Case 2 the mass is undefined there (its constant-mass
-    limit is lam → ∞), and for Case 3 the mass would be the constant 2,
-    which is a plain harmonic oscillator better served by Kind.CONSTANT.
+    below.  The Constant kind has no deformation, so it rejects lam ≠ 0
+    (±0 is accepted).  Case 2 and Case 3 reject lam = 0: for Case 2 the
+    mass is undefined there (its constant-mass limit is lam → ∞), and for
+    Case 3 the mass would be the constant 2, which is a plain harmonic
+    oscillator better served by Kind.CONSTANT.
     """
     if not (alpha > 0) or not math.isfinite(alpha):
         raise NonPositiveAlphaError(f"alpha must be positive and finite, got {alpha}")
@@ -126,8 +117,9 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
         raise InvalidLambdaError("Case 3 requires lambda != 0; "
                                  "the lambda = 0 mass is the constant 2 "
                                  "(use Kind.CONSTANT for a harmonic oscillator)")
-    if kind == Kind.CONSTANT:
-        lam = 0.0
+    if kind == Kind.CONSTANT and lam != 0:
+        raise InvalidLambdaError(f"the constant family has no deformation: "
+                                 f"lambda must be 0, got {lam}")
     law = {
         Kind.CASE1: lambda: (1.0, lam),
         Kind.CASE2: lambda: (1.0, 1.0 / lam),
@@ -285,9 +277,3 @@ def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
     for k in range(n):
         total += remainder(family, alpha_at(family, k))
     return total
-
-
-def spectrum_table(family: ShapeInvariantFamily, n_max: int) -> SpectrumTable:
-    """Levels 0..n_max from the closed forms."""
-    entries = tuple((n, energy(family, n)) for n in range(n_max + 1))
-    return SpectrumTable(entries[0][1], entries, bound_state_count(family))

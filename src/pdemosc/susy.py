@@ -42,7 +42,7 @@ from .arrays import (
     states_at,
     superpotential_at,
 )
-from .discrete import Grid, TridiagonalOperator, eigen_tridiagonal
+from .discrete import Grid, TridiagonalOperator, eigenpair_lists
 from .errors import LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -324,8 +324,8 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     mapped = a @ eigenfunction_samples(family, n + 1, grid)
     (_, diag, _), off = _block_hamiltonians(family, grid, x, 0, grid.n)
     require_representable([band_extent(diag, off)])
-    sol = eigen_tridiagonal(TridiagonalOperator(diag, off), n + 1, grid.h)
-    v = sol.eigenvectors[n]
+    _, vectors = eigenpair_lists(TridiagonalOperator(diag, off), n + 1, grid.h)
+    v = np.asarray(vectors[n])
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))
     return abs(float(np.dot(mapped, v))) / denom
 

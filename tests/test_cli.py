@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pdemosc import run
+from pdemosc.cli import build_parser
 
 
 def lines_of(capsys):
@@ -107,6 +108,59 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+# the eight flags the subcommands share, each with a value and what it parses to
+SHARED_FLAGS = {
+    "--family": ("case3", "family", "case3"),
+    "--alpha": ("2", "alpha", 2.0),
+    "--lambda": ("0.5", "lam", 0.5),
+    "--output-dir": ("out", "output_dir", "out"),
+    "--n-max": ("3", "n_max", 3),
+    "--grid-n": ("100", "grid_n", 100),
+    "--tail-tolerance": ("1e-6", "tail_tolerance", 1e-6),
+    "--format": ("json", "format", "json"),
+}
+FAMILY_FLAGS = ["--family", "--alpha", "--lambda", "--output-dir"]
+READS = {
+    "spectrum": list(SHARED_FLAGS),
+    "eigenfunctions": list(SHARED_FLAGS),
+    "compare-ordering": list(SHARED_FLAGS),
+    "polynomials": FAMILY_FLAGS + ["--n-max"],
+    "verify": FAMILY_FLAGS + ["--grid-n", "--tail-tolerance"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    base = [command, "--family", "case1"]
+    if command == "compare-ordering":
+        base.append("--ordering=-0.5,0,-0.5")
+    for flag, (text, dest, value) in SHARED_FLAGS.items():
+        argv = base + [flag, text]
+        if flag in READS[command]:
+            assert getattr(build_parser().parse_args(argv), dest) == value
+        else:
+            assert run(argv) == 2, flag
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"unrecognized arguments: {flag} {text}" in err
+
+
+def test_constant_family_refuses_a_deformation(capsys):
+    argv = ["spectrum", "--family", "constant", "--n-max", "2", "--grid-n", "100"]
+    assert run(argv + ["--lambda", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the constant family has no deformation")
+    tables = []
+    for zero in (["--lambda", "0"], ["--lambda=-0.0"]):
+        assert run(argv + zero) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1].startswith("0,0.5,")
+
+
 def test_eigenfunctions_csv_shape(capsys):
     code = run(["eigenfunctions", "--family", "case1", "--lambda", "0.1",
                 "--n-max", "2", "--grid-n", "120"])
@@ -130,7 +184,7 @@ def test_eigenfunctions_sources_agree(capsys):
 
 def test_polynomials_symbolic_and_json(capsys):
     code = run(["polynomials", "--family", "case1", "--n-max", "5",
-                "--symbolic", "--format", "json"])
+                "--symbolic"])
     out, _ = capsys.readouterr()
     assert code == 0
     text_lines = [l for l in out.splitlines() if l.startswith("H_")]
@@ -486,8 +540,9 @@ def test_tiny_lambda_matches_constant(capsys, command):
     ["compare-ordering", "--ordering=-0.5,0,-0.5"], ["verify"],
 ], ids=["spectrum", "eigenfunctions", "compare-ordering", "verify"])
 def test_subnormal_deformation_answers_as_constant(capsys, argv):
-    base = argv + ["--alpha", "1e10", "--n-max", "3", "--grid-n", "400",
-                   "--format", "json"]
+    base = argv + ["--alpha", "1e10", "--grid-n", "400"]
+    if argv[0] != "verify":
+        base += ["--n-max", "3", "--format", "json"]
     code = run(base + ["--family", "case1", "--lambda", "1e-300"])
     out, err = capsys.readouterr()
     assert err == "" and code == (3 if argv[0] == "verify" else 0)

@@ -25,7 +25,6 @@ from pdemosc import (
     potential_minus,
     potential_plus,
     remainder,
-    spectrum_table,
     superpotential_at,
     unified_deformation,
     VonRoosOrdering,
@@ -244,20 +243,17 @@ def test_energy_refuses_unbound_levels():
         require_bound(fam, -1)
 
 
+def test_constant_family_refuses_a_deformation():
+    with pytest.raises(InvalidLambdaError, match="lambda must be 0, got 5.0"):
+        make_family(Kind.CONSTANT, 1.0, 5.0)
+    for zero in (0.0, -0.0):
+        fam = make_family(Kind.CONSTANT, 1.0, zero)
+        assert fam.profile.s == 0.0 and fam.eta == 0.0
+
+
 def test_last_bound_level_is_accepted():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     assert energy(fam, 9) == pytest.approx(5.0, rel=1e-14)
-
-
-def test_spectrum_table_contents():
-    fam = make_family(Kind.CASE1, 1.0, 0.1)
-    table = spectrum_table(fam, 4)
-    assert table.ground_energy == pytest.approx(0.5)
-    assert table.bound_count == 10
-    assert [n for n, _ in table.entries] == [0, 1, 2, 3, 4]
-    want = [0.5, 1.4, 2.2, 2.9, 3.5]
-    for (_, e), w in zip(table.entries, want):
-        assert e == pytest.approx(w, abs=1e-12)
 
 
 def test_validation_rejects_bad_parameters():
