@@ -8,20 +8,21 @@ the bound states H_n·φ_0, the ground state and the superpotential, and
 the symmetric-ordering stencil, on grids of up to 200000 nodes, where
 Python floats would cost about 25 times as much.  `verify` evaluates all
 of them on blocks of rows, so each is given on any run of nodes
-lo … hi − 1: nodes_between and kinetic_bands run the same IEEE
-operations per entry as the whole grid does, so a block's entries are
-the whole grid's, bit for bit.  states_at yields each state with the
-exponent e of the power of two 2^e that its block divided it by, so a
-block's states are the whole grid's up to one power of two per block.
-They are not normalized there, since every identity `verify` checks is
-linear in the state.
+lo … hi − 1: nodes_between and kinetic_bands pass index arrays to
+Grid.node and Grid.midpoint, whose IEEE operations are the same per
+entry, so a block's entries are the whole grid's, bit for bit.
+states_at runs families.hermite_rows on ndarrays and yields each state
+with the exponent e of the power of two 2^e that its block divided it by,
+so a block's states are the whole grid's up to one power of two per
+block.  They are not normalized there, since every identity `verify`
+checks is linear in the state.
 
 kinetic_bands is a second evaluation of discrete's float stencil; both
 run the same IEEE operations in the same order, so their entries agree
 bit for bit.  eigenfunction_samples (states_at on one whole-grid block,
-normalized) is a second evaluation of sampling.eigenfunction_lists in the
-same operations; exp, log1p and the norm's sum differ, so the two agree
-to within a few ulps of max|φ_n|.
+normalized) is a second evaluation of sampling.eigenfunction_lists, from
+the same recurrence; exp, log1p and the norm's sum differ, so the two
+agree to within a few ulps of max|φ_n|.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .discrete import Grid
 from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
-    hermite_steps,
+    hermite_rows,
     mass_at,
     require_bound,
     require_inside,
@@ -53,8 +54,7 @@ def inner_product(f, g, grid: Grid) -> float:
 
 def nodes_between(grid: Grid, lo: int, hi: int):
     """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes."""
-    return grid.center + grid.h * (np.arange(lo + 1, hi + 1)
-                                   - 0.5 * (grid.n + 1))
+    return grid.node(np.arange(lo + 1, hi + 1))
 
 
 def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
@@ -76,42 +76,18 @@ def ground_state_unnormalized(family: ShapeInvariantFamily, x):
     return np.exp(-0.5 * p.c * family.alpha0 * u)
 
 
-def _hermites(family: ShapeInvariantFamily, count: int, x):
-    """Yields (H_n(ζ, q)·2^−e, e) for n = 0 … count − 1 at the nodes x,
+def states_at(family: ShapeInvariantFamily, count: int, x):
+    """Yields (H_n(ζ, q)·φ_0·2^−e, e) at the nodes x for n = 0 … count − 1,
     with ζ = √(cα)·x.
 
-    The three-term recurrence is stable at high degree, where the
-    expanded monomial form is not.  H_n outgrows a double at high degree
-    (on the default box, the squared norm of H_n φ_0 does from n = 150),
-    so whenever a running bound on max|H_m| over these nodes passes 2^256,
-    the pair (H_{m−1}, H_m) is divided by the power of two just above
-    max|H_m|, and e counts the divisions.  Such a division is exact, so a
-    block of nodes gets the whole grid's H_n·2^−e up to a power of two.
-    """
-    zeta = math.sqrt(family.profile.c * family.alpha0) * x
-    zeta_max = float(np.max(np.abs(zeta)))
-    h_prev, h_cur, e = np.zeros_like(zeta), np.ones_like(zeta), 0
-    top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
-    yield h_cur, e
-    for a, b in hermite_steps(family, count):
-        h_prev, h_cur = h_cur, a * zeta * h_cur - b * h_prev
-        top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
-        if top > 2.0 ** 256:
-            # a nan (np.max propagates one) or inf maximum divides by 2^0
-            shift = math.frexp(float(np.max(np.abs(h_cur))))[1]
-            h_prev, h_cur = np.ldexp(h_prev, -shift), np.ldexp(h_cur, -shift)
-            top_prev, top, e = float(np.max(np.abs(h_prev))), 1.0, e + shift
-        yield h_cur, e
-
-
-def states_at(family: ShapeInvariantFamily, count: int, x):
-    """Yields (H_n·φ_0·2^−e, e) at the nodes x for n = 0 … count − 1.
-
-    The states are not normalized, and _hermites chooses the divisions
-    2^e from these nodes alone.
+    The states are not normalized, and families.hermite_rows chooses the
+    divisions 2^e from these nodes alone.
     """
     g = ground_state_unnormalized(family, x)
-    for h, e in _hermites(family, count, x):
+    zeta = math.sqrt(family.profile.c * family.alpha0) * x
+    for h, e in hermite_rows(family, count, zeta, np.ones_like(zeta),
+                             lambda a, z, cur, b, prev: a * z * cur - b * prev,
+                             lambda v: float(np.max(np.abs(v))), np.ldexp):
         yield h * g, e
 
 
@@ -137,11 +113,10 @@ def kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
     discrete's stencil at the symmetric ordering (0, −1, 0): there the
     outer mass powers are m⁰ = 1, so the float stencil's products with
     them are exact and are left out here; what remains is the same
-    sequence of operations on the same inputs (the midpoints are
-    Grid.midpoints).  The potential adds to diag.  Entries past a double
-    are inf.
+    sequence of operations on the same inputs (Grid.midpoint).  The
+    potential adds to diag.  Entries past a double are inf.
     """
-    mids = grid.center + grid.h * (np.arange(lo, hi + 1) - 0.5 * grid.n)
+    mids = grid.midpoint(np.arange(lo, hi + 1))
     h2 = grid.h * grid.h
     with np.errstate(over="ignore"):
         w = 1.0 / mass_at(family.profile, mids)

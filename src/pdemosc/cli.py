@@ -13,9 +13,9 @@ Every CSV table is streamed: `_csv_table` formats it a block of rows at a
 time and `_emit` writes each block to the file or stdout as it comes, so
 memory scales with the samples, not with the text, and the bytes are those
 of formatting every row.  A table whose right half mirrors its left half
-bit for bit, as the eigenfunctions on build_grid's centred boxes do, has
-only its left half formatted; the right half is that text in reverse row
-order, with the leading "-" toggled in the odd columns.
+bit for bit, as the eigenfunctions on every grid do, has only its left
+half formatted; the right half is that text in reverse row order, with
+the leading "-" toggled in the odd columns.
 """
 
 from __future__ import annotations

@@ -17,15 +17,15 @@ from one twisted factorization of T − λI per level (Parlett and Dhillon
 1997), with inverse iteration on its factors only where its vector is
 rejected.  Nothing here knows about superpotentials or polynomials.
 
-Every mass law and potential here is even, and build_grid centres its box
-at 0 with nodes that mirror bit for bit, so the assembled bands are
-exactly mirror-symmetric and are evaluated on the left half only.  Such a
-matrix with negative couplings is the direct sum of an even and an odd
-block of about N/2 rows each, whose levels alternate (the oscillation
-theorem for Jacobi matrices): level j is level j//2 of block j mod 2.
-The eigensolver detects that structure and runs every count pass,
-factorization and residual on a block; any other matrix is one block, on
-the same code path.
+Every mass law and potential here is even, and every grid is a box
+(−hi, hi) centred at 0 whose nodes mirror bit for bit, so the assembled
+bands are exactly mirror-symmetric and are evaluated on the left half
+only.  Such a matrix with negative couplings is the direct sum of an even
+and an odd block of about N/2 rows each, whose levels alternate (the
+oscillation theorem for Jacobi matrices): level j is level j//2 of block
+j mod 2.  The eigensolver detects that structure and runs every count
+pass, factorization and residual on a block; any other matrix is one
+block, on the same code path.
 
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the package calls assemble_lists, eigenvalue_list and
@@ -39,7 +39,7 @@ import math
 import random
 import struct
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, count, islice
 from operator import add, mul, sub
@@ -59,37 +59,36 @@ from .families import (
 
 
 class Grid(namedtuple("Grid", "lo hi n h")):
-    """Uniform interior grid on (lo, hi); the endpoints carry implicit zeros.
+    """Uniform interior grid on (lo, hi) = (−hi, hi); the endpoints carry
+    implicit zeros.
 
-    Node i (1 ≤ i ≤ n) is center + h·(i − (n+1)/2) and midpoint i
-    (0 ≤ i ≤ n) is center + h·(i − n/2), with center = ½lo + ½hi.  On a
-    box symmetric about 0, as build_grid makes, center is 0, so node n+1−i
-    is −(node i) and midpoint n−i is −(midpoint i) bit for bit; an even
-    mass law and potential then give exactly mirror-symmetric bands, which
-    the eigensolver splits into parity blocks.  `nodes()` lists the nodes
-    as floats; arrays.nodes_between gives any run of them as an ndarray,
-    from the same IEEE operations.
+    Node i (1 ≤ i ≤ n) is h·(i − (n+1)/2) and midpoint i (0 ≤ i ≤ n) is
+    h·(i − n/2), so node n+1−i is −(node i) and midpoint n−i is
+    −(midpoint i) bit for bit; an even mass law and potential then give
+    exactly mirror-symmetric bands, which the eigensolver splits into
+    parity blocks.  `node` and `midpoint` take an index or an ndarray of
+    indices, through the same IEEE operations; `nodes()` and `midpoints()`
+    list runs of them as floats.
     """
 
     __slots__ = ()
 
-    @property
-    def center(self) -> float:
-        return 0.5 * self.lo + 0.5 * self.hi
+    def node(self, i):
+        return self.h * (i - 0.5 * (self.n + 1))
 
-    def node(self, i: int) -> float:
-        return self.center + self.h * (i - 0.5 * (self.n + 1))
+    def midpoint(self, i):
+        return self.h * (i - 0.5 * self.n)
 
     def nodes(self, count: int | None = None) -> list:
         """Nodes 1..count (all n by default) as floats."""
-        c, h, mid = self.center, self.h, 0.5 * (self.n + 1)
+        h, mid = self.h, 0.5 * (self.n + 1)
         count = self.n if count is None else count
-        return [c + h * (i - mid) for i in range(1, count + 1)]
+        return [h * (i - mid) for i in range(1, count + 1)]
 
     def midpoints(self, count: int) -> list:
         """Midpoints 0..count − 1 as floats."""
-        c, h, mid = self.center, self.h, 0.5 * self.n
-        return [c + h * (i - mid) for i in range(count)]
+        h, mid = self.h, 0.5 * self.n
+        return [h * (i - mid) for i in range(count)]
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -107,12 +106,14 @@ class EigenSolution(namedtuple("EigenSolution", "eigenvalues eigenvectors")):
     __slots__ = ()
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> Grid:
+def uniform_grid(hi: float, n: int) -> Grid:
+    """n interior nodes on (−hi, hi), whose width 2·hi must be a positive
+    double."""
     if n < 16:
         raise InvalidCountError(f"need at least 16 interior points, got {n}")
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    return Grid(lo, hi, n, (hi - lo) / (n + 1))
+    if not 0.0 < hi + hi < math.inf:
+        raise ValueError(f"need a half-width with 0 < 2*hi < inf, got {hi}")
+    return Grid(-hi, hi, n, (hi + hi) / (n + 1))
 
 
 def build_grid(family: ShapeInvariantFamily, n: int,
@@ -125,7 +126,8 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     symmetrically there.  Compact domains keep their singular endpoints
     (grid nodes stay strictly interior, where the mass is positive), and
     are refused when fewer than 16 nodes, the least any grid may have,
-    fall inside that box: the grid cannot resolve the bound states.
+    fall inside that box, as the grid cannot resolve the bound states, or
+    when their outer nodes square past a double.
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise ValueError(
@@ -134,15 +136,18 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     s = profile.s
     u = 2.0 * math.log(1.0 / tail_tolerance) / (profile.c * family.alpha0)
     try:
-        box2 = math.expm1(s * u) / s if abs(s) >= sys.float_info.min else u
+        # where s or s·u is subnormal, expm1(s·u)/s is u to working precision
+        box2 = (math.expm1(s * u) / s
+                if min(abs(s), abs(s * u)) >= sys.float_info.min else u)
     except OverflowError:
         box2 = math.inf
     if math.isfinite(profile.hi):
-        grid = uniform_grid(profile.lo, profile.hi, n)
+        grid = uniform_grid(profile.hi, n)
         box = math.sqrt(box2)
-        # nodes ascend, so those in (−box, box) are one run, found by bisection
-        inside = max(0, bisect_left(range(1, n + 1), box, key=grid.node)
-                     - bisect_right(range(1, n + 1), -box, key=grid.node))
+        # the nodes ascend and mirror, so those in (−box, box) are all but
+        # the run at or below −box and its mirror image
+        inside = max(0, n - 2 * bisect_right(range(1, n + 1), -box,
+                                             key=grid.node))
         if inside < 16:
             raise InvalidCountError(
                 f"grid spacing h = {grid.h:.3g} on the compact domain "
@@ -150,14 +155,20 @@ def build_grid(family: ShapeInvariantFamily, n: int,
                 f"{n} nodes where the ground state exceeds the tail "
                 f"tolerance {tail_tolerance:g} (|x| < {box:.3g}); at least 16 "
                 f"are needed to resolve the bound states")
+        edge = grid.node(1)
+        if edge * edge == math.inf:  # a subnormal s puts the walls past 1e154
+            raise InvalidLambdaError(
+                f"the compact domain (-{profile.hi:.3g}, {profile.hi:.3g}) is "
+                f"too wide: its outer nodes square past the range of a "
+                f"double, where the mass law cannot be evaluated; strengthen "
+                f"the deformation")
         return grid
     if not math.isfinite(box2):
         raise InvalidLambdaError(
             f"the ground state decays too slowly to reach the tail tolerance "
             f"{tail_tolerance:g} within the range of a double; "
             f"loosen the tail tolerance or weaken the deformation")
-    hi = math.sqrt(box2)
-    return uniform_grid(-hi, hi, n)
+    return uniform_grid(math.sqrt(box2), n)
 
 
 def refuse_overflow(top: float):
@@ -199,20 +210,18 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     orders are one shared list.  A power or quotient that leaves the range
     of a double is refused as an overflow, as an infinite entry would be.
 
-    The mass and the potential depend on x only through x·x.  On a grid
-    centred at 0 the nodes and midpoints mirror bit for bit, so they are
-    evaluated on the left half and the middle only, and only the rows of
-    the left half and the middle are returned; the rest mirror them (see
-    _mirrored), each mirrored coupling swapping the two orders, so the
-    bands equal a full evaluation bit for bit.  On any other grid every row
-    is returned.
+    The mass and the potential depend on x only through x·x, and the
+    nodes and midpoints mirror bit for bit, so they are evaluated on the
+    left half and the middle only, and only the rows of the left half and
+    the middle are returned; the rest mirror them (see _mirrored), each
+    mirrored coupling swapping the two orders, so the bands equal a full
+    evaluation bit for bit.
     """
     h, n = grid.h, grid.n
     h2 = h * h
-    mirror = grid.center == 0.0
-    xs = grid.nodes((n + 1) // 2 if mirror else n)
-    mids = grid.midpoints(n // 2 + 1 if mirror else n + 1)
-    pairs = n // 2 if mirror else n - 1
+    xs = grid.nodes((n + 1) // 2)
+    mids = grid.midpoints(n // 2 + 1)
+    pairs = n // 2
     unit = ordering.a == 0.0 and ordering.c == 0.0  # m⁰ = 1 at every node
     try:
         m_nodes = masses_on(family.profile, xs)

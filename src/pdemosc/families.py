@@ -13,8 +13,9 @@ Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
 (c, s, α) and each closed form below is one formula in it: the step is
 η = −s/c and the deformation q = s/(cα).  The formulas are hand-expanded;
 no symbolic differentiation happens at runtime.  Nothing here imports
-numpy: the closed forms take a float or an ndarray alike; the grid samples
-of the bound states live in `sampling` (floats) and `arrays` (numpy).
+numpy: the closed forms take a float or an ndarray alike, and so does
+hermite_rows, the recurrence of the bound states that the grid samplers
+in `sampling` (floats) and `arrays` (numpy) run.
 """
 
 from __future__ import annotations
@@ -215,12 +216,42 @@ def unified_deformation(family: ShapeInvariantFamily) -> float:
     return family.profile.s / (family.profile.c * family.alpha0)
 
 
-def hermite_steps(family: ShapeInvariantFamily, count: int) -> list:
-    """(a, b) of each step H_{m+1} = a·ζ·H_m − b·H_{m−1} for m < count − 1:
-    a = 2 − (2m+1)q and b = m(2 − mq), the recurrence of the deformed
-    Hermite polynomials that both grid samplers run."""
+def hermite_rows(family: ShapeInvariantFamily, count: int, zeta, one,
+                 step, top_of, scaled):
+    """Yields (H_n(ζ, q)·2^−e, e) for n = 0 … count − 1 at the vector ζ,
+    from H_{m+1} = a·ζ·H_m − b·H_{m−1}, a = 2 − (2m+1)q, b = m(2 − mq).
+
+    Both grid samplers run it on vectors of their own kind: one is H_0,
+    step(a, ζ, h, b, g) = a·ζ·h − b·g, top_of(v) = max|v| and
+    scaled(v, k) = v·2^k.  H_n outgrows a double at high degree (on the
+    default box, the squared norm of H_n φ_0 does from n = 150), so
+    whenever a running bound on max|H_m| passes 2^256, the pair
+    (H_{m−1}, H_m) is divided by the power of two just above max|H_m|,
+    and e counts the divisions.  The bound depends on the degree only, so
+    a division happens at the same step for every degree; it is exact, so
+    any run of nodes gets the whole grid's H_n·2^−e up to a power of two.
+    """
     q = unified_deformation(family)
-    return [(2.0 - (2 * m + 1) * q, m * (2.0 - m * q)) for m in range(count - 1)]
+    if not math.isfinite(q):  # a subnormal alpha can put it out of range
+        raise InvalidLambdaError(
+            f"the deformation q = s/(c*alpha) = {q} leaves the range of a "
+            f"double, so the closed-form states cannot be sampled; raise "
+            f"alpha or weaken the deformation")
+    zeta_max = top_of(zeta)
+    # H_{−1} = 0 enters the first step only, times b = 0, so H_0 stands in
+    h_prev, h_cur, e = one, one, 0
+    top_prev, top = 0.0, 1.0  # upper bounds on max|h_prev|, max|h_cur|
+    yield h_cur, e
+    for m in range(count - 1):
+        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+        h_prev, h_cur = h_cur, step(a, zeta, h_cur, b, h_prev)
+        top_prev, top = top, abs(a) * zeta_max * top + abs(b) * top_prev
+        if top > 2.0 ** 256:
+            # a NaN or inf maximum divides by 2^0
+            shift = math.frexp(top_of(h_cur))[1]
+            h_prev, h_cur = scaled(h_prev, -shift), scaled(h_cur, -shift)
+            top_prev, top, e = top_of(h_prev), 1.0, e + shift
+        yield h_cur, e
 
 
 def bound_state_count(family: ShapeInvariantFamily) -> int | None:

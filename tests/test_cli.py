@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdemosc import run
 from pdemosc.cli import build_parser
@@ -429,6 +433,22 @@ def test_closed_stdout_ends_in_one_error_line():
     # no operator is built, but E_2 = 2.5·alpha leaves the range of a double
     (["eigenfunctions", "--family", "constant", "--alpha", "1e308",
       "--n-max", "2", "--grid-n", "20", "--format", "json"], "E_2 is inf"),
+    # c·α overflows, so the box is 0 wide: the centre node of an odd grid
+    # sits on its edge, and no node lies inside
+    (["spectrum", "--family", "case3", "--lambda", "0.2", "--alpha", "1e308",
+      "--grid-n", "101"], "leaves 0 of 101 nodes"),
+    # at a subnormal alpha, q = s/(c·alpha) is -inf: the closed-form
+    # recurrence would fill the states with NaN
+    (["eigenfunctions", "--family", "case1", "--alpha", "5e-324",
+      "--lambda=-1", "--grid-n", "16"], "q = s/(c*alpha) = -inf leaves"),
+    (["verify", "--family", "case3", "--alpha", "5e-324", "--lambda", "1",
+      "--grid-n", "17"], "q = s/(c*alpha) = -inf leaves"),
+    # a subnormal s < 0 walls the domain at 4.5e161, and a subnormal alpha
+    # puts every node in the box, but x² overflows there
+    (["eigenfunctions", "--family", "case1", "--alpha", "5e-324",
+      "--lambda=-5e-324", "--grid-n", "16"], "outer nodes square past"),
+    (["verify", "--family", "case1", "--alpha", "5e-324", "--lambda=-5e-324",
+      "--grid-n", "906"], "outer nodes square past"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
@@ -437,7 +457,10 @@ def test_closed_stdout_ends_in_one_error_line():
         "overflow-compare", "overflow-numeric", "overflow-potential",
         "overflow-subnormal-q", "underflow-spectrum", "underflow-compare",
         "underflow-numeric", "underflow-verify", "underflow-verify-zero",
-        "more-levels-than-rows", "subnormal-lambda", "overflow-energy"])
+        "more-levels-than-rows", "subnormal-lambda", "overflow-energy",
+        "empty-compact-box", "infinite-deformation-eigenfunctions",
+        "infinite-deformation-verify", "overflowing-domain-eigenfunctions",
+        "overflowing-domain-verify"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()
@@ -622,3 +645,62 @@ def test_json_only_eigenfunctions_sample_nothing(capsys, monkeypatch):
                 "--source", source]
         assert run(argv) == 0
         assert json.loads(capsys.readouterr()[0])["eigenvalues"] == want[source]
+
+
+# the whole admissible domain and its edges: each request ends in exit 0
+# with finite numbers, in exit 1 with one error line, or, from verify
+# only, in exit 3; never in a traceback or a warning
+EDGE_ALPHAS = [5e-324, 1e-300, 1e-200, 1.0, 1e150, 7.359689122788897e+269,
+               1e300, 1.7e308]
+EDGE_LAMBDAS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0, -2.0]
+
+
+def _decade(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def cli_requests(draw):
+    command = draw(st.sampled_from(["spectrum", "eigenfunctions", "polynomials",
+                                    "verify", "compare-ordering"]))
+    family = draw(st.sampled_from(["case1", "case2", "case3", "constant"]))
+    alpha = draw(st.one_of(_decade(-300, 300), st.sampled_from(EDGE_ALPHAS)))
+    lam = draw(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EDGE_LAMBDAS)))
+    if family == "constant" and draw(st.booleans()):
+        lam = 0.0  # the only deformation it does not refuse
+    argv = [command, "--family", family, "--alpha", repr(alpha),
+            f"--lambda={lam!r}"]
+    if command != "verify" and draw(st.booleans()):
+        argv += ["--n-max", str(draw(st.integers(0, 60)))]
+    if command != "polynomials":
+        argv += ["--grid-n", str(draw(st.integers(16, 1000))),
+                 "--tail-tolerance", repr(draw(_decade(-300, -6)))]
+    if command in ("spectrum", "eigenfunctions", "compare-ordering"):
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "both"]))]
+    if command == "eigenfunctions":
+        argv += ["--source", draw(st.sampled_from(["algebraic", "numeric"]))]
+    if command == "polynomials" and draw(st.booleans()):
+        argv.append("--symbolic")
+    if command == "compare-ordering":
+        argv.append(draw(st.sampled_from(["--ordering=-0.5,0,-0.5",
+                                          "--ordering=0,0,-1",
+                                          "--ordering=-0.7,-0.2,-0.1"])))
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_requests())
+def test_every_request_ends_in_a_documented_way(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and not re.search(r"\b(nan|inf)\b", out), argv
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert out == "", argv
+    else:
+        assert (code, argv[0]) == (3, "verify"), argv

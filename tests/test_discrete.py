@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from pdemosc import (
     ConvergenceFailureError,
@@ -37,8 +39,9 @@ def random_tridiagonal(rng, n, scale=1.0):
 
 
 def test_grid_layout():
-    g = uniform_grid(-1.0, 1.0, 19)
+    g = uniform_grid(1.0, 19)
     assert g.h == pytest.approx(2.0 / 20.0)
+    assert (g.lo, g.hi) == (-1.0, 1.0)
     xs = g.nodes()
     assert len(xs) == 19
     # interior nodes only: the Dirichlet endpoints are not sampled
@@ -48,7 +51,7 @@ def test_grid_layout():
     # a record with no per-instance dict: nothing is cached on a grid
     assert not hasattr(g, "__dict__")
     with pytest.raises(InvalidCountError):
-        uniform_grid(-1.0, 1.0, 15)
+        uniform_grid(1.0, 15)
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -59,7 +62,7 @@ def test_grid_layout():
 def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     grid = build_grid(make_family(kind, 1.0, lam), n)
     xs, mids = grid.nodes(), grid.midpoints(n + 1)
-    assert grid.center == 0.0
+    assert grid.lo == -grid.hi
     assert xs == [-x for x in reversed(xs)]
     assert mids == [-x for x in reversed(mids)]
     assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
@@ -67,16 +70,17 @@ def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
 
 
-@pytest.mark.parametrize("box", [(-1.0, 1.0), (-0.3, 1.7), (0.1, 0.35)])
+# the boxes (−hi, hi)
+@pytest.mark.parametrize("hi", [1.0, 1.7, 0.35], ids=["box0", "box1", "box2"])
 @pytest.mark.parametrize("n", [4000, 4001])
-def test_numpy_nodes_are_the_float_nodes_bit_for_bit(box, n):
-    # centred and off-centre boxes, odd and even N, whole grid and blocks
-    grid = uniform_grid(*box, n)
+def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
+    # odd and even N, whole grid and blocks
+    grid = uniform_grid(hi, n)
     xs = grid.nodes()
     assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
-    for lo, hi in [(0, 1), (17, 2048), (n - 5, n)]:
-        assert (nodes_between(grid, lo, hi).tobytes()
-                == np.array(xs[lo:hi]).tobytes())
+    for lo, stop in [(0, 1), (17, 2048), (n - 5, n)]:
+        assert (nodes_between(grid, lo, stop).tobytes()
+                == np.array(xs[lo:stop]).tobytes())
 
 
 def full_stencil(fam, grid, ordering):
@@ -116,12 +120,13 @@ def _hex(xs):
 ], ids=["case1", "case2", "case3", "constant"])
 @pytest.mark.parametrize("grid_of", [
     lambda fam: build_grid(fam, 600), lambda fam: build_grid(fam, 601),
-    lambda fam: uniform_grid(-3.0, 4.0, 300),
-    lambda fam: uniform_grid(-3.0, 4.0, 301),
-], ids=["centred-even", "centred-odd", "off-centre-even", "off-centre-odd"])
+    lambda fam: uniform_grid(3.5, 300),
+    lambda fam: uniform_grid(3.5, 301),
+], ids=["centred-even", "centred-odd", "uniform-even", "uniform-odd"])
 def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
-    # _stencil forms both composition orders once: their sum gives the bands
-    # and their difference the asymmetry, bit for bit as written out here
+    # _stencil forms both composition orders once, on the left half: their
+    # sum gives the bands and their difference the asymmetry, bit for bit
+    # as written out here on every node, on build_grid's boxes and others
     fam = make_family(kind, 1.3, lam)
     grid = grid_of(fam)
     for abc in [(0.0, -1.0, 0.0), (-0.5, 0.0, -0.5), (0.0, 0.0, -1.0),
@@ -139,12 +144,35 @@ def test_stencil_refuses_a_mass_that_underflows():
     # |x| ~ 1e200 squares past a double, so the case1 mass is 0 and 1/m fails
     fam = make_family(Kind.CASE1, 1.0, 1.0)
     with pytest.raises(InvalidLambdaError, match="overflows"):
-        discrete.assemble_lists(fam, uniform_grid(-1e200, 1e200, 100))
+        discrete.assemble_lists(fam, uniform_grid(1e200, 100))
 
 
-def test_uniform_grid_refuses_an_empty_interval():
-    with pytest.raises(ValueError, match="empty interval"):
-        uniform_grid(1.0, 1.0, 20)
+def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
+    # a width 2·hi that is not a positive double would give NaN nodes or
+    # an infinite spacing, which surface later as misleading refusals
+    for hi in (0.0, -0.0, -1.0, math.inf, math.nan, 1e308, -1e-300):
+        with pytest.raises(ValueError, match="half-width"):
+            uniform_grid(hi, 20)
+    widest = uniform_grid(sys.float_info.max / 2, 20)
+    assert math.isfinite(widest.h) and widest.nodes()[0] > widest.lo
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(5e-324, sys.float_info.max / 2), st.integers(16, 5000),
+       st.data())
+def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
+    # node n+1−i is −(node i) and midpoint n−i is −(midpoint i) bit for
+    # bit, a centre entry is +0.0, and nodes_between slices the nodes
+    grid = uniform_grid(hi, n)
+    for v in (grid.nodes(), grid.midpoints(n + 1)):
+        k = len(v) // 2
+        assert _hex(v[:k]) == _hex([-x for x in v[::-1][:k]])
+        assert len(v) % 2 == 0 or v[k].hex() == "0x0.0p+0"
+    xs = np.array(grid.nodes())
+    lo = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(lo + 1, n))
+    assert nodes_between(grid, lo, stop).tobytes() == xs[lo:stop].tobytes()
+    assert nodes_between(grid, 0, n).tobytes() == xs.tobytes()
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -165,21 +193,20 @@ def test_half_assembly_equals_full_evaluation(kind, lam, n):
         assert len(discrete._prepared(T, 1)[0]) == 2  # split into parity blocks
 
 
-def test_off_centre_grid_is_assembled_whole():
-    # a box not centred at 0 has no mirror, so every row is evaluated
-    fam = make_family(Kind.CASE1, 1.0, 0.1)
-    grid = uniform_grid(-3.0, 5.0, 301)
-    T = discrete.assemble_lists(fam, grid)
-    assert (T.diag, T.offdiag) == full_stencil(fam, grid, SYMMETRIC_ORDERING)[:2]
-    assert len(discrete._prepared(T, 1)[0]) == 1
-
-
 def test_build_grid_gaussian_tail():
     # constant mass: |phi_0| = exp(-alpha x^2 / 2) crosses 1e-12 near 7.43
     fam = make_family(Kind.CONSTANT, 1.0)
     g = build_grid(fam, 100)
     assert g.hi == pytest.approx(math.sqrt(-2.0 * math.log(1e-12)), rel=1e-6)
     assert g.lo == -g.hi
+
+
+def test_build_grid_takes_the_gaussian_box_where_s_times_u_underflows():
+    # s·u = 1e-300·2.8e-99 underflows to 0, where expm1(s·u)/s would give
+    # an empty box; to working precision the box is the Gaussian one
+    for alpha in (1e100, 1e300):
+        tiny = build_grid(make_family(Kind.CASE1, alpha, 1e-300), 400)
+        assert tiny == build_grid(make_family(Kind.CONSTANT, alpha), 400)
 
 
 def test_build_grid_compact_support():
@@ -354,7 +381,7 @@ def test_domain_doubling_changes_nothing():
     grid = build_grid(fam, 700)
     T = assemble_sturm_liouville(fam, grid)
     e_base = eigen_tridiagonal(T, 1, grid.h).eigenvalues[0]
-    doubled = uniform_grid(2.0 * grid.lo, 2.0 * grid.hi, 2 * grid.n + 1)
+    doubled = uniform_grid(2.0 * grid.hi, 2 * grid.n + 1)
     assert doubled.h == pytest.approx(grid.h, rel=1e-12)
     T2 = assemble_sturm_liouville(fam, doubled)
     e_doubled = eigen_tridiagonal(T2, 1, doubled.h).eigenvalues[0]
@@ -371,15 +398,16 @@ def test_eigen_validates_requests():
 
 
 def test_inner_product_checks_lengths():
-    g = uniform_grid(-1.0, 1.0, 20)
+    g = uniform_grid(1.0, 20)
     with pytest.raises(LengthMismatchError):
         inner_product(np.zeros(20), np.zeros(19), g)
 
 
 def test_inner_product_is_trapezoid_quadrature():
-    g = uniform_grid(0.0, 1.0, 99)
-    f = np.sin(math.pi * np.array(g.nodes()))
-    # int_0^1 sin^2(pi x) dx = 1/2; the integrand vanishes at both endpoints
+    g = uniform_grid(0.5, 99)
+    f = np.cos(math.pi * np.array(g.nodes()))
+    # int cos^2(pi x) dx over (-1/2, 1/2) is 1/2; the integrand vanishes at
+    # both endpoints
     assert inner_product(f, f, g) == pytest.approx(0.5, abs=1e-4)
 
 

@@ -25,7 +25,6 @@ from pdemosc import (
     make_family,
     run,
     to_json_dict,
-    uniform_grid,
 )
 from pdemosc import cli, discrete, sampling
 from pdemosc.polynomials import parameterization_for
@@ -164,10 +163,7 @@ NAN = float("nan")
     lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, 0.0),
     lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, 0.0),
     lambda n: _mirrored_table(n)[:2] + [[v + 1.0 for v in _mirrored_table(n)[2]]],
-    lambda n: [uniform_grid(-3.0, 4.0, n).nodes(), *sampling.eigenfunction_lists(
-        make_family(Kind.CASE1, 1.0, 0.1), 3, uniform_grid(-3.0, 4.0, n))],
-], ids=["nan-even", "nan-odd", "zero-odd", "zero-even", "neither",
-        "uncentred-grid"])
+], ids=["nan-even", "nan-odd", "zero-odd", "zero-even", "neither"])
 def test_tables_that_do_not_mirror_go_row_by_row(n, table):
     table = table(n)
     assert cli._odd_columns(table) is None

@@ -471,7 +471,7 @@ def test_samples_refuse_unbound_levels():
 
 def test_samples_refuse_grid_outside_domain():
     fam = make_family(Kind.CASE3, 1.0, 0.2)  # domain (-5, 5)
-    bad = uniform_grid(-6.0, 6.0, 300)
+    bad = uniform_grid(6.0, 300)
     with pytest.raises(OutOfDomainError):
         eigenfunction_samples(fam, 0, bad)
 

@@ -65,14 +65,6 @@ def test_float_sampler_past_the_rescale():
         assert_twins_agree(fam, 170, build_grid(fam, grid_n))
 
 
-def test_float_sampler_off_centre():
-    # a box not centred at 0 is evaluated at every node, without mirroring
-    fam = make_family(Kind.CASE1, 1.0, 0.1)
-    grid = uniform_grid(-30.0, 40.0, 1001)
-    assert grid.center != 0.0
-    assert_twins_agree(fam, 6, grid)
-
-
 @pytest.mark.parametrize("grid_n", [700, 701])
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE1, 0.1), (Kind.CASE2, -5.0),
                                       (Kind.CASE3, 0.4), (Kind.CONSTANT, 0.0)])
@@ -98,4 +90,4 @@ def test_float_sampler_refusals():
         eigenfunction_lists(fam, 3, grid)
     fam = make_family(Kind.CASE3, 1.0, 0.2)  # domain (-5, 5)
     with pytest.raises(OutOfDomainError):
-        eigenfunction_lists(fam, 0, uniform_grid(-6.0, 6.0, 300))
+        eigenfunction_lists(fam, 0, uniform_grid(6.0, 300))

@@ -399,15 +399,16 @@ def _reference_whole_grid_states(fam, count, grid):
     return [h * g for h in hs], shifts
 
 
-@pytest.mark.parametrize("kind, lam, n, box", [
+@pytest.mark.parametrize("kind, lam, n, hi", [
     (Kind.CASE3, 0.2, 407, None), (Kind.CASE1, -0.3, 408, None),
     (Kind.CONSTANT, 0.0, 1000, None),
-    # max|ζ| = 3e19, at the right end only: the bound passes 2^256 at
-    # degree 4, and the last block holds max|H_4|
-    (Kind.CASE1, 0.1, 371, (-1e19, 3e19)),
+    # on (−3e19, 3e19) the bound passes 2^256 at degree 4, on the whole
+    # grid and on each end block; the middle blocks, where |ζ| < 1.1e19,
+    # keep theirs below it and never divide
+    (Kind.CASE1, 0.1, 371, 3e19),
 ])
 def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
-                                                   n, box):
+                                                   n, hi):
     # one whole-grid block is the whole-grid recurrence bit for bit, its
     # exponents the sums of the divisions so far; blocks of 37 rows (edges
     # anywhere, odd and even N) choose their own divisions and equal it up
@@ -419,22 +420,25 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     from pdemosc.discrete import uniform_grid
 
     fam = make_family(kind, 1.0, lam)
-    grid = build_grid(fam, n) if box is None else uniform_grid(*box, n)
+    grid = build_grid(fam, n) if hi is None else uniform_grid(hi, n)
     count = min(5, bound_state_count(fam) or 5)
     states, shifts = _reference_whole_grid_states(fam, count, grid)
-    assert bool(shifts) == (box is not None) and min(shifts, default=0) < 4
+    assert bool(shifts) == (hi is not None) and min(shifts, default=0) < 4
     exponents = [sum(e for m, e in shifts.items() if m < k)
                  for k in range(count)]
     whole = list(states_at(fam, count, nodes_between(grid, 0, n)))
     assert [e for _, e in whole] == exponents
     assert all(np.array_equal(v, want)
                for (v, _), want in zip(whole, states, strict=True))
+    divided = []
     for lo in range(0, n, 37):
-        hi = min(lo + 37, n)
-        got = states_at(fam, count, nodes_between(grid, lo, hi))
+        stop = min(lo + 37, n)
+        got = states_at(fam, count, nodes_between(grid, lo, stop))
         for k, ((v, e), want, ew) in enumerate(
                 zip(got, states, exponents, strict=True)):
-            assert np.array_equal(np.ldexp(v, e - ew), want[lo:hi]), (lo, k)
+            assert np.array_equal(np.ldexp(v, e - ew), want[lo:stop]), (lo, k)
+        divided.append(e > 0)
+    assert (divided[0], divided[-1], all(divided)) == (bool(shifts),) * 2 + (False,)
     for k, v in enumerate(states):
         phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, k, grid)), k
@@ -477,7 +481,7 @@ def test_a_state_that_samples_to_zero_is_refused():
 
     fam = make_family(Kind.CONSTANT, 1.0)
     for n, level in ((999, 1), (1000, 0)):
-        grid = uniform_grid(-1e40, 1e40, n)
+        grid = uniform_grid(1e40, n)
         messages = set()
         for call in (lambda: verify_all(fam, grid),
                      lambda: eigenfunction_lists(fam, 1, grid),
