@@ -2,7 +2,7 @@
 
 Importing the package loads none of its modules: each public name below
 is imported from its module on first use (PEP 562), so a command that
-never touches arrays never imports numpy.
+never touches susy never imports numpy.
 """
 
 from importlib import import_module
@@ -10,8 +10,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULES = {
-    "arrays": """eigenfunction_samples ground_state_unnormalized inner_product
-                 superpotential_at""",
     "cli": "run",
     "discrete": """EigenSolution Grid TridiagonalOperator assemble_sturm_liouville
                    assemble_von_roos build_grid eigen_tridiagonal uniform_grid""",
@@ -29,7 +27,9 @@ _MODULES = {
                       rodrigues_polynomial three_term_next to_json_dict""",
     "sampling": "eigenfunction_lists",
     "susy": """Banded ResidualEntry ResidualReport build_ladder
-               report_to_json_dict state_map_cosine verify_all""",
+               eigenfunction_samples ground_state_unnormalized inner_product
+               report_to_json_dict state_map_cosine superpotential_at
+               verify_all""",
 }
 _HOME = {name: module for module, names in _MODULES.items()
          for name in names.split()}

@@ -107,13 +107,15 @@ class EigenSolution(namedtuple("EigenSolution", "eigenvalues eigenvectors")):
 
 
 def uniform_grid(hi: float, n: int) -> Grid:
-    """n interior nodes on (−hi, hi), whose width 2·hi must be a positive
-    double."""
+    """n interior nodes on (−hi, hi), whose width 2·hi and spacing must be
+    positive doubles."""
     if n < 16:
         raise InvalidCountError(f"need at least 16 interior points, got {n}")
-    if not 0.0 < hi + hi < math.inf:
-        raise ValueError(f"need a half-width with 0 < 2*hi < inf, got {hi}")
-    return Grid(-hi, hi, n, (hi + hi) / (n + 1))
+    h = (hi + hi) / (n + 1)
+    if not (0.0 < h and hi + hi < math.inf):
+        raise ValueError(f"need a half-width with 0 < 2*hi < inf whose "
+                         f"spacing over {n + 1} intervals is above 0, got {hi}")
+    return Grid(-hi, hi, n, h)
 
 
 def build_grid(family: ShapeInvariantFamily, n: int,
@@ -230,9 +232,9 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
         if not unit:
             ma = _mirrored(_powers(m_nodes, ordering.a), n)
             mc = _mirrored(_powers(m_nodes, ordering.c), n)
+        win = [x / h2 for x in w[1:pairs + 1]]  # h² may underflow to 0
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
-    win = [x / h2 for x in w[1:pairs + 1]]
     if unit:
         diag = [0.5 * (wl + wr) / h2 + v
                 for wl, wr, v in zip(w, w[1:], potential)]

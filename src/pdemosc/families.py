@@ -15,7 +15,7 @@ Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
 no symbolic differentiation happens at runtime.  Nothing here imports
 numpy: the closed forms take a float or an ndarray alike, and so does
 hermite_rows, the recurrence of the bound states that the grid samplers
-in `sampling` (floats) and `arrays` (numpy) run.
+in `sampling` (floats) and `susy` (numpy) run.
 """
 
 from __future__ import annotations

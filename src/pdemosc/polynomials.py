@@ -38,7 +38,7 @@ n!/((n−k)!(2k−n)!) times (−1)^(n−k)/2^(n−k) times the integer polynomi
 builds the Π_k once and reads every degree up to n_max from them.  No
 floating point enters here, and numpy is not imported; grid sampling
 (sampling.eigenfunction_lists, and its numpy twin
-arrays.eigenfunction_samples) runs the three-term recurrence in floating
+susy.eigenfunction_samples) runs the three-term recurrence in floating
 point on the unified q instead.
 """
 
@@ -396,6 +396,6 @@ def __getattr__(name):
     # tracer wraps it here), resolved on first use so that importing this
     # module never loads numpy
     if name == "eigenfunction_samples":
-        from .arrays import eigenfunction_samples
+        from .susy import eigenfunction_samples
         return eigenfunction_samples
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

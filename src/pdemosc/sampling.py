@@ -4,8 +4,8 @@
 n_max from one three-term recurrence, families.hermite_rows.  This is the
 sampler of algebraic `eigenfunctions`, so that command never imports
 numpy; `verify`, which samples on grids of up to 200000 nodes, runs the
-same recurrence on ndarrays (arrays.states_at).  Its normalized form,
-arrays.eigenfunction_samples, agrees with this one to a few ulps of
+same recurrence on ndarrays in `susy`.  Its normalized form,
+susy.eigenfunction_samples, agrees with this one to a few ulps of
 max|φ_n|: exp and log1p come from different libraries, and the norm here
 is a correctly rounded math.fsum.
 """

@@ -1,4 +1,4 @@
-"""Discrete intertwining operators and the SUSY residual suite.
+"""Discrete intertwining operators and the SUSY residual suite: `verify`.
 
 A = (1/√(2m)) d/dx + W and its adjoint connect the partner Hamiltonians:
 H₋ = A†A, H₊ = AA†, AH₋ = H₊A, and H₊(α₁) = H₋(α₂) + R(α₁).  Here A is a
@@ -9,53 +9,193 @@ states, never by forming an operator product: the analytic identities
 carry O(h²) residuals, while the superalgebra closes exactly, with no
 tolerance.
 
+This is the only module of the package that imports numpy when it is
+loaded (discrete's ndarray wrappers import it when called).  The
+eigenvalue path, the exact polynomials and the closed-form samples of
+`eigenfunctions` (`sampling`) run on Python floats and integers, so
+every command but `verify` runs without numpy; `verify` evaluates on
+grids of up to 200000 nodes, where Python floats would cost about 25
+times as much.
+
 verify_all walks the grid once, in blocks of ROWS rows, each with a halo
 of two rows on either side, since no identity applies more than two
 tridiagonal operators in a row.  Per block it evaluates the nodes, the
 bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and A(α₁)
-(shared off-bands), each entry bit for bit as on the whole grid, and the
-test states H_n·φ₀·2^−e from one recurrence, whose power-of-two
-divisions 2^e each block chooses for itself.  Every identity is linear in
+(shared off-bands), and the test states.  _nodes_between and
+_kinetic_bands pass index arrays to Grid.node and Grid.midpoint, whose
+IEEE operations are the same per entry, so a block's entries are the
+whole grid's, bit for bit.  _states_at runs families.hermite_rows on
+ndarrays and yields each state H_n·φ₀·2^−e with the exponent e of the
+power of two its block divided it by, so a block's states are the whole
+grid's up to one power of two per block.  Every identity is linear in
 the state, so the states are not normalized: each residual's scaled sum
-of squares and each state's, their exponents raised by the block's e, are
-added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.  The
-divisions are exact, so a grid of one block reproduces the whole-grid
-residuals exactly, and more blocks change only the order of those sums.
-No array as long as the grid is made; the blocks' arrays stay in a
-core's cache.
+of squares and each state's, their exponents raised by the block's e,
+are added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.
+The divisions are exact, so a grid of one block reproduces the
+whole-grid residuals exactly, and more blocks change only the order of
+those sums.  No array as long as the grid is made; the blocks' arrays
+stay in a core's cache.
+
+Two evaluations here restate others.  _kinetic_bands is discrete's
+float stencil at the symmetric ordering, on ndarrays for speed, through
+the same IEEE operations in the same order, so their entries agree bit
+for bit.  eigenfunction_samples (_states_at on one whole-grid block,
+normalized) is sampling.eigenfunction_lists from the same recurrence,
+and the tests' reference for it; exp, log1p and the norm's sum differ,
+so the two agree to within a few ulps of max|φ_n|.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
 
-from .arrays import (
-    band_extent,
-    eigenfunction_samples,
-    kinetic_bands,
-    nodes_between,
-    representable,
-    require_representable,
-    states_at,
-    superpotential_at,
-)
 from .discrete import Grid, TridiagonalOperator, eigenpair_lists
-from .errors import LengthMismatchError
+from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
     alpha_at,
     bound_state_count,
+    hermite_rows,
     mass_at,
     potential_full,
     potential_minus,
     potential_plus,
     remainder,
     require_bound,
+    require_inside,
     require_resolved,
 )
+
+
+# === the grid samples and the stencil, on any run of nodes ===
+
+def inner_product(f, g, grid: Grid) -> float:
+    """Trapezoid quadrature ∫fg dx; Dirichlet ends contribute zero."""
+    if len(f) != len(g) or len(f) != grid.n:
+        raise LengthMismatchError(
+            f"lengths {len(f)}, {len(g)} do not match grid size {grid.n}")
+    return grid.h * float(np.dot(f, g))
+
+
+def _nodes_between(grid: Grid, lo: int, hi: int):
+    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes."""
+    return grid.node(np.arange(lo + 1, hi + 1))
+
+
+def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
+    """W(x; αₙ) = αₙ x √(m(x)/2).  Odd in x, and W/√(2m) = αₙx/2 exactly."""
+    m = mass_at(family.profile, x)
+    return alpha_n * x * np.sqrt(0.5 * m)
+
+
+def ground_state_unnormalized(family: ShapeInvariantFamily, x):
+    """The zero-mode exp(−∫√(2m) W dx) = (1 + s x²)^(−cα/2s), 1 at x = 0.
+
+    Evaluated as exp(−(cα/2)·log1p(s x²)/s), whose s → 0 limit is the
+    Gaussian exp(−cα x²/2); a subnormal s takes the limit.
+    """
+    require_inside(family.profile, x)
+    p = family.profile
+    x2 = np.square(x)
+    u = x2 if abs(p.s) < sys.float_info.min else np.log1p(p.s * x2) / p.s
+    return np.exp(-0.5 * p.c * family.alpha0 * u)
+
+
+def _states_at(family: ShapeInvariantFamily, count: int, x):
+    """Yields (H_n(ζ, q)·φ_0·2^−e, e) at the nodes x for n = 0 … count − 1,
+    with ζ = √(cα)·x.
+
+    The states are not normalized, and families.hermite_rows chooses the
+    divisions 2^e from these nodes alone.
+    """
+    g = ground_state_unnormalized(family, x)
+    zeta = math.sqrt(family.profile.c * family.alpha0) * x
+    for h, e in hermite_rows(family, count, zeta, np.ones_like(zeta),
+                             lambda a, z, cur, b, prev: a * z * cur - b * prev,
+                             lambda v: float(np.max(np.abs(v))), np.ldexp):
+        yield h * g, e
+
+
+def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
+    """φ_n(x) = N_n H_n(ζ, q) φ_0(x) sampled on the grid, with ζ = √(cα)·x.
+
+    The leading coefficient of H_n, Π_{m<n}(2 − (2m+1)q), is positive for
+    every bound level, so the right tail of φ_n is positive.  N_n makes
+    the trapezoid norm one (endpoints are implicit zeros).
+    """
+    require_bound(family, n)
+    for phi, _ in _states_at(family, n + 1, _nodes_between(grid, 0, grid.n)):
+        pass
+    norm = math.sqrt(inner_product(phi, phi, grid))
+    require_resolved(norm, n)
+    phi /= norm
+    return phi
+
+
+def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
+    """(diag, offdiag) of the kinetic stencil on nodes lo … hi − 1.
+
+    discrete's stencil at the symmetric ordering (0, −1, 0): there the
+    outer mass powers are m⁰ = 1, so the float stencil's products with
+    them are exact and are left out here; what remains is the same
+    sequence of operations on the same inputs (Grid.midpoint).  The
+    potential adds to diag.  Entries past a double are inf, as are 1/m
+    where m underflows to 0 and 1/h² where h² does, and 0/0 is NaN: the
+    overflow refusal names them all, as the float stencil does.
+    """
+    mids = grid.midpoint(np.arange(lo, hi + 1))
+    h2 = grid.h * grid.h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / mass_at(family.profile, mids)
+        win = w[1:-1] / h2
+        return (0.5 * (w[:-1] + w[1:]) / h2,
+                -0.125 * ((win + win) + (win + win)))
+
+
+def _band_extent(diag, offdiag):
+    """(max|diag|, max|offdiag|, NaN seen): what the overflow refusal reads.
+
+    fmax passes over a NaN, so the maxima are the largest numbers; the
+    sums propagate it.  A sum can overflow, or meet inf − inf, only where
+    some entry squares past a double, which the refusal names anyway.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(np.fmax.reduce(np.abs(diag))),
+                float(np.fmax.reduce(np.abs(offdiag))),
+                math.isnan(np.sum(diag) + np.sum(offdiag)))
+
+
+def _top(extents) -> float:
+    return max(float(np.fmax.reduce([e[0] for e in extents])),
+               float(np.fmax.reduce([e[1] for e in extents])))
+
+
+def _representable(extents) -> bool:
+    """Whether an operator, given the _band_extent of each of its blocks,
+    has no NaN and no entry whose square leaves the range of a double."""
+    top = _top(extents)
+    return math.isfinite(top * top) and not any(e[2] for e in extents)
+
+
+def _require_representable(extents):
+    """Refuses an operator that is not _representable(extents), or whose
+    largest entry is nonzero and squares below the smallest normal double
+    (the eigensolver's rule for the norm), naming that entry."""
+    top = _top(extents)
+    if not _representable(extents):
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian overflows: its largest entry is "
+            f"{top:.3g}, whose square leaves the range of a double; lower "
+            f"alpha, weaken the deformation or coarsen the grid")
+    if top and top * top < sys.float_info.min:
+        raise InvalidLambdaError(
+            f"the discretized Hamiltonian underflows: its largest entry is "
+            f"only {top:.3g}, whose square falls below the smallest normal "
+            f"double; raise alpha or refine the grid")
 
 
 # === banded operators applied to states ===
@@ -152,7 +292,7 @@ def build_ladder(family: ShapeInvariantFamily, alpha_n: float,
     at Dirichlet ends the centered difference simply drops the exterior
     (zero) neighbor.
     """
-    return _ladders(family, grid, nodes_between(grid, 0, grid.n), (alpha_n,))[0]
+    return _ladders(family, grid, _nodes_between(grid, 0, grid.n), (alpha_n,))[0]
 
 
 # === residual measurement on smooth states ===
@@ -191,7 +331,7 @@ def _block_hamiltonians(family: ShapeInvariantFamily, grid: Grid, x,
     c·α² may overflow to inf, and inf·0 at a centre node is nan; the
     overflow refusal names both.
     """
-    kinetic, off = kinetic_bands(family, grid, first, stop)
+    kinetic, off = _kinetic_bands(family, grid, first, stop)
     a0 = family.alpha0
     with np.errstate(over="ignore", invalid="ignore"):
         return [kinetic + v for v in (potential_minus(family, a0, x),
@@ -254,7 +394,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     """Every residual, each judged against its α = 1 tolerance times α^p.
 
     The report keeps the raw residual values and the scaled tolerances.
-    H₋, then H₊, then H is refused by require_representable, by its
+    H₋, then H₊, then H is refused by _require_representable, by its
     largest entry on the whole grid, if it holds a NaN or an entry that
     squares past a double (residual work stops at the first block where
     one does), or if that entry is nonzero and squares below the smallest
@@ -270,12 +410,12 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)
-        x = nodes_between(grid, first, stop)
+        x = _nodes_between(grid, first, stop)
         diags, off = _block_hamiltonians(family, grid, x, first, stop)
         for ext, diag in zip(extents, diags):
-            ext.append(band_extent(diag, off))
+            ext.append(_band_extent(diag, off))
         # past a block where an operator overflows, only its refusal is left
-        sound = sound and all(representable(ext[-1:]) for ext in extents)
+        sound = sound and all(_representable(ext[-1:]) for ext in extents)
         if not sound:
             continue
         a, a_next = _ladders(family, grid, x, (a0, a1))
@@ -285,7 +425,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
         own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)
-        for k, (v, e) in enumerate(states_at(family, count, x)):
+        for k, (v, e) in enumerate(_states_at(family, count, x)):
             if k == 0:
                 superalgebra.append(_superalgebra_parts(a, ad, v, x, own))
             if trim.start < trim.stop:
@@ -295,7 +435,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
             # last, since _scaled_sq_norm overwrites v's own rows
             norms[k].append(_scaled_sq_norm(v[own], grid, e))
     for ext in extents:  # H₋, then H₊, then H, as they are assembled
-        require_representable(ext)
+        _require_representable(ext)
     norms = [_merged(parts) for parts in norms]
     for k, (vv, _) in enumerate(norms):
         require_resolved(vv, k)
@@ -319,11 +459,11 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     the direction is asserted because the discrete norm differs from the
     continuum factor [E_n^(+)]^(−1/2) at O(h).
     """
-    x = nodes_between(grid, 0, grid.n)
+    x = _nodes_between(grid, 0, grid.n)
     a = _ladders(family, grid, x, (family.alpha0,))[0]
     mapped = a @ eigenfunction_samples(family, n + 1, grid)
     (_, diag, _), off = _block_hamiltonians(family, grid, x, 0, grid.n)
-    require_representable([band_extent(diag, off)])
+    _require_representable([_band_extent(diag, off)])
     _, vectors = eigenpair_lists(TridiagonalOperator(diag, off), n + 1, grid.h)
     v = np.asarray(vectors[n])
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))

@@ -659,13 +659,26 @@ def _decade(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+# dyadic exponents a, c in {−3, −2.75, …, 3}: b = −1 − a − c is exact
+_DYADIC = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def _orderings(draw):
+    a, c = draw(_DYADIC), draw(_DYADIC)
+    return f"--ordering={a!r},{-1.0 - a - c!r},{c!r}"
+
+
 @st.composite
 def cli_requests(draw):
     command = draw(st.sampled_from(["spectrum", "eigenfunctions", "polynomials",
                                     "verify", "compare-ordering"]))
     family = draw(st.sampled_from(["case1", "case2", "case3", "constant"]))
     alpha = draw(st.one_of(_decade(-300, 300), st.sampled_from(EDGE_ALPHAS)))
-    lam = draw(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EDGE_LAMBDAS)))
+    # Case 2 and Case 3 admit any λ ≠ 0, so its magnitude spans every decade
+    lam = draw(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EDGE_LAMBDAS),
+                         _decade(-300, 300),
+                         _decade(-300, 300).map(lambda v: -v)))
     if family == "constant" and draw(st.booleans()):
         lam = 0.0  # the only deformation it does not refuse
     argv = [command, "--family", family, "--alpha", repr(alpha),
@@ -682,9 +695,10 @@ def cli_requests(draw):
     if command == "polynomials" and draw(st.booleans()):
         argv.append("--symbolic")
     if command == "compare-ordering":
-        argv.append(draw(st.sampled_from(["--ordering=-0.5,0,-0.5",
-                                          "--ordering=0,0,-1",
-                                          "--ordering=-0.7,-0.2,-0.1"])))
+        argv.append(draw(st.one_of(
+            st.sampled_from(["--ordering=-0.5,0,-0.5", "--ordering=0,0,-1",
+                             "--ordering=-0.7,-0.2,-0.1"]),
+            _orderings())))
     return argv
 
 

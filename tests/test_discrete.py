@@ -25,11 +25,12 @@ from pdemosc import (
     inner_product,
     make_family,
     uniform_grid,
+    verify_all,
 )
 from pdemosc import discrete
-from pdemosc.arrays import nodes_between
 from pdemosc.discrete import eigenvalue_list, von_roos_asymmetry
 from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
+from pdemosc.susy import _nodes_between
 
 
 def random_tridiagonal(rng, n, scale=1.0):
@@ -67,7 +68,7 @@ def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     assert mids == [-x for x in reversed(mids)]
     assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
     # the numpy nodes come from the same IEEE operations
-    assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+    assert _nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
 
 
 # the boxes (−hi, hi)
@@ -77,9 +78,9 @@ def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
     # odd and even N, whole grid and blocks
     grid = uniform_grid(hi, n)
     xs = grid.nodes()
-    assert nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+    assert _nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
     for lo, stop in [(0, 1), (17, 2048), (n - 5, n)]:
-        assert (nodes_between(grid, lo, stop).tobytes()
+        assert (_nodes_between(grid, lo, stop).tobytes()
                 == np.array(xs[lo:stop]).tobytes())
 
 
@@ -141,16 +142,26 @@ def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
 
 
 def test_stencil_refuses_a_mass_that_underflows():
-    # |x| ~ 1e200 squares past a double, so the case1 mass is 0 and 1/m fails
-    fam = make_family(Kind.CASE1, 1.0, 1.0)
-    with pytest.raises(InvalidLambdaError, match="overflows"):
-        discrete.assemble_lists(fam, uniform_grid(1e200, 100))
+    # |x| ~ 1e200 squares past a double, so the case1 mass is 0 and 1/m
+    # fails; on (−1e−170, 1e−170) the spacing squares to 0 and 1/h² fails.
+    # Both stencils refuse either as an overflow, with no warning on the way
+    import warnings
+
+    for fam, grid in ((make_family(Kind.CASE1, 1.0, 1.0), uniform_grid(1e200, 100)),
+                      (make_family(Kind.CONSTANT, 1.0), uniform_grid(1e-170, 20))):
+        for call in (discrete.assemble_lists, verify_all):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidLambdaError, match="overflows"):
+                    call(fam, grid)
 
 
 def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
     # a width 2·hi that is not a positive double would give NaN nodes or
-    # an infinite spacing, which surface later as misleading refusals
-    for hi in (0.0, -0.0, -1.0, math.inf, math.nan, 1e308, -1e-300):
+    # an infinite spacing, and one whose spacing rounds to 0 a zero one,
+    # which surface later as misleading refusals
+    for hi in (0.0, -0.0, -1.0, math.inf, math.nan, 1e308, -1e-300,
+               5e-324, 2e-323):
         with pytest.raises(ValueError, match="half-width"):
             uniform_grid(hi, 20)
     widest = uniform_grid(sys.float_info.max / 2, 20)
@@ -162,7 +173,12 @@ def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
        st.data())
 def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
     # node n+1−i is −(node i) and midpoint n−i is −(midpoint i) bit for
-    # bit, a centre entry is +0.0, and nodes_between slices the nodes
+    # bit, a centre entry is +0.0, and _nodes_between slices the nodes; a
+    # half-width whose spacing rounds to 0 lays out no grid and is refused
+    if (hi + hi) / (n + 1) == 0.0:
+        with pytest.raises(ValueError, match="half-width"):
+            uniform_grid(hi, n)
+        return
     grid = uniform_grid(hi, n)
     for v in (grid.nodes(), grid.midpoints(n + 1)):
         k = len(v) // 2
@@ -171,8 +187,8 @@ def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
     xs = np.array(grid.nodes())
     lo = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(lo + 1, n))
-    assert nodes_between(grid, lo, stop).tobytes() == xs[lo:stop].tobytes()
-    assert nodes_between(grid, 0, n).tobytes() == xs.tobytes()
+    assert _nodes_between(grid, lo, stop).tobytes() == xs[lo:stop].tobytes()
+    assert _nodes_between(grid, 0, n).tobytes() == xs.tobytes()
 
 
 @pytest.mark.parametrize("kind, lam", [

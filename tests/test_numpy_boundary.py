@@ -24,9 +24,13 @@ from pdemosc import (
     make_family,
     run,
 )
-from pdemosc.arrays import band_extent, nodes_between, require_representable
 from pdemosc.discrete import assemble_lists
-from pdemosc.susy import _block_hamiltonians
+from pdemosc.susy import (
+    _band_extent,
+    _block_hamiltonians,
+    _nodes_between,
+    _require_representable,
+)
 
 # every command that must finish with numpy unimportable, refusals included
 NUMPY_FREE = [
@@ -137,9 +141,9 @@ def families_on_grids(draw):
 def whole_grid_hamiltonian(fam, grid):
     """verify's bands of H on one block of the whole grid, refused as
     verify refuses them."""
-    x = nodes_between(grid, 0, grid.n)
+    x = _nodes_between(grid, 0, grid.n)
     (_, _, diag), off = _block_hamiltonians(fam, grid, x, 0, grid.n)
-    require_representable([band_extent(diag, off)])
+    _require_representable([_band_extent(diag, off)])
     return diag, off
 
 

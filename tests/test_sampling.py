@@ -14,10 +14,10 @@ from pdemosc import (
     OutOfDomainError,
     bound_state_count,
     build_grid,
+    eigenfunction_samples,
     make_family,
     uniform_grid,
 )
-from pdemosc.arrays import eigenfunction_samples
 from pdemosc.sampling import _unnormalized, eigenfunction_lists
 
 # each admissible range: positive and negative deformations of every family

@@ -22,11 +22,13 @@ from pdemosc import (
     superpotential_at,
     verify_all,
 )
-from pdemosc.arrays import band_extent, nodes_between, require_representable
 from pdemosc.susy import (
     RESIDUAL_TOLERANCES,
     Banded,
+    _band_extent,
     _block_hamiltonians,
+    _nodes_between,
+    _require_representable,
 )
 
 RESIDUAL_NAMES = [
@@ -110,7 +112,7 @@ def test_ladder_bands_shape():
 
 def dense_ladder(fam, alpha, grid):
     # A = diag(1/sqrt(2m)) D + diag(W), D the centered difference
-    n, h, x = grid.n, grid.h, nodes_between(grid, 0, grid.n)
+    n, h, x = grid.n, grid.h, _nodes_between(grid, 0, grid.n)
     d = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
     s = 1.0 / np.sqrt(2.0 * mass_at(fam.profile, x))
     return np.diag(s) @ d + np.diag(superpotential_at(fam, alpha, x))
@@ -123,10 +125,10 @@ def dense_tridiagonal(diag, off):
 def whole_grid_hamiltonians(fam, grid):
     """The bands (H₋, H₊, H) of verify_all on one block of the whole grid,
     each (diag, offdiag) and refused in that order as verify_all refuses."""
-    x = nodes_between(grid, 0, grid.n)
+    x = _nodes_between(grid, 0, grid.n)
     diags, off = _block_hamiltonians(fam, grid, x, 0, grid.n)
     for diag in diags:
-        require_representable([band_extent(diag, off)])
+        _require_representable([_band_extent(diag, off)])
     return [(diag, off) for diag in diags]
 
 
@@ -217,7 +219,7 @@ def test_verify_all_report_layout():
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
     # one pass: each block of ROWS rows, with its two-row halo, evaluates
     # every state and the bands of every operator once
-    from pdemosc import arrays, susy
+    from pdemosc import susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
     fam = make_family(kind, 1.0, lam)
@@ -234,12 +236,14 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
             return fn(*args)
         return wrapper
 
+    kinetic_bands = susy._kinetic_bands
+
     def counted_kinetic(family, g, lo, hi):
         calls.append(("kinetic", g.node(lo + 1), hi - lo))
-        return arrays.kinetic_bands(family, g, lo, hi)
-    monkeypatch.setattr(susy, "kinetic_bands", counted_kinetic)
-    monkeypatch.setattr(susy, "states_at", counted(
-        "states", arrays.states_at, lambda f, k, x: (k,)))
+        return kinetic_bands(family, g, lo, hi)
+    monkeypatch.setattr(susy, "_kinetic_bands", counted_kinetic)
+    monkeypatch.setattr(susy, "_states_at", counted(
+        "states", susy._states_at, lambda f, k, x: (k,)))
     for name in ("potential_minus", "potential_plus", "potential_full",
                  "mass_at"):
         monkeypatch.setattr(susy, name, counted(name, getattr(susy, name)))
@@ -251,8 +255,11 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
     for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
         x0, m = grid.node(first + 1), stop - first
         expected += [(name, x0, m) for name in (
-            "kinetic", "potential_minus", "potential_plus", "potential_full",
-            "mass_at")]
+            "kinetic", "potential_minus", "potential_plus", "potential_full")]
+        # the masses at the midpoints (kinetic), and at the nodes for the
+        # ladders' off-bands and for each of their two superpotentials
+        expected += [("mass_at", grid.midpoint(first), m + 1)]
+        expected += [("mass_at", x0, m)] * 3
         expected += [("superpotential_at", x0, m, fam.alpha0),
                      ("superpotential_at", x0, m, alpha_at(fam, 1)),
                      ("states", x0, m, count)]
@@ -305,7 +312,7 @@ def reference_residuals(fam, grid):
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
-    a0, x = fam.alpha0, nodes_between(grid, 0, grid.n)
+    a0, x = fam.alpha0, _nodes_between(grid, 0, grid.n)
     h_minus, h_plus, h = (Banded(grid.n, {-1: off, 0: diag, 1: off})
                           for diag, off in whole_grid_hamiltonians(fam, grid))
     a = build_ladder(fam, a0, grid)
@@ -358,18 +365,18 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
     # past n = 150 on this box the recurrence divides by powers of two,
     # which each block of nodes chooses for itself; a division is exact,
     # so a block's rows are the whole grid's up to one power of two
-    from pdemosc.arrays import nodes_between, states_at
+    from pdemosc.susy import _states_at
 
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2001)
-    whole = list(states_at(fam, 171, nodes_between(grid, 0, grid.n)))
+    whole = list(_states_at(fam, 171, _nodes_between(grid, 0, grid.n)))
     assert whole[-1][1] > 0
     for n in (0, 150, 170):
         v = whole[n][0]
         phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
-        rows = list(states_at(fam, 171, nodes_between(grid, lo, hi)))
+        rows = list(_states_at(fam, 171, _nodes_between(grid, lo, hi)))
         assert len(rows) == 171
         assert all(np.array_equal(np.ldexp(row, e - ew), v[lo:hi])
                    for (row, e), (v, ew) in zip(rows, whole)), (lo, hi)
@@ -380,7 +387,7 @@ def _reference_whole_grid_states(fam, count, grid):
     # chooses each division from the grid's own maxima as it goes
     from pdemosc import ground_state_unnormalized, unified_deformation
 
-    q, x = unified_deformation(fam), nodes_between(grid, 0, grid.n)
+    q, x = unified_deformation(fam), _nodes_between(grid, 0, grid.n)
     zeta = math.sqrt(fam.profile.c * fam.alpha0) * x
     zeta_max = float(np.max(np.abs(zeta)))
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
@@ -416,7 +423,7 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     # eigenfunction_samples' bit for bit; and verify_all reproduces the
     # whole-grid residuals, bit for bit on one block
     from pdemosc import susy
-    from pdemosc.arrays import nodes_between, states_at
+    from pdemosc.susy import _states_at
     from pdemosc.discrete import uniform_grid
 
     fam = make_family(kind, 1.0, lam)
@@ -426,14 +433,14 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     assert bool(shifts) == (hi is not None) and min(shifts, default=0) < 4
     exponents = [sum(e for m, e in shifts.items() if m < k)
                  for k in range(count)]
-    whole = list(states_at(fam, count, nodes_between(grid, 0, n)))
+    whole = list(_states_at(fam, count, _nodes_between(grid, 0, n)))
     assert [e for _, e in whole] == exponents
     assert all(np.array_equal(v, want)
                for (v, _), want in zip(whole, states, strict=True))
     divided = []
     for lo in range(0, n, 37):
         stop = min(lo + 37, n)
-        got = states_at(fam, count, nodes_between(grid, lo, stop))
+        got = _states_at(fam, count, _nodes_between(grid, lo, stop))
         for k, ((v, e), want, ew) in enumerate(
                 zip(got, states, exponents, strict=True)):
             assert np.array_equal(np.ldexp(v, e - ew), want[lo:stop]), (lo, k)
