@@ -55,6 +55,7 @@ from .families import (
     VonRoosOrdering,
     masses_on,
     potentials_on,
+    require_inside,
 )
 
 
@@ -108,9 +109,10 @@ class EigenSolution(namedtuple("EigenSolution", "eigenvalues eigenvectors")):
 
 def uniform_grid(hi: float, n: int) -> Grid:
     """n interior nodes on (−hi, hi), whose width 2·hi and spacing must be
-    positive doubles."""
-    if n < 16:
-        raise InvalidCountError(f"need at least 16 interior points, got {n}")
+    positive doubles; n is an integer of at least 16."""
+    if not hasattr(type(n), "__index__") or n < 16:
+        raise InvalidCountError(
+            f"need an integer count of at least 16 interior points, got {n!r}")
     h = (hi + hi) / (n + 1)
     if not (0.0 < h and hi + hi < math.inf):
         raise ValueError(f"need a half-width with 0 < 2*hi < inf whose "
@@ -129,7 +131,7 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     (grid nodes stay strictly interior, where the mass is positive), and
     are refused when fewer than 16 nodes, the least any grid may have,
     fall inside that box, as the grid cannot resolve the bound states, or
-    when their outer nodes square past a double.
+    when their outer nodes square past a double (require_inside).
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise ValueError(
@@ -157,13 +159,8 @@ def build_grid(family: ShapeInvariantFamily, n: int,
                 f"{n} nodes where the ground state exceeds the tail "
                 f"tolerance {tail_tolerance:g} (|x| < {box:.3g}); at least 16 "
                 f"are needed to resolve the bound states")
-        edge = grid.node(1)
-        if edge * edge == math.inf:  # a subnormal s puts the walls past 1e154
-            raise InvalidLambdaError(
-                f"the compact domain (-{profile.hi:.3g}, {profile.hi:.3g}) is "
-                f"too wide: its outer nodes square past the range of a "
-                f"double, where the mass law cannot be evaluated; strengthen "
-                f"the deformation")
+        # a subnormal s puts the walls past √DBL_MAX
+        require_inside(profile, grid.node(1))
         return grid
     if not math.isfinite(box2):
         raise InvalidLambdaError(

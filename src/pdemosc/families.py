@@ -43,6 +43,10 @@ class Kind(enum.Enum):
     CONSTANT = "constant"  # m(x) = 1
 
 
+# the first double past √DBL_MAX: x·x is a double exactly when |x| is below it
+_SQUARABLE = 1.3407807929942597e154
+
+
 class MassProfile(namedtuple("MassProfile", "kind lam c s")):
     """The mass law m(x) = c/(1 + s x²), labelled by the kind and λ it came from.
 
@@ -61,8 +65,8 @@ class MassProfile(namedtuple("MassProfile", "kind lam c s")):
         return -self.hi
 
     def contains(self, x) -> bool:
-        """Whether a float, or every entry of an array, lies in the open domain."""
-        inside = (x > self.lo) & (x < self.hi)
+        """Whether a float, or every array entry, is inside and squares to a double."""
+        inside = abs(x) < min(self.hi, _SQUARABLE)
         return bool(inside.all()) if hasattr(inside, "all") else inside
 
 
@@ -136,10 +140,12 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
 
 
 def require_inside(profile: MassProfile, x) -> None:
-    """Refuse a float, or an array with an entry, outside the open domain."""
+    """Refuse a float, or an array with an entry, outside the open domain
+    or past √DBL_MAX: the one rule for every closed form, sampler and stencil."""
     if not profile.contains(x):
         raise OutOfDomainError(
-            f"x outside open domain ({profile.lo}, {profile.hi})")
+            f"x outside the open domain ({profile.lo}, {profile.hi}) or at "
+            f"|x| >= {_SQUARABLE}, where x*x leaves the range of a double")
 
 
 # The closed forms below take a float or an ndarray x: x * x is the same

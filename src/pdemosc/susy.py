@@ -156,37 +156,29 @@ def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
                 -0.125 * ((win + win) + (win + win)))
 
 
-def _band_extent(diag, offdiag):
-    """(max|diag|, max|offdiag|, NaN seen): what the overflow refusal reads.
-
-    fmax passes over a NaN, so the maxima are the largest numbers; the
-    sums propagate it.  A sum can overflow, or meet inf − inf, only where
-    some entry squares past a double, which the refusal names anyway.
-    """
+def _band_extent(diag, offdiag, prior=(math.nan, False)):
+    """(max |entry|, NaN seen) over both bands and the extent `prior` of
+    other rows: what the overflow refusal reads.  fmax passes over a NaN,
+    so the maximum is NaN only where every entry is; the sums propagate
+    it, and overflow or meet inf − inf only where an entry squares past a
+    double, which the refusal names anyway."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (float(np.fmax.reduce(np.abs(diag))),
-                float(np.fmax.reduce(np.abs(offdiag))),
-                math.isnan(np.sum(diag) + np.sum(offdiag)))
+        return (float(np.fmax.reduce([prior[0], np.fmax.reduce(np.abs(diag)),
+                                      np.fmax.reduce(np.abs(offdiag))])),
+                prior[1] or math.isnan(np.sum(diag) + np.sum(offdiag)))
 
 
-def _top(extents) -> float:
-    return max(float(np.fmax.reduce([e[0] for e in extents])),
-               float(np.fmax.reduce([e[1] for e in extents])))
+def _representable(extent) -> bool:
+    """No NaN seen, and the largest entry squares to a double."""
+    return math.isfinite(extent[0] * extent[0]) and not extent[1]
 
 
-def _representable(extents) -> bool:
-    """Whether an operator, given the _band_extent of each of its blocks,
-    has no NaN and no entry whose square leaves the range of a double."""
-    top = _top(extents)
-    return math.isfinite(top * top) and not any(e[2] for e in extents)
-
-
-def _require_representable(extents):
-    """Refuses an operator that is not _representable(extents), or whose
-    largest entry is nonzero and squares below the smallest normal double
+def _require_representable(extent):
+    """Refuses an operator of this _band_extent that is not _representable,
+    or whose nonzero largest entry squares below the smallest normal double
     (the eigensolver's rule for the norm), naming that entry."""
-    top = _top(extents)
-    if not _representable(extents):
+    top = extent[0]
+    if not _representable(extent):
         raise InvalidLambdaError(
             f"the discretized Hamiltonian overflows: its largest entry is "
             f"{top:.3g}, whose square leaves the range of a double; lower "
@@ -406,17 +398,17 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
     n, a0 = grid.n, family.alpha0
     a1, e0, r = alpha_at(family, 1), 0.5 * a0, remainder(family, a0)
     sums, norms = {}, [[] for _ in range(count)]
-    superalgebra, extents, sound = [], ([], [], []), True
+    # one running _band_extent each for H₋, H₊ and H
+    superalgebra, extents = [], [(math.nan, False)] * 3
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)
         x = _nodes_between(grid, first, stop)
         diags, off = _block_hamiltonians(family, grid, x, first, stop)
-        for ext, diag in zip(extents, diags):
-            ext.append(_band_extent(diag, off))
+        extents = [_band_extent(diag, off, ext)
+                   for ext, diag in zip(extents, diags)]
         # past a block where an operator overflows, only its refusal is left
-        sound = sound and all(_representable(ext[-1:]) for ext in extents)
-        if not sound:
+        if not all(map(_representable, extents)):
             continue
         a, a_next = _ladders(family, grid, x, (a0, a1))
         ad = a.transpose()
@@ -463,7 +455,7 @@ def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
     a = _ladders(family, grid, x, (family.alpha0,))[0]
     mapped = a @ eigenfunction_samples(family, n + 1, grid)
     (_, diag, _), off = _block_hamiltonians(family, grid, x, 0, grid.n)
-    _require_representable([_band_extent(diag, off)])
+    _require_representable(_band_extent(diag, off))
     _, vectors = eigenpair_lists(TridiagonalOperator(diag, off), n + 1, grid.h)
     v = np.asarray(vectors[n])
     denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))

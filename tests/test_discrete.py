@@ -142,18 +142,31 @@ def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
 
 
 def test_stencil_refuses_a_mass_that_underflows():
-    # |x| ~ 1e200 squares past a double, so the case1 mass is 0 and 1/m
-    # fails; on (−1e−170, 1e−170) the spacing squares to 0 and 1/h² fails.
-    # Both stencils refuse either as an overflow, with no warning on the way
+    # s·x² = 1e300·x² overflows at every node of (−1e10, 1e10), so the
+    # case1 mass is 0 and 1/m fails; on (−1e−170, 1e−170) the spacing
+    # squares to 0 and 1/h² fails.  Both stencils refuse either as an
+    # overflow, with no warning on the way
     import warnings
 
-    for fam, grid in ((make_family(Kind.CASE1, 1.0, 1.0), uniform_grid(1e200, 100)),
+    for fam, grid in ((make_family(Kind.CASE1, 1e300, 1e300), uniform_grid(1e10, 100)),
                       (make_family(Kind.CONSTANT, 1.0), uniform_grid(1e-170, 20))):
         for call in (discrete.assemble_lists, verify_all):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidLambdaError, match="overflows"):
                     call(fam, grid)
+
+
+def test_grids_refuse_a_count_that_is_not_an_integer():
+    # a float count would fail later in range(), as a TypeError
+    for fam in (make_family(Kind.CASE1, 1.0, 0.1),
+                make_family(Kind.CASE3, 1.0, 0.2)):
+        for n in (4000.0, 16.5, "4000", None):
+            with pytest.raises(InvalidCountError, match="integer count"):
+                uniform_grid(1.0, n)
+            with pytest.raises(InvalidCountError, match="integer count"):
+                build_grid(fam, n)
+    assert uniform_grid(1.0, np.int64(20)).nodes() == uniform_grid(1.0, 20).nodes()
 
 
 def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +15,12 @@ from pdemosc import (
     InvalidLambdaError,
     NonPositiveAlphaError,
     NotABoundStateError,
+    OutOfDomainError,
     alpha_at,
     bound_state_count,
     build_grid,
+    build_ladder,
+    eigenfunction_lists,
     eigenfunction_samples,
     energy,
     energy_via_recursion,
@@ -25,8 +31,10 @@ from pdemosc import (
     potential_minus,
     potential_plus,
     remainder,
+    state_map_cosine,
     superpotential_at,
     unified_deformation,
+    uniform_grid,
     VonRoosOrdering,
 )
 from pdemosc.families import require_bound
@@ -287,6 +295,64 @@ def test_domains():
     assert fam.profile.hi == pytest.approx(5.0)
     assert fam.profile.contains(4.99)
     assert not fam.profile.contains(5.01)
+
+
+# every public function that evaluates the mass law or a closed form at
+# points x, and every one that samples on a grid's nodes
+AT_POINTS = {
+    "mass_at": lambda fam, x: mass_at(fam.profile, x),
+    "potential_minus": lambda fam, x: potential_minus(fam, 1.0, x),
+    "potential_plus": lambda fam, x: potential_plus(fam, 1.0, x),
+    "potential_full": potential_full,
+    "superpotential_at": lambda fam, x: superpotential_at(fam, 1.0, x),
+    "ground_state_unnormalized": ground_state_unnormalized,
+}
+ON_GRIDS = {
+    "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
+    "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
+    "build_ladder": lambda fam, grid: build_ladder(fam, 1.0, grid),
+    "state_map_cosine": lambda fam, grid: state_map_cosine(fam, grid, 0),
+}
+
+
+@pytest.mark.parametrize("kind, lam", [(Kind.CASE1, 1.0), (Kind.CONSTANT, 0.0)],
+                         ids=["case1", "constant"])
+@pytest.mark.parametrize("name", [*AT_POINTS, *ON_GRIDS])
+def test_every_evaluation_refuses_x_that_squares_past_a_double(kind, lam, name):
+    # x·x is inf at |x| = 1e200, where the closed forms would warn or give
+    # inf, 0 and NaN samples; each refuses through the one domain rule
+    fam = make_family(kind, 1.0, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name in AT_POINTS:
+            for x in (1e200, -1e200, np.array([0.5, 1e200]),
+                      np.array([-1e200, 0.5])):
+                with pytest.raises(OutOfDomainError, match="x outside"):
+                    AT_POINTS[name](fam, x)
+        else:
+            with pytest.raises(OutOfDomainError, match="x outside"):
+                ON_GRIDS[name](fam, uniform_grid(1e200, 100))
+
+
+@pytest.mark.parametrize("kind, lam", [(Kind.CASE1, 1.0), (Kind.CONSTANT, 0.0)],
+                         ids=["case1", "constant"])
+def test_mass_is_evaluated_up_to_the_root_of_the_largest_double(kind, lam):
+    # √DBL_MAX rounds down, so it squares to a double; the next double
+    # squares to inf and is refused, as a float and in an array
+    root = math.sqrt(sys.float_info.max)
+    past = math.nextafter(root, math.inf)
+    profile = make_family(kind, 1.0, lam).profile
+    bound = re.escape(f"|x| >= {past!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (root, -root):
+            assert mass_at(profile, x) > 0
+            assert mass_at(profile, np.array([0.0, x]))[1] > 0
+        for x in (past, -past):
+            with pytest.raises(OutOfDomainError, match=bound):
+                mass_at(profile, x)
+            with pytest.raises(OutOfDomainError, match=bound):
+                mass_at(profile, np.array([0.0, x]))
 
 
 def test_harmonic_limit_of_case1():

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from pdemosc import (
     report_to_json_dict,
     state_map_cosine,
     superpotential_at,
+    uniform_grid,
     verify_all,
 )
+from pdemosc.errors import InvalidLambdaError
 from pdemosc.susy import (
     RESIDUAL_TOLERANCES,
     Banded,
@@ -128,7 +131,7 @@ def whole_grid_hamiltonians(fam, grid):
     x = _nodes_between(grid, 0, grid.n)
     diags, off = _block_hamiltonians(fam, grid, x, 0, grid.n)
     for diag in diags:
-        _require_representable([_band_extent(diag, off)])
+        _require_representable(_band_extent(diag, off))
     return [(diag, off) for diag in diags]
 
 
@@ -529,6 +532,20 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
     with pytest.raises(PdemError) as got:
         verify_all(fam, grid)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [100, 20001])
+def test_overflow_refusal_names_inf_where_every_diagonal_is_nan(n):
+    # s·x² = 1e300·x² overflows at every node, so each mass is 0: the
+    # kinetic entries are inf and c·α²·x²/(1 + s x²) is inf/inf, so every
+    # diagonal entry is NaN.  The largest number is the off-diagonal's inf,
+    # on one block and merged over three
+    fam = make_family(Kind.CASE1, 1e300, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidLambdaError,
+                           match="overflows: its largest entry is inf,"):
+            verify_all(fam, uniform_grid(1e10, n))
 
 
 def test_tolerances_scale_as_alpha_powers():
