@@ -6,8 +6,8 @@ exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
 
 Each handler imports the modules it needs when it runs, and every payload
-and CSV column is built from Python numbers, so every subcommand but
-`verify` runs without importing numpy.
+and CSV column is built from Python numbers, in lists or array('d'), so
+every subcommand but `verify` runs without importing numpy.
 
 Every CSV table is streamed: `_csv_table` formats it a block of rows at a
 time and `_emit` writes each block to the file or stdout as it comes, so
@@ -74,17 +74,6 @@ _ROWS = 256  # rows per streamed chunk
 _MARK = "\x01"  # marks an odd column's cell; "%.17g" never prints it
 
 
-def _bitwise_equal(a: list, b: list) -> bool:
-    """a and b hold the same doubles bit for bit, a holding no NaN."""
-    # == is bitwise equality for non-NaN doubles except that 0.0 == -0.0
-    if a != b:
-        return False
-    if all(a):
-        return True
-    from array import array
-    return array("d", a).tobytes() == array("d", b).tobytes()
-
-
 def _odd_columns(columns: list):
     """Per column, whether row n−1−i negates row i there; None if no mirror.
 
@@ -92,18 +81,21 @@ def _odd_columns(columns: list):
     equals the left half bit for bit (an even column) or its negation (an
     odd column), with no NaN on either side.  "%.17g" % −v is then the
     text of v with its leading "-" toggled, for ±0 and ±inf too; a NaN
-    prints as "nan" whatever its sign, so it never mirrors.
+    prints as "nan" whatever its sign, so it never mirrors.  The halves
+    of list and array columns alike are compared as the bytes of their
+    doubles, so ±0 differ.
     """
+    from array import array  # verify, which has no table, never loads it
     n = len(columns[0])
     half = n // 2
     odd = []
     for c in columns:
-        left, right = c[:half], c[:n - half - 1:-1]
+        left, right = array("d", c[:half]), array("d", c[:n - half - 1:-1])
         if math.isnan(sum(left)):
             return None
-        if _bitwise_equal(left, right):
+        if left.tobytes() == right.tobytes():
             odd.append(False)
-        elif _bitwise_equal(left, list(map(neg, right))):
+        elif left.tobytes() == array("d", map(neg, right)).tobytes():
             odd.append(True)
         else:
             return None
@@ -114,14 +106,14 @@ def _csv_table(header: str, columns: list):
     """The CSV text of a table, a chunk of up to 256 rows at a time.
 
     The header line, then one "%.17g,…" row per index: every column's
-    value there (columns are equally long lists of numbers).  A mirrored
-    table (_odd_columns) formats its left half with _MARK before each
-    cell of an odd column, writes that text unmarked and keeps it; the
-    centre row of an odd length is formatted as it is; then each kept
-    block, rows reversed, becomes the right half: a mark followed by "-"
-    drops, and every other mark turns into "-".  Only the kept half of
-    the text outlives its chunk.  Any other table is formatted row by
-    row.
+    value there (columns are equally long lists or arrays of numbers).
+    A mirrored table (_odd_columns) formats its left half with _MARK
+    before each cell of an odd column, writes that text unmarked and
+    keeps it; the centre row of an odd length is formatted as it is;
+    then each kept block, rows reversed, becomes the right half: a mark
+    followed by "-" drops, and every other mark turns into "-".  Only the
+    kept half of the text outlives its chunk.  Any other table is
+    formatted row by row.
     """
     yield header + "\n"
     n = len(columns[0])
@@ -301,6 +293,7 @@ def _cmd_eigenfunctions(args, family) -> int:
         build_grid,
         eigenpair_lists,
         eigenvalue_list,
+        mirrored_array,
     )
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
@@ -323,7 +316,9 @@ def _cmd_eigenfunctions(args, family) -> int:
     table = None
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
-        table = _csv_table(header, [grid.nodes(), *vectors])
+        # x is odd, and node n+1−i is −(node i) bit for bit
+        x = mirrored_array(grid.nodes(grid.n - grid.n // 2), grid.n, True)
+        table = _csv_table(header, [x, *vectors])
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
     _emit(args, "eigenfunctions", table, _json_text(payload))
     return 0

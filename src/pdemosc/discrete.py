@@ -29,8 +29,13 @@ block, on the same code path.
 
 Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the package calls assemble_lists, eigenvalue_list and
-eigenpair_lists.  The public assemblers and eigen_tridiagonal return
-ndarrays, and import numpy when called; nothing in the package calls them.
+eigenpair_lists.  The bands, the parity blocks and every vector a loop
+walks are float lists, which CPython loops over fastest; the vectors that
+are only stored, the eigenvectors eigenpair_lists returns and the
+per-node columns built with mirrored_array, are array('d'), at 8 bytes a
+value where a list of floats takes 32.  The public assemblers and
+eigen_tridiagonal return ndarrays, and import numpy when called; nothing
+in the package calls them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import sys
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, count, islice
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     ConvergenceFailureError,
@@ -80,16 +85,16 @@ class Grid(namedtuple("Grid", "lo hi n h")):
     def midpoint(self, i):
         return self.h * (i - 0.5 * self.n)
 
-    def nodes(self, count: int | None = None) -> list:
-        """Nodes 1..count (all n by default) as floats."""
+    def nodes(self, stop: int | None = None, start: int = 0) -> list:
+        """Nodes start+1 … stop (1 … n by default) as floats."""
         h, mid = self.h, 0.5 * (self.n + 1)
-        count = self.n if count is None else count
-        return [h * (i - mid) for i in range(1, count + 1)]
+        stop = self.n if stop is None else stop
+        return [h * (i - mid) for i in range(start + 1, stop + 1)]
 
-    def midpoints(self, count: int) -> list:
-        """Midpoints 0..count − 1 as floats."""
+    def midpoints(self, stop: int, start: int = 0) -> list:
+        """Midpoints start … stop − 1 as floats."""
         h, mid = self.h, 0.5 * self.n
-        return [h * (i - mid) for i in range(count)]
+        return [h * (i - mid) for i in range(start, stop)]
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -193,6 +198,21 @@ def _mirrored(left: list, n: int) -> list:
     return left + left[:n - len(left)][::-1]
 
 
+def mirrored_array(left, n: int, odd: bool):
+    """The n entries of an even or odd vector from its first ⌈n/2⌉, `left`,
+    as an array('d'): entry n−1−i is entry i, negated when `odd`."""
+    from array import array  # verify, which stores no vector, never loads it
+    out = array("d", left)
+    tail = out[:n - len(out)]
+    tail.reverse()
+    out.extend(map(neg, tail) if odd else tail)
+    return out
+
+
+# rows of the left half that _stencil evaluates at a time
+ROWS = 2048
+
+
 def _stencil(family: ShapeInvariantFamily, grid: Grid,
              ordering: VonRoosOrdering = SYMMETRIC_ORDERING):
     """Rows of −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V, on Python floats.
@@ -210,39 +230,46 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     of a double is refused as an overflow, as an infinite entry would be.
 
     The mass and the potential depend on x only through x·x, and the
-    nodes and midpoints mirror bit for bit, so they are evaluated on the
-    left half and the middle only, and only the rows of the left half and
-    the middle are returned; the rest mirror them (see _mirrored), each
-    mirrored coupling swapping the two orders, so the bands equal a full
-    evaluation bit for bit.
+    nodes and midpoints mirror bit for bit, so only the rows of the left
+    half and the middle are evaluated and returned; the rest mirror them
+    (see _mirrored), each mirrored coupling swapping the two orders, so
+    the bands equal a full evaluation bit for bit.  The rows are evaluated
+    ROWS at a time, and only the bands outlive a block.
     """
     h, n = grid.h, grid.n
     h2 = h * h
-    xs = grid.nodes((n + 1) // 2)
-    mids = grid.midpoints(n // 2 + 1)
-    pairs = n // 2
+    rows, pairs = (n + 1) // 2, n // 2
+    profile = family.profile
     unit = ordering.a == 0.0 and ordering.c == 0.0  # m⁰ = 1 at every node
+    diag, upper = [], []
+    lower = upper if unit else []
     try:
-        m_nodes = masses_on(family.profile, xs)
-        w = _mirrored(_powers(masses_on(family.profile, mids), ordering.b), n + 1)
-        potential = potentials_on(family, xs, m_nodes)
-        if not unit:
-            ma = _mirrored(_powers(m_nodes, ordering.a), n)
-            mc = _mirrored(_powers(m_nodes, ordering.c), n)
-        win = [x / h2 for x in w[1:pairs + 1]]  # h² may underflow to 0
+        for lo in range(0, rows, ROWS):
+            hi = min(lo + ROWS, rows)
+            # rows lo … hi − 1 read nodes lo+1 … hi and midpoints lo … hi,
+            # and their couplings node hi + 1, past the middle for the
+            # last block, where it mirrors a node of the left half
+            xs = grid.nodes(hi + 1, lo)
+            ms = masses_on(profile, xs)
+            mids = grid.midpoints(hi + 1, lo)
+            w = _powers(masses_on(profile, mids), ordering.b)
+            potential = potentials_on(family, xs, ms)
+            # h² may underflow to 0
+            win = [x / h2 for x in w[1:min(hi, pairs) - lo + 1]]
+            if unit:
+                diag += [0.5 * (wl + wr) / h2 + v
+                         for wl, wr, v in zip(w, w[1:], potential)]
+                upper += [x + x for x in win]
+            else:
+                ma, mc = _powers(ms, ordering.a), _powers(ms, ordering.c)
+                diag += [0.5 * a * c * (wl + wr) / h2 + v
+                         for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
+                upper += [a0 * x * c1 + c0 * x * a1 for a0, x, c1, c0, a1
+                          in zip(ma, win, mc[1:], mc, ma[1:])]
+                lower += [a1 * x * c0 + c1 * x * a0 for a1, x, c0, c1, a0
+                          in zip(ma[1:], win, mc, mc[1:], ma)]
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
-    if unit:
-        diag = [0.5 * (wl + wr) / h2 + v
-                for wl, wr, v in zip(w, w[1:], potential)]
-        upper = lower = [x + x for x in win]
-    else:
-        diag = [0.5 * a * c * (wl + wr) / h2 + v
-                for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-        upper = [a0 * x * c1 + c0 * x * a1
-                 for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
-        lower = [a1 * x * c0 + c1 * x * a0
-                 for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
     return diag, upper, lower
 
 
@@ -258,6 +285,7 @@ def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
     """
     diag, upper, lower = _stencil(family, grid, ordering)
     off = [-0.125 * (u + l) for u, l in zip(upper, lower)]
+    del upper, lower
     # the mirrored rows repeat these entries
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
@@ -666,7 +694,7 @@ def _twisted_solve(diag, off, sigma, pivmin, rhs) -> list:
     return x
 
 
-def _unfolded(u: list, n: int, odd: bool) -> list:
+def _unfolded(u, n: int, odd: bool):
     """The n entries of the vector of T whose parity block holds u.
 
     Entry n−1−i mirrors entry i, negated for an odd vector.  The centre of
@@ -675,14 +703,14 @@ def _unfolded(u: list, n: int, odd: bool) -> list:
     """
     m = n // 2
     left = u[:m]
-    right = [-x for x in reversed(left)] if odd else left[::-1]
-    if n % 2 == 0:
-        return left + right
-    return left + [0.0 if odd else math.sqrt(2.0) * u[m]] + right
+    if n % 2:
+        left.append(0.0 if odd else math.sqrt(2.0) * u[m])
+    return mirrored_array(left, n, odd)
 
 
 def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
-    """k smallest eigenpairs of a symmetric tridiagonal matrix, as lists.
+    """k smallest eigenpairs of a symmetric tridiagonal matrix: a list of
+    floats and a list of array('d') vectors.
 
     Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
     one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
@@ -704,10 +732,13 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     as for the oscillators here.  Scaling T by a power of two scales the
     eigenvalues alike and leaves the eigenvectors bit for bit.
     """
+    from array import array  # as in mirrored_array
     blocks, norm_t, glo, ghi = _prepared(T, k)
+    n = len(T.diag)
+    del T  # the blocks hold what is needed of it
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
     blocks = [block[:2] for block in blocks]  # the squared couplings go
-    n, nb = len(T.diag), len(blocks)
+    nb = len(blocks)
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)
     accept = 1e-10 * norm_t
@@ -774,7 +805,11 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         first = top > -bottom or (top == -bottom and head.index(top) < head.index(bottom))
         # the first peak of −v is positive where that of v is not
         positive = first != (nb == 2 and b == 1)
-        u = [x / (root_w if positive else -root_w) for x in v]
+        del head
+        scale = root_w if positive else -root_w
+        v = [x / scale for x in v]
+        u = array("d", v)
+        del v  # as the iterate, before the next vector's is built
         accepted[b].append(u)
         vectors.append(u if nb == 1 else _unfolded(u, n, b == 1))
     return eigenvalues, vectors

@@ -275,9 +275,10 @@ def bound_state_count(family: ShapeInvariantFamily) -> int | None:
 
 
 def require_bound(family: ShapeInvariantFamily, n: int) -> None:
-    """Refuse a negative level index or one at or past the bound-state cutoff."""
-    if n < 0:
-        raise ValueError(f"level index must be nonnegative, got {n}")
+    """Refuse a level index that is not a nonnegative integer, or one at or
+    past the bound-state cutoff."""
+    if not hasattr(type(n), "__index__") or n < 0:
+        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
     count = bound_state_count(family)
     if count == 0:
         raise NotABoundStateError(

@@ -1,4 +1,5 @@
-"""Closed-form bound states sampled on a grid, on Python floats.
+"""Closed-form bound states sampled on a grid, on Python floats, each
+level's column stored as an array('d').
 
 φ_n(x) = N_n H_n(ζ, q) φ_0(x) with ζ = √(cα)·x, for every level up to
 n_max from one three-term recurrence, families.hermite_rows.  This is the
@@ -16,7 +17,7 @@ import math
 import sys
 from operator import mul
 
-from .discrete import Grid
+from .discrete import Grid, mirrored_array
 from .families import (
     ShapeInvariantFamily,
     hermite_rows,
@@ -51,7 +52,7 @@ def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
 
 def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
                         grid: Grid) -> list:
-    """[φ_0, …, φ_{n_max}] on the grid nodes, each a list of floats.
+    """[φ_0, …, φ_{n_max}] on the grid nodes, each an array('d').
 
     The leading coefficient of H_n is positive for every bound level, so
     the right tail of φ_n is positive.  N_n makes the trapezoid norm
@@ -76,7 +77,5 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
         # square is subnormal, h·Σφ² is that of a full evaluation bit for bit
         norm = math.sqrt(grid.h * (math.fsum(squares) * 2.0))
         require_resolved(norm, degree)
-        phi = [x / norm for x in phi]
-        tail = phi[:mirrored][::-1]
-        out.append(phi + (tail if degree % 2 == 0 else [-x for x in tail]))
+        out.append(mirrored_array([x / norm for x in phi], n, degree % 2 == 1))
     return out

@@ -186,6 +186,25 @@ def test_eigenfunctions_sources_agree(capsys):
     assert num["eigenvalues"][0] == pytest.approx(0.5, abs=1e-4)
 
 
+def test_numeric_eigenfunctions_peak_memory(tmp_path, capsys):
+    # the operator, its parity blocks, one level's factors and the stored
+    # vectors and x column, 8 bytes a value: 3.06 MB here, where float
+    # lists took 5.22 MB
+    import tracemalloc
+
+    argv = ["eigenfunctions", "--family", "constant", "--n-max", "2",
+            "--source", "numeric", "--output-dir", str(tmp_path)]
+    assert run(argv + ["--grid-n", "100"]) == 0  # the handler's imports
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--grid-n", "32000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 3.5e6
+
+
 def test_polynomials_symbolic_and_json(capsys):
     code = run(["polynomials", "--family", "case1", "--n-max", "5",
                 "--symbolic"])

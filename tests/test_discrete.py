@@ -123,11 +123,24 @@ def _hex(xs):
     lambda fam: build_grid(fam, 600), lambda fam: build_grid(fam, 601),
     lambda fam: uniform_grid(3.5, 300),
     lambda fam: uniform_grid(3.5, 301),
-], ids=["centred-even", "centred-odd", "uniform-even", "uniform-odd"])
+    # (n+1)//2 rows in blocks of R = ROWS: R + 1 rows leave the last block
+    # one row, with the centre coupling for an even n and none for an odd
+    # one; 2R rows fill whole blocks; 2R + 1 rows and n//2 = 2R couplings
+    lambda fam: build_grid(fam, 2 * discrete.ROWS + 1),
+    lambda fam: uniform_grid(3.5, 2 * discrete.ROWS + 2),
+    lambda fam: build_grid(fam, 4 * discrete.ROWS - 1),
+    lambda fam: uniform_grid(3.5, 4 * discrete.ROWS),
+    lambda fam: build_grid(fam, 4 * discrete.ROWS + 1),
+    lambda fam: build_grid(fam, 3 * discrete.ROWS + 6),
+], ids=["centred-even", "centred-odd", "uniform-even", "uniform-odd",
+        "blocks-last-one-row-odd", "blocks-last-one-row-even",
+        "blocks-whole-odd", "blocks-whole-even",
+        "blocks-couplings-whole-odd", "blocks-partial-even"])
 def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
-    # _stencil forms both composition orders once, on the left half: their
-    # sum gives the bands and their difference the asymmetry, bit for bit
-    # as written out here on every node, on build_grid's boxes and others
+    # _stencil forms both composition orders once, on the left half a
+    # block of rows at a time: their sum gives the bands and their
+    # difference the asymmetry, bit for bit as written out here on every
+    # node, on build_grid's boxes and others, in one block or several
     fam = make_family(kind, 1.3, lam)
     grid = grid_of(fam)
     for abc in [(0.0, -1.0, 0.0), (-0.5, 0.0, -0.5), (0.0, 0.0, -1.0),
@@ -625,19 +638,35 @@ def test_rejected_first_solve_is_iterated(monkeypatch):
     assert np.max(np.abs(want.eigenvectors - got.eigenvectors)) < 1e-10
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_eigenpairs_peak_memory():
-    # one level's factors, iterate and vector at a time on top of the
-    # returned vectors, which hold about 2 MB here
+    # one level's factors and iterate at a time on top of the parity
+    # blocks and the returned vectors, 8 bytes a value: 2.26 MB here
     fam = make_family(Kind.CONSTANT, 0.6)
     grid = build_grid(fam, 32000)
     T = discrete.assemble_lists(fam, grid)
-    tracemalloc.start()
-    try:
-        discrete.eigenpair_lists(T, 3, grid.h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5e6
+    assert _traced_peak(lambda: discrete.eigenpair_lists(T, 3, grid.h)) <= 2.6e6
+
+
+@pytest.mark.parametrize("kind, lam, abc, bound", [
+    (Kind.CONSTANT, 0.0, (0.0, -1.0, 0.0), 2.0e6),
+    (Kind.CASE3, 0.4, (-0.25, -0.5, -0.25), 2.4e6),
+], ids=["symmetric", "case3-ordering"])
+def test_assembly_peak_memory(kind, lam, abc, bound):
+    # the bands and a block of rows of temporaries: 1.69 and 2.11 MB here,
+    # where evaluating the left half at once took 4.28 and 6.60 MB
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, 32000)
+    ordering = VonRoosOrdering(*abc)
+    assert _traced_peak(lambda: discrete.assemble_lists(fam, grid, ordering)) <= bound
 
 
 def test_eigenvalues_alone_match_eigenpairs_bytewise():

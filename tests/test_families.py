@@ -251,6 +251,24 @@ def test_energy_refuses_unbound_levels():
         require_bound(fam, -1)
 
 
+def test_a_level_index_that_is_not_an_integer_is_refused():
+    # 2.5 gave the energy 2.5625 and 2.0 gave 2.2, while the samplers
+    # ended in a TypeError from range(); an integer of any type is a level
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = uniform_grid(5.0, 100)
+    calls = [energy, energy_via_recursion,
+             lambda f, n: eigenfunction_lists(f, n, grid),
+             lambda f, n: eigenfunction_samples(f, n, grid)]
+    for call in calls:
+        for n in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                call(fam, n)
+    assert energy(fam, np.int64(2)) == energy(fam, 2) == 2.2
+    assert energy_via_recursion(fam, np.int64(2)) == energy_via_recursion(fam, 2)
+    assert eigenfunction_samples(fam, np.int64(1), grid).tobytes() == \
+        eigenfunction_samples(fam, 1, grid).tobytes()
+
+
 def test_constant_family_refuses_a_deformation():
     with pytest.raises(InvalidLambdaError, match="lambda must be 0, got 5.0"):
         make_family(Kind.CONSTANT, 1.0, 5.0)
