@@ -383,12 +383,7 @@ def _cmd_verify(args, family) -> int:
 
 
 def _cmd_compare_ordering(args, family) -> int:
-    from .discrete import (
-        assemble_lists,
-        build_grid,
-        eigenvalue_list,
-        von_roos_asymmetry,
-    )
+    from .discrete import assemble_lists, build_grid, eigenvalue_list
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     k = n_max + 1
@@ -396,15 +391,14 @@ def _cmd_compare_ordering(args, family) -> int:
     results = []
     for ordering in args.ordering:
         ev = eigenvalue_list(assemble_lists(family, grid, ordering), k)
-        results.append((ordering, ev, [v - s for v, s in zip(ev, sym)],
-                        von_roos_asymmetry(family, ordering, grid)))
+        results.append((ordering, ev, [v - s for v, s in zip(ev, sym)]))
 
     def label(o):
         return f"{o.a:g}_{o.b:g}_{o.c:g}"
 
     header = "n,energy_symmetric"
     columns = [list(range(k)), sym]
-    for o, ev, dev, _ in results:
+    for o, ev, dev in results:
         header += f",energy_{label(o)},dev_{label(o)}"
         columns += [ev, dev]
     payload = {
@@ -414,9 +408,8 @@ def _cmd_compare_ordering(args, family) -> int:
         "orderings": [
             {"a": o.a, "b": o.b, "c": o.c,
              "eigenvalues": ev,
-             "deviation_from_symmetric": dev,
-             "asymmetry": asym}
-            for o, ev, dev, asym in results
+             "deviation_from_symmetric": dev}
+            for o, ev, dev in results
         ],
     }
     _emit(args, "compare_ordering", _csv_table(header, columns),

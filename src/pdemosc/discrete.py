@@ -179,9 +179,8 @@ def refuse_overflow(top: float):
     """The refusal of an operator whose largest entry `top` squares past a double."""
     raise InvalidLambdaError(
         f"the discretized Hamiltonian overflows: its largest entry is "
-        f"{top:.3g}, and the eigensolver squares the entries, which leaves "
-        f"the range of a double; lower alpha, weaken the deformation or "
-        f"coarsen the grid")
+        f"{top:.3g}, whose square leaves the range of a double; lower "
+        f"alpha, weaken the deformation or coarsen the grid")
 
 
 def _powers(ms: list, e: float) -> list:
@@ -219,30 +218,31 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
 
     The inner D mᵇ D is the conservative stencil with mᵇ at the n+1
     midpoints; the outer mass powers multiply rows and columns at the nodes.
-    Returns (diag, upper, lower): the leading diagonal entries and the two
-    composition orders of each leading coupling, m_iᵃ w m_{i+1}ᶜ +
+    Returns (diag, off): the leading diagonal entries and couplings.  The
+    two ordering terms are transposes of one another, so coupling i is
+    −⅛ of the sum of its two composition orders, m_iᵃ w m_{i+1}ᶜ +
     m_iᶜ w m_{i+1}ᵃ with w = m_{i+½}ᵇ/h² and the same with m_i and m_{i+1}
-    swapped, which assemble_lists sums and von_roos_asymmetry subtracts.
-    At the symmetric ordering (0, −1, 0) this is the conservative scheme
-    for −(p φ′)′ with p = 1/(2m); its outer factors are exactly one, so
-    their products are left out (the entries keep their bits) and both
-    orders are one shared list.  A power or quotient that leaves the range
-    of a double is refused as an overflow, as an infinite entry would be.
+    swapped: one value for both sides of the diagonal, symmetric by
+    construction.  At the symmetric ordering (0, −1, 0) this is the
+    conservative scheme for −(p φ′)′ with p = 1/(2m); its outer factors
+    are exactly one, so their products are left out (the entries keep
+    their bits).  A power or quotient that leaves the range of a double
+    is refused as an overflow, as an infinite entry would be.
 
     The mass and the potential depend on x only through x·x, and the
     nodes and midpoints mirror bit for bit, so only the rows of the left
     half and the middle are evaluated and returned; the rest mirror them
-    (see _mirrored), each mirrored coupling swapping the two orders, so
-    the bands equal a full evaluation bit for bit.  The rows are evaluated
-    ROWS at a time, and only the bands outlive a block.
+    (see _mirrored), a mirrored coupling summing the same two orders
+    swapped, which addition does not see, so the bands equal a full
+    evaluation bit for bit.  The rows are evaluated ROWS at a time, and
+    only the bands outlive a block.
     """
     h, n = grid.h, grid.n
     h2 = h * h
     rows, pairs = (n + 1) // 2, n // 2
     profile = family.profile
     unit = ordering.a == 0.0 and ordering.c == 0.0  # m⁰ = 1 at every node
-    diag, upper = [], []
-    lower = upper if unit else []
+    diag, off = [], []
     try:
         for lo in range(0, rows, ROWS):
             hi = min(lo + ROWS, rows)
@@ -259,33 +259,29 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             if unit:
                 diag += [0.5 * (wl + wr) / h2 + v
                          for wl, wr, v in zip(w, w[1:], potential)]
-                upper += [x + x for x in win]
+                off += [-0.125 * ((x + x) + (x + x)) for x in win]
             else:
                 ma, mc = _powers(ms, ordering.a), _powers(ms, ordering.c)
                 diag += [0.5 * a * c * (wl + wr) / h2 + v
                          for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
-                upper += [a0 * x * c1 + c0 * x * a1 for a0, x, c1, c0, a1
-                          in zip(ma, win, mc[1:], mc, ma[1:])]
-                lower += [a1 * x * c0 + c1 * x * a0 for a1, x, c0, c1, a0
-                          in zip(ma[1:], win, mc, mc[1:], ma)]
+                off += [-0.125 * ((a0 * x * c1 + c0 * x * a1)
+                                  + (a1 * x * c0 + c1 * x * a0))
+                        for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
-    return diag, upper, lower
+    return diag, off
 
 
 def assemble_lists(family: ShapeInvariantFamily, grid: Grid,
                    ordering: VonRoosOrdering = SYMMETRIC_ORDERING) -> TridiagonalOperator:
     """The stencil of `ordering` with the confining potential V, as float lists.
 
-    The two ordering terms are transposes of one another, so their average
-    is symmetric; one shared off-diagonal list, −⅛ of the two composition
-    orders summed, makes that exact.  The eigensolver squares the entries,
-    so an operator with an entry whose square overflows a double (or an
-    infinite or NaN one) is refused with InvalidLambdaError.
+    One off-diagonal list serves both sides of the diagonal (see _stencil),
+    so the operator is symmetric exactly.  The eigensolver squares the
+    entries, so an operator with an entry whose square overflows a double
+    (or an infinite or NaN one) is refused with InvalidLambdaError.
     """
-    diag, upper, lower = _stencil(family, grid, ordering)
-    off = [-0.125 * (u + l) for u, l in zip(upper, lower)]
-    del upper, lower
+    diag, off = _stencil(family, grid, ordering)
     # the mirrored rows repeat these entries
     top = max(max(map(abs, diag)), max(map(abs, off)))
     # max() passes over a NaN that is not first; sum() propagates it
@@ -317,22 +313,12 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
                       grid: Grid) -> TridiagonalOperator:
     """Discretize −¼(mᵃ D mᵇ D mᶜ + mᶜ D mᵇ D mᵃ) + V by composition.
 
-    The leftover asymmetry of the two multiplication orders is folded in by
-    explicit averaging (see von_roos_asymmetry).  The bands are ndarrays,
-    as for assemble_sturm_liouville.  Kept for perfbench/ and the
-    acceptance contract.
+    The two multiplication orders are transposes of one another, and each
+    coupling is their sum, so the operator is symmetric exactly.  The
+    bands are ndarrays, as for assemble_sturm_liouville.  Kept for
+    perfbench/ and the acceptance contract.
     """
     return _as_arrays(assemble_lists(family, grid, ordering))
-
-
-def von_roos_asymmetry(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
-                       grid: Grid) -> float:
-    """Max |upper − lower| of the composed operator before symmetrization."""
-    # a mirrored coupling swaps the two orders, so the leading ones suffice
-    _, upper, lower = _stencil(family, grid, ordering)
-    if upper is lower:  # unit outer factors: the two orders are one product
-        return 0.0
-    return 0.25 * max(map(abs, map(sub, upper, lower)), default=0.0)
 
 
 # === symmetric tridiagonal eigensolver ===

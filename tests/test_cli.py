@@ -364,7 +364,8 @@ def test_compare_ordering_output(capsys):
     # values opening with a minus sign need the = form, as usual with argparse
     code = run(["compare-ordering", "--family", "case1", "--lambda", "0.3",
                 "--grid-n", "500", "--tail-tolerance", "1e-6", "--n-max", "1",
-                "--ordering=-0.5,0,-0.5", "--ordering=0,-1,0"])
+                "--ordering=-0.5,0,-0.5", "--ordering=0,-1,0",
+                "--format", "both"])
     out, _ = capsys.readouterr()
     assert code == 0
     rows = out.strip().splitlines()
@@ -374,6 +375,12 @@ def test_compare_ordering_output(capsys):
     # the alternative arrangement shifts the ground level; (0,-1,0) does not
     assert abs(float(cells[3])) > 0.05
     assert abs(float(cells[5])) < 1e-10
+    # the JSON holds each ordering's levels and their deviations, no more
+    payload = json.loads(rows[-1])
+    for entry, cell in zip(payload["orderings"], (cells[2], cells[4])):
+        assert list(entry) == ["a", "b", "c", "eigenvalues",
+                               "deviation_from_symmetric"]
+        assert entry["eigenvalues"][0] == float(cell)
 
 
 def test_module_entry_point():
@@ -493,14 +500,15 @@ def test_edge_requests_are_refused(capsys, argv, needle):
     # verify runs no eigensolver; it names the largest entry it checks
     (["verify", "--family", "constant", "--alpha", "1e-300", "--grid-n", "17"],
      "underflows: its largest entry is only 9.66e-301, whose square"),
-    (["verify", "--family", "constant", "--alpha", "7.359689122788897e+269",
-      "--grid-n", "17"], "overflows: its largest entry is inf, whose square"),
     # the eigensolver's rule is on the infinity norm of the operator
     (["spectrum", "--family", "constant", "--alpha", "1e-200"],
      "underflows: its infinity norm is only 1.45e-195, and the eigensolver"),
+    # both commands say an overflow in one text: an entry squares past a double
+    (["verify", "--family", "constant", "--alpha", "7.359689122788897e+269",
+      "--grid-n", "17"], "overflows: its largest entry is inf, whose square"),
     (["spectrum", "--family", "constant", "--alpha", "1e150"],
-     "overflows: its largest entry is 7.24e+154, and the eigensolver"),
-], ids=["verify-underflow", "verify-overflow", "spectrum-underflow",
+     "overflows: its largest entry is 7.24e+154, whose square"),
+], ids=["verify-underflow", "spectrum-underflow", "verify-overflow",
         "spectrum-overflow"])
 def test_refusals_name_what_they_measure(capsys, argv, words):
     code = run(argv)
@@ -508,7 +516,8 @@ def test_refusals_name_what_they_measure(capsys, argv, words):
     assert code == 1 and out == ""
     assert err.startswith("error: the discretized Hamiltonian " + words)
     assert err.count("\n") == 1
-    assert ("eigensolver" in err) == (argv[0] != "verify")
+    assert ("eigensolver" in err) == (argv[0] == "spectrum"
+                                      and "underflows" in words)
 
 
 def test_small_alpha_spectrum_scales_with_alpha(capsys):

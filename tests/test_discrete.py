@@ -28,7 +28,7 @@ from pdemosc import (
     verify_all,
 )
 from pdemosc import discrete
-from pdemosc.discrete import eigenvalue_list, von_roos_asymmetry
+from pdemosc.discrete import eigenvalue_list
 from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
 from pdemosc.susy import _nodes_between
 
@@ -85,9 +85,8 @@ def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
 
 
 def full_stencil(fam, grid, ordering):
-    """(diag, offdiag, asymmetry) of assemble_lists and von_roos_asymmetry,
-    from the two composition orders written out on every node, as a
-    reference."""
+    """(diag, offdiag) of assemble_lists, from the two composition orders
+    written out on every node, as a reference."""
     xs, mids = grid.nodes(), grid.midpoints(grid.n + 1)
     ms = masses_on(fam.profile, xs)
     w = discrete._powers(masses_on(fam.profile, mids), ordering.b)
@@ -97,18 +96,14 @@ def full_stencil(fam, grid, ordering):
     if ordering.a == 0.0 and ordering.c == 0.0:
         diag = [0.5 * (wl + wr) / h2 + v
                 for wl, wr, v in zip(w, w[1:], potential)]
-        return diag, [-0.125 * ((x + x) + (x + x)) for x in win], 0.0
+        return diag, [-0.125 * ((x + x) + (x + x)) for x in win]
     ma = discrete._powers(ms, ordering.a)
     mc = discrete._powers(ms, ordering.c)
     diag = [0.5 * a * c * (wl + wr) / h2 + v for a, c, wl, wr, v in
             zip(ma, mc, w, w[1:], potential)]
     off = [-0.125 * ((a0 * x * c1 + c0 * x * a1) + (a1 * x * c0 + c1 * x * a0))
            for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
-    upper = [a0 * x * c1 + c0 * x * a1
-             for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
-    lower = [a1 * x * c0 + c1 * x * a0
-             for a1, x, c0, c1, a0 in zip(ma[1:], win, mc, mc[1:], ma)]
-    return diag, off, 0.25 * max(abs(u - l) for u, l in zip(upper, lower))
+    return diag, off
 
 
 def _hex(xs):
@@ -137,21 +132,19 @@ def _hex(xs):
         "blocks-whole-odd", "blocks-whole-even",
         "blocks-couplings-whole-odd", "blocks-partial-even"])
 def test_stencil_matches_the_composition_orders_written_out(kind, lam, grid_of):
-    # _stencil forms both composition orders once, on the left half a
-    # block of rows at a time: their sum gives the bands and their
-    # difference the asymmetry, bit for bit as written out here on every
-    # node, on build_grid's boxes and others, in one block or several
+    # _stencil sums both composition orders of each coupling on the left
+    # half, a block of rows at a time: the bands are bit for bit those
+    # written out here on every node, on build_grid's boxes and others, in
+    # one block or several
     fam = make_family(kind, 1.3, lam)
     grid = grid_of(fam)
     for abc in [(0.0, -1.0, 0.0), (-0.5, 0.0, -0.5), (0.0, 0.0, -1.0),
                 (-1.0, 0.0, 0.0), (0.5, -1.0, -0.5), (-0.7, -0.2, -0.1)]:
         ordering = VonRoosOrdering(*abc)
         T = discrete.assemble_lists(fam, grid, ordering)
-        diag, off, asym = full_stencil(fam, grid, ordering)
+        diag, off = full_stencil(fam, grid, ordering)
         assert _hex(T.diag) == _hex(diag), abc
         assert _hex(T.offdiag) == _hex(off), abc
-        got = von_roos_asymmetry(fam, ordering, grid)
-        assert float.hex(got) == float.hex(asym), abc
 
 
 def test_stencil_refuses_a_mass_that_underflows():
@@ -228,7 +221,7 @@ def test_half_assembly_equals_full_evaluation(kind, lam, n):
     for ordering in (SYMMETRIC_ORDERING, VonRoosOrdering(-0.5, 0.0, -0.5),
                      VonRoosOrdering(-0.7, -0.2, -0.1)):
         T = discrete.assemble_lists(fam, grid, ordering)
-        diag, off, _ = full_stencil(fam, grid, ordering)
+        diag, off = full_stencil(fam, grid, ordering)
         assert _hex(T.diag) == _hex(diag)
         assert _hex(T.offdiag) == _hex(off)
         assert T.diag == T.diag[::-1] and T.offdiag == T.offdiag[::-1]
@@ -309,13 +302,11 @@ def test_symmetric_ordering_equals_sturm_liouville():
         B = assemble_von_roos(fam, SYMMETRIC_ORDERING, grid)
         assert np.allclose(A.diag, B.diag, rtol=1e-13, atol=0.0)
         assert np.allclose(A.offdiag, B.offdiag, rtol=1e-13, atol=0.0)
-        # with unit row/column factors the two composition orders coincide
-        assert von_roos_asymmetry(fam, SYMMETRIC_ORDERING, grid) == 0.0
 
 
 def test_von_roos_orderings_disagree_off_symmetric():
     # the (-1/2, 0, -1/2) arrangement shifts the spectrum visibly once the
-    # deformation is strong; the symmetrized matrix stays exactly symmetric
+    # deformation is strong
     fam = make_family(Kind.CASE1, 1.0, 0.3)
     grid = build_grid(fam, 1000, tail_tolerance=1e-6)
     bk = VonRoosOrdering(-0.5, 0.0, -0.5)
@@ -325,9 +316,6 @@ def test_von_roos_orderings_disagree_off_symmetric():
     e_bk = eigen_tridiagonal(T_bk, 1, grid.h).eigenvalues[0]
     disc_err = abs(e_sym - energy(fam, 0))
     assert abs(e_bk - e_sym) > 10.0 * disc_err
-    # roundoff-level asymmetry only, relative to the matrix scale
-    scale = float(np.max(np.abs(T_bk.diag)))
-    assert von_roos_asymmetry(fam, bk, grid) < 1e-13 * scale
 
 
 def test_ordering_constraint_enforced():

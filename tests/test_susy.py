@@ -180,13 +180,26 @@ def test_annihilation_residual_small_and_shrinking():
 
 
 def test_superalgebra_closes_exactly():
-    # the supercharges are nilpotent and commute with the block Hamiltonian
-    # by matrix identity: zero residual, not small residual
-    for kind, lam in [(Kind.CASE1, 1.0), (Kind.CASE2, 7.0), (Kind.CASE3, 0.3)]:
-        fam = make_family(kind, 1.0, lam)
-        grid = build_grid(fam, 150, tail_tolerance=1e-8)
-        report = verify_all(fam, grid)
-        assert report.residuals["superalgebra_offdiag"].value == 0.0
+    # Q(u, w) = (0, Au) and Q†(u, w) = (A†w, 0) close for every operator A,
+    # so verify reports superalgebra_offdiag as an exact 0 without
+    # measuring it: proved here with A and A† as symbols that do not commute
+    import sympy
+
+    a, ad = sympy.symbols("A A_dagger", commutative=False)
+    q = sympy.Matrix([[0, 0], [a, 0]])
+    qd = sympy.Matrix([[0, ad], [0, 0]])
+
+    def expanded(m):
+        return m.applyfunc(sympy.expand)
+
+    zero = sympy.zeros(2, 2)
+    qqd = q * qd + qd * q
+    assert expanded(q * q + q * q) == zero
+    assert expanded(qd * qd + qd * qd) == zero
+    assert expanded(qqd - sympy.diag(ad * a, a * ad)) == zero
+    # the proof sees a wrong block: A†A and AA† swapped do not cancel
+    swapped = expanded(qqd - sympy.diag(a * ad, ad * a))
+    assert swapped == sympy.diag(ad * a - a * ad, a * ad - ad * a) != zero
 
 
 def test_residuals_decrease_monotonically():
@@ -291,31 +304,11 @@ def _reference_max_residual(residual_fn, states, grid):
     return worst
 
 
-def _reference_superalgebra(a, ad, u, x):
-    w = x * u
-    zero = np.zeros(len(u))
-
-    def q(pair):
-        return [zero, a @ pair[0]]
-
-    def qd(pair):
-        return [ad @ pair[1], zero]
-
-    def anti(f, g):
-        fg, gf = f(g((u, w))), g(f((u, w)))
-        return [fg[0] + gf[0], fg[1] + gf[1]]
-
-    qqd = anti(q, qd)
-    parts = [*anti(q, q), *anti(qd, qd), qqd[0] - ad @ (a @ u),
-             qqd[1] - a @ (ad @ w)]
-    return max(float(np.max(np.abs(p))) for p in parts)
-
-
 def reference_residuals(fam, grid):
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
-    a0, x = fam.alpha0, _nodes_between(grid, 0, grid.n)
+    a0 = fam.alpha0
     h_minus, h_plus, h = (Banded(grid.n, {-1: off, 0: diag, 1: off})
                           for diag, off in whole_grid_hamiltonians(fam, grid))
     a = build_ladder(fam, a0, grid)
@@ -331,7 +324,7 @@ def reference_residuals(fam, grid):
             lambda v: a @ (h_minus @ v) - h_plus @ (a @ v), states, grid),
         "intertwine_plus": _reference_max_residual(
             lambda v: ad @ (h_plus @ v) - h_minus @ (ad @ v), states, grid),
-        "superalgebra_offdiag": _reference_superalgebra(a, ad, states[0], x),
+        "superalgebra_offdiag": 0.0,
         "shift_identity": _reference_max_residual(
             lambda v: a @ (ad @ v) - (ad1 @ (a1 @ v) + r * v), states, grid),
     }
