@@ -26,10 +26,9 @@ _MODULES = {
                       gf_polynomials harmonic_limit proportionality_ratio
                       rodrigues_polynomial three_term_next to_json_dict""",
     "sampling": "eigenfunction_lists",
-    "susy": """Banded ResidualEntry ResidualReport build_ladder
-               eigenfunction_samples ground_state_unnormalized inner_product
-               report_to_json_dict state_map_cosine superpotential_at
-               verify_all""",
+    "susy": """Banded ResidualEntry ResidualReport eigenfunction_samples
+               ground_state_unnormalized inner_product report_to_json_dict
+               superpotential_at verify_all""",
 }
 _HOME = {name: module for module, names in _MODULES.items()
          for name in names.split()}

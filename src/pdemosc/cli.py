@@ -266,7 +266,7 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
 
 
 def _grid_dict(grid) -> dict:
-    return {"lo": grid.lo, "hi": grid.hi, "n": grid.n}
+    return {"lo": -grid.hi, "hi": grid.hi, "n": grid.n}
 
 
 def _cmd_spectrum(args, family) -> int:

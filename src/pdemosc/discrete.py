@@ -64,9 +64,9 @@ from .families import (
 )
 
 
-class Grid(namedtuple("Grid", "lo hi n h")):
-    """Uniform interior grid on (lo, hi) = (−hi, hi); the endpoints carry
-    implicit zeros.
+class Grid(namedtuple("Grid", "hi n h")):
+    """Uniform interior grid of n nodes, spacing h, on (−hi, hi); the
+    endpoints carry implicit zeros.
 
     Node i (1 ≤ i ≤ n) is h·(i − (n+1)/2) and midpoint i (0 ≤ i ≤ n) is
     h·(i − n/2), so node n+1−i is −(node i) and midpoint n−i is
@@ -122,7 +122,7 @@ def uniform_grid(hi: float, n: int) -> Grid:
     if not (0.0 < h and hi + hi < math.inf):
         raise ValueError(f"need a half-width with 0 < 2*hi < inf whose "
                          f"spacing over {n + 1} intervals is above 0, got {hi}")
-    return Grid(-hi, hi, n, h)
+    return Grid(hi, n, h)
 
 
 def build_grid(family: ShapeInvariantFamily, n: int,
@@ -606,8 +606,8 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
             count_at(mid if root is None else root, st, i, isolated)
         else:
             raise ConvergenceFailureError(
-                j, f"eigenvalue search did not converge for index {j} "
-                   f"within {_MAX_PASSES} count passes")
+                f"eigenvalue search did not converge for index {j} "
+                f"within {_MAX_PASSES} count passes")
         if j > 1 and predicting:
             # a level outside its window ends prediction for the rest
             predicting = abs(values[-1] - guess) <= window
@@ -732,7 +732,6 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     exponent = min(math.frexp(norm_t)[1], 1023)
     span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
     accepted = [[] for _ in blocks]  # per block, its accepted vectors
-    vectors = []
     # a full vector's h-norm is nb·h times its block's squared 2-norm; so
     # are its inner products, and vectors of opposite parity are orthogonal
     weight = nb * h
@@ -758,7 +757,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
             if kept or attempt:
                 if not 0.0 < norm < math.inf:
                     raise ConvergenceFailureError(
-                        j, f"inverse iteration broke down for eigenvalue index {j}")
+                        f"inverse iteration broke down for eigenvalue index {j}")
                 v = [x / norm for x in w]
                 # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
                 if kept and max(abs(d * x + a * xn + c * xp - lam * x)
@@ -777,7 +776,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
             w = _twisted_solve(diag, off, lam, pivmin, v)
         else:
             raise ConvergenceFailureError(
-                j, f"inverse iteration stagnated for eigenvalue index {j}")
+                f"inverse iteration stagnated for eigenvalue index {j}")
         del w  # the iterate goes before the next vector's is built
         # the largest-magnitude component of the full vector made positive,
         # the last of equal magnitudes deciding: the first one of the full
@@ -797,8 +796,14 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         u = array("d", v)
         del v  # as the iterate, before the next vector's is built
         accepted[b].append(u)
-        vectors.append(u if nb == 1 else _unfolded(u, n, b == 1))
-    return eigenvalues, vectors
+    if nb == 1:
+        return eigenvalues, accepted[0]
+    # the block vectors are unfolded level by level, each one dropped as
+    # its full vector is built, so no level is held twice
+    for vs in accepted:
+        vs.reverse()
+    return eigenvalues, [_unfolded(accepted[j % 2].pop(), n, j % 2 == 1)
+                         for j in range(len(eigenvalues))]
 
 
 def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:

@@ -30,14 +30,8 @@ class ConstraintViolatedError(PdemError):
 
 
 class ConvergenceFailureError(PdemError):
-    """Inverse iteration failed to converge for an eigenvector.
-
-    Carries the index of the offending eigenpair.
-    """
-
-    def __init__(self, index, message=""):
-        self.index = index
-        super().__init__(message or f"inverse iteration stagnated at index {index}")
+    """The eigenvalue search or inverse iteration did not converge; the
+    message names the index of the offending eigenpair."""
 
 
 class LengthMismatchError(PdemError):

@@ -55,7 +55,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .discrete import Grid, TridiagonalOperator, eigenpair_lists, refuse_overflow
+from .discrete import Grid, refuse_overflow
 from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -158,12 +158,12 @@ def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
                 -0.125 * ((win + win) + (win + win)))
 
 
-def _band_extent(diag, offdiag, prior=(math.nan, False)):
+def _band_extent(diag, offdiag, prior):
     """(max |entry|, NaN seen) over both bands and the extent `prior` of
-    other rows: what the overflow refusal reads.  fmax passes over a NaN,
-    so the maximum is NaN only where every entry is; the sums propagate
-    it, and overflow or meet inf − inf only where an entry squares past a
-    double, which the refusal names anyway."""
+    other rows, (nan, False) for none: what the overflow refusal reads.
+    fmax passes over a NaN, so the maximum is NaN only where every entry
+    is; the sums propagate it, and overflow or meet inf − inf only where an
+    entry squares past a double, which the refusal names anyway."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (float(np.fmax.reduce([prior[0], np.fmax.reduce(np.abs(diag)),
                                       np.fmax.reduce(np.abs(offdiag))])),
@@ -267,24 +267,16 @@ HALO = 2
 
 
 def _ladders(family: ShapeInvariantFamily, grid: Grid, x, alphas) -> list:
-    """A(α) on the nodes x for each α in alphas; they share their off-bands."""
+    """A(α) = diag(1/√(2m))·D_central + diag(W(·; α)) on the nodes x for
+    each α in alphas; they share their off-bands.  A† is A.transpose(), the
+    adjoint under the uniform quadrature weights, and at the ends of x the
+    centered difference drops the exterior (zero) neighbor."""
     s = 1.0 / np.sqrt(2.0 * mass_at(family.profile, x))
     inv2h = 1.0 / (2.0 * grid.h)
     lower, upper = -s[1:] * inv2h, s[:-1] * inv2h
     return [Banded(len(x), {-1: lower, 0: superpotential_at(family, alpha, x),
                             1: upper})
             for alpha in alphas]
-
-
-def build_ladder(family: ShapeInvariantFamily, alpha_n: float,
-                 grid: Grid) -> Banded:
-    """A = diag(1/√(2m))·D_central + diag(W(·; αₙ)); A† is A.transpose().
-
-    The transpose is the adjoint under the uniform quadrature weights, and
-    at Dirichlet ends the centered difference simply drops the exterior
-    (zero) neighbor.
-    """
-    return _ladders(family, grid, _nodes_between(grid, 0, grid.n), (alpha_n,))[0]
 
 
 # === residual measurement on smooth states ===
@@ -406,24 +398,6 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
                  for name, (tolerance, power) in RESIDUAL_TOLERANCES.items()}
     return ResidualReport(family.profile.kind.value, a0,
                           family.profile.lam, grid.n, residuals)
-
-
-def state_map_cosine(family: ShapeInvariantFamily, grid: Grid, n: int) -> float:
-    """|cos| between A·φ_{n+1}^(−) and the n-th eigenvector of discrete H₊.
-
-    The continuum map carries φ_{n+1}^(−) onto φ_n^(+) up to a scalar; only
-    the direction is asserted because the discrete norm differs from the
-    continuum factor [E_n^(+)]^(−1/2) at O(h).
-    """
-    x = _nodes_between(grid, 0, grid.n)
-    a = _ladders(family, grid, x, (family.alpha0,))[0]
-    mapped = a @ eigenfunction_samples(family, n + 1, grid)
-    (_, diag, _), off = _block_hamiltonians(family, grid, x, 0, grid.n)
-    _require_representable(_band_extent(diag, off))
-    _, vectors = eigenpair_lists(TridiagonalOperator(diag, off), n + 1, grid.h)
-    v = np.asarray(vectors[n])
-    denom = float(np.linalg.norm(mapped)) * float(np.linalg.norm(v))
-    return abs(float(np.dot(mapped, v))) / denom
 
 
 def report_to_json_dict(report: ResidualReport) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdemosc import run
+from pdemosc import Kind, build_grid, make_family, run
 from pdemosc.cli import build_parser
 
 
@@ -188,8 +188,9 @@ def test_eigenfunctions_sources_agree(capsys):
 
 def test_numeric_eigenfunctions_peak_memory(tmp_path, capsys):
     # the operator, its parity blocks, one level's factors and the stored
-    # vectors and x column, 8 bytes a value: 3.06 MB here, where float
-    # lists took 5.22 MB
+    # vectors and x column, 8 bytes a value: 2.59 MB here, where float
+    # lists took 5.22 MB and a block vector kept next to each unfolded one
+    # 3.06 MB
     import tracemalloc
 
     argv = ["eigenfunctions", "--family", "constant", "--n-max", "2",
@@ -202,7 +203,7 @@ def test_numeric_eigenfunctions_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 3.5e6
+    assert peak <= 3.0e6
 
 
 def test_polynomials_symbolic_and_json(capsys):
@@ -381,6 +382,27 @@ def test_compare_ordering_output(capsys):
         assert list(entry) == ["a", "b", "c", "eigenvalues",
                                "deviation_from_symmetric"]
         assert entry["eigenvalues"][0] == float(cell)
+
+
+@pytest.mark.parametrize("grid_n", [500, 501])
+@pytest.mark.parametrize("command", [
+    ["spectrum"],
+    ["eigenfunctions", "--source", "algebraic"],
+    ["eigenfunctions", "--source", "numeric"],
+    ["compare-ordering", "--ordering=-0.5,0,-0.5"],
+], ids=["spectrum", "eigenfunctions-algebraic", "eigenfunctions-numeric",
+        "compare-ordering"])
+def test_every_json_grid_is_the_box_asked_for(capsys, command, grid_n):
+    # a grid is (hi, n, h) on (−hi, hi): its JSON lo is −hi bit for bit,
+    # hi is build_grid's, and n is the --grid-n asked for
+    assert run([*command, "--family", "case3", "--lambda", "0.3", "--n-max",
+                "2", "--grid-n", str(grid_n), "--format", "json"]) == 0
+    grid = json.loads(capsys.readouterr()[0])["grid"]
+    want = build_grid(make_family(Kind.CASE3, 1.0, 0.3), grid_n)
+    assert list(grid) == ["lo", "hi", "n"]
+    assert grid["hi"].hex() == want.hi.hex()
+    assert grid["lo"].hex() == (-grid["hi"]).hex()
+    assert grid["n"] == grid_n
 
 
 def test_module_entry_point():

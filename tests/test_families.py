@@ -19,7 +19,6 @@ from pdemosc import (
     alpha_at,
     bound_state_count,
     build_grid,
-    build_ladder,
     eigenfunction_lists,
     eigenfunction_samples,
     energy,
@@ -31,13 +30,14 @@ from pdemosc import (
     potential_minus,
     potential_plus,
     remainder,
-    state_map_cosine,
     superpotential_at,
     unified_deformation,
     uniform_grid,
+    verify_all,
     VonRoosOrdering,
 )
 from pdemosc.families import require_bound
+from pdemosc.susy import _ladders, _nodes_between
 
 # A handful of parameter points that exercise every mass profile, including
 # deformations of both signs where the family allows them.
@@ -328,8 +328,9 @@ AT_POINTS = {
 ON_GRIDS = {
     "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
     "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
-    "build_ladder": lambda fam, grid: build_ladder(fam, 1.0, grid),
-    "state_map_cosine": lambda fam, grid: state_map_cosine(fam, grid, 0),
+    "ladders": lambda fam, grid: _ladders(
+        fam, grid, _nodes_between(grid, 0, grid.n), (1.0,)),
+    "verify_all": verify_all,
 }
 
 

@@ -4,6 +4,7 @@ of the float stencil that `verify` assembles."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,7 +144,7 @@ def whole_grid_hamiltonian(fam, grid):
     verify refuses them."""
     x = _nodes_between(grid, 0, grid.n)
     (_, _, diag), off = _block_hamiltonians(fam, grid, x, 0, grid.n)
-    _require_representable(_band_extent(diag, off))
+    _require_representable(_band_extent(diag, off, (math.nan, False)))
     return diag, off
 
 
