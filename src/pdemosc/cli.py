@@ -59,13 +59,11 @@ def _json_text(value) -> str:
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}"
                           for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -355,7 +353,7 @@ def _cmd_polynomials(args, family) -> int:
     # a degree is not a level: only the default looks at the cutoff, and
     # gf_polynomials refuses a negative degree
     n_max = _n_max(family, None) if args.n_max is None else args.n_max
-    par = parameterization_for(family.profile.kind)
+    par = parameterization_for(Kind(args.family))
     polys = gf_polynomials(n_max, par)
     if args.symbolic:
         print(f"# family {args.family}: {_Q_MEANING[par.value]}; z is the "
@@ -368,18 +366,21 @@ def _cmd_polynomials(args, family) -> int:
 
 def _cmd_verify(args, family) -> int:
     from .discrete import build_grid
-    from .susy import report_to_json_dict, verify_all
+    from .susy import verify_all
     require_bound(family, 0)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
-    report = verify_all(family, grid)
-    ok = True
-    for name, entry in report.residuals.items():
+    residuals = verify_all(family, grid)
+    for name, entry in residuals.items():
         status = "PASS" if entry.passed else "FAIL"
-        ok = ok and entry.passed
         print(f"{name}: value={_fmt(entry.value)} "
               f"tolerance={_fmt(entry.tolerance)} {status}")
-    _emit(args, "verify", None, _json_text(report_to_json_dict(report)))
-    return 0 if ok else 3
+    payload = {"family": args.family, "alpha": args.alpha, "lambda": args.lam,
+               "grid_n": grid.n,
+               "residuals": {name: {"value": e.value, "tolerance": e.tolerance,
+                                    "pass": e.passed}
+                             for name, e in residuals.items()}}
+    _emit(args, "verify", None, _json_text(payload))
+    return 0 if all(e.passed for e in residuals.values()) else 3
 
 
 def _cmd_compare_ordering(args, family) -> int:

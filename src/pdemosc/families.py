@@ -47,8 +47,8 @@ class Kind(enum.Enum):
 _SQUARABLE = 1.3407807929942597e154
 
 
-class MassProfile(namedtuple("MassProfile", "kind lam c s")):
-    """The mass law m(x) = c/(1 + s x²), labelled by the kind and λ it came from.
+class MassProfile(namedtuple("MassProfile", "c s")):
+    """The mass law m(x) = c/(1 + s x²).
 
     The mass is positive on the whole line for s ≥ 0 and on |x| < 1/√(−s)
     for s < 0.
@@ -71,14 +71,19 @@ class MassProfile(namedtuple("MassProfile", "kind lam c s")):
 
 
 class ShapeInvariantFamily(namedtuple("ShapeInvariantFamily",
-                                      "profile alpha0 eta")):
-    """A mass profile plus oscillator strength α and translation step η.
+                                      "profile alpha0")):
+    """A mass profile plus oscillator strength α.
 
-    The parameter chain is α_n = alpha0 + n·eta (n ≥ 0) with η = −s/c, and
-    the remainder is always the next parameter in the chain.
+    The parameter chain is α_n = alpha0 + n·eta (n ≥ 0) with the
+    translation step η = −s/c, and the remainder is always the next
+    parameter in the chain.
     """
 
     __slots__ = ()
+
+    @property
+    def eta(self) -> float:
+        return -self.profile.s / self.profile.c
 
 
 class VonRoosOrdering(namedtuple("VonRoosOrdering", "a b c")):
@@ -136,7 +141,7 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
     c, s = law()
     if not math.isfinite(s):
         raise InvalidLambdaError(f"lambda = {lam} puts s = {s} out of range")
-    return ShapeInvariantFamily(MassProfile(kind, lam, c, s), alpha, -s / c)
+    return ShapeInvariantFamily(MassProfile(c, s), alpha)
 
 
 def require_inside(profile: MassProfile, x) -> None:

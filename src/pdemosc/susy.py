@@ -233,10 +233,6 @@ class ResidualEntry(namedtuple("ResidualEntry", "value tolerance")):
         return self.value <= self.tolerance
 
 
-ResidualReport = namedtuple("ResidualReport",
-                            "family alpha lam grid_n residuals")
-
-
 # Per residual, (tolerance at α = 1, power p).  The tolerances are
 # calibrated at grid_n = 4000 and alpha = 1 on the reference deformations;
 # the identity residuals there sit at 1e-3 or below and shrink ~4x per
@@ -343,10 +339,11 @@ def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
         yield "annihilation", av
 
 
-def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
-    """Every residual, each judged against its α = 1 tolerance times α^p.
+def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
+    """{name: ResidualEntry} for every residual, in RESIDUAL_TOLERANCES'
+    order, each judged against its α = 1 tolerance times α^p.
 
-    The report keeps the raw residual values and the scaled tolerances.
+    Each entry keeps the raw residual value and the scaled tolerance.
     H₋, then H₊, then H is refused by _require_representable, by its
     largest entry on the whole grid, if it holds a NaN or an entry that
     squares past a double (residual work stops at the first block where
@@ -394,21 +391,5 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> ResidualReport:
         (rr, er), (vv, ev) = _merged(parts), norms[k]
         values[name] = max(values[name], math.ldexp(
             math.sqrt(rr) / math.sqrt(vv), er - ev))
-    residuals = {name: ResidualEntry(values[name], tolerance * a0 ** power)
-                 for name, (tolerance, power) in RESIDUAL_TOLERANCES.items()}
-    return ResidualReport(family.profile.kind.value, a0,
-                          family.profile.lam, grid.n, residuals)
-
-
-def report_to_json_dict(report: ResidualReport) -> dict:
-    return {
-        "family": report.family,
-        "alpha": report.alpha,
-        "lambda": report.lam,
-        "grid_n": report.grid_n,
-        "residuals": {
-            name: {"value": entry.value, "tolerance": entry.tolerance,
-                   "pass": entry.passed}
-            for name, entry in report.residuals.items()
-        },
-    }
+    return {name: ResidualEntry(values[name], tolerance * a0 ** power)
+            for name, (tolerance, power) in RESIDUAL_TOLERANCES.items()}

@@ -178,13 +178,13 @@ def test_criterion_09_residuals_shrink_at_least_1p8x_per_halving():
     reports = [verify_all(fam, build_grid(fam, n)) for n in (1000, 2001, 4003)]
     for name in ("annihilation", "factorization", "intertwine_minus",
                  "intertwine_plus", "shift_identity"):
-        values = [r.residuals[name].value for r in reports]
+        values = [r[name].value for r in reports]
         for coarse, fine in zip(values, values[1:]):
             assert coarse / fine >= 1.8, (name, values)
     for r in reports:
-        assert r.residuals["superalgebra_offdiag"].value == 0.0
+        assert r["superalgebra_offdiag"].value == 0.0
     # the pinned end-state tolerances hold on the finest level
-    assert all(e.passed for e in reports[-1].residuals.values())
+    assert all(e.passed for e in reports[-1].values())
 
 
 def test_criterion_10_partner_spectrum_identity_exact_to_1em12():

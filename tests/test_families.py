@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from numpy.polynomial import hermite
 
@@ -13,6 +14,7 @@ from pdemosc import (
     ConstraintViolatedError,
     Kind,
     InvalidLambdaError,
+    MassProfile,
     NonPositiveAlphaError,
     NotABoundStateError,
     OutOfDomainError,
@@ -30,6 +32,7 @@ from pdemosc import (
     potential_minus,
     potential_plus,
     remainder,
+    ShapeInvariantFamily,
     superpotential_at,
     unified_deformation,
     uniform_grid,
@@ -275,6 +278,26 @@ def test_constant_family_refuses_a_deformation():
     for zero in (0.0, -0.0):
         fam = make_family(Kind.CONSTANT, 1.0, zero)
         assert fam.profile.s == 0.0 and fam.eta == 0.0
+
+
+def test_a_family_is_its_mass_law_and_alpha():
+    # no label of the request is stored: a family is (c, s) and alpha
+    assert MassProfile._fields == ("c", "s")
+    assert ShapeInvariantFamily._fields == ("profile", "alpha0")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(list(Kind)),
+       st.floats(0.0, None, exclude_min=True, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_eta_is_computed_from_the_mass_law(kind, alpha, lam):
+    if kind == Kind.CONSTANT:
+        lam = math.copysign(0.0, lam)
+    try:
+        fam = make_family(kind, alpha, lam)
+    except InvalidLambdaError:  # lambda = 0 or an s past a double
+        assume(False)
+    assert fam.eta.hex() == (-fam.profile.s / fam.profile.c).hex()
 
 
 def test_last_bound_level_is_accepted():

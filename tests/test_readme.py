@@ -26,4 +26,4 @@ def test_library_example_keeps_its_promises():
         assert eval(expr, namespace) == pytest.approx(float(value), rel=1e-12)
     grid, phi2 = namespace["grid"], namespace["phi2"]
     assert grid.h * float(np.dot(phi2, phi2)) == pytest.approx(1.0, abs=1e-9)
-    assert len(namespace["report"].residuals) == 6
+    assert len(namespace["report"]) == 6

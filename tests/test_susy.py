@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -17,7 +18,7 @@ from pdemosc import (
     make_family,
     mass_at,
     remainder,
-    report_to_json_dict,
+    run,
     superpotential_at,
     uniform_grid,
     verify_all,
@@ -170,7 +171,7 @@ def test_residuals_match_dense_products(kind, lam):
         residual(a.T @ h_plus - h_minus @ a.T),
         residual(a @ a.T - a2.T @ a2 - remainder(fam, a0) * eye),
     ]
-    residuals = verify_all(fam, grid).residuals
+    residuals = verify_all(fam, grid)
     got = [residuals[name].value for name in (
         "factorization", "intertwine_minus", "intertwine_plus", "shift_identity")]
     assert got == pytest.approx(want, rel=1e-9)
@@ -178,7 +179,7 @@ def test_residuals_match_dense_products(kind, lam):
 
 def test_annihilation_residual_small_and_shrinking():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
-    coarse, fine = (verify_all(fam, build_grid(fam, n)).residuals[
+    coarse, fine = (verify_all(fam, build_grid(fam, n))[
         "annihilation"].value for n in (1001, 2003))
     assert fine < 5e-4
     assert coarse / fine > 1.8  # second-order decay
@@ -214,7 +215,7 @@ def test_residuals_decrease_monotonically():
     reports = [verify_all(fam, build_grid(fam, n)) for n in (500, 1001, 2003)]
     for name in ("factorization", "annihilation", "intertwine_minus",
                  "intertwine_plus", "shift_identity"):
-        values = [r.residuals[name].value for r in reports]
+        values = [r[name].value for r in reports]
         for coarse, fine in zip(values, values[1:]):
             assert fine < 1.1 * coarse, (name, values)
         assert values[-1] < values[0] / 3.0, (name, values)
@@ -224,16 +225,12 @@ def test_verify_all_report_layout():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     grid = build_grid(fam, 800)
     report = verify_all(fam, grid)
-    assert list(report.residuals) == RESIDUAL_NAMES
-    assert report.family == "case3"
-    assert report.alpha == 1.0
-    assert report.lam == 0.2
-    assert report.grid_n == 800
-    for name, entry in report.residuals.items():
+    assert list(report) == RESIDUAL_NAMES
+    for name, entry in report.items():
         assert entry.tolerance == RESIDUAL_TOLERANCES[name][0]
         assert entry.passed == (entry.value <= entry.tolerance), name
     # at this resolution everything is inside the shipped tolerances
-    assert all(e.passed for e in report.residuals.values())
+    assert all(e.passed for e in report.values())
 
 
 @pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
@@ -348,7 +345,7 @@ def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam):
         grid = build_grid(fam, n)
         want = reference_residuals(fam, grid)
         monkeypatch.setattr(susy, "ROWS", 37)
-        got = {k: e.value for k, e in verify_all(fam, grid).residuals.items()}
+        got = {k: e.value for k, e in verify_all(fam, grid).items()}
         assert list(got) == RESIDUAL_NAMES
         if n <= 37:
             assert got == want, n
@@ -359,7 +356,7 @@ def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam):
         # one block of the shipped size: bit for bit
         assert n <= susy.ROWS
         assert {k: e.value for k, e in
-                verify_all(fam, grid).residuals.items()} == want, n
+                verify_all(fam, grid).items()} == want, n
 
 
 def test_block_rows_replay_the_whole_grid_past_the_rescale():
@@ -453,9 +450,9 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     want = reference_residuals(fam, grid)
     assert n <= susy.ROWS
     assert {k: e.value for k, e in
-            verify_all(fam, grid).residuals.items()} == want
+            verify_all(fam, grid).items()} == want
     monkeypatch.setattr(susy, "ROWS", 37)
-    got = {k: e.value for k, e in verify_all(fam, grid).residuals.items()}
+    got = {k: e.value for k, e in verify_all(fam, grid).items()}
     for name in RESIDUAL_NAMES:
         assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0.0), name
 
@@ -553,14 +550,14 @@ def test_tolerances_scale_as_alpha_powers():
                       build_grid(make_family(Kind.CASE1, 1.0, 0.1), 4000))
     fam = make_family(Kind.CASE1, 100.0, 10.0)
     report = verify_all(fam, build_grid(fam, 4000))
-    for name, entry in report.residuals.items():
+    for name, entry in report.items():
         tolerance, power = RESIDUAL_TOLERANCES[name]
         scale = 100.0 ** power
         assert entry.tolerance == tolerance * scale, name
         assert entry.value == pytest.approx(
-            base.residuals[name].value * scale, rel=1e-6, abs=0.0), name
-        assert entry.passed == base.residuals[name].passed, name
-    assert report.residuals["superalgebra_offdiag"].tolerance == 0.0
+            base[name].value * scale, rel=1e-6, abs=0.0), name
+        assert entry.passed == base[name].passed, name
+    assert report["superalgebra_offdiag"].tolerance == 0.0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 100.0])
@@ -576,7 +573,7 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
     assert 4000 <= susy.ROWS < 20001
     cases = [(fam, build_grid(fam, n)) for fam in families for n in (4000, 20001)]
     for fam, grid in cases:
-        assert all(e.passed for e in verify_all(fam, grid).residuals.values())
+        assert all(e.passed for e in verify_all(fam, grid).values())
     if mutation == "h-plus-both-sides":
         # A H+ = H+ A in place of A H- = H+ A
         monkeypatch.setattr(susy, "potential_minus", susy.potential_plus)
@@ -588,19 +585,40 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
         failing = {"annihilation", "factorization"}
     for fam, grid in cases:
         report = verify_all(fam, grid)
-        failed = {n for n, e in report.residuals.items() if not e.passed}
-        assert failed >= failing, (fam.profile.kind, grid.n, failed)
+        failed = {n for n, e in report.items() if not e.passed}
+        assert failed >= failing, (fam.profile, grid.n, failed)
 
 
-def test_report_json_schema():
-    fam = make_family(Kind.CASE1, 2.0, 0.2)
-    grid = build_grid(fam, 300)
-    d = report_to_json_dict(verify_all(fam, grid))
-    assert d["family"] == "case1" and d["alpha"] == 2.0 and d["lambda"] == 0.2
-    assert d["grid_n"] == 300
-    assert list(d["residuals"]) == RESIDUAL_NAMES
-    for entry in d["residuals"].values():
-        assert set(entry) == {"value", "tolerance", "pass"}
+def test_report_json_schema(tmp_path, capsys):
+    # the CLI echoes the request; the library returns only the residuals
+    requests = [("case1", "1", "0.1", 1000), ("constant", "2", "0", 501),
+                ("case2", "1", "10", 800), ("case1", "1", "-0.0", 1000),
+                ("case1", "2", "0.2", 300)]
+    for k, (family, alpha, lam, n) in enumerate(requests):
+        out_dir = tmp_path / str(k)
+        code = run(["verify", "--family", family, "--alpha", alpha,
+                    f"--lambda={lam}", "--grid-n", str(n),
+                    "--output-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        # "-0" is the one JSON integer whose sign a Python int drops
+        d = json.loads((out_dir / "verify.json").read_text(),
+                       parse_int=lambda s: float(s) if s == "-0" else int(s))
+        assert list(d) == ["family", "alpha", "lambda", "grid_n", "residuals"]
+        assert d["family"] == family and d["grid_n"] == n
+        assert float(d["alpha"]).hex() == float(alpha).hex()
+        assert float(d["lambda"]).hex() == float(lam).hex()
+        assert list(d["residuals"]) == RESIDUAL_NAMES
+        lines = out.splitlines()
+        assert lines[-1] == f"wrote {out_dir / 'verify.json'}"
+        assert len(lines) == len(RESIDUAL_NAMES) + 1
+        for line, (name, entry) in zip(lines, d["residuals"].items()):
+            assert list(entry) == ["value", "tolerance", "pass"]
+            status = "PASS" if entry["pass"] else "FAIL"
+            assert line == (f"{name}: value={entry['value']:.17g} "
+                            f"tolerance={entry['tolerance']:.17g} {status}")
+        passed = all(e["pass"] for e in d["residuals"].values())
+        assert code == (0 if passed else 3), (family, lam, n)
 
 
 def test_annihilation_is_selective():
@@ -624,7 +642,7 @@ def test_annihilation_is_selective():
 def test_intertwining_residual_pair():
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2000)
-    residuals = verify_all(fam, grid).residuals
+    residuals = verify_all(fam, grid)
     assert residuals["intertwine_minus"].value < 1e-3
     assert residuals["intertwine_plus"].value < 1e-3
 
@@ -632,7 +650,7 @@ def test_intertwining_residual_pair():
 def test_shift_identity_residual():
     fam = make_family(Kind.CASE2, 1.0, 10.0)
     grid = build_grid(fam, 2003)
-    assert verify_all(fam, grid).residuals["shift_identity"].value < 5e-3
+    assert verify_all(fam, grid)["shift_identity"].value < 5e-3
 
 
 def test_state_map_cosine():
