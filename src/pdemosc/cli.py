@@ -264,13 +264,18 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
 
 
 def _grid_dict(grid) -> dict:
-    return {"lo": -grid.hi, "hi": grid.hi, "n": grid.n}
+    """The walls and size of a grid, and the scale β of a sinh-mapped one."""
+    if not grid.beta:
+        return {"lo": -grid.hi, "hi": grid.hi, "n": grid.n}
+    wall = grid.wall
+    return {"lo": -wall, "hi": wall, "n": grid.n, "map": "sinh",
+            "scale": grid.beta}
 
 
 def _cmd_spectrum(args, family) -> int:
     from .discrete import assemble_lists, build_grid, eigenvalue_list
     n_max = _n_max(family, args.n_max)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance)
+    grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
     numeric = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
     algebraic = [energy(family, n) for n in range(n_max + 1)]
     errors = [abs(a - b) for a, b in zip(algebraic, numeric)]
@@ -386,7 +391,7 @@ def _cmd_verify(args, family) -> int:
 def _cmd_compare_ordering(args, family) -> int:
     from .discrete import assemble_lists, build_grid, eigenvalue_list
     n_max = _n_max(family, args.n_max)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance)
+    grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
     k = n_max + 1
     sym = eigenvalue_list(assemble_lists(family, grid), k)
     results = []

@@ -2,14 +2,17 @@
 
 The route to the spectrum here is deliberately independent of the algebraic
 ladder: discretize H = −(d/dx) p(x) (d/dx) + V(x) with p = 1/(2m) on a
-uniform grid with Dirichlet ends, then find the low eigenvalues of the
-resulting symmetric tridiagonal matrix.  Each Sturm-count pass (the
-negative pivots of LDLᵀ of T − xI) narrows the brackets of every requested
-eigenvalue at once; once a bracket holds a single eigenvalue the same pass
-also yields the slope of log|det(T − xI)|, and safeguarded Newton steps
-take over from bisection.  From the third eigenvalue on, the search starts
-at an extrapolation of the eigenvalues already certified, which on these
-operators lies within about 1e−6 of a level spacing.  Every eigenvalue is
+grid with Dirichlet ends, then find the low eigenvalues of the resulting
+symmetric tridiagonal matrix.  A grid is uniform, or uniform in u with
+x = sinh(βu)/β, where the stencil is a finite-volume scheme and
+build_grid sizes the box for the highest level asked for.  Each
+Sturm-count pass (the negative pivots of LDLᵀ of T − xI) narrows the
+brackets of every requested eigenvalue at once; once a bracket holds a
+single eigenvalue the same pass also yields the slope of
+log|det(T − xI)|, and safeguarded Newton steps take over from bisection.
+From the third eigenvalue on, the search starts at an extrapolation of
+the eigenvalues already certified, which on these operators lies within
+about 1e−6 of a level spacing.  Every eigenvalue is
 certified by counts to lie in a bracket no wider than 1e−12·‖T‖∞, a
 tolerance relative to the operator, so the spectrum scales with it down
 to the underflow refusal.  Eigenvectors, where a caller wants them, come
@@ -18,7 +21,7 @@ from one twisted factorization of T − λI per level (Parlett and Dhillon
 rejected.  Nothing here knows about superpotentials or polynomials.
 
 Every mass law and potential here is even, and every grid is a box
-(−hi, hi) centred at 0 whose nodes mirror bit for bit, so the assembled
+centred at 0 whose nodes mirror bit for bit, so the assembled
 bands are exactly mirror-symmetric and are evaluated on the left half
 only.  Such a matrix with negative couplings is the direct sum of an even
 and an odd block of about N/2 rows each, whose levels alternate (the
@@ -46,8 +49,8 @@ import struct
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, count, islice
-from operator import add, mul, neg, sub
+from itertools import chain, count, islice, repeat
+from operator import add, mul, neg, sub, truediv
 
 from .errors import (
     ConvergenceFailureError,
@@ -60,41 +63,57 @@ from .families import (
     VonRoosOrdering,
     masses_on,
     potentials_on,
+    require_bound,
     require_inside,
+    unified_deformation,
 )
 
 
-class Grid(namedtuple("Grid", "hi n h")):
-    """Uniform interior grid of n nodes, spacing h, on (−hi, hi); the
-    endpoints carry implicit zeros.
+class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
+    """Interior grid of n nodes, uniform in u with spacing h on (−hi, hi),
+    at x = sinh(βu)/β, or at x = u where beta is 0; the endpoints carry
+    implicit zeros.
 
-    Node i (1 ≤ i ≤ n) is h·(i − (n+1)/2) and midpoint i (0 ≤ i ≤ n) is
-    h·(i − n/2), so node n+1−i is −(node i) and midpoint n−i is
-    −(midpoint i) bit for bit; an even mass law and potential then give
-    exactly mirror-symmetric bands, which the eigensolver splits into
-    parity blocks.  `node` and `midpoint` take an index or an ndarray of
-    indices, through the same IEEE operations; `nodes()` and `midpoints()`
-    list runs of them as floats.
+    Node i (1 ≤ i ≤ n) is at u = h·(i − (n+1)/2) and midpoint i
+    (0 ≤ i ≤ n) at u = h·(i − n/2), so node n+1−i is −(node i) and
+    midpoint n−i is −(midpoint i) bit for bit (sinh is odd); an even mass
+    law and potential then give exactly mirror-symmetric bands, which the
+    eigensolver splits into parity blocks.  `node` and `midpoint` take an
+    index, or on a uniform grid an ndarray of indices, through the same
+    IEEE operations; `nodes()` and `midpoints()` list runs of them as
+    floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
     """
 
     __slots__ = ()
 
+    def _x(self, u):
+        return math.sinh(self.beta * u) / self.beta if self.beta else u
+
     def node(self, i):
-        return self.h * (i - 0.5 * (self.n + 1))
+        return self._x(self.h * (i - 0.5 * (self.n + 1)))
 
     def midpoint(self, i):
-        return self.h * (i - 0.5 * self.n)
+        return self._x(self.h * (i - 0.5 * self.n))
+
+    @property
+    def wall(self) -> float:
+        """x at u = hi: where the box ends, hi itself on a uniform grid."""
+        return self._x(self.hi)
 
     def nodes(self, stop: int | None = None, start: int = 0) -> list:
         """Nodes start+1 … stop (1 … n by default) as floats."""
         h, mid = self.h, 0.5 * (self.n + 1)
         stop = self.n if stop is None else stop
-        return [h * (i - mid) for i in range(start + 1, stop + 1)]
+        return self._xs([h * (i - mid) for i in range(start + 1, stop + 1)])
 
     def midpoints(self, stop: int, start: int = 0) -> list:
         """Midpoints start … stop − 1 as floats."""
         h, mid = self.h, 0.5 * self.n
-        return [h * (i - mid) for i in range(start, stop)]
+        return self._xs([h * (i - mid) for i in range(start, stop)])
+
+    def _xs(self, us: list) -> list:
+        b = self.beta
+        return [math.sinh(b * u) / b for u in us] if b else us
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -125,25 +144,72 @@ def uniform_grid(hi: float, n: int) -> Grid:
     return Grid(hi, n, h)
 
 
+def _level_box(q: float, n: int, tail: float) -> float:
+    """ζ² past the peak where the envelope ζⁿ·g of level n ≥ 1 falls to
+    `tail` times its peak, or inf past the range of a double.
+
+    g = (1 + qζ²)^(−1/2q) is the ground factor, e^(−ζ²/2) at q = 0, and
+    the envelope peaks at ζ² = n/(1 − nq).  With ℓ(v) = −2·log g at
+    ζ² = v, the root of n·w − ℓ(eʷ) = (its peak value) + 2·log(tail) is
+    bisected in w = log ζ² down to adjacent doubles: the left side is
+    concave in w and falls past the peak, so the root is unique.
+    """
+    def ell(v):
+        qv = q * v
+        # where q·v is subnormal, log1p(q·v)/q is v to working precision
+        return math.log1p(qv) / q if qv >= sys.float_info.min else v
+
+    if not n * q < 1.0:
+        # n < 1/q − 1/2, but n·q rounds to 1 for q below 2.2e−16: a level
+        # past 4e15, whose box is far past any grid that could hold it
+        return math.inf
+    peak = n / (1.0 - n * q)
+    lo, hi = math.log(peak), math.log(0.5 * sys.float_info.max)
+    drop = n * lo - ell(peak) + 2.0 * math.log(tail)
+
+    def above(w):
+        return n * w - ell(math.exp(w)) > drop
+
+    if above(hi):
+        return math.inf
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.exp(hi)
+
+
 def build_grid(family: ShapeInvariantFamily, n: int,
-               tail_tolerance: float = 1e-12) -> Grid:
-    """Grid spanning the domain, or the region where the ground state lives.
+               tail_tolerance: float = 1e-12,
+               n_max: int | None = None) -> Grid:
+    """Grid spanning the domain, or the region where the bound states live.
 
     The unnormalized ground state (1 + s x²)^(−cα/2s) decays to
     tail_tolerance at x² = expm1(2sL/(cα))/s with L = −log t, whose s → 0
-    limit 2L/(cα) is the Gaussian box.  Unbounded domains are truncated
-    symmetrically there.  Compact domains keep their singular endpoints
-    (grid nodes stay strictly interior, where the mass is positive), and
-    are refused when fewer than 16 nodes, the least any grid may have,
-    fall inside that box, as the grid cannot resolve the bound states, or
+    limit 2L/(cα) is the Gaussian box.  Without n_max, unbounded domains
+    are truncated symmetrically there, on a uniform grid.  With the
+    highest level n_max (a bound one, see require_bound), an unbounded
+    domain (s ≥ 0) ends where the envelope ζⁿ·g of level n = n_max,
+    ζ = √(cα)·x, falls to the tail tolerance of its peak (_level_box;
+    the ground-state box at n = 0), and its nodes are x = sinh(βu)/β,
+    uniform in u, with β = √(cα) the oscillator length: fine near the
+    well and as coarse as the power-law tails of s > 0 allow.  A box
+    past the range of a double is refused, never capped.  Compact
+    domains keep their singular endpoints on a uniform grid (grid nodes
+    stay strictly interior, where the mass is positive), and are refused
+    when fewer than 16 nodes, the least any grid may have, fall inside
+    the ground-state box, as the grid cannot resolve the bound states, or
     when their outer nodes square past a double (require_inside).
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise ValueError(
             f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}")
+    if n_max is not None:
+        require_bound(family, n_max)
     profile = family.profile
     s = profile.s
-    u = 2.0 * math.log(1.0 / tail_tolerance) / (profile.c * family.alpha0)
+    c_alpha = profile.c * family.alpha0
+    u = 2.0 * math.log(1.0 / tail_tolerance) / c_alpha
     try:
         # where s or s·u is subnormal, expm1(s·u)/s is u to working precision
         box2 = (math.expm1(s * u) / s
@@ -167,12 +233,19 @@ def build_grid(family: ShapeInvariantFamily, n: int,
         # a subnormal s puts the walls past √DBL_MAX
         require_inside(profile, grid.node(1))
         return grid
+    if n_max:
+        box2 = _level_box(unified_deformation(family), n_max,
+                          tail_tolerance) / c_alpha
     if not math.isfinite(box2):
         raise InvalidLambdaError(
             f"the ground state decays too slowly to reach the tail tolerance "
             f"{tail_tolerance:g} within the range of a double; "
             f"loosen the tail tolerance or weaken the deformation")
-    return uniform_grid(math.sqrt(box2), n)
+    if n_max is None:
+        return uniform_grid(math.sqrt(box2), n)
+    beta = math.sqrt(c_alpha)
+    return uniform_grid(math.asinh(beta * math.sqrt(box2)) / beta,
+                        n)._replace(beta=beta)
 
 
 def refuse_overflow(top: float):
@@ -229,11 +302,19 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     their bits).  A power or quotient that leaves the range of a double
     is refused as an overflow, as an infinite entry would be.
 
+    On a mapped grid the scheme is the finite-volume one: with
+    κ_{i+½} = m_{i+½}ᵇ/(x_{i+1} − x_i) and the node weight
+    d_i = (x_{i+1} − x_{i−1})/2 (node 0 and node n+1 are the walls), row i
+    takes (κ_{i−½} + κ_{i+½})/d_i and coupling i takes
+    κ_{i+½}/√(d_i d_{i+1}) where a uniform grid has m_{i±½}ᵇ/h².  That is
+    D^(−½)(the stencil)D^(−½) + V, symmetric for every ordering.
+
     The mass and the potential depend on x only through x·x, and the
     nodes and midpoints mirror bit for bit, so only the rows of the left
     half and the middle are evaluated and returned; the rest mirror them
     (see _mirrored), a mirrored coupling summing the same two orders
-    swapped, which addition does not see, so the bands equal a full
+    swapped, which addition does not see, and the spacings and weights
+    of mirrored nodes rounding alike, so the bands equal a full
     evaluation bit for bit.  The rows are evaluated ROWS at a time, and
     only the bands outlive a block.
     """
@@ -254,16 +335,31 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             mids = grid.midpoints(hi + 1, lo)
             w = _powers(masses_on(profile, mids), ordering.b)
             potential = potentials_on(family, xs, ms)
-            # h² may underflow to 0
-            win = [x / h2 for x in w[1:min(hi, pairs) - lo + 1]]
+            couplings = min(hi, pairs) - lo
+            if grid.beta:
+                # the spacings of midpoints lo … hi and the weights of
+                # nodes lo+1 … hi+1 also read nodes lo (node 0 is the
+                # wall) and hi + 2: the coupling to node hi + 1 needs the
+                # weight of node hi + 1
+                first, last = grid.node(lo), grid.node(hi + 2)
+                w = list(map(truediv, w, map(sub, xs, chain((first,), xs))))
+                scale = [0.5 * (r - l) for l, r in zip(
+                    chain((first,), xs), chain(islice(xs, 1, None), (last,)))]
+                win = [x / math.sqrt(d0 * d1) for x, d0, d1 in
+                       zip(w[1:couplings + 1], scale, scale[1:])]
+            else:
+                scale = repeat(h2)
+                # h² may underflow to 0
+                win = [x / h2 for x in w[1:couplings + 1]]
             if unit:
-                diag += [0.5 * (wl + wr) / h2 + v
-                         for wl, wr, v in zip(w, w[1:], potential)]
+                diag += [0.5 * (wl + wr) / d + v
+                         for wl, wr, d, v in zip(w, w[1:], scale, potential)]
                 off += [-0.125 * ((x + x) + (x + x)) for x in win]
             else:
                 ma, mc = _powers(ms, ordering.a), _powers(ms, ordering.c)
-                diag += [0.5 * a * c * (wl + wr) / h2 + v
-                         for a, c, wl, wr, v in zip(ma, mc, w, w[1:], potential)]
+                diag += [0.5 * a * c * (wl + wr) / d + v
+                         for a, c, wl, wr, d, v in zip(ma, mc, w, w[1:], scale,
+                                                       potential)]
                 off += [-0.125 * ((a0 * x * c1 + c0 * x * a1)
                                   + (a1 * x * c0 + c1 * x * a0))
                         for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]

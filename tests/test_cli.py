@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdemosc import Kind, build_grid, make_family, run
+from pdemosc import Kind, PdemError, bound_state_count, build_grid, make_family, run
 from pdemosc.cli import build_parser
 
 
@@ -522,14 +522,15 @@ def test_edge_requests_are_refused(capsys, argv, needle):
     # verify runs no eigensolver; it names the largest entry it checks
     (["verify", "--family", "constant", "--alpha", "1e-300", "--grid-n", "17"],
      "underflows: its largest entry is only 9.66e-301, whose square"),
-    # the eigensolver's rule is on the infinity norm of the operator
+    # the eigensolver's rule is on the infinity norm of the operator, here
+    # on the sinh-mapped grid of spectrum
     (["spectrum", "--family", "constant", "--alpha", "1e-200"],
-     "underflows: its infinity norm is only 1.45e-195, and the eigensolver"),
+     "underflows: its infinity norm is only 9.43e-195, and the eigensolver"),
     # both commands say an overflow in one text: an entry squares past a double
     (["verify", "--family", "constant", "--alpha", "7.359689122788897e+269",
       "--grid-n", "17"], "overflows: its largest entry is inf, whose square"),
     (["spectrum", "--family", "constant", "--alpha", "1e150"],
-     "overflows: its largest entry is 7.24e+154, whose square"),
+     "overflows: its largest entry is 4.71e+155, whose square"),
 ], ids=["verify-underflow", "spectrum-underflow", "verify-overflow",
         "spectrum-overflow"])
 def test_refusals_name_what_they_measure(capsys, argv, words):
@@ -735,10 +736,21 @@ def cli_requests(draw):
     argv = [command, "--family", family, "--alpha", repr(alpha),
             f"--lambda={lam!r}"]
     if command != "verify" and draw(st.booleans()):
-        argv += ["--n-max", str(draw(st.integers(0, 60)))]
+        top = 60
+        try:
+            count = bound_state_count(make_family(Kind(family), alpha, lam))
+        except PdemError:
+            count = None
+        if count and count <= 61 and draw(st.booleans()):
+            # s > 0: a bound level, up to the cutoff − 1, whose box the
+            # mapped grid widens the most
+            top = count - 1
+        argv += ["--n-max", str(draw(st.integers(0, top)))]
     if command != "polynomials":
+        # every decade of the tail, and both of its ends
+        tail = draw(st.one_of(_decade(-300, -6), st.sampled_from([1e-300, 1e-6])))
         argv += ["--grid-n", str(draw(st.integers(16, 1000))),
-                 "--tail-tolerance", repr(draw(_decade(-300, -6)))]
+                 "--tail-tolerance", repr(tail)]
     if command in ("spectrum", "eigenfunctions", "compare-ordering"):
         argv += ["--format", draw(st.sampled_from(["csv", "json", "both"]))]
     if command == "eigenfunctions":

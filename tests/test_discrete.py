@@ -43,8 +43,10 @@ def test_grid_layout():
     g = uniform_grid(1.0, 19)
     assert g.h == pytest.approx(2.0 / 20.0)
     assert g.hi == 1.0 and g.n == 19
-    # a grid on (−hi, hi) is (hi, n, h): no bound is stored twice
-    assert g._fields == ("hi", "n", "h")
+    # a grid on (−hi, hi) is (hi, n, h, beta): no bound is stored twice,
+    # and a uniform grid has the identity map, beta = 0
+    assert g._fields == ("hi", "n", "h", "beta")
+    assert g.beta == 0.0 and g.wall == g.hi
     xs = g.nodes()
     assert len(xs) == 19
     # interior nodes only: the Dirichlet endpoints are not sampled
