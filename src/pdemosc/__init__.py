@@ -26,7 +26,7 @@ _MODULES = {
                       gf_polynomials harmonic_limit proportionality_ratio
                       rodrigues_polynomial three_term_next to_json_dict""",
     "sampling": "eigenfunction_lists",
-    "susy": """Banded ResidualEntry eigenfunction_samples
+    "susy": """ResidualEntry eigenfunction_samples
                ground_state_unnormalized inner_product superpotential_at
                verify_all""",
 }

@@ -265,11 +265,11 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
 
 def _grid_dict(grid) -> dict:
     """The walls and size of a grid, and the scale β of a sinh-mapped one."""
-    if not grid.beta:
-        return {"lo": -grid.hi, "hi": grid.hi, "n": grid.n}
     wall = grid.wall
-    return {"lo": -wall, "hi": wall, "n": grid.n, "map": "sinh",
-            "scale": grid.beta}
+    out = {"lo": -wall, "hi": wall, "n": grid.n}
+    if grid.beta:
+        out.update(map="sinh", scale=grid.beta)
+    return out
 
 
 def _cmd_spectrum(args, family) -> int:

@@ -50,9 +50,10 @@ import sys
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, count, islice, repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, neg, sub
 
 from .errors import (
+    ConstraintViolatedError,
     ConvergenceFailureError,
     InvalidCountError,
     InvalidLambdaError,
@@ -248,6 +249,15 @@ def build_grid(family: ShapeInvariantFamily, n: int,
                         n)._replace(beta=beta)
 
 
+def require_uniform(grid: Grid):
+    """Refuses a sinh-mapped grid, for a caller that takes h as the spacing
+    in x and as the trapezoid weight of every node."""
+    if grid.beta:
+        raise ConstraintViolatedError(
+            f"this call needs a grid uniform in x, not one sinh-mapped with "
+            f"beta = {grid.beta:.3g}; build it without n_max")
+
+
 def refuse_overflow(top: float):
     """The refusal of an operator whose largest entry `top` squares past a double."""
     raise InvalidLambdaError(
@@ -329,22 +339,18 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             hi = min(lo + ROWS, rows)
             # rows lo … hi − 1 read nodes lo+1 … hi and midpoints lo … hi,
             # and their couplings node hi + 1, past the middle for the
-            # last block, where it mirrors a node of the left half
-            xs = grid.nodes(hi + 1, lo)
+            # last block, where it mirrors a node of the left half; the
+            # mapped spacings and weights also read nodes lo and hi + 2
+            edges = grid.nodes(hi + 2, lo - 1)
+            xs = edges[1:-1]
             ms = masses_on(profile, xs)
             mids = grid.midpoints(hi + 1, lo)
             w = _powers(masses_on(profile, mids), ordering.b)
             potential = potentials_on(family, xs, ms)
             couplings = min(hi, pairs) - lo
             if grid.beta:
-                # the spacings of midpoints lo … hi and the weights of
-                # nodes lo+1 … hi+1 also read nodes lo (node 0 is the
-                # wall) and hi + 2: the coupling to node hi + 1 needs the
-                # weight of node hi + 1
-                first, last = grid.node(lo), grid.node(hi + 2)
-                w = list(map(truediv, w, map(sub, xs, chain((first,), xs))))
-                scale = [0.5 * (r - l) for l, r in zip(
-                    chain((first,), xs), chain(islice(xs, 1, None), (last,)))]
+                w = [m / (r - l) for m, l, r in zip(w, edges, xs)]
+                scale = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
                 win = [x / math.sqrt(d0 * d1) for x, d0, d1 in
                        zip(w[1:couplings + 1], scale, scale[1:])]
             else:

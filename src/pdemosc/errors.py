@@ -26,7 +26,8 @@ class InvalidCountError(PdemError):
 
 
 class ConstraintViolatedError(PdemError):
-    """Kinetic-ordering exponents do not satisfy a + b + c = -1."""
+    """A structural constraint fails: ordering exponents off a + b + c = -1,
+    a polynomial of the wrong parity, or a grid not uniform in x."""
 
 
 class ConvergenceFailureError(PdemError):

@@ -17,7 +17,7 @@ import math
 import sys
 from operator import mul
 
-from .discrete import Grid, mirrored_array
+from .discrete import Grid, mirrored_array, require_uniform
 from .families import (
     ShapeInvariantFamily,
     hermite_rows,
@@ -61,6 +61,7 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     only the left half and the centre are evaluated, and the columns equal
     a full evaluation.
     """
+    require_uniform(grid)
     require_bound(family, n_max)
     n = grid.n
     # node n+1−i mirrors node i: the first ⌈n/2⌉ nodes are evaluated, and

@@ -2,14 +2,15 @@
 
 A = (1/√(2m)) d/dx + W and its adjoint connect the partner Hamiltonians:
 H₋ = A†A, H₊ = AA†, AH₋ = H₊A, and H₊(α₁) = H₋(α₂) + R(α₁).  Here A is a
-banded operator (centered difference plus diagonal) and A† is its exact
-transpose, which IS the adjoint under the uniform trapezoid weights.
-Every identity is checked by applying both of its sides to sampled
-states, never by forming an operator product: the analytic identities
-carry O(h²) residuals.  The superalgebra of Q = [[0, 0], [A, 0]] is not
-measured: {Q, Q} = {Q†, Q†} = 0 and {Q, Q†} = diag(A†A, AA†) hold for
-any A, so superalgebra_offdiag is reported as an exact 0 against a zero
-tolerance (the tests prove the identity symbolically).
+tridiagonal operator (centered difference plus diagonal) and A† is its
+exact transpose, which IS the adjoint under the uniform trapezoid weights,
+so `verify` refuses a sinh-mapped grid.  Every identity is checked by
+applying both of its sides to sampled states, never by forming an
+operator product: the analytic identities carry O(h²) residuals.  The
+superalgebra of Q = [[0, 0], [A, 0]] is not measured: {Q, Q} = {Q†, Q†}
+= 0 and {Q, Q†} = diag(A†A, AA†) hold for any A, so superalgebra_offdiag
+is reported as an exact 0 against a zero tolerance (the tests prove the
+identity symbolically).
 
 This is the only module of the package that imports numpy when it is
 loaded (discrete's ndarray wrappers import it when called).  The
@@ -55,7 +56,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .discrete import Grid, refuse_overflow
+from .discrete import Grid, refuse_overflow, require_uniform
 from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
@@ -77,6 +78,7 @@ from .families import (
 
 def inner_product(f, g, grid: Grid) -> float:
     """Trapezoid quadrature ∫fg dx; Dirichlet ends contribute zero."""
+    require_uniform(grid)
     if len(f) != len(g) or len(f) != grid.n:
         raise LengthMismatchError(
             f"lengths {len(f)}, {len(g)} do not match grid size {grid.n}")
@@ -129,6 +131,7 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     every bound level, so the right tail of φ_n is positive.  N_n makes
     the trapezoid norm one (endpoints are implicit zeros).
     """
+    require_uniform(grid)
     require_bound(family, n)
     for phi, _ in _states_at(family, n + 1, _nodes_between(grid, 0, grid.n)):
         pass
@@ -189,39 +192,27 @@ def _require_representable(extent):
             f"double; raise alpha or refine the grid")
 
 
-# === banded operators applied to states ===
+# === tridiagonal operators applied to states ===
 
-class Banded:
-    """Square banded operator stored as {offset: diagonal values}.
+class Banded(namedtuple("Banded", "lower diag upper")):
+    """Tridiagonal operator: the ndarray diag and the bands below and above
+    it, one entry shorter: lower[k] is at row k + 1, column k.
 
-    bands[off][k] is the entry at row k + max(0,−off), column k + max(0,off).
-    `B @ v` applies the operator to a vector, starting from the main
-    diagonal's product; operators are only ever applied, never multiplied,
-    so A†A v is `Aᵀ @ (A @ v)`.  Transposition only relabels the bands, so
-    the adjoint is exact.
+    `B @ v` applies the operator to a vector: diag·v, then the lower band's
+    products, then the upper band's.  Operators are only ever applied,
+    never multiplied, so A†A v is `Aᵀ @ (A @ v)`.  Transposition only swaps
+    the off-bands, so the adjoint is exact.
     """
 
-    def __init__(self, n: int, bands: dict):
-        self.n = n
-        self.bands = {}
-        for off, arr in bands.items():
-            arr = np.asarray(arr, dtype=float)
-            if len(arr) != n - abs(off):
-                raise LengthMismatchError(
-                    f"band {off} has {len(arr)} entries, expected {n - abs(off)}")
-            self.bands[off] = arr
+    __slots__ = ()
 
     def transpose(self) -> "Banded":
-        return Banded(self.n, {-off: arr for off, arr in self.bands.items()})
+        return Banded(self.upper, self.diag, self.lower)
 
     def __matmul__(self, v):
-        v = np.asarray(v, dtype=float)
-        diag = self.bands.get(0)
-        out = np.zeros(self.n) if diag is None else diag * v
-        for off, arr in self.bands.items():
-            if off:
-                lo_r, lo_c = max(0, -off), max(0, off)
-                out[lo_r:self.n - lo_c] += arr * v[lo_c:self.n - lo_r]
+        out = self.diag * v
+        out[1:] += self.lower * v[:-1]
+        out[:-1] += self.upper * v[1:]
         return out
 
 
@@ -270,8 +261,7 @@ def _ladders(family: ShapeInvariantFamily, grid: Grid, x, alphas) -> list:
     s = 1.0 / np.sqrt(2.0 * mass_at(family.profile, x))
     inv2h = 1.0 / (2.0 * grid.h)
     lower, upper = -s[1:] * inv2h, s[:-1] * inv2h
-    return [Banded(len(x), {-1: lower, 0: superpotential_at(family, alpha, x),
-                            1: upper})
+    return [Banded(lower, superpotential_at(family, alpha, x), upper)
             for alpha in alphas]
 
 
@@ -350,6 +340,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     one does), or if that entry is nonzero and squares below the smallest
     normal double.  Then a state that is zero at every node is refused.
     """
+    require_uniform(grid)
     require_bound(family, 0)
     count = bound_state_count(family)
     count = 5 if count is None else min(5, count)
@@ -370,7 +361,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
             continue
         a, a_next = _ladders(family, grid, x, (a0, a1))
         ops = (a, a.transpose(), a_next, a_next.transpose(),
-               *(Banded(len(x), {-1: off, 0: d, 1: off}) for d in diags))
+               *(Banded(off, d, off) for d in diags))
         own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)

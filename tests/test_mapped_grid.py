@@ -12,14 +12,24 @@ import math
 
 import pytest
 
-from pdemosc import Kind, build_grid, energy, make_family, run
+from pdemosc import (
+    Kind,
+    build_grid,
+    eigenfunction_samples,
+    energy,
+    inner_product,
+    make_family,
+    run,
+    verify_all,
+)
 from pdemosc import discrete
-from pdemosc.errors import InvalidLambdaError
+from pdemosc.errors import ConstraintViolatedError, InvalidLambdaError
 from pdemosc.families import (
     VonRoosOrdering,
     masses_on,
     potentials_on,
 )
+from pdemosc.sampling import eigenfunction_lists
 
 
 def _json(argv):
@@ -210,3 +220,27 @@ def test_json_grid_names_its_map():
     uniform = build_grid(fam, 1000)
     assert doc["grid"] == {"lo": -uniform.hi, "hi": uniform.hi, "n": 1000}
 
+
+# each takes h as the spacing in x and as the trapezoid weight of every node
+UNIFORM_ONLY = {
+    "verify_all": verify_all,
+    "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
+    "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
+    "inner_product": lambda fam, grid: inner_product([1.0] * grid.n,
+                                                     [1.0] * grid.n, grid),
+}
+
+
+@pytest.mark.parametrize("name", UNIFORM_ONLY)
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CONSTANT, 0.0),
+], ids=["case1", "case2", "constant"])
+def test_uniform_only_calls_refuse_a_mapped_grid(kind, lam, name):
+    fam = make_family(kind, 1.0, lam)
+    call = UNIFORM_ONLY[name]
+    for n_max in (0, 3):
+        grid = build_grid(fam, 1000, n_max=n_max)
+        assert grid.beta, n_max
+        with pytest.raises(ConstraintViolatedError, match="beta"):
+            call(fam, grid)
+    call(fam, build_grid(fam, 1000))

@@ -45,41 +45,30 @@ RESIDUAL_NAMES = [
 ]
 
 
-def dense(b, n):
-    out = np.zeros((n, n))
-    for off, arr in b.bands.items():
-        idx = np.arange(len(arr))
-        if off >= 0:
-            out[idx, idx + off] = arr
-        else:
-            out[idx - off, idx] = arr
-    return out
+def dense(b):
+    return np.diag(b.diag) + np.diag(b.lower, -1) + np.diag(b.upper, 1)
 
 
-def random_banded(rng, n, offsets):
-    bands = {}
-    for off in offsets:
-        m = n - abs(off)
-        bands[off] = np.array([rng.uniform(-1, 1) for _ in range(m)])
-    return Banded(n, bands)
+def random_banded(rng, n):
+    return Banded(*(np.array([rng.uniform(-1, 1) for _ in range(m)])
+                    for m in (n - 1, n, n - 1)))
 
 
 def test_banded_matvec_and_product_match_dense():
     rng = random.Random(3)
     n = 17
     v = np.array([rng.uniform(-1, 1) for _ in range(n)])
-    for offsets in ((-1, 0, 2), (1, 0, -1), (-2, 1)):  # the last has no diagonal
-        A = random_banded(rng, n, offsets)
-        assert np.allclose(A @ v, dense(A, n) @ v, atol=1e-14)
-        # a product starts from the diagonal's, not from zeros: the same
-        # additions in commuted order, so the same values
-        zero_started = np.zeros(n)
-        for off, arr in A.bands.items():
-            lo_r, lo_c = max(0, -off), max(0, off)
-            zero_started[lo_r:n - lo_c] += arr * v[lo_c:n - lo_r]
-        assert np.array_equal(A @ v, zero_started), offsets
-        # transpose round trip
-        assert np.allclose(dense(A.transpose(), n), dense(A, n).T, atol=0)
+    A = random_banded(rng, n)
+    assert Banded._fields == ("lower", "diag", "upper")
+    assert np.allclose(A @ v, dense(A) @ v, atol=1e-14)
+    # a product is diag·v, then the lower band's products, then the upper
+    # band's, in that order of additions
+    ordered = A.diag * v
+    ordered[1:] += A.lower * v[:-1]
+    ordered[:-1] += A.upper * v[1:]
+    assert np.array_equal(A @ v, ordered)
+    # transpose round trip
+    assert np.array_equal(dense(A.transpose()), dense(A).T)
 
 
 def ladder(fam, alpha, grid):
@@ -108,15 +97,14 @@ def test_ladder_bands_shape():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     grid = build_grid(fam, 200)
     a = ladder(fam, fam.alpha0, grid)
-    assert set(a.bands) == {-1, 0, 1}
+    assert [len(band) for band in a] == [grid.n - 1, grid.n, grid.n - 1]
     # both off-diagonals carry the same 1/sqrt(2m)/(2h) samples: row i has
     # +s_i/(2h) above and row i+1 has -s_{i+1}/(2h) below
-    assert np.allclose(a.bands[-1][:-1], -a.bands[1][1:], atol=0)
-    # the transpose only relabels the bands, so it is exact
+    assert np.allclose(a.lower[:-1], -a.upper[1:], atol=0)
+    # the transpose only swaps the off-bands, so it is exact
     at = a.transpose()
-    assert set(at.bands) == {-1, 0, 1}
-    for off, band in at.bands.items():
-        assert np.array_equal(band, a.bands[-off]), off
+    assert at.lower is a.upper and at.upper is a.lower
+    assert at.diag is a.diag
 
 
 def dense_ladder(fam, alpha, grid):
@@ -311,7 +299,7 @@ def reference_residuals(fam, grid):
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
     a0 = fam.alpha0
-    h_minus, h_plus, h = (Banded(grid.n, {-1: off, 0: diag, 1: off})
+    h_minus, h_plus, h = (Banded(off, diag, off)
                           for diag, off in whole_grid_hamiltonians(fam, grid))
     a = ladder(fam, a0, grid)
     ad = a.transpose()
