@@ -12,10 +12,12 @@ every subcommand but `verify` runs without importing numpy.
 Every CSV table is streamed: `_csv_table` formats it a block of rows at a
 time and `_emit` writes each block to the file or stdout as it comes, so
 memory scales with the samples, not with the text, and the bytes are those
-of formatting every row.  A table whose right half mirrors its left half
-bit for bit, as the eigenfunctions on every grid do, has only its left
-half formatted; the right half is that text in reverse row order, with
-the leading "-" toggled in the odd columns.
+of formatting every row.  A table of columns built by mirrored_array, as
+x and the states of `eigenfunctions` are, has only its left half
+formatted; the right half is that text in reverse row order, with the
+leading "-" toggled in the columns built odd.  None holds a NaN, whose
+text has no sign: the nodes are finite, and both samplers refuse a state
+whose norm is not.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 import os
 import sys
 from itertools import groupby
-from operator import neg
 
 from .errors import PdemError
 from .families import (
@@ -72,51 +73,26 @@ _ROWS = 256  # rows per streamed chunk
 _MARK = "\x01"  # marks an odd column's cell; "%.17g" never prints it
 
 
-def _odd_columns(columns: list):
-    """Per column, whether row n−1−i negates row i there; None if no mirror.
-
-    The table mirrors when in every column the right half, read backwards,
-    equals the left half bit for bit (an even column) or its negation (an
-    odd column), with no NaN on either side.  "%.17g" % −v is then the
-    text of v with its leading "-" toggled, for ±0 and ±inf too; a NaN
-    prints as "nan" whatever its sign, so it never mirrors.  The halves
-    of list and array columns alike are compared as the bytes of their
-    doubles, so ±0 differ.
-    """
-    from array import array  # verify, which has no table, never loads it
-    n = len(columns[0])
-    half = n // 2
-    odd = []
-    for c in columns:
-        left, right = array("d", c[:half]), array("d", c[:n - half - 1:-1])
-        if math.isnan(sum(left)):
-            return None
-        if left.tobytes() == right.tobytes():
-            odd.append(False)
-        elif left.tobytes() == array("d", map(neg, right)).tobytes():
-            odd.append(True)
-        else:
-            return None
-    return odd
-
-
 def _csv_table(header: str, columns: list):
     """The CSV text of a table, a chunk of up to 256 rows at a time.
 
     The header line, then one "%.17g,…" row per index: every column's
     value there (columns are equally long lists or arrays of numbers).
-    A mirrored table (_odd_columns) formats its left half with _MARK
-    before each cell of an odd column, writes that text unmarked and
-    keeps it; the centre row of an odd length is formatted as it is;
-    then each kept block, rows reversed, becomes the right half: a mark
-    followed by "-" drops, and every other mark turns into "-".  Only the
-    kept half of the text outlives its chunk.  Any other table is
-    formatted row by row.
+    A table whose every column records its parity in `.odd`
+    (discrete.mirrored_array) formats its left half with _MARK before
+    each cell of an odd column, writes that text unmarked and keeps it;
+    the centre row of an odd length is formatted as it is; then each kept
+    block, rows reversed, becomes the right half: a mark followed by "-"
+    drops, and every other mark turns into "-".  Such columns hold no
+    NaN, and "%.17g" % −v is the text of v with its leading "-" toggled,
+    ±0 and ±inf too, so the bytes are those of every row.  Only the kept
+    half of the text outlives its chunk.  Any other table is formatted
+    row by row.
     """
     yield header + "\n"
     n = len(columns[0])
-    odd = _odd_columns(columns)
-    half = 0 if odd is None else n // 2
+    odd = [getattr(c, "odd", None) for c in columns]
+    half = 0 if None in odd else n // 2
 
     def rows(template: str, lo: int, hi: int) -> str:
         return "\n".join(map(template.__mod__,

@@ -36,9 +36,12 @@ eigenpair_lists.  The bands, the parity blocks and every vector a loop
 walks are float lists, which CPython loops over fastest; the vectors that
 are only stored, the eigenvectors eigenpair_lists returns and the
 per-node columns built with mirrored_array, are array('d'), at 8 bytes a
-value where a list of floats takes 32.  The public assemblers and
-eigen_tridiagonal return ndarrays, and import numpy when called; nothing
-in the package calls them.
+value where a list of floats takes 32.  A column built with
+mirrored_array records its parity, and the CSV writer formats only the
+left half of a table of such columns; an eigenvector is accepted only at
+a finite nonzero norm, so none holds a NaN, whose text has no sign to
+mirror.  The public assemblers and eigen_tridiagonal return ndarrays,
+and import numpy when called; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import struct
 import sys
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cache
 from itertools import chain, count, islice, repeat
 from operator import add, mul, neg, sub
 
@@ -280,11 +284,18 @@ def _mirrored(left: list, n: int) -> list:
     return left + left[:n - len(left)][::-1]
 
 
+@cache
+def _mirrored_type():
+    from array import array  # verify, which stores no vector, never loads it
+    return type("MirroredArray", (array,), {"__slots__": ("odd",)})
+
+
 def mirrored_array(left, n: int, odd: bool):
     """The n entries of an even or odd vector from its first ⌈n/2⌉, `left`,
-    as an array('d'): entry n−1−i is entry i, negated when `odd`."""
-    from array import array  # verify, which stores no vector, never loads it
-    out = array("d", left)
+    as an array('d') that records its parity in `.odd`: entry n−1−i is
+    entry i, negated when `odd`."""
+    out = _mirrored_type()("d", left)
+    out.odd = odd
     tail = out[:n - len(out)]
     tail.reverse()
     out.extend(map(neg, tail) if odd else tail)

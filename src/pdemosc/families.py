@@ -298,12 +298,17 @@ def require_bound(family: ShapeInvariantFamily, n: int) -> None:
 
 
 def require_resolved(norm: float, n: int) -> None:
-    """Refuse level n when its sampled norm (or squared norm) is zero:
-    every node of the grid lies where the state underflows."""
+    """Refuse level n when its sampled norm (or squared norm) is zero, as
+    where every node lies where the state underflows, or is not finite,
+    as where H_n leaves the range of a double."""
     if not norm:
         raise InvalidCountError(
             f"the grid does not resolve the bound states: level {n} is zero "
             f"at every node; narrow the box or refine the grid")
+    if not norm < math.inf:  # NaN too, as from inf − inf in H_n
+        raise InvalidLambdaError(
+            f"level {n} leaves the range of a double on this grid; raise "
+            f"alpha or weaken the deformation")
 
 
 def energy(family: ShapeInvariantFamily, n: int) -> float:

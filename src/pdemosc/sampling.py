@@ -58,8 +58,9 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     the right tail of φ_n is positive.  N_n makes the trapezoid norm
     h·Σφ² one (the endpoints are implicit zeros).  The grid's nodes mirror
     bit for bit and ζ is odd, so φ_n(−x) = (−1)ⁿ φ_n(x) holds bit for bit:
-    only the left half and the centre are evaluated, and the columns equal
-    a full evaluation.
+    only the left half and the centre are evaluated, mirrored_array builds
+    the columns, and they equal a full evaluation.  A level whose norm is
+    zero, infinite or NaN is refused, so every column holds finite values.
     """
     require_uniform(grid)
     require_bound(family, n_max)

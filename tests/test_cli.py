@@ -498,6 +498,12 @@ def test_closed_stdout_ends_in_one_error_line():
      "or at |x| >= 1.3407807929942597e+154"),
     (["verify", "--family", "case1", "--alpha", "5e-324", "--lambda=-5e-324",
       "--grid-n", "906"], "or at |x| >= 1.3407807929942597e+154"),
+    # q = s/(c·alpha) is −3.4e306: H_9 overflows at the outer nodes, and
+    # its samples would be NaN
+    (["eigenfunctions", "--family", "case1", "--alpha",
+      "1.4242012018100228e-169", "--lambda=-4.860610657265618e+137",
+      "--n-max", "38", "--grid-n", "17"],
+     "level 9 leaves the range of a double"),
 ], ids=["past-cutoff", "case1-lam10", "case2-lam1e-3", "polynomials-lam10",
         "verify-lam1e-3", "box-overflow", "unresolved-spectrum",
         "unresolved-compare", "unresolved-numeric", "unresolved-algebraic",
@@ -509,7 +515,7 @@ def test_closed_stdout_ends_in_one_error_line():
         "more-levels-than-rows", "subnormal-lambda", "overflow-energy",
         "empty-compact-box", "infinite-deformation-eigenfunctions",
         "infinite-deformation-verify", "overflowing-domain-eigenfunctions",
-        "overflowing-domain-verify"])
+        "overflowing-domain-verify", "overflowing-state"])
 def test_edge_requests_are_refused(capsys, argv, needle):
     code = run(argv)
     out, err = capsys.readouterr()

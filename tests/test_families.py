@@ -319,6 +319,9 @@ def test_validation_rejects_bad_parameters():
         make_family(Kind.CASE2, 1.0, 0.0)
     with pytest.raises(InvalidLambdaError):
         make_family(Kind.CASE3, 1.0, 0.0)
+    # a kind's value is not a kind
+    with pytest.raises(ValueError, match="unknown kind 'case1'"):
+        make_family("case1", 1.0, 0.1)
 
 
 def test_domains():

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,27 +125,38 @@ def eigenfunction_requests(draw):
 @given(eigenfunction_requests())
 def test_streamed_table_is_the_row_by_row_table(request):
     argv, fam, n_max, grid, source = request
+    parities = []
+    write = cli._csv_table
+
+    def recorded(header, columns):
+        parities.append([getattr(c, "odd", None) for c in columns])
+        return write(header, columns)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with mock.patch.object(cli, "_csv_table", recorded), \
+            contextlib.redirect_stdout(out):
         assert run(argv) == 0
+    # build_grid centres its box, so both sources build every column
+    # mirrored: x is odd and φ_n has the parity of n, and the writer
+    # formats only the left half
+    assert parities == [[n % 2 == 0 for n in range(n_max + 2)]]
     if source == "algebraic":
         columns = sampling.eigenfunction_lists(fam, n_max, grid)
     else:
         columns = discrete.eigenpair_lists(
             discrete.assemble_lists(fam, grid), n_max + 1, grid.h)[1]
     table = [grid.nodes(), *columns]
-    # build_grid centres its box, so both sources mirror and the writer
-    # formats only the left half
-    assert cli._odd_columns(table) == [n % 2 == 0 for n in range(n_max + 2)]
     header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
     assert out.getvalue() == rows_17g(header, table)
 
 
 def _mirrored_table(n):
-    """x, an even and an odd column on n mirrored nodes."""
+    """x, an even and an odd column on n mirrored nodes, as float lists."""
     x = [0.25 * (i - 0.5 * (n - 1)) for i in range(n)]
     even = [math.exp(-v * v) for v in x]
     return [x, even, [v * e for v, e in zip(x, even)]]
+
+
+PARITIES = [True, False, True]  # of x, even and odd in _mirrored_table
 
 
 def _planted(table, column, index, value, mirror_value):
@@ -153,61 +165,87 @@ def _planted(table, column, index, value, mirror_value):
     return table
 
 
+def _built_mirrored(table, kinds=("mirrored",) * 3):
+    """The columns as the kinds name them: a list, a plain array('d'), or
+    an array that mirrored_array rebuilds from the first ⌈n/2⌉ entries."""
+    n = len(table[0])
+    return [c if kind == "list" else array("d", c) if kind == "array"
+            else discrete.mirrored_array(c[:n - n // 2], n, odd)
+            for kind, c, odd in zip(kinds, table, PARITIES)]
+
+
+def _chunks(table):
+    """The chunks _csv_table writes the table in, checked against the
+    row-by-row text.  A table of up to 256 rows is the header and one
+    chunk row by row, and the header, the left half, the centre row of
+    an odd length and the right half when mirrored."""
+    header = ",".join(f"c{j}" for j in range(len(table)))
+    chunks = list(cli._csv_table(header, table))
+    assert "".join(chunks) == rows_17g(header, table)
+    return chunks
+
+
 NAN = float("nan")
 
 
-# each table formats row by row: the writer must tell it from a mirrored one
+# a table of lists goes row by row, whatever it holds: a NaN, whose text
+# has no sign to toggle, zeros that do not mirror, or values that do
 @pytest.mark.parametrize("n", [40, 41])
 @pytest.mark.parametrize("table", [
+    _mirrored_table,
     lambda n: _planted(_mirrored_table(n), 1, 5, NAN, NAN),
     lambda n: _planted(_mirrored_table(n), 2, 0, NAN, NAN),
     lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, 0.0),
     lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, 0.0),
     lambda n: _mirrored_table(n)[:2] + [[v + 1.0 for v in _mirrored_table(n)[2]]],
-], ids=["nan-even", "nan-odd", "zero-odd", "zero-even", "neither"])
-def test_tables_that_do_not_mirror_go_row_by_row(n, table):
-    table = table(n)
-    assert cli._odd_columns(table) is None
-    header = ",".join(f"c{j}" for j in range(len(table)))
-    assert "".join(cli._csv_table(header, table)) == rows_17g(header, table)
+], ids=["mirrors", "nan-even", "nan-odd", "zero-odd", "zero-even", "neither"])
+def test_tables_of_lists_go_row_by_row(n, table):
+    assert len(_chunks(table(n))) == 2
 
 
-# signed zeros, infinities and subnormals that do mirror
+# signed zeros, infinities and subnormals in columns built mirrored take
+# the half-text path and keep every byte; the mirror images are those
+# mirrored_array makes
 @pytest.mark.parametrize("n", [40, 41])
 @pytest.mark.parametrize("table", [
     lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, -0.0),
     lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, -0.0),
     lambda n: _planted(_mirrored_table(n), 2, 0, -math.inf, math.inf),
+    lambda n: _planted(_mirrored_table(n), 1, 6, math.inf, math.inf),
     lambda n: _planted(_mirrored_table(n), 1, 9, 5e-324, 5e-324),
-], ids=["zero-odd", "zero-even", "inf-odd", "subnormal-even"])
+    lambda n: _planted(_mirrored_table(n), 2, 4, -2.5e-310, 2.5e-310),
+], ids=["zero-odd", "zero-even", "inf-odd", "inf-even", "subnormal-even",
+        "subnormal-odd"])
 def test_mirrored_tables_keep_every_byte(n, table):
-    table = table(n)
-    assert cli._odd_columns(table) is not None
-    header = ",".join(f"c{j}" for j in range(len(table)))
-    assert "".join(cli._csv_table(header, table)) == rows_17g(header, table)
+    lists = table(n)
+    columns = _built_mirrored(lists)
+    assert [list(c) for c in columns] == lists
+    assert [c.odd for c in columns] == PARITIES
+    assert len(_chunks(columns)) == 3 + n % 2
 
 
-# the library hands over columns as lists and as array('d'); "==" between
-# an array and a list is False, so a mirror test that used it would send a
-# mirrored table row by row with the same bytes, only slower
+# the library hands over columns as lists, plain array('d') and arrays
+# built by mirrored_array: only a table whose every column is built
+# mirrored takes the half-text path, and every mix writes the same text
 @pytest.mark.parametrize("n", [40, 41])
 @pytest.mark.parametrize("kinds", [
     ("list", "list", "list"), ("array", "array", "array"),
-    ("array", "list", "array"), ("list", "array", "list"),
-], ids=["lists", "arrays", "mixed-array-first", "mixed-list-first"])
+    ("mirrored", "list", "mirrored"), ("mirrored", "mirrored", "array"),
+    ("list", "mirrored", "mirrored"), ("mirrored", "mirrored", "mirrored"),
+], ids=["lists", "arrays", "mixed-list", "mixed-array", "mixed-list-first",
+        "mirrored"])
 @pytest.mark.parametrize("table", [
     _mirrored_table,
     lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, -0.0),
-    lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, 0.0),
-], ids=["plain", "zero-odd", "zero-even-unmirrored"])
-def test_lists_and_arrays_mirror_alike(n, kinds, table):
+    lambda n: _planted(_mirrored_table(n), 1, 3, -0.0, -0.0),
+], ids=["plain", "zero-odd", "zero-even"])
+def test_a_mixed_table_goes_row_by_row(n, kinds, table):
     lists = table(n)
-    columns = [c if kind == "list" else array("d", c)
-               for kind, c in zip(kinds, lists)]
-    assert cli._odd_columns(columns) == cli._odd_columns(lists)
-    header = "x,even,odd"
-    text = "".join(cli._csv_table(header, columns))
-    assert text == "".join(cli._csv_table(header, lists)) == rows_17g(header, lists)
+    columns = _built_mirrored(lists, kinds)
+    chunks = _chunks(columns)
+    assert "".join(chunks) == "".join(_chunks(lists))
+    mirrored = all(kind == "mirrored" for kind in kinds)
+    assert len(chunks) == (3 + n % 2 if mirrored else 2)
 
 
 def test_json_only_eigenfunctions_write_no_csv(tmp_path, capsys):

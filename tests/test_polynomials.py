@@ -278,6 +278,10 @@ def test_recurrence_rejects_mismatched_degrees():
     r1 = rodrigues_polynomial(1, C1)
     with pytest.raises(ValueError):
         three_term_next(r1, h0, 1)
+    # and so is a companion of another parameterization or tag
+    for companion in (gf_polynomial(0, C3), rodrigues_polynomial(0, C1)):
+        with pytest.raises(ValueError, match="mismatched companion polynomial"):
+            three_term_next(h1, companion, 1)
 
 
 def test_derivative_relation_residual_is_zero():
@@ -357,9 +361,13 @@ def test_perturbed_construction_is_not_proportional(monkeypatch):
         proportionality_ratio(6, C1)
 
 
-def test_proportionality_ratio_refuses_negative_degree():
-    with pytest.raises(ValueError):
-        proportionality_ratio(-1, C1)
+@pytest.mark.parametrize("construction", [
+    proportionality_ratio, gf_polynomial, rodrigues_polynomial,
+    derivative_relation_residual,
+], ids=lambda f: f.__name__)
+def test_negative_degrees_are_refused(construction):
+    with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+        construction(-1, C1)
 
 
 @pytest.mark.parametrize("par", [C1, C2, C3])
@@ -429,13 +437,18 @@ def test_json_round_trip_schema():
     assert rebuilt == as_plain(p.coeffs)
 
 
-def test_lambda_poly_validates_parity():
+@pytest.mark.parametrize("terms, message", [
+    ({1: [1]}, "zeta exponent 1 breaks the parity of degree 2"),
+    ({4: [1]}, r"zeta exponent 4 outside \[0, 2\]"),
+    ({-2: [1]}, r"zeta exponent -2 outside \[0, 2\]"),
+], ids=["odd-power", "above-degree", "negative"])
+def test_lambda_poly_validates_parity(terms, message):
     from pdemosc import ConstraintViolatedError
 
-    with pytest.raises(ConstraintViolatedError):
+    with pytest.raises(ConstraintViolatedError, match=message):
         LambdaPoly(
             degree=2,
-            terms={1: [1]},  # odd power in an even-degree entry
+            terms=terms,
             shift=0,
             family_tag=FamilyTag.GENERATING_FUNCTION,
             parameterization=C1,

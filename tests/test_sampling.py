@@ -78,6 +78,7 @@ def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
         norm = math.sqrt(grid.h * math.fsum(x * x for x in raw))
         assert [x.hex() for x in phi] == [(x / norm).hex() for x in raw], n
         assert phi[::-1].tolist() == [(-1) ** n * x for x in phi], n
+        assert phi.odd == (n % 2 == 1)
         assert phi[-1] > 0
 
 
@@ -91,3 +92,29 @@ def test_float_sampler_refusals():
     fam = make_family(Kind.CASE3, 1.0, 0.2)  # domain (-5, 5)
     with pytest.raises(OutOfDomainError):
         eigenfunction_lists(fam, 0, uniform_grid(6.0, 300))
+
+
+# past these levels the Hermite recurrence leaves the range of a double at
+# the outer nodes (b = m(2 − mq) overflows where |q| is near the largest
+# double), and the norm is inf or NaN: both samplers refuse the level, so
+# no column holds a NaN, whose CSV text the writer could not mirror
+@pytest.mark.parametrize("kind,alpha,lam,grid_n,level", [
+    (Kind.CASE1, 1.4242012018100228e-169, -4.860610657265618e+137, 17, 9),
+    (Kind.CASE2, 2.6665355980913634e-171, -2.5597957968701533e-136, 64, 13),
+    (Kind.CASE3, 2.9480721396785856e-210, 1.5804848741023636e+48, 64, 22),
+])
+def test_levels_past_the_range_of_a_double_are_refused(kind, alpha, lam,
+                                                       grid_n, level):
+    fam = make_family(kind, alpha, lam)
+    grid = build_grid(fam, grid_n)
+    columns = eigenfunction_lists(fam, level - 1, grid)
+    assert all(math.isfinite(v) for phi in columns for v in phi)
+    assert np.all(np.isfinite(eigenfunction_samples(fam, level - 1, grid)))
+    with pytest.raises(InvalidLambdaError,
+                       match=f"level {level} leaves the range of a double"):
+        eigenfunction_lists(fam, level, grid)
+    # the numpy twin overflows in its recurrence on the way to the refusal
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidLambdaError,
+                          match=f"level {level} leaves the range of a double"):
+        eigenfunction_samples(fam, level, grid)
