@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import groupby
@@ -280,10 +279,6 @@ def _cmd_eigenfunctions(args, family) -> int:
     want_csv = args.format in ("csv", "both")
     if args.source == "algebraic":
         eigenvalues = [energy(family, n) for n in range(n_max + 1)]
-        for n, e in enumerate(eigenvalues):
-            if not math.isfinite(e):
-                raise PdemError(f"the closed-form energy E_{n} is {e}: it "
-                                f"leaves the range of a double")
         if want_csv:
             from .sampling import eigenfunction_lists
             vectors = eigenfunction_lists(family, n_max, grid)

@@ -590,10 +590,8 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     lower edge: for a predicted level it steps first by the predictor's
     error estimate, the larger of |quadratic − linear| (zero for λ_2),
     64·tol and twice the Newton step from the prediction, and by at least
-    the last gap after a miss; otherwise it steps by the last gap.  A
-    certified eigenvalue outside that window stops the prediction for the
-    remaining indices, so irregular spectra fall back to the plain search
-    at the cost of about one pass.  Once a bracket holds
+    the last gap after a miss; otherwise it steps by the last gap.  Every
+    level is predicted alike, also after a miss.  Once a bracket holds
     exactly one eigenvalue, the count pass also returns the slope of
     log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
     Zeng 1994): a step that leaves the bracket, or that is more than half
@@ -649,7 +647,6 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
         return c
 
     values = []
-    predicting = True
     for j in range(k):
         st = state[j % nb]
         i = j // nb
@@ -664,7 +661,7 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
             prev = values[-1]
             step = prev - (values[-2] if j > 1 else glo)
         gap = step = max(step, tol, math.ulp(prev))
-        if predicting and j > 1:
+        if j > 1:
             # extrapolate the certified levels: linear through two, then
             # quadratic through three; the last difference added estimates
             # the error and sizes the upper-edge window
@@ -721,9 +718,6 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
             raise ConvergenceFailureError(
                 f"eigenvalue search did not converge for index {j} "
                 f"within {_MAX_PASSES} count passes")
-        if j > 1 and predicting:
-            # a level outside its window ends prediction for the rest
-            predicting = abs(values[-1] - guess) <= window
     return values
 
 
@@ -814,10 +808,11 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
     one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
     with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
-    |γ_r|.  An iterate that fails the residual check, or loses more than
-    half its norm to Gram–Schmidt (a z of a multiple eigenvalue), is
-    retried: the factors solve a seeded random vector, then the last
-    iterate, up to 50 times.  A vector is accepted only when ‖Tv − λv‖∞ ≤
+    |γ_r|.  A z that fails the residual check, or loses more than half
+    its norm to Gram–Schmidt (a z of a multiple eigenvalue), is retried:
+    the factors solve a seeded random vector, then the last iterate, up to
+    50 times, and each retry is projected twice (Giraud, Langou and
+    Rozložník 2005).  A vector is accepted when ‖Tv − λv‖∞ ≤
     1e−10·‖T‖∞, then normalized so h·Σv² = 1 with the largest-magnitude
     component positive, the last of equal magnitudes deciding.  A T split
     into parity blocks is solved on the block of each level, with
@@ -854,30 +849,30 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         diag, off = blocks[b]
         w = _twisted_vector(diag, off, lam, pivmin)
         for attempt in range(50):
-            before = math.hypot(*w) if accepted[b] else 0.0
-            for u in accepted[b]:
-                # project out the accepted vectors of this parity, for
-                # which weight·u·u = 1, to keep the pairwise Gram at
-                # roundoff; c is tiny, so a plain sum is accurate enough
-                c = weight * sum(map(mul, w, u))
-                w = [x - c * y for x, y in zip(w, u)]
+            before = math.hypot(*w) if accepted[b] and not attempt else 0.0
+            # project out the accepted vectors of this parity, for which
+            # weight·u·u = 1; c is tiny, so a plain sum is accurate enough.
+            # A retry, solved into a cluster, is projected twice ("twice is
+            # enough", Giraud, Langou and Rozložník 2005)
+            for _ in range(2 if attempt else 1):
+                for u in accepted[b]:
+                    c = weight * sum(map(mul, w, u))
+                    w = [x - c * y for x, y in zip(w, u)]
             norm = math.hypot(*w)
-            # an iterate that loses more than half its norm to the
-            # projection is not taken: a z of a multiple eigenvalue, or a
-            # solve into a cluster, whose remainder keeps the roundoff of
-            # the part removed until it is solved once more
-            kept = not norm < 0.5 * before
-            if kept or attempt:
+            # z is not taken if it loses more than half its norm to the
+            # projection, as the z of a multiple eigenvalue does; a retry
+            # (before = 0) is taken on its residual alone
+            if not norm < 0.5 * before:
                 if not 0.0 < norm < math.inf:
                     raise ConvergenceFailureError(
                         f"inverse iteration broke down for eigenvalue index {j}")
                 v = [x / norm for x in w]
                 # ‖Tv − λv‖∞, row i being (d_i v_i + o_i v_{i+1}) + o_{i−1} v_{i−1}
-                if kept and max(abs(d * x + a * xn + c * xp - lam * x)
-                                for d, x, a, xn, c, xp in zip(
-                                    diag, v, chain(off, (0.0,)),
-                                    chain(islice(v, 1, None), (0.0,)),
-                                    chain((0.0,), off), chain((0.0,), v))) <= accept:
+                if max(abs(d * x + a * xn + c * xp - lam * x)
+                       for d, x, a, xn, c, xp in zip(
+                           diag, v, chain(off, (0.0,)),
+                           chain(islice(v, 1, None), (0.0,)),
+                           chain((0.0,), off), chain((0.0,), v))) <= accept:
                     break
             if attempt == 0:
                 # uniform on [−1, 1) from one seeded draw of 64-bit words,

@@ -312,10 +312,14 @@ def require_resolved(norm: float, n: int) -> None:
 
 
 def energy(family: ShapeInvariantFamily, n: int) -> float:
-    """Closed-form level Eₙ = α(n+½) − (s/2c)·n(n+1); refuses unbound levels."""
+    """Closed-form level Eₙ = α(n+½) − (s/2c)·n(n+1); refuses unbound or non-finite levels."""
     require_bound(family, n)
     p = family.profile
-    return family.alpha0 * (n + 0.5) - 0.5 * p.s / p.c * n * (n + 1)
+    e = family.alpha0 * (n + 0.5) - 0.5 * p.s / p.c * n * (n + 1)
+    if not math.isfinite(e):
+        raise InvalidLambdaError(f"the closed-form energy E_{n} is {e}: it "
+                                 f"leaves the range of a double")
+    return e
 
 
 def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:

@@ -133,8 +133,11 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     """
     require_uniform(grid)
     require_bound(family, n)
-    for phi, _ in _states_at(family, n + 1, _nodes_between(grid, 0, grid.n)):
-        pass
+    # a level past a double overflows here and its norm refuses it; the
+    # error state stays out of the _states_at generator
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi, _ in _states_at(family, n + 1, _nodes_between(grid, 0, grid.n)):
+            pass
     norm = math.sqrt(inner_product(phi, phi, grid))
     require_resolved(norm, n)
     phi /= norm

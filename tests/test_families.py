@@ -254,6 +254,16 @@ def test_energy_refuses_unbound_levels():
         require_bound(fam, -1)
 
 
+def test_energy_refuses_levels_past_the_range_of_a_double():
+    # E_2 = 2.5·alpha overflows, and was returned as inf
+    fam = make_family(Kind.CONSTANT, 1e308)
+    assert energy(fam, 1) == 1.5e308
+    with pytest.raises(InvalidLambdaError,
+                       match="the closed-form energy E_2 is inf: it leaves "
+                             "the range of a double"):
+        energy(fam, 2)
+
+
 def test_a_level_index_that_is_not_an_integer_is_refused():
     # 2.5 gave the energy 2.5625 and 2.0 gave 2.2, while the samplers
     # ended in a TypeError from range(); an integer of any type is a level
