@@ -582,28 +582,28 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     those of the whole T.  The block corner d ± o rounds once, which moves
     a level by at most one ulp of ‖T‖∞.  Any other T is one block.  Every
     count narrows the brackets of all requested indices of its block at
-    once (as in LAPACK dstebz).  From
-    index 2 on, the first pass for λ_j is a slope pass at a prediction
-    extrapolated through the last two certified eigenvalues (linear, for
-    λ_2) or three (quadratic), when it lies in λ_j's bracket.  Index j's
-    upper edge then comes from a doubling search up from the bracket's
-    lower edge: for a predicted level it steps first by the predictor's
-    error estimate, the larger of |quadratic − linear| (zero for λ_2),
-    64·tol and twice the Newton step from the prediction, and by at least
-    the last gap after a miss; otherwise it steps by the last gap.  Every
-    level is predicted alike, also after a miss.  Once a bracket holds
-    exactly one eigenvalue, the count pass also returns the slope of
-    log|det(T − xI)| and safeguarded Newton steps replace bisection (Li and
-    Zeng 1994): a step that leaves the bracket, or that is more than half
-    the previous step for the same level (a creep next to a cluster), is a
-    bisection, and a step below tol/4 is accepted only when counts at root ± tol/2 (or bracket
-    edges already counted inside them) confine λ_j.  The result is that
-    Newton root, also when the bracket closes below tol around it first; a
-    bracket that narrows to tol without isolating one eigenvalue, as for a
-    multiple eigenvalue, gives its midpoint.  Brackets
-    are refined in ascending index order with λ_{j−1} as a lower edge, so
-    the output is ascending and byte-for-byte reproducible.  More than
-    128 count passes for one eigenvalue raise ConvergenceFailureError.
+    once (as in LAPACK dstebz).  From index 2 on, the first pass for λ_j
+    is a slope pass at a prediction extrapolated through the last two
+    certified eigenvalues (linear, for λ_2) or three (quadratic), when it
+    lies in λ_j's bracket.  Index j's upper edge comes from a doubling
+    search up from the bracket's lower edge.  Its first step, at least
+    tol, is the Newton step from the Gershgorin edge glo for λ_0, λ_0 − glo
+    for λ_1, and from λ_2 on the predictor's error estimate: the larger of
+    |quadratic − linear| (zero for λ_2), 64·tol and twice the Newton step
+    from the prediction.  Every step then doubles the last.  Once a
+    bracket holds exactly one eigenvalue, the count pass also returns the
+    slope of log|det(T − xI)| and safeguarded Newton steps replace
+    bisection (Li and Zeng 1994): a step that leaves the bracket, or that
+    is more than half the previous step for the same level (a creep next
+    to a cluster), is a bisection, and a step below tol/4 is accepted only
+    when counts at root ± tol/2 (or bracket edges already counted inside
+    them) confine λ_j.  The result is that Newton root, also when the
+    bracket closes below tol around it first; a bracket that narrows to
+    tol without isolating one eigenvalue, as for a multiple eigenvalue,
+    gives its midpoint.  Brackets are refined in ascending index order
+    with λ_{j−1} as a lower edge, so the output is ascending and
+    byte-for-byte reproducible.  More than 128 count passes for one
+    eigenvalue raise ConvergenceFailureError.
     """
     return _sturm_newton(*_prepared(T, k), k)
 
@@ -655,36 +655,31 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
             # Newton from below the spectrum never passes λ_0
             count_at(glo, st, 0, True)
             s = newton[0][1]
-            step = -1.0 / s if s < 0.0 else 0.0
-            prev = glo
+            prev, step = glo, -1.0 / s if s < 0.0 else 0.0
+        elif j == 1:
+            prev, step = values[0], values[0] - glo
         else:
+            # extrapolate linearly through two certified levels, then
+            # quadratically through three, whose last term sizes the window
             prev = values[-1]
-            step = prev - (values[-2] if j > 1 else glo)
-        gap = step = max(step, tol, math.ulp(prev))
-        if j > 1:
-            # extrapolate the certified levels: linear through two, then
-            # quadratic through three; the last difference added estimates
-            # the error and sizes the upper-edge window
             d1 = prev - values[-2]
-            guess, window = prev + d1, 0.0
+            guess, step = prev + d1, 64.0 * tol
             if j > 2:
                 d2 = d1 - (values[-2] - values[-3])
-                guess, window = guess + d2, abs(d2)
-            window = max(window, 64.0 * tol, math.ulp(guess))
+                guess, step = guess + d2, max(step, abs(d2))
             if max(lo[i], prev) < guess < hi[i]:
                 count_at(guess, st, i, True)
                 if newton[0][1]:
                     # widen to twice the Newton step from the guess
-                    window = max(window, 2.0 / abs(newton[0][1]))
-            step = window
+                    step = max(step, 2.0 / abs(newton[0][1]))
+        step = max(step, tol)
         last = math.inf  # the latest Newton step for this level
         for _ in range(_MAX_PASSES):
             a, b = max(lo[i], prev), hi[i]
             if b == math.inf:
-                # doubling search for the upper edge, at least by the gap
-                # once the first step has missed
+                # doubling search for the upper edge
                 count_at(min(a + step, ghi), st, i, False)
-                step = max(2.0 * step, gap)
+                step += step
                 continue
             root = None
             isolated = nlo[i] == i and nhi[i] == i + 1

@@ -316,10 +316,7 @@ def energy(family: ShapeInvariantFamily, n: int) -> float:
     require_bound(family, n)
     p = family.profile
     e = family.alpha0 * (n + 0.5) - 0.5 * p.s / p.c * n * (n + 1)
-    if not math.isfinite(e):
-        raise InvalidLambdaError(f"the closed-form energy E_{n} is {e}: it "
-                                 f"leaves the range of a double")
-    return e
+    return _finite_energy(e, n, "closed-form ")
 
 
 def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
@@ -328,4 +325,11 @@ def energy_via_recursion(family: ShapeInvariantFamily, n: int) -> float:
     total = 0.5 * family.alpha0
     for k in range(n):
         total += remainder(family, alpha_at(family, k))
-    return total
+    return _finite_energy(total, n, "")
+
+
+def _finite_energy(e: float, n: int, route: str) -> float:
+    if not math.isfinite(e):
+        raise InvalidLambdaError(f"the {route}energy E_{n} is {e}: it leaves "
+                                 f"the range of a double")
+    return e

@@ -472,7 +472,8 @@ def test_degenerate_diagonal_spectrum():
     T = TridiagonalOperator(diag=diag, offdiag=np.zeros(len(diag) - 1))
     for k in range(1, len(diag) + 1):
         assert_certified(T, k)
-    # after each exact pair the gap that seeds the doubling search is 0
+    # after each exact pair the last difference is 0, so the next level's
+    # upper-edge search starts from the 64·tol floor of its window
     T = TridiagonalOperator(diag=np.array([5.0, 0.0, 40.0, 0.0, 5.0]),
                             offdiag=np.zeros(4))
     assert_certified(T, 5)
@@ -766,6 +767,22 @@ def test_levels_under_the_continuum_edge_are_predicted(monkeypatch):
     T = discrete.assemble_lists(fam, build_grid(fam, 4000, n_max=9))
     eigenvalue_list(T, 10)
     assert len(passes) <= 75
+
+
+@pytest.mark.parametrize("kind, lam, n_max, n, ceiling", [
+    (Kind.CASE1, 0.3, 2, 4000, 38), (Kind.CASE2, 10.0, 9, 4000, 71),
+    (Kind.CASE3, 0.2, 14, 2000, 57), (Kind.CONSTANT, 0.0, 19, 2000, 72),
+], ids=["case1-0.3", "case2-10", "case3-0.2", "constant"])
+def test_the_panel_spectra_keep_their_pass_counts(monkeypatch, kind, lam,
+                                                  n_max, n, ceiling):
+    # the other spectrum requests of the benchmark's accuracy panel, on the
+    # grids the CLI builds: mapped boxes, and case3's uniform one; each
+    # ceiling is the solver's count when this test was written
+    passes = count_passes(monkeypatch)
+    fam = make_family(kind, 1.0, lam)
+    T = discrete.assemble_lists(fam, build_grid(fam, n, n_max=n_max))
+    eigenvalue_list(T, n_max + 1)
+    assert len(passes) <= ceiling
 
 
 def test_prediction_costs_irregular_spectra_little(monkeypatch):

@@ -264,6 +264,16 @@ def test_energy_refuses_levels_past_the_range_of_a_double():
         energy(fam, 2)
 
 
+def test_the_ladder_route_refuses_what_the_closed_form_refuses():
+    # E_0 + R(α_0) + R(α_1) overflows as E_2 does, and was returned as inf
+    fam = make_family(Kind.CONSTANT, 1e308)
+    assert energy_via_recursion(fam, 1) == 1.5e308
+    with pytest.raises(InvalidLambdaError,
+                       match="^the energy E_2 is inf: it leaves the range of "
+                             "a double$"):
+        energy_via_recursion(fam, 2)
+
+
 def test_a_level_index_that_is_not_an_integer_is_refused():
     # 2.5 gave the energy 2.5625 and 2.0 gave 2.2, while the samplers
     # ended in a TypeError from range(); an integer of any type is a level
