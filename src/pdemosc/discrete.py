@@ -17,8 +17,9 @@ certified by counts to lie in a bracket no wider than 1e−12·‖T‖∞, a
 tolerance relative to the operator, so the spectrum scales with it down
 to the underflow refusal.  Eigenvectors, where a caller wants them, come
 from one twisted factorization of T − λI per level (Parlett and Dhillon
-1997), with inverse iteration on its factors only where its vector is
-rejected.  Nothing here knows about superpotentials or polynomials.
+1997): the twisted vector is the solve of γ_r e_r; inverse iteration on
+its factors follows only where it is rejected.  Nothing here knows about
+superpotentials or polynomials.
 
 Every mass law and potential here is even, and every grid is a box
 centred at 0 whose nodes mirror bit for bit, so the assembled
@@ -61,6 +62,7 @@ from .errors import (
     ConvergenceFailureError,
     InvalidCountError,
     InvalidLambdaError,
+    LengthMismatchError,
 )
 from .families import (
     SYMMETRIC_ORDERING,
@@ -319,9 +321,9 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     swapped: one value for both sides of the diagonal, symmetric by
     construction.  At the symmetric ordering (0, −1, 0) this is the
     conservative scheme for −(p φ′)′ with p = 1/(2m); its outer factors
-    are exactly one, so their products are left out (the entries keep
-    their bits).  A power or quotient that leaves the range of a double
-    is refused as an overflow, as an infinite entry would be.
+    are m⁰ = 1, whose products are exact.  A power or quotient that
+    leaves the range of a double is refused as an overflow, as an infinite
+    entry would be.
 
     On a mapped grid the scheme is the finite-volume one: with
     κ_{i+½} = m_{i+½}ᵇ/(x_{i+1} − x_i) and the node weight
@@ -343,7 +345,6 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     h2 = h * h
     rows, pairs = (n + 1) // 2, n // 2
     profile = family.profile
-    unit = ordering.a == 0.0 and ordering.c == 0.0  # m⁰ = 1 at every node
     diag, off = [], []
     try:
         for lo in range(0, rows, ROWS):
@@ -368,18 +369,13 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
                 scale = repeat(h2)
                 # h² may underflow to 0
                 win = [x / h2 for x in w[1:couplings + 1]]
-            if unit:
-                diag += [0.5 * (wl + wr) / d + v
-                         for wl, wr, d, v in zip(w, w[1:], scale, potential)]
-                off += [-0.125 * ((x + x) + (x + x)) for x in win]
-            else:
-                ma, mc = _powers(ms, ordering.a), _powers(ms, ordering.c)
-                diag += [0.5 * a * c * (wl + wr) / d + v
-                         for a, c, wl, wr, d, v in zip(ma, mc, w, w[1:], scale,
-                                                       potential)]
-                off += [-0.125 * ((a0 * x * c1 + c0 * x * a1)
-                                  + (a1 * x * c0 + c1 * x * a0))
-                        for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
+            ma, mc = _powers(ms, ordering.a), _powers(ms, ordering.c)
+            diag += [0.5 * a * c * (wl + wr) / d + v
+                     for a, c, wl, wr, d, v in zip(ma, mc, w, w[1:], scale,
+                                                   potential)]
+            off += [-0.125 * ((a0 * x * c1 + c0 * x * a1)
+                              + (a1 * x * c0 + c1 * x * a0))
+                    for a0, x, c1, c0, a1 in zip(ma, win, mc[1:], mc, ma[1:])]
     except (OverflowError, ZeroDivisionError):
         refuse_overflow(math.inf)
     return diag, off
@@ -543,16 +539,23 @@ def _prepared(T: TridiagonalOperator, k: int):
     # sequences are copied to Python floats
     diag, off = (band if type(band) is list else list(map(float, band))
                  for band in (T.diag, T.offdiag))
+    if len(off) != n - 1:
+        raise LengthMismatchError(f"an operator with {n} diagonal entries "
+                                  f"needs {n - 1} couplings, got {len(off)}")
     blocks = _parity_blocks(diag, off)
+    # the rows of a mirror-symmetric T repeat, so its first half holds
+    # every entry's value and its scale
+    half = len(blocks[0][0]) if len(blocks) == 2 else n
+    diag, off = diag[:half], off[:half]
+    if not all(map(math.isfinite, chain(diag, off))):
+        raise InvalidLambdaError("the operator has an infinite or NaN entry")
     if math.isinf(max(blocks[0][2])):
         i = max(range(len(off)), key=lambda i: abs(off[i]))
         raise InvalidLambdaError(
             f"coupling {i} of the operator, {off[i]:.3g}, squares past the "
             f"largest double, and the eigensolver squares its couplings; "
             f"scale the operator down")
-    # the rows of a mirror-symmetric T repeat, so its first half has its scale
-    half = len(blocks[0][0]) if len(blocks) == 2 else n
-    scale = _scale(diag[:half], off[:half])
+    scale = _scale(diag, off)
     # T = 0 is exact; any other norm must square to a normal double
     if scale[0] and scale[0] * scale[0] < sys.float_info.min:
         raise InvalidLambdaError(
@@ -571,8 +574,9 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     wider than tol = 1e−12·‖T‖∞; the tolerance and the pivot floor are
     relative to ‖T‖∞.  An operator whose nonzero norm squares below the
     smallest normal double is refused with InvalidLambdaError, and T = 0
-    gives exact zeros, and a coupling whose square overflows a double is
-    refused with InvalidLambdaError too.
+    gives exact zeros; an infinite or NaN entry, or a coupling whose
+    square overflows a double, is refused with InvalidLambdaError too, and
+    bands whose lengths are not (N, N − 1) with LengthMismatchError.
 
     A T whose bands are exactly mirror-symmetric and whose couplings are
     all negative is solved as its even and odd blocks of about N/2 rows
@@ -716,12 +720,16 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
     return values
 
 
-def _twisted(diag, off, sigma, pivmin):
-    """The twisted factorization of T − σI as (D, R, r, γ_r).
+def _twisted_solve(diag, off, sigma, pivmin, rhs=None) -> list:
+    """The x with (T − σI)x = rhs, from the twisted factorization of T − σI;
+    without rhs, the z with z_r = 1 and (T − σI)z = γ_r e_r.
 
-    D and R hold the pivots of the top-down and the bottom-up sweep, each
+    The pivots of the top-down and the bottom-up sweep, D and R, are each
     clamped to −pivmin inside ±pivmin as in _neg_count.  The twist r is the
     last row of least |γ_r| = |D_r − o_r²/R_{r+1}|; γ_r is clamped alike.
+    Both ends of rhs are eliminated to row r, which γ_r then divides, and
+    the solve runs outward from r on the pivots it still needs.  For γ_r e_r
+    the eliminations are empty, so x starts as e_r.
     """
     neg = -pivmin
     D, d = [], 1.0
@@ -731,54 +739,37 @@ def _twisted(diag, off, sigma, pivmin):
         if neg < d < pivmin:
             d = neg
         put(d)
-    R, x = [], 1.0
+    R, d = [], 1.0
     put = R.append
     r, gamma, best = len(D) - 1, D[-1], abs(D[-1])
-    for i, a, b, d in zip(count(len(diag) - 1, -1), reversed(diag),
+    for i, a, b, p in zip(count(len(diag) - 1, -1), reversed(diag),
                           chain((0.0,), reversed(off)), reversed(D)):
-        q = b * b / x
-        g = d - q
+        q = b * b / d
+        g = p - q
         if abs(g) < best:
             r, gamma, best = i, g, abs(g)
-        x = a - sigma - q
-        if neg < x < pivmin:
-            x = neg
-        put(x)
+        d = a - sigma - q
+        if neg < d < pivmin:
+            d = neg
+        put(d)
     R.reverse()
-    return D, R, r, neg if best < pivmin else gamma
-
-
-def _twisted_vector(diag, off, sigma, pivmin) -> list:
-    """The z with z_r = 1 and (T − σI)z = γ_r e_r, for the _twisted twist r."""
-    D, R, r, _ = _twisted(diag, off, sigma, pivmin)
-    del D[r:], R[:r + 1]  # free the pivots z does not use
-    z = 1.0
-    out = [z]
-    put = out.append
-    for o, d in zip(islice(reversed(off), len(off) - r, None), reversed(D)):
-        z = -(o / d) * z
-        put(z)
-    out.reverse()
-    z = 1.0
-    for o, x in zip(islice(off, r, None), R):
-        z = -(o / x) * z
-        put(z)
-    return out
-
-
-def _twisted_solve(diag, off, sigma, pivmin, rhs) -> list:
-    """The x with (T − σI)x = rhs: both ends eliminated to the twist, then out."""
-    D, R, r, gamma = _twisted(diag, off, sigma, pivmin)
-    x = rhs[:]
-    for i in range(1, r + 1):
-        x[i] -= off[i - 1] / D[i - 1] * x[i - 1]
-    for i in range(len(x) - 2, r - 1, -1):
-        x[i] -= off[i] / R[i + 1] * x[i + 1]
-    x[r] /= gamma
-    for i in range(r - 1, -1, -1):
-        x[i] = (x[i] - off[i] * x[i + 1]) / D[i]
-    for i in range(r + 1, len(x)):
-        x[i] = (x[i] - off[i - 1] * x[i - 1]) / R[i]
+    if rhs is not None:
+        x = rhs[:]
+        for i in range(1, r + 1):
+            x[i] -= off[i - 1] / D[i - 1] * x[i - 1]
+        for i in range(len(x) - 2, r - 1, -1):
+            x[i] -= off[i] / R[i + 1] * x[i + 1]
+        x[r] /= neg if best < pivmin else gamma
+    del D[r:], R[:r + 1]  # free the pivots the outward solve does not use
+    if rhs is None:
+        x = [0.0] * len(diag)
+        x[r] = 1.0
+    # x_i/d − (o/d)·x_next is −(o/d)·x_next where x_i is 0, but for the
+    # sign of a zero
+    for i, d in zip(range(r - 1, -1, -1), reversed(D)):
+        x[i] = x[i] / d - off[i] / d * x[i + 1]
+    for i, d in zip(count(r + 1), R):
+        x[i] = x[i] / d - off[i - 1] / d * x[i - 1]
     return x
 
 
@@ -800,15 +791,16 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     """k smallest eigenpairs of a symmetric tridiagonal matrix: a list of
     floats and a list of array('d') vectors.
 
-    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from
-    one twisted factorization of T − λI (Dhillon and Parlett 2004): the z
-    with z_r = 1 that solves (T − λI)z = γ_r e_r at the twist r of least
-    |γ_r|.  A z that fails the residual check, or loses more than half
-    its norm to Gram–Schmidt (a z of a multiple eigenvalue), is retried:
-    the factors solve a seeded random vector, then the last iterate, up to
-    50 times, and each retry is projected twice (Giraud, Langou and
-    Rozložník 2005).  A vector is accepted when ‖Tv − λv‖∞ ≤
-    1e−10·‖T‖∞, then normalized so h·Σv² = 1 with the largest-magnitude
+    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from the
+    twisted factorization of T − λI (Dhillon and Parlett 2004): the
+    twisted vector is the solve of γ_r e_r, the z with z_r = 1 at the
+    twist r of least |γ_r|.  A z that fails the residual check, or loses
+    more than half its norm to Gram–Schmidt (a z of a multiple
+    eigenvalue), is retried: the same solve takes a seeded random vector,
+    then the last iterate, each retry projected twice (Giraud, Langou and
+    Rozložník 2005), up to 50 solves in all, each one checked.  A vector
+    is accepted when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so
+    h·Σv² = 1, for h in (0, inf), with the largest-magnitude
     component positive, the last of equal magnitudes deciding.  A T split
     into parity blocks is solved on the block of each level, with
     Gram–Schmidt against the vectors of the same parity only, since
@@ -822,6 +814,8 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     eigenvalues alike and leaves the eigenvectors bit for bit.
     """
     from array import array  # as in mirrored_array
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"need a node weight h with 0 < h < inf, got {h}")
     blocks, norm_t, glo, ghi = _prepared(T, k)
     n = len(T.diag)
     del T  # the blocks hold what is needed of it
@@ -842,8 +836,9 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     for j, lam in enumerate(eigenvalues):
         b = j % nb
         diag, off = blocks[b]
-        w = _twisted_vector(diag, off, lam, pivmin)
+        v = None  # the first solve is of γ_r e_r
         for attempt in range(50):
+            w = _twisted_solve(diag, off, lam, pivmin, v)
             before = math.hypot(*w) if accepted[b] and not attempt else 0.0
             # project out the accepted vectors of this parity, for which
             # weight·u·u = 1; c is tiny, so a plain sum is accurate enough.
@@ -876,7 +871,6 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
                 rows = len(diag)
                 v = [(x >> 11) * unit - span for x in struct.unpack(
                     f"<{rows}Q", random.Random(1000 + j).randbytes(8 * rows))]
-            w = _twisted_solve(diag, off, lam, pivmin, v)
         else:
             raise ConvergenceFailureError(
                 f"inverse iteration stagnated for eigenvalue index {j}")

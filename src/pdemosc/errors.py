@@ -36,7 +36,7 @@ class ConvergenceFailureError(PdemError):
 
 
 class LengthMismatchError(PdemError):
-    """Sampled vectors have different lengths."""
+    """Sampled vectors differ in length, or an operator's bands mismatch."""
 
 
 class DegreeMismatchError(PdemError):

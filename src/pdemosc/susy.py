@@ -40,12 +40,13 @@ those sums.  No array as long as the grid is made; the blocks' arrays
 stay in a core's cache.
 
 Two evaluations here restate others.  _kinetic_bands is discrete's
-float stencil at the symmetric ordering, on ndarrays for speed, through
-the same IEEE operations in the same order, so their entries agree bit
-for bit.  eigenfunction_samples (_states_at on one whole-grid block,
-normalized) is sampling.eigenfunction_lists from the same recurrence,
-and the tests' reference for it; exp, log1p and the norm's sum differ,
-so the two agree to within a few ulps of max|φ_n|.
+float stencil at the symmetric ordering, on ndarrays for speed, less the
+m⁰ = 1 products, which the float stencil multiplies exactly: the same
+IEEE operations in the same order, so their entries agree bit for bit.
+eigenfunction_samples (_states_at on one whole-grid block, normalized)
+is sampling.eigenfunction_lists from the same recurrence, and the tests'
+reference for it; exp, log1p and the norm's sum differ, so the two agree
+to within a few ulps of max|φ_n|.
 """
 
 from __future__ import annotations
@@ -147,13 +148,13 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
 def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
     """(diag, offdiag) of the kinetic stencil on nodes lo … hi − 1.
 
-    discrete's stencil at the symmetric ordering (0, −1, 0): there the
-    outer mass powers are m⁰ = 1, so the float stencil's products with
-    them are exact and are left out here; what remains is the same
-    sequence of operations on the same inputs (Grid.midpoint).  The
-    potential adds to diag.  Entries past a double are inf, as are 1/m
-    where m underflows to 0 and 1/h² where h² does, and 0/0 is NaN: the
-    overflow refusal names them all, as the float stencil does.
+    discrete's stencil at the symmetric ordering (0, −1, 0), less its
+    products with the outer mass powers m⁰ = 1, which the float stencil
+    multiplies exactly; what remains is the same sequence of operations
+    on the same inputs (Grid.midpoint).  The potential adds to diag.
+    Entries past a double are inf, as are 1/m where m underflows to 0 and
+    1/h² where h² does, and 0/0 is NaN: the overflow refusal names them
+    all, as the float stencil does.
     """
     mids = grid.midpoint(np.arange(lo, hi + 1))
     h2 = grid.h * grid.h
