@@ -276,21 +276,23 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
     # c·α² overflows to inf, which meets x = 0 at the centre node of an odd
     # grid: the partner potentials hold nan, and assembly must refuse them
     # in one line, with no RuntimeWarning on the way, naming the largest
-    # entry (inf), as spectrum's refusal of the same operator does; only
-    # spectrum's goes on to its eigensolver.  At 20001 nodes the nan lies
-    # in a middle block of verify's row blocks.
+    # entry (inf), as the eigensolver's refusal of the same operator does
+    # for spectrum, compare-ordering and numeric eigenfunctions.  At 20001
+    # nodes the nan lies in a middle block of verify's row blocks.
     for grid_n in ("17", "20001"):
         errs = []
-        for command in ("verify", "spectrum"):
+        for command in (["verify"], ["spectrum"],
+                        ["compare-ordering", "--ordering=-0.5,0,-0.5"],
+                        ["eigenfunctions", "--source", "numeric"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code = run([command, *argv, "--grid-n", grid_n])
+                code = run([*command, *argv, "--grid-n", grid_n])
             out, err = capsys.readouterr()
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
-            errs.append(err)
-        assert errs[0].split(",")[0] == errs[1].split(",")[0], grid_n
-        assert errs[0].split(",")[0].endswith(" its largest entry is inf")
+            errs.append(err.split(",")[0])
+        assert len(set(errs)) == 1, grid_n
+        assert errs[0].endswith(" its largest entry is inf")
 
 
 def test_verify_past_the_recurrence_divisions(monkeypatch, capsys):
@@ -563,6 +565,23 @@ def test_small_alpha_spectrum_scales_with_alpha(capsys):
                          for row in out.strip().splitlines()[1:]]
     for alpha in ("1e-14", "1e-150"):
         assert levels[alpha] == pytest.approx(levels["1"], rel=1e-9, abs=0.0)
+
+
+def test_diagonal_past_the_root_of_the_largest_double_is_solved(capsys):
+    # at alpha = 1e153 on 16 nodes the diagonal reaches 1.48e154, past
+    # sqrt(DBL_MAX) = 1.34e154, and the couplings 4.8e153: the eigensolver
+    # squares only the couplings, so it answers alpha times the alpha = 1
+    # level, while verify, which squares every entry, refuses its H₋
+    argv = ["--family", "constant", "--n-max", "0", "--grid-n", "16"]
+    levels = []
+    for alpha in ("1", "1e153"):
+        assert run(["spectrum", *argv, "--alpha", alpha]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        levels.append(float(out.splitlines()[1].split(",")[2]) / float(alpha))
+    assert levels[1] == pytest.approx(levels[0], rel=1e-12, abs=0.0)
+    assert run(["verify", *argv[:2], "--grid-n", "16", "--alpha", "1e153"]) == 1
+    assert "overflows: its largest entry is 2.23e+154," in capsys.readouterr().err
 
 
 def test_overflowing_alpha_still_samples_algebraically(capsys):

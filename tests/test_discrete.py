@@ -24,6 +24,7 @@ from pdemosc import (
     energy,
     inner_product,
     make_family,
+    run,
     uniform_grid,
     verify_all,
 )
@@ -732,18 +733,53 @@ def test_eigen_refuses_bands_of_the_wrong_lengths():
             eigen_tridiagonal(T, 1)
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
-def test_eigen_refuses_entries_that_are_not_finite(entry):
+@pytest.mark.parametrize("entry, name", [(math.nan, "nan"), (math.inf, "inf"),
+                                         (-math.inf, "inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_eigen_refuses_entries_that_are_not_finite(entry, name):
     # refused before the first count pass, in either band, on the one
-    # block of a generic T and in the mirror-symmetric case
+    # block of a generic T and in the mirror-symmetric case, by the one
+    # overflow refusal: it names the largest number, or nan where that
+    # squares to a double, as 1e150 does, for then a NaN alone is refused
     for diag, off in (([1.0, entry, 3.0], [-1.0, -1.0]),
                       ([1.0, 2.0, 3.0], [-1.0, entry]),
-                      ([entry, 0.0, entry], [-1.0, -1.0])):
+                      ([entry, 0.0, entry], [-1.0, -1.0]),
+                      ([1e150, entry, 1e150], [-1.0, -1.0])):
         T = TridiagonalOperator(diag, off)
-        with pytest.raises(InvalidLambdaError, match="infinite or NaN entry"):
-            eigenvalue_list(T, 1)
-        with pytest.raises(InvalidLambdaError, match="infinite or NaN entry"):
-            eigen_tridiagonal(T, 1)
+        words = f"overflows: its largest entry is {name}, whose square"
+        for call in (eigenvalue_list, discrete.eigenpair_lists, eigen_tridiagonal):
+            with pytest.raises(InvalidLambdaError, match=words):
+                call(T, 1)
+
+
+@pytest.mark.parametrize("k", [3.0, 2.5, "3", None])
+def test_eigen_refuses_a_count_that_is_not_an_integer(k):
+    # a float, a string or None would fail later in range() or in a
+    # comparison, as a TypeError
+    T = TridiagonalOperator([2.0, 2.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
+    for call in (eigenvalue_list, discrete.eigenpair_lists, eigen_tridiagonal):
+        with pytest.raises(InvalidCountError,
+                           match=f"asked for {k!r} eigenvalues of an operator"):
+            call(T, k)
+
+
+@pytest.mark.parametrize("grid_n", [17, 20001])
+def test_assembly_leaves_overflow_to_the_eigensolver(capsys, grid_n):
+    # c·α² overflows to inf, and inf·0 at the centre node of an odd grid is
+    # nan: assembly returns those entries as they are, and every eigen
+    # entry point refuses them in the command line's words
+    alpha = "7.359689122788897e+269"
+    fam = make_family(Kind.CONSTANT, float(alpha))
+    T = discrete.assemble_lists(fam, build_grid(fam, grid_n))
+    assert math.inf in T.diag
+    assert run(["spectrum", "--family", "constant", "--alpha", alpha,
+                "--n-max", "0", "--grid-n", str(grid_n)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for call in (eigenvalue_list, discrete.eigenpair_lists, eigen_tridiagonal):
+        with pytest.raises(InvalidLambdaError) as refusal:
+            call(T, 1)
+        assert "error: " + str(refusal.value) + "\n" == err
 
 
 @pytest.mark.parametrize("h", [0.0, -0.0, -1.0, math.nan, math.inf])
@@ -972,9 +1008,10 @@ def test_clustered_spectra_converge():
 
 def test_coupling_that_squares_past_a_double_is_refused():
     T = TridiagonalOperator([1.0, 2.0, 3.0], [1e200, 0.0])
-    with pytest.raises(InvalidLambdaError, match="coupling 0 .* squares"):
+    words = r"overflows: its largest entry is 1e\+200, whose square"
+    with pytest.raises(InvalidLambdaError, match=words):
         discrete.eigenvalue_list(T, 3)
-    with pytest.raises(InvalidLambdaError, match="squares"):
+    with pytest.raises(InvalidLambdaError, match=words):
         eigen_tridiagonal(T, 1)
     # below the square root of the largest double it is answered, also where
     # the even block's corner 2·o² would overflow: that T stays one block

@@ -517,6 +517,28 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+def test_overflow_refusal_names_a_nan_alone(monkeypatch):
+    # one NaN in H₋ and no entry that squares past a double: the refusal
+    # names nan, not H₋'s largest number, on one block and on seven
+    from pdemosc import susy
+    from pdemosc.errors import PdemError
+
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = build_grid(fam, 2001)
+    honest_minus = susy.potential_minus
+
+    def minus(f, a, x):
+        return honest_minus(f, a, x) + np.where(x == grid.node(1901), np.nan, 0.0)
+    monkeypatch.setattr(susy, "potential_minus", minus)
+    with pytest.raises(PdemError) as want:
+        whole_grid_hamiltonians(fam, grid)
+    assert "overflows: its largest entry is nan," in str(want.value)
+    monkeypatch.setattr(susy, "ROWS", 300)
+    with pytest.raises(PdemError) as got:
+        verify_all(fam, grid)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("n", [100, 20001])
 def test_overflow_refusal_names_inf_where_every_diagonal_is_nan(n):
     # s·x² = 1e300·x² overflows at every node, so each mass is 0: the
