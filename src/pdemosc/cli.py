@@ -284,7 +284,7 @@ def _cmd_eigenfunctions(args, family) -> int:
             vectors = eigenfunction_lists(family, n_max, grid)
     elif want_csv:
         eigenvalues, vectors = eigenpair_lists(
-            assemble_lists(family, grid), n_max + 1, grid.h)
+            assemble_lists(family, grid), n_max + 1, grid.weights())
     else:
         eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
     table = None

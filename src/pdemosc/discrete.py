@@ -55,10 +55,9 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 from itertools import chain, count, islice, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, neg, sub, truediv
 
 from .errors import (
-    ConstraintViolatedError,
     ConvergenceFailureError,
     InvalidCountError,
     InvalidLambdaError,
@@ -89,6 +88,11 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     index, or on a uniform grid an ndarray of indices, through the same
     IEEE operations; `nodes()` and `midpoints()` list runs of them as
     floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
+
+    `weights()` is the one node-weight rule, the w_i of the quadrature
+    Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
+    outside the sum, and the list of finite-volume weights
+    d_i = (x_{i+1} − x_{i−1})/2 on a mapped one, which mirror bit for bit.
     """
 
     __slots__ = ()
@@ -121,6 +125,18 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     def _xs(self, us: list) -> list:
         b = self.beta
         return [math.sinh(b * u) / b for u in us] if b else us
+
+    def weights(self):
+        """h on a uniform grid, the list of n weights d_i on a mapped one."""
+        if self.beta:
+            return _node_weights(self.nodes(self.n + 1, -1))
+        return self.h
+
+
+def _node_weights(edges: list) -> list:
+    """d_i = (x_{i+1} − x_{i−1})/2 of the nodes x between the first and the
+    last of `edges`, a run of consecutive nodes."""
+    return [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -255,15 +271,6 @@ def build_grid(family: ShapeInvariantFamily, n: int,
                         n)._replace(beta=beta)
 
 
-def require_uniform(grid: Grid):
-    """Refuses a sinh-mapped grid, for a caller that takes h as the spacing
-    in x and as the trapezoid weight of every node."""
-    if grid.beta:
-        raise ConstraintViolatedError(
-            f"this call needs a grid uniform in x, not one sinh-mapped with "
-            f"beta = {grid.beta:.3g}; build it without n_max")
-
-
 def refuse_overflow(top: float):
     """The refusal of an operator with a NaN or an entry squaring past a
     double, `top` its largest number: nan if `top` squares to a double."""
@@ -329,11 +336,13 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
     eigensolver refuses an infinite entry.
 
     On a mapped grid the scheme is the finite-volume one: with
-    κ_{i+½} = m_{i+½}ᵇ/(x_{i+1} − x_i) and the node weight
-    d_i = (x_{i+1} − x_{i−1})/2 (node 0 and node n+1 are the walls), row i
-    takes (κ_{i−½} + κ_{i+½})/d_i and coupling i takes
+    κ_{i+½} = m_{i+½}ᵇ/(x_{i+1} − x_i) and the grid's node weight d_i
+    (Grid.weights, read from _node_weights on the run of nodes a block
+    holds), row i takes (κ_{i−½} + κ_{i+½})/d_i and coupling i takes
     κ_{i+½}/√(d_i d_{i+1}) where a uniform grid has m_{i±½}ᵇ/h².  That is
-    D^(−½)(the stencil)D^(−½) + V, symmetric for every ordering.
+    D^(−½)(the stencil)D^(−½) + V, symmetric for every ordering, and its
+    eigenvectors are those of the generalized problem in D^(½) (see
+    eigenpair_lists).
 
     The mass and the potential depend on x only through x·x, and the
     nodes and midpoints mirror bit for bit, so only the rows of the left
@@ -367,7 +376,7 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             couplings = min(hi, pairs) - lo
             if grid.beta:
                 w = [m / (r - l) for m, l, r in zip(w, edges, xs)]
-                scale = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
+                scale = _node_weights(edges)
                 win = [x / math.sqrt(d0 * d1) for x, d0, d1 in
                        zip(w[1:couplings + 1], scale, scale[1:])]
             else:
@@ -783,9 +792,16 @@ def _unfolded(u, n: int, odd: bool):
     return mirrored_array(left, n, odd)
 
 
-def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
+def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     """k smallest eigenpairs of a symmetric tridiagonal matrix: a list of
     floats and a list of array('d') vectors.
+
+    h holds the node weights w of the quadrature Σ w_i f_i g_i, as
+    Grid.weights gives them: one scalar for every node, or a sequence of
+    N, each in (0, inf).  T is taken to be W^(−½)KW^(−½) + V, as the
+    assemblers build it, and each returned vector is φ = W^(−½)ṽ for the
+    eigenvector ṽ of T with Σṽ² = 1, so that Σ w_i φ_i² = 1; Gram–Schmidt
+    runs on ṽ, in T's own frame.
 
     Eigenvalues as eigenvalue_list returns them.  Eigenvectors from the
     twisted factorization of T − λI (Dhillon and Parlett 2004): the
@@ -795,13 +811,15 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     eigenvalue), is retried: the same solve takes a seeded random vector,
     then the last iterate, each retry projected twice (Giraud, Langou and
     Rozložník 2005), up to 50 solves in all, each one checked.  A vector
-    is accepted when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized so
-    h·Σv² = 1, for h in (0, inf), with the largest-magnitude
-    component positive, the last of equal magnitudes deciding.  A T split
+    is accepted when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized with its
+    largest-magnitude component positive, the last of equal magnitudes
+    deciding; a scalar h is one factor of that normalization.  A T split
     into parity blocks is solved on the block of each level, with
     Gram–Schmidt against the vectors of the same parity only, since
-    vectors of opposite parity are exactly orthogonal; the block vector is
-    then mirrored into the full one, negated for an odd state.  The two
+    vectors of opposite parity are exactly orthogonal; the block vector
+    is scaled by the weights of its rows, which must mirror as the bands
+    do (the grid's weights mirror bit for bit), and then mirrored into
+    the full one, negated for an odd state.  The two
     mirror peaks of an odd state then tie exactly, so its right peak is
     made positive, a sign that no roundoff in λ can flip.  That is the
     sign of the closed-form states (sampling.eigenfunction_lists), whose
@@ -810,14 +828,26 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     eigenvalues alike and leaves the eigenvectors bit for bit.
     """
     from array import array  # as in mirrored_array
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"need a node weight h with 0 < h < inf, got {h}")
-    blocks, norm_t, glo, ghi = _prepared(T, k)
     n = len(T.diag)
+    per_node = hasattr(type(h), "__len__")
+    if per_node and len(h) != n:
+        raise LengthMismatchError(f"an operator with {n} rows needs {n} "
+                                  f"node weights, got {len(h)}")
+    for w in h if per_node else (h,):
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"need a node weight h with 0 < h < inf, got {w}")
+    blocks, norm_t, glo, ghi = _prepared(T, k)
     del T  # the blocks hold what is needed of it
+    nb = len(blocks)
+    if per_node:
+        # the block rows' weights stand for their mirror images
+        m = n // 2
+        if nb == 2 and list(h[:m]) != list(h[:-m - 1:-1]):
+            raise ValueError("the node weights of an operator that splits "
+                             "into parity blocks must mirror as its bands do")
+        roots = [math.sqrt(w) for w in h]
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
     blocks = [block[:2] for block in blocks]  # the squared couplings go
-    nb = len(blocks)
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)
     accept = 1e-10 * norm_t
@@ -825,9 +855,10 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
     exponent = min(math.frexp(norm_t)[1], 1023)
     span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
     accepted = [[] for _ in blocks]  # per block, its accepted vectors
-    # a full vector's h-norm is nb·h times its block's squared 2-norm; so
-    # are its inner products, and vectors of opposite parity are orthogonal
-    weight = nb * h
+    # a full vector's squared 2-norm is nb times its block's, times h for a
+    # scalar h; so are its inner products, and vectors of opposite parity
+    # are orthogonal
+    weight = nb if per_node else nb * h
     root_w = math.sqrt(weight)
     for j, lam in enumerate(eigenvalues):
         b = j % nb
@@ -889,17 +920,23 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h: float = 1.0):
         u = array("d", v)
         del v  # as the iterate, before the next vector's is built
         accepted[b].append(u)
+
+    def weighted(u):
+        # φ = W^(−½)ṽ on the rows of u, once Gram–Schmidt is done with ṽ
+        return array("d", map(truediv, u, roots)) if per_node else u
+
     if nb == 1:
-        return eigenvalues, accepted[0]
+        return eigenvalues, [weighted(u) for u in accepted[0]]
     # the block vectors are unfolded level by level, each one dropped as
     # its full vector is built, so no level is held twice
     for vs in accepted:
         vs.reverse()
-    return eigenvalues, [_unfolded(accepted[j % 2].pop(), n, j % 2 == 1)
-                         for j in range(len(eigenvalues))]
+    return eigenvalues, [
+        _unfolded(weighted(accepted[j % 2].pop()), n, j % 2 == 1)
+        for j in range(len(eigenvalues))]
 
 
-def eigen_tridiagonal(T: TridiagonalOperator, k: int, h: float = 1.0) -> EigenSolution:
+def eigen_tridiagonal(T: TridiagonalOperator, k: int, h=1.0) -> EigenSolution:
     """eigenpair_lists as ndarrays; kept for perfbench/ and the acceptance contract."""
     import numpy as np
     eigenvalues, vectors = eigenpair_lists(T, k, h)

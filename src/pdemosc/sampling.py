@@ -8,7 +8,8 @@ numpy; `verify`, which samples on grids of up to 200000 nodes, runs the
 same recurrence on ndarrays in `susy`.  Its normalized form,
 susy.eigenfunction_samples, agrees with this one to a few ulps of
 max|φ_n|: exp and log1p come from different libraries, and the norm here
-is a correctly rounded math.fsum.
+is a correctly rounded math.fsum.  Both normalize in the grid's node
+weights (Grid.weights), on a uniform grid and on a sinh-mapped one alike.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 from operator import mul
 
-from .discrete import Grid, mirrored_array, require_uniform
+from .discrete import Grid, mirrored_array
 from .families import (
     ShapeInvariantFamily,
     hermite_rows,
@@ -55,14 +56,14 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     """[φ_0, …, φ_{n_max}] on the grid nodes, each an array('d').
 
     The leading coefficient of H_n is positive for every bound level, so
-    the right tail of φ_n is positive.  N_n makes the trapezoid norm
-    h·Σφ² one (the endpoints are implicit zeros).  The grid's nodes mirror
+    the right tail of φ_n is positive.  N_n makes the norm Σ w_i φ_i² one
+    in the grid's node weights (Grid.weights; the endpoints are implicit
+    zeros): h·Σφ² on a uniform grid.  The grid's nodes and weights mirror
     bit for bit and ζ is odd, so φ_n(−x) = (−1)ⁿ φ_n(x) holds bit for bit:
     only the left half and the centre are evaluated, mirrored_array builds
     the columns, and they equal a full evaluation.  A level whose norm is
     zero, infinite or NaN is refused, so every column holds finite values.
     """
-    require_uniform(grid)
     require_bound(family, n_max)
     n = grid.n
     # node n+1−i mirrors node i: the first ⌈n/2⌉ nodes are evaluated, and
@@ -70,14 +71,20 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     mirrored = n // 2
     xs = grid.nodes(n - mirrored)
     require_inside(family.profile, xs[0])
+    # a scalar h stays a factor outside the sum; a mapped grid's weights
+    # mirror as its nodes do, so the left half's are read
+    w = grid.weights()
+    weights, h = (w[:n - mirrored], 1.0) if isinstance(w, list) else (None, w)
     out = []
     for degree, phi in enumerate(_unnormalized(family, n_max, xs)):
         squares = list(map(mul, phi, phi))
+        if weights:
+            squares = list(map(mul, weights, squares))
         if n % 2:
             squares[-1] *= 0.5  # the centre, which has no mirror
         # fsum rounds once and doubling is exact, so unless the centre's
-        # square is subnormal, h·Σφ² is that of a full evaluation bit for bit
-        norm = math.sqrt(grid.h * (math.fsum(squares) * 2.0))
+        # term is subnormal, the norm is that of a full evaluation bit for bit
+        norm = math.sqrt(h * (math.fsum(squares) * 2.0))
         require_resolved(norm, degree)
         out.append(mirrored_array([x / norm for x in phi], n, degree % 2 == 1))
     return out

@@ -4,7 +4,7 @@ A = (1/√(2m)) d/dx + W and its adjoint connect the partner Hamiltonians:
 H₋ = A†A, H₊ = AA†, AH₋ = H₊A, and H₊(α₁) = H₋(α₂) + R(α₁).  Here A is a
 tridiagonal operator (centered difference plus diagonal) and A† is its
 exact transpose, which IS the adjoint under the uniform trapezoid weights,
-so `verify` refuses a sinh-mapped grid.  Every identity is checked by
+so `verify_all` refuses a sinh-mapped grid.  Every identity is checked by
 applying both of its sides to sampled states, never by forming an
 operator product: the analytic identities carry O(h²) residuals.  The
 superalgebra of Q = [[0, 0], [A, 0]] is not measured: {Q, Q} = {Q†, Q†}
@@ -24,16 +24,17 @@ verify_all walks the grid once, in blocks of ROWS rows, each with a halo
 of two rows on either side, since no identity applies more than two
 tridiagonal operators in a row.  Per block it evaluates the nodes, the
 bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and A(α₁)
-(shared off-bands), and the test states.  _nodes_between and
-_kinetic_bands pass index arrays to Grid.node and Grid.midpoint, whose
-IEEE operations are the same per entry, so a block's entries are the
-whole grid's, bit for bit.  _states_at runs families.hermite_rows on
-ndarrays and yields each state H_n·φ₀·2^−e with the exponent e of the
-power of two its block divided it by, so a block's states are the whole
-grid's up to one power of two per block.  Every identity is linear in
-the state, so the states are not normalized: each residual's scaled sum
-of squares and each state's, their exponents raised by the block's e,
-are added up over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.
+(shared off-bands), and the test states.  On the uniform grids it takes,
+_nodes_between and _kinetic_bands pass index arrays to Grid.node and
+Grid.midpoint, whose IEEE operations are the same per entry, so a
+block's entries are the whole grid's, bit for bit.  _states_at runs
+families.hermite_rows on ndarrays and yields each state H_n·φ₀·2^−e
+with the exponent e of the power of two its block divided it by, so a
+block's states are the whole grid's up to one power of two per
+block.  Every identity is linear in the state, so the states are not
+normalized: each residual's scaled sum of squares and each state's,
+their exponents raised by the block's e, are added up over the blocks,
+and ‖(L − R)v‖/‖v‖ is formed at the end.
 The divisions are exact, so a grid of one block reproduces the
 whole-grid residuals exactly, and more blocks change only the order of
 those sums.  No array as long as the grid is made; the blocks' arrays
@@ -57,8 +58,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from .discrete import Grid, refuse_overflow, require_uniform
-from .errors import InvalidLambdaError, LengthMismatchError
+from .discrete import Grid, refuse_overflow
+from .errors import (
+    ConstraintViolatedError,
+    InvalidLambdaError,
+    LengthMismatchError,
+)
 from .families import (
     ShapeInvariantFamily,
     alpha_at,
@@ -78,16 +83,22 @@ from .families import (
 # === the grid samples and the stencil, on any run of nodes ===
 
 def inner_product(f, g, grid: Grid) -> float:
-    """Trapezoid quadrature ∫fg dx; Dirichlet ends contribute zero."""
-    require_uniform(grid)
+    """∫fg dx as Σ w_i f_i g_i in the grid's node weights (Grid.weights),
+    h·Σ f_i g_i on a uniform grid; Dirichlet ends contribute zero."""
     if len(f) != len(g) or len(f) != grid.n:
         raise LengthMismatchError(
             f"lengths {len(f)}, {len(g)} do not match grid size {grid.n}")
-    return grid.h * float(np.dot(f, g))
+    w = grid.weights()
+    if isinstance(w, list):
+        return float(np.dot(np.multiply(w, f), g))
+    return w * float(np.dot(f, g))
 
 
 def _nodes_between(grid: Grid, lo: int, hi: int):
-    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes."""
+    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes:
+    from an index array on a uniform grid, from math.sinh on a mapped one."""
+    if grid.beta:
+        return np.array(grid.nodes(hi, lo))
     return grid.node(np.arange(lo + 1, hi + 1))
 
 
@@ -130,9 +141,9 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
 
     The leading coefficient of H_n, Π_{m<n}(2 − (2m+1)q), is positive for
     every bound level, so the right tail of φ_n is positive.  N_n makes
-    the trapezoid norm one (endpoints are implicit zeros).
+    the norm inner_product(φ_n, φ_n, grid) one, in the grid's node
+    weights (endpoints are implicit zeros).
     """
-    require_uniform(grid)
     require_bound(family, n)
     # a level past a double overflows here and its norm refuses it; the
     # error state stays out of the _states_at generator
@@ -343,8 +354,13 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     squares past a double (residual work stops at the first block where
     one does), or if that entry is nonzero and squares below the smallest
     normal double.  Then a state that is zero at every node is refused.
+    A sinh-mapped grid is refused with ConstraintViolatedError: the ladders
+    and the kinetic bands here take h as the spacing in x.
     """
-    require_uniform(grid)
+    if grid.beta:
+        raise ConstraintViolatedError(
+            f"verify needs a grid uniform in x, not one sinh-mapped with "
+            f"beta = {grid.beta:.3g}; build it without n_max")
     require_bound(family, 0)
     count = bound_state_count(family)
     count = 5 if count is None else min(5, count)

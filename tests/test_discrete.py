@@ -731,6 +731,13 @@ def test_eigen_refuses_bands_of_the_wrong_lengths():
             eigenvalue_list(T, 1)
         with pytest.raises(LengthMismatchError, match="needs 1 couplings, got"):
             eigen_tridiagonal(T, 1)
+    # node weights are one scalar or one per row
+    T = TridiagonalOperator([1.0, 2.0], [-1.0])
+    for weights in ([], [1.0], [1.0, 1.0, 1.0]):
+        for call in (discrete.eigenpair_lists, eigen_tridiagonal):
+            with pytest.raises(LengthMismatchError,
+                               match="with 2 rows needs 2 node weights, got"):
+                call(T, 1, weights)
 
 
 @pytest.mark.parametrize("entry, name", [(math.nan, "nan"), (math.inf, "inf"),
@@ -784,11 +791,29 @@ def test_assembly_leaves_overflow_to_the_eigensolver(capsys, grid_n):
 
 @pytest.mark.parametrize("h", [0.0, -0.0, -1.0, math.nan, math.inf])
 def test_eigenpairs_refuse_a_weight_outside_zero_to_inf(h):
+    # as a scalar, and as any one of a list of node weights
     T = TridiagonalOperator([2.0, 2.0], [-1.0])
-    with pytest.raises(ValueError, match="node weight h"):
-        discrete.eigenpair_lists(T, 1, h)
-    with pytest.raises(ValueError, match="node weight h"):
-        eigen_tridiagonal(T, 2, h)
+    for weights in (h, [h, h], [1.0, h], (h, 1.0)):
+        with pytest.raises(ValueError, match="node weight h"):
+            discrete.eigenpair_lists(T, 1, weights)
+        with pytest.raises(ValueError, match="node weight h"):
+            eigen_tridiagonal(T, 2, weights)
+
+
+def test_eigenpairs_refuse_weights_that_do_not_mirror_a_split_operator():
+    # a mirror-symmetric T is solved on its parity blocks, whose rows'
+    # weights stand for their mirror images; one block reads them all
+    weights = [1.0, 2.0, 4.0]
+    split = TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, -1.0])
+    with pytest.raises(ValueError, match="must mirror"):
+        discrete.eigenpair_lists(split, 1, weights)
+    _, vectors = discrete.eigenpair_lists(split, 3, [1.0, 2.0, 1.0])
+    _, lopsided = discrete.eigenpair_lists(
+        TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, -0.5]), 3, weights)
+    for ws, vs in (([1.0, 2.0, 1.0], vectors), (weights, lopsided)):
+        for v in vs:
+            assert math.fsum(w * x * x for w, x in zip(ws, v)) == \
+                pytest.approx(1.0, abs=1e-15)
 
 
 def _traced_peak(call):

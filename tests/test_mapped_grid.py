@@ -101,6 +101,13 @@ def test_orderings_match_their_closed_form_at_second_order(family, lam):
         assert 1.8 <= math.log2(coarse / fine) <= 2.2, (a, c, coarse, fine)
 
 
+def _whole_grid_weights(grid):
+    """The finite-volume weights (x_{i+1} − x_{i−1})/2 written out on every
+    node, the walls being nodes 0 and n+1, as a reference."""
+    edges = grid.nodes(grid.n + 1, -1)
+    return [0.5 * (edges[i + 1] - edges[i - 1]) for i in range(1, grid.n + 1)]
+
+
 def _whole_grid_stencil(fam, grid, ordering):
     """(diag, offdiag) of the mapped stencil written out on every node, from
     the two composition orders and the finite-volume weights, as a
@@ -111,7 +118,7 @@ def _whole_grid_stencil(fam, grid, ordering):
     kappa = [m / (r - l) for m, l, r in zip(
         discrete._powers(masses_on(fam.profile, mids), ordering.b),
         edges, edges[1:])]
-    weight = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
+    weight = _whole_grid_weights(grid)
     ma = discrete._powers(ms, ordering.a)
     mc = discrete._powers(ms, ordering.c)
     potential = potentials_on(fam, xs, ms)
@@ -152,6 +159,10 @@ def test_mapped_stencil_matches_the_whole_grid_and_splits(kind, lam, n):
     fam = make_family(kind, 1.3, lam)
     grid = build_grid(fam, n, n_max=3)
     assert grid.beta == math.sqrt(1.3)
+    # the one node-weight rule is the stencil's, and mirrors bit for bit
+    weights = grid.weights()
+    assert _hex(weights) == _hex(_whole_grid_weights(grid))
+    assert weights == weights[::-1]
     for abc in [(0.0, -1.0, 0.0), (-0.5, 0.0, -0.5), (-0.7, -0.2, -0.1)]:
         ordering = VonRoosOrdering(*abc)
         T = discrete.assemble_lists(fam, grid, ordering)
@@ -163,8 +174,12 @@ def test_mapped_stencil_matches_the_whole_grid_and_splits(kind, lam, n):
 
 @pytest.mark.parametrize("n", [4000, 4001])
 def test_mapped_nodes_mirror_bit_for_bit(n):
+    from pdemosc.susy import _nodes_between
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
     xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    # susy's ndarray nodes are the same math.sinh values
+    assert _hex(_nodes_between(grid, 0, n)) == _hex(xs)
+    assert _hex(_nodes_between(grid, 17, 400)) == _hex(grid.nodes(400, 17))
     assert xs == [-x for x in reversed(xs)]
     assert mids == [-x for x in reversed(mids)]
     assert xs[0] == grid.node(1) and mids[0] == grid.midpoint(0)
@@ -203,7 +218,10 @@ def test_compact_domains_and_unlevelled_grids_stay_uniform():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     assert build_grid(fam, 1000, n_max=5) == build_grid(fam, 1000)
     assert build_grid(fam, 1000).beta == 0.0
-    assert build_grid(make_family(Kind.CASE1, 1.0, 0.1), 1000).beta == 0.0
+    grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), 1000)
+    assert grid.beta == 0.0
+    # a uniform grid's node weight is the scalar h
+    assert grid.weights() == grid.h and isinstance(grid.weights(), float)
 
 
 def test_json_grid_names_its_map():
@@ -221,26 +239,72 @@ def test_json_grid_names_its_map():
     assert doc["grid"] == {"lo": -uniform.hi, "hi": uniform.hi, "n": 1000}
 
 
-# each takes h as the spacing in x and as the trapezoid weight of every node
-UNIFORM_ONLY = {
-    "verify_all": verify_all,
-    "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
+def _weighted_sum(weights, f, g):
+    return math.fsum(w * x * y for w, x, y in zip(weights, f, g))
+
+
+@pytest.mark.parametrize("kind, lam, n_max", [
+    (Kind.CASE1, 0.1, 5), (Kind.CONSTANT, 0.0, 9), (Kind.CASE1, 0.3, 2),
+], ids=["case1-lam0.1", "constant", "case1-lam0.3"])
+def test_mapped_states_are_orthonormal_in_the_node_weights(kind, lam, n_max):
+    # eigenpair_lists returns W^(-1/2) times the eigenvectors of the
+    # weighted stencil; with the sampled closed form on the same grid it
+    # makes a Gram matrix that is I up to the discretization error
+    fam = make_family(kind, 1.0, lam)
+    errors = []
+    for n in (1000, 4000):
+        grid = build_grid(fam, n, n_max=n_max)
+        weights = grid.weights()
+        exact = eigenfunction_lists(fam, n_max, grid)
+        _, numeric = discrete.eigenpair_lists(
+            discrete.assemble_lists(fam, grid), n_max + 1, weights)
+        for phi in exact + numeric:
+            assert abs(_weighted_sum(weights, phi, phi) - 1.0) < 1e-12
+        errors.append(max(abs(_weighted_sum(weights, u, v) - (i == j))
+                          for i, u in enumerate(numeric)
+                          for j, v in enumerate(exact)))
+        # the numpy sampler and quadrature agree with the float ones
+        phi = eigenfunction_samples(fam, n_max, grid)
+        assert abs(inner_product(phi, phi, grid) - 1.0) < 1e-12
+        assert max(abs(a - b) for a, b in zip(phi, exact[-1])) < 1e-13
+    coarse, fine = errors
+    assert coarse < 3e-4 and fine < 2e-5, errors
+    assert 1.8 <= math.log(coarse / fine) / math.log(4.0) <= 2.2, errors
+
+
+# each normalizes in the grid's node weights, where it once took h as the
+# weight of every node and refused a mapped grid
+WEIGHTED = {
+    "eigenfunction_samples": lambda fam, grid: [eigenfunction_samples(fam, 0, grid)],
     "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
-    "inner_product": lambda fam, grid: inner_product([1.0] * grid.n,
-                                                     [1.0] * grid.n, grid),
+    "eigenpair_lists": lambda fam, grid: discrete.eigenpair_lists(
+        discrete.assemble_lists(fam, grid), 1, grid.weights())[1],
 }
 
 
-@pytest.mark.parametrize("name", UNIFORM_ONLY)
+@pytest.mark.parametrize("name", WEIGHTED)
 @pytest.mark.parametrize("kind, lam", [
     (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CONSTANT, 0.0),
 ], ids=["case1", "case2", "constant"])
-def test_uniform_only_calls_refuse_a_mapped_grid(kind, lam, name):
+def test_weighted_calls_answer_on_a_mapped_grid(kind, lam, name):
     fam = make_family(kind, 1.0, lam)
-    call = UNIFORM_ONLY[name]
+    for n_max in (0, 3):
+        grid = build_grid(fam, 1000, n_max=n_max)
+        assert grid.beta, n_max
+        [phi] = WEIGHTED[name](fam, grid)
+        assert abs(inner_product(phi, phi, grid) - 1.0) < 1e-12
+        assert phi[-1] > 0
+
+
+@pytest.mark.parametrize("kind, lam", [
+    (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CONSTANT, 0.0),
+], ids=["case1", "case2", "constant"])
+def test_uniform_only_calls_refuse_a_mapped_grid(kind, lam):
+    # verify_all's ladders and kinetic bands take h as the spacing in x
+    fam = make_family(kind, 1.0, lam)
     for n_max in (0, 3):
         grid = build_grid(fam, 1000, n_max=n_max)
         assert grid.beta, n_max
         with pytest.raises(ConstraintViolatedError, match="beta"):
-            call(fam, grid)
-    call(fam, build_grid(fam, 1000))
+            verify_all(fam, grid)
+    verify_all(fam, build_grid(fam, 1000))

@@ -45,8 +45,11 @@ def sampled_levels(draw):
     count = bound_state_count(fam)
     assume(count != 0)
     n_max = draw(st.integers(0, 40 if count is None else min(40, count - 1)))
+    # s >= 0 also draws the sinh-mapped grid sized for level n_max
+    mapped = fam.profile.s >= 0.0 and draw(st.booleans())
     try:
-        grid = build_grid(fam, draw(st.integers(16, 3000)))
+        grid = build_grid(fam, draw(st.integers(16, 3000)),
+                          n_max=n_max if mapped else None)
     except (InvalidCountError, InvalidLambdaError):
         assume(False)
     return fam, n_max, grid
@@ -70,16 +73,28 @@ def test_float_sampler_past_the_rescale():
                                       (Kind.CASE3, 0.4), (Kind.CONSTANT, 0.0)])
 def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
     fam = make_family(kind, 1.0, lam)
-    grid = build_grid(fam, grid_n)
-    columns = eigenfunction_lists(fam, 8, grid)
-    # every node evaluated, then the trapezoid norm rounded once
-    full = _unnormalized(fam, 8, grid.nodes())
-    for n, (phi, raw) in enumerate(zip(columns, full)):
-        norm = math.sqrt(grid.h * math.fsum(x * x for x in raw))
-        assert [x.hex() for x in phi] == [(x / norm).hex() for x in raw], n
-        assert phi[::-1].tolist() == [(-1) ** n * x for x in phi], n
-        assert phi.odd == (n % 2 == 1)
-        assert phi[-1] > 0
+    # the uniform ground-state box, and the grid sized for level 8: sinh-
+    # mapped on an unbounded domain, the same uniform one on a compact one
+    for grid in (build_grid(fam, grid_n), build_grid(fam, grid_n, n_max=8)):
+        columns = eigenfunction_lists(fam, 8, grid)
+        # every node evaluated, then the norm rounded once: h·Σx² on a
+        # uniform grid, Σ d_i·x² in the finite-volume weights
+        # d_i = (x_{i+1} − x_{i−1})/2 of a mapped one, the walls being
+        # nodes 0 and n+1
+        full = _unnormalized(fam, 8, grid.nodes())
+        edges = grid.nodes(grid_n + 1, -1)
+        weights = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
+        for n, (phi, raw) in enumerate(zip(columns, full)):
+            if grid.beta:
+                norm = math.sqrt(math.fsum(d * (x * x)
+                                           for d, x in zip(weights, raw)))
+            else:
+                norm = math.sqrt(grid.h * math.fsum(x * x for x in raw))
+            assert [x.hex() for x in phi] == [(x / norm).hex() for x in raw], n
+            assert phi[::-1].tolist() == [(-1) ** n * x for x in phi], n
+            assert phi.odd == (n % 2 == 1)
+            assert phi[-1] > 0
+    assert bool(grid.beta) == math.isinf(fam.profile.hi)
 
 
 def test_float_sampler_refusals():
