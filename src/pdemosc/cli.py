@@ -342,16 +342,16 @@ def _cmd_polynomials(args, family) -> int:
 
 def _cmd_verify(args, family) -> int:
     from .discrete import build_grid
-    from .susy import verify_all
-    require_bound(family, 0)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance)
+    from .susy import state_count, verify_all
+    grid = build_grid(family, args.grid_n, args.tail_tolerance,
+                      state_count(family) - 1)
     residuals = verify_all(family, grid)
     for name, entry in residuals.items():
         status = "PASS" if entry.passed else "FAIL"
         print(f"{name}: value={_fmt(entry.value)} "
               f"tolerance={_fmt(entry.tolerance)} {status}")
     payload = {"family": args.family, "alpha": args.alpha, "lambda": args.lam,
-               "grid_n": grid.n,
+               "grid_n": grid.n, "grid": _grid_dict(grid),
                "residuals": {name: {"value": e.value, "tolerance": e.tolerance,
                                     "pass": e.passed}
                              for name, e in residuals.items()}}

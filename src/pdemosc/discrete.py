@@ -85,9 +85,10 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     midpoint n−i is −(midpoint i) bit for bit (sinh is odd); an even mass
     law and potential then give exactly mirror-symmetric bands, which the
     eigensolver splits into parity blocks.  `node` and `midpoint` take an
-    index, or on a uniform grid an ndarray of indices, through the same
-    IEEE operations; `nodes()` and `midpoints()` list runs of them as
-    floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
+    index or an ndarray of indices, through the same IEEE operations
+    (math.sinh entry by entry on a mapped grid), so an array of nodes is
+    `nodes()` bit for bit; `nodes()` and `midpoints()` list runs of them
+    as floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
 
     `weights()` is the one node-weight rule, the w_i of the quadrature
     Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
@@ -98,7 +99,13 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     __slots__ = ()
 
     def _x(self, u):
-        return math.sinh(self.beta * u) / self.beta if self.beta else u
+        b = self.beta
+        if not b:
+            return u
+        if isinstance(u, float):
+            return math.sinh(b * u) / b
+        import numpy as np  # an ndarray of u, from an index array
+        return np.fromiter(map(math.sinh, (b * u).tolist()), float, len(u)) / b
 
     def node(self, i):
         return self._x(self.h * (i - 0.5 * (self.n + 1)))
@@ -260,8 +267,9 @@ def build_grid(family: ShapeInvariantFamily, n: int,
         box2 = _level_box(unified_deformation(family), n_max,
                           tail_tolerance) / c_alpha
     if not math.isfinite(box2):
+        level = f"level {n_max}" if n_max else "the ground state"
         raise InvalidLambdaError(
-            f"the ground state decays too slowly to reach the tail tolerance "
+            f"{level} decays too slowly to reach the tail tolerance "
             f"{tail_tolerance:g} within the range of a double; "
             f"loosen the tail tolerance or weaken the deformation")
     if n_max is None:

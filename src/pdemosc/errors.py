@@ -27,7 +27,7 @@ class InvalidCountError(PdemError):
 
 class ConstraintViolatedError(PdemError):
     """A structural constraint fails: ordering exponents off a + b + c = -1,
-    a polynomial of the wrong parity, or a grid not uniform in x."""
+    or a polynomial of the wrong parity."""
 
 
 class ConvergenceFailureError(PdemError):

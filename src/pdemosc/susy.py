@@ -2,11 +2,15 @@
 
 A = (1/√(2m)) d/dx + W and its adjoint connect the partner Hamiltonians:
 H₋ = A†A, H₊ = AA†, AH₋ = H₊A, and H₊(α₁) = H₋(α₂) + R(α₁).  Here A is a
-tridiagonal operator (centered difference plus diagonal) and A† is its
-exact transpose, which IS the adjoint under the uniform trapezoid weights,
-so `verify_all` refuses a sinh-mapped grid.  Every identity is checked by
-applying both of its sides to sampled states, never by forming an
-operator product: the analytic identities carry O(h²) residuals.  The
+tridiagonal operator (centered difference plus diagonal), and every
+operator and state is taken in the stencil's symmetric frame ṽ = W^½φ,
+W the grid's node weights (Grid.weights): H̃ = W^(−½)KW^(−½) + V, K
+discrete's stencil, and Ã = W^½AW^(−½), whose exact transpose IS the
+adjoint under those weights, on a uniform grid and on a sinh-mapped one
+alike.  On a uniform grid W is h, a factor outside every sum, and
+nothing is rescaled.  Every identity is checked by applying both of its
+sides to sampled states, never by forming an operator product: the
+analytic identities carry O(h²) residuals.  The
 superalgebra of Q = [[0, 0], [A, 0]] is not measured: {Q, Q} = {Q†, Q†}
 = 0 and {Q, Q†} = diag(A†A, AA†) hold for any A, so superalgebra_offdiag
 is reported as an exact 0 against a zero tolerance (the tests prove the
@@ -22,28 +26,27 @@ times as much.
 
 verify_all walks the grid once, in blocks of ROWS rows, each with a halo
 of two rows on either side, since no identity applies more than two
-tridiagonal operators in a row.  Per block it evaluates the nodes, the
-bands of H₋, H₊ and H (one shared kinetic part), of A(α₀) and A(α₁)
-(shared off-bands), and the test states.  On the uniform grids it takes,
-_nodes_between and _kinetic_bands pass index arrays to Grid.node and
-Grid.midpoint, whose IEEE operations are the same per entry, so a
-block's entries are the whole grid's, bit for bit.  _states_at runs
-families.hermite_rows on ndarrays and yields each state H_n·φ₀·2^−e
-with the exponent e of the power of two its block divided it by, so a
-block's states are the whole grid's up to one power of two per
-block.  Every identity is linear in the state, so the states are not
-normalized: each residual's scaled sum of squares and each state's,
-their exponents raised by the block's e, are added up over the blocks,
-and ‖(L − R)v‖/‖v‖ is formed at the end.
-The divisions are exact, so a grid of one block reproduces the
-whole-grid residuals exactly, and more blocks change only the order of
-those sums.  No array as long as the grid is made; the blocks' arrays
-stay in a core's cache.
+tridiagonal operators in a row.  Per block it evaluates the nodes, with
+one more at each end for the node weights, the bands of H₋, H₊ and H (one
+shared kinetic part), of A(α₀) and A(α₁) (shared off-bands), and the test
+states.  Index arrays go to Grid.node and Grid.midpoint, whose operations
+are the same per entry on either map, so a block's entries are the whole
+grid's, bit for bit.  _states_at runs families.hermite_rows on ndarrays
+and yields each state H_n·φ₀·2^−e with the exponent e of the power of
+two its block divided it by, so a block's states are the whole grid's up
+to one power of two per block.  Every identity is linear in the state,
+so the states are not normalized: each residual's scaled sum of squares
+and each state's, their exponents raised by the block's e, are added up
+over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.  The divisions
+are exact, so a grid of one block reproduces the whole-grid residuals
+exactly, and more blocks change only the order of those sums.  No array
+as long as the grid is made; the blocks' arrays stay in a core's cache.
 
 Two evaluations here restate others.  _kinetic_bands is discrete's
 float stencil at the symmetric ordering, on ndarrays for speed, less the
 m⁰ = 1 products, which the float stencil multiplies exactly: the same
-IEEE operations in the same order, so their entries agree bit for bit.
+IEEE operations in the same order, so their entries agree bit for bit on
+either map.
 eigenfunction_samples (_states_at on one whole-grid block, normalized)
 is sampling.eigenfunction_lists from the same recurrence, and the tests'
 reference for it; exp, log1p and the norm's sum differ, so the two agree
@@ -59,11 +62,7 @@ from collections import namedtuple
 import numpy as np
 
 from .discrete import Grid, refuse_overflow
-from .errors import (
-    ConstraintViolatedError,
-    InvalidLambdaError,
-    LengthMismatchError,
-)
+from .errors import InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
     alpha_at,
@@ -92,14 +91,6 @@ def inner_product(f, g, grid: Grid) -> float:
     if isinstance(w, list):
         return float(np.dot(np.multiply(w, f), g))
     return w * float(np.dot(f, g))
-
-
-def _nodes_between(grid: Grid, lo: int, hi: int):
-    """Nodes lo … hi − 1 (counted from 0), bit for bit those of Grid.nodes:
-    from an index array on a uniform grid, from math.sinh on a mapped one."""
-    if grid.beta:
-        return np.array(grid.nodes(hi, lo))
-    return grid.node(np.arange(lo + 1, hi + 1))
 
 
 def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):
@@ -147,8 +138,9 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     require_bound(family, n)
     # a level past a double overflows here and its norm refuses it; the
     # error state stays out of the _states_at generator
+    x = grid.node(np.arange(1, grid.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for phi, _ in _states_at(family, n + 1, _nodes_between(grid, 0, grid.n)):
+        for phi, _ in _states_at(family, n + 1, x):
             pass
     norm = math.sqrt(inner_product(phi, phi, grid))
     require_resolved(norm, n)
@@ -156,23 +148,50 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
     return phi
 
 
-def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, lo: int, hi: int):
-    """(diag, offdiag) of the kinetic stencil on nodes lo … hi − 1.
+class Frame(namedtuple("Frame", "edges d g r")):
+    """The nodes x = edges[1:-1] of a run of rows, with one more node at
+    each end, and the symmetric frame ṽ = W^½φ on them: the node weights
+    d_i = (x_{i+1} − x_{i−1})/2 (discrete._node_weights), the coupling
+    scales g_i = √(d_i d_{i+1}) and the factors r_i = √d_i that take a
+    state into the frame.  On a uniform grid d and g are h and r is 1:
+    nothing is rescaled, and h stays a weight outside every sum."""
+
+    __slots__ = ()
+
+
+def _frame(grid: Grid, first: int, stop: int) -> Frame:
+    """The Frame of rows first … stop − 1, nodes first + 1 … stop."""
+    edges = grid.node(np.arange(first, stop + 2))
+    if not grid.beta:
+        return Frame(edges, grid.h, grid.h, 1.0)
+    d = 0.5 * (edges[2:] - edges[:-2])
+    return Frame(edges, d, np.sqrt(d[:-1] * d[1:]), np.sqrt(d))
+
+
+def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, first: int,
+                   frame: Frame):
+    """(diag, offdiag) of the kinetic stencil on rows first, first + 1, …
+    in their Frame: D^(−½)KD^(−½).
 
     discrete's stencil at the symmetric ordering (0, −1, 0), less its
     products with the outer mass powers m⁰ = 1, which the float stencil
     multiplies exactly; what remains is the same sequence of operations
-    on the same inputs (Grid.midpoint).  The potential adds to diag.
-    Entries past a double are inf, as are 1/m where m underflows to 0 and
-    1/h² where h² does, and 0/0 is NaN: the overflow refusal names them
-    all, as the float stencil does.
+    on the same inputs (Grid.midpoint, and the spacings and weights of
+    these nodes), on either map.  The potential adds to diag.  Entries
+    past a double are inf, as are 1/m where m underflows to 0 and 1/h²
+    where h² does, and 0/0 is NaN: the overflow refusal names them all,
+    as the float stencil does.
     """
-    mids = grid.midpoint(np.arange(lo, hi + 1))
-    h2 = grid.h * grid.h
+    edges, d, g, _ = frame
+    mids = grid.midpoint(np.arange(first, first + len(edges) - 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = 1.0 / mass_at(family.profile, mids)
-        win = w[1:-1] / h2
-        return (0.5 * (w[:-1] + w[1:]) / h2,
+        if grid.beta:  # the finite-volume scheme: m⁻¹/(x_{i+1} − x_i)
+            w /= np.diff(edges)
+        else:
+            d = g = d * d  # h², in one rounding, as the float stencil
+        win = w[1:-1] / g
+        return (0.5 * (w[:-1] + w[1:]) / d,
                 -0.125 * ((win + win) + (win + win)))
 
 
@@ -268,22 +287,25 @@ ROWS = 8192
 HALO = 2
 
 
-def _ladders(family: ShapeInvariantFamily, grid: Grid, x, alphas) -> list:
-    """A(α) = diag(1/√(2m))·D_central + diag(W(·; α)) on the nodes x for
-    each α in alphas; they share their off-bands.  A† is A.transpose(), the
-    adjoint under the uniform quadrature weights, and at the ends of x the
-    centered difference drops the exterior (zero) neighbor."""
+def _ladders(family: ShapeInvariantFamily, frame: Frame, alphas) -> list:
+    """W^½AW^(−½), A(α) = diag(1/√(2m))·D_central + diag(W(·; α)), on
+    the nodes x of a Frame, for each α in alphas; they share
+    their off-bands ±s_i/(2g_i), s = 1/√(2m), which are 1/(2h) times s on
+    a uniform grid.  In the frame A† is A.transpose(), the adjoint under
+    the node weights, and at the ends of x the centered difference drops
+    the exterior (zero) neighbor."""
+    x = frame.edges[1:-1]
     s = 1.0 / np.sqrt(2.0 * mass_at(family.profile, x))
-    inv2h = 1.0 / (2.0 * grid.h)
-    lower, upper = -s[1:] * inv2h, s[:-1] * inv2h
+    inv2g = 1.0 / (2.0 * frame.g)
+    lower, upper = -s[1:] * inv2g, s[:-1] * inv2g
     return [Banded(lower, superpotential_at(family, alpha, x), upper)
             for alpha in alphas]
 
 
 # === residual measurement on smooth states ===
 
-def _scaled_sq_norm(v, grid: Grid, shift: int):
-    """(h·Σ(v/2^e)², e + shift) with 2^e > max|v|; the scaling is exact.
+def _scaled_sq_norm(v, weight: float, shift: int):
+    """(weight·Σ(v/2^e)², e + shift), 2^e > max|v|; the scaling is exact.
 
     That is the pair of v·2^shift.  Dividing by a power of two near the
     largest entry before squaring does not move ordinary residuals, and
@@ -292,7 +314,7 @@ def _scaled_sq_norm(v, grid: Grid, shift: int):
     """
     _, e = math.frexp(max(float(v.max()), -float(v.min())))
     np.ldexp(v, -e, out=v)
-    return grid.h * float(np.dot(v, v)), e + shift
+    return weight * float(np.dot(v, v)), e + shift
 
 
 def _merged(parts):
@@ -306,18 +328,18 @@ def _merged(parts):
     return math.fsum(math.ldexp(rr, 2 * (eb - e)) for rr, eb in parts), e
 
 
-def _block_hamiltonians(family: ShapeInvariantFamily, grid: Grid, x,
-                        first: int, stop: int):
-    """The bands of H₋, H₊ and H on nodes first … stop − 1: three
-    diagonals and their shared kinetic off-diagonal.
+def _block_hamiltonians(family: ShapeInvariantFamily, grid: Grid,
+                        first: int, frame: Frame):
+    """The bands of H₋, H₊ and H on rows first, first + 1, … in their
+    Frame: three diagonals and their shared kinetic off-diagonal.
 
     H∓ are assembled from the closed-form partner potentials, not from the
     ladder, so the intertwinings exercise the Riccati forms independently.
     c·α² may overflow to inf, and inf·0 at a centre node is nan; the
     overflow refusal names both.
     """
-    kinetic, off = _kinetic_bands(family, grid, first, stop)
-    a0 = family.alpha0
+    kinetic, off = _kinetic_bands(family, grid, first, frame)
+    a0, x = family.alpha0, frame.edges[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
         return [kinetic + v for v in (potential_minus(family, a0, x),
                                       potential_plus(family, a0, x),
@@ -344,6 +366,15 @@ def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
         yield "annihilation", av
 
 
+def state_count(family: ShapeInvariantFamily) -> int:
+    """How many test states verify_all takes, the lowest levels: five, or
+    every bound one where fewer are bound; a family that binds no state
+    is refused (require_bound).  `verify` sizes its grid for the highest."""
+    require_bound(family, 0)
+    count = bound_state_count(family)
+    return 5 if count is None else min(5, count)
+
+
 def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     """{name: ResidualEntry} for every residual, in RESIDUAL_TOLERANCES'
     order, each judged against its α = 1 tolerance times α^p.
@@ -354,17 +385,12 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     squares past a double (residual work stops at the first block where
     one does), or if that entry is nonzero and squares below the smallest
     normal double.  Then a state that is zero at every node is refused.
-    A sinh-mapped grid is refused with ConstraintViolatedError: the ladders
-    and the kinetic bands here take h as the spacing in x.
+    The states of state_count(family) are tested, on any grid, in the
+    symmetric frame of its node weights (Frame).
     """
-    if grid.beta:
-        raise ConstraintViolatedError(
-            f"verify needs a grid uniform in x, not one sinh-mapped with "
-            f"beta = {grid.beta:.3g}; build it without n_max")
-    require_bound(family, 0)
-    count = bound_state_count(family)
-    count = 5 if count is None else min(5, count)
-    n, a0 = grid.n, family.alpha0
+    count = state_count(family)
+    # the weight outside every sum: h, or 1 in a mapped grid's frame
+    n, a0, unit = grid.n, family.alpha0, 1.0 if grid.beta else grid.weights()
     a1, e0, r = alpha_at(family, 1), 0.5 * a0, remainder(family, a0)
     sums, norms = {}, [[] for _ in range(count)]
     # one running _band_extent each for H₋, H₊ and H
@@ -372,26 +398,28 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)
-        x = _nodes_between(grid, first, stop)
-        diags, off = _block_hamiltonians(family, grid, x, first, stop)
+        frame = _frame(grid, first, stop)
+        diags, off = _block_hamiltonians(family, grid, first, frame)
         extents = [_band_extent(diag, off, ext)
                    for ext, diag in zip(extents, diags)]
         # past a block where an operator overflows, only its refusal is left
         if not all(map(_representable, extents)):
             continue
-        a, a_next = _ladders(family, grid, x, (a0, a1))
+        a, a_next = _ladders(family, frame, (a0, a1))
         ops = (a, a.transpose(), a_next, a_next.transpose(),
                *(Banded(off, d, off) for d in diags))
         own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)
-        for k, (v, e) in enumerate(_states_at(family, count, x)):
+        states = _states_at(family, count, frame.edges[1:-1])
+        for k, (v, e) in enumerate(states):
+            v *= frame.r
             if trim.start < trim.stop:
                 for name, res in _identity_residuals(ops, v, k == 0, e0, r):
                     sums.setdefault((name, k), []).append(
-                        _scaled_sq_norm(res[trim], grid, e))
+                        _scaled_sq_norm(res[trim], unit, e))
             # last, since _scaled_sq_norm overwrites v's own rows
-            norms[k].append(_scaled_sq_norm(v[own], grid, e))
+            norms[k].append(_scaled_sq_norm(v[own], unit, e))
     for ext in extents:  # H₋, then H₊, then H, as they are assembled
         _require_representable(ext)
     norms = [_merged(parts) for parts in norms]

@@ -31,7 +31,6 @@ from pdemosc import (
 from pdemosc import discrete
 from pdemosc.discrete import eigenvalue_list
 from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
-from pdemosc.susy import _nodes_between
 
 
 def random_tridiagonal(rng, n, scale=1.0):
@@ -72,7 +71,7 @@ def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     assert mids == [-x for x in reversed(mids)]
     assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
     # the numpy nodes come from the same IEEE operations
-    assert _nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+    assert grid.node(np.arange(1, n + 1)).tobytes() == np.array(xs).tobytes()
 
 
 # the boxes (−hi, hi)
@@ -82,9 +81,9 @@ def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
     # odd and even N, whole grid and blocks
     grid = uniform_grid(hi, n)
     xs = grid.nodes()
-    assert _nodes_between(grid, 0, n).tobytes() == np.array(xs).tobytes()
+    assert grid.node(np.arange(1, n + 1)).tobytes() == np.array(xs).tobytes()
     for lo, stop in [(0, 1), (17, 2048), (n - 5, n)]:
-        assert (_nodes_between(grid, lo, stop).tobytes()
+        assert (grid.node(np.arange(lo + 1, stop + 1)).tobytes()
                 == np.array(xs[lo:stop]).tobytes())
 
 
@@ -196,7 +195,7 @@ def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
        st.data())
 def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
     # node n+1−i is −(node i) and midpoint n−i is −(midpoint i) bit for
-    # bit, a centre entry is +0.0, and _nodes_between slices the nodes; a
+    # bit, a centre entry is +0.0, and an index array slices the nodes; a
     # half-width whose spacing rounds to 0 lays out no grid and is refused
     if (hi + hi) / (n + 1) == 0.0:
         with pytest.raises(ValueError, match="half-width"):
@@ -210,8 +209,9 @@ def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
     xs = np.array(grid.nodes())
     lo = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(lo + 1, n))
-    assert _nodes_between(grid, lo, stop).tobytes() == xs[lo:stop].tobytes()
-    assert _nodes_between(grid, 0, n).tobytes() == xs.tobytes()
+    assert (grid.node(np.arange(lo + 1, stop + 1)).tobytes()
+            == xs[lo:stop].tobytes())
+    assert grid.node(np.arange(1, n + 1)).tobytes() == xs.tobytes()
 
 
 @pytest.mark.parametrize("kind, lam", [

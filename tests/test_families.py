@@ -40,7 +40,7 @@ from pdemosc import (
     VonRoosOrdering,
 )
 from pdemosc.families import require_bound
-from pdemosc.susy import _ladders, _nodes_between
+from pdemosc.susy import _frame, _ladders
 
 # A handful of parameter points that exercise every mass profile, including
 # deformations of both signs where the family allows them.
@@ -374,8 +374,8 @@ AT_POINTS = {
 ON_GRIDS = {
     "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
     "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
-    "ladders": lambda fam, grid: _ladders(
-        fam, grid, _nodes_between(grid, 0, grid.n), (1.0,)),
+    "ladders": lambda fam, grid: _ladders(fam, _frame(grid, 0, grid.n),
+                                          (1.0,)),
     "verify_all": verify_all,
 }
 

@@ -1,4 +1,5 @@
-"""The sinh-mapped grid of `spectrum` and `compare-ordering` for s ≥ 0.
+"""The sinh-mapped grid of `spectrum`, `compare-ordering` and `verify` for
+s ≥ 0.
 
 Each claim is checked through the command line where it is a claim about
 its output, and on the library's bands where it is a claim about the
@@ -10,6 +11,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pdemosc import (
@@ -23,7 +25,7 @@ from pdemosc import (
     verify_all,
 )
 from pdemosc import discrete
-from pdemosc.errors import ConstraintViolatedError, InvalidLambdaError
+from pdemosc.errors import InvalidLambdaError
 from pdemosc.families import (
     VonRoosOrdering,
     masses_on,
@@ -174,12 +176,12 @@ def test_mapped_stencil_matches_the_whole_grid_and_splits(kind, lam, n):
 
 @pytest.mark.parametrize("n", [4000, 4001])
 def test_mapped_nodes_mirror_bit_for_bit(n):
-    from pdemosc.susy import _nodes_between
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
     xs, mids = grid.nodes(), grid.midpoints(n + 1)
-    # susy's ndarray nodes are the same math.sinh values
-    assert _hex(_nodes_between(grid, 0, n)) == _hex(xs)
-    assert _hex(_nodes_between(grid, 17, 400)) == _hex(grid.nodes(400, 17))
+    # the nodes of an index array are the same math.sinh values
+    assert _hex(grid.node(np.arange(1, n + 1))) == _hex(xs)
+    assert _hex(grid.node(np.arange(18, 401))) == _hex(grid.nodes(400, 17))
+    assert _hex(grid.midpoint(np.arange(n + 1))) == _hex(mids)
     assert xs == [-x for x in reversed(xs)]
     assert mids == [-x for x in reversed(mids)]
     assert xs[0] == grid.node(1) and mids[0] == grid.midpoint(0)
@@ -299,12 +301,44 @@ def test_weighted_calls_answer_on_a_mapped_grid(kind, lam, name):
 @pytest.mark.parametrize("kind, lam", [
     (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CONSTANT, 0.0),
 ], ids=["case1", "case2", "constant"])
-def test_uniform_only_calls_refuse_a_mapped_grid(kind, lam):
-    # verify_all's ladders and kinetic bands take h as the spacing in x
+def test_verify_all_answers_on_a_mapped_grid(kind, lam):
+    # verify_all takes its residuals in the frame of the node weights, so
+    # the level box passes as the uniform ground-state box does
     fam = make_family(kind, 1.0, lam)
     for n_max in (0, 3):
         grid = build_grid(fam, 1000, n_max=n_max)
         assert grid.beta, n_max
-        with pytest.raises(ConstraintViolatedError, match="beta"):
-            verify_all(fam, grid)
+        report = verify_all(fam, grid)
+        assert all(e.passed for e in report.values()), (n_max, report)
     verify_all(fam, build_grid(fam, 1000))
+
+
+@pytest.mark.parametrize("family, lam", [
+    ("case1", "0.12"), ("case1", "0.2"), ("case1", "0.3"), ("case1", "0.45"),
+    ("case2", "5"),
+])
+def test_verify_passes_on_the_level_box_at_default_flags(capsys, family, lam):
+    # on the uniform ground-state box these exited 3 on correct code, at
+    # 2.5 to 1e4 times a tolerance; verify now sizes its sinh-mapped box
+    # for its highest test state, as spectrum does for its highest level
+    code = run(["verify", "--family", family, "--lambda", lam])
+    out, err = capsys.readouterr()
+    payload = json.loads(out.splitlines()[-1])
+    assert code == 0 and err == "", payload
+    assert payload["grid"]["map"] == "sinh" and payload["grid"]["n"] == 4000
+
+
+@pytest.mark.parametrize("kind, lam", [(Kind.CASE1, 0.3), (Kind.CONSTANT, 0.0)],
+                         ids=["case1", "constant"])
+def test_verify_residuals_are_second_order_on_the_level_box(kind, lam):
+    # each measured residual falls as h² in u from N = 4000 to 16000
+    from pdemosc.susy import state_count
+
+    fam = make_family(kind, 1.0, lam)
+    n_max = state_count(fam) - 1
+    coarse, fine = (verify_all(fam, build_grid(fam, n, n_max=n_max))
+                    for n in (4000, 16000))
+    for name, entry in coarse.items():
+        if entry.tolerance:
+            order = math.log(entry.value / fine[name].value) / math.log(4.0)
+            assert 1.8 <= order <= 2.2, (name, order)

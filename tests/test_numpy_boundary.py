@@ -18,6 +18,7 @@ from pdemosc import (
     InvalidCountError,
     InvalidLambdaError,
     Kind,
+    NotABoundStateError,
     VonRoosOrdering,
     assemble_sturm_liouville,
     assemble_von_roos,
@@ -29,7 +30,7 @@ from pdemosc.discrete import assemble_lists, eigenvalue_list
 from pdemosc.susy import (
     _band_extent,
     _block_hamiltonians,
-    _nodes_between,
+    _frame,
     _require_representable,
 )
 
@@ -133,17 +134,25 @@ LAMBDAS = {
 def families_on_grids(draw):
     kind = draw(st.sampled_from(list(Kind)))
     fam = make_family(kind, draw(st.floats(0.5, 2.0)), draw(LAMBDAS[kind]))
+    # the uniform ground-state box, or a level box, sinh-mapped where the
+    # domain is unbounded
+    n_max = draw(st.sampled_from([None, 0, 4]))
     try:
-        return fam, build_grid(fam, draw(st.integers(16, 3000)))
+        return fam, build_grid(fam, draw(st.integers(16, 3000)), n_max=n_max)
     except InvalidCountError:  # a coarse grid that misses the ground state
+        assume(False)
+    except (NotABoundStateError, InvalidLambdaError):
+        # a level past the cutoff, or whose box leaves the range of a double
+        if n_max is None:
+            raise
         assume(False)
 
 
 def whole_grid_hamiltonian(fam, grid):
     """verify's bands of H on one block of the whole grid, refused as
     verify refuses them."""
-    x = _nodes_between(grid, 0, grid.n)
-    (_, _, diag), off = _block_hamiltonians(fam, grid, x, 0, grid.n)
+    (_, _, diag), off = _block_hamiltonians(fam, grid, 0,
+                                            _frame(grid, 0, grid.n))
     _require_representable(_band_extent(diag, off, (math.nan, False)))
     return diag, off
 

@@ -30,8 +30,8 @@ from pdemosc.susy import (
     Banded,
     _band_extent,
     _block_hamiltonians,
+    _frame,
     _ladders,
-    _nodes_between,
     _require_representable,
 )
 
@@ -73,7 +73,7 @@ def test_banded_matvec_and_product_match_dense():
 
 def ladder(fam, alpha, grid):
     """verify_all's A(α) on one block of the whole grid."""
-    return _ladders(fam, grid, _nodes_between(grid, 0, grid.n), (alpha,))[0]
+    return _ladders(fam, _frame(grid, 0, grid.n), (alpha,))[0]
 
 
 def test_ladder_adjoint_under_quadrature():
@@ -109,7 +109,7 @@ def test_ladder_bands_shape():
 
 def dense_ladder(fam, alpha, grid):
     # A = diag(1/sqrt(2m)) D + diag(W), D the centered difference
-    n, h, x = grid.n, grid.h, _nodes_between(grid, 0, grid.n)
+    n, h, x = grid.n, grid.h, grid.node(np.arange(1, grid.n + 1))
     d = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
     s = 1.0 / np.sqrt(2.0 * mass_at(fam.profile, x))
     return np.diag(s) @ d + np.diag(superpotential_at(fam, alpha, x))
@@ -122,8 +122,7 @@ def dense_tridiagonal(diag, off):
 def whole_grid_hamiltonians(fam, grid):
     """The bands (H₋, H₊, H) of verify_all on one block of the whole grid,
     each (diag, offdiag) and refused in that order as verify_all refuses."""
-    x = _nodes_between(grid, 0, grid.n)
-    diags, off = _block_hamiltonians(fam, grid, x, 0, grid.n)
+    diags, off = _block_hamiltonians(fam, grid, 0, _frame(grid, 0, grid.n))
     for diag in diags:
         _require_representable(_band_extent(diag, off, (math.nan, False)))
     return [(diag, off) for diag in diags]
@@ -221,15 +220,16 @@ def test_verify_all_report_layout():
     assert all(e.passed for e in report.values())
 
 
-@pytest.mark.parametrize("kind,lam", [(Kind.CASE3, 0.2), (Kind.CASE1, 0.3)])
-def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
+@pytest.mark.parametrize("kind,lam,n_max", [
+    (Kind.CASE3, 0.2, None), (Kind.CASE1, 0.3, None), (Kind.CASE1, 0.3, 2)])
+def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
     # one pass: each block of ROWS rows, with its two-row halo, evaluates
-    # every state and the bands of every operator once
+    # every state and the bands of every operator once, on either map
     from pdemosc import susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
     fam = make_family(kind, 1.0, lam)
-    grid = build_grid(fam, 800)
+    grid = build_grid(fam, 800, n_max=n_max)
     count = bound_state_count(fam)
     count = 5 if count is None else min(5, count)
     calls = []
@@ -244,9 +244,9 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
 
     kinetic_bands = susy._kinetic_bands
 
-    def counted_kinetic(family, g, lo, hi):
-        calls.append(("kinetic", g.node(lo + 1), hi - lo))
-        return kinetic_bands(family, g, lo, hi)
+    def counted_kinetic(family, g, first, frame):
+        calls.append(("kinetic", g.node(first + 1), len(frame.edges) - 2))
+        return kinetic_bands(family, g, first, frame)
     monkeypatch.setattr(susy, "_kinetic_bands", counted_kinetic)
     monkeypatch.setattr(susy, "_states_at", counted(
         "states", susy._states_at, lambda f, k, x: (k,)))
@@ -277,12 +277,14 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam):
 # verify_all as it ran before it walked the grid in blocks: every operator
 # and state on the whole grid, in phases.  The block walk must reproduce
 # it to rounding, and bit for bit on a grid of one block.  Each identity
-# is linear in the state, so the states are H_n·φ₀, not normalized.
+# is linear in the state, so the states are H_n·φ₀, not normalized.  On a
+# mapped grid they are taken by √w into the frame of the node weights w,
+# where the weight outside the sums is 1; on a uniform one it is h.
 
 def _reference_scaled_sq_norm(v, grid):
     _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
     u = np.ldexp(v, -e)
-    return grid.h * float(np.dot(u, u)), e
+    return (1.0 if grid.beta else grid.h) * float(np.dot(u, u)), e
 
 
 def _reference_max_residual(residual_fn, states, grid):
@@ -298,6 +300,8 @@ def reference_residuals(fam, grid):
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
+    if grid.beta:
+        states = [v * np.sqrt(grid.weights()) for v in states]
     a0 = fam.alpha0
     h_minus, h_plus, h = (Banded(off, diag, off)
                           for diag, off in whole_grid_hamiltonians(fam, grid))
@@ -320,17 +324,19 @@ def reference_residuals(fam, grid):
     }
 
 
-@pytest.mark.parametrize("kind, alpha, lam", [
-    (Kind.CASE1, 1.0, 0.1), (Kind.CASE1, 1.0, -0.3), (Kind.CASE1, 100.0, 10.0),
+@pytest.mark.parametrize("kind, alpha, lam, n_max", [
+    (Kind.CASE1, 1.0, 0.1, None), (Kind.CASE1, 1.0, -0.3, None),
+    (Kind.CASE1, 100.0, 10.0, None), (Kind.CASE1, 1.0, 0.3, 2),
 ])
-def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam):
+def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam, n_max):
     # block edges may fall anywhere: N = k·ROWS + r for r = 0 … 3, odd and
-    # even N, on an unbounded domain, a compact one and at a large alpha
+    # even N, on an unbounded domain, uniform and sinh-mapped, a compact
+    # one and at a large alpha
     from pdemosc import susy
 
     fam = make_family(kind, alpha, lam)
     for n in (16, 37, 370, 371, 372, 373, 407, 408):
-        grid = build_grid(fam, n)
+        grid = build_grid(fam, n, n_max=n_max)
         want = reference_residuals(fam, grid)
         monkeypatch.setattr(susy, "ROWS", 37)
         got = {k: e.value for k, e in verify_all(fam, grid).items()}
@@ -355,14 +361,14 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
 
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2001)
-    whole = list(_states_at(fam, 171, _nodes_between(grid, 0, grid.n)))
+    whole = list(_states_at(fam, 171, grid.node(np.arange(1, grid.n + 1))))
     assert whole[-1][1] > 0
     for n in (0, 150, 170):
         v = whole[n][0]
         phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
-        rows = list(_states_at(fam, 171, _nodes_between(grid, lo, hi)))
+        rows = list(_states_at(fam, 171, grid.node(np.arange(lo + 1, hi + 1))))
         assert len(rows) == 171
         assert all(np.array_equal(np.ldexp(row, e - ew), v[lo:hi])
                    for (row, e), (v, ew) in zip(rows, whole)), (lo, hi)
@@ -373,7 +379,7 @@ def _reference_whole_grid_states(fam, count, grid):
     # chooses each division from the grid's own maxima as it goes
     from pdemosc import ground_state_unnormalized, unified_deformation
 
-    q, x = unified_deformation(fam), _nodes_between(grid, 0, grid.n)
+    q, x = unified_deformation(fam), grid.node(np.arange(1, grid.n + 1))
     zeta = math.sqrt(fam.profile.c * fam.alpha0) * x
     zeta_max = float(np.max(np.abs(zeta)))
     h_prev, h_cur = np.zeros_like(zeta), np.ones_like(zeta)
@@ -419,14 +425,14 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     assert bool(shifts) == (hi is not None) and min(shifts, default=0) < 4
     exponents = [sum(e for m, e in shifts.items() if m < k)
                  for k in range(count)]
-    whole = list(_states_at(fam, count, _nodes_between(grid, 0, n)))
+    whole = list(_states_at(fam, count, grid.node(np.arange(1, n + 1))))
     assert [e for _, e in whole] == exponents
     assert all(np.array_equal(v, want)
                for (v, _), want in zip(whole, states, strict=True))
     divided = []
     for lo in range(0, n, 37):
         stop = min(lo + 37, n)
-        got = _states_at(fam, count, _nodes_between(grid, lo, stop))
+        got = _states_at(fam, count, grid.node(np.arange(lo + 1, stop + 1)))
         for k, ((v, e), want, ew) in enumerate(
                 zip(got, states, exponents, strict=True)):
             assert np.array_equal(np.ldexp(v, e - ew), want[lo:stop]), (lo, k)
@@ -571,10 +577,12 @@ def test_tolerances_scale_as_alpha_powers():
 
 
 @pytest.mark.parametrize("alpha", [1.0, 100.0])
-@pytest.mark.parametrize("mutation", ["h-plus-both-sides", "perturbed-ladder"])
+@pytest.mark.parametrize("mutation", ["h-plus-both-sides", "perturbed-ladder",
+                                      "scaled-remainder"])
 def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
     # a wrong operator must FAIL however large alpha makes the tolerances,
-    # on an unbounded domain and on a compact one (q = -0.045 for case3)
+    # on an unbounded domain, uniform and on the sinh-mapped level box
+    # verify builds, and on a compact one (q = -0.045 for case3)
     from pdemosc import susy
 
     families = [make_family(Kind.CASE1, alpha, 0.1 * alpha),
@@ -582,13 +590,22 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
     # one block of rows, and several
     assert 4000 <= susy.ROWS < 20001
     cases = [(fam, build_grid(fam, n)) for fam in families for n in (4000, 20001)]
+    cases += [(families[0], build_grid(families[0], n, n_max=4))
+              for n in (2000, 4000, 20001)]
     for fam, grid in cases:
         assert all(e.passed for e in verify_all(fam, grid).values())
     if mutation == "h-plus-both-sides":
         # A H+ = H+ A in place of A H- = H+ A
         monkeypatch.setattr(susy, "potential_minus", susy.potential_plus)
         failing = {"intertwine_minus", "intertwine_plus"}
+    elif mutation == "scaled-remainder":
+        # R(α) × 1.01 in the shift identity
+        honest = susy.remainder
+        monkeypatch.setattr(susy, "remainder",
+                            lambda f, a: 1.01 * honest(f, a))
+        failing = {"shift_identity"}
     else:
+        # W at 1.01α
         honest = susy.superpotential_at
         monkeypatch.setattr(susy, "superpotential_at",
                             lambda f, a, x: 1.01 * honest(f, a, x))
@@ -614,8 +631,16 @@ def test_report_json_schema(tmp_path, capsys):
         # "-0" is the one JSON integer whose sign a Python int drops
         d = json.loads((out_dir / "verify.json").read_text(),
                        parse_int=lambda s: float(s) if s == "-0" else int(s))
-        assert list(d) == ["family", "alpha", "lambda", "grid_n", "residuals"]
+        assert list(d) == ["family", "alpha", "lambda", "grid_n", "grid",
+                           "residuals"]
         assert d["family"] == family and d["grid_n"] == n
+        # the box and map verify chose, as spectrum reports them: the
+        # sinh-mapped level box on an unbounded domain
+        fam = make_family(Kind(family), float(alpha), float(lam))
+        mapped = math.isinf(fam.profile.hi)
+        assert list(d["grid"]) == ["lo", "hi", "n"] + ["map", "scale"] * mapped
+        assert d["grid"]["n"] == n and d["grid"]["lo"] == -d["grid"]["hi"]
+        assert d["grid"].get("map") == ("sinh" if mapped else None)
         assert float(d["alpha"]).hex() == float(alpha).hex()
         assert float(d["lambda"]).hex() == float(lam).hex()
         assert list(d["residuals"]) == RESIDUAL_NAMES
