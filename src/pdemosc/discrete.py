@@ -75,6 +75,11 @@ from .families import (
 )
 
 
+# entries per run of an index array that Grid.node and Grid.midpoint
+# take through math.sinh: a run's results take one array of this length
+SINH_CHUNK = 1024
+
+
 class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     """Interior grid of n nodes, uniform in u with spacing h on (−hi, hi),
     at x = sinh(βu)/β, or at x = u where beta is 0; the endpoints carry
@@ -86,9 +91,11 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     law and potential then give exactly mirror-symmetric bands, which the
     eigensolver splits into parity blocks.  `node` and `midpoint` take an
     index or an ndarray of indices, through the same IEEE operations
-    (math.sinh entry by entry on a mapped grid), so an array of nodes is
-    `nodes()` bit for bit; `nodes()` and `midpoints()` list runs of them
-    as floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
+    (math.sinh entry by entry on a mapped grid, SINH_CHUNK entries at a
+    time), so an array of nodes is `nodes()` bit for bit; an array goes
+    into `out` where one of its length is given.  `nodes()` and
+    `midpoints()` list runs of them as floats.  Node 0 and node n+1 are
+    the walls, at about ∓`wall`.
 
     `weights()` is the one node-weight rule, the w_i of the quadrature
     Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
@@ -100,18 +107,31 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
 
     def _x(self, u):
         b = self.beta
-        if not b:
-            return u
-        if isinstance(u, float):
-            return math.sinh(b * u) / b
-        import numpy as np  # an ndarray of u, from an index array
-        return np.fromiter(map(math.sinh, (b * u).tolist()), float, len(u)) / b
+        return math.sinh(b * u) / b if b else u
 
-    def node(self, i):
-        return self._x(self.h * (i - 0.5 * (self.n + 1)))
+    def _x_at(self, i, mid: float, out):
+        """x at u = h·(i − mid) of an index i, or of an ndarray of them."""
+        if not hasattr(i, "__len__"):
+            return self._x(self.h * (i - mid))
+        import numpy as np
+        u = np.subtract(i, mid, out=out)
+        u *= self.h
+        b = self.beta
+        if b:
+            u *= b
+            # a memoryview yields the floats math.sinh takes, and no list of
+            # them is made; a run's results are stored before the next's
+            for k in range(0, len(u), SINH_CHUNK):
+                run = u[k:k + SINH_CHUNK]
+                np.divide(np.fromiter(map(math.sinh, memoryview(run)), float,
+                                      len(run)), b, out=run)
+        return u
 
-    def midpoint(self, i):
-        return self._x(self.h * (i - 0.5 * self.n))
+    def node(self, i, out=None):
+        return self._x_at(i, 0.5 * (self.n + 1), out)
+
+    def midpoint(self, i, out=None):
+        return self._x_at(i, 0.5 * self.n, out)
 
     @property
     def wall(self) -> float:

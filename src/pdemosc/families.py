@@ -234,8 +234,10 @@ def hermite_rows(family: ShapeInvariantFamily, count: int, zeta, one,
 
     Both grid samplers run it on vectors of their own kind: one is H_0,
     step(a, ζ, h, b, g) = a·ζ·h − b·g, top_of(v) = max|v| and
-    scaled(v, k) = v·2^k.  H_n outgrows a double at high degree (on the
-    default box, the squared norm of H_n φ_0 does from n = 150), so
+    scaled(v, k) = v·2^k.  H_0 may be the scalar 1 where these three take
+    it; step may store its result over g, which the recurrence drops, and
+    scaled may scale v in place.  H_n outgrows a double at high degree (on
+    the default box, the squared norm of H_n φ_0 does from n = 150), so
     whenever a running bound on max|H_m| passes 2^256, the pair
     (H_{m−1}, H_m) is divided by the power of two just above max|H_m|,
     and e counts the divisions.  The bound depends on the degree only, so

@@ -29,12 +29,17 @@ of two rows on either side, since no identity applies more than two
 tridiagonal operators in a row.  Per block it evaluates the nodes, with
 one more at each end for the node weights, the bands of H₋, H₊ and H (one
 shared kinetic part), of A(α₀) and A(α₁) (shared off-bands), and the test
-states.  Index arrays go to Grid.node and Grid.midpoint, whose operations
-are the same per entry on either map, so a block's entries are the whole
-grid's, bit for bit.  _states_at runs families.hermite_rows on ndarrays
-and yields each state H_n·φ₀·2^−e with the exponent e of the power of
-two its block divided it by, so a block's states are the whole grid's up
-to one power of two per block.  Every identity is linear in the state,
+states.  They go into the rows of one array, allocated once per call at
+the longest block's length and refilled by every block (the shorter last
+block uses the front of each row); rows whose arrays are done with hold
+the next ones, so a block holds 13 rows, 14 on a mapped grid, besides
+the residuals' temporaries.  Every entry is formed by the same IEEE
+operations as in a fresh array.  Index arrays go to Grid.node and
+Grid.midpoint, whose operations are the same per entry on either map, so
+a block's entries are the whole grid's, bit for bit.  _states_at runs
+families.hermite_rows on ndarrays and yields each state H_n·φ₀·2^−e
+with the exponent e of the power of two its block divided it by, so a
+block's states are the whole grid's up to one power of two per block.  Every identity is linear in the state,
 so the states are not normalized: each residual's scaled sum of squares
 and each state's, their exponents raised by the block's e, are added up
 over the blocks, and ‖(L − R)v‖/‖v‖ is formed at the end.  The divisions
@@ -112,19 +117,45 @@ def ground_state_unnormalized(family: ShapeInvariantFamily, x):
     return np.exp(-0.5 * p.c * family.alpha0 * u)
 
 
-def _states_at(family: ShapeInvariantFamily, count: int, x):
+def _rows(out, count: int, length: int):
+    """The first `count` rows of the 2-D array `out`, cut to `length`
+    entries, or `count` fresh rows where out is None."""
+    if out is None:
+        out = np.empty((count, length))
+    return out[:count, :length]
+
+
+def _states_at(family: ShapeInvariantFamily, count: int, x, out=None):
     """Yields (H_n(ζ, q)·φ_0·2^−e, e) at the nodes x for n = 0 … count − 1,
     with ζ = √(cα)·x.
 
     The states are not normalized, and families.hermite_rows chooses the
-    divisions 2^e from these nodes alone.
+    divisions 2^e from these nodes alone.  ζ, φ_0 and the recurrence's
+    two rows H_{m−1}, H_m take the first four rows of `out` (five rows of
+    len(x) entries at least, fresh by default), and each state the fifth,
+    which the next overwrites: the recurrence uses it as scratch.
     """
-    g = ground_state_unnormalized(family, x)
-    zeta = math.sqrt(family.profile.c * family.alpha0) * x
-    for h, e in hermite_rows(family, count, zeta, np.ones_like(zeta),
-                             lambda a, z, cur, b, prev: a * z * cur - b * prev,
-                             lambda v: float(np.max(np.abs(v))), np.ldexp):
-        yield h * g, e
+    zeta, g, *pair, state = _rows(out, 5, len(x))
+    np.copyto(g, ground_state_unnormalized(family, x))
+    np.multiply(math.sqrt(family.profile.c * family.alpha0), x, out=zeta)
+
+    def step(a, z, cur, b, prev):
+        # a·ζ·H_m − b·H_{m−1} into the row that does not hold H_m; H_0 is
+        # the scalar 1, which takes no row
+        new = pair[1] if cur is pair[0] else pair[0]
+        np.multiply(np.multiply(a, z, out=state), cur, out=state)
+        np.multiply(b, prev, out=new)
+        return np.subtract(state, new, out=new)
+
+    def scaled(v, k):
+        # in place, but for an H_0 divided at the first step
+        if isinstance(v, np.ndarray):
+            return np.ldexp(v, k, out=v)
+        return math.ldexp(v, k)
+
+    for h, e in hermite_rows(family, count, zeta, 1.0, step,
+                             lambda v: float(np.max(np.abs(v))), scaled):
+        yield np.multiply(h, g, out=state), e
 
 
 def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
@@ -144,8 +175,7 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
             pass
     norm = math.sqrt(inner_product(phi, phi, grid))
     require_resolved(norm, n)
-    phi /= norm
-    return phi
+    return phi / norm
 
 
 class Frame(namedtuple("Frame", "edges d g r")):
@@ -159,17 +189,24 @@ class Frame(namedtuple("Frame", "edges d g r")):
     __slots__ = ()
 
 
-def _frame(grid: Grid, first: int, stop: int) -> Frame:
-    """The Frame of rows first … stop − 1, nodes first + 1 … stop."""
-    edges = grid.node(np.arange(first, stop + 2))
+def _frame(grid: Grid, first: int, stop: int, out=None) -> Frame:
+    """The Frame of rows first … stop − 1, nodes first + 1 … stop, in the
+    rows of `out` in the order edges, d, g, r (rows of stop − first + 2
+    entries at least, one on a uniform grid and four on a mapped one;
+    fresh by default)."""
+    m = stop - first
+    out = _rows(out, 4, m + 2)
+    edges = grid.node(np.arange(first, stop + 2), out=out[0])
     if not grid.beta:
         return Frame(edges, grid.h, grid.h, 1.0)
-    d = 0.5 * (edges[2:] - edges[:-2])
-    return Frame(edges, d, np.sqrt(d[:-1] * d[1:]), np.sqrt(d))
+    d = np.subtract(edges[2:], edges[:-2], out=out[1, :m])
+    d *= 0.5
+    g = np.multiply(d[:-1], d[1:], out=out[2, :m - 1])
+    return Frame(edges, d, np.sqrt(g, out=g), np.sqrt(d, out=out[3, :m]))
 
 
 def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, first: int,
-                   frame: Frame):
+                   frame: Frame, out=None):
     """(diag, offdiag) of the kinetic stencil on rows first, first + 1, …
     in their Frame: D^(−½)KD^(−½).
 
@@ -180,19 +217,29 @@ def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, first: int,
     these nodes), on either map.  The potential adds to diag.  Entries
     past a double are inf, as are 1/m where m underflows to 0 and 1/h²
     where h² does, and 0/0 is NaN: the overflow refusal names them all,
-    as the float stencil does.
+    as the float stencil does.  The bands take the first two rows of
+    `out` and the midpoints' 1/m and spacings the next two (four rows of
+    one more entry than the Frame has rows, at least; fresh by default).
     """
     edges, d, g, _ = frame
-    mids = grid.midpoint(np.arange(first, first + len(edges) - 1))
+    m = len(edges) - 2
+    diag, off, w, dx = _rows(out, 4, m + 1)
+    grid.midpoint(np.arange(first, first + m + 1), out=w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = 1.0 / mass_at(family.profile, mids)
+        np.divide(1.0, mass_at(family.profile, w), out=w)
         if grid.beta:  # the finite-volume scheme: m⁻¹/(x_{i+1} − x_i)
-            w /= np.diff(edges)
+            w /= np.subtract(edges[1:], edges[:-1], out=dx)
         else:
             d = g = d * d  # h², in one rounding, as the float stencil
-        win = w[1:-1] / g
-        return (0.5 * (w[:-1] + w[1:]) / d,
-                -0.125 * ((win + win) + (win + win)))
+        diag = np.add(w[:-1], w[1:], out=diag[:m])
+        diag *= 0.5
+        diag /= d
+        # −(win + win + win + win)/8, win = w/g, as two exact doublings
+        win = np.divide(w[1:-1], g, out=off[:m - 1])
+        win += win
+        win += win
+        win *= -0.125
+        return diag, win
 
 
 def _band_extent(diag, offdiag, prior):
@@ -277,29 +324,41 @@ RESIDUAL_TOLERANCES = {
 }
 
 
-# rows per block of verify_all: its twenty-odd live block arrays (64 KB
-# each) then fit in a core's 2 MB L2 cache.  At N = 200000 on a 2-core
-# Xeon, 8192 and 16384 rows ran fastest, and 4096 rows 1.3–1.8 times as
-# long.
+# rows per block of verify_all: its 13 or 14 rows of block arrays and the
+# residuals' half-dozen temporaries (64 KB each) then fit in a core's 2 MB
+# L2 cache.  At N = 200000 on a 2-core Xeon, 8192 and 16384 rows ran
+# fastest, and 4096 rows 1.3–1.8 times as long.
 ROWS = 8192
 # every identity applies at most two tridiagonal operators in a row, so a
 # block's own rows are exact given two more rows on each side
 HALO = 2
 
 
-def _ladders(family: ShapeInvariantFamily, frame: Frame, alphas) -> list:
+def _ladders(family: ShapeInvariantFamily, frame: Frame, alphas,
+             out=None) -> list:
     """W^½AW^(−½), A(α) = diag(1/√(2m))·D_central + diag(W(·; α)), on
     the nodes x of a Frame, for each α in alphas; they share
     their off-bands ±s_i/(2g_i), s = 1/√(2m), which are 1/(2h) times s on
     a uniform grid.  In the frame A† is A.transpose(), the adjoint under
     the node weights, and at the ends of x the centered difference drops
-    the exterior (zero) neighbor."""
+    the exterior (zero) neighbor.  The off-bands and the diagonals take
+    the rows of `out` in that order (2 + len(alphas) rows of len(x)
+    entries at least, fresh by default)."""
     x = frame.edges[1:-1]
-    s = 1.0 / np.sqrt(2.0 * mass_at(family.profile, x))
-    inv2g = 1.0 / (2.0 * frame.g)
-    lower, upper = -s[1:] * inv2g, s[:-1] * inv2g
-    return [Banded(lower, superpotential_at(family, alpha, x), upper)
-            for alpha in alphas]
+    m = len(x)
+    lower, upper, *diags = _rows(out, 2 + len(alphas), m)
+    # s holds the last diagonal's row until the diagonals are formed
+    s = np.sqrt(np.multiply(2.0, mass_at(family.profile, x), out=diags[-1]),
+                out=diags[-1])
+    np.divide(1.0, s, out=s)
+    inv2g = np.divide(1.0, np.multiply(2.0, frame.g, out=upper[:m - 1]),
+                      out=upper[:m - 1])
+    lower = np.multiply(np.negative(s[1:], out=lower[:m - 1]), inv2g,
+                        out=lower[:m - 1])
+    upper = np.multiply(s[:-1], inv2g, out=inv2g)
+    for alpha, diag in zip(alphas, diags):
+        np.copyto(diag, superpotential_at(family, alpha, x))
+    return [Banded(lower, diag, upper) for diag in diags]
 
 
 # === residual measurement on smooth states ===
@@ -329,21 +388,28 @@ def _merged(parts):
 
 
 def _block_hamiltonians(family: ShapeInvariantFamily, grid: Grid,
-                        first: int, frame: Frame):
+                        first: int, frame: Frame, out=None):
     """The bands of H₋, H₊ and H on rows first, first + 1, … in their
     Frame: three diagonals and their shared kinetic off-diagonal.
 
     H∓ are assembled from the closed-form partner potentials, not from the
     ladder, so the intertwinings exercise the Riccati forms independently.
     c·α² may overflow to inf, and inf·0 at a centre node is nan; the
-    overflow refusal names both.
+    overflow refusal names both.  H's diagonal, the off-diagonal, H₋'s
+    and H₊'s diagonals take the rows of `out` in that order (four rows of
+    one more entry than the Frame has rows, at least; fresh by default),
+    the last two after _kinetic_bands' scratch, and H's after the kinetic
+    diagonal.
     """
-    kinetic, off = _kinetic_bands(family, grid, first, frame)
+    out = _rows(out, 4, len(frame.edges) - 1)
+    kinetic, off = _kinetic_bands(family, grid, first, frame, out=out)
     a0, x = family.alpha0, frame.edges[1:-1]
+    m = len(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [kinetic + v for v in (potential_minus(family, a0, x),
-                                      potential_plus(family, a0, x),
-                                      potential_full(family, x))], off
+        minus = np.add(kinetic, potential_minus(family, a0, x), out=out[2, :m])
+        plus = np.add(kinetic, potential_plus(family, a0, x), out=out[3, :m])
+        kinetic += potential_full(family, x)
+    return [minus, plus, kinetic], off
 
 
 def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
@@ -395,23 +461,30 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     sums, norms = {}, [[] for _ in range(count)]
     # one running _band_extent each for H₋, H₊ and H
     extents = [(math.nan, False)] * 3
+    # every block's arrays, in rows as long as the longest block's edges,
+    # refilled block by block: the Hamiltonians' bands (rows 0–3), the
+    # ladders' (4–7) and the states' rows (8–12), of which the last three
+    # hold the Frame's edges, d and g until the states are taken, and on
+    # a mapped grid the Frame's r (13)
+    work = np.empty((14 if grid.beta else 13, min(n, ROWS + 2 * HALO) + 2))
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)
-        frame = _frame(grid, first, stop)
-        diags, off = _block_hamiltonians(family, grid, first, frame)
+        frame = _frame(grid, first, stop, out=work[10:])
+        diags, off = _block_hamiltonians(family, grid, first, frame,
+                                         out=work[:4])
         extents = [_band_extent(diag, off, ext)
                    for ext, diag in zip(extents, diags)]
         # past a block where an operator overflows, only its refusal is left
         if not all(map(_representable, extents)):
             continue
-        a, a_next = _ladders(family, frame, (a0, a1))
+        a, a_next = _ladders(family, frame, (a0, a1), out=work[4:8])
         ops = (a, a.transpose(), a_next, a_next.transpose(),
                *(Banded(off, d, off) for d in diags))
         own = slice(lo - first, hi - first)
         # one-sided edge rows are artifacts of the stencil, not of the algebra
         trim = slice(max(lo, 2) - first, min(hi, n - 2) - first)
-        states = _states_at(family, count, frame.edges[1:-1])
+        states = _states_at(family, count, frame.edges[1:-1], out=work[8:13])
         for k, (v, e) in enumerate(states):
             v *= frame.r
             if trim.start < trim.stop:

@@ -87,6 +87,34 @@ def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
                 == np.array(xs[lo:stop]).tobytes())
 
 
+@pytest.mark.parametrize("n", [4000, 4001])
+def test_mapped_index_arrays_are_the_float_nodes_across_sinh_runs(n):
+    # on a sinh-mapped grid Grid.node and Grid.midpoint take math.sinh
+    # SINH_CHUNK entries at a time: runs of indices that end one before, on
+    # and one after a chunk boundary give the float nodes and midpoints bit
+    # for bit, in a fresh array and in the given `out`, from the first
+    # index, an inner one and up to the last
+    grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
+    assert grid.beta
+    chunk = discrete.SINH_CHUNK
+    assert 2 * chunk + 1 < n
+    xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    out = np.empty(2 * chunk + 3)
+    for length in (chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
+                   2 * chunk + 1):
+        for lo in (0, 17, n - length):
+            want = np.array(xs[lo:lo + length]).tobytes()
+            nodes = np.arange(lo + 1, lo + length + 1)
+            assert grid.node(nodes).tobytes() == want, (length, lo)
+            got = grid.node(nodes, out=out[:length])
+            assert got.base is out and got.tobytes() == want, (length, lo)
+            want = np.array(mids[lo + 1:lo + length + 1]).tobytes()
+            midpoints = np.arange(lo + 1, lo + length + 1)
+            assert grid.midpoint(midpoints).tobytes() == want, (length, lo)
+            assert (grid.midpoint(midpoints, out=out[:length]).tobytes()
+                    == want), (length, lo)
+
+
 def full_stencil(fam, grid, ordering):
     """(diag, offdiag) of assemble_lists, from the two composition orders
     written out on every node, as a reference."""

@@ -235,18 +235,19 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
     calls = []
 
     def counted(name, fn, key=lambda *args: ()):
-        # records (name, first node, node count, key): x is the last argument
-        def wrapper(*args):
+        # records (name, first node, node count, key): x is the last
+        # positional argument
+        def wrapper(*args, **kwargs):
             x = args[-1]
             calls.append((name, float(x[0]), len(x), *key(*args)))
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     kinetic_bands = susy._kinetic_bands
 
-    def counted_kinetic(family, g, first, frame):
+    def counted_kinetic(family, g, first, frame, **kwargs):
         calls.append(("kinetic", g.node(first + 1), len(frame.edges) - 2))
-        return kinetic_bands(family, g, first, frame)
+        return kinetic_bands(family, g, first, frame, **kwargs)
     monkeypatch.setattr(susy, "_kinetic_bands", counted_kinetic)
     monkeypatch.setattr(susy, "_states_at", counted(
         "states", susy._states_at, lambda f, k, x: (k,)))
@@ -329,13 +330,15 @@ def reference_residuals(fam, grid):
     (Kind.CASE1, 100.0, 10.0, None), (Kind.CASE1, 1.0, 0.3, 2),
 ])
 def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam, n_max):
-    # block edges may fall anywhere: N = k·ROWS + r for r = 0 … 3, odd and
-    # even N, on an unbounded domain, uniform and sinh-mapped, a compact
-    # one and at a large alpha
+    # block edges may fall anywhere: N = k·ROWS + r for r = 0 … 3 and
+    # ROWS − 1, odd and even N, on an unbounded domain, uniform and
+    # sinh-mapped, a compact one and at a large alpha.  Every block refills
+    # the rows of the first, so a last block of ROWS − 1 rows (N = 406)
+    # must not read a longer block's tail
     from pdemosc import susy
 
     fam = make_family(kind, alpha, lam)
-    for n in (16, 37, 370, 371, 372, 373, 407, 408):
+    for n in (16, 37, 370, 371, 372, 373, 406, 407, 408):
         grid = build_grid(fam, n, n_max=n_max)
         want = reference_residuals(fam, grid)
         monkeypatch.setattr(susy, "ROWS", 37)
@@ -361,14 +364,17 @@ def test_block_rows_replay_the_whole_grid_past_the_rescale():
 
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2001)
-    whole = list(_states_at(fam, 171, grid.node(np.arange(1, grid.n + 1))))
+    # each state is yielded in a row that the next overwrites
+    whole = [(v.copy(), e) for v, e in
+             _states_at(fam, 171, grid.node(np.arange(1, grid.n + 1)))]
     assert whole[-1][1] > 0
     for n in (0, 150, 170):
         v = whole[n][0]
         phi = v / math.sqrt(inner_product(v, v, grid))
         assert np.array_equal(phi, eigenfunction_samples(fam, n, grid))
     for lo, hi in [(0, 700), (650, 1400), (1390, 2001)]:
-        rows = list(_states_at(fam, 171, grid.node(np.arange(lo + 1, hi + 1))))
+        rows = [(v.copy(), e) for v, e in
+                _states_at(fam, 171, grid.node(np.arange(lo + 1, hi + 1)))]
         assert len(rows) == 171
         assert all(np.array_equal(np.ldexp(row, e - ew), v[lo:hi])
                    for (row, e), (v, ew) in zip(rows, whole)), (lo, hi)
@@ -398,6 +404,25 @@ def _reference_whole_grid_states(fam, count, grid):
     return [h * g for h in hs], shifts
 
 
+def test_states_divide_the_scalar_ground_row_at_the_first_step():
+    # on (−1e77, 1e77) the recurrence's bound passes 2^256 at its first
+    # step, so H_0, which _states_at keeps as the scalar 1, is divided with
+    # H_1, and the next degrees read it so: every state is the whole-grid
+    # reference's bit for bit.  φ₀ underflows but at the centre node, where
+    # the even levels are multiples of the divided H_0
+    from pdemosc.discrete import uniform_grid
+    from pdemosc.susy import _states_at
+
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    grid = uniform_grid(1e77, 371)
+    states, shifts = _reference_whole_grid_states(fam, 5, grid)
+    assert min(shifts) == 0
+    assert all(np.any(states[k]) for k in (0, 2, 4))
+    got = _states_at(fam, 5, grid.node(np.arange(1, grid.n + 1)))
+    for k, ((v, _), want) in enumerate(zip(got, states, strict=True)):
+        assert np.array_equal(v, want), k
+
+
 @pytest.mark.parametrize("kind, lam, n, hi", [
     (Kind.CASE3, 0.2, 407, None), (Kind.CASE1, -0.3, 408, None),
     (Kind.CONSTANT, 0.0, 1000, None),
@@ -425,7 +450,8 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
     assert bool(shifts) == (hi is not None) and min(shifts, default=0) < 4
     exponents = [sum(e for m, e in shifts.items() if m < k)
                  for k in range(count)]
-    whole = list(_states_at(fam, count, grid.node(np.arange(1, n + 1))))
+    whole = [(v.copy(), e) for v, e in
+             _states_at(fam, count, grid.node(np.arange(1, n + 1)))]
     assert [e for _, e in whole] == exponents
     assert all(np.array_equal(v, want)
                for (v, _), want in zip(whole, states, strict=True))
@@ -452,19 +478,28 @@ def test_blocked_first_pass_is_the_whole_grid_pass(monkeypatch, kind, lam,
 
 
 def test_verify_all_holds_no_whole_grid_array():
-    # one pass over blocks of rows: no array as long as the grid is made
+    # one pass over blocks of rows, whose arrays are allocated once and
+    # refilled: no array as long as the grid is made, and no block's
+    # arrays outlive it, on a uniform grid and on a sinh-mapped one.  The
+    # walk holds 13 rows of a block (14 on a mapped grid) and the
+    # residuals' temporaries, about 21 rows, 1.40 to 1.46 MB; 24 rows
+    # leaves about 10 % to spare
     import tracemalloc
 
-    fam = make_family(Kind.CASE3, 1.0, 0.3)
-    n = 400000
-    grid = build_grid(fam, n)
-    tracemalloc.start()
-    try:
-        verify_all(fam, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n
+    from pdemosc import susy
+
+    for kind, lam, n, mapped in [(Kind.CASE3, 0.3, 400000, False),
+                                 (Kind.CASE2, 15.0, 100000, True)]:
+        fam = make_family(kind, 1.0, lam)
+        grid = build_grid(fam, n, n_max=susy.state_count(fam) - 1)
+        assert bool(grid.beta) == mapped
+        tracemalloc.start()
+        try:
+            verify_all(fam, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 8 * (susy.ROWS + 2 * susy.HALO + 2), (kind, peak)
 
 
 def test_a_state_that_samples_to_zero_is_refused():
