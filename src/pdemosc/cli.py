@@ -12,10 +12,10 @@ every subcommand but `verify` runs without importing numpy.
 Every CSV table is streamed: `_csv_table` formats it a block of rows at a
 time and `_emit` writes each block to the file or stdout as it comes, so
 memory scales with the samples, not with the text, and the bytes are those
-of formatting every row.  A table of columns built by mirrored_array, as
-x and the states of `eigenfunctions` are, has only its left half
+of formatting every row.  A table of discrete.MirroredArray columns, as
+x and the states of `eigenfunctions` are, has only the halves they store
 formatted; the right half is that text in reverse row order, with the
-leading "-" toggled in the columns built odd.  None holds a NaN, whose
+leading "-" toggled in the odd columns.  None holds a NaN, whose
 text has no sign: the nodes are finite, and both samplers refuse a state
 whose norm is not.
 """
@@ -76,11 +76,11 @@ def _csv_table(header: str, columns: list):
     """The CSV text of a table, a chunk of up to 256 rows at a time.
 
     The header line, then one "%.17g,…" row per index: every column's
-    value there (columns are equally long lists or arrays of numbers).
-    A table whose every column records its parity in `.odd`
-    (discrete.mirrored_array) formats its left half with _MARK before
-    each cell of an odd column, writes that text unmarked and keeps it;
-    the centre row of an odd length is formatted as it is; then each kept
+    value there (columns are equally long lists, arrays or
+    discrete.MirroredArray of numbers).  A table of MirroredArray columns
+    formats the left halves they store, with _MARK before each cell of
+    an odd column, writes that text unmarked and keeps it; the centre
+    row of an odd length, stored too, is formatted as it is; then each kept
     block, rows reversed, becomes the right half: a mark followed by "-"
     drops, and every other mark turns into "-".  Such columns hold no
     NaN, and "%.17g" % −v is the text of v with its leading "-" toggled,
@@ -92,6 +92,8 @@ def _csv_table(header: str, columns: list):
     n = len(columns[0])
     odd = [getattr(c, "odd", None) for c in columns]
     half = 0 if None in odd else n // 2
+    if half:
+        columns = [c.left for c in columns]  # rows 0 … n − half − 1
 
     def rows(template: str, lo: int, hi: int) -> str:
         return "\n".join(map(template.__mod__,
@@ -263,11 +265,11 @@ def _cmd_spectrum(args, family) -> int:
 
 def _cmd_eigenfunctions(args, family) -> int:
     from .discrete import (
+        MirroredArray,
         assemble_lists,
         build_grid,
         eigenpair_lists,
         eigenvalue_list,
-        mirrored_array,
     )
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
@@ -287,7 +289,7 @@ def _cmd_eigenfunctions(args, family) -> int:
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
         # x is odd, and node n+1−i is −(node i) bit for bit
-        x = mirrored_array(grid.nodes(grid.n - grid.n // 2), grid.n, True)
+        x = MirroredArray(grid.nodes(grid.n - grid.n // 2), grid.n, True)
         table = _csv_table(header, [x, *vectors])
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
     _emit(args, "eigenfunctions", table, _json_text(payload))

@@ -36,13 +36,15 @@ imports numpy: the package calls assemble_lists, eigenvalue_list and
 eigenpair_lists.  The bands, the parity blocks and every vector a loop
 walks are float lists, which CPython loops over fastest; the vectors that
 are only stored, the eigenvectors eigenpair_lists returns and the
-per-node columns built with mirrored_array, are array('d'), at 8 bytes a
-value where a list of floats takes 32.  A column built with
-mirrored_array records its parity, and the CSV writer formats only the
-left half of a table of such columns; an eigenvector is accepted only at
-a finite nonzero norm, so none holds a NaN, whose text has no sign to
-mirror.  The public assemblers and eigen_tridiagonal return ndarrays,
-and import numpy when called; nothing in the package calls them.
+per-node columns, are array('d'), at 8 bytes a value where a list of
+floats takes 32.  An even or odd one is a MirroredArray, which stores
+only its first ⌈N/2⌉ entries and its parity: the eigenvectors of a split
+operator keep their block vector as that half, and the CSV writer
+formats only the stored halves of a table of such columns.  An
+eigenvector is accepted only at a finite nonzero norm, so none holds a
+NaN, whose text has no sign to mirror.  The public assemblers and
+eigen_tridiagonal return ndarrays, and import numpy when called; nothing
+in the package calls them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import struct
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cache
 from itertools import chain, count, islice, repeat
 from operator import add, mul, neg, sub, truediv
 
@@ -324,22 +325,76 @@ def _mirrored(left: list, n: int) -> list:
     return left + left[:n - len(left)][::-1]
 
 
-@cache
-def _mirrored_type():
-    from array import array  # verify, which stores no vector, never loads it
-    return type("MirroredArray", (array,), {"__slots__": ("odd",)})
+class MirroredArray:
+    """An even or odd vector of n entries that stores only its first ⌈n/2⌉.
 
+    Entry n−1−i is entry i, negated when `.odd`; the centre of an odd n is
+    its own mirror.  `left` holds the first n − n//2 entries: an
+    array('d'), kept as it is, or any iterable of floats, copied into one;
+    any other length is refused with LengthMismatchError.  The other
+    entries are never stored, yet the vector reads as all n of them: len,
+    an index, a slice (an array('d')), iteration, .tolist(), .tobytes(),
+    np.asarray (through __array__) and == give what the array('d') of all
+    n entries gives.
+    """
 
-def mirrored_array(left, n: int, odd: bool):
-    """The n entries of an even or odd vector from its first ⌈n/2⌉, `left`,
-    as an array('d') that records its parity in `.odd`: entry n−1−i is
-    entry i, negated when `odd`."""
-    out = _mirrored_type()("d", left)
-    out.odd = odd
-    tail = out[:n - len(out)]
-    tail.reverse()
-    out.extend(map(neg, tail) if odd else tail)
-    return out
+    __slots__ = ("left", "n", "odd")
+
+    def __init__(self, left, n: int, odd: bool):
+        from array import array  # verify stores no vector and never loads it
+        if not isinstance(left, array):
+            left = array("d", left)
+        if len(left) != n - n // 2:
+            raise LengthMismatchError(
+                f"a mirrored vector of {n} entries stores its first "
+                f"{n - n // 2}, got {len(left)}")
+        self.left, self.n, self.odd = left, n, odd
+
+    def _right(self):
+        """Entries n − n//2 … n − 1, mirrored from the stored ones."""
+        tail = islice(reversed(self.left), self.n % 2, None)
+        return map(neg, tail) if self.odd else tail
+
+    def _full(self):
+        out = self.left[:]
+        out.extend(self._right())
+        return out
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return chain(self.left, self._right())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            out = self.left[:0]  # an empty array('d')
+            out.extend(map(self.__getitem__, range(self.n)[i]))
+            return out
+        i = range(self.n)[i]  # negative from the end; IndexError past either
+        if i < len(self.left):
+            return self.left[i]
+        x = self.left[self.n - 1 - i]
+        return -x if self.odd else x
+
+    def tolist(self) -> list:
+        return self._full().tolist()
+
+    def tobytes(self) -> bytes:
+        return self._full().tobytes()
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        if copy is False:
+            raise ValueError("a MirroredArray stores half of its entries, "
+                             "so it has no array to share")
+        full = np.frombuffer(self._full())
+        return full if dtype is None else full.astype(dtype)
+
+    def __eq__(self, other):
+        if isinstance(other, MirroredArray):
+            other = other._full()
+        return self._full() == other
 
 
 # rows of the left half that _stencil evaluates at a time
@@ -807,22 +862,24 @@ def _twisted_solve(diag, off, sigma, pivmin, rhs=None) -> list:
 
 
 def _unfolded(u, n: int, odd: bool):
-    """The n entries of the vector of T whose parity block holds u.
+    """The vector of T whose parity block holds u, an array('d'), as a
+    MirroredArray that keeps u as its left half.
 
-    Entry n−1−i mirrors entry i, negated for an odd vector.  The centre of
-    an odd n is 0 in an odd vector and √2 times the last entry of u in an
-    even one, whose block holds it as c/√2.
+    The centre of an odd n is 0 in an odd vector, appended to u, and √2
+    times the last entry of u in an even one, whose block holds it as c/√2.
     """
-    m = n // 2
-    left = u[:m]
     if n % 2:
-        left.append(0.0 if odd else math.sqrt(2.0) * u[m])
-    return mirrored_array(left, n, odd)
+        if odd:
+            u.append(0.0)
+        else:
+            u[-1] *= math.sqrt(2.0)
+    return MirroredArray(u, n, odd)
 
 
 def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     """k smallest eigenpairs of a symmetric tridiagonal matrix: a list of
-    floats and a list of array('d') vectors.
+    floats and a list of vectors, each an array('d'), or a MirroredArray
+    where T splits into parity blocks.
 
     h holds the node weights w of the quadrature Σ w_i f_i g_i, as
     Grid.weights gives them: one scalar for every node, or a sequence of
@@ -846,8 +903,9 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     Gram–Schmidt against the vectors of the same parity only, since
     vectors of opposite parity are exactly orthogonal; the block vector
     is scaled by the weights of its rows, which must mirror as the bands
-    do (the grid's weights mirror bit for bit), and then mirrored into
-    the full one, negated for an odd state.  The two
+    do (the grid's weights mirror bit for bit), and becomes the stored
+    half of a MirroredArray, mirrored (negated for an odd state) only
+    when read.  The two
     mirror peaks of an odd state then tie exactly, so its right peak is
     made positive, a sign that no roundoff in λ can flip.  That is the
     sign of the closed-form states (sampling.eigenfunction_lists), whose
@@ -855,7 +913,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     as for the oscillators here.  Scaling T by a power of two scales the
     eigenvalues alike and leaves the eigenvectors bit for bit.
     """
-    from array import array  # as in mirrored_array
+    from array import array  # as in MirroredArray
     n = len(T.diag)
     per_node = hasattr(type(h), "__len__")
     if per_node and len(h) != n:
@@ -868,12 +926,13 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     del T  # the blocks hold what is needed of it
     nb = len(blocks)
     if per_node:
-        # the block rows' weights stand for their mirror images
+        # the block rows' weights stand for their mirror images, so a
+        # split operator takes the roots of the left half's only
         m = n // 2
         if nb == 2 and list(h[:m]) != list(h[:-m - 1:-1]):
             raise ValueError("the node weights of an operator that splits "
                              "into parity blocks must mirror as its bands do")
-        roots = [math.sqrt(w) for w in h]
+        roots = [math.sqrt(w) for w in h[:n - m if nb == 2 else n]]
     eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
     blocks = [block[:2] for block in blocks]  # the squared couplings go
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
@@ -956,7 +1015,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     if nb == 1:
         return eigenvalues, [weighted(u) for u in accepted[0]]
     # the block vectors are unfolded level by level, each one dropped as
-    # its full vector is built, so no level is held twice
+    # its weighted one is made, so no level is held twice
     for vs in accepted:
         vs.reverse()
     return eigenvalues, [

@@ -1,5 +1,5 @@
 """Closed-form bound states sampled on a grid, on Python floats, each
-level's column stored as an array('d').
+level's column a discrete.MirroredArray that stores its left half.
 
 φ_n(x) = N_n H_n(ζ, q) φ_0(x) with ζ = √(cα)·x, for every level up to
 n_max from one three-term recurrence, families.hermite_rows.  This is the
@@ -18,7 +18,7 @@ import math
 import sys
 from operator import mul
 
-from .discrete import Grid, mirrored_array
+from .discrete import Grid, MirroredArray
 from .families import (
     ShapeInvariantFamily,
     hermite_rows,
@@ -53,16 +53,16 @@ def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
 
 def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
                         grid: Grid) -> list:
-    """[φ_0, …, φ_{n_max}] on the grid nodes, each an array('d').
+    """[φ_0, …, φ_{n_max}] on the grid nodes, each a MirroredArray.
 
     The leading coefficient of H_n is positive for every bound level, so
     the right tail of φ_n is positive.  N_n makes the norm Σ w_i φ_i² one
     in the grid's node weights (Grid.weights; the endpoints are implicit
     zeros): h·Σφ² on a uniform grid.  The grid's nodes and weights mirror
     bit for bit and ζ is odd, so φ_n(−x) = (−1)ⁿ φ_n(x) holds bit for bit:
-    only the left half and the centre are evaluated, mirrored_array builds
-    the columns, and they equal a full evaluation.  A level whose norm is
-    zero, infinite or NaN is refused, so every column holds finite values.
+    only the left half and the centre are evaluated and stored, and each
+    column reads as a full evaluation.  A level whose norm is zero,
+    infinite or NaN is refused, so every column holds finite values.
     """
     require_bound(family, n_max)
     n = grid.n
@@ -86,5 +86,5 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
         # term is subnormal, the norm is that of a full evaluation bit for bit
         norm = math.sqrt(h * (math.fsum(squares) * 2.0))
         require_resolved(norm, degree)
-        out.append(mirrored_array([x / norm for x in phi], n, degree % 2 == 1))
+        out.append(MirroredArray([x / norm for x in phi], n, degree % 2 == 1))
     return out

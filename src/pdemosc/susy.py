@@ -415,17 +415,26 @@ def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
     """Yields (name, residual) of each identity on the state v, one at a time.
 
     ops is (A, A†, A(α₁), A†(α₁), H₋, H₊, H) on a block; Av and A†v are
-    applied once and shared.
+    applied once and shared.  Each residual is subtracted in place into
+    one of its own products, which rounds as the fresh difference does.
     """
     a, ad, a_next, ad_next, h_minus, h_plus, h = ops
     av, adv = a @ v, ad @ v
     # A†A = H − E₀
-    yield "factorization", ad @ av - (h @ v - e0 * v)
+    res = h @ v
+    res -= e0 * v
+    yield "factorization", np.subtract(ad @ av, res, out=res)
     # AH₋ = H₊A and A†H₊ = H₋A†
-    yield "intertwine_minus", a @ (h_minus @ v) - h_plus @ av
-    yield "intertwine_plus", ad @ (h_plus @ v) - h_minus @ adv
+    res = a @ (h_minus @ v)
+    res -= h_plus @ av
+    yield "intertwine_minus", res
+    res = ad @ (h_plus @ v)
+    res -= h_minus @ adv
+    yield "intertwine_plus", res
     # A(α₀)A†(α₀) = A†(α₁)A(α₁) + R(α₀)
-    yield "shift_identity", a @ adv - (ad_next @ (a_next @ v) + r * v)
+    res = ad_next @ (a_next @ v)
+    res += r * v
+    yield "shift_identity", np.subtract(a @ adv, res, out=res)
     # Aφ₀ = 0; last, since _scaled_sq_norm overwrites Av
     if ground:
         yield "annihilation", av

@@ -215,9 +215,9 @@ def test_eigenfunctions_sources_agree(capsys):
 
 def test_numeric_eigenfunctions_peak_memory(tmp_path, capsys):
     # the operator, its parity blocks, one level's factors and the stored
-    # vectors and x column, 8 bytes a value: 2.59 MB here, where float
-    # lists took 5.22 MB and a block vector kept next to each unfolded one
-    # 3.06 MB
+    # vectors and x column, 8 bytes a value: 2.51 MB here, set by the
+    # solve, where float lists took 5.22 MB, a block vector kept next to
+    # each unfolded one 3.06 MB and the writing of full columns 2.59 MB
     import tracemalloc
 
     argv = ["eigenfunctions", "--family", "constant", "--n-max", "2",
@@ -231,6 +231,36 @@ def test_numeric_eigenfunctions_peak_memory(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= 3.0e6
+
+
+def test_numeric_eigenfunctions_csv_holds_only_the_stored_halves(
+        tmp_path, capsys, monkeypatch):
+    # from the table's first chunk on, the request holds x and the three
+    # states as the left halves they store, the kept half of the text and
+    # one chunk: 2.03 MB here, where columns of all 32000 entries held
+    # 2.59 MB
+    import tracemalloc
+
+    from pdemosc import cli
+
+    table = cli._csv_table
+
+    def from_the_first_chunk(header, columns):
+        tracemalloc.reset_peak()  # the solve is done; the writing starts
+        yield from table(header, columns)
+
+    monkeypatch.setattr(cli, "_csv_table", from_the_first_chunk)
+    argv = ["eigenfunctions", "--family", "constant", "--n-max", "2",
+            "--source", "numeric", "--output-dir", str(tmp_path)]
+    assert run(argv + ["--grid-n", "100"]) == 0  # the handler's imports
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--grid-n", "32000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 2.25e6
 
 
 def test_polynomials_symbolic_and_json(capsys):

@@ -1,7 +1,9 @@
 import math
 import random
+import struct
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -1095,3 +1097,64 @@ def test_odd_state_sign_survives_a_shift_of_lambda(monkeypatch):
     # odd states are odd, bit for bit, and even states even
     for j, v in enumerate(want):
         assert v.tobytes() == ((-1) ** j * v[::-1]).tobytes()
+
+
+def _written_mirror(left, n, odd):
+    """The n entries of an even or odd vector from its first ⌈n/2⌉, every
+    one written into an array('d'): entry n−1−i is entry i, or -x of it."""
+    out = array("d", left)
+    tail = out[:n - len(out)]
+    tail.reverse()
+    out.extend([-x for x in tail] if odd else tail)
+    return out
+
+
+# signed zeros, infinities and subnormals, whose mirror images a sign
+# slip would change, planted among any other non-NaN doubles
+_MIRROR_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.5e-310, -2.2250738585072014e-308]),
+    st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 41), odd=st.booleans())
+def test_a_mirrored_array_reads_as_every_entry_written(data, n, odd):
+    k = n - n // 2
+    left = data.draw(st.lists(_MIRROR_ENTRIES, min_size=k, max_size=k))
+    v = discrete.MirroredArray(left, n, odd)
+    want = _written_mirror(left, n, odd)
+    bits = want.tobytes()
+    assert (len(v), v.odd, v.left.tolist()) == (n, odd, left)
+    assert v.tobytes() == bits
+    assert array("d", v.tolist()).tobytes() == bits
+    assert array("d", iter(v)).tobytes() == bits
+    full = np.asarray(v)
+    assert full.dtype == np.float64 and full.tobytes() == bits
+    assert [struct.pack("d", v[i]) for i in range(-n, n)] == \
+        [struct.pack("d", want[i]) for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            v[i]
+    # slices across the centre, forwards and backwards, and any others
+    lo, hi = data.draw(st.integers(0, n // 2)), data.draw(st.integers(k, n))
+    ends = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    steps = st.one_of(st.none(), st.integers(-4, 4).filter(bool))
+    for cut in (slice(lo, hi), slice(hi - 1, lo - 1 if lo else None, -1),
+                slice(data.draw(ends), data.draw(ends), data.draw(steps))):
+        assert v[cut].tobytes() == want[cut].tobytes(), cut
+    # == compares as the array of every entry does: by value, and never
+    # equal to a list
+    assert v == want and want == v
+    assert v == discrete.MirroredArray(left, n, odd)
+    assert v != list(want)
+
+
+@pytest.mark.parametrize("left, n, odd", [
+    ([1.0, 2.0, 3.0], 2, True),  # one entry too many
+    ([1.0, 2.0], 5, False),  # the centre missing
+])
+def test_a_malformed_mirror_is_refused(left, n, odd):
+    with pytest.raises(LengthMismatchError,
+                       match=f"stores its first {n - n // 2}, got {len(left)}"):
+        discrete.MirroredArray(left, n, odd)

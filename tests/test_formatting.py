@@ -167,10 +167,10 @@ def _planted(table, column, index, value, mirror_value):
 
 def _built_mirrored(table, kinds=("mirrored",) * 3):
     """The columns as the kinds name them: a list, a plain array('d'), or
-    an array that mirrored_array rebuilds from the first ⌈n/2⌉ entries."""
+    a MirroredArray of the first ⌈n/2⌉ entries."""
     n = len(table[0])
     return [c if kind == "list" else array("d", c) if kind == "array"
-            else discrete.mirrored_array(c[:n - n // 2], n, odd)
+            else discrete.MirroredArray(c[:n - n // 2], n, odd)
             for kind, c, odd in zip(kinds, table, PARITIES)]
 
 
@@ -205,7 +205,7 @@ def test_tables_of_lists_go_row_by_row(n, table):
 
 # signed zeros, infinities and subnormals in columns built mirrored take
 # the half-text path and keep every byte; the mirror images are those
-# mirrored_array makes
+# a MirroredArray reads
 @pytest.mark.parametrize("n", [40, 41])
 @pytest.mark.parametrize("table", [
     lambda n: _planted(_mirrored_table(n), 2, 7, 0.0, -0.0),
@@ -224,8 +224,8 @@ def test_mirrored_tables_keep_every_byte(n, table):
     assert len(_chunks(columns)) == 3 + n % 2
 
 
-# the library hands over columns as lists, plain array('d') and arrays
-# built by mirrored_array: only a table whose every column is built
+# the library hands over columns as lists, plain array('d') and
+# MirroredArray: only a table whose every column is built
 # mirrored takes the half-text path, and every mix writes the same text
 @pytest.mark.parametrize("n", [40, 41])
 @pytest.mark.parametrize("kinds", [
