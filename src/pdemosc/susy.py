@@ -424,13 +424,16 @@ def _identity_residuals(ops, v, ground: bool, e0: float, r: float):
     res = h @ v
     res -= e0 * v
     yield "factorization", np.subtract(ad @ av, res, out=res)
+    del res  # each residual is dropped before the next is formed
     # AH₋ = H₊A and A†H₊ = H₋A†
     res = a @ (h_minus @ v)
     res -= h_plus @ av
     yield "intertwine_minus", res
+    del res
     res = ad @ (h_plus @ v)
     res -= h_minus @ adv
     yield "intertwine_plus", res
+    del res
     # A(α₀)A†(α₀) = A†(α₁)A(α₁) + R(α₀)
     res = ad_next @ (a_next @ v)
     res += r * v
@@ -497,6 +500,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
                 for name, res in _identity_residuals(ops, v, k == 0, e0, r):
                     sums[name, k] = _merged(sums.get((name, k), (0.0, 0)),
                                             _scaled_sq_norm(res[trim], e))
+                    del res  # free before the next residual is formed
             # last, since _scaled_sq_norm overwrites v's own rows
             norms[k] = _merged(norms[k], _scaled_sq_norm(v[own], e))
     for ext in extents:  # H₋, then H₊, then H, as they are assembled

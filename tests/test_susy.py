@@ -484,8 +484,8 @@ def test_verify_all_holds_no_whole_grid_array():
     # arrays outlive it, on a uniform grid and on a sinh-mapped one.  The
     # walk holds 13 rows of a block (14 on a mapped grid) and the
     # residuals' temporaries, each residual subtracted in place into one
-    # of its products: 19.1 and 20.1 rows, 1.25 and 1.32 MB; 22 rows
-    # leaves about 10 % to spare
+    # of its products and freed before the next is formed: 18.2 and 19.1
+    # rows, 1.19 and 1.25 MB; 21 rows leaves about 10 % to spare
     import tracemalloc
 
     from pdemosc import susy
@@ -501,7 +501,7 @@ def test_verify_all_holds_no_whole_grid_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 22 * 8 * (susy.ROWS + 2 * susy.HALO + 2), (kind, peak)
+        assert peak < 21 * 8 * (susy.ROWS + 2 * susy.HALO + 2), (kind, peak)
 
 
 def test_verify_all_memory_does_not_grow_with_the_block_count(monkeypatch):
