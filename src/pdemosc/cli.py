@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from array import array
 from itertools import groupby
 
 from .errors import PdemError
@@ -86,14 +87,16 @@ def _csv_table(header: str, columns: list):
     NaN, and "%.17g" % −v is the text of v with its leading "-" toggled,
     ±0 and ±inf too, so the bytes are those of every row.  Only the kept
     half of the text outlives its chunk.  Any other table is formatted
-    row by row.
+    row by row, its MirroredArray columns first copied into array('d').
     """
     yield header + "\n"
     n = len(columns[0])
     odd = [getattr(c, "odd", None) for c in columns]
     half = 0 if None in odd else n // 2
-    if half:
-        columns = [c.left for c in columns]  # rows 0 … n − half − 1
+    # a mirrored column gives rows 0 … n − half − 1 from its stored half,
+    # or in a table that is not all mirrored, every row, copied once
+    columns = [c if o is None else c.left if half else array("d", c)
+               for c, o in zip(columns, odd)]
 
     def rows(template: str, lo: int, hi: int) -> str:
         return "\n".join(map(template.__mod__,

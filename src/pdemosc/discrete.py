@@ -76,11 +76,6 @@ from .families import (
 )
 
 
-# entries per run of an index array that Grid.node and Grid.midpoint
-# take through math.sinh: a run's results take one array of this length
-SINH_CHUNK = 1024
-
-
 class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     """Interior grid of n nodes, uniform in u with spacing h on (−hi, hi),
     at x = sinh(βu)/β, or at x = u where beta is 0; the endpoints carry
@@ -92,9 +87,9 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     law and potential then give exactly mirror-symmetric bands, which the
     eigensolver splits into parity blocks.  `node` and `midpoint` take an
     index or an ndarray of indices, through the same IEEE operations
-    (math.sinh entry by entry on a mapped grid, SINH_CHUNK entries at a
-    time), so an array of nodes is `nodes()` bit for bit; an array goes
-    into `out` where one of its length is given.  `nodes()` and
+    (math.sinh entry by entry on a mapped grid), so an array of nodes is
+    `nodes()` bit for bit; an array goes into `out` where one of its
+    length is given.  `nodes()` and
     `midpoints()` list runs of them as floats.  Node 0 and node n+1 are
     the walls, at about ∓`wall`.
 
@@ -121,11 +116,9 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
         if b:
             u *= b
             # a memoryview yields the floats math.sinh takes, and no list of
-            # them is made; a run's results are stored before the next's
-            for k in range(0, len(u), SINH_CHUNK):
-                run = u[k:k + SINH_CHUNK]
-                np.divide(np.fromiter(map(math.sinh, memoryview(run)), float,
-                                      len(run)), b, out=run)
+            # them is made
+            np.divide(np.fromiter(map(math.sinh, memoryview(u)), float,
+                                  len(u)), b, out=u)
         return u
 
     def node(self, i, out=None):
@@ -332,10 +325,9 @@ class MirroredArray:
     its own mirror.  `left` holds the first n − n//2 entries: an
     array('d'), kept as it is, or any iterable of floats, copied into one;
     any other length is refused with LengthMismatchError.  The other
-    entries are never stored, yet the vector reads as all n of them: len,
-    an index, a slice (an array('d')), iteration, .tolist(), .tobytes(),
-    np.asarray (through __array__) and == give what the array('d') of all
-    n entries gives.
+    entries are never stored; len and iteration read all n of them, and
+    so do array('d', v) and np.asarray(v), each a fresh copy.  == is
+    identity.
     """
 
     __slots__ = ("left", "n", "odd")
@@ -350,51 +342,20 @@ class MirroredArray:
                 f"{n - n // 2}, got {len(left)}")
         self.left, self.n, self.odd = left, n, odd
 
-    def _right(self):
-        """Entries n − n//2 … n − 1, mirrored from the stored ones."""
-        tail = islice(reversed(self.left), self.n % 2, None)
-        return map(neg, tail) if self.odd else tail
-
-    def _full(self):
-        out = self.left[:]
-        out.extend(self._right())
-        return out
-
     def __len__(self) -> int:
         return self.n
 
     def __iter__(self):
-        return chain(self.left, self._right())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            out = self.left[:0]  # an empty array('d')
-            out.extend(map(self.__getitem__, range(self.n)[i]))
-            return out
-        i = range(self.n)[i]  # negative from the end; IndexError past either
-        if i < len(self.left):
-            return self.left[i]
-        x = self.left[self.n - 1 - i]
-        return -x if self.odd else x
-
-    def tolist(self) -> list:
-        return self._full().tolist()
-
-    def tobytes(self) -> bytes:
-        return self._full().tobytes()
+        # entries n − n//2 … n − 1 mirror the stored ones, the centre skipped
+        tail = islice(reversed(self.left), self.n % 2, None)
+        return chain(self.left, map(neg, tail) if self.odd else tail)
 
     def __array__(self, dtype=None, copy=None):
         import numpy as np
         if copy is False:
             raise ValueError("a MirroredArray stores half of its entries, "
                              "so it has no array to share")
-        full = np.frombuffer(self._full())
-        return full if dtype is None else full.astype(dtype)
-
-    def __eq__(self, other):
-        if isinstance(other, MirroredArray):
-            other = other._full()
-        return self._full() == other
+        return np.fromiter(self, dtype or float, self.n)
 
 
 # rows of the left half that _stencil evaluates at a time

@@ -293,7 +293,7 @@ def test_weighted_calls_answer_on_a_mapped_grid(kind, lam, name):
     for n_max in (0, 3):
         grid = build_grid(fam, 1000, n_max=n_max)
         assert grid.beta, n_max
-        [phi] = WEIGHTED[name](fam, grid)
+        [phi] = map(np.asarray, WEIGHTED[name](fam, grid))
         assert abs(inner_product(phi, phi, grid) - 1.0) < 1e-12
         assert phi[-1] > 0
 

@@ -84,15 +84,16 @@ def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
         full = _unnormalized(fam, 8, grid.nodes())
         edges = grid.nodes(grid_n + 1, -1)
         weights = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
-        for n, (phi, raw) in enumerate(zip(columns, full)):
+        for n, (column, raw) in enumerate(zip(columns, full)):
             if grid.beta:
                 norm = math.sqrt(math.fsum(d * (x * x)
                                            for d, x in zip(weights, raw)))
             else:
                 norm = math.sqrt(grid.h * math.fsum(x * x for x in raw))
+            phi = np.asarray(column)
             assert [x.hex() for x in phi] == [(x / norm).hex() for x in raw], n
             assert phi[::-1].tolist() == [(-1) ** n * x for x in phi], n
-            assert phi.odd == (n % 2 == 1)
+            assert column.odd == (n % 2 == 1)
             assert phi[-1] > 0
     assert bool(grid.beta) == math.isinf(fam.profile.hi)
 
