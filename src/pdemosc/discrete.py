@@ -89,9 +89,8 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     index or an ndarray of indices, through the same IEEE operations
     (math.sinh entry by entry on a mapped grid), so an array of nodes is
     `nodes()` bit for bit; an array goes into `out` where one of its
-    length is given.  `nodes()` and
-    `midpoints()` list runs of them as floats.  Node 0 and node n+1 are
-    the walls, at about ∓`wall`.
+    length is given.  `nodes()` and `midpoints()` list runs of them as
+    floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
 
     `weights()` is the one node-weight rule, the w_i of the quadrature
     Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
@@ -355,7 +354,7 @@ class MirroredArray:
         if copy is False:
             raise ValueError("a MirroredArray stores half of its entries, "
                              "so it has no array to share")
-        return np.fromiter(self, dtype or float, self.n)
+        return np.fromiter(self, float if dtype is None else dtype, self.n)
 
 
 # rows of the left half that _stencil evaluates at a time

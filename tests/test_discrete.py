@@ -1128,6 +1128,7 @@ def test_a_mirrored_array_reads_as_every_entry_written(data, n, odd):
     assert array("d", v).tobytes() == bits
     full = np.asarray(v)
     assert full.dtype == np.float64 and full.tobytes() == bits
+    assert np.asarray(v, dtype=np.float64).tobytes() == bits
     # each a fresh copy: the stored half is not shared
     full[:k] = 1.0
     assert v.left.tolist() == left

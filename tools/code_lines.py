@@ -10,6 +10,7 @@ is src/pdemosc.  Prints the count of each file and their total.
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -33,10 +34,9 @@ def code_lines(path: Path) -> int:
     """The number of code lines in one Python file."""
     source = path.read_bytes()
     lines = set()
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in _NOT_CODE:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
