@@ -11,12 +11,13 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "cli": "run",
-    "discrete": """EigenSolution Grid TridiagonalOperator assemble_sturm_liouville
-                   assemble_von_roos build_grid eigen_tridiagonal uniform_grid""",
+    "discrete": """EigenSolution TridiagonalOperator assemble_sturm_liouville
+                   assemble_von_roos eigen_tridiagonal""",
     "errors": """ConstraintViolatedError ConvergenceFailureError
                  DegreeMismatchError InvalidCountError InvalidLambdaError
                  LengthMismatchError NonPositiveAlphaError NotABoundStateError
                  NotProportionalError OutOfDomainError PdemError""",
+    "grid": "Grid build_grid uniform_grid",
     "families": """Kind MassProfile ShapeInvariantFamily VonRoosOrdering
                    alpha_at bound_state_count energy energy_via_recursion
                    make_family mass_at potential_full potential_minus

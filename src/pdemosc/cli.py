@@ -12,7 +12,7 @@ every subcommand but `verify` runs without importing numpy.
 Every CSV table is streamed: `_csv_table` formats it a block of rows at a
 time and `_emit` writes each block to the file or stdout as it comes, so
 memory scales with the samples, not with the text, and the bytes are those
-of formatting every row.  A table of discrete.MirroredArray columns, as
+of formatting every row.  A table of grid.MirroredArray columns, as
 x and the states of `eigenfunctions` are, has only the halves they store
 formatted; the right half is that text in reverse row order, with the
 leading "-" toggled in the odd columns.  None holds a NaN, whose
@@ -23,8 +23,8 @@ whose norm is not.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 from array import array
 from itertools import groupby
@@ -50,18 +50,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# a character json.dumps escapes (json.encoder.ESCAPE_ASCII)
+_ESCAPED = re.compile(r'[\\"]|[^ -~]').search
+
+
 def _json_text(value) -> str:
-    """json.dumps with floats pinned to 17 significant digits."""
+    """json.dumps with floats pinned to 17 significant digits.
+
+    A string is written as json.dumps writes it only where that needs no
+    escape, in printable ASCII with no '"' or backslash, as every name and
+    label here is; any other string raises TypeError, as any other type
+    does.  So no request loads json.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, str) and not _ESCAPED(value):
+        return '"' + value + '"'
     if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}"
+        inner = ", ".join(f"{_json_text(str(k))}: {_json_text(v)}"
                           for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, list):
@@ -78,7 +88,7 @@ def _csv_table(header: str, columns: list):
 
     The header line, then one "%.17g,…" row per index: every column's
     value there (columns are equally long lists, arrays or
-    discrete.MirroredArray of numbers).  A table of MirroredArray columns
+    grid.MirroredArray of numbers).  A table of MirroredArray columns
     formats the left halves they store, with _MARK before each cell of
     an odd column, writes that text unmarked and keeps it; the centre
     row of an odd length, stored too, is formatted as it is; then each kept
@@ -123,13 +133,13 @@ _POLY_JSON = '{"degree": %d, "parameterization": "%s", "coeffs": [%s]}'
 _ROW_JSON = '{"zeta_exp": %d, "q_exp": %d, "num": %d, "den": %d}'
 
 
-def _polynomials_json(polys) -> str:
-    """json.dumps([to_json_dict(p) for p in polys]), row by flat row."""
-    from .polynomials import coefficient_rows
+def _polynomials_json(polys, rows) -> str:
+    """json.dumps([to_json_dict(p) for p in polys]), row by flat row, with
+    rows[i] the coefficient_rows of polys[i]."""
     return "[" + ", ".join(
         _POLY_JSON % (p.degree, p.parameterization.value,
-                      ", ".join([_ROW_JSON % r for r in coefficient_rows(p)]))
-        for p in polys) + "]"
+                      ", ".join([_ROW_JSON % r for r in p_rows]))
+        for p, p_rows in zip(polys, rows)) + "]"
 
 
 def _ordering_flag(text: str) -> VonRoosOrdering:
@@ -249,7 +259,8 @@ def _grid_dict(grid) -> dict:
 
 
 def _cmd_spectrum(args, family) -> int:
-    from .discrete import assemble_lists, build_grid, eigenvalue_list
+    from .discrete import assemble_lists, eigenvalue_list
+    from .grid import build_grid
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
     numeric = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
@@ -267,13 +278,7 @@ def _cmd_spectrum(args, family) -> int:
 
 
 def _cmd_eigenfunctions(args, family) -> int:
-    from .discrete import (
-        MirroredArray,
-        assemble_lists,
-        build_grid,
-        eigenpair_lists,
-        eigenvalue_list,
-    )
+    from .grid import MirroredArray, build_grid
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance)
     # the JSON artifact holds no samples, so JSON alone computes none
@@ -283,11 +288,16 @@ def _cmd_eigenfunctions(args, family) -> int:
         if want_csv:
             from .sampling import eigenfunction_lists
             vectors = eigenfunction_lists(family, n_max, grid)
-    elif want_csv:
-        eigenvalues, vectors = eigenpair_lists(
-            assemble_lists(family, grid), n_max + 1, grid.weights())
     else:
-        eigenvalues = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
+        # only a numeric source loads the stencil and the eigensolver; the
+        # bands are passed, not bound, so eigenpair_lists can free them
+        from .discrete import assemble_lists, eigenpair_lists, eigenvalue_list
+        if want_csv:
+            eigenvalues, vectors = eigenpair_lists(
+                assemble_lists(family, grid), n_max + 1, grid.weights())
+        else:
+            eigenvalues = eigenvalue_list(assemble_lists(family, grid),
+                                          n_max + 1)
     table = None
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
@@ -314,11 +324,11 @@ def _qpoly_str(rows) -> str:
     return " ".join(parts)
 
 
-def _poly_str(poly) -> str:
-    """The --symbolic form, read from the same rows as the JSON."""
-    from .polynomials import coefficient_rows
+def _poly_str(poly_rows) -> str:
+    """The --symbolic form of a polynomial, read from its coefficient_rows,
+    the same rows as the JSON."""
     parts = []
-    for k, rows in groupby(coefficient_rows(poly), key=lambda r: r[0]):
+    for k, rows in groupby(poly_rows, key=lambda r: r[0]):
         qp = _qpoly_str(r[1:] for r in rows)
         zeta = "" if k == 0 else "*z" if k == 1 else f"*z^{k}"
         parts.append(f"({qp}){zeta}")
@@ -326,23 +336,25 @@ def _poly_str(poly) -> str:
 
 
 def _cmd_polynomials(args, family) -> int:
-    from .polynomials import gf_polynomials, parameterization_for
+    from .polynomials import (coefficient_rows, gf_polynomials,
+                              parameterization_for)
     # a degree is not a level: only the default looks at the cutoff, and
     # gf_polynomials refuses a negative degree
     n_max = _n_max(family, None) if args.n_max is None else args.n_max
     par = parameterization_for(Kind(args.family))
     polys = gf_polynomials(n_max, par)
+    rows = [coefficient_rows(p) for p in polys]
     if args.symbolic:
         print(f"# family {args.family}: {_Q_MEANING[par.value]}; z is the "
               f"scaled coordinate")
-        for n, p in enumerate(polys):
-            print(f"H_{n} = {_poly_str(p)}")
-    _emit(args, "polynomials", None, _polynomials_json(polys))
+        for n, p_rows in enumerate(rows):
+            print(f"H_{n} = {_poly_str(p_rows)}")
+    _emit(args, "polynomials", None, _polynomials_json(polys, rows))
     return 0
 
 
 def _cmd_verify(args, family) -> int:
-    from .discrete import build_grid
+    from .grid import build_grid
     from .susy import state_count, verify_all
     grid = build_grid(family, args.grid_n, args.tail_tolerance,
                       state_count(family) - 1)
@@ -361,7 +373,8 @@ def _cmd_verify(args, family) -> int:
 
 
 def _cmd_compare_ordering(args, family) -> int:
-    from .discrete import assemble_lists, build_grid, eigenvalue_list
+    from .discrete import assemble_lists, eigenvalue_list
+    from .grid import build_grid
     n_max = _n_max(family, args.n_max)
     grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
     k = n_max + 1

@@ -1,11 +1,13 @@
-"""Finite-difference oracle: grids, Hamiltonian assembly, eigensolver.
+"""Finite-difference oracle: Hamiltonian assembly and eigensolver.
 
 The route to the spectrum here is deliberately independent of the algebraic
 ladder: discretize H = −(d/dx) p(x) (d/dx) + V(x) with p = 1/(2m) on a
 grid with Dirichlet ends, then find the low eigenvalues of the resulting
-symmetric tridiagonal matrix.  A grid is uniform, or uniform in u with
-x = sinh(βu)/β, where the stencil is a finite-volume scheme and
-build_grid sizes the box for the highest level asked for.  Each
+symmetric tridiagonal matrix.  The grids are those of `grid`: uniform,
+or uniform in u with x = sinh(βu)/β, where the stencil is a
+finite-volume scheme and build_grid sizes the box for the highest level
+asked for.  Only the commands that solve (`spectrum`, `compare-ordering`
+and numeric `eigenfunctions`) load this module.  Each
 Sturm-count pass (the negative pivots of LDLᵀ of T − xI) narrows the
 brackets of every requested eigenvalue at once; once a bracket holds a
 single eigenvalue the same pass also yields the slope of
@@ -35,12 +37,11 @@ Everything here runs on Python floats, so the eigenvalue path never
 imports numpy: the package calls assemble_lists, eigenvalue_list and
 eigenpair_lists.  The bands, the parity blocks and every vector a loop
 walks are float lists, which CPython loops over fastest; the vectors that
-are only stored, the eigenvectors eigenpair_lists returns and the
-per-node columns, are array('d'), at 8 bytes a value where a list of
-floats takes 32.  An even or odd one is a MirroredArray, which stores
-only its first ⌈N/2⌉ entries and its parity: the eigenvectors of a split
-operator keep their block vector as that half, and the CSV writer
-formats only the stored halves of a table of such columns.  An
+are only stored, the eigenvectors eigenpair_lists returns, are
+array('d'), at 8 bytes a value where a list of floats takes 32.  An
+even or odd one is a grid.MirroredArray, which stores only its first
+⌈N/2⌉ entries and its parity: the eigenvectors of a split operator keep
+their block vector as that half.  An
 eigenvector is accepted only at a finite nonzero norm, so none holds a
 NaN, whose text has no sign to mirror.  The public assemblers and
 eigen_tridiagonal return ndarrays, and import numpy when called; nothing
@@ -53,16 +54,16 @@ import math
 import random
 import struct
 import sys
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, count, islice, repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, sub, truediv
 
 from .errors import (
     ConvergenceFailureError,
     InvalidCountError,
     InvalidLambdaError,
     LengthMismatchError,
+    refuse_overflow,
 )
 from .families import (
     SYMMETRIC_ORDERING,
@@ -70,93 +71,9 @@ from .families import (
     VonRoosOrdering,
     masses_on,
     potentials_on,
-    require_bound,
-    require_inside,
-    unified_deformation,
 )
-
-
-class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
-    """Interior grid of n nodes, uniform in u with spacing h on (−hi, hi),
-    at x = sinh(βu)/β, or at x = u where beta is 0; the endpoints carry
-    implicit zeros.
-
-    Node i (1 ≤ i ≤ n) is at u = h·(i − (n+1)/2) and midpoint i
-    (0 ≤ i ≤ n) at u = h·(i − n/2), so node n+1−i is −(node i) and
-    midpoint n−i is −(midpoint i) bit for bit (sinh is odd); an even mass
-    law and potential then give exactly mirror-symmetric bands, which the
-    eigensolver splits into parity blocks.  `node` and `midpoint` take an
-    index or an ndarray of indices, through the same IEEE operations
-    (math.sinh entry by entry on a mapped grid), so an array of nodes is
-    `nodes()` bit for bit; an array goes into `out` where one of its
-    length is given.  `nodes()` and `midpoints()` list runs of them as
-    floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
-
-    `weights()` is the one node-weight rule, the w_i of the quadrature
-    Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
-    outside the sum, and the list of finite-volume weights
-    d_i = (x_{i+1} − x_{i−1})/2 on a mapped one, which mirror bit for bit.
-    """
-
-    __slots__ = ()
-
-    def _x(self, u):
-        b = self.beta
-        return math.sinh(b * u) / b if b else u
-
-    def _x_at(self, i, mid: float, out):
-        """x at u = h·(i − mid) of an index i, or of an ndarray of them."""
-        if not hasattr(i, "__len__"):
-            return self._x(self.h * (i - mid))
-        import numpy as np
-        u = np.subtract(i, mid, out=out)
-        u *= self.h
-        b = self.beta
-        if b:
-            u *= b
-            # a memoryview yields the floats math.sinh takes, and no list of
-            # them is made
-            np.divide(np.fromiter(map(math.sinh, memoryview(u)), float,
-                                  len(u)), b, out=u)
-        return u
-
-    def node(self, i, out=None):
-        return self._x_at(i, 0.5 * (self.n + 1), out)
-
-    def midpoint(self, i, out=None):
-        return self._x_at(i, 0.5 * self.n, out)
-
-    @property
-    def wall(self) -> float:
-        """x at u = hi: where the box ends, hi itself on a uniform grid."""
-        return self._x(self.hi)
-
-    def nodes(self, stop: int | None = None, start: int = 0) -> list:
-        """Nodes start+1 … stop (1 … n by default) as floats."""
-        h, mid = self.h, 0.5 * (self.n + 1)
-        stop = self.n if stop is None else stop
-        return self._xs([h * (i - mid) for i in range(start + 1, stop + 1)])
-
-    def midpoints(self, stop: int, start: int = 0) -> list:
-        """Midpoints start … stop − 1 as floats."""
-        h, mid = self.h, 0.5 * self.n
-        return self._xs([h * (i - mid) for i in range(start, stop)])
-
-    def _xs(self, us: list) -> list:
-        b = self.beta
-        return [math.sinh(b * u) / b for u in us] if b else us
-
-    def weights(self):
-        """h on a uniform grid, the list of n weights d_i on a mapped one."""
-        if self.beta:
-            return _node_weights(self.nodes(self.n + 1, -1))
-        return self.h
-
-
-def _node_weights(edges: list) -> list:
-    """d_i = (x_{i+1} − x_{i−1})/2 of the nodes x between the first and the
-    last of `edges`, a run of consecutive nodes."""
-    return [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
+# build_grid stays bound here, where perfbench/trace_boot.py looks it up
+from .grid import Grid, MirroredArray, _node_weights, build_grid
 
 
 class TridiagonalOperator(namedtuple("TridiagonalOperator", "diag offdiag")):
@@ -174,135 +91,6 @@ class EigenSolution(namedtuple("EigenSolution", "eigenvalues eigenvectors")):
     __slots__ = ()
 
 
-def uniform_grid(hi: float, n: int) -> Grid:
-    """n interior nodes on (−hi, hi), whose width 2·hi and spacing must be
-    positive doubles; n is an integer of at least 16."""
-    if not hasattr(type(n), "__index__") or n < 16:
-        raise InvalidCountError(
-            f"need an integer count of at least 16 interior points, got {n!r}")
-    h = (hi + hi) / (n + 1)
-    if not (0.0 < h and hi + hi < math.inf):
-        raise ValueError(f"need a half-width with 0 < 2*hi < inf whose "
-                         f"spacing over {n + 1} intervals is above 0, got {hi}")
-    return Grid(hi, n, h)
-
-
-def _level_box(q: float, n: int, tail: float) -> float:
-    """ζ² past the peak where the envelope ζⁿ·g of level n ≥ 1 falls to
-    `tail` times its peak, or inf past the range of a double.
-
-    g = (1 + qζ²)^(−1/2q) is the ground factor, e^(−ζ²/2) at q = 0, and
-    the envelope peaks at ζ² = n/(1 − nq).  With ℓ(v) = −2·log g at
-    ζ² = v, the root of n·w − ℓ(eʷ) = (its peak value) + 2·log(tail) is
-    bisected in w = log ζ² down to adjacent doubles: the left side is
-    concave in w and falls past the peak, so the root is unique.
-    """
-    def ell(v):
-        qv = q * v
-        # where q·v is subnormal, log1p(q·v)/q is v to working precision
-        return math.log1p(qv) / q if qv >= sys.float_info.min else v
-
-    if not n * q < 1.0:
-        # n < 1/q − 1/2, but n·q rounds to 1 for q below 2.2e−16: a level
-        # past 4e15, whose box is far past any grid that could hold it
-        return math.inf
-    peak = n / (1.0 - n * q)
-    lo, hi = math.log(peak), math.log(0.5 * sys.float_info.max)
-    drop = n * lo - ell(peak) + 2.0 * math.log(tail)
-
-    def above(w):
-        return n * w - ell(math.exp(w)) > drop
-
-    if above(hi):
-        return math.inf
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return math.exp(hi)
-
-
-def build_grid(family: ShapeInvariantFamily, n: int,
-               tail_tolerance: float = 1e-12,
-               n_max: int | None = None) -> Grid:
-    """Grid spanning the domain, or the region where the bound states live.
-
-    The unnormalized ground state (1 + s x²)^(−cα/2s) decays to
-    tail_tolerance at x² = expm1(2sL/(cα))/s with L = −log t, whose s → 0
-    limit 2L/(cα) is the Gaussian box.  Without n_max, unbounded domains
-    are truncated symmetrically there, on a uniform grid.  With the
-    highest level n_max (a bound one, see require_bound), an unbounded
-    domain (s ≥ 0) ends where the envelope ζⁿ·g of level n = n_max,
-    ζ = √(cα)·x, falls to the tail tolerance of its peak (_level_box;
-    the ground-state box at n = 0), and its nodes are x = sinh(βu)/β,
-    uniform in u, with β = √(cα) the oscillator length: fine near the
-    well and as coarse as the power-law tails of s > 0 allow.  A box
-    past the range of a double is refused, never capped.  Compact
-    domains keep their singular endpoints on a uniform grid (grid nodes
-    stay strictly interior, where the mass is positive), and are refused
-    when fewer than 16 nodes, the least any grid may have, fall inside
-    the ground-state box, as the grid cannot resolve the bound states, or
-    when their outer nodes square past a double (require_inside).
-    """
-    if not 0.0 < tail_tolerance <= 1e-6:
-        raise ValueError(
-            f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}")
-    if n_max is not None:
-        require_bound(family, n_max)
-    profile = family.profile
-    s = profile.s
-    c_alpha = profile.c * family.alpha0
-    u = 2.0 * math.log(1.0 / tail_tolerance) / c_alpha
-    try:
-        # where s or s·u is subnormal, expm1(s·u)/s is u to working precision
-        box2 = (math.expm1(s * u) / s
-                if min(abs(s), abs(s * u)) >= sys.float_info.min else u)
-    except OverflowError:
-        box2 = math.inf
-    if math.isfinite(profile.hi):
-        grid = uniform_grid(profile.hi, n)
-        box = math.sqrt(box2)
-        # the nodes ascend and mirror, so those in (−box, box) are all but
-        # the run at or below −box and its mirror image
-        inside = max(0, n - 2 * bisect_right(range(1, n + 1), -box,
-                                             key=grid.node))
-        if inside < 16:
-            raise InvalidCountError(
-                f"grid spacing h = {grid.h:.3g} on the compact domain "
-                f"(-{profile.hi:.3g}, {profile.hi:.3g}) leaves {inside} of "
-                f"{n} nodes where the ground state exceeds the tail "
-                f"tolerance {tail_tolerance:g} (|x| < {box:.3g}); at least 16 "
-                f"are needed to resolve the bound states")
-        # a subnormal s puts the walls past √DBL_MAX
-        require_inside(profile, grid.node(1))
-        return grid
-    if n_max:
-        box2 = _level_box(unified_deformation(family), n_max,
-                          tail_tolerance) / c_alpha
-    if not math.isfinite(box2):
-        level = f"level {n_max}" if n_max else "the ground state"
-        raise InvalidLambdaError(
-            f"{level} decays too slowly to reach the tail tolerance "
-            f"{tail_tolerance:g} within the range of a double; "
-            f"loosen the tail tolerance or weaken the deformation")
-    if n_max is None:
-        return uniform_grid(math.sqrt(box2), n)
-    beta = math.sqrt(c_alpha)
-    return uniform_grid(math.asinh(beta * math.sqrt(box2)) / beta,
-                        n)._replace(beta=beta)
-
-
-def refuse_overflow(top: float):
-    """The refusal of an operator with a NaN or an entry squaring past a
-    double, `top` its largest number: nan if `top` squares to a double."""
-    if math.isfinite(top * top):
-        top = math.nan
-    raise InvalidLambdaError(
-        f"the discretized Hamiltonian overflows: its largest entry is "
-        f"{top:.3g}, whose square leaves the range of a double; lower "
-        f"alpha, weaken the deformation or coarsen the grid")
-
-
 def _powers(ms: list, e: float) -> list:
     """mᵉ for each m: 1 for e = 0, 1.0/m for e = −1, m ** e otherwise."""
     if e == 0.0:
@@ -315,46 +103,6 @@ def _powers(ms: list, e: float) -> list:
 def _mirrored(left: list, n: int) -> list:
     """left extended to n entries by its mirror image: entry n−1−i is entry i."""
     return left + left[:n - len(left)][::-1]
-
-
-class MirroredArray:
-    """An even or odd vector of n entries that stores only its first ⌈n/2⌉.
-
-    Entry n−1−i is entry i, negated when `.odd`; the centre of an odd n is
-    its own mirror.  `left` holds the first n − n//2 entries: an
-    array('d'), kept as it is, or any iterable of floats, copied into one;
-    any other length is refused with LengthMismatchError.  The other
-    entries are never stored; len and iteration read all n of them, and
-    so do array('d', v) and np.asarray(v), each a fresh copy.  == is
-    identity.
-    """
-
-    __slots__ = ("left", "n", "odd")
-
-    def __init__(self, left, n: int, odd: bool):
-        from array import array  # verify stores no vector and never loads it
-        if not isinstance(left, array):
-            left = array("d", left)
-        if len(left) != n - n // 2:
-            raise LengthMismatchError(
-                f"a mirrored vector of {n} entries stores its first "
-                f"{n - n // 2}, got {len(left)}")
-        self.left, self.n, self.odd = left, n, odd
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        # entries n − n//2 … n − 1 mirror the stored ones, the centre skipped
-        tail = islice(reversed(self.left), self.n % 2, None)
-        return chain(self.left, map(neg, tail) if self.odd else tail)
-
-    def __array__(self, dtype=None, copy=None):
-        import numpy as np
-        if copy is False:
-            raise ValueError("a MirroredArray stores half of its entries, "
-                             "so it has no array to share")
-        return np.fromiter(self, float if dtype is None else dtype, self.n)
 
 
 # rows of the left half that _stencil evaluates at a time

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one overflow refusal."""
+
+import math
 
 
 class PdemError(Exception):
@@ -49,3 +51,14 @@ class NotProportionalError(PdemError):
     Raised by proportionality_ratio when cross-multiplied coefficients
     disagree; reported by callers rather than treated as fatal.
     """
+
+
+def refuse_overflow(top: float):
+    """The refusal of an operator with a NaN or an entry squaring past a
+    double, `top` its largest number: nan if `top` squares to a double."""
+    if math.isfinite(top * top):
+        top = math.nan
+    raise InvalidLambdaError(
+        f"the discretized Hamiltonian overflows: its largest entry is "
+        f"{top:.3g}, whose square leaves the range of a double; lower "
+        f"alpha, weaken the deformation or coarsen the grid")

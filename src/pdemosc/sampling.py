@@ -1,5 +1,5 @@
 """Closed-form bound states sampled on a grid, on Python floats, each
-level's column a discrete.MirroredArray that stores its left half.
+level's column a grid.MirroredArray that stores its left half.
 
 φ_n(x) = N_n H_n(ζ, q) φ_0(x) with ζ = √(cα)·x, for every level up to
 n_max from one three-term recurrence, families.hermite_rows.  This is the
@@ -18,7 +18,6 @@ import math
 import sys
 from operator import mul
 
-from .discrete import Grid, MirroredArray
 from .families import (
     ShapeInvariantFamily,
     hermite_rows,
@@ -26,6 +25,7 @@ from .families import (
     require_inside,
     require_resolved,
 )
+from .grid import Grid, MirroredArray
 
 
 def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):

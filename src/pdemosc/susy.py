@@ -67,8 +67,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .discrete import Grid, refuse_overflow
-from .errors import InvalidLambdaError, LengthMismatchError
+from .errors import InvalidLambdaError, LengthMismatchError, refuse_overflow
 from .families import (
     ShapeInvariantFamily,
     alpha_at,
@@ -83,6 +82,7 @@ from .families import (
     require_inside,
     require_resolved,
 )
+from .grid import Grid
 
 
 # === the grid samples and the stencil, on any run of nodes ===
@@ -179,7 +179,7 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
 class Frame(namedtuple("Frame", "edges d g r")):
     """The nodes x = edges[1:-1] of a run of rows, with one more node at
     each end, and the symmetric frame ṽ = W^½φ on them: the node weights
-    d_i = (x_{i+1} − x_{i−1})/2 (discrete._node_weights), the coupling
+    d_i = (x_{i+1} − x_{i−1})/2 (grid._node_weights), the coupling
     scales g_i = √(d_i d_{i+1}) and the factors r_i = √d_i that take a
     state into the frame.  On a uniform grid d and g are h and r is 1:
     nothing is rescaled, and h cancels in every residual's ratio."""

@@ -31,6 +31,7 @@ from pdemosc import (
 )
 from pdemosc import discrete
 from pdemosc.discrete import eigenvalue_list
+from pdemosc.grid import MirroredArray
 from pdemosc.families import SYMMETRIC_ORDERING, masses_on, potentials_on
 
 
@@ -1121,7 +1122,7 @@ def test_a_mirrored_array_reads_as_every_entry_written(data, n, odd):
     # vector, and the centre of an odd n appears once, as stored
     k = n - n // 2
     left = data.draw(st.lists(_MIRROR_ENTRIES, min_size=k, max_size=k))
-    v = discrete.MirroredArray(left, n, odd)
+    v = MirroredArray(left, n, odd)
     bits = _written_mirror(left, n, odd).tobytes()
     assert (len(v), v.odd, v.left.tolist()) == (n, odd, left)
     assert array("d", list(v)).tobytes() == bits
@@ -1143,4 +1144,4 @@ def test_a_mirrored_array_reads_as_every_entry_written(data, n, odd):
 def test_a_malformed_mirror_is_refused(left, n, odd):
     with pytest.raises(LengthMismatchError,
                        match=f"stores its first {n - n // 2}, got {len(left)}"):
-        discrete.MirroredArray(left, n, odd)
+        MirroredArray(left, n, odd)

@@ -29,6 +29,7 @@ from pdemosc import (
     to_json_dict,
 )
 from pdemosc import cli, discrete, sampling
+from pdemosc.grid import MirroredArray
 from pdemosc.polynomials import parameterization_for
 
 # (level, node) cells planted into the library's output: a signed zero and
@@ -170,7 +171,7 @@ def _built_mirrored(table, kinds=("mirrored",) * 3):
     a MirroredArray of the first ⌈n/2⌉ entries."""
     n = len(table[0])
     return [c if kind == "list" else array("d", c) if kind == "array"
-            else discrete.MirroredArray(c[:n - n // 2], n, odd)
+            else MirroredArray(c[:n - n // 2], n, odd)
             for kind, c, odd in zip(kinds, table, PARITIES)]
 
 
@@ -246,6 +247,23 @@ def test_a_mixed_table_goes_row_by_row(n, kinds, table):
     assert "".join(chunks) == "".join(_chunks(lists))
     mirrored = all(kind == "mirrored" for kind in kinds)
     assert len(chunks) == (3 + n % 2 if mirrored else 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(st.characters(min_codepoint=0x20,
+                                       max_codepoint=0x7e)),
+                 st.text()))
+def test_json_strings_are_json_dumps_or_refused(s):
+    # a string json.dumps writes with no escape is written as it writes it;
+    # any other is refused, as an unknown type is
+    if json.dumps(s) == '"' + s + '"':
+        assert cli._json_text(s) == json.dumps(s)
+        assert cli._json_text({s: [s]}) == json.dumps({s: [s]})
+    else:
+        with pytest.raises(TypeError):
+            cli._json_text(s)
+        with pytest.raises(TypeError):
+            cli._json_text({s: 1})
 
 
 def test_json_only_eigenfunctions_write_no_csv(tmp_path, capsys):

@@ -120,6 +120,47 @@ def test_spectrum_request_does_not_import_dataclasses():
             (argv, proc.stderr)
 
 
+# (argv, whether the request loads the stencil and eigensolver): the
+# closed-form side takes its grid from pdemosc.grid and never loads
+# pdemosc.discrete, and no request loads json
+REQUEST_SOLVES = [
+    *[(["eigenfunctions", "--family", "case3", "--lambda", "0.2", "--n-max",
+        "3", "--grid-n", "501", "--format", fmt], False)
+      for fmt in ("csv", "json", "both")],
+    (["polynomials", "--family", "case1", "--lambda", "0.1", "--n-max", "6"],
+     False),
+    (["polynomials", "--family", "case3", "--lambda", "0.5", "--n-max", "6",
+      "--symbolic"], False),
+    (["verify", "--family", "case3", "--lambda", "0.2", "--grid-n", "600"],
+     False),
+    (["spectrum", "--family", "case1", "--lambda", "0.1", "--grid-n", "600",
+      "--format", "both"], True),
+    (["compare-ordering", "--family", "case1", "--lambda", "0.1", "--grid-n",
+      "600", "--ordering=-0.5,0,-0.5"], True),
+    (["eigenfunctions", "--family", "constant", "--n-max", "2", "--grid-n",
+      "500", "--source", "numeric", "--format", "both"], True),
+]
+
+
+@pytest.mark.parametrize("argv, solves", REQUEST_SOLVES)
+def test_closed_form_requests_load_neither_the_eigensolver_nor_json(argv,
+                                                                    solves):
+    # each in a fresh interpreter: the modules the request adds to those
+    # the interpreter started with
+    src = os.path.dirname(os.path.dirname(pdemosc.__file__))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import contextlib, io\n"
+            "from pdemosc.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run({argv!r})\n"
+            "added = set(sys.modules) - before\n"
+            "print(code, 'pdemosc.discrete' in added, 'json' in added)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0", str(solves), "False"], proc.stderr
+
+
 # the admissible ranges of each family, kept to grids that resolve the
 # ground state: compact domains are drawn away from their wide limit
 LAMBDAS = {
