@@ -5,6 +5,15 @@ All numbers are serialized with 17 significant digits so doubles round-trip
 exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
 
+Every grid is build_grid's at --grid-n and --tail-tolerance (`_grid`).
+`spectrum`, `compare-ordering` and `verify` give it their highest level,
+--n-max or `verify`'s top test state, so on the whole line (s ≥ 0) their
+grid is sinh-mapped on that level's box; `eigenfunctions` gives none, and
+there gets a uniform grid on the ground-state box.  A compact domain
+(s < 0) is spanned whole, (−1/√−s, 1/√−s), on a uniform grid for every
+command; its ground-state box only decides the refusal of a grid with
+fewer than 16 nodes inside it.
+
 Each handler imports the modules it needs when it runs, and every payload
 and CSV column is built from Python numbers, in lists or array('d'), so
 every subcommand but `verify` runs without importing numpy.
@@ -31,6 +40,7 @@ from itertools import groupby
 
 from .errors import PdemError
 from .families import (
+    SYMMETRIC_ORDERING,
     Kind,
     VonRoosOrdering,
     energy,
@@ -258,29 +268,47 @@ def _grid_dict(grid) -> dict:
     return out
 
 
-def _cmd_spectrum(args, family) -> int:
-    from .discrete import assemble_lists, eigenvalue_list
+def _grid(args, family, n_max=None):
+    """The request's grid: build_grid at --grid-n and --tail-tolerance, on
+    the level box of n_max when one is given."""
     from .grid import build_grid
+    return build_grid(family, args.grid_n, args.tail_tolerance, n_max)
+
+
+def _solve(family, grid, k: int, orderings=()) -> list:
+    """The k lowest levels of the symmetric ordering, then of each ordering
+    given, one list each."""
+    from .discrete import assemble_lists, eigenvalue_list
+    return [eigenvalue_list(assemble_lists(family, grid, o), k)
+            for o in (SYMMETRIC_ORDERING, *orderings)]
+
+
+def _json_head(args, **fields) -> str:
+    """The JSON of the family, alpha and lambda asked for, then fields."""
+    return _json_text({"family": args.family, "alpha": args.alpha,
+                       "lambda": args.lam, **fields})
+
+
+def _cmd_spectrum(args, family) -> int:
     n_max = _n_max(family, args.n_max)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
-    numeric = eigenvalue_list(assemble_lists(family, grid), n_max + 1)
+    grid = _grid(args, family, n_max)
+    numeric, = _solve(family, grid, n_max + 1)
     algebraic = [energy(family, n) for n in range(n_max + 1)]
     errors = [abs(a - b) for a, b in zip(algebraic, numeric)]
     levels = [{"n": n, "energy_algebraic": a, "energy_numeric": b,
                "abs_error": e}
               for n, (a, b, e) in enumerate(zip(algebraic, numeric, errors))]
-    payload = {"family": args.family, "alpha": args.alpha, "lambda": args.lam,
-               "grid": _grid_dict(grid), "levels": levels}
     table = _csv_table("n,energy_algebraic,energy_numeric,abs_error",
                        [list(range(n_max + 1)), algebraic, numeric, errors])
-    _emit(args, "spectrum", table, _json_text(payload))
+    _emit(args, "spectrum", table,
+          _json_head(args, grid=_grid_dict(grid), levels=levels))
     return 0
 
 
 def _cmd_eigenfunctions(args, family) -> int:
-    from .grid import MirroredArray, build_grid
+    from .grid import MirroredArray
     n_max = _n_max(family, args.n_max)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance)
+    grid = _grid(args, family)
     # the JSON artifact holds no samples, so JSON alone computes none
     want_csv = args.format in ("csv", "both")
     if args.source == "algebraic":
@@ -291,13 +319,12 @@ def _cmd_eigenfunctions(args, family) -> int:
     else:
         # only a numeric source loads the stencil and the eigensolver; the
         # bands are passed, not bound, so eigenpair_lists can free them
-        from .discrete import assemble_lists, eigenpair_lists, eigenvalue_list
         if want_csv:
+            from .discrete import assemble_lists, eigenpair_lists
             eigenvalues, vectors = eigenpair_lists(
                 assemble_lists(family, grid), n_max + 1, grid.weights())
         else:
-            eigenvalues = eigenvalue_list(assemble_lists(family, grid),
-                                          n_max + 1)
+            eigenvalues, = _solve(family, grid, n_max + 1)
     table = None
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
@@ -354,57 +381,41 @@ def _cmd_polynomials(args, family) -> int:
 
 
 def _cmd_verify(args, family) -> int:
-    from .grid import build_grid
+    # grid is compiled before susy loads numpy, not after it as susy's own
+    # import would: in that order the request's peak RSS is 0.5 MB lower
+    from . import grid as _before_numpy  # noqa: F401
     from .susy import state_count, verify_all
-    grid = build_grid(family, args.grid_n, args.tail_tolerance,
-                      state_count(family) - 1)
+    grid = _grid(args, family, state_count(family) - 1)
     residuals = verify_all(family, grid)
     for name, entry in residuals.items():
         status = "PASS" if entry.passed else "FAIL"
         print(f"{name}: value={_fmt(entry.value)} "
               f"tolerance={_fmt(entry.tolerance)} {status}")
-    payload = {"family": args.family, "alpha": args.alpha, "lambda": args.lam,
-               "grid_n": grid.n, "grid": _grid_dict(grid),
-               "residuals": {name: {"value": e.value, "tolerance": e.tolerance,
-                                    "pass": e.passed}
-                             for name, e in residuals.items()}}
-    _emit(args, "verify", None, _json_text(payload))
+    _emit(args, "verify", None, _json_head(
+        args, grid_n=grid.n, grid=_grid_dict(grid),
+        residuals={name: {"value": e.value, "tolerance": e.tolerance,
+                          "pass": e.passed}
+                   for name, e in residuals.items()}))
     return 0 if all(e.passed for e in residuals.values()) else 3
 
 
 def _cmd_compare_ordering(args, family) -> int:
-    from .discrete import assemble_lists, eigenvalue_list
-    from .grid import build_grid
     n_max = _n_max(family, args.n_max)
-    grid = build_grid(family, args.grid_n, args.tail_tolerance, n_max)
-    k = n_max + 1
-    sym = eigenvalue_list(assemble_lists(family, grid), k)
-    results = []
-    for ordering in args.ordering:
-        ev = eigenvalue_list(assemble_lists(family, grid, ordering), k)
-        results.append((ordering, ev, [v - s for v, s in zip(ev, sym)]))
-
-    def label(o):
-        return f"{o.a:g}_{o.b:g}_{o.c:g}"
-
+    grid = _grid(args, family, n_max)
+    sym, *spectra = _solve(family, grid, n_max + 1, args.ordering)
     header = "n,energy_symmetric"
-    columns = [list(range(k)), sym]
-    for o, ev, dev in results:
-        header += f",energy_{label(o)},dev_{label(o)}"
+    columns = [list(range(n_max + 1)), sym]
+    entries = []
+    for o, ev in zip(args.ordering, spectra):
+        dev = [v - s for v, s in zip(ev, sym)]
+        label = f"{o.a:g}_{o.b:g}_{o.c:g}"
+        header += f",energy_{label},dev_{label}"
         columns += [ev, dev]
-    payload = {
-        "family": args.family, "alpha": args.alpha, "lambda": args.lam,
-        "grid": _grid_dict(grid),
-        "symmetric": sym,
-        "orderings": [
-            {"a": o.a, "b": o.b, "c": o.c,
-             "eigenvalues": ev,
-             "deviation_from_symmetric": dev}
-            for o, ev, dev in results
-        ],
-    }
+        entries.append({"a": o.a, "b": o.b, "c": o.c, "eigenvalues": ev,
+                        "deviation_from_symmetric": dev})
     _emit(args, "compare_ordering", _csv_table(header, columns),
-          _json_text(payload))
+          _json_head(args, grid=_grid_dict(grid), symmetric=sym,
+                     orderings=entries))
     return 0
 
 

@@ -448,6 +448,37 @@ def test_compare_ordering_output(capsys):
         assert entry["eigenvalues"][0] == float(cell)
 
 
+@pytest.mark.parametrize("family", [
+    ["--family", "case1", "--lambda", "0.1"],
+    ["--family", "case3", "--lambda=-0.4"],
+], ids=["case1-sinh-mapped", "case3-compact"])
+def test_spectrum_and_compare_ordering_share_one_solve(capsys, family):
+    # at the same flags spectrum's numeric levels are compare-ordering's
+    # symmetric ones, and an ordering's columns and JSON entry are those it
+    # gets alone, whatever ordering comes before it
+    flags = family + ["--grid-n", "1000", "--format", "both"]
+    orderings = ["--ordering=-0.5,0,-0.5", "--ordering=-0.25,-0.5,-0.25"]
+
+    def request(argv):
+        assert run(argv + flags) == 0
+        *rows, last = capsys.readouterr()[0].splitlines()
+        columns = zip(*(row.split(",") for row in rows))
+        return {c[0]: c[1:] for c in columns}, json.loads(last)
+
+    spectrum_csv, spectrum_json = request(["spectrum"])
+    both_csv, both_json = request(["compare-ordering", *orderings])
+    assert both_csv["energy_symmetric"] == spectrum_csv["energy_numeric"]
+    assert both_json["symmetric"] == [
+        level["energy_numeric"] for level in spectrum_json["levels"]]
+    assert both_json["grid"] == spectrum_json["grid"]
+    for i, ordering in enumerate(orderings):
+        alone_csv, alone_json = request(["compare-ordering", ordering])
+        assert len(alone_csv) == 4
+        assert alone_csv == {k: both_csv[k] for k in alone_csv}
+        assert alone_json["orderings"] == [both_json["orderings"][i]]
+        assert alone_json["symmetric"] == both_json["symmetric"]
+
+
 @pytest.mark.parametrize("grid_n", [500, 501])
 @pytest.mark.parametrize("command", [
     ["spectrum"],

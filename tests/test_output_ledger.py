@@ -24,6 +24,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -200,6 +202,30 @@ def ledger_text(entries: dict) -> str:
 
 def test_the_ledger_lists_every_request():
     assert list(json.loads(LEDGER.read_text())) == list(REQUESTS)
+
+
+def test_the_ledger_follows_the_benchmark():
+    # the ledger samples the benchmark: its panel and edge requests are the
+    # benchmark's own, in order, and the rest are one of each class a
+    # block draws, so a class added to or dropped from the benchmark, or a
+    # panel request changed there, shows here
+    workloads = runpy.run_path(
+        str(LEDGER.parent.parent / "perfbench" / "workloads.py"))
+    names = list(workloads["WORKLOADS"])
+
+    def ledger(prefix):
+        return [v for k, v in REQUESTS.items() if k.startswith(prefix)]
+
+    def argvs(requests):
+        return [" ".join(r.argv("out")) for r in requests]
+
+    assert ledger("panel-") == argvs(workloads["PANEL"])
+    assert ledger("edge-") == argvs(
+        [p for w in names for p in workloads["probes"](w)])
+    drawn = [r.label for w in names
+             for r in workloads["block"](w, random.Random(0))]
+    classes = [k for k in REQUESTS if not k.startswith(("panel-", "edge-"))]
+    assert sorted(classes) == sorted(drawn)
 
 
 @pytest.mark.parametrize("label", list(REQUESTS))
