@@ -5,6 +5,17 @@ All numbers are serialized with 17 significant digits so doubles round-trip
 exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
 
+The command line is read by parse_args from one table, _FLAGS, which gives
+each flag once with its converter and default; _COMMANDS gives the flags
+each subcommand takes.  A flag takes its value as `--flag value` or
+`--flag=value`, and a value given as the next token may begin with a
+single "-" (`--lambda -1e-3`), not with "--".  A unique prefix of a flag is that flag, the
+last value of a flag wins and each --ordering adds one.  -h or --help
+anywhere prints help built from the tables; a usage error writes a usage
+line and an error line to stderr and exits 2, in argparse's words where
+argparse had them.  So no request loads argparse, gettext or locale,
+which cost a request process 6-9 ms.
+
 Every grid is build_grid's at --grid-n and --tail-tolerance (`_grid`).
 `spectrum`, `compare-ordering` and `verify` give it their highest level,
 --n-max or `verify`'s top test state, so on the whole line (s ≥ 0) their
@@ -31,12 +42,12 @@ whose norm is not.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from array import array
 from itertools import groupby
+from types import SimpleNamespace
 
 from .errors import PdemError
 from .families import (
@@ -152,61 +163,127 @@ def _polynomials_json(polys, rows) -> str:
         for p, p_rows in zip(polys, rows)) + "]"
 
 
-def _ordering_flag(text: str) -> VonRoosOrdering:
-    try:
-        parts = [float(p) for p in text.split(",")]
-        if len(parts) != 3:
-            raise ValueError
-        return VonRoosOrdering(*parts)
-    except (ValueError, PdemError):
-        raise argparse.ArgumentTypeError(
-            f"expected 'a,b,c' with a+b+c = -1, got {text!r}")
+def ordering(text: str) -> VonRoosOrdering:
+    """The --ordering "a,b,c", the exponents of m^a D m^b D m^c, which
+    VonRoosOrdering requires to sum to -1."""
+    return VonRoosOrdering(*map(float, text.split(",")))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes the groups of flags it reads, and no other
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", required=True,
-                        choices=sorted(k.value for k in Kind))
-    family.add_argument("--alpha", type=float, default=1.0)
-    family.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                        help="deformation strength of the mass law")
-    family.add_argument("--output-dir", default=None,
-                        help="write artifacts here instead of stdout")
-    levels = argparse.ArgumentParser(add_help=False)
-    levels.add_argument("--n-max", type=int, default=None,
-                        help="highest level/degree (default min(9, cutoff-1))")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-n", type=int, default=4000)
-    grid.add_argument("--tail-tolerance", type=float, default=1e-12)
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=["csv", "json", "both"],
-                       default="csv")
-    every = [family, levels, grid, table]
+# every flag once: the attribute it sets, its converter (a tuple of its
+# choices, or None for --symbolic, which takes no value), default and help
+_FLAGS = {
+    "--family": ("family", tuple(sorted(k.value for k in Kind)), None, ""),
+    "--alpha": ("alpha", float, 1.0, ""),
+    "--lambda": ("lam", float, 0.0, "deformation strength of the mass law"),
+    "--output-dir": ("output_dir", str, None, "write files here, not stdout"),
+    "--n-max": ("n_max", int, None, "highest n (default: min(9, cutoff-1))"),
+    "--grid-n": ("grid_n", int, 4000, ""),
+    "--tail-tolerance": ("tail_tolerance", float, 1e-12, ""),
+    "--format": ("format", ("csv", "json", "both"), "csv", ""),
+    "--source": ("source", ("algebraic", "numeric"), "algebraic", ""),
+    "--symbolic": ("symbolic", None, False, "also print expanded forms"),
+    "--ordering": ("ordering", ordering, None, "a,b,c, a+b+c = -1; repeats"),
+}
+_REQUIRED = ("--family", "--ordering")  # wherever a subcommand takes them
+_FAMILY = ("--family", "--alpha", "--lambda", "--output-dir")
+_GRID = ("--grid-n", "--tail-tolerance")
+_EVERY = _FAMILY + ("--n-max",) + _GRID + ("--format",)
+# each subcommand's help and the flags it reads, and no other
+_COMMANDS = {
+    "spectrum": ("algebraic vs numeric energy levels", _EVERY),
+    "eigenfunctions": ("samples of the bound states", _EVERY + ("--source",)),
+    "polynomials": ("exact coefficients", _FAMILY + ("--n-max", "--symbolic")),
+    "verify": ("operator-identity residual checks", _FAMILY + _GRID),
+    "compare-ordering": ("spectra per ordering", _EVERY + ("--ordering",)),
+}
 
-    parser = argparse.ArgumentParser(
-        prog="pdemosc",
-        description="Spectra and eigenfunctions of position-dependent-mass "
-                    "nonlinear oscillators, computed algebraically and "
-                    "cross-checked by finite differences.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=every,
-                   help="algebraic vs numeric energy levels")
-    p_eig = sub.add_parser("eigenfunctions", parents=every,
-                           help="grid samples of the bound states")
-    p_eig.add_argument("--source", choices=["algebraic", "numeric"],
-                       default="algebraic")
-    p_pol = sub.add_parser("polynomials", parents=[family, levels],
-                           help="exact deformed-polynomial coefficients")
-    p_pol.add_argument("--symbolic", action="store_true",
-                       help="also print human-readable expanded forms")
-    sub.add_parser("verify", parents=[family, grid],
-                   help="run all operator-identity residual checks")
-    p_cmp = sub.add_parser("compare-ordering", parents=every,
-                           help="spectra under alternative kinetic orderings")
-    p_cmp.add_argument("--ordering", action="append", type=_ordering_flag,
-                       required=True, metavar="a,b,c")
-    return parser
+
+def _usage(command) -> str:
+    return (f"usage: pdemosc {command} [-h] [--flag VALUE ...]" if command
+            else "usage: pdemosc [-h] {%s} ..." % ",".join(_COMMANDS))
+
+
+def _help(command) -> str:
+    """The usage, then pdemosc's subcommands, or a subcommand's flags, each
+    with its choices and its default."""
+    if command is None:
+        return "\n".join([_usage(None), ""] + [
+            f"  {name:<18}{about}" for name, (about, _) in _COMMANDS.items()])
+    about, flags = _COMMANDS[command]
+    lines = [_usage(command), "", about, "", "  -h, --help", "        show this"]
+    for flag in flags:
+        _, convert, default, text = _FLAGS[flag]
+        value = "{%s}" % ",".join(convert) if type(convert) is tuple else \
+            flag[2:].upper() if convert else ""
+        if flag in _REQUIRED or convert and default is not None:
+            text += " (required)" if flag in _REQUIRED else \
+                f" (default: {default})"
+        lines += [f"  {flag} {value}".rstrip(), "        " + text.strip()]
+    return "\n".join(lines)
+
+
+def _fail(command, message: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = f"pdemosc {command}" if command else "pdemosc"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The subcommand argv names, and the value of each flag it takes.
+
+    -h or --help anywhere prints help and raises SystemExit(0); a usage
+    error raises SystemExit(2).  A flag takes its value as `--flag value`
+    or `--flag=value`; a next-token value may begin with "-", not "--".  A
+    unique prefix of a flag is that flag, and the last value given wins,
+    but each --ordering adds one.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command))
+        raise SystemExit(0)
+    if command is None:
+        _fail(None, f"argument command: invalid choice: {argv[0]!r}" if argv
+              else "the following arguments are required: command")
+    flags, tokens, extras = _COMMANDS[command][1], iter(argv[1:]), []
+    values = {flag: _FLAGS[flag][2] for flag in flags}
+    for token in tokens:
+        name, given, text = token.partition("=")
+        # "", "-" and "--" begin every flag and name none; any longer
+        # beginning of a flag begins with "--"
+        found = [f for f in flags if len(name) > 2 and f.startswith(name)]
+        if len(found) > 1:
+            _fail(command, f"ambiguous option: {token} could match "
+                  + ", ".join(found))
+        if not found:
+            extras.append(token)
+            continue
+        flag, convert = found[0], _FLAGS[found[0]][1]
+        if convert and not given:  # the next token, if one is left and it
+            text = next(tokens, "--")  # does not begin with "--"
+            given = not text.startswith("--")
+        if bool(given) != bool(convert):  # --symbolic takes no value
+            _fail(command, f"argument {flag}: " + (
+                "takes no value" if given else "expected one argument"))
+        if type(convert) is tuple and text not in convert:
+            _fail(command, f"argument {flag}: invalid choice: {text!r} "
+                  f"(choose from {', '.join(map(repr, convert))})")
+        try:  # --symbolic's value is True, a choice's its text
+            value = convert(text) if callable(convert) else not convert or text
+        except (TypeError, ValueError, PdemError):  # argparse's words
+            _fail(command, f"argument {flag}: invalid {convert.__name__} "
+                  f"value: {text!r}")
+        # the last value given wins, but each --ordering adds one
+        values[flag] = [*(values[flag] or ()), value] \
+            if flag == "--ordering" else value
+    missing = [f for f in _REQUIRED if f in flags and values[f] is None]
+    if missing:
+        _fail(command, "the following arguments are required: "
+              + ", ".join(missing))
+    if extras:
+        _fail(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command,
+                           **{_FLAGS[f][0]: v for f, v in values.items()})
 
 
 def _n_max(family, requested) -> int:
@@ -429,9 +506,8 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

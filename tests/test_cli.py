@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdemosc import Kind, PdemError, bound_state_count, build_grid, make_family, run
-from pdemosc.cli import build_parser
+from pdemosc import (Kind, PdemError, VonRoosOrdering, bound_state_count,
+                     build_grid, make_family, run)
+from pdemosc.cli import parse_args
 
 
 def lines_of(capsys):
@@ -137,6 +139,28 @@ def test_usage_errors_exit_2(capsys):
     assert run(["compare-ordering", "--family", "case1", "--lambda", "0.1",
                 "--grid-n", "400", "--ordering=-1,0"]) == 2
     capsys.readouterr()
+    # an ambiguous prefix: one usage line, then the error
+    assert run(["spectrum", "--family", "case1", "--f", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "usage: pdemosc spectrum [-h] [--flag VALUE ...]",
+        "pdemosc spectrum: error: ambiguous option: --f could match "
+        "--family, --format"]
+
+
+def test_help_is_built_from_the_flag_table(capsys):
+    assert run(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and all(f"\n  {command} " in out for command in READS)
+    # -h anywhere, even after a value that is no choice
+    assert run(["compare-ordering", "--family", "case9", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: pdemosc compare-ordering")
+    for text in [*SHARED_FLAGS, "--family {case1,case2,case3,constant}",
+                 "--format {csv,json,both}", "(default: 4000)",
+                 "(default: 1e-12)", "(default: csv)", "--ordering ORDERING"]:
+        assert text in out
+    assert out.count("(required)") == 2
 
 
 # the eight flags the subcommands share, each with a value and what it parses to
@@ -168,12 +192,176 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
     for flag, (text, dest, value) in SHARED_FLAGS.items():
         argv = base + [flag, text]
         if flag in READS[command]:
-            assert getattr(build_parser().parse_args(argv), dest) == value
+            assert getattr(parse_args(argv), dest) == value
         else:
             assert run(argv) == 2, flag
             out, err = capsys.readouterr()
             assert out == ""
             assert f"unrecognized arguments: {flag} {text}" in err
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before
+    cli.parse_args: the reference the flag table is checked against."""
+    def ordering_flag(text: str) -> VonRoosOrdering:
+        try:
+            parts = [float(p) for p in text.split(",")]
+            if len(parts) != 3:
+                raise ValueError
+            return VonRoosOrdering(*parts)
+        except (ValueError, PdemError):
+            raise argparse.ArgumentTypeError(
+                f"expected 'a,b,c' with a+b+c = -1, got {text!r}")
+
+    # each subcommand takes the groups of flags it reads, and no other
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True,
+                        choices=sorted(k.value for k in Kind))
+    family.add_argument("--alpha", type=float, default=1.0)
+    family.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                        help="deformation strength of the mass law")
+    family.add_argument("--output-dir", default=None,
+                        help="write artifacts here instead of stdout")
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--n-max", type=int, default=None,
+                        help="highest level/degree (default min(9, cutoff-1))")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-n", type=int, default=4000)
+    grid.add_argument("--tail-tolerance", type=float, default=1e-12)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=["csv", "json", "both"],
+                       default="csv")
+    every = [family, levels, grid, table]
+
+    parser = argparse.ArgumentParser(
+        prog="pdemosc",
+        description="Spectra and eigenfunctions of position-dependent-mass "
+                    "nonlinear oscillators, computed algebraically and "
+                    "cross-checked by finite differences.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("spectrum", parents=every,
+                   help="algebraic vs numeric energy levels")
+    p_eig = sub.add_parser("eigenfunctions", parents=every,
+                           help="grid samples of the bound states")
+    p_eig.add_argument("--source", choices=["algebraic", "numeric"],
+                       default="algebraic")
+    p_pol = sub.add_parser("polynomials", parents=[family, levels],
+                           help="exact deformed-polynomial coefficients")
+    p_pol.add_argument("--symbolic", action="store_true",
+                       help="also print human-readable expanded forms")
+    sub.add_parser("verify", parents=[family, grid],
+                   help="run all operator-identity residual checks")
+    p_cmp = sub.add_parser("compare-ordering", parents=every,
+                           help="spectra under alternative kinetic orderings")
+    p_cmp.add_argument("--ordering", action="append", type=ordering_flag,
+                       required=True, metavar="a,b,c")
+    return parser
+
+
+def _parsed(parse, argv):
+    """What parse makes of argv: its values in order, or the code it exits
+    with."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            return exc.code
+
+
+# the flags each subcommand takes
+TAKES = {**READS, "eigenfunctions": READS["eigenfunctions"] + ["--source"],
+         "polynomials": READS["polynomials"] + ["--symbolic"],
+         "compare-ordering": READS["compare-ordering"] + ["--ordering"]}
+_FLOATS = st.one_of(st.floats().map(repr), st.sampled_from(
+    ["2", "-0.45", "-1e-3", "-inf", "nan", "1_0", "-5."]))
+_INTS = st.one_of(st.integers(-10**6, 10**6).map(str),
+                  st.sampled_from(["-5", "-1_000", " 7"]))
+# every flag of the table, with values it takes and values it refuses;
+# none is -h, and none holds a space but " 7", which int() reads
+_VALUES = {
+    "--family": (st.sampled_from(["case1", "case3", "constant"]),
+                 st.sampled_from(["case9", "Case1", ""])),
+    "--alpha": (_FLOATS, st.sampled_from(["x", "", "1,5", "--1"])),
+    "--lambda": (_FLOATS, st.sampled_from(["x", "", "1e"])),
+    "--output-dir": (st.text("ab./_-=", max_size=5), st.just("--out")),
+    "--n-max": (_INTS, st.sampled_from(["1.5", "1e3", "x", ""])),
+    "--grid-n": (_INTS, st.sampled_from(["1.5", "x"])),
+    "--tail-tolerance": (_FLOATS, st.sampled_from(["1e-", "tol"])),
+    "--format": (st.sampled_from(["csv", "json", "both"]),
+                 st.sampled_from(["xml", "CSV"])),
+    "--source": (st.sampled_from(["algebraic", "numeric"]), st.just("exact")),
+    "--symbolic": (st.just(""), st.just("x")),
+    "--ordering": (st.sampled_from(["-0.5,0,-0.5", "0,-1,0", "-0.7,-0.2,-0.1"]),
+                   st.sampled_from(["0,0,0", "-1,0", "a,b,c", "0,-1,0,0"])),
+}
+_STRAYS = st.sampled_from([["--bogus"], ["--n-maxx=3"], ["--"], ["--=1"],
+                           ["-x"], ["-5"], ["verify"], ["stray"]])
+
+
+@st.composite
+def _flag_tokens(draw, flags):
+    """One of the flags, or a prefix of it, mostly with a value it takes:
+    joined by "=", as the next token, or left out (--symbolic's form)."""
+    flag = draw(st.sampled_from(flags))
+    name = flag[:draw(st.integers(3, len(flag)))] if draw(st.booleans()) \
+        else flag
+    good, bad = _VALUES[flag]
+    value = draw(draw(st.sampled_from([good] * 5 + [bad])))
+    forms = [[name, value]] * 4 + [[f"{name}={value}"]] * 4 + [[name]]
+    if flag == "--symbolic" and value == "":
+        forms = [[name]] * 8 + forms
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def parser_argvs(draw):
+    """argv of a subcommand, a misspelt one or none; its required flags,
+    mostly; then flags it takes or any flag of the table, and now and
+    then an unknown flag or a stray token."""
+    command = draw(st.sampled_from(sorted(TAKES)))
+    head = draw(st.sampled_from([[command]] * 12 + [
+        ["spectra"], ["spec"], [""], []]))
+    required = [["--family", "case1"]]
+    if command == "compare-ordering":
+        required.append(["--ordering=-0.5,0,-0.5"])
+    flags = draw(st.sampled_from([TAKES[command]] * 3 + [sorted(_VALUES)]))
+    items = draw(st.lists(_flag_tokens(flags), max_size=5))
+    if draw(st.sampled_from([True] * 3 + [False])):
+        items = required + items
+    if draw(st.sampled_from([True] + [False] * 2)):
+        items.insert(draw(st.integers(0, len(items))), draw(_STRAYS))
+    return head + [token for item in items for token in item]
+
+
+@settings(deadline=None, max_examples=500)
+@given(parser_argvs())
+def test_the_flag_table_parses_as_argparse_did(argv):
+    reference = _parsed(reference_parser().parse_args, argv)
+    got = _parsed(parse_args, argv)
+    if reference != 2:
+        assert got == reference
+    elif got != 2:
+        # the one relaxation: a value that begins with a single "-" is also
+        # taken as the next token, where argparse took it only after "="
+        joined = []
+        for token in argv:
+            if token[:1] == "-" != token[1:2]:
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert joined != argv
+        assert _parsed(reference_parser().parse_args, joined) == got
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--lambda", "-1e-3"), ("--alpha", "-inf"), ("--output-dir", "-out")])
+def test_a_value_may_begin_with_a_minus_sign(flag, text):
+    argv = ["spectrum", "--family", "case1", flag]
+    assert vars(parse_args(argv + [text])) == vars(
+        parse_args(argv[:-1] + [f"{flag}={text}"]))
+    # argparse took such a value only after "="
+    assert _parsed(reference_parser().parse_args, argv + [text]) == 2
 
 
 def test_constant_family_refuses_a_deformation(capsys):
@@ -426,7 +614,8 @@ def test_unwritable_output_dir_is_refused(tmp_path, capsys, where):
 
 
 def test_compare_ordering_output(capsys):
-    # values opening with a minus sign need the = form, as usual with argparse
+    # a value may open with a minus sign in either form, "--ordering v"
+    # or "--ordering=v"
     code = run(["compare-ordering", "--family", "case1", "--lambda", "0.3",
                 "--grid-n", "500", "--tail-tolerance", "1e-6", "--n-max", "1",
                 "--ordering=-0.5,0,-0.5", "--ordering=0,-1,0",

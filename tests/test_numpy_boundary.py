@@ -142,23 +142,48 @@ REQUEST_SOLVES = [
 ]
 
 
-@pytest.mark.parametrize("argv, solves", REQUEST_SOLVES)
-def test_closed_form_requests_load_neither_the_eigensolver_nor_json(argv,
-                                                                    solves):
-    # each in a fresh interpreter: the modules the request adds to those
-    # the interpreter started with
+# argparse imports gettext, and its first parser loads locale: no request
+# loads any of the three, a usage error or a help request included
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def _fresh_request(argv):
+    """The exit code of argv run in a fresh interpreter, and the modules
+    the request adds to those the interpreter started with."""
     src = os.path.dirname(os.path.dirname(pdemosc.__file__))
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import contextlib, io\n"
             "from pdemosc.cli import run\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
             f"    code = run({argv!r})\n"
-            "added = set(sys.modules) - before\n"
-            "print(code, 'pdemosc.discrete' in added, 'json' in added)")
+            "print(code, *sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.split() == ["0", str(solves), "False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    code, *added = proc.stdout.split()
+    return int(code), set(added)
+
+
+@pytest.mark.parametrize("argv, solves", REQUEST_SOLVES)
+def test_closed_form_requests_load_neither_the_eigensolver_nor_json(argv,
+                                                                    solves):
+    code, added = _fresh_request(argv)
+    assert (code, "pdemosc.discrete" in added, "json" in added) == (
+        0, solves, False)
+    assert not added & PARSER_MODULES
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--help"], 0),
+    (["spectrum", "--help"], 0),
+    (["spectrum", "--family", "case1", "--bogus", "1"], 2),
+])
+def test_help_and_usage_errors_load_no_parser_library(argv, exit_code):
+    code, added = _fresh_request(argv)
+    assert code == exit_code
+    assert not added & PARSER_MODULES
 
 
 # the admissible ranges of each family, kept to grids that resolve the
