@@ -6,15 +6,16 @@ exactly and repeated runs are byte-identical.  Exit codes: 0 success,
 1 computation error, 2 usage error, 3 verification failure.
 
 The command line is read by parse_args from one table, _FLAGS, which gives
-each flag once with its converter and default; _COMMANDS gives the flags
-each subcommand takes.  A flag takes its value as `--flag value` or
-`--flag=value`, and a value given as the next token may begin with a
-single "-" (`--lambda -1e-3`), not with "--".  A unique prefix of a flag is that flag, the
-last value of a flag wins and each --ordering adds one.  -h or --help
-anywhere prints help built from the tables; a usage error writes a usage
-line and an error line to stderr and exits 2, in argparse's words where
-argparse had them.  So no request loads argparse, gettext or locale,
-which cost a request process 6-9 ms.
+each flag once with its converter and default; a subcommand is one row of
+_COMMANDS, which gives its help, the flags it takes and the handler that
+runs it, and its artifacts are named after it.  A flag takes its value as
+`--flag value` or `--flag=value`, and a value given as the next token may
+begin with a single "-" (`--lambda -1e-3`), not with "--".  A unique
+prefix of a flag is that flag, the last value of a flag wins and each
+--ordering adds one.  -h or --help anywhere prints help built from the
+tables; a usage error writes a usage line and an error line to stderr
+and exits 2, in argparse's words where argparse had them.  So no request
+loads argparse, gettext or locale, which cost a request process 6-9 ms.
 
 Every grid is build_grid's at --grid-n and --tail-tolerance (`_grid`).
 `spectrum`, `compare-ordering` and `verify` give it their highest level,
@@ -59,13 +60,6 @@ from .families import (
     make_family,
     require_bound,
 )
-
-_Q_MEANING = {
-    "case1": "q = lambda/alpha",
-    "case2": "q = 1/(alpha*lambda)",
-    "case3": "q = lambda^2/(2*alpha)",
-}
-
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -188,14 +182,6 @@ _REQUIRED = ("--family", "--ordering")  # wherever a subcommand takes them
 _FAMILY = ("--family", "--alpha", "--lambda", "--output-dir")
 _GRID = ("--grid-n", "--tail-tolerance")
 _EVERY = _FAMILY + ("--n-max",) + _GRID + ("--format",)
-# each subcommand's help and the flags it reads, and no other
-_COMMANDS = {
-    "spectrum": ("algebraic vs numeric energy levels", _EVERY),
-    "eigenfunctions": ("samples of the bound states", _EVERY + ("--source",)),
-    "polynomials": ("exact coefficients", _FAMILY + ("--n-max", "--symbolic")),
-    "verify": ("operator-identity residual checks", _FAMILY + _GRID),
-    "compare-ordering": ("spectra per ordering", _EVERY + ("--ordering",)),
-}
 
 
 def _usage(command) -> str:
@@ -208,8 +194,8 @@ def _help(command) -> str:
     with its choices and its default."""
     if command is None:
         return "\n".join([_usage(None), ""] + [
-            f"  {name:<18}{about}" for name, (about, _) in _COMMANDS.items()])
-    about, flags = _COMMANDS[command]
+            f"  {name:<18}{about}" for name, (about, *_) in _COMMANDS.items()])
+    about, flags, _ = _COMMANDS[command]
     lines = [_usage(command), "", about, "", "  -h, --help", "        show this"]
     for flag in flags:
         _, convert, default, text = _FLAGS[flag]
@@ -314,8 +300,9 @@ def _write(directory: str, name: str, chunks) -> None:
     print(f"wrote {path}")
 
 
-def _emit(args, base: str, csv_chunks, json_text) -> None:
-    """Route artifacts to --output-dir files or stdout, per --format.
+def _emit(args, csv_chunks, json_text) -> None:
+    """Route artifacts to --output-dir files or stdout, per --format; the
+    files are named after the subcommand, "-" written "_".
 
     csv_chunks is an iterable of CSV text, written chunk by chunk as it
     is drained, or None when the request has no table: then the JSON
@@ -325,6 +312,7 @@ def _emit(args, base: str, csv_chunks, json_text) -> None:
     want_csv = csv_chunks is not None and args.format != "json"
     want_json = csv_chunks is None or args.format != "csv"
     if args.output_dir:
+        base = args.command.replace("-", "_")
         if want_csv:
             _write(args.output_dir, base + ".csv", csv_chunks)
         if want_json:
@@ -377,8 +365,7 @@ def _cmd_spectrum(args, family) -> int:
               for n, (a, b, e) in enumerate(zip(algebraic, numeric, errors))]
     table = _csv_table("n,energy_algebraic,energy_numeric,abs_error",
                        [list(range(n_max + 1)), algebraic, numeric, errors])
-    _emit(args, "spectrum", table,
-          _json_head(args, grid=_grid_dict(grid), levels=levels))
+    _emit(args, table, _json_head(args, grid=_grid_dict(grid), levels=levels))
     return 0
 
 
@@ -409,7 +396,7 @@ def _cmd_eigenfunctions(args, family) -> int:
         x = MirroredArray(grid.nodes(grid.n - grid.n // 2), grid.n, True)
         table = _csv_table(header, [x, *vectors])
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
-    _emit(args, "eigenfunctions", table, _json_text(payload))
+    _emit(args, table, _json_text(payload))
     return 0
 
 
@@ -440,8 +427,8 @@ def _poly_str(poly_rows) -> str:
 
 
 def _cmd_polynomials(args, family) -> int:
-    from .polynomials import (coefficient_rows, gf_polynomials,
-                              parameterization_for)
+    from .polynomials import (STORED_VARIABLE, coefficient_rows,
+                              gf_polynomials, parameterization_for)
     # a degree is not a level: only the default looks at the cutoff, and
     # gf_polynomials refuses a negative degree
     n_max = _n_max(family, None) if args.n_max is None else args.n_max
@@ -449,11 +436,11 @@ def _cmd_polynomials(args, family) -> int:
     polys = gf_polynomials(n_max, par)
     rows = [coefficient_rows(p) for p in polys]
     if args.symbolic:
-        print(f"# family {args.family}: {_Q_MEANING[par.value]}; z is the "
+        print(f"# family {args.family}: {STORED_VARIABLE[par][1]}; z is the "
               f"scaled coordinate")
         for n, p_rows in enumerate(rows):
             print(f"H_{n} = {_poly_str(p_rows)}")
-    _emit(args, "polynomials", None, _polynomials_json(polys, rows))
+    _emit(args, None, _polynomials_json(polys, rows))
     return 0
 
 
@@ -468,7 +455,7 @@ def _cmd_verify(args, family) -> int:
         status = "PASS" if entry.passed else "FAIL"
         print(f"{name}: value={_fmt(entry.value)} "
               f"tolerance={_fmt(entry.tolerance)} {status}")
-    _emit(args, "verify", None, _json_head(
+    _emit(args, None, _json_head(
         args, grid_n=grid.n, grid=_grid_dict(grid),
         residuals={name: {"value": e.value, "tolerance": e.tolerance,
                           "pass": e.passed}
@@ -490,18 +477,22 @@ def _cmd_compare_ordering(args, family) -> int:
         columns += [ev, dev]
         entries.append({"a": o.a, "b": o.b, "c": o.c, "eigenvalues": ev,
                         "deviation_from_symmetric": dev})
-    _emit(args, "compare_ordering", _csv_table(header, columns),
-          _json_head(args, grid=_grid_dict(grid), symmetric=sym,
-                     orderings=entries))
+    _emit(args, _csv_table(header, columns), _json_head(
+        args, grid=_grid_dict(grid), symmetric=sym, orderings=entries))
     return 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "eigenfunctions": _cmd_eigenfunctions,
-    "polynomials": _cmd_polynomials,
-    "verify": _cmd_verify,
-    "compare-ordering": _cmd_compare_ordering,
+# each subcommand's help, the flags it reads, and no other, and its handler
+_COMMANDS = {
+    "spectrum": ("algebraic vs numeric energy levels", _EVERY, _cmd_spectrum),
+    "eigenfunctions": ("samples of the bound states", _EVERY + ("--source",),
+                       _cmd_eigenfunctions),
+    "polynomials": ("exact coefficients", _FAMILY + ("--n-max", "--symbolic"),
+                    _cmd_polynomials),
+    "verify": ("operator-identity residual checks", _FAMILY + _GRID,
+               _cmd_verify),
+    "compare-ordering": ("spectra per ordering", _EVERY + ("--ordering",),
+                         _cmd_compare_ordering),
 }
 
 
@@ -512,7 +503,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         family = make_family(Kind(args.family), args.alpha, args.lam)
-        return _HANDLERS[args.command](args, family)
+        return _COMMANDS[args.command][2](args, family)
     except (PdemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,11 +11,13 @@ spectrum follows from summing remainders: Eₙ = E₀ + Σ_{i=0..n−1} R(α_i).
 
 Every built-in mass law is m(x) = c/(1 + s x²), so a family is the triple
 (c, s, α) and each closed form below is one formula in it: the step is
-η = −s/c and the deformation q = s/(cα).  The formulas are hand-expanded;
-no symbolic differentiation happens at runtime.  Nothing here imports
-numpy: the closed forms take a float or an ndarray alike, and so does
-hermite_rows, the recurrence of the bound states that the grid samplers
-in `sampling` (floats) and `susy` (numpy) run.
+η = −s/c and the deformation q = s/(cα).  A kind is one row of the law
+table _LAWS, which turns λ into (c, s) or refuses it, so a new mass
+profile of this form is a Kind member and one row there.  The formulas
+are hand-expanded; no symbolic differentiation happens at runtime.
+Nothing here imports numpy: the closed forms take a float or an ndarray
+alike, and so does hermite_rows, the recurrence of the bound states that
+the grid samplers in `sampling` (floats) and `susy` (numpy) run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 
 
 class Kind(enum.Enum):
-    """The named mass laws; make_family maps each to its (c, s)."""
+    """The named mass laws; each is one row of _LAWS, its (c, s) from λ."""
 
     CASE1 = "case1"      # m(x) = 1/(1 + λx²)
     CASE2 = "case2"      # m(x) = (1 + x²/λ)⁻¹
@@ -106,11 +108,25 @@ class VonRoosOrdering(namedtuple("VonRoosOrdering", "a b c")):
 SYMMETRIC_ORDERING = VonRoosOrdering(0.0, -1.0, 0.0)
 
 
+# every kind's law, the one row a new mass profile adds: λ to (c, s), or
+# the refusal, in words, of a λ the kind does not take
+_LAWS = {
+    Kind.CASE1: lambda lam: (1.0, lam),
+    Kind.CASE2: lambda lam: (1.0, 1.0 / lam) if lam != 0 else (
+        "Case 2 requires lambda != 0; its constant-mass limit is lambda -> inf"),
+    Kind.CASE3: lambda lam: (2.0, -lam * lam) if lam != 0 else (
+        "Case 3 requires lambda != 0; the lambda = 0 mass is the constant 2 "
+        "(use Kind.CONSTANT for a harmonic oscillator)"),
+    Kind.CONSTANT: lambda lam: (1.0, 0.0) if lam == 0 else (
+        f"the constant family has no deformation: lambda must be 0, got {lam}"),
+}
+
+
 def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFamily:
     """Build a family from its kind, oscillator strength and deformation.
 
-    Every kind is the mass law c/(1 + s x²) for the (c, s) in the table
-    below.  The Constant kind has no deformation, so it rejects lam ≠ 0
+    Every kind is the mass law c/(1 + s x²) for the (c, s) of its row in
+    _LAWS.  The Constant kind has no deformation, so it rejects lam ≠ 0
     (±0 is accepted).  Case 2 and Case 3 reject lam = 0: for Case 2 the
     mass is undefined there (its constant-mass limit is lam → ∞), and for
     Case 3 the mass would be the constant 2, which is a plain harmonic
@@ -120,25 +136,13 @@ def make_family(kind: Kind, alpha: float, lam: float = 0.0) -> ShapeInvariantFam
         raise NonPositiveAlphaError(f"alpha must be positive and finite, got {alpha}")
     if not math.isfinite(lam):
         raise InvalidLambdaError(f"lambda must be finite, got {lam}")
-    if kind == Kind.CASE2 and lam == 0:
-        raise InvalidLambdaError("Case 2 requires lambda != 0; "
-                                 "its constant-mass limit is lambda -> inf")
-    if kind == Kind.CASE3 and lam == 0:
-        raise InvalidLambdaError("Case 3 requires lambda != 0; "
-                                 "the lambda = 0 mass is the constant 2 "
-                                 "(use Kind.CONSTANT for a harmonic oscillator)")
-    if kind == Kind.CONSTANT and lam != 0:
-        raise InvalidLambdaError(f"the constant family has no deformation: "
-                                 f"lambda must be 0, got {lam}")
-    law = {
-        Kind.CASE1: lambda: (1.0, lam),
-        Kind.CASE2: lambda: (1.0, 1.0 / lam),
-        Kind.CASE3: lambda: (2.0, -lam * lam),
-        Kind.CONSTANT: lambda: (1.0, 0.0),
-    }.get(kind)
+    law = _LAWS.get(kind)
     if law is None:
         raise ValueError(f"unknown kind {kind!r}")
-    c, s = law()
+    c_s = law(lam)
+    if isinstance(c_s, str):
+        raise InvalidLambdaError(c_s)
+    c, s = c_s
     if not math.isfinite(s):
         raise InvalidLambdaError(f"lambda = {lam} puts s = {s} out of range")
     return ShapeInvariantFamily(MassProfile(c, s), alpha)
@@ -174,12 +178,17 @@ def masses_on(profile: MassProfile, xs: list) -> list:
     return [c / (1.0 + s * (x * x)) for x in xs]
 
 
+def _partner(profile: MassProfile, b: float, x, shift: float):
+    """½ c b² x²/(1 + s x²) + shift, the one formula of both partners."""
+    require_inside(profile, x)
+    c, s = profile.c, profile.s
+    x2 = x * x
+    return 0.5 * c * b * b * x2 / (1.0 + s * x2) + shift
+
+
 def potential_minus(family: ShapeInvariantFamily, alpha_n: float, x):
     """V₋(x; αₙ) = W² − (W/√(2m))′ = ½ c αₙ² x²/(1 + s x²) − ½ αₙ."""
-    require_inside(family.profile, x)
-    c, s = family.profile.c, family.profile.s
-    x2 = x * x
-    return 0.5 * c * alpha_n * alpha_n * x2 / (1.0 + s * x2) - 0.5 * alpha_n
+    return _partner(family.profile, alpha_n, x, -0.5 * alpha_n)
 
 
 def potential_plus(family: ShapeInvariantFamily, alpha_n: float, x):
@@ -187,11 +196,8 @@ def potential_plus(family: ShapeInvariantFamily, alpha_n: float, x):
 
     With b = αₙ + η it reads ½ c b² x²/(1 + s x²) + ½ b.
     """
-    require_inside(family.profile, x)
-    c, s = family.profile.c, family.profile.s
     b = alpha_n + family.eta
-    x2 = x * x
-    return 0.5 * c * b * b * x2 / (1.0 + s * x2) + 0.5 * b
+    return _partner(family.profile, b, x, 0.5 * b)
 
 
 def potential_full(family: ShapeInvariantFamily, x):

@@ -30,7 +30,8 @@ Case 1 stores q = λ̃ = λ/α, Case 2 stores q = 1/μ = 1/(αλ), and Case 3
 stores the positive variable υ² = λ²/(2α), which is −q, so its
 coefficients are the Case 1 ones with odd q-powers sign-flipped.  That
 flip is made once, in the linear factors (2 − iq) every construction
-multiplies, by writing them in the stored variable.
+multiplies, by writing them in the stored variable, whose sign against
+q is read, with what --symbolic prints for it, from STORED_VARIABLE.
 
 The coefficient of ζ^(2k−n) in the generating-function H_n is the integer
 n!/((n−k)!(2k−n)!) times (−1)^(n−k)/2^(n−k) times the integer polynomial
@@ -73,9 +74,14 @@ def parameterization_for(kind: Kind) -> Parameterization:
             Kind.CASE3: Parameterization.CASE3}.get(kind, Parameterization.CASE1)
 
 
-def _sign_of(par: Parameterization) -> int:
-    # stored variable = _sign_of(par) * unified q
-    return -1 if par == Parameterization.CASE3 else 1
+# each parameterization's stored variable: its sign against the unified q
+# (Case 3 stores υ² = −q), and what it is in lambda and alpha, as
+# `polynomials --symbolic` prints it
+STORED_VARIABLE = {
+    Parameterization.CASE1: (1, "q = lambda/alpha"),
+    Parameterization.CASE2: (1, "q = 1/(alpha*lambda)"),
+    Parameterization.CASE3: (-1, "q = lambda^2/(2*alpha)"),
+}
 
 
 # === integer q-polynomials: entry j of a list is the coefficient of q^j ===
@@ -106,7 +112,7 @@ def _add_into(acc: list, p: list) -> None:
 
 def _lin(c0: int, c1: int, par: Parameterization) -> list:
     """c0 + c1*q written in the stored variable of `par`."""
-    return [c0, c1 * _sign_of(par)]
+    return [c0, c1 * STORED_VARIABLE[par][0]]
 
 
 def _dzeta(terms: dict) -> dict:
@@ -183,12 +189,16 @@ def _pi_products(k_max: int, parameterization: Parameterization) -> list:
     Entry i of Π_k is its coefficient of the i-th power of the stored
     variable, so Case 3's sign flip sits in the factors, not in the result.
     """
-    sign = _sign_of(parameterization)
     pis = [[1]]
     for j in range(k_max):
-        prev, b = pis[-1], -(2 * j + 1) * sign
-        pis.append([2 * c + b * d for c, d in zip(prev + [0], [0] + prev)])
+        prev, (a, b) = pis[-1], _lin(2, -(2 * j + 1), parameterization)
+        pis.append([a * c + b * d for c, d in zip(prev + [0], [0] + prev)])
     return pis
+
+
+def _require_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
 
 
 def _gf_from_products(n: int, pis: list,
@@ -216,16 +226,14 @@ def gf_polynomial(n: int, parameterization: Parameterization) -> LambdaPoly:
         H_n = Σ_{k=⌈n/2⌉}^{n} n! (−1)^(n−k) Π_k(q) ζ^(2k−n)
               / ((n−k)! (2k−n)! 2^(n−k))
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _require_degree(n)
     return _gf_from_products(n, _pi_products(n, parameterization),
                              parameterization)
 
 
 def gf_polynomials(n_max: int, parameterization: Parameterization) -> list:
     """[H_0, …, H_{n_max}], every degree read from one set of Π_k."""
-    if n_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {n_max}")
+    _require_degree(n_max)
     pis = _pi_products(n_max, parameterization)
     return [_gf_from_products(n, pis, parameterization)
             for n in range(n_max + 1)]
@@ -241,8 +249,7 @@ def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPo
     factor (1+qζ²)^(1/q) lifts every surviving power to the nonnegative
     integer n+j, which is expanded binomially.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _require_degree(n)
     par = parameterization
     terms = {(0, 0): [1]}
     for _ in range(n):
@@ -254,7 +261,7 @@ def rodrigues_polynomial(n: int, parameterization: Parameterization) -> LambdaPo
                       _mul(c, _lin(-2, 2 * (n + j), par)))
         terms = {key: p for key, p in nxt.items() if any(p)}
     out: dict = {}
-    sign = _sign_of(par)
+    sign = STORED_VARIABLE[par][0]
     for (a, j), c in terms.items():
         for i in range(n + j + 1):
             # (qζ²)^i of the binomial, written in the stored variable
@@ -343,8 +350,7 @@ def proportionality_ratio(n: int, parameterization: Parameterization) -> Ratio:
     NotProportionalError.  r_n(0) = 1 always, so the two constructions
     share the harmonic limit.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _require_degree(n)
     par = parameterization
     num, den = [1], [1]
     for i in range(2 * n, n, -2):

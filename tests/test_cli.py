@@ -1088,3 +1088,39 @@ def test_every_request_ends_in_a_documented_way(argv):
         assert out == "", argv
     else:
         assert (code, argv[0]) == (3, "verify"), argv
+
+
+# each subcommand's flags past the family, and the files it writes
+ARTIFACTS = {
+    "spectrum": (["--n-max", "2", "--grid-n", "400", "--format", "both"],
+                 ["spectrum.csv", "spectrum.json"]),
+    "eigenfunctions": (["--n-max", "2", "--grid-n", "400", "--format", "both"],
+                       ["eigenfunctions.csv", "eigenfunctions.json"]),
+    "polynomials": (["--n-max", "3"], ["polynomials.json"]),
+    "verify": (["--grid-n", "900"], ["verify.json"]),
+    "compare-ordering": (["--n-max", "2", "--grid-n", "400", "--format", "both",
+                          "--ordering=-0.5,0,-0.5"],
+                         ["compare_ordering.csv", "compare_ordering.json"]),
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_artifacts_are_named_after_the_subcommand(tmp_path, capsys, command):
+    flags, names = ARTIFACTS[command]
+    code = run([command, *flags, "--family", "case3", "--lambda", "0.2",
+                "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert f"wrote {tmp_path / name}" in out
+
+
+def test_constant_polynomials_print_what_q_is(capsys):
+    # the constant family reads the Case 1 polynomials, so q is lambda/alpha
+    code = run(["polynomials", "--family", "constant", "--n-max", "1",
+                "--symbolic"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "# family constant: q = lambda/alpha; z is the scaled coordinate"

@@ -507,3 +507,78 @@ def test_box_overflow_is_refused():
     fam = make_family(Kind.CASE1, 1.0, 1.9)
     with pytest.raises(InvalidLambdaError, match="tail tolerance"):
         build_grid(fam, 400, tail_tolerance=1e-300)
+
+
+# today's (c, s) of every kind at each λ, or the words it is refused in
+_CASE2_ZERO = ("Case 2 requires lambda != 0; "
+               "its constant-mass limit is lambda -> inf")
+_CASE3_ZERO = ("Case 3 requires lambda != 0; the lambda = 0 mass is the "
+               "constant 2 (use Kind.CONSTANT for a harmonic oscillator)")
+_NO_DEFORMATION = "the constant family has no deformation: lambda must be 0, got "
+LAMBDAS = (0.0, -0.0, 0.3, -0.3, 1e-300)
+LAWS_AT = {  # one entry per λ above, in its order
+    Kind.CASE1: [(1.0, 0.0), (1.0, -0.0), (1.0, 0.3), (1.0, -0.3),
+                 (1.0, 1e-300)],
+    Kind.CASE2: [_CASE2_ZERO, _CASE2_ZERO, (1.0, 1.0 / 0.3),
+                 (1.0, 1.0 / -0.3), (1.0, 1.0 / 1e-300)],
+    Kind.CASE3: [_CASE3_ZERO, _CASE3_ZERO, (2.0, -0.3 * 0.3),
+                 (2.0, 0.3 * -0.3), (2.0, -0.0)],  # -λ² underflows to -0
+    Kind.CONSTANT: [(1.0, 0.0), (1.0, 0.0), _NO_DEFORMATION + "0.3",
+                    _NO_DEFORMATION + "-0.3", _NO_DEFORMATION + "1e-300"],
+}
+
+
+@pytest.mark.parametrize("kind, lam, want", [
+    (kind, lam, want) for kind in Kind
+    for lam, want in zip(LAMBDAS, LAWS_AT[kind], strict=True)], ids=str)
+def test_every_kind_maps_lambda_to_its_law_or_its_refusal(kind, lam, want):
+    if isinstance(want, str):
+        with pytest.raises(InvalidLambdaError) as refused:
+            make_family(kind, 1.0, lam)
+        assert str(refused.value) == want
+    else:
+        profile = make_family(kind, 1.0, lam).profile
+        assert (profile.c.hex(), profile.s.hex()) == tuple(v.hex() for v in want)
+
+
+def test_a_kind_named_by_its_text_is_unknown():
+    with pytest.raises(ValueError, match=re.escape("unknown kind 'case1'")):
+        make_family("case1", 1.0, 0.3)
+
+
+def _partners_written_out(fam, a, x):
+    c, s = fam.profile.c, fam.profile.s
+    b = a + fam.eta
+    x2 = x * x
+    return (0.5 * c * a * a * x2 / (1.0 + s * x2) - 0.5 * a,
+            0.5 * c * b * b * x2 / (1.0 + s * x2) + 0.5 * b)
+
+
+@st.composite
+def _partner_points(draw):
+    # CASE1 with λ < 0 and CASE3 are compact: x is drawn inside the domain
+    kind, lam = draw(st.sampled_from([
+        (Kind.CASE1, 0.2), (Kind.CASE1, -0.3), (Kind.CASE2, 7.0),
+        (Kind.CASE2, -4.0), (Kind.CASE3, 0.5), (Kind.CONSTANT, 0.0),
+        (Kind.CONSTANT, -0.0)]))
+    fam = make_family(kind, draw(st.floats(0.1, 4.0)), lam)
+    a = draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0))
+    reach = min(fam.profile.hi, 10.0)
+    xs = draw(st.lists(st.sampled_from([0.0, -0.0])
+                       | st.floats(-0.999, 0.999).map(lambda u: u * reach),
+                       min_size=1, max_size=6))
+    return fam, a, xs
+
+
+@settings(deadline=None, max_examples=200)
+@given(_partner_points())
+def test_partner_potentials_are_their_formulas_bit_for_bit(point):
+    fam, a, xs = point
+    for x in xs:
+        got = (potential_minus(fam, a, x), potential_plus(fam, a, x))
+        want = _partners_written_out(fam, a, x)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    x = np.array(xs)
+    got = (potential_minus(fam, a, x), potential_plus(fam, a, x))
+    for g, w in zip(got, _partners_written_out(fam, a, x)):
+        assert g.tobytes() == w.tobytes()
