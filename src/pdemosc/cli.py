@@ -393,7 +393,8 @@ def _cmd_eigenfunctions(args, family) -> int:
     if want_csv:
         header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
         # x is odd, and node n+1−i is −(node i) bit for bit
-        x = MirroredArray(grid.nodes(grid.n - grid.n // 2), grid.n, True)
+        x = MirroredArray(grid.node(range(1, grid.n - grid.n // 2 + 1)),
+                          grid.n, True)
         table = _csv_table(header, [x, *vectors])
     payload = {"eigenvalues": eigenvalues, "grid": _grid_dict(grid)}
     _emit(args, table, _json_text(payload))

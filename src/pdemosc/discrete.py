@@ -158,10 +158,10 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             # and their couplings node hi + 1, past the middle for the
             # last block, where it mirrors a node of the left half; the
             # mapped spacings and weights also read nodes lo and hi + 2
-            edges = grid.nodes(hi + 2, lo - 1)
+            edges = grid.node(range(lo, hi + 3))
             xs = edges[1:-1]
             ms = masses_on(profile, xs)
-            mids = grid.midpoints(hi + 1, lo)
+            mids = grid.midpoint(range(lo, hi + 1))
             w = _powers(masses_on(profile, mids), ordering.b)
             potential = potentials_on(family, xs, ms)
             couplings = min(hi, pairs) - lo

@@ -42,12 +42,13 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     (0 ≤ i ≤ n) at u = h·(i − n/2), so node n+1−i is −(node i) and
     midpoint n−i is −(midpoint i) bit for bit (sinh is odd); an even mass
     law and potential then give exactly mirror-symmetric bands, which the
-    eigensolver splits into parity blocks.  `node` and `midpoint` take an
-    index or an ndarray of indices, through the same IEEE operations
-    (math.sinh entry by entry on a mapped grid), so an array of nodes is
-    `nodes()` bit for bit; an array goes into `out` where one of its
-    length is given.  `nodes()` and `midpoints()` list runs of them as
-    floats.  Node 0 and node n+1 are the walls, at about ∓`wall`.
+    eigensolver splits into parity blocks.  `node` and `midpoint` are the
+    one accessor of each kind of point: an index gives a float, a range
+    of indices a list of floats and an ndarray of indices an ndarray, the
+    one given as `out` where there is one, each through the same IEEE
+    operations (math.sinh entry by entry on a mapped grid), so a list and
+    an array over the same indices agree bit for bit.  Node 0 and node
+    n+1 are the walls, at about ∓`wall`.
 
     `weights()` is the one node-weight rule, the w_i of the quadrature
     Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
@@ -58,17 +59,19 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     __slots__ = ()
 
     def _x(self, u):
-        b = self.beta
-        return math.sinh(b * u) / b if b else u
+        return math.sinh(self.beta * u) / self.beta if self.beta else u
 
     def _x_at(self, i, mid: float, out):
-        """x at u = h·(i − mid) of an index i, or of an ndarray of them."""
+        """x at u = h·(i − mid) of an index i, a range or an array of them."""
+        h, b = self.h, self.beta
+        if isinstance(i, range):
+            us = [h * (k - mid) for k in i]
+            return [math.sinh(b * u) / b for u in us] if b else us
         if not hasattr(i, "__len__"):
-            return self._x(self.h * (i - mid))
+            return self._x(h * (i - mid))
         import numpy as np
         u = np.subtract(i, mid, out=out)
-        u *= self.h
-        b = self.beta
+        u *= h
         if b:
             u *= b
             # a memoryview yields the floats math.sinh takes, and no list of
@@ -88,25 +91,10 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
         """x at u = hi: where the box ends, hi itself on a uniform grid."""
         return self._x(self.hi)
 
-    def nodes(self, stop: int | None = None, start: int = 0) -> list:
-        """Nodes start+1 … stop (1 … n by default) as floats."""
-        h, mid = self.h, 0.5 * (self.n + 1)
-        stop = self.n if stop is None else stop
-        return self._xs([h * (i - mid) for i in range(start + 1, stop + 1)])
-
-    def midpoints(self, stop: int, start: int = 0) -> list:
-        """Midpoints start … stop − 1 as floats."""
-        h, mid = self.h, 0.5 * self.n
-        return self._xs([h * (i - mid) for i in range(start, stop)])
-
-    def _xs(self, us: list) -> list:
-        b = self.beta
-        return [math.sinh(b * u) / b for u in us] if b else us
-
     def weights(self):
         """h on a uniform grid, the list of n weights d_i on a mapped one."""
         if self.beta:
-            return _node_weights(self.nodes(self.n + 1, -1))
+            return _node_weights(self.node(range(self.n + 2)))
         return self.h
 
 

@@ -69,7 +69,7 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     # node n+1−i mirrors node i: the first ⌈n/2⌉ nodes are evaluated, and
     # the first ⌊n/2⌋ of them mirrored; the first node bounds every other
     mirrored = n // 2
-    xs = grid.nodes(n - mirrored)
+    xs = grid.node(range(1, n - mirrored + 1))
     require_inside(family.profile, xs[0])
     # a scalar h stays a factor outside the sum; a mapped grid's weights
     # mirror as its nodes do, so the left half's are read

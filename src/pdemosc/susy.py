@@ -93,10 +93,7 @@ def inner_product(f, g, grid: Grid) -> float:
     if len(f) != len(g) or len(f) != grid.n:
         raise LengthMismatchError(
             f"lengths {len(f)}, {len(g)} do not match grid size {grid.n}")
-    w = grid.weights()
-    if isinstance(w, list):
-        return float(np.dot(np.multiply(w, f), g))
-    return w * float(np.dot(f, g))
+    return float(np.dot(np.multiply(grid.weights(), f), g))
 
 
 def superpotential_at(family: ShapeInvariantFamily, alpha_n: float, x):

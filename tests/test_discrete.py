@@ -49,12 +49,12 @@ def test_grid_layout():
     # and a uniform grid has the identity map, beta = 0
     assert g._fields == ("hi", "n", "h", "beta")
     assert g.beta == 0.0 and g.wall == g.hi
-    xs = g.nodes()
+    xs = g.node(range(1, 20))
     assert len(xs) == 19
     # interior nodes only: the Dirichlet endpoints are not sampled
     assert xs[0] == pytest.approx(-1.0 + g.h)
     assert xs[-1] == pytest.approx(1.0 - g.h)
-    assert g.nodes(0) == [] and g.nodes(1) == [xs[0]]
+    assert g.node(range(1, 1)) == [] and g.node(range(1, 2)) == [xs[0]]
     # a record with no per-instance dict: nothing is cached on a grid
     assert not hasattr(g, "__dict__")
     with pytest.raises(InvalidCountError):
@@ -68,10 +68,10 @@ def test_grid_layout():
 @pytest.mark.parametrize("n", [4000, 4001])
 def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
     grid = build_grid(make_family(kind, 1.0, lam), n)
-    xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
     assert xs == [-x for x in reversed(xs)]
     assert mids == [-x for x in reversed(mids)]
-    assert xs[:7] == grid.nodes(7) and xs[0] == grid.node(1)
+    assert xs[:7] == grid.node(range(1, 8)) and xs[0] == grid.node(1)
     # the numpy nodes come from the same IEEE operations
     assert grid.node(np.arange(1, n + 1)).tobytes() == np.array(xs).tobytes()
 
@@ -82,7 +82,7 @@ def test_build_grid_nodes_mirror_bit_for_bit(kind, lam, n):
 def test_numpy_nodes_are_the_float_nodes_bit_for_bit(hi, n):
     # odd and even N, whole grid and blocks
     grid = uniform_grid(hi, n)
-    xs = grid.nodes()
+    xs = grid.node(range(1, n + 1))
     assert grid.node(np.arange(1, n + 1)).tobytes() == np.array(xs).tobytes()
     for lo, stop in [(0, 1), (17, 2048), (n - 5, n)]:
         assert (grid.node(np.arange(lo + 1, stop + 1)).tobytes()
@@ -97,7 +97,7 @@ def test_mapped_index_arrays_are_the_float_nodes_across_sinh_runs(n):
     # from the first index, an inner one and up to the last
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
     assert grid.beta
-    xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
     lengths = (1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049, n - 1, n)
     out = np.empty(n)
     for length in lengths:
@@ -117,7 +117,8 @@ def test_mapped_index_arrays_are_the_float_nodes_across_sinh_runs(n):
 def full_stencil(fam, grid, ordering):
     """(diag, offdiag) of assemble_lists, from the two composition orders
     written out on every node, as a reference."""
-    xs, mids = grid.nodes(), grid.midpoints(grid.n + 1)
+    n = grid.n
+    xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
     ms = masses_on(fam.profile, xs)
     w = discrete._powers(masses_on(fam.profile, mids), ordering.b)
     h2 = grid.h * grid.h
@@ -202,7 +203,8 @@ def test_grids_refuse_a_count_that_is_not_an_integer():
                 uniform_grid(1.0, n)
             with pytest.raises(InvalidCountError, match="integer count"):
                 build_grid(fam, n)
-    assert uniform_grid(1.0, np.int64(20)).nodes() == uniform_grid(1.0, 20).nodes()
+    assert (uniform_grid(1.0, np.int64(20)).node(range(1, 21))
+            == uniform_grid(1.0, 20).node(range(1, 21)))
 
 
 def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
@@ -214,7 +216,7 @@ def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
         with pytest.raises(ValueError, match="half-width"):
             uniform_grid(hi, 20)
     widest = uniform_grid(sys.float_info.max / 2, 20)
-    assert math.isfinite(widest.h) and widest.nodes()[0] > -widest.hi
+    assert math.isfinite(widest.h) and widest.node(1) > -widest.hi
 
 
 @settings(deadline=None, max_examples=100)
@@ -229,11 +231,11 @@ def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
             uniform_grid(hi, n)
         return
     grid = uniform_grid(hi, n)
-    for v in (grid.nodes(), grid.midpoints(n + 1)):
+    for v in (grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))):
         k = len(v) // 2
         assert _hex(v[:k]) == _hex([-x for x in v[::-1][:k]])
         assert len(v) % 2 == 0 or v[k].hex() == "0x0.0p+0"
-    xs = np.array(grid.nodes())
+    xs = np.array(grid.node(range(1, n + 1)))
     lo = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(lo + 1, n))
     assert (grid.node(np.arange(lo + 1, stop + 1)).tobytes()
@@ -465,7 +467,7 @@ def test_inner_product_checks_lengths():
 
 def test_inner_product_is_trapezoid_quadrature():
     g = uniform_grid(0.5, 99)
-    f = np.cos(math.pi * np.array(g.nodes()))
+    f = np.cos(math.pi * np.array(g.node(range(1, g.n + 1))))
     # int cos^2(pi x) dx over (-1/2, 1/2) is 1/2; the integrand vanishes at
     # both endpoints
     assert inner_product(f, f, g) == pytest.approx(0.5, abs=1e-4)

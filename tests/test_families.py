@@ -465,7 +465,7 @@ def test_samples_match_hermval_at_high_degree(n):
     grid = build_grid(fam, 4000)
     unit = np.zeros(n + 1)
     unit[n] = 1.0
-    x = np.array(grid.nodes())
+    x = np.array(grid.node(range(1, grid.n + 1)))
     ref = hermite.hermval(x, unit) * np.exp(-0.5 * x ** 2)
     ref /= math.sqrt(grid.h * float(np.dot(ref, ref)))
     phi = eigenfunction_samples(fam, n, grid)
@@ -478,7 +478,7 @@ def test_samples_stay_finite_past_double_range(n):
     # box; the normalized Hermite functions obey a recurrence that does not
     fam = make_family(Kind.CONSTANT, 1.0)
     grid = build_grid(fam, 2000)
-    x = np.array(grid.nodes())
+    x = np.array(grid.node(range(1, grid.n + 1)))
     prev, ref = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
     for m in range(n):
         prev, ref = ref, (math.sqrt(2.0 / (m + 1)) * x * ref

@@ -74,7 +74,7 @@ def test_eigenfunction_csv_cells_are_17g_of_library_values(capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert err == ""
     fam = make_family(Kind.CASE1, 1.0, 0.1)
-    x = build_grid(fam, 700).nodes()
+    x = build_grid(fam, 700).node(range(1, 701))
     lines = out.split("\n")
     assert lines[0] == "x,phi_0,phi_1,phi_2" and lines[-1] == ""
     cells = [line.split(",") for line in lines[1:-1]]
@@ -145,7 +145,7 @@ def test_streamed_table_is_the_row_by_row_table(request):
     else:
         columns = discrete.eigenpair_lists(
             discrete.assemble_lists(fam, grid), n_max + 1, grid.h)[1]
-    table = [grid.nodes(), *columns]
+    table = [grid.node(range(1, grid.n + 1)), *columns]
     header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
     assert out.getvalue() == rows_17g(header, table)
 

@@ -106,7 +106,7 @@ def test_orderings_match_their_closed_form_at_second_order(family, lam):
 def _whole_grid_weights(grid):
     """The finite-volume weights (x_{i+1} − x_{i−1})/2 written out on every
     node, the walls being nodes 0 and n+1, as a reference."""
-    edges = grid.nodes(grid.n + 1, -1)
+    edges = grid.node(range(grid.n + 2))
     return [0.5 * (edges[i + 1] - edges[i - 1]) for i in range(1, grid.n + 1)]
 
 
@@ -114,8 +114,9 @@ def _whole_grid_stencil(fam, grid, ordering):
     """(diag, offdiag) of the mapped stencil written out on every node, from
     the two composition orders and the finite-volume weights, as a
     reference."""
-    edges = grid.nodes(grid.n + 1, -1)  # nodes 0 … n+1, the walls at the ends
-    xs, mids = edges[1:-1], grid.midpoints(grid.n + 1)
+    # nodes 0 … n+1, the walls at the ends
+    edges = grid.node(range(grid.n + 2))
+    xs, mids = edges[1:-1], grid.midpoint(range(grid.n + 1))
     ms = masses_on(fam.profile, xs)
     kappa = [m / (r - l) for m, l, r in zip(
         discrete._powers(masses_on(fam.profile, mids), ordering.b),
@@ -177,10 +178,12 @@ def test_mapped_stencil_matches_the_whole_grid_and_splits(kind, lam, n):
 @pytest.mark.parametrize("n", [4000, 4001])
 def test_mapped_nodes_mirror_bit_for_bit(n):
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
-    xs, mids = grid.nodes(), grid.midpoints(n + 1)
+    xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
     # the nodes of an index array are the same math.sinh values
     assert _hex(grid.node(np.arange(1, n + 1))) == _hex(xs)
-    assert _hex(grid.node(np.arange(18, 401))) == _hex(grid.nodes(400, 17))
+    # a list run and an array run of the same indices are the same values
+    assert (_hex(grid.node(np.arange(18, 401)))
+            == _hex(grid.node(range(18, 401))))
     assert _hex(grid.midpoint(np.arange(n + 1))) == _hex(mids)
     assert xs == [-x for x in reversed(xs)]
     assert mids == [-x for x in reversed(mids)]

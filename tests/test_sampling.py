@@ -1,7 +1,9 @@
-"""The float sampler of the closed-form states against its numpy twin."""
+"""The float sampler of the closed-form states against its numpy twin and
+against the exact polynomials of the paper."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +19,11 @@ from pdemosc import (
     eigenfunction_samples,
     make_family,
     uniform_grid,
+)
+from pdemosc.polynomials import (
+    STORED_VARIABLE,
+    gf_polynomial,
+    parameterization_for,
 )
 from pdemosc.sampling import _unnormalized, eigenfunction_lists
 
@@ -61,6 +68,73 @@ def test_float_sampler_is_the_numpy_sampler(case):
     assert_twins_agree(*case)
 
 
+def exact_state(kind, fam, n, grid):
+    """φ_n at the nodes from the exact H_n of gf_polynomial, in 40 digits.
+
+    H_n is evaluated at ζ = √(cα)·x in the stored variable of the kind's
+    parameterization, times the ground factor (1 + s x²)^(−cα/2s), the
+    Gaussian e^(−cα x²/2) at s = 0; the state is normalized in the grid's
+    node weights, its leading coefficient, and so its right tail, positive.
+    """
+    par = parameterization_for(kind)
+    # the factor 2^−shift of H_n is left out: normalizing removes it
+    poly = gf_polynomial(n, par)
+    x = grid.node(range(1, grid.n + 1))
+    with mpmath.workdps(40):
+        c, s = mpmath.mpf(fam.profile.c), mpmath.mpf(fam.profile.s)
+        ca = c * fam.alpha0
+        q = STORED_VARIABLE[par][0] * s / ca
+        coeffs = [sum((mpmath.mpf(k) * q ** j
+                       for j, k in enumerate(poly.terms.get(d, []))),
+                      mpmath.mpf(0)) for d in range(n + 1)]
+        if coeffs[n] < 0:
+            coeffs = [-k for k in coeffs]
+        phi = []
+        for v in map(mpmath.mpf, x):
+            zeta, h = mpmath.sqrt(ca) * v, mpmath.mpf(0)
+            for k in reversed(coeffs):
+                h = h * zeta + k
+            ground = (mpmath.exp(-ca * v * v / 2) if not s
+                      else mpmath.power(1 + s * v * v, -ca / (2 * s)))
+            phi.append(float(h * ground))
+    phi = np.array(phi)
+    return phi / math.sqrt(float(np.dot(np.multiply(grid.weights(), phi),
+                                        phi)))
+
+
+@st.composite
+def oracle_levels(draw):
+    """A family, a grid of at most 300 nodes, uniform or sized for level
+    n_max, and the levels the benchmark's oracle checks: 0, n_max − 1 and
+    n_max."""
+    kind = draw(st.sampled_from(list(Kind)))
+    fam = make_family(kind, draw(st.floats(0.5, 2.0)), draw(LAMBDAS[kind]))
+    count = bound_state_count(fam)
+    assume(count != 0)
+    n_max = draw(st.integers(0, 40 if count is None else min(40, count - 1)))
+    mapped = fam.profile.s >= 0.0 and draw(st.booleans())
+    try:
+        grid = build_grid(fam, draw(st.integers(16, 300)),
+                          n_max=n_max if mapped else None)
+    except (InvalidCountError, InvalidLambdaError):
+        assume(False)
+    return kind, fam, n_max, grid
+
+
+@settings(deadline=None, max_examples=150)
+@given(oracle_levels())
+def test_float_sampler_is_the_exact_polynomial(case):
+    # the twins above share families.hermite_rows; this pins the float
+    # sampler to gf_polynomial's exact coefficients instead
+    kind, fam, n_max, grid = case
+    columns = eigenfunction_lists(fam, n_max, grid)
+    for n in sorted({0, max(n_max - 1, 0), n_max}):
+        want = exact_state(kind, fam, n, grid)
+        top = float(np.max(np.abs(want)))
+        got = np.asarray(columns[n])
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * top, n
+
+
 def test_float_sampler_past_the_rescale():
     # H_n φ_0 outgrows a double from about n = 150 on this box
     fam = make_family(Kind.CONSTANT, 1.0)
@@ -81,8 +155,8 @@ def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
         # uniform grid, Σ d_i·x² in the finite-volume weights
         # d_i = (x_{i+1} − x_{i−1})/2 of a mapped one, the walls being
         # nodes 0 and n+1
-        full = _unnormalized(fam, 8, grid.nodes())
-        edges = grid.nodes(grid_n + 1, -1)
+        full = _unnormalized(fam, 8, grid.node(range(1, grid_n + 1)))
+        edges = grid.node(range(grid_n + 2))
         weights = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
         for n, (column, raw) in enumerate(zip(columns, full)):
             if grid.beta:
