@@ -21,10 +21,13 @@ Every grid is build_grid's at --grid-n and --tail-tolerance (`_grid`).
 `spectrum`, `compare-ordering` and `verify` give it their highest level,
 --n-max or `verify`'s top test state, so on the whole line (s ≥ 0) their
 grid is sinh-mapped on that level's box; `eigenfunctions` gives none, and
-there gets a uniform grid on the ground-state box.  A compact domain
-(s < 0) is spanned whole, (−1/√−s, 1/√−s), on a uniform grid for every
-command; its ground-state box only decides the refusal of a grid with
-fewer than 16 nodes inside it.
+there gets a uniform grid on the ground-state box.  `spectrum` and
+`compare-ordering`, which read only energies, also ask for a grid sized
+for them: on the whole line its box ends where the walls stop moving the
+top level, never past the level box, and a compact domain whose wall is
+soft is sin-mapped.  Any other compact domain (s < 0) is spanned whole,
+(−1/√−s, 1/√−s), on a uniform grid; its ground-state box only decides
+the refusal of a grid with fewer than 16 nodes inside it.
 
 Each handler imports the modules it needs when it runs, and every payload
 and CSV column is built from Python numbers, in lists or array('d'), so
@@ -325,19 +328,22 @@ def _emit(args, csv_chunks, json_text) -> None:
 
 
 def _grid_dict(grid) -> dict:
-    """The walls and size of a grid, and the scale β of a sinh-mapped one."""
+    """The walls and size of a grid, and the map and scale β of a mapped
+    one."""
     wall = grid.wall
     out = {"lo": -wall, "hi": wall, "n": grid.n}
-    if grid.beta:
-        out.update(map="sinh", scale=grid.beta)
+    if grid.map:
+        out.update(map=grid.map, scale=grid.beta)
     return out
 
 
-def _grid(args, family, n_max=None):
+def _grid(args, family, n_max=None, energies=False):
     """The request's grid: build_grid at --grid-n and --tail-tolerance, on
-    the level box of n_max when one is given."""
+    the level box of n_max when one is given, sized for the energies of
+    levels 0 … n_max where `energies` is set."""
     from .grid import build_grid
-    return build_grid(family, args.grid_n, args.tail_tolerance, n_max)
+    return build_grid(family, args.grid_n, args.tail_tolerance, n_max,
+                      energies)
 
 
 def _solve(family, grid, k: int, orderings=()) -> list:
@@ -356,7 +362,7 @@ def _json_head(args, **fields) -> str:
 
 def _cmd_spectrum(args, family) -> int:
     n_max = _n_max(family, args.n_max)
-    grid = _grid(args, family, n_max)
+    grid = _grid(args, family, n_max, energies=True)
     numeric, = _solve(family, grid, n_max + 1)
     algebraic = [energy(family, n) for n in range(n_max + 1)]
     errors = [abs(a - b) for a, b in zip(algebraic, numeric)]
@@ -466,7 +472,7 @@ def _cmd_verify(args, family) -> int:
 
 def _cmd_compare_ordering(args, family) -> int:
     n_max = _n_max(family, args.n_max)
-    grid = _grid(args, family, n_max)
+    grid = _grid(args, family, n_max, energies=True)
     sym, *spectra = _solve(family, grid, n_max + 1, args.ordering)
     header = "n,energy_symmetric"
     columns = [list(range(n_max + 1)), sym]

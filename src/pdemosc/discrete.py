@@ -4,9 +4,9 @@ The route to the spectrum here is deliberately independent of the algebraic
 ladder: discretize H = −(d/dx) p(x) (d/dx) + V(x) with p = 1/(2m) on a
 grid with Dirichlet ends, then find the low eigenvalues of the resulting
 symmetric tridiagonal matrix.  The grids are those of `grid`: uniform,
-or uniform in u with x = sinh(βu)/β, where the stencil is a
-finite-volume scheme and build_grid sizes the box for the highest level
-asked for.  Only the commands that solve (`spectrum`, `compare-ordering`
+or uniform in u with x = sinh(βu)/β or x = sin(βu)/β, where the stencil
+is a finite-volume scheme, and build_grid sizes the box for the highest
+level asked for.  Only the commands that solve (`spectrum`, `compare-ordering`
 and numeric `eigenfunctions`) load this module.  Each
 Sturm-count pass (the negative pivots of LDLᵀ of T − xI) narrows the
 brackets of every requested eigenvalue at once; once a bracket holds a
@@ -165,7 +165,7 @@ def _stencil(family: ShapeInvariantFamily, grid: Grid,
             w = _powers(masses_on(profile, mids), ordering.b)
             potential = potentials_on(family, xs, ms)
             couplings = min(hi, pairs) - lo
-            if grid.beta:
+            if grid.map:
                 w = [m / (r - l) for m, l, r in zip(w, edges, xs)]
                 scale = _node_weights(edges)
                 win = [x / math.sqrt(d0 * d1) for x, d0, d1 in

@@ -313,6 +313,19 @@ def lowest_levels(family: ShapeInvariantFamily, k: int) -> int:
     return min(k, bound_state_count(family) or k)
 
 
+# a level whose sampled norm falls below this may have lost its squares to
+# underflow, and both grid samplers scale it up by 2^rescale_exponent and
+# take its norm again; above it, a square that underflows lies far below
+# the last bit of the norm
+RESCALE_BELOW = 2.0 ** -256
+
+
+def rescale_exponent(top: float) -> int:
+    """The k in [0, 1023] that takes top = max|φ| into [½, 1) where it
+    can: multiplying by 2^k scales up, exactly."""
+    return min(max(0, -math.frexp(top)[1]), 1023)
+
+
 def require_resolved(norm: float, n: int) -> None:
     """Refuse level n when its sampled norm (or squared norm) is zero, as
     where every node lies where the state underflows, or is not finite,

@@ -1,10 +1,11 @@
 """Grid geometry, shared by the closed-form side and the eigensolver.
 
 A Grid is a box centred at 0 whose n interior nodes are uniform in u,
-at x = u or at x = sinh(βu)/β, and whose nodes mirror bit for bit;
-build_grid sizes it for a family, on the ground-state box or on the
-level box of the highest level asked for, and Grid.weights is the one
-node-weight rule of every sum over its nodes.  A MirroredArray stores
+at x = u, x = sinh(βu)/β or x = sin(βu)/β, and whose nodes mirror bit
+for bit; build_grid sizes it for a family, on the ground-state box or on
+the level box of the highest level asked for, or for the energies of the
+levels up to it, and Grid.weights is the one node-weight rule of every
+sum over its nodes.  A MirroredArray stores
 only the first ⌈n/2⌉ entries of an even or odd vector on such a grid.
 
 `sampling`, `susy`, the algebraic `eigenfunctions` and `verify` take
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, islice
 from operator import neg
@@ -33,22 +34,26 @@ from .families import (
 )
 
 
-class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
+# the map of a mapped grid by its name, x = f(βu)/β; "" is the identity
+_MAPS = {"sinh": math.sinh, "sin": math.sin}
+
+
+class Grid(namedtuple("Grid", "hi n h map beta", defaults=("", 0.0))):
     """Interior grid of n nodes, uniform in u with spacing h on (−hi, hi),
-    at x = sinh(βu)/β, or at x = u where beta is 0; the endpoints carry
-    implicit zeros.
+    at x = u (map "", the identity) or at x = f(βu)/β for the map named
+    "sinh" or "sin"; the endpoints carry implicit zeros.
 
     Node i (1 ≤ i ≤ n) is at u = h·(i − (n+1)/2) and midpoint i
     (0 ≤ i ≤ n) at u = h·(i − n/2), so node n+1−i is −(node i) and
-    midpoint n−i is −(midpoint i) bit for bit (sinh is odd); an even mass
-    law and potential then give exactly mirror-symmetric bands, which the
-    eigensolver splits into parity blocks.  `node` and `midpoint` are the
-    one accessor of each kind of point: an index gives a float, a range
-    of indices a list of floats and an ndarray of indices an ndarray, the
-    one given as `out` where there is one, each through the same IEEE
-    operations (math.sinh entry by entry on a mapped grid), so a list and
-    an array over the same indices agree bit for bit.  Node 0 and node
-    n+1 are the walls, at about ∓`wall`.
+    midpoint n−i is −(midpoint i) bit for bit (sinh and sin are odd); an
+    even mass law and potential then give exactly mirror-symmetric bands,
+    which the eigensolver splits into parity blocks.  `node` and
+    `midpoint` are the one accessor of each kind of point: an index gives
+    a float, a range of indices a list of floats and an ndarray of indices
+    an ndarray, the one given as `out` where there is one, each through
+    the same IEEE operations (math.sinh or math.sin entry by entry on a
+    mapped grid), so a list and an array over the same indices agree bit
+    for bit.  Node 0 and node n+1 are the walls, at about ∓`wall`.
 
     `weights()` is the one node-weight rule, the w_i of the quadrature
     Σ w_i f_i g_i of ∫fg dx: the scalar h on a uniform grid, a factor
@@ -59,25 +64,26 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
     __slots__ = ()
 
     def _x(self, u):
-        return math.sinh(self.beta * u) / self.beta if self.beta else u
+        f = _MAPS.get(self.map)
+        return f(self.beta * u) / self.beta if f else u
 
     def _x_at(self, i, mid: float, out):
         """x at u = h·(i − mid) of an index i, a range or an array of them."""
-        h, b = self.h, self.beta
+        h, b, f = self.h, self.beta, _MAPS.get(self.map)
         if isinstance(i, range):
             us = [h * (k - mid) for k in i]
-            return [math.sinh(b * u) / b for u in us] if b else us
+            return [f(b * u) / b for u in us] if f else us
         if not hasattr(i, "__len__"):
             return self._x(h * (i - mid))
         import numpy as np
         u = np.subtract(i, mid, out=out)
         u *= h
-        if b:
+        if f:
             u *= b
-            # a memoryview yields the floats math.sinh takes, and no list of
-            # them is made
-            np.divide(np.fromiter(map(math.sinh, memoryview(u)), float,
-                                  len(u)), b, out=u)
+            # a memoryview yields the floats math.sinh and math.sin take,
+            # and no list of them is made
+            np.divide(np.fromiter(map(f, memoryview(u)), float, len(u)), b,
+                      out=u)
         return u
 
     def node(self, i, out=None):
@@ -93,7 +99,7 @@ class Grid(namedtuple("Grid", "hi n h beta", defaults=(0.0,))):
 
     def weights(self):
         """h on a uniform grid, the list of n weights d_i on a mapped one."""
-        if self.beta:
+        if self.map:
             return _node_weights(self.node(range(self.n + 2)))
         return self.h
 
@@ -152,9 +158,111 @@ def _level_box(q: float, n: int, tail: float) -> float:
     return math.exp(hi)
 
 
+def _ground_box(s: float, c_alpha: float, tail: float) -> float:
+    """x² where the ground state (1 + s x²)^(−cα/2s) falls to `tail`,
+    expm1(2sL/(cα))/s with L = −log tail, or inf past a double."""
+    u = 2.0 * math.log(1.0 / tail) / c_alpha
+    try:
+        # where s or s·u is subnormal, expm1(s·u)/s is u to working precision
+        return (math.expm1(s * u) / s
+                if min(abs(s), abs(s * u)) >= sys.float_info.min else u)
+    except OverflowError:
+        return math.inf
+
+
+def _log_norm(q: float, n: int) -> float:
+    """log ∫H_n(ζ, q)²·g² dζ, g² = (1 + qζ²)^(−1/q), for q ≥ 0 and a
+    bound level n: h_0 = √(π/q)·Γ(1/q − ½)/Γ(1/q) (√π at q = 0, within
+    q/8 below q = 1e−8) and h_n = h_0·(a_0/a_n)·Π_{m=1..n} b_m of the
+    recurrence's a_m = 2 − (2m+1)q and b_m = m(2 − mq)."""
+    if q > 1e-8:
+        r = 1.0 / q
+        log = (0.5 * math.log(math.pi * r) + math.lgamma(r - 0.5)
+               - math.lgamma(r))
+    else:
+        log = 0.5 * math.log(math.pi)
+    log += math.log(2.0 - q) - math.log(2.0 - (2 * n + 1) * q)
+    return log + math.fsum(math.log(m * (2.0 - m * q)) for m in range(1, n + 1))
+
+
+def _log_wall_shift(q: float, n: int, v: float, log_norm: float) -> float:
+    """log of the shift of level n, relative to α, that Dirichlet walls at
+    ζ² = v cause: 2(1 + qv)·|φφ'| at the wall, of φ = H_n(ζ, q)·g
+    normalized in ζ (log_norm = _log_norm(q, n)), the first-order shift
+    of Green's identity.  Past the turning point it falls as v grows.  On
+    the constant family it is within 4 % of the root of the Dirichlet
+    problem at n ≤ 40.
+
+    H_n and its derivative run the recurrence of families.hermite_rows
+    and its derivative, scaled by a power of two wherever |H_m| leaves
+    (2^−500, 2^500): ζ < 2^512, so one step cannot overflow.
+    """
+    z = math.sqrt(v)
+    h_prev, h, d_prev, d, e = 0.0, 1.0, 0.0, 0.0, 0
+    for m in range(n):
+        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
+        h_prev, h, d_prev, d = (h, a * z * h - b * h_prev,
+                                d, a * (h + z * d) - b * d_prev)
+        if not 2.0 ** -500 < abs(h) < 2.0 ** 500:
+            k = math.frexp(h)[1]
+            h_prev, h, d_prev, d = (math.ldexp(t, -k)
+                                    for t in (h_prev, h, d_prev, d))
+            e += k
+    qv = q * v
+    # −2·log g, as in _level_box
+    ell = math.log1p(qv) / q if qv >= sys.float_info.min else v
+    slope = abs(d / h - z / (1.0 + qv))  # |φ'/φ|
+    return (math.log(2.0 * (1.0 + qv) * slope) + 2.0 * math.log(abs(h))
+            + 2.0 * e * math.log(2.0) - ell - log_norm)
+
+
+# the shift of the top level, relative to α, at which an energy grid's box
+# ends on the whole line: the default tail tolerance, read as a shift
+WALL_SHIFT = 1e-12
+# (levels, γ): an energy grid for that many levels maps a compact wall
+# with sin where its exponent γ = cα/(2|s|) lies below γ, the crossover of
+# the sin map's and the uniform grid's worst level error at N = 4000 on
+# case1 λ −0.45 (their ratio depends on γ and the level count only)
+_SOFT_WALL = ((1, 1.60), (2, 1.17), (3, 1.03), (5, 1.11), (10, 1.52),
+              (15, 2.03), (20, 2.61), (30, 3.81), (40, 5.0), (60, 7.4))
+
+
+def soft_wall(levels: int) -> float:
+    """The γ below which a compact wall is soft for a solve of `levels`
+    levels: _SOFT_WALL, linear between its rows and past its last one,
+    where it grows by 0.12 a level."""
+    i = min(max(1, bisect_left(_SOFT_WALL, (levels,))), len(_SOFT_WALL) - 1)
+    (k0, g0), (k1, g1) = _SOFT_WALL[i - 1], _SOFT_WALL[i]
+    return g0 + (g1 - g0) * (levels - k0) / (k1 - k0)
+
+
+def _energy_box(q: float, n: int, c_alpha: float, square: float) -> float:
+    """x² past the turning point of level n where its walls shift it by
+    WALL_SHIFT·α (_log_wall_shift), bisected in log ζ² to 1e−6, ζ² =
+    cα·x²; or `square`, the x² of the level box, where the shift there is
+    larger, or the turning point is not inside it."""
+    v_a = c_alpha * square
+    log_norm = _log_norm(q, n)
+    target = math.log(WALL_SHIFT)
+    # ζ_t²/(1 + qζ_t²) = 2E_n/α, and 1 − 2qE_n/α factors
+    e = n + 0.5 - 0.5 * q * n * (n + 1)
+    span = (1.0 - n * q) * (1.0 - (n + 1) * q)
+    if not (0.0 < span and 2.0 * e < span * v_a) or not _log_wall_shift(
+            q, n, v_a, log_norm) <= target:
+        return square
+    lo, hi = math.log(2.0 * e / span), math.log(v_a)
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if _log_wall_shift(q, n, math.exp(mid), log_norm) > target:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi) / c_alpha
+
+
 def build_grid(family: ShapeInvariantFamily, n: int,
                tail_tolerance: float = 1e-12,
-               n_max: int | None = None) -> Grid:
+               n_max: int | None = None, energies: bool = False) -> Grid:
     """Grid spanning the domain, or the region where the bound states live.
 
     The unnormalized ground state (1 + s x²)^(−cα/2s) decays to
@@ -173,6 +281,18 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     when fewer than 16 nodes, the least any grid may have, fall inside
     the ground-state box, as the grid cannot resolve the bound states, or
     when their outer nodes square past a double (require_inside).
+
+    `energies` asks for the grid of a solve for the levels 0 … n_max,
+    read only for their energies.  On the whole line its box ends where
+    the walls shift level n = n_max by WALL_SHIFT times α (_energy_box),
+    and never past the level box: near the cutoff, where the tail falls
+    as a power of x, the level box stays.  On a compact domain whose wall
+    exponent γ = cα/(2|s|) lies below soft_wall(n_max + 1), the states
+    vanish at the walls x_w = 1/√(−s) as d^γ, which a uniform grid
+    resolves below second order where γ < 1 (at first order near γ = ½);
+    there the nodes are x = sin(βu)/β with β = 1/x_w, uniform in u on
+    (−π/2β, π/2β), on which the same finite-volume scheme is second
+    order.  The 16-node guard counts the nodes of the grid so chosen.
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise ValueError(
@@ -182,16 +302,14 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     profile = family.profile
     s = profile.s
     c_alpha = profile.c * family.alpha0
-    u = 2.0 * math.log(1.0 / tail_tolerance) / c_alpha
-    try:
-        # where s or s·u is subnormal, expm1(s·u)/s is u to working precision
-        box2 = (math.expm1(s * u) / s
-                if min(abs(s), abs(s * u)) >= sys.float_info.min else u)
-    except OverflowError:
-        box2 = math.inf
     if math.isfinite(profile.hi):
-        grid = uniform_grid(profile.hi, n)
-        box = math.sqrt(box2)
+        if energies and c_alpha < 2.0 * soft_wall((n_max or 0) + 1) * -s:
+            beta = math.sqrt(-s)
+            grid = uniform_grid(0.5 * math.pi / beta, n)._replace(map="sin",
+                                                                  beta=beta)
+        else:
+            grid = uniform_grid(profile.hi, n)
+        box = math.sqrt(_ground_box(s, c_alpha, tail_tolerance))
         # the nodes ascend and mirror, so those in (−box, box) are all but
         # the run at or below −box and its mirror image
         inside = max(0, n - 2 * bisect_right(range(1, n + 1), -box,
@@ -206,20 +324,22 @@ def build_grid(family: ShapeInvariantFamily, n: int,
         # a subnormal s puts the walls past √DBL_MAX
         require_inside(profile, grid.node(1))
         return grid
-    if n_max:
-        box2 = _level_box(unified_deformation(family), n_max,
-                          tail_tolerance) / c_alpha
-    if not math.isfinite(box2):
+    q = unified_deformation(family)
+    square = (_level_box(q, n_max, tail_tolerance) / c_alpha if n_max
+              else _ground_box(s, c_alpha, tail_tolerance))
+    if not math.isfinite(square):
         level = f"level {n_max}" if n_max else "the ground state"
         raise InvalidLambdaError(
             f"{level} decays too slowly to reach the tail tolerance "
             f"{tail_tolerance:g} within the range of a double; "
             f"loosen the tail tolerance or weaken the deformation")
     if n_max is None:
-        return uniform_grid(math.sqrt(box2), n)
+        return uniform_grid(math.sqrt(square), n)
+    if energies:
+        square = _energy_box(q, n_max, c_alpha, square)
     beta = math.sqrt(c_alpha)
-    return uniform_grid(math.asinh(beta * math.sqrt(box2)) / beta,
-                        n)._replace(beta=beta)
+    return uniform_grid(math.asinh(beta * math.sqrt(square)) / beta,
+                        n)._replace(map="sinh", beta=beta)
 
 
 class MirroredArray:

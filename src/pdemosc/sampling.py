@@ -9,18 +9,21 @@ same recurrence on ndarrays in `susy`.  Its normalized form,
 susy.eigenfunction_samples, agrees with this one to a few ulps of
 max|φ_n|: exp and log1p come from different libraries, and the norm here
 is a correctly rounded math.fsum.  Both normalize in the grid's node
-weights (Grid.weights), on a uniform grid and on a sinh-mapped one alike.
+weights (Grid.weights), on a uniform grid and on a mapped one alike.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 from operator import mul
 
 from .families import (
+    RESCALE_BELOW,
     ShapeInvariantFamily,
     hermite_rows,
+    rescale_exponent,
     require_bound,
     require_inside,
     require_resolved,
@@ -51,6 +54,26 @@ def _unnormalized(family: ShapeInvariantFamily, n_max: int, xs: list):
         yield list(map(mul, h, ground))
 
 
+def _norm(phi: list, weights, h: float, centre: int) -> float:
+    """√(h·Σ w_i φ_i²) over the whole grid, of the left half φ and its
+    weights (None where a scalar h is the only weight), the last entry of
+    φ the centre where `centre` is 1."""
+    squares = list(map(mul, phi, phi))
+    if weights:
+        squares = list(map(mul, weights, squares))
+    if centre:
+        squares[-1] *= 0.5  # the centre, which has no mirror
+    # fsum rounds once and doubling is exact, so unless the centre's
+    # term is subnormal, the norm is that of a full evaluation bit for bit
+    # summed centre first: the left half runs wall to centre, its
+    # squares rising from subnormal to the peak, and fsum walks all the
+    # exact partial sums it keeps for every term; in rising order a term
+    # walks about 300 of them (case3 α 1.637 λ 0.1305, N 16000), centre
+    # first about 6.  fsum is correctly rounded, so the order leaves
+    # the sum as it is, bit for bit
+    return math.sqrt(h * (math.fsum(reversed(squares)) * 2.0))
+
+
 def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
                         grid: Grid) -> list:
     """[φ_0, …, φ_{n_max}] on the grid nodes, each a MirroredArray.
@@ -77,20 +100,12 @@ def eigenfunction_lists(family: ShapeInvariantFamily, n_max: int,
     weights, h = (w[:n - mirrored], 1.0) if isinstance(w, list) else (None, w)
     out = []
     for degree, phi in enumerate(_unnormalized(family, n_max, xs)):
-        squares = list(map(mul, phi, phi))
-        if weights:
-            squares = list(map(mul, weights, squares))
-        if n % 2:
-            squares[-1] *= 0.5  # the centre, which has no mirror
-        # fsum rounds once and doubling is exact, so unless the centre's
-        # term is subnormal, the norm is that of a full evaluation bit for bit
-        # summed centre first: the left half runs wall to centre, its
-        # squares rising from subnormal to the peak, and fsum walks all the
-        # exact partial sums it keeps for every term; in rising order a term
-        # walks about 300 of them (case3 α 1.637 λ 0.1305, N 16000), centre
-        # first about 6.  fsum is correctly rounded, so the order leaves
-        # the sum as it is, bit for bit
-        norm = math.sqrt(h * (math.fsum(reversed(squares)) * 2.0))
+        norm = _norm(phi, weights, h, n % 2)
+        if norm < RESCALE_BELOW:
+            # a level sampled only far out in its tails
+            scale = math.ldexp(1.0, rescale_exponent(max(map(abs, phi))))
+            phi = list(map(mul, phi, repeat(scale)))
+            norm = _norm(phi, weights, h, n % 2)
         require_resolved(norm, degree)
         out.append(MirroredArray([x / norm for x in phi], n, degree % 2 == 1))
     return out

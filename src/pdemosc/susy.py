@@ -6,7 +6,7 @@ tridiagonal operator (centered difference plus diagonal), and every
 operator and state is taken in the stencil's symmetric frame ṽ = W^½φ,
 W the grid's node weights (Grid.weights): H̃ = W^(−½)KW^(−½) + V, K
 discrete's stencil, and Ã = W^½AW^(−½), whose exact transpose IS the
-adjoint under those weights, on a uniform grid and on a sinh-mapped one
+adjoint under those weights, on a uniform grid and on a mapped one
 alike.  On a uniform grid W is h, which cancels in every residual's
 ratio: nothing is rescaled, and no sum carries it.  Every identity is
 checked by applying both of its sides to sampled states, never by
@@ -69,6 +69,7 @@ import numpy as np
 
 from .errors import InvalidLambdaError, LengthMismatchError, refuse_overflow
 from .families import (
+    RESCALE_BELOW,
     ShapeInvariantFamily,
     alpha_at,
     hermite_rows,
@@ -79,6 +80,7 @@ from .families import (
     potential_plus,
     remainder,
     require_bound,
+    rescale_exponent,
     require_inside,
     require_resolved,
 )
@@ -169,6 +171,9 @@ def eigenfunction_samples(family: ShapeInvariantFamily, n: int, grid: Grid):
         for phi, _ in _states_at(family, n + 1, x):
             pass
     norm = math.sqrt(inner_product(phi, phi, grid))
+    if norm < RESCALE_BELOW:  # a level sampled only far out in its tails
+        np.ldexp(phi, rescale_exponent(float(np.max(np.abs(phi)))), out=phi)
+        norm = math.sqrt(inner_product(phi, phi, grid))
     require_resolved(norm, n)
     return phi / norm
 
@@ -192,7 +197,7 @@ def _frame(grid: Grid, first: int, stop: int, out=None) -> Frame:
     m = stop - first
     out = _rows(out, 4, m + 2)
     edges = grid.node(np.arange(first, stop + 2), out=out[0])
-    if not grid.beta:
+    if not grid.map:
         return Frame(edges, grid.h, grid.h, 1.0)
     d = np.subtract(edges[2:], edges[:-2], out=out[1, :m])
     d *= 0.5
@@ -222,7 +227,7 @@ def _kinetic_bands(family: ShapeInvariantFamily, grid: Grid, first: int,
     grid.midpoint(np.arange(first, first + m + 1), out=w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.divide(1.0, mass_at(family.profile, w), out=w)
-        if grid.beta:  # the finite-volume scheme: m⁻¹/(x_{i+1} − x_i)
+        if grid.map:  # the finite-volume scheme: m⁻¹/(x_{i+1} − x_i)
             w /= np.subtract(edges[1:], edges[:-1], out=dx)
         else:
             d = g = d * d  # h², in one rounding, as the float stencil
@@ -472,7 +477,7 @@ def verify_all(family: ShapeInvariantFamily, grid: Grid) -> dict:
     # Frame's r (13).  Rows 10–12 hold the Frame's edges, d and g until
     # the states are taken; _states_at reads the nodes in row 10 before
     # it writes H_0's ones there
-    work = np.empty((14 if grid.beta else 13, min(n, ROWS + 2 * HALO) + 2))
+    work = np.empty((14 if grid.map else 13, min(n, ROWS + 2 * HALO) + 2))
     for lo in range(0, n, ROWS):
         hi = min(lo + ROWS, n)
         first, stop = max(0, lo - HALO), min(n, hi + HALO)

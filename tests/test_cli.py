@@ -815,12 +815,12 @@ def test_edge_requests_are_refused(capsys, argv, needle):
     # the eigensolver's rule is on the infinity norm of the operator, here
     # on the sinh-mapped grid of spectrum
     (["spectrum", "--family", "constant", "--alpha", "1e-200"],
-     "underflows: its infinity norm is only 9.43e-195, and the eigensolver"),
+     "underflows: its infinity norm is only 1.07e-194, and the eigensolver"),
     # both commands say an overflow in one text: an entry squares past a double
     (["verify", "--family", "constant", "--alpha", "7.359689122788897e+269",
       "--grid-n", "17"], "overflows: its largest entry is inf, whose square"),
     (["spectrum", "--family", "constant", "--alpha", "1e150"],
-     "overflows: its largest entry is 4.71e+155, whose square"),
+     "overflows: its largest entry is 5.34e+155, whose square"),
 ], ids=["verify-underflow", "spectrum-underflow", "verify-overflow",
         "spectrum-overflow"])
 def test_refusals_name_what_they_measure(capsys, argv, words):

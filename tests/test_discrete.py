@@ -45,10 +45,10 @@ def test_grid_layout():
     g = uniform_grid(1.0, 19)
     assert g.h == pytest.approx(2.0 / 20.0)
     assert g.hi == 1.0 and g.n == 19
-    # a grid on (−hi, hi) is (hi, n, h, beta): no bound is stored twice,
-    # and a uniform grid has the identity map, beta = 0
-    assert g._fields == ("hi", "n", "h", "beta")
-    assert g.beta == 0.0 and g.wall == g.hi
+    # a grid on (−hi, hi) is (hi, n, h, map, beta): no bound is stored
+    # twice, and a uniform grid names the identity map "", with beta 0
+    assert g._fields == ("hi", "n", "h", "map", "beta")
+    assert g.map == "" and g.beta == 0.0 and g.wall == g.hi
     xs = g.node(range(1, 20))
     assert len(xs) == 19
     # interior nodes only: the Dirichlet endpoints are not sampled
@@ -96,7 +96,7 @@ def test_mapped_index_arrays_are_the_float_nodes_across_sinh_runs(n):
     # and midpoints bit for bit, in a fresh array and in the given `out`,
     # from the first index, an inner one and up to the last
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), n, n_max=9)
-    assert grid.beta
+    assert grid.map == "sinh"
     xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
     lengths = (1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049, n - 1, n)
     out = np.empty(n)

@@ -1,5 +1,6 @@
 """The sinh-mapped grid of `spectrum`, `compare-ordering` and `verify` for
-s ≥ 0.
+s ≥ 0, and the sin-mapped grid of `spectrum` and `compare-ordering` on a
+soft compact wall.
 
 Each claim is checked through the command line where it is a claim about
 its output, and on the library's bands where it is a claim about the
@@ -154,14 +155,18 @@ R = discrete.ROWS
 ])
 @pytest.mark.parametrize("kind, lam", [
     (Kind.CASE1, 0.1), (Kind.CASE2, 10.0), (Kind.CONSTANT, 0.0),
-], ids=["case1", "case2", "constant"])
+    (Kind.CASE1, -0.45),
+], ids=["case1", "case2", "constant", "case1-sin"])
 def test_mapped_stencil_matches_the_whole_grid_and_splits(kind, lam, n):
     # the left half, a block of rows at a time and mirrored, is bit for bit
     # the stencil written out on every node, so the bands are exactly
-    # mirror-symmetric and the eigensolver splits them into parity blocks
+    # mirror-symmetric and the eigensolver splits them into parity blocks;
+    # on the sinh map of the whole line and on the sin map of a soft
+    # compact wall (γ = 1.3/0.9, soft for 10 levels) alike
     fam = make_family(kind, 1.3, lam)
-    grid = build_grid(fam, n, n_max=3)
-    assert grid.beta == math.sqrt(1.3)
+    grid = build_grid(fam, n, n_max=9, energies=True)
+    assert (grid.map, grid.beta) == (("sin", math.sqrt(0.45)) if lam < 0
+                                     else ("sinh", math.sqrt(1.3)))
     # the one node-weight rule is the stencil's, and mirrors bit for bit
     weights = grid.weights()
     assert _hex(weights) == _hex(_whole_grid_weights(grid))
@@ -222,21 +227,28 @@ def test_a_box_past_a_double_is_refused_not_capped():
 def test_compact_domains_and_unlevelled_grids_stay_uniform():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     assert build_grid(fam, 1000, n_max=5) == build_grid(fam, 1000)
-    assert build_grid(fam, 1000).beta == 0.0
+    assert build_grid(fam, 1000).map == ""
     grid = build_grid(make_family(Kind.CASE1, 1.0, 0.1), 1000)
-    assert grid.beta == 0.0
+    assert grid.map == ""
     # a uniform grid's node weight is the scalar h
     assert grid.weights() == grid.h and isinstance(grid.weights(), float)
 
 
 def test_json_grid_names_its_map():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
-    grid = build_grid(fam, 1000, n_max=9)
+    grid = build_grid(fam, 1000, n_max=9, energies=True)
+    soft = make_family(Kind.CASE1, 0.5, -0.45)
+    sin = build_grid(soft, 1000, n_max=9, energies=True)
     for command in (["spectrum"], ["compare-ordering", "--ordering=-0.5,0,-0.5"]):
         doc = _json([*command, "--family", "case1", "--lambda", "0.1",
                      "--grid-n", "1000"])
         assert doc["grid"] == {"lo": -grid.wall, "hi": grid.wall, "n": 1000,
                                "map": "sinh", "scale": 1.0}
+        # a soft compact wall: x = sin(βu)/β with β = √(−s)
+        doc = _json([*command, "--family", "case1", "--alpha", "0.5",
+                     "--lambda=-0.45", "--grid-n", "1000"])
+        assert doc["grid"] == {"lo": -sin.wall, "hi": sin.wall, "n": 1000,
+                               "map": "sin", "scale": math.sqrt(0.45)}
     # eigenfunctions keeps the uniform ground-state box, and its bytes
     doc = _json(["eigenfunctions", "--family", "case1", "--lambda", "0.1",
                  "--grid-n", "1000"])
@@ -295,7 +307,7 @@ def test_weighted_calls_answer_on_a_mapped_grid(kind, lam, name):
     fam = make_family(kind, 1.0, lam)
     for n_max in (0, 3):
         grid = build_grid(fam, 1000, n_max=n_max)
-        assert grid.beta, n_max
+        assert grid.map == "sinh", n_max
         [phi] = map(np.asarray, WEIGHTED[name](fam, grid))
         assert abs(inner_product(phi, phi, grid) - 1.0) < 1e-12
         assert phi[-1] > 0
@@ -310,7 +322,7 @@ def test_verify_all_answers_on_a_mapped_grid(kind, lam):
     fam = make_family(kind, 1.0, lam)
     for n_max in (0, 3):
         grid = build_grid(fam, 1000, n_max=n_max)
-        assert grid.beta, n_max
+        assert grid.map == "sinh", n_max
         report = verify_all(fam, grid)
         assert all(e.passed for e in report.values()), (n_max, report)
     verify_all(fam, build_grid(fam, 1000))

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdemosc import (
     InvalidCountError,
@@ -121,8 +121,16 @@ def oracle_levels(draw):
     return kind, fam, n_max, grid
 
 
+# hypothesis found this draw: the grid's 16 nodes see level 28 only far out
+# in its tails, whose samples, about 1e−222, square below a double, and
+# both samplers refused it as zero at every node until each level was
+# scaled by a power of two before its squares were summed
+_FAR_TAILS = make_family(Kind.CASE2, 1.5, 23.0)
+
+
 @settings(deadline=None, max_examples=150)
 @given(oracle_levels())
+@example((Kind.CASE2, _FAR_TAILS, 33, build_grid(_FAR_TAILS, 16, n_max=33)))
 def test_float_sampler_is_the_exact_polynomial(case):
     # the twins above share families.hermite_rows; this pins the float
     # sampler to gf_polynomial's exact coefficients instead
@@ -159,7 +167,7 @@ def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
         edges = grid.node(range(grid_n + 2))
         weights = [0.5 * (r - l) for l, r in zip(edges, edges[2:])]
         for n, (column, raw) in enumerate(zip(columns, full)):
-            if grid.beta:
+            if grid.map:
                 norm = math.sqrt(math.fsum(d * (x * x)
                                            for d, x in zip(weights, raw)))
             else:
@@ -169,7 +177,7 @@ def test_mirrored_samples_are_the_full_evaluation(kind, lam, grid_n):
             assert phi[::-1].tolist() == [(-1) ** n * x for x in phi], n
             assert column.odd == (n % 2 == 1)
             assert phi[-1] > 0
-    assert bool(grid.beta) == math.isinf(fam.profile.hi)
+    assert bool(grid.map) == math.isinf(fam.profile.hi)
 
 
 def test_float_sampler_refusals():
@@ -208,3 +216,35 @@ def test_levels_past_the_range_of_a_double_are_refused(kind, alpha, lam,
     with pytest.raises(InvalidLambdaError,
                        match=f"level {level} leaves the range of a double"):
         eigenfunction_samples(fam, level, grid)
+
+
+def _refusal(sample):
+    try:
+        sample()
+    except (InvalidCountError, InvalidLambdaError) as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("fam, top, grid", [
+    # level 28 and up seen only far out in their tails: both take them
+    (_FAR_TAILS, 33, build_grid(_FAR_TAILS, 16, n_max=33)),
+    # the outer nodes near x = 38, where φ_0 is subnormal
+    (make_family(Kind.CONSTANT, 1.0), 40, uniform_grid(38.0, 16)),
+    # every node where every level underflows to zero
+    (make_family(Kind.CONSTANT, 1.0), 4, uniform_grid(1e4, 16)),
+    # the recurrence leaves the range of a double from level 9
+    (make_family(Kind.CASE1, 1.4242012018100228e-169,
+                 -4.860610657265618e+137), 10, None),
+], ids=["far-tails", "subnormal-tails", "all-zero", "overflow"])
+def test_both_samplers_refuse_the_same_levels(fam, top, grid):
+    # each rescales a level by a power of two only where its norm falls
+    # below families.RESCALE_BELOW, and only up, so an underflow or an
+    # overflow refuses a level in both or in neither
+    grid = grid or build_grid(fam, 17)
+    floats = [_refusal(lambda: eigenfunction_lists(fam, n, grid))
+              for n in range(top + 1)]
+    arrays = [_refusal(lambda: eigenfunction_samples(fam, n, grid))
+              for n in range(top + 1)]
+    assert floats == arrays
+    assert len(set(floats)) == (2 if grid.n == 17 else 1)

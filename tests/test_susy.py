@@ -302,7 +302,7 @@ def reference_residuals(fam, grid):
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
-    if grid.beta:
+    if grid.map:
         states = [v * np.sqrt(grid.weights()) for v in states]
     a0 = fam.alpha0
     h_minus, h_plus, h = (Banded(off, diag, off)
@@ -496,7 +496,7 @@ def test_verify_all_holds_no_whole_grid_array():
                                  (Kind.CASE2, 15.0, 100000, True)]:
         fam = make_family(kind, 1.0, lam)
         grid = build_grid(fam, n, n_max=susy.state_count(fam) - 1)
-        assert bool(grid.beta) == mapped
+        assert bool(grid.map) == mapped
         tracemalloc.start()
         try:
             verify_all(fam, grid)
