@@ -10,7 +10,10 @@ each flag once with its converter and default; a subcommand is one row of
 _COMMANDS, which gives its help, the flags it takes and the handler that
 runs it, and its artifacts are named after it.  A flag takes its value as
 `--flag value` or `--flag=value`, and a value given as the next token may
-begin with a single "-" (`--lambda -1e-3`), not with "--".  A unique
+begin with a single "-" (`--lambda -1e-3`), not with "--".  A value
+after "=" is its literal text, "--" too, where argparse stored an empty
+list: `--output-dir=--` writes to a directory named `--`, and
+`--lambda=--` exits 2 with "invalid float value: '--'".  A unique
 prefix of a flag is that flag, the last value of a flag wins and each
 --ordering adds one.  -h or --help anywhere prints help built from the
 tables; a usage error writes a usage line and an error line to stderr

@@ -16,8 +16,9 @@ table _LAWS, which turns λ into (c, s) or refuses it, so a new mass
 profile of this form is a Kind member and one row there.  The formulas
 are hand-expanded; no symbolic differentiation happens at runtime.
 Nothing here imports numpy: the closed forms take a float or an ndarray
-alike, and so does hermite_rows, the recurrence of the bound states that
-the grid samplers in `sampling` (floats) and `susy` (numpy) run.
+alike, and so does hermite_rows, the recurrence of the bound states and
+its only floating-point run: the grid samplers in `sampling` (floats)
+and `susy` (numpy) run it, and so does `grid`'s energy box, at one node.
 """
 
 from __future__ import annotations
@@ -238,18 +239,22 @@ def hermite_rows(family: ShapeInvariantFamily, count: int, zeta, one,
     """Yields (H_n(ζ, q)·2^−e, e) for n = 0 … count − 1 at the vector ζ,
     from H_{m+1} = a·ζ·H_m − b·H_{m−1}, a = 2 − (2m+1)q, b = m(2 − mq).
 
-    Both grid samplers run it on vectors of their own kind: `one` is H_0,
-    a vector of ones, step(a, ζ, h, b, g) = a·ζ·h − b·g, top_of(v) =
-    max|v| and scaled(v, k) = v·2^k.  step may store its result over g,
-    which the recurrence drops, and scaled may scale v in place, `one`
-    too where the first step divides.  H_n outgrows a double at high
-    degree (on the default box, the squared norm of H_n φ_0 does from
-    n = 150), so whenever a running bound on max|H_m| passes 2^256, the
-    pair (H_{m−1}, H_m) is divided by the power of two just above
-    max|H_m|, and e counts the divisions.  The bound depends on the
-    degree only, so a division happens at the same step for every degree;
-    it is exact, so any run of nodes gets the whole grid's H_n·2^−e up to
-    a power of two.
+    It is the one floating-point run of the recurrence.  Both grid samplers
+    run it on vectors of their own kind, and the energy box's wall shift
+    (grid._log_wall_shift) on one float, from whose last two rows the
+    structure relation (1 + qζ²)H_n' = nqζ·H_n + b_n·H_{n−1},
+    b_n = n(2 − nq), gives H_n' with no derivative run.  `one` is H_0, a
+    vector of ones (1.0 on one float), step(a, ζ, h, b, g) = a·ζ·h − b·g,
+    top_of(v) = max|v| and scaled(v, k) = v·2^k.  step may store its
+    result over g, which the recurrence drops, and scaled may scale v in
+    place, `one` too where the first step divides.  H_n outgrows a double
+    at high degree (on the default box, the squared norm of H_n φ_0 does
+    from n = 150), so whenever a running bound on max|H_m| passes 2^256,
+    the pair (H_{m−1}, H_m) is divided by the power of two just above
+    max|H_m|, and e counts the divisions.  The bound depends on the degree
+    only, so a division happens at the same step for every degree; it is
+    exact, so any run of nodes gets the whole grid's H_n·2^−e up to a
+    power of two.
     """
     q = unified_deformation(family)
     if not math.isfinite(q):  # a subnormal alpha can put it out of range

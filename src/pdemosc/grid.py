@@ -5,7 +5,10 @@ at x = u, x = sinh(βu)/β or x = sin(βu)/β, and whose nodes mirror bit
 for bit; build_grid sizes it for a family, on the ground-state box or on
 the level box of the highest level asked for, or for the energies of the
 levels up to it, and Grid.weights is the one node-weight rule of every
-sum over its nodes.  A MirroredArray stores
+sum over its nodes.  The level box and the energy box are bisected in
+log ζ² by one rule, _bisect_log; the energy box's wall shift takes H_{n−1}
+and H_n from families.hermite_rows, its one run of the recurrence, and
+φ'/φ from the structure relation.  A MirroredArray stores
 only the first ⌈n/2⌉ entries of an even or odd vector on such a grid.
 
 `sampling`, `susy`, the algebraic `eigenfunctions` and `verify` take
@@ -28,6 +31,7 @@ from operator import neg
 from .errors import InvalidCountError, InvalidLambdaError, LengthMismatchError
 from .families import (
     ShapeInvariantFamily,
+    hermite_rows,
     require_bound,
     require_inside,
     unified_deformation,
@@ -123,39 +127,46 @@ def uniform_grid(hi: float, n: int) -> Grid:
     return Grid(hi, n, h)
 
 
+def _ell(q: float, v: float) -> float:
+    """−2·log g at ζ² = v of the ground factor g = (1 + qζ²)^(−1/2q),
+    e^(−ζ²/2) at q = 0."""
+    qv = q * v
+    # where q·v is subnormal, log1p(q·v)/q is v to working precision
+    return math.log1p(qv) / q if qv >= sys.float_info.min else v
+
+
+def _bisect_log(above, lo: float, hi: float, width: float) -> float:
+    """e^hi once [lo, hi] is at most `width` wide, or holds no double
+    between its ends, each step keeping the half past its midpoint w where
+    above(w) and the half below it otherwise."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.exp(hi)
+
+
 def _level_box(q: float, n: int, tail: float) -> float:
     """ζ² past the peak where the envelope ζⁿ·g of level n ≥ 1 falls to
     `tail` times its peak, or inf past the range of a double.
 
-    g = (1 + qζ²)^(−1/2q) is the ground factor, e^(−ζ²/2) at q = 0, and
-    the envelope peaks at ζ² = n/(1 − nq).  With ℓ(v) = −2·log g at
-    ζ² = v, the root of n·w − ℓ(eʷ) = (its peak value) + 2·log(tail) is
-    bisected in w = log ζ² down to adjacent doubles: the left side is
-    concave in w and falls past the peak, so the root is unique.
+    The envelope peaks at ζ² = n/(1 − nq).  The root of n·w − ℓ(eʷ) =
+    (its peak value) + 2·log(tail), ℓ = _ell, is bisected in w = log ζ²
+    down to adjacent doubles: the left side is concave in w and falls past
+    the peak, so the root is unique.
     """
-    def ell(v):
-        qv = q * v
-        # where q·v is subnormal, log1p(q·v)/q is v to working precision
-        return math.log1p(qv) / q if qv >= sys.float_info.min else v
-
     if not n * q < 1.0:
         # n < 1/q − 1/2, but n·q rounds to 1 for q below 2.2e−16: a level
         # past 4e15, whose box is far past any grid that could hold it
         return math.inf
     peak = n / (1.0 - n * q)
     lo, hi = math.log(peak), math.log(0.5 * sys.float_info.max)
-    drop = n * lo - ell(peak) + 2.0 * math.log(tail)
+    drop = n * lo - _ell(q, peak) + 2.0 * math.log(tail)
 
     def above(w):
-        return n * w - ell(math.exp(w)) > drop
+        return n * w - _ell(q, math.exp(w)) > drop
 
-    if above(hi):
-        return math.inf
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return math.exp(hi)
+    return math.inf if above(hi) else _bisect_log(above, lo, hi, 0.0)
 
 
 def _ground_box(s: float, c_alpha: float, tail: float) -> float:
@@ -185,7 +196,8 @@ def _log_norm(q: float, n: int) -> float:
     return log + math.fsum(math.log(m * (2.0 - m * q)) for m in range(1, n + 1))
 
 
-def _log_wall_shift(q: float, n: int, v: float, log_norm: float) -> float:
+def _log_wall_shift(family: ShapeInvariantFamily, n: int, v: float,
+                    log_norm: float) -> float:
     """log of the shift of level n, relative to α, that Dirichlet walls at
     ζ² = v cause: 2(1 + qv)·|φφ'| at the wall, of φ = H_n(ζ, q)·g
     normalized in ζ (log_norm = _log_norm(q, n)), the first-order shift
@@ -193,27 +205,21 @@ def _log_wall_shift(q: float, n: int, v: float, log_norm: float) -> float:
     the constant family it is within 4 % of the root of the Dirichlet
     problem at n ≤ 40.
 
-    H_n and its derivative run the recurrence of families.hermite_rows
-    and its derivative, scaled by a power of two wherever |H_m| leaves
-    (2^−500, 2^500): ζ < 2^512, so one step cannot overflow.
+    H_{n−1} and H_n come from families.hermite_rows at the one node
+    ζ = √v, and φ'/φ = H_n'/H_n − ζ/(1 + qv) from the structure relation
+    (1 + qζ²)H_n' = nqζ·H_n + b_n·H_{n−1}, b_n = n(2 − nq), so that
+    (1 + qv)·φ'/φ = b_n·H_{n−1}/H_n − (1 − nq)ζ; the rows' exponents give
+    the ratio H_{n−1}/H_n.
     """
-    z = math.sqrt(v)
-    h_prev, h, d_prev, d, e = 0.0, 1.0, 0.0, 0.0, 0
-    for m in range(n):
-        a, b = 2.0 - (2 * m + 1) * q, m * (2.0 - m * q)
-        h_prev, h, d_prev, d = (h, a * z * h - b * h_prev,
-                                d, a * (h + z * d) - b * d_prev)
-        if not 2.0 ** -500 < abs(h) < 2.0 ** 500:
-            k = math.frexp(h)[1]
-            h_prev, h, d_prev, d = (math.ldexp(t, -k)
-                                    for t in (h_prev, h, d_prev, d))
-            e += k
-    qv = q * v
-    # −2·log g, as in _level_box
-    ell = math.log1p(qv) / q if qv >= sys.float_info.min else v
-    slope = abs(d / h - z / (1.0 + qv))  # |φ'/φ|
-    return (math.log(2.0 * (1.0 + qv) * slope) + 2.0 * math.log(abs(h))
-            + 2.0 * e * math.log(2.0) - ell - log_norm)
+    q, z = unified_deformation(family), math.sqrt(v)
+    # H_{−1} = 0 stands before the rows, for n = 0
+    *_, (h_prev, e_prev), (h, e) = (0.0, 0), *hermite_rows(
+        family, n + 1, z, 1.0, lambda a, x, cur, b, old: a * x * cur - b * old,
+        abs, math.ldexp)
+    ratio = math.ldexp(h_prev / h, e_prev - e)
+    slope = abs(n * (2.0 - n * q) * ratio - (1.0 - n * q) * z)
+    return (math.log(2.0 * slope) + 2.0 * math.log(abs(h))
+            + 2.0 * e * math.log(2.0) - _ell(q, v) - log_norm)
 
 
 # the shift of the top level, relative to α, at which an energy grid's box
@@ -236,7 +242,8 @@ def soft_wall(levels: int) -> float:
     return g0 + (g1 - g0) * (levels - k0) / (k1 - k0)
 
 
-def _energy_box(q: float, n: int, c_alpha: float, square: float) -> float:
+def _energy_box(family: ShapeInvariantFamily, q: float, n: int,
+                c_alpha: float, square: float) -> float:
     """x² past the turning point of level n where its walls shift it by
     WALL_SHIFT·α (_log_wall_shift), bisected in log ζ² to 1e−6, ζ² =
     cα·x²; or `square`, the x² of the level box, where the shift there is
@@ -248,16 +255,11 @@ def _energy_box(q: float, n: int, c_alpha: float, square: float) -> float:
     e = n + 0.5 - 0.5 * q * n * (n + 1)
     span = (1.0 - n * q) * (1.0 - (n + 1) * q)
     if not (0.0 < span and 2.0 * e < span * v_a) or not _log_wall_shift(
-            q, n, v_a, log_norm) <= target:
+            family, n, v_a, log_norm) <= target:
         return square
-    lo, hi = math.log(2.0 * e / span), math.log(v_a)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if _log_wall_shift(q, n, math.exp(mid), log_norm) > target:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(hi) / c_alpha
+    return _bisect_log(
+        lambda w: _log_wall_shift(family, n, math.exp(w), log_norm) > target,
+        math.log(2.0 * e / span), math.log(v_a), 1e-6) / c_alpha
 
 
 def build_grid(family: ShapeInvariantFamily, n: int,
@@ -336,7 +338,7 @@ def build_grid(family: ShapeInvariantFamily, n: int,
     if n_max is None:
         return uniform_grid(math.sqrt(square), n)
     if energies:
-        square = _energy_box(q, n_max, c_alpha, square)
+        square = _energy_box(family, q, n_max, c_alpha, square)
     beta = math.sqrt(c_alpha)
     return uniform_grid(math.asinh(beta * math.sqrt(square)) / beta,
                         n)._replace(map="sinh", beta=beta)

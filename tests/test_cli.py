@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdemosc import (Kind, PdemError, VonRoosOrdering, bound_state_count,
                      build_grid, make_family, run)
@@ -334,10 +334,28 @@ def parser_argvs(draw):
     return head + [token for item in items for token in item]
 
 
+def _documented(argv):
+    """argv with the value of each `--flag=--` replaced by "@@".  The flag
+    table reads "--" after "=" as its text, which --output-dir takes as a
+    name and every other flag refuses, and argparse reads "@@" alike;
+    argparse itself stored [] for "--" there, a value of no flag's type."""
+    return [t[:-2] + "@@" if t[:2] == "--" and t.partition("=")[2] == "--"
+            else t for t in argv]
+
+
+def _reference(argv):
+    """What argparse makes of argv, an `=--` value read as its text."""
+    parsed = _parsed(reference_parser().parse_args, _documented(argv))
+    return parsed.replace("'@@'", "'--'") if isinstance(parsed, str) \
+        else parsed
+
+
 @settings(deadline=None, max_examples=500)
 @given(parser_argvs())
+@example(["compare-ordering", "--family", "case1", "--ordering=-0.5,0,-0.5",
+          "--family", "case1", "--output-dir=--"])
 def test_the_flag_table_parses_as_argparse_did(argv):
-    reference = _parsed(reference_parser().parse_args, argv)
+    reference = _reference(argv)
     got = _parsed(parse_args, argv)
     if reference != 2:
         assert got == reference
@@ -351,7 +369,25 @@ def test_the_flag_table_parses_as_argparse_did(argv):
             else:
                 joined.append(token)
         assert joined != argv
-        assert _parsed(reference_parser().parse_args, joined) == got
+        assert _reference(joined) == got
+
+
+def test_a_value_after_the_equals_sign_is_its_text(tmp_path, monkeypatch,
+                                                   capsys):
+    # argparse stored [] for a value of "--" after "="
+    argv = ["spectrum", "--family", "constant", "--n-max", "1", "--grid-n",
+            "400"]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--output-dir=--"]) == 0
+    assert [p.name for p in (tmp_path / "--").iterdir()] == ["spectrum.csv"]
+    assert capsys.readouterr().out == "wrote --/spectrum.csv\n"
+    assert run(argv + ["--lambda=--"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        "argument --lambda: invalid float value: '--'")
+    assert "('lam', [])" in _parsed(reference_parser().parse_args,
+                                    argv + ["--lambda=--"])
 
 
 @pytest.mark.parametrize("flag, text", [

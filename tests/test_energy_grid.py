@@ -17,10 +17,12 @@ import statistics
 import mpmath
 import pytest
 
-from pdemosc import (Kind, bound_state_count, build_grid, energy, make_family,
-                     run, uniform_grid)
+from pdemosc import (Kind, bound_state_count, build_grid, energy,
+                     gf_polynomial, make_family, run, uniform_grid)
 from pdemosc.discrete import assemble_lists, eigenvalue_list
+from pdemosc.families import unified_deformation
 from pdemosc.grid import _log_norm, _log_wall_shift, soft_wall
+from pdemosc.polynomials import STORED_VARIABLE, parameterization_for
 
 TAILS = (1e-15, 1e-12, 1e-9, 1e-6)
 
@@ -100,11 +102,54 @@ def _dirichlet_shift(n, wall):
 def test_the_wall_shift_estimate_is_the_dirichlet_shift(n):
     # the normalized state's first-order shift, at the energy box's wall
     # of the constant family (the oscillator), where it should be 1e-12
-    wall = build_grid(make_family(Kind.CONSTANT, 1.0), 2000, n_max=n,
-                      energies=True).wall
-    estimate = math.exp(_log_wall_shift(0.0, n, wall * wall, _log_norm(0.0, n)))
+    fam = make_family(Kind.CONSTANT, 1.0)
+    wall = build_grid(fam, 2000, n_max=n, energies=True).wall
+    estimate = math.exp(_log_wall_shift(fam, n, wall * wall,
+                                        _log_norm(0.0, n)))
     assert estimate == pytest.approx(1e-12, rel=1e-3)
     assert _dirichlet_shift(n, wall) == pytest.approx(estimate, rel=0.05)
+
+
+def _exact_wall_shift(kind, fam, n, v):
+    # 2(1 + qv)·|φφ'|/∫φ² dζ at ζ² = v, of φ = H_n·g, g = (1 + qζ²)^(−1/2q)
+    # for q > 0, from the exact H_n of gf_polynomial in 40 digits, its
+    # coefficients read as test_sampling.exact_state reads them
+    par = parameterization_for(kind)
+    poly = gf_polynomial(n, par)
+    with mpmath.workdps(40):
+        q = mpmath.mpf(fam.profile.s) / (fam.profile.c * fam.alpha0)
+        stored = STORED_VARIABLE[par][0] * q
+        coeffs = [sum((mpmath.mpf(k) * stored ** j
+                       for j, k in enumerate(poly.terms.get(d, []))),
+                      mpmath.mpf(0)) for d in range(n + 1)]
+        # ∫ζ^2k·g² dζ = q^−(k+½)·B(k + ½, 1/q − k − ½)
+        moments = [q ** -(k + 0.5) * mpmath.beta(k + 0.5, 1 / q - k - 0.5)
+                   for k in range(n + 1)]
+        norm = sum(coeffs[i] * coeffs[j] * moments[(i + j) // 2]
+                   for i in range(n + 1) for j in range(i % 2, n + 1, 2))
+        z = mpmath.sqrt(v)
+        h = mpmath.polyval(coeffs[::-1], z)
+        dh = mpmath.polyval([d * k for d, k in enumerate(coeffs)][:0:-1], z)
+        g = (1 + q * v) ** (-1 / (2 * q))
+        # φ' = (H_n' − ζ·H_n/(1 + qv))·g
+        dphi = (dh - z * h / (1 + q * v)) * g
+        return float(2 * (1 + q * v) * abs(h * g * dphi) / norm)
+
+
+@pytest.mark.parametrize("kind, alpha, lam, n", [
+    (Kind.CASE1, 1.0, 0.01, 30), (Kind.CASE1, 0.8, 0.1, 5),
+    (Kind.CASE2, 1.5, 40.0, 30), (Kind.CASE2, 1.0, 4.0, 2)])
+def test_the_wall_shift_estimate_holds_at_nonzero_q(kind, alpha, lam, n):
+    # inside and past the turning point ζ², at q ≠ 0, where the structure
+    # relation keeps the nqζ·H_n term that q = 0's H_n' = 2n·H_{n−1} drops
+    fam = make_family(kind, alpha, lam)
+    q = unified_deformation(fam)
+    turning = (2 * n + 1 - q * n * (n + 1)) / ((1 - n * q) * (1 - (n + 1) * q))
+    for v in (0.37 * turning, 0.8 * turning, 1.5 * turning, 3 * turning,
+              6 * turning):
+        estimate = math.exp(_log_wall_shift(fam, n, v, _log_norm(q, n)))
+        assert estimate == pytest.approx(_exact_wall_shift(kind, fam, n, v),
+                                         rel=1e-12), v
 
 
 @pytest.mark.parametrize("kind, alpha, lam, n_max", [

@@ -291,6 +291,40 @@ def test_derivative_relation_residual_is_zero():
             assert res.coeffs == {}, (par, m)
 
 
+def _integer_terms(p, shift):
+    """{(ζ-exponent, stored-variable exponent): integer} of p·2^shift."""
+    return {(k, j): c << (shift - p.shift)
+            for k, cs in p.terms.items() for j, c in enumerate(cs) if c}
+
+
+def _times(terms, factor):
+    """The product of integer terms and a factor {(ζ, q) exponents: int}."""
+    out = {}
+    for (k, j), c in terms.items():
+        for (dk, dj), f in factor.items():
+            out[k + dk, j + dj] = out.get((k + dk, j + dj), 0) + c * f
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("par", [C1, C2, C3])
+def test_structure_relation_holds_exactly(par):
+    # (1 + qζ²)·H_n' = nqζ·H_n + b_n·H_{n−1}, b_n = n(2 − nq), in the
+    # unified q, which is the stored variable times its sign
+    sign = polynomials.STORED_VARIABLE[par][0]
+    members = gf_polynomials(30, par)
+    for n in range(1, 31):
+        shift = max(members[n].shift, members[n - 1].shift)
+        h = _integer_terms(members[n], shift)
+        h_prev = _integer_terms(members[n - 1], shift)
+        derivative = {(k - 1, j): k * c for (k, j), c in h.items() if k}
+        left = _times(derivative, {(0, 0): 1, (2, 1): sign})
+        right = _times(h, {(1, 1): n * sign})
+        b_n = {(0, 0): 2 * n, (0, 1): -n * n * sign}
+        for key, c in _times(h_prev, b_n).items():
+            right[key] = right.get(key, 0) + c
+        assert left == {key: c for key, c in right.items() if c}, (par, n)
+
+
 def test_parity():
     for par in (C1, C3):
         for n in range(11):
