@@ -455,9 +455,6 @@ def _cmd_polynomials(args, family) -> int:
 
 
 def _cmd_verify(args, family) -> int:
-    # grid is compiled before susy loads numpy, not after it as susy's own
-    # import would: in that order the request's peak RSS is 0.5 MB lower
-    from . import grid as _before_numpy  # noqa: F401
     from .susy import state_count, verify_all
     grid = _grid(args, family, state_count(family) - 1)
     residuals = verify_all(family, grid)

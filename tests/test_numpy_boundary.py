@@ -149,7 +149,8 @@ PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 def _fresh_request(argv):
     """The exit code of argv run in a fresh interpreter, and the modules
-    the request adds to those the interpreter started with."""
+    the request adds to those the interpreter started with, in the order
+    they were loaded."""
     src = os.path.dirname(os.path.dirname(pdemosc.__file__))
     code = ("import sys\n"
             "before = set(sys.modules)\n"
@@ -158,12 +159,12 @@ def _fresh_request(argv):
             "with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "        contextlib.redirect_stderr(io.StringIO()):\n"
             f"    code = run({argv!r})\n"
-            "print(code, *sorted(set(sys.modules) - before))")
+            "print(code, *[m for m in sys.modules if m not in before])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     code, *added = proc.stdout.split()
-    return int(code), set(added)
+    return int(code), added
 
 
 @pytest.mark.parametrize("argv, solves", REQUEST_SOLVES)
@@ -172,7 +173,17 @@ def test_closed_form_requests_load_neither_the_eigensolver_nor_json(argv,
     code, added = _fresh_request(argv)
     assert (code, "pdemosc.discrete" in added, "json" in added) == (
         0, solves, False)
-    assert not added & PARSER_MODULES
+    assert PARSER_MODULES.isdisjoint(added)
+
+
+def test_verify_loads_grid_before_numpy():
+    # susy imports grid before numpy: compiled after numpy, grid raises a
+    # verify request's peak RSS by 0.6-0.8 MB, 2-3 %, which the benchmark's
+    # 5 % bound on peak_rss_mb would let pass
+    code, added = _fresh_request(["verify", "--family", "case3", "--lambda",
+                                  "0.3", "--grid-n", "600"])
+    assert code == 0
+    assert added.index("pdemosc.grid") < added.index("numpy")
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -183,7 +194,7 @@ def test_closed_form_requests_load_neither_the_eigensolver_nor_json(argv,
 def test_help_and_usage_errors_load_no_parser_library(argv, exit_code):
     code, added = _fresh_request(argv)
     assert code == exit_code
-    assert not added & PARSER_MODULES
+    assert PARSER_MODULES.isdisjoint(added)
 
 
 # the admissible ranges of each family, kept to grids that resolve the
