@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 import sys
+from array import array
 from collections import namedtuple
 from itertools import chain, count, islice, repeat
 from operator import add, mul, sub, truediv
@@ -602,6 +602,8 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     twist r of least |γ_r|.  A z that fails the residual check, or loses
     more than half its norm to Gram–Schmidt (a z of a multiple
     eigenvalue), is retried: the same solve takes a seeded random vector,
+    each row of level j drawn by random.Random(1000 + j).uniform on
+    [−span, span), span the power of two just above ‖T‖∞ (at most 2¹⁰²²),
     then the last iterate, each retry projected twice (Giraud, Langou and
     Rozložník 2005), up to 50 solves in all, each one checked.  A vector
     is accepted when ‖Tv − λv‖∞ ≤ 1e−10·‖T‖∞, then normalized with its
@@ -621,7 +623,6 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     as for the oscillators here.  Scaling T by a power of two scales the
     eigenvalues alike and leaves the eigenvectors bit for bit.
     """
-    from array import array  # as in MirroredArray
     n = len(T.diag)
     per_node = hasattr(type(h), "__len__")
     if per_node and len(h) != n:
@@ -646,9 +647,8 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)
     accept = 1e-10 * norm_t
-    # the power of two just above ‖T‖∞, capped at the largest one a double holds
-    exponent = min(math.frexp(norm_t)[1], 1023)
-    span, unit = math.ldexp(1.0, exponent), math.ldexp(1.0, exponent - 52)
+    # the power of two just above ‖T‖∞, capped where 2·span is still a double
+    span = math.ldexp(1.0, min(math.frexp(norm_t)[1], 1022))
     accepted = [[] for _ in blocks]  # per block, its accepted vectors
     # a full vector's squared 2-norm is nb times its block's, times h for a
     # scalar h; so are its inner products, and vectors of opposite parity
@@ -687,12 +687,12 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
                            chain((0.0,), off), chain((0.0,), v))) <= accept:
                     break
             if attempt == 0:
-                # uniform on [−1, 1) from one seeded draw of 64-bit words,
-                # times span; its norm only scales the solve, which then
-                # comes out about 1/eps in size at every scale of T
-                rows = len(diag)
-                v = [(x >> 11) * unit - span for x in struct.unpack(
-                    f"<{rows}Q", random.Random(1000 + j).randbytes(8 * rows))]
+                # random.Random(1000 + j).uniform on [−span, span): −span
+                # plus 2·span times a multiple of 2⁻⁵³, exact on a grid of
+                # step span·2⁻⁵², so it scales with T; its norm only scales
+                # the solve, which then comes out about 1/eps in size
+                draw = random.Random(1000 + j).uniform
+                v = [draw(-span, span) for _ in diag]
         else:
             raise ConvergenceFailureError(
                 f"inverse iteration stagnated for eigenvalue index {j}")

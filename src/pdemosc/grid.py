@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, islice
@@ -359,7 +360,6 @@ class MirroredArray:
     __slots__ = ("left", "n", "odd")
 
     def __init__(self, left, n: int, odd: bool):
-        from array import array  # verify stores no vector and never loads it
         if not isinstance(left, array):
             left = array("d", left)
         if len(left) != n - n // 2:

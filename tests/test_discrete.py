@@ -644,6 +644,22 @@ def test_zero_operator_has_exact_zero_eigenvalues():
                        rtol=0.0, atol=1e-12)
 
 
+def reject_first_solves(monkeypatch):
+    """Make eigenpair_lists' first solve of every level return e_0, whose
+    residual check fails; the list returned collects the right-hand side
+    of every solve, None for a first solve and then each retry's."""
+    solve, rhss = discrete._twisted_solve, []
+
+    def solve_rejected(diag, off, sigma, pivmin, rhs=None):
+        rhss.append(rhs)
+        if rhs is None:
+            return [1.0] + [0.0] * (len(diag) - 1)
+        return solve(diag, off, sigma, pivmin, rhs)
+
+    monkeypatch.setattr(discrete, "_twisted_solve", solve_rejected)
+    return rhss
+
+
 def test_operator_at_the_top_of_the_double_range():
     # ‖T‖∞ at and near the largest double: no midpoint, Gershgorin edge or
     # start vector may overflow
@@ -657,6 +673,13 @@ def test_operator_at_the_top_of_the_double_range():
                            rtol=0.0, atol=1e-12)
 
 
+def test_retry_at_the_top_of_the_double_range(monkeypatch):
+    # the retries' draws on [−2¹⁰²², 2¹⁰²²) overflow nothing either
+    rhss = reject_first_solves(monkeypatch)
+    test_operator_at_the_top_of_the_double_range()
+    assert len(rhss) > rhss.count(None)
+
+
 def test_rejected_first_solve_is_iterated(monkeypatch):
     # a first iterate at the wall barely overlaps the low states, so it
     # fails the residual check and the seeded draw is solved instead
@@ -664,21 +687,62 @@ def test_rejected_first_solve_is_iterated(monkeypatch):
     grid = build_grid(fam, 400)
     T = assemble_sturm_liouville(fam, grid)
     want = eigen_tridiagonal(T, 4, grid.h)
-    solve, solves = discrete._twisted_solve, []
-
-    def solve_counted(diag, off, sigma, pivmin, rhs=None):
-        if rhs is None:
-            return [1.0] + [0.0] * (len(diag) - 1)
-        solves.append(1)
-        return solve(diag, off, sigma, pivmin, rhs)
-
-    monkeypatch.setattr(discrete, "_twisted_solve", solve_counted)
+    rhss = reject_first_solves(monkeypatch)
     got = eigen_tridiagonal(T, 4, grid.h)
-    assert len(solves) >= 4  # a retry for every level
+    assert len(rhss) - rhss.count(None) >= 4  # a retry for every level
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
     # the mirror peaks of an odd state tie exactly, so the right one fixes
     # its sign whatever the first iterate
     assert np.max(np.abs(want.eigenvectors - got.eigenvectors)) < 1e-10
+
+
+def test_retry_start_repeats_and_scales_with_the_operator(monkeypatch):
+    # every first solve rejected, as above: the start of each retry is
+    # drawn from [−span, span) on a grid of step span·2⁻⁵², so a second
+    # run repeats it, and 2^−400·T starts from it times 2^−400 and ends
+    # on the same eigenvectors, bit for bit
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 400)
+    T = assemble_sturm_liouville(fam, grid)
+    small = TridiagonalOperator(np.ldexp(T.diag, -400), np.ldexp(T.offdiag, -400))
+    rhss = reject_first_solves(monkeypatch)
+    runs = []
+    for op in (T, T, small):
+        rhss.clear()
+        sol = eigen_tridiagonal(op, 4, grid.h)
+        runs.append((sol, [rhss[i + 1] for i, r in enumerate(rhss) if r is None]))
+    (want, draws), (again, _), (got, small_draws) = runs
+    assert len(draws) == 4  # a retry for every level
+    span = math.ldexp(1.0, math.frexp(inf_norm(T))[1])
+    for v, w in zip(draws, small_draws):
+        assert all(-span <= x < span for x in v)
+        assert w == [math.ldexp(x, -400) for x in v]
+    assert again.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+    assert np.ldexp(want.eigenvalues, -400).tobytes() == got.eigenvalues.tobytes()
+    assert want.eigenvectors.tobytes() == got.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("head, message", [(0.0, "broke down"),
+                                           (1.0, "stagnated")])
+def test_inverse_iteration_refusals_name_the_level(monkeypatch, head, message):
+    # level 2 of a split operator, the second of its even block: a solve
+    # that returns 0 has no direction, and e_0 never passes the residual
+    # check, so its 50 solves run out
+    fam = make_family(Kind.CONSTANT, 1.0)
+    grid = build_grid(fam, 400)
+    T = assemble_sturm_liouville(fam, grid)
+    values = eigenvalue_list(T, 4)
+    solve = discrete._twisted_solve
+
+    def solve_failing(diag, off, sigma, pivmin, rhs=None):
+        if sigma != values[2]:
+            return solve(diag, off, sigma, pivmin, rhs)
+        return [head] + [0.0] * (len(diag) - 1)
+
+    monkeypatch.setattr(discrete, "_twisted_solve", solve_failing)
+    with pytest.raises(ConvergenceFailureError,
+                       match=f"{message} for eigenvalue index 2$"):
+        eigen_tridiagonal(T, 4, grid.h)
 
 
 def twisted_reference(diag, off, sigma, pivmin):
