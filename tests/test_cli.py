@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdemosc import (Kind, PdemError, VonRoosOrdering, bound_state_count,
                      build_grid, make_family, run)
-from pdemosc.cli import parse_args
+from pdemosc.cli import main, parse_args
 
 
 def lines_of(capsys):
@@ -733,6 +734,64 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload[1]["degree"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--family", "case1", "--lambda", "0.1", "--n-max", "0",
+      "--grid-n", "200"], 0),
+    (["spectrum", "--family", "case1", "--lambda", "10"], 1),
+    (["spectrum", "--family", "case1", "--bogus", "1"], 2),
+])
+def test_main_exits_with_the_code_of_run_and_freezes_the_collector(
+        monkeypatch, capsys, argv, code):
+    assert run(argv) == code
+    monkeypatch.setattr(sys, "argv", ["pdemosc", *argv])
+    assert gc.get_freeze_count() == 0
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "case1", "--lambda", "0.1", "--n-max", "2",
+     "--grid-n", "500"],
+    # odd N: the state columns are written mirrored
+    ["eigenfunctions", "--family", "constant", "--n-max", "2", "--grid-n",
+     "501", "--source", "numeric"],
+])
+def test_module_entry_writes_what_run_writes(capsys, argv):
+    code = run(argv)
+    out = capsys.readouterr()[0]
+    proc = subprocess.run([sys.executable, "-m", "pdemosc", *argv],
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+
+# main freezes the collector rather than leaving by os._exit, which would
+# skip the handlers that run at exit, cProfile's report among them
+def test_exit_handlers_run_after_main():
+    script = ("import atexit, sys; from pdemosc.cli import main; "
+              "atexit.register(print, 'handler ran'); "
+              "sys.argv[1:] = ['spectrum', '--family', 'case1', '--lambda', "
+              "'0.1', '--n-max', '0', '--grid-n', '200']; main()")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("\nhandler ran\n")
+
+
+def test_a_profiled_request_prints_its_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "pdemosc", "spectrum",
+         "--family", "case1", "--lambda", "0.1", "--n-max", "2", "--grid-n",
+         "500"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n,energy_algebraic")
+    assert " function calls " in proc.stdout
 
 
 def test_closed_stdout_ends_in_one_error_line():
