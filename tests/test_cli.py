@@ -579,10 +579,11 @@ def test_verify_refuses_overflowing_partner_potentials_quietly(capsys, argv):
 
 def test_verify_past_the_recurrence_divisions(monkeypatch, capsys):
     # level 4 of case1 lambda 0.222 is just under the cutoff, so its level
-    # box reaches 6.2e24: the two blocks of rows at each end of the sinh
-    # map divide the Hermite recurrence by their own powers of two, and
-    # 13 blocks and one whole-grid block agree to rounding.  The mapped
-    # grid resolves these states, so every residual passes (exit 0).
+    # box reaches 6.2e24: of the 13 blocks of rows that walk the left half
+    # of the sinh map, the three nearest the wall divide the Hermite
+    # recurrence by their own powers of two, and the 13 blocks and one
+    # block of the whole half agree to rounding.  The mapped grid resolves
+    # these states, so every residual passes (exit 0).
     from pdemosc import susy
 
     argv = ["verify", "--family", "case1", "--lambda", "0.222",

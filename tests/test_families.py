@@ -320,6 +320,56 @@ def test_eta_is_computed_from_the_mass_law(kind, alpha, lam):
     assert fam.eta.hex() == (-fam.profile.s / fam.profile.c).hex()
 
 
+def _outcome(f, x):
+    # the bits of f(x), every NaN alike, or the exception it raises
+    try:
+        with np.errstate(all="ignore"):
+            return [float.hex(float(v)) for v in np.ravel(f(x))]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# the first double past √DBL_MAX, where x·x leaves the range of a double
+SQUARABLE = 1.3407807929942597e154
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_closed_forms_are_even_and_the_superpotential_odd(data):
+    # the mass law and the three potentials are even in x and W is odd,
+    # bit for bit, at any alpha (log-uniform), any lambda a kind admits
+    # and any x inside the domain, ±0 and subnormals among them, on
+    # floats and on ndarrays: the invariant behind the mirrored stencil
+    # (discrete._stencil), both samplers, the mirrored CSV writer and
+    # verify's walk over half of the grid
+    kind = data.draw(st.sampled_from(list(Kind)))
+    alpha = 10.0 ** data.draw(st.floats(-300.0, 300.0))
+    lam = 0.0 if kind is Kind.CONSTANT else data.draw(
+        st.floats(allow_nan=False, allow_infinity=False))
+    try:
+        fam = make_family(kind, alpha, lam)
+    except InvalidLambdaError:  # lambda = 0 or an s past a double
+        assume(False)
+    bound = min(fam.profile.hi, SQUARABLE)
+    points = st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+        st.floats(-bound, bound, exclude_min=True, exclude_max=True)),
+        min_size=1, max_size=8)
+    xs = data.draw(points)
+    even = {
+        "mass_at": lambda x: mass_at(fam.profile, x),
+        "potential_minus": lambda x: potential_minus(fam, alpha, x),
+        "potential_plus": lambda x: potential_plus(fam, alpha, x),
+        "potential_full": lambda x: potential_full(fam, x),
+    }
+    def w(x):
+        return superpotential_at(fam, alpha, x)
+    for x in (*xs, np.array(xs)):
+        for name, f in even.items():
+            assert _outcome(f, -x) == _outcome(f, x), (name, x)
+        assert _outcome(w, -x) == _outcome(lambda x: -w(x), x), x
+
+
 def test_last_bound_level_is_accepted():
     fam = make_family(Kind.CASE1, 1.0, 0.1)
     assert energy(fam, 9) == pytest.approx(5.0, rel=1e-14)
@@ -374,8 +424,9 @@ AT_POINTS = {
 ON_GRIDS = {
     "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
     "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
-    "ladders": lambda fam, grid: _ladders(fam, _frame(grid, 0, grid.n),
-                                          (1.0,)),
+    "ladders": lambda fam, grid: _ladders(
+        fam, _frame(grid, 0, grid.n), (1.0,),
+        -grid.node(np.arange(1, grid.n + 1))),
     "verify_all": verify_all,
 }
 

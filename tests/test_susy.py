@@ -24,6 +24,7 @@ from pdemosc import (
     verify_all,
 )
 from pdemosc.discrete import TridiagonalOperator, eigenpair_lists
+from pdemosc import susy
 from pdemosc.errors import InvalidLambdaError
 from pdemosc.susy import (
     RESIDUAL_TOLERANCES,
@@ -73,7 +74,8 @@ def test_banded_matvec_and_product_match_dense():
 
 def ladder(fam, alpha, grid):
     """verify_all's A(α) on one block of the whole grid."""
-    return _ladders(fam, _frame(grid, 0, grid.n), (alpha,))[0]
+    frame = _frame(grid, 0, grid.n)
+    return _ladders(fam, frame, (alpha,), -frame.edges[1:-1])[0]
 
 
 def test_ladder_adjoint_under_quadrature():
@@ -122,7 +124,9 @@ def dense_tridiagonal(diag, off):
 def whole_grid_hamiltonians(fam, grid):
     """The bands (H₋, H₊, H) of verify_all on one block of the whole grid,
     each (diag, offdiag) and refused in that order as verify_all refuses."""
-    diags, off = _block_hamiltonians(fam, grid, 0, _frame(grid, 0, grid.n))
+    frame = _frame(grid, 0, grid.n)
+    diags, off = _block_hamiltonians(fam, grid, 0, frame,
+                                     -frame.edges[1:-1])[0]
     for diag in diags:
         _require_representable(_band_extent(diag, off, (math.nan, False)))
     return [(diag, off) for diag in diags]
@@ -223,8 +227,10 @@ def test_verify_all_report_layout():
 @pytest.mark.parametrize("kind,lam,n_max", [
     (Kind.CASE3, 0.2, None), (Kind.CASE1, 0.3, None), (Kind.CASE1, 0.3, 2)])
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
-    # one pass: each block of ROWS rows, with its two-row halo, evaluates
-    # every state and the bands of every operator once, on either map
+    # one pass over the left half and the centre: each block of ROWS rows,
+    # with its two-row halo, evaluates every state and the bands of every
+    # operator once, on either map, and every closed form of the bands
+    # once more at the mirror images of its nodes and midpoints
     from pdemosc import susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
@@ -245,9 +251,9 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
 
     kinetic_bands = susy._kinetic_bands
 
-    def counted_kinetic(family, g, first, frame, **kwargs):
-        calls.append(("kinetic", g.node(first + 1), len(frame.edges) - 2))
-        return kinetic_bands(family, g, first, frame, **kwargs)
+    def counted_kinetic(g, frame, w, **kwargs):
+        calls.append(("kinetic", len(frame.edges) - 2))
+        return kinetic_bands(g, frame, w, **kwargs)
     monkeypatch.setattr(susy, "_kinetic_bands", counted_kinetic)
     monkeypatch.setattr(susy, "_states_at", counted(
         "states", susy._states_at, lambda f, k, x: (k,)))
@@ -259,17 +265,21 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
     verify_all(fam, grid)
 
     expected = []
-    for first, stop in [(0, 258), (254, 514), (510, 770), (766, 800)]:
+    # rows 0 … 399 of 800, the last block reading two rows past the centre
+    for first, stop in [(0, 258), (254, 402)]:
         x0, m = grid.node(first + 1), stop - first
-        expected += [(name, x0, m) for name in (
-            "kinetic", "potential_minus", "potential_plus", "potential_full")]
-        # the masses at the midpoints (kinetic), and at the nodes for the
-        # ladders' off-bands and for each of their two superpotentials
-        expected += [("mass_at", grid.midpoint(first), m + 1)]
-        expected += [("mass_at", x0, m)] * 3
-        expected += [("superpotential_at", x0, m, fam.alpha0),
-                     ("superpotential_at", x0, m, alpha_at(fam, 1)),
-                     ("states", x0, m, count)]
+        for sign in (1.0, -1.0):  # the block's points, then their mirrors
+            w0, x = sign * grid.midpoint(first), sign * x0
+            expected += [("kinetic", m)]
+            expected += [(name, x, m) for name in (
+                "potential_minus", "potential_plus", "potential_full")]
+            # the masses at the midpoints (kinetic), and at the nodes for
+            # the ladders' off-bands and for each of their two
+            # superpotentials
+            expected += [("mass_at", w0, m + 1)] + [("mass_at", x, m)] * 3
+            expected += [("superpotential_at", x, m, fam.alpha0),
+                         ("superpotential_at", x, m, alpha_at(fam, 1))]
+        expected += [("states", x0, m, count)]
     assert sorted(calls) == sorted(expected)
 
 
@@ -281,49 +291,75 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
 # is linear in the state, so the states are H_n·φ₀, not normalized.  On a
 # mapped grid they are taken by √w into the frame of the node weights w;
 # on a uniform one w is h, which weighs both sums of a ratio alike and
-# cancels, so no sum carries a weight.
+# cancels, so no sum carries a weight.  verify_all walks the rows of the
+# left half and the centre, and counts each with its mirror image; the
+# reference sums those rows so (its mirror-half norms), or every row.
 
-def _reference_scaled_sq_norm(v):
+def _reference_scaled_sq_norm(v, centre=None):
+    # the pair of v, or given `centre`, whether v's last entry is the
+    # grid's centre row, that of v and its mirror image: each entry twice
+    # and the centre once
     _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
     u = np.ldexp(v, -e)
-    return float(np.dot(u, u)), e
+    if centre is None:
+        return float(np.dot(u, u)), e
+    body = u[:len(u) - centre]
+    c = float(u[-1]) if centre else 0.0
+    return 2.0 * float(np.dot(body, body)) + c * c, e
 
 
-def _reference_max_residual(residual_fn, states):
-    worst = 0.0
-    for v in states:
-        rr, er = _reference_scaled_sq_norm(residual_fn(v)[2:-2])
-        vv, ev = _reference_scaled_sq_norm(v)
-        worst = max(worst, math.ldexp(math.sqrt(rr) / math.sqrt(vv), er - ev))
-    return worst
-
-
-def reference_residuals(fam, grid):
+def reference_identities(fam, grid, magnitudes=False):
+    """({name: (lhs, rhs, odd)}, states): both sides of each identity as
+    whole-grid operators applied to a state, whether its operator is odd
+    under x → −x, and the states H_n·φ₀ in the frame.  With `magnitudes`
+    every entry and constant is taken by its absolute value and every
+    difference is a sum: applied to |v|, both sides bound the products
+    whose rounding each row of the residual carries."""
     count = bound_state_count(fam)
     states, _ = _reference_whole_grid_states(
         fam, 5 if count is None else min(5, count), grid)
     if grid.map:
         states = [v * np.sqrt(grid.weights()) for v in states]
     a0 = fam.alpha0
-    h_minus, h_plus, h = (Banded(off, diag, off)
-                          for diag, off in whole_grid_hamiltonians(fam, grid))
-    a = ladder(fam, a0, grid)
-    ad = a.transpose()
-    a1 = ladder(fam, alpha_at(fam, 1), grid)
-    ad1 = a1.transpose()
-    e0, r = 0.5 * a0, remainder(fam, a0)
+    ops = [Banded(off, diag, off)
+           for diag, off in whole_grid_hamiltonians(fam, grid)]
+    ops += [ladder(fam, a0, grid), ladder(fam, alpha_at(fam, 1), grid)]
+    e0, r, minus = 0.5 * a0, remainder(fam, a0), -1.0
+    if magnitudes:
+        ops = [Banded(*map(np.abs, op)) for op in ops]
+        r, minus = abs(r), 1.0
+    h_minus, h_plus, h, a, a1 = ops
+    ad, ad1 = a.transpose(), a1.transpose()
     return {
-        "factorization": _reference_max_residual(
-            lambda v: ad @ (a @ v) - (h @ v - e0 * v), states),
-        "annihilation": _reference_max_residual(lambda v: a @ v, states[:1]),
-        "intertwine_minus": _reference_max_residual(
-            lambda v: a @ (h_minus @ v) - h_plus @ (a @ v), states),
-        "intertwine_plus": _reference_max_residual(
-            lambda v: ad @ (h_plus @ v) - h_minus @ (ad @ v), states),
-        "superalgebra_offdiag": 0.0,
-        "shift_identity": _reference_max_residual(
-            lambda v: a @ (ad @ v) - (ad1 @ (a1 @ v) + r * v), states),
-    }
+        "factorization": (lambda v: ad @ (a @ v),
+                          lambda v: h @ v + minus * e0 * v, False),
+        "annihilation": (lambda v: a @ v, lambda v: 0.0, True),
+        "intertwine_minus": (lambda v: a @ (h_minus @ v),
+                             lambda v: h_plus @ (a @ v), True),
+        "intertwine_plus": (lambda v: ad @ (h_plus @ v),
+                            lambda v: h_minus @ (ad @ v), True),
+        "shift_identity": (lambda v: a @ (ad @ v),
+                           lambda v: ad1 @ (a1 @ v) + r * v, False),
+    }, states
+
+
+def reference_residuals(fam, grid, whole=False):
+    """verify_all's residuals from the whole-grid reference: over the rows
+    verify_all walks, each with its mirror image, or over every row."""
+    identities, states = reference_identities(fam, grid)
+    n = grid.n
+    half = n if whole else n - n // 2
+    centre = None if whole else n % 2 == 1
+    got = {"superalgebra_offdiag": 0.0}
+    for name, (lhs, rhs, _) in identities.items():
+        got[name] = 0.0
+        for v in states[:1] if name == "annihilation" else states:
+            res = (lhs(v) - rhs(v))[2:min(half, n - 2)]
+            rr, er = _reference_scaled_sq_norm(res, centre)
+            vv, ev = _reference_scaled_sq_norm(v[:half], centre)
+            got[name] = max(got[name], math.ldexp(
+                math.sqrt(rr) / math.sqrt(vv), er - ev))
+    return got
 
 
 @pytest.mark.parametrize("kind, alpha, lam, n_max", [
@@ -331,30 +367,141 @@ def reference_residuals(fam, grid):
     (Kind.CASE1, 100.0, 10.0, None), (Kind.CASE1, 1.0, 0.3, 2),
 ])
 def test_blocks_reproduce_the_whole_grid(monkeypatch, kind, alpha, lam, n_max):
-    # block edges may fall anywhere: N = k·ROWS + r for r = 0 … 3 and
-    # ROWS − 1, odd and even N, on an unbounded domain, uniform and
-    # sinh-mapped, a compact one and at a large alpha.  Every block refills
-    # the rows of the first, so a last block of ROWS − 1 rows (N = 406)
-    # must not read a longer block's tail
+    # the walk takes rows 0 … ⌈N/2⌉ − 1, whose block edges may fall
+    # anywhere: ⌈N/2⌉ = k·ROWS + r for r = 0 … 3 and ROWS − 1, odd and
+    # even N, on an unbounded domain, uniform and sinh-mapped, a compact
+    # one and at a large alpha.  On an odd N the centre row is the last
+    # row walked: the last of a full block (N = 73, 739, 813), or alone in
+    # the last block (N = 741, 815), which reads the two rows past it.
+    # Every block refills the rows of the first, so a last block of
+    # ROWS − 1 rows (N = 811, 812) must not read a longer block's tail
     from pdemosc import susy
 
     fam = make_family(kind, alpha, lam)
-    for n in (16, 37, 370, 371, 372, 373, 406, 407, 408):
+    for n in (16, 73, 74, 739, 740, 741, 742, 744, 745, 811, 812, 813, 815):
         grid = build_grid(fam, n, n_max=n_max)
         want = reference_residuals(fam, grid)
         monkeypatch.setattr(susy, "ROWS", 37)
         got = {k: e.value for k, e in verify_all(fam, grid).items()}
         assert list(got) == RESIDUAL_NAMES
-        if n <= 37:
+        if n - n // 2 <= 37:
             assert got == want, n
         for name in RESIDUAL_NAMES:
             assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0.0), (
                 n, name)
         monkeypatch.undo()
         # one block of the shipped size: bit for bit
-        assert n <= susy.ROWS
+        assert n - n // 2 <= susy.ROWS
         assert {k: e.value for k, e in
                 verify_all(fam, grid).items()} == want, n
+
+
+# the panel's families and the constant one, on verify's level box (sinh-
+# mapped) and on the uniform ground-state box, at an even and an odd N
+MIRROR_CASES = [(kind, lam, mapped, n)
+                for kind, lam in [(Kind.CASE1, 0.1), (Kind.CASE2, 10.0),
+                                  (Kind.CASE3, 0.2), (Kind.CONSTANT, 0.0)]
+                for mapped in (True, False) for n in (4000, 4001)]
+
+
+@pytest.mark.parametrize("kind, lam, mapped, n", MIRROR_CASES)
+def test_whole_grid_residuals_mirror_row_for_row(kind, lam, mapped, n):
+    # the premise of the half walk, on the independent reference: state k
+    # mirrors bit for bit with sign (−1)^k, and each residual row for row
+    # with that sign, flipped for an odd identity (A is odd under x → −x),
+    # to within its rounding: |r_i ∓ r_{N−1−i}| ≤ 4ε·M, M the larger of
+    # the two rows' magnitudes |L||v| + |R||v|.  The products of a row
+    # and of its mirror add the same terms in another order (diag, then
+    # lower, then upper), so they round apart: at most 1.33ε·M on these
+    # cases and at N = 300, 20001 and 100000
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, n, n_max=susy.state_count(fam) - 1 if mapped else None)
+    identities, states = reference_identities(fam, grid)
+    magnitudes, _ = reference_identities(fam, grid, magnitudes=True)
+    eps = np.finfo(float).eps
+    for k, v in enumerate(states):
+        assert np.array_equal(v[::-1], (-1) ** k * v), k
+        for name, (lhs, rhs, odd) in identities.items():
+            if name == "annihilation" and k:
+                continue
+            res = (lhs(v) - rhs(v))[2:-2]
+            mag_lhs, mag_rhs, _ = magnitudes[name]
+            m = (mag_lhs(np.abs(v)) + mag_rhs(np.abs(v)))[2:-2]
+            sign = (-1) ** (k + odd)
+            assert np.all(np.abs(res - sign * res[::-1])
+                          <= 4 * eps * np.maximum(m, m[::-1])), (k, name)
+
+
+@pytest.mark.parametrize("kind, lam, mapped, n", MIRROR_CASES + [
+    (Kind.CASE3, 0.2, True, 100000), (Kind.CASE2, 15.0, True, 100000)])
+def test_half_walk_reads_the_whole_grid(kind, lam, mapped, n):
+    # verify_all's residuals against the reference's norms over every row:
+    # the two halves' rows round apart, so the ratios agree to the relative
+    # size of their rounding, which grows with N as the residuals sink to
+    # item 4's roundoff floor.  Measured at most 2.4e−9 at N = 4000 and
+    # 4001 (the constant family on its level box), 1.9e−5 at 16000 and
+    # 1.02e−4 at 100000 (case2 λ 15)
+    fam = make_family(kind, 1.0, lam)
+    grid = build_grid(fam, n, n_max=susy.state_count(fam) - 1 if mapped else None)
+    want = reference_residuals(fam, grid, whole=True)
+    got = {k: e.value for k, e in verify_all(fam, grid).items()}
+    bound = 5e-9 if n <= 4001 else 3e-4
+    for name in RESIDUAL_NAMES:
+        assert got[name] == pytest.approx(want[name], rel=bound, abs=0.0), name
+
+
+def _ulp_off_right(honest):
+    # a closed form one ulp off wherever x > 0, its value there otherwise
+    def off(*args):
+        v = honest(*args)
+        return np.where(args[-1] > 0, np.nextafter(v, np.inf), v)
+    return off
+
+
+@pytest.mark.parametrize("name, operator", [
+    ("mass_at", "H-"), ("potential_plus", "H+"), ("potential_full", "H"),
+    ("superpotential_at", "A")])
+def test_an_operator_that_does_not_mirror_is_refused(monkeypatch, name,
+                                                     operator):
+    # verify_all counts each row walked for its mirror image too, so it
+    # takes every closed form of the bands at the mirror images as well:
+    # one that is one ulp off on the right refuses the operator it enters
+    # (the midpoints' masses enter the kinetic off-band that H₋ is named
+    # for), on one block of an even N and on blocks of an odd one
+    from pdemosc.errors import ConstraintViolatedError
+
+    fam = make_family(Kind.CASE1, 1.0, 0.1)
+    monkeypatch.setattr(susy, name, _ulp_off_right(getattr(susy, name)))
+    for n, rows in ((2000, susy.ROWS), (2001, 300)):
+        monkeypatch.setattr(susy, "ROWS", rows)
+        with pytest.raises(ConstraintViolatedError) as refusal:
+            verify_all(fam, build_grid(fam, n))
+        assert str(refusal.value).startswith(
+            f"the discretized operator {operator} is not mirror-symmetric")
+
+
+def test_verify_refuses_an_operator_that_does_not_mirror(monkeypatch, capsys):
+    # at the command line: exit 1 and one stderr line, on a level box of
+    # one block (N = 4000) and of three (N = 20001); where H₋ also
+    # overflows, in the right half only, the overflow refusal comes first
+    monkeypatch.setattr(susy, "potential_plus",
+                        _ulp_off_right(susy.potential_plus))
+    for n in ("4000", "20001"):
+        argv = ["verify", "--family", "case1", "--lambda", "0.1",
+                "--grid-n", n]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: the discretized operator H+ is not "
+                              "mirror-symmetric about x = 0")
+    honest_minus = susy.potential_minus
+    monkeypatch.setattr(susy, "potential_minus", lambda f, a, x: np.where(
+        x > 1.0, 3e160, honest_minus(f, a, x)))
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the discretized Hamiltonian overflows: its "
+                          "largest entry is 3e+160,")
 
 
 def test_block_rows_replay_the_whole_grid_past_the_rescale():
@@ -484,9 +631,11 @@ def test_verify_all_holds_no_whole_grid_array():
     # arrays outlive it, on a uniform grid and on a sinh-mapped one.  The
     # walk holds 13 rows of a block (14 on a mapped grid) and the
     # residuals' temporaries, each residual subtracted in place into one
-    # of its products and freed before the next is formed: 18.2 and 19.1
-    # rows, 1.19 and 1.25 MB.  A residual kept alive while the next is
-    # formed reads 19.2 and 20.1 rows, so a bound of 19 rows, plus one for
+    # of its products and freed before the next is formed: 18.2 and 19.2
+    # rows, 0.60 and 0.63 MB at ROWS = 4096.  The mirror check takes its
+    # closed forms into free rows and one temporary at a time, and peaks
+    # below that, at 17.3 rows.  A residual kept alive while the next is
+    # formed reads 19.2 and 20.3 rows, so a bound of 19 rows, plus one for
     # the mapped grid's extra row, sees it on both grids
     import tracemalloc
 
@@ -508,8 +657,9 @@ def test_verify_all_holds_no_whole_grid_array():
 
 
 def test_verify_all_memory_does_not_grow_with_the_block_count(monkeypatch):
-    # each block is folded into running sums, so 11, 109 and 433 blocks of
-    # 37 rows hold the same memory, about 14 KB traced
+    # each block is folded into running sums, so 6, 55 and 217 blocks of
+    # 37 rows (the half walk of N = 400, 4000 and 16000) hold the same
+    # memory, about 14 KB traced
     import tracemalloc
 
     from pdemosc import susy
@@ -558,8 +708,9 @@ def test_a_state_that_samples_to_zero_is_refused():
 
 
 def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
-    # H₋ is refused before H₊, with H₋'s largest entry, though H₊'s larger
-    # entries sit in an earlier block and H₋'s NaN in a later one
+    # H₋ is refused before H₊, with H₋'s largest entry, though H₊'s
+    # entries are larger; H₋'s faults sit only in the right half, which the
+    # walk reads at the mirror images of its rows (one block of four)
     from pdemosc import susy
     from pdemosc.errors import PdemError
 
@@ -587,7 +738,8 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
 
 def test_overflow_refusal_names_a_nan_alone(monkeypatch):
     # one NaN in H₋ and no entry that squares past a double: the refusal
-    # names nan, not H₋'s largest number, on one block and on seven
+    # names nan, not H₋'s largest number, on one block and on four; the
+    # NaN sits in the right half, at the mirror image of a row walked
     from pdemosc import susy
     from pdemosc.errors import PdemError
 
@@ -649,8 +801,8 @@ def test_mutated_operators_fail_at_every_alpha(monkeypatch, mutation, alpha):
 
     families = [make_family(Kind.CASE1, alpha, 0.1 * alpha),
                 make_family(Kind.CASE3, alpha, 0.3 * math.sqrt(alpha))]
-    # one block of rows, and several
-    assert 4000 <= susy.ROWS < 20001
+    # one block of rows, and several: the walk takes ⌈N/2⌉ rows
+    assert 2000 <= susy.ROWS < 10001
     cases = [(fam, build_grid(fam, n)) for fam in families for n in (4000, 20001)]
     cases += [(families[0], build_grid(families[0], n, n_max=4))
               for n in (2000, 4000, 20001)]
