@@ -12,7 +12,11 @@ class NonPositiveAlphaError(PdemError):
 
 
 class InvalidLambdaError(PdemError):
-    """Deformation parameter is outside the family's admissible set."""
+    """Deformation parameter is outside the family's admissible set, or
+    what it sets leaves the range of a double: the deformation q, a
+    sampled level, an energy or a grid box (families, grid), or a
+    discretized operator that overflows or underflows (refuse_overflow,
+    and the underflow refusals of discrete and susy)."""
 
 
 class OutOfDomainError(PdemError):
@@ -24,7 +28,10 @@ class NotABoundStateError(PdemError):
 
 
 class InvalidCountError(PdemError):
-    """Grid point count below the supported minimum."""
+    """A count the request cannot use: grid points below the supported
+    minimum, on the grid or inside a compact domain's ground-state box
+    (grid); an eigenvalue count k outside [1, N] (discrete._prepared); or
+    a level that is zero at every node (families.require_resolved)."""
 
 
 class ConstraintViolatedError(PdemError):

@@ -219,28 +219,42 @@ def test_uniform_grid_refuses_a_half_width_it_cannot_lay_out():
     assert math.isfinite(widest.h) and widest.node(1) > -widest.hi
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.floats(5e-324, sys.float_info.max / 2), st.integers(16, 5000),
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["", "sinh", "sin"]), st.integers(16, 5000),
        st.data())
-def test_every_grid_mirrors_and_its_blocks_are_its_nodes(hi, n, data):
+def test_every_grid_mirrors_and_its_blocks_are_its_nodes(map_, n, data):
     # node n+1−i is −(node i) and midpoint n−i is −(midpoint i) bit for
-    # bit, a centre entry is +0.0, and an index array slices the nodes; a
-    # half-width whose spacing rounds to 0 lays out no grid and is refused
-    if (hi + hi) / (n + 1) == 0.0:
-        with pytest.raises(ValueError, match="half-width"):
-            uniform_grid(hi, n)
-        return
-    grid = uniform_grid(hi, n)
-    for v in (grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))):
+    # bit, a centre entry is +0.0, and an index array slices the nodes
+    # and the midpoints, on a uniform grid and on the sinh- and sin-mapped
+    # grids build_grid lays out, at a drawn β (the level box sinh(βu)/β
+    # to asinh(βX)/β, the compact wall sin(βu)/β to π/2β); a half-width
+    # whose spacing rounds to 0 lays out no grid and is refused
+    if map_:
+        beta = 10.0 ** data.draw(st.floats(-150.0, 150.0))
+        hi = (math.asinh(10.0 ** data.draw(st.floats(-150.0, 150.0))) / beta
+              if map_ == "sinh" else 0.5 * math.pi / beta)
+        grid = uniform_grid(hi, n)._replace(map=map_, beta=beta)
+    else:
+        hi = data.draw(st.floats(5e-324, sys.float_info.max / 2))
+        if (hi + hi) / (n + 1) == 0.0:
+            with pytest.raises(ValueError, match="half-width"):
+                uniform_grid(hi, n)
+            return
+        grid = uniform_grid(hi, n)
+    xs, mids = grid.node(range(1, n + 1)), grid.midpoint(range(n + 1))
+    for v in (xs, mids):
         k = len(v) // 2
         assert _hex(v[:k]) == _hex([-x for x in v[::-1][:k]])
         assert len(v) % 2 == 0 or v[k].hex() == "0x0.0p+0"
-    xs = np.array(grid.node(range(1, n + 1)))
+    xs, mids = np.array(xs), np.array(mids)
     lo = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(lo + 1, n))
     assert (grid.node(np.arange(lo + 1, stop + 1)).tobytes()
             == xs[lo:stop].tobytes())
+    assert (grid.midpoint(np.arange(lo, stop + 1)).tobytes()
+            == mids[lo:stop + 1].tobytes())
     assert grid.node(np.arange(1, n + 1)).tobytes() == xs.tobytes()
+    assert grid.midpoint(np.arange(n + 1)).tobytes() == mids.tobytes()
 
 
 @pytest.mark.parametrize("kind, lam", [

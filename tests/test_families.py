@@ -339,9 +339,10 @@ def test_closed_forms_are_even_and_the_superpotential_odd(data):
     # the mass law and the three potentials are even in x and W is odd,
     # bit for bit, at any alpha (log-uniform), any lambda a kind admits
     # and any x inside the domain, ±0 and subnormals among them, on
-    # floats and on ndarrays: the invariant behind the mirrored stencil
-    # (discrete._stencil), both samplers, the mirrored CSV writer and
-    # verify's walk over half of the grid
+    # floats and on ndarrays, and so is the unnormalized ground state,
+    # which every sampled state multiplies: the invariant behind the
+    # mirrored stencil (discrete._stencil), both samplers, the mirrored
+    # CSV writer and verify's walk over half of the grid
     kind = data.draw(st.sampled_from(list(Kind)))
     alpha = 10.0 ** data.draw(st.floats(-300.0, 300.0))
     lam = 0.0 if kind is Kind.CONSTANT else data.draw(
@@ -361,6 +362,8 @@ def test_closed_forms_are_even_and_the_superpotential_odd(data):
         "potential_minus": lambda x: potential_minus(fam, alpha, x),
         "potential_plus": lambda x: potential_plus(fam, alpha, x),
         "potential_full": lambda x: potential_full(fam, x),
+        "ground_state_unnormalized":
+            lambda x: ground_state_unnormalized(fam, x),
     }
     def w(x):
         return superpotential_at(fam, alpha, x)
@@ -424,9 +427,8 @@ AT_POINTS = {
 ON_GRIDS = {
     "eigenfunction_samples": lambda fam, grid: eigenfunction_samples(fam, 0, grid),
     "eigenfunction_lists": lambda fam, grid: eigenfunction_lists(fam, 0, grid),
-    "ladders": lambda fam, grid: _ladders(
-        fam, _frame(grid, 0, grid.n), (1.0,),
-        -grid.node(np.arange(1, grid.n + 1))),
+    "ladders": lambda fam, grid: _ladders(fam, _frame(grid, 0, grid.n),
+                                          (1.0,)),
     "verify_all": verify_all,
 }
 

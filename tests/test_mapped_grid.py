@@ -224,6 +224,21 @@ def test_a_box_past_a_double_is_refused_not_capped():
             build_grid(make_family(kind, 1.0, lam), 1000, tail, n_max)
 
 
+def test_a_level_where_n_q_rounds_to_one_is_refused(capsys):
+    # below q = 2.2e−16 a bound level may pass 4e15, where n·q rounds to
+    # 1 and the envelope has no peak in doubles: its level box is past a
+    # double, and the request is refused in one stderr line with exit 1
+    argv = ["spectrum", "--family", "case1", "--lambda", "1e-17",
+            "--n-max", "99999999999999999"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: level 99999999999999999 decays too slowly to reach the tail "
+        "tolerance 1e-12 within the range of a double; loosen the tail "
+        "tolerance or weaken the deformation\n")
+
+
 def test_compact_domains_and_unlevelled_grids_stay_uniform():
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     assert build_grid(fam, 1000, n_max=5) == build_grid(fam, 1000)

@@ -228,9 +228,8 @@ def families_on_grids(draw):
 def whole_grid_hamiltonian(fam, grid):
     """verify's bands of H on one block of the whole grid, refused as
     verify refuses them."""
-    frame = _frame(grid, 0, grid.n)
-    (_, _, diag), off = _block_hamiltonians(fam, grid, 0, frame,
-                                            -frame.edges[1:-1])[0]
+    (_, _, diag), off = _block_hamiltonians(fam, grid, 0,
+                                            _frame(grid, 0, grid.n))
     _require_representable(_band_extent(diag, off, (math.nan, False)))
     return diag, off
 

@@ -74,8 +74,7 @@ def test_banded_matvec_and_product_match_dense():
 
 def ladder(fam, alpha, grid):
     """verify_all's A(α) on one block of the whole grid."""
-    frame = _frame(grid, 0, grid.n)
-    return _ladders(fam, frame, (alpha,), -frame.edges[1:-1])[0]
+    return _ladders(fam, _frame(grid, 0, grid.n), (alpha,))[0]
 
 
 def test_ladder_adjoint_under_quadrature():
@@ -124,9 +123,7 @@ def dense_tridiagonal(diag, off):
 def whole_grid_hamiltonians(fam, grid):
     """The bands (H₋, H₊, H) of verify_all on one block of the whole grid,
     each (diag, offdiag) and refused in that order as verify_all refuses."""
-    frame = _frame(grid, 0, grid.n)
-    diags, off = _block_hamiltonians(fam, grid, 0, frame,
-                                     -frame.edges[1:-1])[0]
+    diags, off = _block_hamiltonians(fam, grid, 0, _frame(grid, 0, grid.n))
     for diag in diags:
         _require_representable(_band_extent(diag, off, (math.nan, False)))
     return [(diag, off) for diag in diags]
@@ -229,8 +226,7 @@ def test_verify_all_report_layout():
 def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
     # one pass over the left half and the centre: each block of ROWS rows,
     # with its two-row halo, evaluates every state and the bands of every
-    # operator once, on either map, and every closed form of the bands
-    # once more at the mirror images of its nodes and midpoints
+    # operator once, on either map
     from pdemosc import susy
 
     monkeypatch.setattr(susy, "ROWS", 256)
@@ -268,18 +264,16 @@ def test_verify_all_samples_the_states_once(monkeypatch, kind, lam, n_max):
     # rows 0 … 399 of 800, the last block reading two rows past the centre
     for first, stop in [(0, 258), (254, 402)]:
         x0, m = grid.node(first + 1), stop - first
-        for sign in (1.0, -1.0):  # the block's points, then their mirrors
-            w0, x = sign * grid.midpoint(first), sign * x0
-            expected += [("kinetic", m)]
-            expected += [(name, x, m) for name in (
-                "potential_minus", "potential_plus", "potential_full")]
-            # the masses at the midpoints (kinetic), and at the nodes for
-            # the ladders' off-bands and for each of their two
-            # superpotentials
-            expected += [("mass_at", w0, m + 1)] + [("mass_at", x, m)] * 3
-            expected += [("superpotential_at", x, m, fam.alpha0),
-                         ("superpotential_at", x, m, alpha_at(fam, 1))]
-        expected += [("states", x0, m, count)]
+        expected += [("kinetic", m)]
+        expected += [(name, x0, m) for name in (
+            "potential_minus", "potential_plus", "potential_full")]
+        # the masses at the midpoints (kinetic), and at the nodes for the
+        # ladders' off-bands and for each of their two superpotentials
+        expected += [("mass_at", grid.midpoint(first), m + 1)]
+        expected += [("mass_at", x0, m)] * 3
+        expected += [("superpotential_at", x0, m, fam.alpha0),
+                     ("superpotential_at", x0, m, alpha_at(fam, 1)),
+                     ("states", x0, m, count)]
     assert sorted(calls) == sorted(expected)
 
 
@@ -450,60 +444,6 @@ def test_half_walk_reads_the_whole_grid(kind, lam, mapped, n):
         assert got[name] == pytest.approx(want[name], rel=bound, abs=0.0), name
 
 
-def _ulp_off_right(honest):
-    # a closed form one ulp off wherever x > 0, its value there otherwise
-    def off(*args):
-        v = honest(*args)
-        return np.where(args[-1] > 0, np.nextafter(v, np.inf), v)
-    return off
-
-
-@pytest.mark.parametrize("name, operator", [
-    ("mass_at", "H-"), ("potential_plus", "H+"), ("potential_full", "H"),
-    ("superpotential_at", "A")])
-def test_an_operator_that_does_not_mirror_is_refused(monkeypatch, name,
-                                                     operator):
-    # verify_all counts each row walked for its mirror image too, so it
-    # takes every closed form of the bands at the mirror images as well:
-    # one that is one ulp off on the right refuses the operator it enters
-    # (the midpoints' masses enter the kinetic off-band that H₋ is named
-    # for), on one block of an even N and on blocks of an odd one
-    from pdemosc.errors import ConstraintViolatedError
-
-    fam = make_family(Kind.CASE1, 1.0, 0.1)
-    monkeypatch.setattr(susy, name, _ulp_off_right(getattr(susy, name)))
-    for n, rows in ((2000, susy.ROWS), (2001, 300)):
-        monkeypatch.setattr(susy, "ROWS", rows)
-        with pytest.raises(ConstraintViolatedError) as refusal:
-            verify_all(fam, build_grid(fam, n))
-        assert str(refusal.value).startswith(
-            f"the discretized operator {operator} is not mirror-symmetric")
-
-
-def test_verify_refuses_an_operator_that_does_not_mirror(monkeypatch, capsys):
-    # at the command line: exit 1 and one stderr line, on a level box of
-    # one block (N = 4000) and of three (N = 20001); where H₋ also
-    # overflows, in the right half only, the overflow refusal comes first
-    monkeypatch.setattr(susy, "potential_plus",
-                        _ulp_off_right(susy.potential_plus))
-    for n in ("4000", "20001"):
-        argv = ["verify", "--family", "case1", "--lambda", "0.1",
-                "--grid-n", n]
-        assert run(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: the discretized operator H+ is not "
-                              "mirror-symmetric about x = 0")
-    honest_minus = susy.potential_minus
-    monkeypatch.setattr(susy, "potential_minus", lambda f, a, x: np.where(
-        x > 1.0, 3e160, honest_minus(f, a, x)))
-    assert run(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: the discretized Hamiltonian overflows: its "
-                          "largest entry is 3e+160,")
-
-
 def test_block_rows_replay_the_whole_grid_past_the_rescale():
     # past n = 150 on this box the recurrence divides by powers of two,
     # which each block of nodes chooses for itself; a division is exact,
@@ -631,12 +571,10 @@ def test_verify_all_holds_no_whole_grid_array():
     # arrays outlive it, on a uniform grid and on a sinh-mapped one.  The
     # walk holds 13 rows of a block (14 on a mapped grid) and the
     # residuals' temporaries, each residual subtracted in place into one
-    # of its products and freed before the next is formed: 18.2 and 19.2
-    # rows, 0.60 and 0.63 MB at ROWS = 4096.  The mirror check takes its
-    # closed forms into free rows and one temporary at a time, and peaks
-    # below that, at 17.3 rows.  A residual kept alive while the next is
-    # formed reads 19.2 and 20.3 rows, so a bound of 19 rows, plus one for
-    # the mapped grid's extra row, sees it on both grids
+    # of its products and freed before the next is formed: 18.3 and 19.2
+    # rows, 0.60 and 0.63 MB at ROWS = 4096.  A residual kept alive while
+    # the next is formed reads 19.2 and 20.3 rows, so a bound of 19 rows,
+    # plus one for the mapped grid's extra row, sees it on both grids
     import tracemalloc
 
     from pdemosc import susy
@@ -708,9 +646,11 @@ def test_a_state_that_samples_to_zero_is_refused():
 
 
 def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
-    # H₋ is refused before H₊, with H₋'s largest entry, though H₊'s
-    # entries are larger; H₋'s faults sit only in the right half, which the
-    # walk reads at the mirror images of its rows (one block of four)
+    # H₋ is refused before H₊, with H₋'s largest entry, though H₊'s larger
+    # entries sit in the walk's first block, by the walls, and H₋'s NaN
+    # and largest entry in later ones, by the centre (blocks of 300 rows
+    # over the 1001 rows walked).  Each fault is even, as every closed
+    # form is, so it falls on a row walked and on its mirror image
     from pdemosc import susy
     from pdemosc.errors import PdemError
 
@@ -720,11 +660,12 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
 
     def minus(f, a, x):
         v = honest_minus(f, a, x)
-        return np.where(x > grid.node(1801), 3e160, v) + np.where(
-            x == grid.node(1901), np.nan, 0.0)
+        return np.where(np.abs(x) < grid.node(1201), 3e160, v) + np.where(
+            np.abs(x) == grid.node(1101), np.nan, 0.0)
 
     def plus(f, a, x):
-        return np.where(x < grid.node(101), 5e170, honest_plus(f, a, x))
+        return np.where(np.abs(x) > grid.node(1901), 5e170,
+                        honest_plus(f, a, x))
     monkeypatch.setattr(susy, "potential_minus", minus)
     monkeypatch.setattr(susy, "potential_plus", plus)
     with pytest.raises(PdemError) as want:
@@ -739,7 +680,7 @@ def test_overflow_refusal_names_the_first_operator_that_overflows(monkeypatch):
 def test_overflow_refusal_names_a_nan_alone(monkeypatch):
     # one NaN in H₋ and no entry that squares past a double: the refusal
     # names nan, not H₋'s largest number, on one block and on four; the
-    # NaN sits in the right half, at the mirror image of a row walked
+    # NaN is even, at a row of the walk's last block and its mirror image
     from pdemosc import susy
     from pdemosc.errors import PdemError
 
@@ -748,7 +689,8 @@ def test_overflow_refusal_names_a_nan_alone(monkeypatch):
     honest_minus = susy.potential_minus
 
     def minus(f, a, x):
-        return honest_minus(f, a, x) + np.where(x == grid.node(1901), np.nan, 0.0)
+        return honest_minus(f, a, x) + np.where(
+            np.abs(x) == grid.node(1101), np.nan, 0.0)
     monkeypatch.setattr(susy, "potential_minus", minus)
     with pytest.raises(PdemError) as want:
         whole_grid_hamiltonians(fam, grid)
