@@ -60,7 +60,7 @@ from array import array
 from itertools import groupby
 from types import SimpleNamespace
 
-from .errors import PdemError
+from .errors import InvalidLambdaError, PdemError
 from .families import (
     SYMMETRIC_ORDERING,
     Kind,
@@ -353,11 +353,23 @@ def _grid(args, family, n_max=None, energies=False):
                       energies)
 
 
+def _predictions(family, k: int):
+    """The closed-form energies of levels 0 … k − 1, where the eigensolver
+    starts its first searches, or None where one leaves the range of a
+    double: they pick the solver's path, never what it certifies or
+    refuses."""
+    try:
+        return [energy(family, n) for n in range(k)]
+    except InvalidLambdaError:
+        return None
+
+
 def _solve(family, grid, k: int, orderings=()) -> list:
     """The k lowest levels of the symmetric ordering, then of each ordering
-    given, one list each."""
+    given, one list each, each solve started at the _predictions."""
     from .discrete import assemble_lists, eigenvalue_list
-    return [eigenvalue_list(assemble_lists(family, grid, o), k)
+    predictions = _predictions(family, k)
+    return [eigenvalue_list(assemble_lists(family, grid, o), k, predictions)
             for o in (SYMMETRIC_ORDERING, *orderings)]
 
 
@@ -399,7 +411,8 @@ def _cmd_eigenfunctions(args, family) -> int:
         if want_csv:
             from .discrete import assemble_lists, eigenpair_lists
             eigenvalues, vectors = eigenpair_lists(
-                assemble_lists(family, grid), n_max + 1, grid.weights())
+                assemble_lists(family, grid), n_max + 1, grid.weights(),
+                _predictions(family, n_max + 1))
         else:
             eigenvalues, = _solve(family, grid, n_max + 1)
     table = None

@@ -14,7 +14,12 @@ single eigenvalue the same pass also yields the slope of
 log|det(T − xI)|, and safeguarded Newton steps take over from bisection.
 From the third eigenvalue on, the search starts at an extrapolation of
 the eigenvalues already certified, which on these operators lies within
-about 1e−6 of a level spacing.  Every eigenvalue is
+about 1e−6 of a level spacing.  The first three may start at predictions
+the caller passes, as the CLI passes the closed-form energies: a
+prediction is kept only where one slope pass there puts it next to its
+level, and one that is not costs that pass and leaves no trace.  A
+prediction picks the search's path, never what the counts certify, so
+the oracle stays a check of the algebra, not a copy.  Every eigenvalue is
 certified by counts to lie in a bracket no wider than 1e−12·‖T‖∞, a
 tolerance relative to the operator, so the spectrum scales with it down
 to the underflow refusal.  Eigenvectors, where a caller wants them, come
@@ -233,8 +238,9 @@ def assemble_von_roos(family: ShapeInvariantFamily, ordering: VonRoosOrdering,
 
 # Count passes allowed per eigenvalue.  Doubling up to the Gershgorin edge
 # and bisecting back down to tol each take at most about 42 passes, since
-# tol is 1e−12 of the norm; a predicted start adds one pass, its window
-# starts at 64·tol, and Newton steps only shorten the rest.
+# tol is 1e−12 of the norm; a predicted start adds one pass, and a
+# caller's prediction that is not kept one more, its window starts at
+# 64·tol, and Newton steps only shorten the rest.
 _MAX_PASSES = 128
 
 
@@ -361,7 +367,7 @@ def _prepared(T: TridiagonalOperator, k: int):
     return (blocks, *scale)
 
 
-def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
+def eigenvalue_list(T: TridiagonalOperator, k: int, predictions=None) -> list:
     """The k smallest eigenvalues of a symmetric tridiagonal matrix, ascending,
     as a list of floats.
 
@@ -382,13 +388,31 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     those of the whole T.  The block corner d ± o rounds once, which moves
     a level by at most one ulp of ‖T‖∞.  Any other T is one block.  Every
     count narrows the brackets of all requested indices of its block at
-    once (as in LAPACK dstebz).  From index 2 on, the first pass for λ_j
-    is a slope pass at a prediction extrapolated through the last two
-    certified eigenvalues (linear, for λ_2) or three (quadratic), when it
-    lies in λ_j's bracket.  Index j's upper edge comes from a doubling
-    search up from the bracket's lower edge.  Its first step, at least
-    tol, is the Newton step from the Gershgorin edge glo for λ_0, λ_0 − glo
-    for λ_1, and from λ_2 on the predictor's error estimate: the larger of
+    once (as in LAPACK dstebz).
+
+    predictions, if given, is a sequence of guesses at λ_0, λ_1, …; only
+    the first three are read, and a shorter one leaves the rest
+    unpredicted.  A finite prediction p_j of λ_j, j ≤ 2, inside λ_j's
+    bracket, which lies inside the Gershgorin interval, takes one slope
+    pass at p_j.  The pass is kept where its count puts p_j between λ_j's
+    neighbours in its block and its Newton step heads for λ_j, stays
+    inside the bracket and spans at most a quarter of p_j's height above
+    the bracket's lower edge: it narrows the brackets, Newton starts at
+    p_j, and the first step of the doubling search is twice that Newton
+    step.  A pass not kept changes nothing, and λ_j starts as it would
+    without p_j, one pass later; a NaN, ±inf or out-of-bracket p_j takes
+    no pass.  Every value is then certified by the rules below, so a
+    prediction picks the path, never what is certified, and without
+    predictions the result is the one the solver gave before it took
+    them, bit for bit.
+
+    Unpredicted, from index 2 on, the first pass for λ_j is a slope pass
+    at a prediction extrapolated through the last two certified
+    eigenvalues (linear, for λ_2) or three (quadratic), when it lies in
+    λ_j's bracket.  Index j's upper edge comes from a doubling search up
+    from the bracket's lower edge.  Its first step, at least tol, is the
+    Newton step from the Gershgorin edge glo for λ_0, λ_0 − glo for λ_1,
+    and from λ_2 on the predictor's error estimate: the larger of
     |quadratic − linear| (zero for λ_2), 64·tol and twice the Newton step
     from the prediction.  Every step then doubles the last.  Once a
     bracket holds exactly one eigenvalue, the count pass also returns the
@@ -405,10 +429,10 @@ def eigenvalue_list(T: TridiagonalOperator, k: int) -> list:
     byte-for-byte reproducible.  More than 128 count passes for one
     eigenvalue raise ConvergenceFailureError.
     """
-    return _sturm_newton(*_prepared(T, k), k)
+    return _sturm_newton(*_prepared(T, k), k, predictions)
 
 
-def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
+def _sturm_newton(blocks, norm_t, glo, ghi, k, predictions=None) -> list:
     """The k smallest eigenvalues of T from its _prepared blocks; see eigenvalue_list.
 
     Level j of T is level j // nb of block j mod nb, for nb blocks.
@@ -420,6 +444,7 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
     pivmin = 2.2e-16 * norm_t
     top = sys.float_info.max
     glo, ghi = max(glo - tol, -top), min(ghi + tol, top)
+    predictions = () if predictions is None else predictions
 
     # Per block, shared brackets lo[i] <= λ_i < hi[i] of its levels i, with
     # nlo[i] <= i < nhi[i] the block's counts there.  hi[i] = inf until a
@@ -431,19 +456,24 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
         state.append((diag, off2, [glo] * kb, [0] * kb,
                       [math.inf] * kb, [len(diag)] * kb, [None]))
 
-    def count_at(x, st, i, slope):
-        diag, off2, lo, nlo, hi, nhi, newton = st
-        if slope:
-            c, s = _neg_count_slope(diag, off2, x, pivmin)
-            newton[0] = (x, s)
-        else:
-            c = _neg_count(diag, off2, x, pivmin)
+    def narrow(x, c, st, i):
+        # the count c at x bounds every level from i on
+        lo, nlo, hi, nhi = st[2:6]
         for r in range(i, len(lo)):
             if r < c:
                 if x < hi[r]:
                     hi[r], nhi[r] = x, c
             elif x > lo[r]:
                 lo[r], nlo[r] = x, c
+
+    def count_at(x, st, i, slope):
+        diag, off2, newton = st[0], st[1], st[6]
+        if slope:
+            c, s = _neg_count_slope(diag, off2, x, pivmin)
+            newton[0] = (x, s)
+        else:
+            c = _neg_count(diag, off2, x, pivmin)
+        narrow(x, c, st, i)
         return c
 
     values = []
@@ -451,23 +481,39 @@ def _sturm_newton(blocks, norm_t, glo, ghi, k) -> list:
         st = state[j % nb]
         i = j // nb
         lo, nlo, hi, nhi, newton = st[2:]
-        if j == 0:
+        prev = glo if j == 0 else values[-1]
+        # a prediction of level 0, 1 or 2 inside its bracket: one slope
+        # pass there, kept only where it is next to λ_j and its Newton
+        # step is short, and otherwise without a trace
+        guess = predictions[j] if j < 3 and j < len(predictions) else math.nan
+        predicted = False
+        a = max(lo[i], prev)
+        if a < guess < min(hi[i], ghi):
+            c, s = _neg_count_slope(st[0], st[1], guess, pivmin)
+            if s and c in (i, i + 1):
+                root = guess - 1.0 / s
+                dx = root - guess if c == i else guess - root
+                predicted = 0.0 < dx <= 0.25 * (guess - a) and root < hi[i]
+        if predicted:
+            newton[0] = (guess, s)
+            narrow(guess, c, st, i)
+            step = 2.0 * dx  # twice the Newton step
+        elif j == 0:
             # Newton from below the spectrum never passes λ_0
             count_at(glo, st, 0, True)
             s = newton[0][1]
-            prev, step = glo, -1.0 / s if s < 0.0 else 0.0
+            step = -1.0 / s if s < 0.0 else 0.0
         elif j == 1:
-            prev, step = values[0], values[0] - glo
+            step = prev - glo
         else:
             # extrapolate linearly through two certified levels, then
             # quadratically through three, whose last term sizes the window
-            prev = values[-1]
             d1 = prev - values[-2]
             guess, step = prev + d1, 64.0 * tol
             if j > 2:
                 d2 = d1 - (values[-2] - values[-3])
                 guess, step = guess + d2, max(step, abs(d2))
-            if max(lo[i], prev) < guess < hi[i]:
+            if a < guess < hi[i]:
                 count_at(guess, st, i, True)
                 if newton[0][1]:
                     # widen to twice the Newton step from the guess
@@ -584,7 +630,7 @@ def _unfolded(u, n: int, odd: bool):
     return MirroredArray(u, n, odd)
 
 
-def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
+def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0, predictions=None):
     """k smallest eigenpairs of a symmetric tridiagonal matrix: a list of
     floats and a list of vectors, each an array('d'), or a MirroredArray
     where T splits into parity blocks.
@@ -596,13 +642,14 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
     eigenvector ṽ of T with Σṽ² = 1, so that Σ w_i φ_i² = 1; Gram–Schmidt
     runs on ṽ, in T's own frame.
 
-    Eigenvalues as eigenvalue_list returns them.  Eigenvectors from the
-    twisted factorization of T − λI (Dhillon and Parlett 2004): the
-    twisted vector is the solve of γ_r e_r, the z with z_r = 1 at the
-    twist r of least |γ_r|.  A z that fails the residual check, or loses
-    more than half its norm to Gram–Schmidt (a z of a multiple
-    eigenvalue), is retried: the same solve takes a seeded random vector,
-    each row of level j drawn by random.Random(1000 + j).uniform on
+    Eigenvalues as eigenvalue_list returns them, from the same
+    predictions, which pick the search's path, never what is certified.
+    Eigenvectors from the twisted factorization of T − λI (Dhillon and
+    Parlett 2004): the twisted vector is the solve of γ_r e_r, the z with
+    z_r = 1 at the twist r of least |γ_r|.  A z that fails the residual
+    check, or loses more than half its norm to Gram–Schmidt (a z of a
+    multiple eigenvalue), is retried: the same solve takes a seeded random
+    vector, each row of level j drawn by random.Random(1000 + j).uniform on
     [−span, span), span the power of two just above ‖T‖∞ (at most 2¹⁰²²),
     then the last iterate, each retry projected twice (Giraud, Langou and
     Rozložník 2005), up to 50 solves in all, each one checked.  A vector
@@ -642,7 +689,7 @@ def eigenpair_lists(T: TridiagonalOperator, k: int, h=1.0):
             raise ValueError("the node weights of an operator that splits "
                              "into parity blocks must mirror as its bands do")
         roots = [math.sqrt(w) for w in h[:n - m if nb == 2 else n]]
-    eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k)
+    eigenvalues = _sturm_newton(blocks, norm_t, glo, ghi, k, predictions)
     blocks = [block[:2] for block in blocks]  # the squared couplings go
     # T = 0 keeps a pivot floor, the one of ‖T‖∞ = 1
     pivmin = 2.2e-16 * (norm_t or 1.0)

@@ -1082,13 +1082,15 @@ def test_numeric_eigenfunctions_carry_the_closed_form_signs(capsys):
 
 def test_json_only_eigenfunctions_sample_nothing(capsys, monkeypatch):
     # the artifact holds only eigenvalues and the grid; the numeric ones are
-    # those of the eigenpair solve, bit for bit
+    # those of the eigenpair solve started at the closed-form energies, as
+    # the CSV path starts it, bit for bit
     from pdemosc import Kind, build_grid, discrete, energy, make_family, sampling
     fam = make_family(Kind.CASE3, 1.0, 0.2)
     grid = build_grid(fam, 400)
+    algebraic = [energy(fam, n) for n in range(4)]
     values, _ = discrete.eigenpair_lists(discrete.assemble_lists(fam, grid),
-                                         4, grid.h)
-    want = {"algebraic": [energy(fam, n) for n in range(4)], "numeric": values}
+                                         4, grid.h, algebraic)
+    want = {"algebraic": algebraic, "numeric": values}
 
     def refuse(*args):
         raise AssertionError("sampled for a JSON-only artifact")
@@ -1100,6 +1102,25 @@ def test_json_only_eigenfunctions_sample_nothing(capsys, monkeypatch):
                 "--source", source]
         assert run(argv) == 0
         assert json.loads(capsys.readouterr()[0])["eigenvalues"] == want[source]
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum"], ["compare-ordering", "--ordering=-0.7,-0.2,-0.1"],
+    ["eigenfunctions", "--source", "numeric", "--format", "json"],
+    ["eigenfunctions", "--source", "numeric"],
+], ids=["spectrum", "compare-ordering", "eigenfunctions-json",
+        "eigenfunctions-csv"])
+def test_predictions_past_a_double_leave_the_refusal_to_the_solver(capsys,
+                                                                  command):
+    # E_1 = 1.5·alpha leaves the range of a double here; the solve starts
+    # without predictions, so the operator's overflow is refused, as it
+    # was before the solver took them
+    argv = command + ["--family", "constant", "--alpha", "1.7e308",
+                      "--n-max", "2", "--grid-n", "200"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the discretized Hamiltonian overflows")
 
 
 # the whole admissible domain and its edges: each request ends in exit 0

@@ -23,6 +23,7 @@ from pdemosc import (
     Kind,
     bound_state_count,
     build_grid,
+    energy,
     gf_polynomial,
     make_family,
     run,
@@ -143,8 +144,10 @@ def test_streamed_table_is_the_row_by_row_table(request):
     if source == "algebraic":
         columns = sampling.eigenfunction_lists(fam, n_max, grid)
     else:
+        # the CLI starts the solve at the closed-form energies
         columns = discrete.eigenpair_lists(
-            discrete.assemble_lists(fam, grid), n_max + 1, grid.h)[1]
+            discrete.assemble_lists(fam, grid), n_max + 1, grid.h,
+            [energy(fam, n) for n in range(n_max + 1)])[1]
     table = [grid.node(range(1, grid.n + 1)), *columns]
     header = "x," + ",".join(f"phi_{n}" for n in range(n_max + 1))
     assert out.getvalue() == rows_17g(header, table)
